@@ -18,7 +18,7 @@ from .pipeline import (RESCUE_SCALES, AuxSolve, BringAnsatz, ObstructionReport,
                        quartic_remove_2_3, quartic_remove_2_4,
                        quintic_bring_ansatz, quintic_to_bring_jerrard,
                        reciprocal_transform, reduce_general_quintic,
-                       scale_poly, to_principal)
+                       scale_poly, step_inverse, to_principal)
 from .polynomials import (UniPoly, coeff_scale, deflate, poly_from_power_sums,
                           power_sums, shift_substitute)
 from .roots import (DEFAULT_MATCH_TOLERANCE, RootConfig, RootSet,
@@ -46,7 +46,7 @@ __all__ = [
     "reciprocal_transform", "recover_roots", "reduce_general_quintic",
     "scale_poly", "shift_substitute", "solve_condition", "solve_cubic_cardano",
     "solve_cubic_general", "solve_monic", "solve_quadratic", "solve_quartic",
-    "sylvester_resultant_with_factor", "to_principal",
+    "step_inverse", "sylvester_resultant_with_factor", "to_principal",
     "transform_by_power_sums", "verify_trace", "verify_transform",
 ]
 

@@ -193,7 +193,10 @@ def cmd_verify(args) -> int:
     if body is None:
         raise UsageError("trace file has no trace object")
     cfg = _config(args)
-    trace = ReductionTrace.from_json(body, cfg.precision_bits)
+    try:
+        trace = ReductionTrace.from_json(body, cfg.precision_bits)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError("malformed trace: %s: %s" % (type(exc).__name__, exc))
     report = verify_trace(trace, cfg)
     if args.output == "json":
         _emit(args, _json_dump(report.to_json()))

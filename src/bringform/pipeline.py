@@ -636,13 +636,67 @@ def back_solve(step: TransformStep, y, *, prec=None, tol=None):
         return [y - sub.coeffs[0]]
     B_at_y = UniPoly([sub.coeffs[0] + y] + list(sub.coeffs[1:]) + [rat(1)], "z")
     cands = solve_monic(B_at_y, prec=prec, tol=tol).roots
-    A = step.input
-    thr = as_tol(tol) * coeff_scale(A)
-    keep = []
-    for z in cands:
-        bound = thr * max(1, z.mag()) ** A.degree
-        if A.eval(z).mag() <= bound:
-            keep.append(z)
+    keep = [z for z in cands if lies_on(step.input, z, tol)]
     if not keep:
         raise ConsistencyError("no preimage of %s lies on the source polynomial" % y)
     return keep
+
+
+def lies_on(A: UniPoly, z, tol=None) -> bool:
+    """Is z a root of A within |A(z)| <= tol * coeff_scale(A) * max(1, |z|)^deg A?"""
+    bound = as_tol(tol) * coeff_scale(A) * max(1, z.mag()) ** A.degree
+    return A.eval(z).mag() <= bound
+
+
+def _rem_monic(P: UniPoly, A: UniPoly):
+    """The n = deg A ascending coefficients of P modulo the monic A."""
+    n = A.degree
+    rem = list(P.coeffs)
+    for k in range(len(rem) - 1, n - 1, -1):
+        q = rem[k]
+        if not q.is_exact_zero():
+            for j in range(n):
+                rem[k - n + j] = rem[k - n + j] - q * A.coeffs[j]
+    return rem[:n] + [rat(0)] * (n - len(rem))
+
+
+def step_inverse(step: TransformStep, tol=None):
+    """The inverse map U of a step, with U(T(z)) = z for every root z of the
+    step's monic input A, or None when T merges roots of A.
+
+    U = sum u_j y^j solves the n x n system sum u_j T^j = z modulo A
+    (n = deg A; PARI's ``modreverse``).  The elimination is exact when every
+    matrix entry is rational, and pivots by magnitude otherwise.  A pivot that
+    is exactly zero, or in complex mode no larger than tol times the largest
+    entry, means the basis 1, T, ..., T^(n-1) is singular: the map is not
+    one-to-one on the roots of A and only ``back_solve`` can pull them back.
+    """
+    A = step.input
+    n = A.degree
+    T = step.subsidiary.map_in_z()
+    cols = [_rem_monic(UniPoly([rat(1)], "z"), A)]
+    while len(cols) < n:
+        cols.append(_rem_monic(UniPoly(cols[-1], "z") * T, A))
+    rhs = _rem_monic(UniPoly([rat(0), rat(1)], "z"), A)
+    M = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
+    entries = [e for row in M for e in row[:n]]
+    exact = all(e.is_rational for e in entries)
+    floor = None if exact else as_tol(tol) * max(e.mag() for e in entries)
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: M[r][c].mag())
+        pivot = M[p][c]
+        if pivot.is_exact_zero() or (floor is not None and pivot.mag() <= floor):
+            return None
+        M[c], M[p] = M[p], M[c]
+        for r in range(c + 1, n):
+            f = M[r][c] / pivot
+            if not f.is_exact_zero():
+                for k in range(c, n + 1):
+                    M[r][k] = M[r][k] - f * M[c][k]
+    u = [rat(0)] * n
+    for c in range(n - 1, -1, -1):
+        acc = M[c][n]
+        for k in range(c + 1, n):
+            acc = acc - M[c][k] * u[k]
+        u[c] = acc / M[c][c]
+    return UniPoly(u, "y")

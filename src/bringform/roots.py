@@ -7,9 +7,16 @@ roots) can be checked against independently computed root sets.
 
 The root finder is a simultaneous Aberth-Ehrlich iteration with a seeded,
 deterministically perturbed circle of starting points, so identical inputs
-give bit-identical root sets.  Multiple roots converge to tight clusters
-rather than single points; the matcher compares cluster centroids and sizes,
-where the symmetric placement error of a cluster cancels.
+give bit-identical root sets.  The circle sits inside Fujiwara's bound on the
+root moduli, so it has the size of the roots rather than of the largest
+coefficient (Bini, Numer. Algorithms 13, 1996).  Multiple roots converge to
+tight clusters rather than single points; the matcher compares cluster
+centroids and sizes, where the symmetric placement error of a cluster
+cancels.
+
+Root recovery inverts each step by its map U with U(T(z)) = z on the roots
+of the step's input (``pipeline.step_inverse``), and solves the subsidiary
+relation root by root only for a step that has no such U.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ import mpmath
 from mpmath import workprec
 
 from .errors import ConsistencyError
-from .pipeline import dual_eliminate, expected_step_input, reciprocal_transform
+from .pipeline import (dual_eliminate, expected_step_input, lies_on,
+                       reciprocal_transform, step_inverse)
 from .polynomials import UniPoly, coeff_scale
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar,
                       as_tol, rat, sort_key)
@@ -69,9 +77,11 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
     """All complex roots of a polynomial with numeric coefficients.
 
     Exact zero roots are stripped first so the iteration never stalls at the
-    origin.  Residuals are measured against a per-root noise floor
-    2^(6-prec) * sum |c_j| |z|^j, the best any root of this polynomial can do
-    in this precision.
+    origin.  The start points lie at 1/2 to 3/4 of Fujiwara's bound
+    2 max(|c_{n-1}|, |c_{n-2}|^(1/2), ..., |c_1|^(1/(n-1)), |c_0/2|^(1/n))
+    on the root moduli of the monic remainder.  Residuals are measured
+    against a per-root noise floor 2^(6-prec) * sum |c_j| |z|^j, the best
+    any root of this polynomial can do in this precision.
     """
     cfg = config or RootConfig()
     if poly.degree < 1:
@@ -91,7 +101,11 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
         with workprec(prec):
             cs = [c.to_mpc(prec) for c in coeffs]
             eps = mpmath.mpf(2) ** (6 - prec)
-            bound = 1 + max(abs(c) for c in cs[:-1])
+            # Fujiwara's bound on the root moduli (c_0 != 0 once zero roots
+            # are stripped), so the start circle has the roots' own size
+            terms = [abs(cs[n - k]) ** (mpmath.mpf(1) / k) for k in range(1, n)]
+            terms.append((abs(cs[0]) / 2) ** (mpmath.mpf(1) / n))
+            bound = 2 * max(terms)
             rng = random.Random(cfg.seed)
             zs = []
             for j in range(n):
@@ -371,7 +385,8 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
     """Re-run every elimination in a trace and transport the original roots
     through it, comparing against directly computed roots of the final form.
 
-    matched goes false if any structural re-check or the final multiset
+    matched goes false if any structural re-check fails, if either root set
+    (original or final) fails to converge, or if the final multiset
     comparison fails; nothing raises for a corrupted trace, it just reports.
     """
     cfg = config or RootConfig()
@@ -399,7 +414,8 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
             except ConsistencyError:
                 ok = False
         prev = step.output
-    zs = list(find_roots(trace.original.with_var("z"), cfg).roots)
+    original_roots = find_roots(trace.original.with_var("z"), cfg)
+    zs = list(original_roots.roots)
     worst = mpmath.mpf(0)
     for step in trace.steps:
         if step.rescue_scaling is not None:
@@ -410,27 +426,44 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
             if r > worst:
                 worst = r
         zs = ys
-    direct = find_roots(trace.final, cfg).roots
-    m_ok, _ = match_roots(zs, direct, tol=cfg.match_tol, prec=cfg.precision_bits)
-    ok = ok and m_ok
+    direct = find_roots(trace.final, cfg)
+    m_ok, _ = match_roots(zs, direct.roots, tol=cfg.match_tol, prec=cfg.precision_bits)
+    ok = ok and m_ok and original_roots.converged and direct.converged
     bring = bring_curve_residual(zs) if trace.final.degree == 5 else ()
     return VerifyReport(worst, ok, bring)
 
 
 def recover_roots(trace, config: RootConfig = None):
     """Roots of the original polynomial, recovered by walking the trace
-    backward from the final trinomial through each subsidiary relation."""
+    backward from the roots of the final trinomial.
+
+    Each step's image roots go back through its inverse map U
+    (``step_inverse``), one polynomial evaluation per root, and every U(y)
+    must pass ``back_solve``'s test of lying on the step's input.  A step
+    whose map is not one-to-one on the input's roots has no U; it, or a step
+    whose U(y) fails that test, falls back to solving the subsidiary relation
+    for the preimages of each root (``assemble_preimages``).
+    """
     cfg = config or RootConfig()
     ys = list(find_roots(trace.final, cfg).roots)
     for step in reversed(trace.steps):
         if step.kind == "reciprocal":
             ys = [rat(1) / y for y in ys]
         else:
-            ys = assemble_preimages(step.input, ys, step,
-                                    prec=cfg.precision_bits, tol=cfg.tol)
+            ys = _pull_back(step, ys, cfg)
         if step.rescue_scaling is not None:
             ys = [y * step.rescue_scaling for y in ys]
     return tuple(sorted(ys, key=sort_key))
+
+
+def _pull_back(step, ys, cfg):
+    U = step_inverse(step, cfg.tol)
+    if U is not None:
+        zs = [U.eval(y) for y in ys]
+        if all(lies_on(step.input, z, cfg.tol) for z in zs):
+            return zs
+    return assemble_preimages(step.input, ys, step,
+                              prec=cfg.precision_bits, tol=cfg.tol)
 
 
 def obstruction_consistency(report, config: RootConfig = None):

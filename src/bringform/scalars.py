@@ -7,7 +7,10 @@ stay rational; any contact with a complex operand promotes the result to
 complex at the larger precision in play.  Square and cube roots of rationals
 stay rational exactly when the result is rational, and promote otherwise.
 
-Values are immutable, so they are safe to share between concurrent tasks.
+Values are immutable, but they are not safe to use from concurrent threads:
+complex arithmetic and magnitudes set mpmath's process-wide precision through
+``workprec``, so two threads working at different precisions can round each
+other's results.
 """
 
 from __future__ import annotations

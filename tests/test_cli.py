@@ -120,6 +120,33 @@ def test_verify_garbage_json_is_usage_error(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("breakage", ["step without output", "zero denominator",
+                                      "steps not a list"])
+def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
+    trace = tmp_path / "trace.json"
+    assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads(trace.read_text())
+    if breakage == "step without output":
+        del doc["trace"]["steps"][0]["output"]
+    elif breakage == "zero denominator":
+        doc["trace"]["bring_p"] = [1, 0]
+    else:
+        doc["trace"]["steps"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--in", str(bad))
+    assert code == EXIT_USAGE and out == ""
+    assert "malformed trace" in err and "Traceback" not in err
+
+
+def test_reduce_with_collapsed_repeated_root_exits_one(capsys):
+    # ascending (0, 0, 1, 1, -1, 1): its final root set does not converge
+    code, out, _ = run(capsys, "reduce", "--coeffs", "1", "-1", "1", "1", "0", "0")
+    assert code == EXIT_VERIFY
+    assert json.loads(out)["verify"]["matched"] is False
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "reduce", "--coeffs", "1", "2", "3")[0] == EXIT_USAGE
     assert run(capsys, "reduce", "--coeffs", "2", "0", "0", "0", "0", "1")[0] == EXIT_USAGE

@@ -9,15 +9,19 @@ import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from bringform import (RootConfig, UniPoly, bring_curve_residual, find_roots,
                        match_roots, obstruction_consistency,
-                       quartic_obstruction_G, rat, recover_roots,
-                       reduce_general_quintic, verify_trace, verify_transform)
-from bringform.pipeline import ReductionTrace, TransformStep, depress
+                       quartic_obstruction_G, quartic_remove_2_4, rat,
+                       recover_roots, reduce_general_quintic, verify_trace,
+                       verify_transform)
+from bringform.pipeline import (ReductionTrace, TransformStep, depress,
+                                step_inverse)
 from helpers import rand_monic, rand_scalar
 
 TINY = mpmath.mpf("1e-60")
+README_QUINTIC = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
 
 
 def _poly_from_roots(roots, var="z"):
@@ -188,3 +192,57 @@ def test_obstruction_consistency_on_generic_quartic():
     rep = quartic_obstruction_G(rat(1), rat(1))
     slack = obstruction_consistency(rep)
     assert slack <= mpmath.mpf("1e-25")
+
+
+def test_final_trinomial_needs_few_aberth_iterations():
+    # a start circle of the roots' own size needs few Aberth iterations
+    trace = reduce_general_quintic(README_QUINTIC)
+    rs = find_roots(trace.final)
+    assert rs.converged and rs.iterations <= 12
+    zs = find_roots(README_QUINTIC).roots
+    for step in trace.steps:
+        if step.rescue_scaling is not None:
+            zs = [z / step.rescue_scaling for z in zs]
+        T = step.subsidiary.map_in_z()
+        zs = [T.eval(z) for z in zs]
+    ok, dist = match_roots(rs.roots, zs, tol="1e-40")
+    assert ok, "final roots drifted from the transported ones: %s" % dist
+
+
+def test_step_inverse_undoes_every_readme_step():
+    trace = reduce_general_quintic(README_QUINTIC)
+    assert trace.steps[0].kind == "depress"
+    for step in trace.steps:
+        U = step_inverse(step)
+        assert U is not None
+        T = step.subsidiary.map_in_z()
+        for z in find_roots(step.input).roots:
+            err = (U.eval(T.eval(z)) - z).mag()
+            assert err <= TINY * max(1, z.mag()), (step.kind, err)
+    U = step_inverse(trace.steps[0])
+    assert U.is_rational_tree()
+    assert U == UniPoly([-trace.steps[0].subsidiary.coeffs[0], rat(1)], "y")
+
+
+def test_step_inverse_refuses_a_map_that_merges_roots():
+    # z^4 + z -> y^4 + 3y^2 sends two roots to y = 0
+    step = quartic_remove_2_4(rat(1), rat(0))
+    assert step_inverse(step) is None
+    # recover_roots then solves the subsidiary relation root by root
+    trace = ReductionTrace(step.input, (step,), step.output, rat(0), rat(0))
+    ok, dist = match_roots(recover_roots(trace), find_roots(step.input).roots,
+                           tol="1e-40")
+    assert ok, dist
+
+
+@pytest.mark.parametrize("ascending", [
+    (0, 0, 1, 1, -1, 1),
+    (3, -4, -1, 3, -2, 1),  # (z - 1)^2 (z^3 + 2z + 3)
+    (0, 0, 1, 1, 0, 1),     # z^2 (z^3 + z + 1)
+])
+def test_verify_trace_rejects_unconverged_root_sets(ascending):
+    # the bring-jerrard map collapses the planted repeated root, and the
+    # final trinomial's root set does not converge
+    trace = reduce_general_quintic(UniPoly([rat(c) for c in ascending]))
+    assert not find_roots(trace.final).converged
+    assert verify_trace(trace).matched is False
