@@ -7,7 +7,7 @@ equation.  Every elimination is computed twice, by independent routes, and
 the emitted trace can be re-verified numerically after the fact.
 """
 
-from .elimination import (BiPoly, polynomial_resultant,
+from .elimination import (BiPoly, map_charpoly, polynomial_resultant,
                           sylvester_resultant_with_factor,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator, RescueExhausted
@@ -39,8 +39,9 @@ __all__ = [
     "SolveResult", "Subsidiary", "TransformStep", "UniPoly", "VerifyReport",
     "assemble_preimages", "back_solve", "bring_curve_residual", "coeff_scale",
     "cubic_b_quadratic", "cubic_to_pure", "cx", "deflate", "depress",
-    "dual_eliminate", "find_roots", "match_roots", "obstruction_consistency",
-    "poly_from_power_sums", "polynomial_resultant", "power_sums",
+    "dual_eliminate", "find_roots", "map_charpoly", "match_roots",
+    "obstruction_consistency", "poly_from_power_sums", "polynomial_resultant",
+    "power_sums",
     "quartic_obstruction_G", "quartic_remove_2_3", "quartic_remove_2_4",
     "quintic_bring_ansatz", "quintic_to_bring_jerrard", "rat",
     "reciprocal_transform", "recover_roots", "reduce_general_quintic",

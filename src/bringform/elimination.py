@@ -1,28 +1,32 @@
 """Eliminating the old variable from a transformation pair.
 
-Given A(z) = 0 and a subsidiary relation B(z, y) = 0 that is polynomial in
-both variables, the transformed equation C(y) = 0 satisfied by the images of
-A's roots is computed here by two independent routes:
+Given a monic A(z) = 0 and a map y = T(z), the transformed equation C(y) = 0
+satisfied by the images of A's roots, C(y) = Res_z(A, y - T) = prod (y - T(z_i)),
+is computed here by two independent routes:
 
-* ``sylvester_resultant_in_z``: the determinant of the Sylvester matrix of A
-  and B with respect to z, whose entries are polynomials in y.  In exact
-  rational mode the determinant is evaluated by fraction-free (Bareiss)
-  elimination; in complex mode by division-free cofactor expansion with
-  memoized minors (matrices here are at most 9x9).
+* ``map_charpoly``: the characteristic polynomial det(y - M_T) of the n x n
+  scalar matrix of multiplication by T in K[z]/(A), by reduction to
+  Hessenberg form and the Hessenberg recurrence (Cohen, *A Course in
+  Computational Algebraic Number Theory*, Alg. 2.2.9).  The similarity
+  transforms are exact ``Fraction`` arithmetic when every entry is rational
+  and pivot by magnitude otherwise.  ``sylvester_resultant_with_factor``
+  routes a subsidiary relation B = c*y - T(z) here.
 * ``transform_by_power_sums``: transport of Newton power sums through the
   map y = T(z), then reconstruction of C from its power sums.
 
 The two routes are deliberately kept independent so tests can use each as an
-oracle for the other.
+oracle for the other.  ``polynomial_resultant`` evaluates a Sylvester
+determinant over a coefficient ring that may itself be polynomial, for the
+eliminations that are not a map of roots (the reciprocal cross-check and the
+quartic obstruction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyError
 from .polynomials import (UniPoly, _lift, _one_like, _zero_like, power_sums,
-                          poly_from_power_sums)
+                          poly_from_power_sums, rem_monic)
 from .scalars import Scalar, rat
 
 
@@ -38,16 +42,6 @@ class BiPoly:
     @property
     def degree_z(self) -> int:
         return len(self.z_coeffs) - 1
-
-    def eval_z(self, z_value) -> UniPoly:
-        """Collapse to a polynomial in y by substituting a value for z."""
-        acc = None
-        p = rat(1)
-        for cy in self.z_coeffs:
-            term = cy * p
-            acc = term if acc is None else acc + term
-            p = p * z_value
-        return acc
 
 
 def _exdiv(num, den):
@@ -158,30 +152,87 @@ def polynomial_resultant(P: UniPoly, Q: UniPoly):
     return poly_matrix_det(M)
 
 
+def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
+    """det(y - M_T), monic of degree n = deg A, where M_T is the matrix of
+    multiplication by T(z) (ascending Scalar coefficients ``t_coeffs``) on
+    the basis 1, z, ..., z^(n-1) of K[z]/(A).
+
+    This is prod (y - T(z_i)) over the roots of A, repeated roots included.
+    Exact when every entry of M_T is rational.
+    """
+    if not A.is_monic():
+        raise ValueError("A must be monic (normalize first)")
+    n = A.degree
+    col = rem_monic(UniPoly(t_coeffs, A.var), A)
+    cols = [col]
+    while len(cols) < n:
+        col = rem_monic(UniPoly([rat(0)] + col, A.var), A)
+        cols.append(col)
+    H = [[cols[j][i] for j in range(n)] for i in range(n)]
+    exact = all(e.is_rational for c in cols for e in c)
+    # Hessenberg reduction: clear column m-1 below the subdiagonal by row
+    # operations, each paired with the inverse column operation.  Entries
+    # below the subdiagonal are never read again, so they are not cleared.
+    for m in range(1, n - 1):
+        cands = [i for i in range(m, n) if not H[i][m - 1].is_exact_zero()]
+        if not cands:
+            continue
+        p = cands[0] if exact else max(cands, key=lambda i: H[i][m - 1].mag())
+        if p != m:
+            H[p], H[m] = H[m], H[p]
+            for row in H:
+                row[p], row[m] = row[m], row[p]
+        pivot = H[m][m - 1]
+        for i in range(m + 1, n):
+            u = H[i][m - 1] / pivot
+            if u.is_exact_zero():
+                continue
+            for j in range(m, n):
+                H[i][j] = H[i][j] - u * H[m][j]
+            for row in H:
+                row[m] = row[m] + u * row[i]
+    # p_m(y) = (y - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
+    polys = [[rat(1)]]
+    for m in range(n):
+        prev = polys[m]
+        new = [rat(0)] + prev
+        for k, c in enumerate(prev):
+            new[k] = new[k] - H[m][m] * c
+        t = rat(1)
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i]
+            if t.is_exact_zero():
+                break
+            f = H[i][m] * t
+            if f.is_exact_zero():
+                continue
+            for k, c in enumerate(polys[i]):
+                new[k] = new[k] - f * c
+        polys.append(new)
+    return UniPoly(polys[n], "y")
+
+
 def sylvester_resultant_with_factor(A: UniPoly, B: BiPoly):
     """Res_z(A, B) as a monic polynomial in y, plus the leading coefficient
-    that was divided out."""
+    that was divided out.
+
+    B must have the shape c*y - T(z), with c a nonzero scalar, which is what
+    every subsidiary relation produces.  Then Res_z(A, B) = c^n prod
+    (y - T(z_i)/c), and the monic part is the ``map_charpoly`` of T/c.
+    """
     n = A.degree
     k = B.degree_z
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
     if k < 1 or k >= n:
         raise ValueError("subsidiary degree must satisfy 1 <= k < deg A")
-    zero = UniPoly((), "y")
-    a_desc = [UniPoly((A.coeff(j),), "y") for j in range(n, -1, -1)]
-    b_desc = [B.z_coeffs[j].with_var("y") for j in range(k, -1, -1)]
-    M = _sylvester_matrix(a_desc, b_desc, zero)
-    det = poly_matrix_det(M)
-    if det.is_zero() or det.degree != n:
-        raise ConsistencyError(
-            "resultant degree %d, expected %d" % (det.degree, n))
-    C, lead = det.monic()
-    return C.with_var("y"), lead
-
-
-def sylvester_resultant_in_z(A: UniPoly, B: BiPoly) -> UniPoly:
-    """The transformed polynomial C(y), normalized monic."""
-    return sylvester_resultant_with_factor(A, B)[0]
+    rows = [e.coeffs for e in B.z_coeffs]
+    if (len(rows[0]) != 2 or any(len(cs) > 1 for cs in rows[1:])
+            or not all(isinstance(e, Scalar) for cs in rows for e in cs)):
+        raise ValueError("B must be c*y - T(z) with c a nonzero scalar")
+    c = rows[0][1]
+    t = [-(cs[0] if cs else rat(0)) / c for cs in rows]
+    return map_charpoly(A, t), c ** n
 
 
 def transform_by_power_sums(A: UniPoly, t_coeffs) -> UniPoly:

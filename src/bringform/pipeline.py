@@ -25,8 +25,9 @@ from .elimination import (BiPoly, polynomial_resultant,
                           sylvester_resultant_with_factor,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator, RescueExhausted
-from .polynomials import UniPoly, coeff_scale, power_sums, shift_substitute
-from .scalars import (Scalar, as_tol, negligible, rat, tie_break_key)
+from .polynomials import (UniPoly, coeff_scale, power_sums, rem_monic,
+                          shift_substitute)
+from .scalars import Scalar, as_tol, negligible, pick_root, rat
 from .solvers import solve_condition, solve_monic
 
 RESCUE_SCALES = (2, 3, 5, 7, 11)
@@ -236,11 +237,6 @@ def _assert_vanishes(value, scale, tol, what):
             raise ConsistencyError("%s failed to vanish: %s" % (what, value))
 
 
-def _pick(roots):
-    idx = min(range(len(roots)), key=lambda i: tie_break_key(roots[i]))
-    return idx, roots[idx]
-
-
 def _identity_step(kind: str, poly: UniPoly) -> TransformStep:
     sub = Subsidiary(1, (rat(0),))
     return TransformStep(kind, poly, sub, poly, (), rat(1))
@@ -318,7 +314,8 @@ def _quadratic_subsidiary_step(kind: str, A: UniPoly, cond_power: int,
     if deg < 0:
         # condition holds identically: the input already has the target shape
         return _identity_step(kind, A)
-    idx, b = _pick(roots)
+    idx = pick_root(roots, tol)
+    b = roots[idx]
     a = neg_a.eval(b)
     if isinstance(a, UniPoly):
         a = a.coeff(0)
@@ -516,7 +513,8 @@ def quintic_bring_ansatz(p, q, r, *, prec=None, tol=None):
         gidx, gamma = 0, rat(0)
         groots = (rat(0),)
     else:
-        gidx, gamma = _pick(groots)
+        gidx = pick_root(groots, tol)
+        gamma = groots[gidx]
     zeta = zeta1 * gamma + zeta0
     aux = [AuxSolve("gamma-quadratic", max(deg_g, 0), tuple(groots), gidx)]
 
@@ -549,7 +547,8 @@ def quintic_bring_ansatz(p, q, r, *, prec=None, tol=None):
         didx, dstar = 0, rat(0)
         droots = (rat(0),)
     else:
-        didx, dstar = _pick(droots)
+        didx = pick_root(droots, tol)
+        dstar = droots[didx]
     aux.append(AuxSolve("d-cubic", max(deg_d, 0), tuple(droots), didx))
     return BringAnsatz(alpha, gamma, zeta, dstar, dcub), aux
 
@@ -648,18 +647,6 @@ def lies_on(A: UniPoly, z, tol=None) -> bool:
     return A.eval(z).mag() <= bound
 
 
-def _rem_monic(P: UniPoly, A: UniPoly):
-    """The n = deg A ascending coefficients of P modulo the monic A."""
-    n = A.degree
-    rem = list(P.coeffs)
-    for k in range(len(rem) - 1, n - 1, -1):
-        q = rem[k]
-        if not q.is_exact_zero():
-            for j in range(n):
-                rem[k - n + j] = rem[k - n + j] - q * A.coeffs[j]
-    return rem[:n] + [rat(0)] * (n - len(rem))
-
-
 def step_inverse(step: TransformStep, tol=None):
     """The inverse map U of a step, with U(T(z)) = z for every root z of the
     step's monic input A, or None when T merges roots of A.
@@ -674,10 +661,10 @@ def step_inverse(step: TransformStep, tol=None):
     A = step.input
     n = A.degree
     T = step.subsidiary.map_in_z()
-    cols = [_rem_monic(UniPoly([rat(1)], "z"), A)]
+    cols = [rem_monic(UniPoly([rat(1)], "z"), A)]
     while len(cols) < n:
-        cols.append(_rem_monic(UniPoly(cols[-1], "z") * T, A))
-    rhs = _rem_monic(UniPoly([rat(0), rat(1)], "z"), A)
+        cols.append(rem_monic(UniPoly(cols[-1], "z") * T, A))
+    rhs = rem_monic(UniPoly([rat(0), rat(1)], "z"), A)
     M = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
     entries = [e for row in M for e in row[:n]]
     exact = all(e.is_rational for e in entries)

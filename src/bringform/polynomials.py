@@ -354,6 +354,18 @@ def shift_substitute(poly: UniPoly, a) -> UniPoly:
     return UniPoly(out, "y")
 
 
+def rem_monic(P: UniPoly, A: UniPoly):
+    """The n = deg A ascending coefficients of P modulo the monic A."""
+    n = A.degree
+    rem = list(P.coeffs)
+    for k in range(len(rem) - 1, n - 1, -1):
+        q = rem[k]
+        if not q.is_exact_zero():
+            for j in range(n):
+                rem[k - n + j] = rem[k - n + j] - q * A.coeffs[j]
+    return rem[:n] + [rat(0)] * (n - len(rem))
+
+
 def deflate(poly: UniPoly, root) -> UniPoly:
     """Synthetic division of a monic polynomial by (var - root), remainder dropped."""
     root = _lift(root)

@@ -343,8 +343,21 @@ def sort_key(x: Scalar):
     return (c.real, c.imag)
 
 
-def tie_break_key(x: Scalar):
-    """Key for choosing among auxiliary roots: smallest |Im|, then smallest
-    magnitude, then (Re, Im) lexicographic."""
-    c = x.to_mpc()
-    return (abs(c.imag), abs(c), c.real, c.imag)
+def pick_root(roots, tol=None) -> int:
+    """Index of the auxiliary root to use: prefer real, then smallest
+    magnitude, then smallest real part, then smallest imaginary part.
+
+    Each of the first three preferences keeps every root within tol * s of
+    the best value (s = max(1, largest |root|)), so rounding noise, such as
+    the +-1e-77 imaginary parts of a cubic's three real roots, never decides
+    the choice.
+    """
+    keys = [(abs(r.im()), r.mag(), r.re()) for r in roots]
+    t = as_tol(tol) * max(mpmath.mpf(1), max(k[1] for k in keys))
+    keep = range(len(roots))
+    for stage in range(3):
+        low = min(keys[i][stage] for i in keep)
+        # v - low, not v <= low + t: the sum would be rounded to mpmath's
+        # global precision and could fall below low itself
+        keep = [i for i in keep if keys[i][stage] - low <= t]
+    return min(keep, key=lambda i: roots[i].im())

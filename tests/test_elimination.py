@@ -1,18 +1,21 @@
 """Resultant elimination against power-sum transport.
 
-The two routes share nothing past the polynomial ring: one goes through a
-Sylvester determinant, the other through Newton's identities.  On rational
-input they must agree coefficient for coefficient, exactly.  That equality is
-the oracle for both.
+The two routes share nothing past the polynomial ring: one goes through the
+characteristic polynomial of multiplication by T modulo A, the other through
+Newton's identities.  On rational input they must agree coefficient for
+coefficient, exactly.  That equality is the oracle for both, and the
+polynomial-entry Sylvester determinant of ``polynomial_resultant`` is a third.
 """
 
 import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 
-from bringform import (BiPoly, Subsidiary, UniPoly, find_roots, match_roots,
-                       polynomial_resultant, rat, shift_substitute,
+from bringform import (BiPoly, Subsidiary, UniPoly, cx, find_roots,
+                       map_charpoly, match_roots, polynomial_resultant,
+                       quartic_remove_2_4, rat, shift_substitute,
                        sylvester_resultant_with_factor,
                        transform_by_power_sums)
 from helpers import rand_monic, rand_scalar
@@ -106,7 +109,6 @@ def test_resultant_over_polynomial_coefficients():
 
 def test_routes_agree_in_complex_mode():
     rng = random.Random(34)
-    from bringform import cx
     for _ in range(10):
         n = rng.randint(2, 4)
         lower = [rand_scalar(rng) + cx(0) for _ in range(n)]
@@ -118,3 +120,57 @@ def test_routes_agree_in_complex_mode():
         scale = max(mpmath.mpf(1), C_res.max_mag())
         for k in range(max(C_res.degree, C_pow.degree) + 1):
             assert (C_res.coeff(k) - C_pow.coeff(k)).mag() <= mpmath.mpf("1e-70") * scale
+
+
+def _sylvester_oracle(A, sub):
+    """Res_z(A, B) by the polynomial-entry Sylvester determinant, normalized."""
+    lifted = UniPoly([UniPoly([c], "y") for c in A.coeffs], "z")
+    B = UniPoly(sub.z_coeffs_in_y(), "z")
+    return polynomial_resultant(lifted, B).monic()
+
+
+def test_map_charpoly_equals_sylvester_determinant_exactly():
+    rng = random.Random(35)
+    for n in range(2, 6):
+        for k in range(1, n):
+            for _ in range(3):
+                A = rand_monic(rng, n)
+                sub = _random_subsidiary(rng, k)
+                want, want_lead = _sylvester_oracle(A, sub)
+                C = map_charpoly(A, sub.t_coeffs())
+                assert C.is_rational_tree() and C == want, (n, k)
+                C2, lead = sylvester_resultant_with_factor(A, BiPoly(sub.z_coeffs_in_y()))
+                assert C2 == want and lead == want_lead
+                assert lead == (rat(-1) ** n if k == 1 else rat(1))
+
+
+def test_map_charpoly_matches_sylvester_determinant_in_complex_mode():
+    rng = random.Random(36)
+    for _ in range(8):
+        n = rng.randint(2, 5)
+        A = UniPoly([rand_scalar(rng) + cx(0, rng.randint(-3, 3)) for _ in range(n)]
+                    + [rat(1)])
+        sub = _random_subsidiary(rng, rng.randint(1, n - 1))
+        want, _ = _sylvester_oracle(A, sub)
+        C = map_charpoly(A, sub.t_coeffs())
+        scale = max(mpmath.mpf(1), want.max_mag())
+        for j in range(n + 1):
+            assert (C.coeff(j) - want.coeff(j)).mag() <= mpmath.mpf("1e-60") * scale
+
+
+def test_map_charpoly_keeps_repeated_image_roots():
+    # criterion 06's step: z^4 + z -> y^4 + 3y^2, two roots map to y = 0
+    step = quartic_remove_2_4(rat(1), rat(0))
+    C = map_charpoly(step.input, step.subsidiary.t_coeffs())
+    assert C == UniPoly([rat(0), rat(0), rat(3), rat(0), rat(1)], "y")
+
+
+def test_subsidiary_not_linear_in_y_is_refused():
+    A = UniPoly([rat(1), rat(0), rat(2), rat(1)])
+    y2 = UniPoly([rat(0), rat(0), rat(1)], "y")  # B = z^2 + z + y^2
+    B = BiPoly([y2, UniPoly([rat(1)], "y"), UniPoly([rat(1)], "y")])
+    with pytest.raises(ValueError):
+        sylvester_resultant_with_factor(A, B)
+    no_y = BiPoly([UniPoly([rat(2)], "y"), UniPoly([rat(1)], "y")])  # B = z + 2
+    with pytest.raises(ValueError):
+        sylvester_resultant_with_factor(A, no_y)

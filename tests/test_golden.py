@@ -1,0 +1,72 @@
+"""Golden corpus of auxiliary-root choices.
+
+``golden/choices.json`` records, for the 100 acceptance quintics
+(``random.Random(20260818)``, as in criterion 01) and the README quintic,
+every chosen auxiliary root and the P, Q of the final trinomial to 40
+significant digits.  Reducing each quintic again must reproduce them to
+1e-30 relative, so a change to the arithmetic that silently flips a root
+choice fails here.  The corpus holds values, not JSON text: noise digits
+beyond the 40th may move freely.
+
+Regenerate it, after a deliberate change of choice, with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import json
+import os
+import random
+
+import mpmath
+
+from bringform import UniPoly, rat, reduce_general_quintic
+
+CORPUS = os.path.join(os.path.dirname(__file__), "golden", "choices.json")
+DIGITS = 40
+REL_TOL = mpmath.mpf("1e-30")
+README_QUINTIC = [3, -2, 1, 4, -1, 1]
+
+
+def _quintics():
+    rng = random.Random(20260818)
+    out = [[rng.randint(-10, 10) for _ in range(5)] + [1] for _ in range(100)]
+    return out + [README_QUINTIC]
+
+
+def _record(coeffs):
+    trace = reduce_general_quintic(UniPoly([rat(c) for c in coeffs], "z"))
+
+    def text(v):
+        c = v.to_mpc()
+        return [mpmath.nstr(c.real, DIGITS), mpmath.nstr(c.imag, DIGITS)]
+
+    chosen = [[a.kind] + text(a.roots[a.chosen]) for st in trace.steps for a in st.aux]
+    return {"coeffs": coeffs, "chosen": chosen,
+            "P": text(trace.bring_p), "Q": text(trace.bring_q)}
+
+
+def _close(got, want):
+    g = mpmath.mpc(*got)
+    w = mpmath.mpc(*want)
+    return abs(g - w) <= REL_TOL * max(1, abs(w))
+
+
+def test_choices_match_golden_corpus():
+    with open(CORPUS) as fh:
+        corpus = json.load(fh)
+    assert [e["coeffs"] for e in corpus] == _quintics()
+    with mpmath.workprec(256):
+        for want in corpus:
+            got = _record(want["coeffs"])
+            where = "quintic %s" % want["coeffs"]
+            assert [c[0] for c in got["chosen"]] == [c[0] for c in want["chosen"]], where
+            for g, w in zip(got["chosen"], want["chosen"]):
+                assert _close(g[1:], w[1:]), "%s: %s root %s, golden %s" % (where, g[0], g[1:], w[1:])
+            for name in ("P", "Q"):
+                assert _close(got[name], want[name]), "%s: %s = %s, golden %s" % (
+                    where, name, got[name], want[name])
+
+
+if __name__ == "__main__":
+    lines = [json.dumps(_record(c)) for c in _quintics()]
+    with open(CORPUS, "w") as fh:
+        fh.write("[\n" + ",\n".join(lines) + "\n]\n")

@@ -323,6 +323,20 @@ def test_reduce_structure_and_trinomial_output():
             assert a.degree <= 3
 
 
+def test_reduce_takes_smallest_real_root_of_all_real_d_cubic():
+    # batch quintic #16 (seed 20260818): the d-cubic's roots -12.40, 0.708
+    # and 4.833 are real with imaginary parts at rounding level, so the
+    # choice must not depend on that noise
+    P = UniPoly([rat(c) for c in (-10, -7, 3, 10, -6, 1)])
+    trace = reduce_general_quintic(P)
+    (dsolve,) = [a for s in trace.steps for a in s.aux if a.kind == "d-cubic"]
+    assert dsolve.degree == 3
+    assert all(abs(r.im()) <= TINY for r in dsolve.roots)
+    d = dsolve.roots[dsolve.chosen]
+    assert abs(d.re() - mpmath.mpf("0.708064835434")) <= mpmath.mpf("1e-11")
+    assert trace.steps[-1].subsidiary.coeffs[3] == d
+
+
 def test_reduce_skips_identity_stages():
     trace = reduce_general_quintic(UniPoly([rat(3), rat(2), rat(0), rat(0), rat(0), rat(1)]))
     assert trace.steps == ()

@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 from bringform import DEFAULT_PRECISION_BITS, Scalar, cx, rat
-from bringform.scalars import as_tol, negligible, sort_key, tie_break_key
+from bringform.scalars import as_tol, negligible, pick_root, sort_key
 
 TINY = mpmath.mpf("1e-70")
 
@@ -135,8 +135,30 @@ def test_sort_key_orders_by_real_then_imaginary():
 
 def test_tie_break_prefers_real_small_roots():
     xs = [cx(2, 1), cx(-1, 0), cx(3, 0)]
-    best = min(xs, key=tie_break_key)
+    best = xs[pick_root(xs)]
     assert best == cx(-1, 0)
+
+
+def test_pick_root_ignores_rounding_noise_in_imaginary_parts():
+    # the d-cubic of batch quintic #16: three real roots whose imaginary
+    # parts are rounding noise; the smallest-magnitude real root must win
+    # whatever the sign or size of that noise
+    real = [cx("-12.4024264671"), cx("0.708064835434"), cx("4.83277061979")]
+    assert pick_root(real) == 1
+    eps = cx(0, "1e-70")
+    for signs in ((1, -1, 1), (-1, 1, -1), (1, 1, 0), (0, -1, 1)):
+        noisy = [r + eps * s for r, s in zip(real, signs)]
+        assert pick_root(noisy) == 1
+    xs = [cx(2, 1), cx(-1, 0), cx(3, 0)]
+    for s in (1, -1):
+        assert pick_root([x + eps * s for x in xs]) == 1
+
+
+def test_pick_root_breaks_exact_ties_by_real_then_imaginary_part():
+    assert pick_root([cx(1, 2), cx(1, -2)]) == 1       # conjugates: Im < 0
+    assert pick_root([cx(2, 0), cx(-2, 0)]) == 1       # equal |z|: smaller Re
+    assert pick_root([rat(3), rat(-1, 2)]) == 1        # exact rationals
+    assert pick_root([cx("1e40", 0), cx("-1e40", "1e-50")]) == 1
 
 
 def test_division_by_exact_zero_raises():
