@@ -11,22 +11,31 @@ is computed here by two independent routes:
   transforms are exact ``Fraction`` arithmetic when every entry is rational
   and pivot by magnitude otherwise.  ``sylvester_resultant_with_factor``
   routes a subsidiary relation B = c*y - T(z) here.
-* ``transform_by_power_sums``: transport of Newton power sums through the
-  map y = T(z), then reconstruction of C from its power sums.
+* ``transform_by_power_sums``: the power sums of C are the traces
+  sum_i (T^j mod A)_i s_i(A), so only s_0..s_(n-1) of A are needed; Newton's
+  identities rebuild C from them.
 
 The two routes are deliberately kept independent so tests can use each as an
-oracle for the other.  ``polynomial_resultant`` evaluates a Sylvester
-determinant over a coefficient ring that may itself be polynomial, for the
-eliminations that are not a map of roots (the reciprocal cross-check and the
-quartic obstruction).
+oracle for the other.
+
+Conditions in free parameters come from ``image_elementary``: with each
+coefficient of T affine in the parameters, the power sums of the images are
+Hankel forms in the power sums of A (Adamchik & Jeffrey, "Polynomial
+transformations of Tschirnhaus, Bring and Jerrard", SIGSAM Bull. 37(3),
+2003), returned as dicts from exponent tuples to Scalars.  ``formal_resultant``
+is the one Sylvester determinant, over scalars, for the elimination that is
+not a map of roots (b between the two conditions of the quartic obstruction,
+taken at sample values of c and interpolated, after Collins, JACM 18, 1971).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
+from math import factorial
 
-from .polynomials import (UniPoly, _lift, _one_like, _zero_like, power_sums,
-                          poly_from_power_sums, rem_monic)
+from .polynomials import (UniPoly, poly_from_power_sums, power_sums,
+                          rem_monic)
 from .scalars import Scalar, rat
 
 
@@ -44,112 +53,53 @@ class BiPoly:
         return len(self.z_coeffs) - 1
 
 
-def _exdiv(num, den):
-    if isinstance(num, Scalar):
-        return num / den
-    return num.exact_div(den)
-
-
-def _bareiss_det(M):
-    """Fraction-free elimination; exact over rational polynomial entries."""
+def _det(M):
+    """Determinant by fraction-free (Bareiss) elimination: exact over the
+    rationals with the first nonzero pivot, largest-magnitude pivot otherwise."""
     n = len(M)
     M = [row[:] for row in M]
+    exact = all(e.is_rational for row in M for e in row)
     sign = 1
-    prev = None
+    prev = rat(1)
     for k in range(n - 1):
-        if M[k][k].is_exact_zero():
-            piv = next((i for i in range(k + 1, n) if not M[i][k].is_exact_zero()), None)
-            if piv is None:
-                return _zero_like(M[0][0])
-            M[k], M[piv] = M[piv], M[k]
+        cands = [i for i in range(k, n) if not M[i][k].is_exact_zero()]
+        if not cands:
+            return rat(0)
+        p = cands[0] if exact else max(cands, key=lambda i: M[i][k].mag())
+        if p != k:
+            M[k], M[p] = M[p], M[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = num if prev is None else _exdiv(num, prev)
+                M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]) / prev
         prev = M[k][k]
     det = M[n - 1][n - 1]
     return -det if sign < 0 else det
 
 
-def _minor_det(M):
-    """Division-free cofactor expansion with memoized minors."""
-    n = len(M)
-    memo = {}
-
-    def det(cols):
-        if len(cols) == 1:
-            return M[n - 1][cols[0]]
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        r = n - len(cols)
-        acc = None
-        for idx, c in enumerate(cols):
-            e = M[r][c]
-            if e.is_exact_zero():
-                continue
-            term = e * det(cols[:idx] + cols[idx + 1:])
-            if acc is None:
-                acc = term if idx % 2 == 0 else -term
-            elif idx % 2 == 0:
-                acc = acc + term
-            else:
-                acc = acc - term
-        if acc is None:
-            acc = _zero_like(M[0][0])
-        memo[cols] = acc
-        return acc
-
-    return det(tuple(range(n)))
-
-
-def _entries_rational(M) -> bool:
-    for row in M:
-        for e in row:
-            if isinstance(e, Scalar):
-                if not e.is_rational:
-                    return False
-            elif not e.is_rational_tree():
-                return False
-    return True
-
-
-def poly_matrix_det(M):
-    """Determinant of a square matrix of ring elements (UniPoly or Scalar)."""
-    if _entries_rational(M):
-        return _bareiss_det(M)
-    return _minor_det(M)
-
-
-def _sylvester_matrix(p_desc, q_desc, zero):
-    dp, dq = len(p_desc) - 1, len(q_desc) - 1
+def formal_resultant(p, q):
+    """Sylvester determinant of two ascending Scalar coefficient sequences,
+    taken at their formal degrees len - 1 (a zero leading entry is kept)."""
+    if not p or not q:
+        return rat(0)
+    dp, dq = len(p) - 1, len(q) - 1
+    if dp == 0:
+        return p[0] ** dq
+    if dq == 0:
+        return q[0] ** dp
     size = dp + dq
+    zero = rat(0)
     rows = []
     for i in range(dq):
-        rows.append([zero] * i + list(p_desc) + [zero] * (size - dp - 1 - i))
+        rows.append([zero] * i + list(reversed(p)) + [zero] * (size - dp - 1 - i))
     for i in range(dp):
-        rows.append([zero] * i + list(q_desc) + [zero] * (size - dq - 1 - i))
-    return rows
+        rows.append([zero] * i + list(reversed(q)) + [zero] * (size - dq - 1 - i))
+    return _det(rows)
 
 
-def polynomial_resultant(P: UniPoly, Q: UniPoly):
-    """Resultant of two univariate polynomials over a shared coefficient ring.
-
-    Returns an element of the coefficient ring (a Scalar, or a UniPoly when
-    the coefficients are themselves polynomials).
-    """
-    if P.is_zero() or Q.is_zero():
-        sample = (P.coeffs or Q.coeffs or (rat(0),))[0]
-        return _zero_like(sample)
-    dp, dq = P.degree, Q.degree
-    if dp == 0:
-        return P.coeffs[0] ** dq
-    if dq == 0:
-        return Q.coeffs[0] ** dp
-    zero = _zero_like(P.coeffs[0])
-    M = _sylvester_matrix(list(reversed(P.coeffs)), list(reversed(Q.coeffs)), zero)
-    return poly_matrix_det(M)
+def polynomial_resultant(P: UniPoly, Q: UniPoly) -> Scalar:
+    """Resultant of two scalar-coefficient polynomials."""
+    return formal_resultant(P.coeffs, Q.coeffs)
 
 
 def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
@@ -227,8 +177,7 @@ def sylvester_resultant_with_factor(A: UniPoly, B: BiPoly):
     if k < 1 or k >= n:
         raise ValueError("subsidiary degree must satisfy 1 <= k < deg A")
     rows = [e.coeffs for e in B.z_coeffs]
-    if (len(rows[0]) != 2 or any(len(cs) > 1 for cs in rows[1:])
-            or not all(isinstance(e, Scalar) for cs in rows for e in cs)):
+    if len(rows[0]) != 2 or any(len(cs) > 1 for cs in rows[1:]):
         raise ValueError("B must be c*y - T(z) with c a nonzero scalar")
     c = rows[0][1]
     t = [-(cs[0] if cs else rat(0)) / c for cs in rows]
@@ -238,30 +187,90 @@ def sylvester_resultant_with_factor(A: UniPoly, B: BiPoly):
 def transform_by_power_sums(A: UniPoly, t_coeffs) -> UniPoly:
     """Transport route: power sums of C from power sums of A through y = T(z).
 
-    ``t_coeffs`` are the ascending coefficients of T; they may be Scalars or
-    UniPoly values in a formal parameter, in which case C's coefficients come
-    back as polynomials in that parameter.  Exact for rational inputs.
+    s_j(C) = sum_i (T^j mod A)_i s_i(A) for j = 1..n, with each power of T
+    reduced modulo A (``rem_monic``), so only s_0..s_(n-1) of A are needed.
+    Exact for rational inputs.
     """
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
     n = A.degree
-    els = [_lift(c) for c in t_coeffs]
-    pvar = next((e.var for e in els if isinstance(e, UniPoly)), None)
-    if pvar is not None:
-        els = [e if isinstance(e, UniPoly) else UniPoly((e,), pvar) for e in els]
-    T = UniPoly(els, A.var)
+    T = UniPoly(t_coeffs, A.var)
     k = T.degree
     if k < 1 or k >= n:
         raise ValueError("map degree must satisfy 1 <= deg T < deg A")
-    s = power_sums(A, n * k)
-    one = _one_like(T.coeffs[0])
-    P = UniPoly((one,), A.var)
+    s = power_sums(A, n - 1)
+    P = UniPoly([rat(1)], A.var)
     sums = []
     for _ in range(n):
-        P = P * T
-        acc = None
-        for j, cj in enumerate(P.coeffs):
-            term = cj * s.s(j)
-            acc = term if acc is None else acc + term
+        rem = rem_monic(P * T, A)
+        acc = rem[0] * s.s(0)
+        for j in range(1, n):
+            acc = acc + rem[j] * s.s(j)
         sums.append(acc)
-    return poly_from_power_sums(sums, "y", one=one)
+        P = UniPoly(rem, A.var)
+    return poly_from_power_sums(sums, "y")
+
+
+def _form_mul(f, g):
+    out = {}
+    for ka, va in f.items():
+        for kb, vb in g.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            t = va * vb
+            got = out.get(key)
+            out[key] = t if got is None else got + t
+    return out
+
+
+def image_elementary(A: UniPoly, xs, m: int):
+    """e_1..e_m of the images y = sum_i x_i z^i of the roots of the monic A.
+
+    Each x_i is affine in free parameters t_1..t_P and is given as the
+    sequence (x_i0, x_i1, ..., x_iP): x_i = x_i0 + sum_p x_ip t_p.  The power
+    sum s_k(y) is the Hankel form sum x_i1 ... x_ik s_(i1+...+ik)(A) over the
+    power sums s_0..s_(m(N-1)) of A (N = len(xs)), and Newton's identities
+    turn s_1..s_m into e_1..e_m.  Each e_j comes back as a dict from exponent
+    tuples of (t_1..t_P) to nonzero Scalars; exact for rational inputs.
+    """
+    if not A.is_monic():
+        raise ValueError("A must be monic (normalize first)")
+    width = len(xs[0])
+    s = power_sums(A, m * (len(xs) - 1))
+    # X[p] is the z-polynomial multiplying t_p (t_0 = 1): y = sum_p t_p X[p]
+    X = [UniPoly([x[p] for x in xs], A.var) for p in range(width)]
+    prods = {(): UniPoly([rat(1)], A.var)}
+    es = [{(0,) * (width - 1): rat(1)}]
+    sums = []
+    for k in range(1, m + 1):
+        sk = {}
+        for combo in combinations_with_replacement(range(width), k):
+            prod = prods[combo] = prods[combo[:-1]] * X[combo[-1]]
+            tr = None
+            for j, c in enumerate(prod.coeffs):
+                sj = s.s(j)
+                if not (c.is_exact_zero() or sj.is_exact_zero()):
+                    tr = c * sj if tr is None else tr + c * sj
+            if tr is None:
+                continue
+            # the multiset combo stands for k!/prod(mult!) ordered products
+            count = factorial(k)
+            for p in set(combo):
+                count //= factorial(combo.count(p))
+            sk[tuple(combo.count(p) for p in range(1, width))] = tr * count
+        sums.append(sk)
+        # Newton: k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) s_i
+        ek = {}
+        for i in range(1, k + 1):
+            for key, v in _form_mul(es[k - i], sums[i - 1]).items():
+                v = v if i % 2 == 1 else -v
+                got = ek.get(key)
+                ek[key] = v if got is None else got + v
+        es.append({key: v * rat(1, k) for key, v in ek.items()
+                   if not v.is_exact_zero()})
+    return es[1:]
+
+
+def form_in(form, var: str) -> UniPoly:
+    """A form in one parameter as a UniPoly in ``var``."""
+    deg = max((key[0] for key in form), default=-1)
+    return UniPoly([form.get((j,), rat(0)) for j in range(deg + 1)], var)

@@ -21,23 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elimination import (BiPoly, polynomial_resultant,
+from .elimination import (BiPoly, form_in, formal_resultant,
+                          image_elementary, map_charpoly,
                           sylvester_resultant_with_factor,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator, RescueExhausted
-from .polynomials import (UniPoly, coeff_scale, power_sums, rem_monic,
-                          shift_substitute)
-from .scalars import Scalar, as_tol, negligible, pick_root, rat
+from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
+                          rem_monic, shift_substitute)
+from .scalars import Scalar, as_scalar, as_tol, negligible, pick_root, rat
 from .solvers import solve_condition, solve_monic
 
 RESCUE_SCALES = (2, 3, 5, 7, 11)
-
-
-def _scalar(v) -> Scalar:
-    s = Scalar._coerce(v)
-    if s is None:
-        raise TypeError("expected a Scalar-compatible value, got %r" % (v,))
-    return s
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,7 @@ class Subsidiary:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(_scalar(c) for c in self.coeffs)
+        cs = tuple(as_scalar(c) for c in self.coeffs)
         if len(cs) != self.k:
             raise ValueError("need %d coefficients, got %d" % (self.k, len(cs)))
         object.__setattr__(self, "coeffs", cs)
@@ -156,7 +150,6 @@ class BringAnsatz:
     gamma: Scalar
     zeta: Scalar
     d: Scalar
-    d_cubic: UniPoly
 
 
 @dataclass(frozen=True)
@@ -167,11 +160,16 @@ class ObstructionReport:
     p: Scalar
     q: Scalar
     a: Scalar
-    y2_condition: UniPoly  # in b over c
-    y1_condition: UniPoly  # in b over c
+    y2_condition: dict     # {(b, c) exponents: Scalar}
+    y1_condition: dict     # {(b, c) exponents: Scalar}
     obstruction: UniPoly   # in c
     degree: int
     degenerate: bool
+
+    def conditions_at(self, c):
+        """The y^2 and y^1 conditions as polynomials in b at the given c."""
+        return (UniPoly(_b_coeffs(self.y2_condition, c), "b"),
+                UniPoly(_b_coeffs(self.y1_condition, c), "b"))
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ class ReductionTrace:
 
 def scale_poly(poly: UniPoly, lam) -> UniPoly:
     """A(lam * w) / lam^n: root z maps to w = z / lam, monic stays monic."""
-    lam = _scalar(lam)
+    lam = as_scalar(lam)
     n = poly.degree
     out = []
     for i, c in enumerate(poly.coeffs):
@@ -230,11 +228,11 @@ def _require_monic(poly: UniPoly):
 
 
 def _assert_vanishes(value, scale, tol, what):
-    """value is a Scalar or a parameter polynomial that must be zero."""
-    coeffs = value.coeffs if isinstance(value, UniPoly) else (value,)
-    for c in coeffs:
+    """value, a Scalar or an iterable of Scalars (the coefficients of a
+    condition), must be zero: exactly if rational, within tol * scale if not."""
+    for c in (value,) if isinstance(value, Scalar) else value:
         if not negligible(c, tol, scale):
-            raise ConsistencyError("%s failed to vanish: %s" % (what, value))
+            raise ConsistencyError("%s failed to vanish: %s" % (what, c))
 
 
 def _identity_step(kind: str, poly: UniPoly) -> TransformStep:
@@ -251,19 +249,14 @@ def dual_eliminate(A: UniPoly, sub: Subsidiary, tol=None):
     """
     C_res, lead = sylvester_resultant_with_factor(A, BiPoly(sub.z_coeffs_in_y()))
     C_ps = transform_by_power_sums(A, sub.t_coeffs())
+    bad = coeff_mismatch(C_res, C_ps, tol)
+    if bad is None:
+        return C_res, lead
     if C_res.is_rational_tree() and C_ps.is_rational_tree():
-        if not C_res == C_ps:
-            raise ConsistencyError(
-                "resultant and power-sum routes disagree: %s vs %s" % (C_res, C_ps))
-    else:
-        scale = coeff_scale(C_res, C_ps)
-        t = as_tol(tol)
-        for k in range(max(C_res.degree, C_ps.degree) + 1):
-            d = C_res.coeff(k) - C_ps.coeff(k)
-            if d.mag() > t * scale:
-                raise ConsistencyError(
-                    "resultant and power-sum routes disagree at y^%d by %s" % (k, d.mag()))
-    return C_res, lead
+        raise ConsistencyError(
+            "resultant and power-sum routes disagree: %s vs %s" % (C_res, C_ps))
+    raise ConsistencyError(
+        "resultant and power-sum routes disagree at y^%d by %s" % (bad[0], bad[1].mag()))
 
 
 def depress(poly: UniPoly, *, tol=None) -> TransformStep:
@@ -280,21 +273,26 @@ def depress(poly: UniPoly, *, tol=None) -> TransformStep:
     C, lead = dual_eliminate(poly, sub, tol)
     # third route, classical shift: C(y) must equal A(y - a)
     shifted = shift_substitute(poly, a)
-    scale = coeff_scale(C, shifted)
-    for k in range(n + 1):
-        _assert_vanishes(C.coeff(k) - shifted.coeff(k), scale, tol, "shift cross-check")
-    _assert_vanishes(C.coeff(n - 1), scale, tol, "second coefficient")
+    bad = coeff_mismatch(C, shifted, tol)
+    if bad is not None:
+        raise ConsistencyError("shift cross-check failed to vanish: %s" % bad[1])
+    _assert_vanishes(C.coeff(n - 1), coeff_scale(C, shifted), tol, "second coefficient")
     return TransformStep("depress", poly, sub, C, (), lead)
 
 
-def _symbolic_k2(A: UniPoly):
-    """C(y) under T = -(z^2 + b z + a(b)) with a(b) = -(s2 + b s1)/n, leaving
-    b formal.  Coefficients of the result are polynomials in b."""
+def _k2_conditions(A: UniPoly, j: int):
+    """The coefficients of y^(n-1), ..., y^(n-j) of C under the map
+    T = -(z^2 + b z + a(b)), as polynomials in b, with a(b) = -(s2 + b s1)/n,
+    which removes y^(n-1); plus a(b), also as a polynomial in b.
+
+    C(y) = prod (y + y'_i) with y' = -T, so its y^(n-k) coefficient is e_k
+    of the y'_i.
+    """
     n = A.degree
     s = power_sums(A, 2)
-    neg_a = UniPoly([s.s(2) * rat(1, n), s.s(1) * rat(1, n)], "b")
-    t = [neg_a, UniPoly([rat(0), rat(-1)], "b"), UniPoly([rat(-1)], "b")]
-    return transform_by_power_sums(A, t), neg_a
+    a = (-s.s(2) * rat(1, n), -s.s(1) * rat(1, n))
+    es = image_elementary(A, [a, (rat(0), rat(1)), (rat(1), rat(0))], j)
+    return [form_in(e, "b") for e in es], UniPoly(a, "b")
 
 
 def _quadratic_subsidiary_step(kind: str, A: UniPoly, cond_power: int,
@@ -303,10 +301,9 @@ def _quadratic_subsidiary_step(kind: str, A: UniPoly, cond_power: int,
     of y^cond_power, as a polynomial in b of degree <= 3, picks b."""
     _require_monic(A)
     n = A.degree
-    Csym, neg_a = _symbolic_k2(A)
-    scale = coeff_scale(A)
-    _assert_vanishes(Csym.coeff(n - 1), scale, tol, "second coefficient in b")
-    cond = Csym.coeff(cond_power)
+    es, a_b = _k2_conditions(A, n - cond_power)
+    _assert_vanishes(es[0].coeffs, coeff_scale(A), tol, "second coefficient in b")
+    cond = es[-1]
     deg, roots = solve_condition(cond, prec=prec, tol=tol)
     if deg == 0:
         raise DegenerateDenominator(cond.coeff(0),
@@ -316,10 +313,7 @@ def _quadratic_subsidiary_step(kind: str, A: UniPoly, cond_power: int,
         return _identity_step(kind, A)
     idx = pick_root(roots, tol)
     b = roots[idx]
-    a = neg_a.eval(b)
-    if isinstance(a, UniPoly):
-        a = a.coeff(0)
-    a = -a
+    a = a_b.eval(b)
     sub = Subsidiary(2, (a, b))
     C, lead = dual_eliminate(A, sub, tol)
     out_scale = coeff_scale(C)
@@ -343,11 +337,10 @@ def to_principal(poly: UniPoly, *, prec=None, tol=None) -> TransformStep:
 def cubic_b_quadratic(m, n, p) -> UniPoly:
     """The monic quadratic in b whose roots complete z^3 + m z^2 + n z + p to
     pure form; raises when its leading coefficient 3n - m^2 vanishes."""
-    m, n, p = _scalar(m), _scalar(n), _scalar(p)
+    m, n, p = as_scalar(m), as_scalar(n), as_scalar(p)
     A = UniPoly([p, n, m, rat(1)], "z")
-    Csym, _ = _symbolic_k2(A)
-    cond = Csym.coeff(1)
-    if cond.degree < 2 or cond.leading.is_exact_zero():
+    cond = _k2_conditions(A, 2)[0][1]
+    if cond.degree < 2:
         raise DegenerateDenominator(3 * n - m * m,
                                     "pure-form condition degenerates when 3n - m^2 = 0")
     return cond.monic()[0]
@@ -359,7 +352,7 @@ def cubic_to_pure(m, n, p, *, prec=None, tol=None) -> TransformStep:
     When 3n = m^2 the plain shift already lands on a pure cubic, so the
     quadratic subsidiary is not needed at all.
     """
-    m, n, p = _scalar(m), _scalar(n), _scalar(p)
+    m, n, p = as_scalar(m), as_scalar(n), as_scalar(p)
     A = UniPoly([p, n, m, rat(1)], "z")
     if (3 * n - m * m).is_exact_zero():
         st = depress(A, tol=tol)
@@ -370,7 +363,7 @@ def cubic_to_pure(m, n, p, *, prec=None, tol=None) -> TransformStep:
 
 def quartic_remove_2_3(n, p, q, *, prec=None, tol=None) -> TransformStep:
     """Remove the z^2 term from z^4 + n z^2 + p z + q (the z^3 term stays gone)."""
-    n, p, q = _scalar(n), _scalar(p), _scalar(q)
+    n, p, q = as_scalar(n), as_scalar(p), as_scalar(q)
     A = UniPoly([q, p, n, rat(0), rat(1)], "z")
     return _quadratic_subsidiary_step("quartic-remove-2-3", A, 2, prec=prec, tol=tol)
 
@@ -381,29 +374,46 @@ def quartic_remove_2_4(p, q, *, prec=None, tol=None) -> TransformStep:
     The coefficient condition here is the cubic -p b^3 - 4q b^2 + p^2 = 0,
     the one place the quartic route genuinely needs a cubic solve.
     """
-    p, q = _scalar(p), _scalar(q)
+    p, q = as_scalar(p), as_scalar(q)
     A = UniPoly([q, p, rat(0), rat(0), rat(1)], "z")
     return _quadratic_subsidiary_step("quartic-remove-2-4", A, 1, prec=prec, tol=tol)
 
 
 def reciprocal_transform(poly: UniPoly, *, tol=None) -> TransformStep:
     """Map every root to its reciprocal by reversing the coefficient list,
-    cross-checked against Res_z(A, y z - 1)."""
+    cross-checked against the characteristic polynomial of z^-1 mod A."""
     _require_monic(poly)
     c0 = poly.coeff(0)
     if c0.is_exact_zero():
         raise DegenerateDenominator(c0, "a root at zero has no reciprocal")
-    rev = list(reversed(poly.coeffs))
-    C = UniPoly([c / c0 for c in rev], "y")
-    lifted = UniPoly([UniPoly([c], "y") for c in poly.coeffs], "z")
-    B = UniPoly([UniPoly([rat(-1)], "y"), UniPoly([rat(0), rat(1)], "y")], "z")
-    res = polynomial_resultant(lifted, B)
-    res_monic, _ = res.monic()
-    scale = coeff_scale(C, res_monic)
-    for k in range(C.degree + 1):
-        _assert_vanishes(C.coeff(k) - res_monic.coeff(k), scale, tol,
-                         "reciprocal cross-check")
+    C = UniPoly([c / c0 for c in reversed(poly.coeffs)], "y")
+    # z (c_1 + c_2 z + ... + z^(n-1)) = -c_0 modulo A
+    bad = coeff_mismatch(C, map_charpoly(poly, [-c / c0 for c in poly.coeffs[1:]]), tol)
+    if bad is not None:
+        raise ConsistencyError("reciprocal cross-check failed to vanish: %s" % bad[1])
     return TransformStep("reciprocal", poly, None, C, (), c0)
+
+
+def _b_coeffs(form, c):
+    """Ascending b-coefficients of a form in (b, c) at a value of c (Horner
+    in c), up to the form's formal degree in b."""
+    rows = [{} for _ in range(max((ib for ib, _ in form), default=-1) + 1)]
+    for (ib, ic), v in form.items():
+        rows[ib][(ic,)] = v
+    return [form_in(row, "c").eval(c) for row in rows]
+
+
+def _interpolate(values, var: str) -> UniPoly:
+    """The polynomial of degree < len(values) that takes values[c] at
+    c = 0, 1, 2, ..., by Newton's forward differences."""
+    coef = list(values)
+    for j in range(1, len(coef)):
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * rat(1, j)
+    out = UniPoly([coef[-1]], var)
+    for i in range(len(coef) - 2, -1, -1):
+        out = out * UniPoly([rat(-i), rat(1)], var) + coef[i]
+    return out
 
 
 def quartic_obstruction_G(p, q, *, prec=None, tol=None) -> ObstructionReport:
@@ -413,28 +423,26 @@ def quartic_obstruction_G(p, q, *, prec=None, tol=None) -> ObstructionReport:
     on y^2 and y^1 are then two polynomials E(b, c), F(b, c), and eliminating
     b leaves a degree-six polynomial in c: reaching a pure quartic this way
     costs a sextic, which is the whole point of reporting it.
+
+    E and F are power-sum forms.  G(c) = Res_b(E, F) is a scalar Sylvester
+    determinant at c = 0, ..., 7, with E and F at their formal degrees in b
+    (a leading coefficient may vanish at a node), interpolated through the
+    first seven nodes; the eighth checks that deg G <= 6.
     """
-    p, q = _scalar(p), _scalar(q)
+    p, q = as_scalar(p), as_scalar(q)
     A = UniPoly([q, p, rat(0), rat(0), rat(1)], "z")
-    s = power_sums(A, 3)
-    a = -s.s(3) * rat(1, 4)
-
-    def two_level(x):
-        return UniPoly([UniPoly([x], "c")], "b")
-
-    neg_b = UniPoly([UniPoly([rat(0)], "c"), UniPoly([rat(-1)], "c")], "b")
-    neg_c = UniPoly([UniPoly([rat(0), rat(-1)], "c")], "b")
-    t = [two_level(-a), neg_b, neg_c, two_level(rat(-1))]
-    Csym = transform_by_power_sums(A, t)
-    scale = coeff_scale(A)
-    top = Csym.coeff(3)
-    for row in (top.coeffs if isinstance(top, UniPoly) else (top,)):
-        _assert_vanishes(row, scale, tol, "second coefficient in b, c")
-    E = Csym.coeff(2)
-    F = Csym.coeff(1)
-    G = polynomial_resultant(E, F)
-    if isinstance(G, Scalar):
-        G = UniPoly([G], "c")
+    a = -power_sums(A, 3).s(3) * rat(1, 4)
+    zero, one = rat(0), rat(1)
+    # T = -(z^3 + c z^2 + b z + a): C's y^(4-k) coefficient is e_k of -T,
+    # a form in the parameters (b, c)
+    xs = [(a, zero, zero), (zero, one, zero), (zero, zero, one), (one, zero, zero)]
+    e1, E, F = image_elementary(A, xs, 3)
+    _assert_vanishes(e1.values(), coeff_scale(A), tol, "second coefficient in b, c")
+    values = [formal_resultant(_b_coeffs(E, rat(c)), _b_coeffs(F, rat(c)))
+              for c in range(8)]
+    G = _interpolate(values[:7], "c")
+    _assert_vanishes(G.eval(rat(7)) - values[7], max(1, values[7].mag()), tol,
+                     "obstruction above degree six")
     eff = G.effective_degree(tol)
     return ObstructionReport(p, q, a, E, F, G, eff, eff < 6)
 
@@ -442,59 +450,36 @@ def quartic_obstruction_G(p, q, *, prec=None, tol=None) -> ObstructionReport:
 # -- the quintic -----------------------------------------------------------
 
 
-def _monomials_times(m1, m2, weight):
-    out = {}
-    for k1, v1 in m1.items():
-        for k2, v2 in m2.items():
-            key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-            term = v1 * v2 * weight
-            got = out.get(key)
-            out[key] = term if got is None else got + term
-    return out
-
-
-def _second_condition_monomials(p, q, r):
-    """The y^3 condition E as a monomial dict over (b, c, d), with the first
-    condition a = (3 p d + 4 q)/5 already substituted in."""
-    A = UniPoly([r, q, p, rat(0), rat(0), rat(1)], "z")
-    s = power_sums(A, 8)
-    mons = {
-        4: {(0, 0, 0): rat(1)},
-        3: {(0, 0, 1): rat(1)},
-        2: {(0, 1, 0): rat(1)},
-        1: {(1, 0, 0): rat(1)},
-        0: {(0, 0, 1): p * rat(3, 5), (0, 0, 0): q * rat(4, 5)},
-    }
-    E = {}
-    for u in range(5):
-        for v in range(5):
-            sk = s.s(u + v)
-            if sk.is_exact_zero():
-                continue
-            for key, term in _monomials_times(mons[u], mons[v], sk * rat(-5, 2)).items():
-                got = E.get(key)
-                E[key] = term if got is None else got + term
-    return E
-
-
-def _e_at(E, key):
-    got = E.get(key)
-    return rat(0) if got is None else got
-
-
 def quintic_bring_ansatz(p, q, r, *, prec=None, tol=None):
     """Choose alpha, gamma, zeta so that with b = alpha d + zeta, c = d + gamma
     the y^3 condition on z^5 + p z^2 + q z + r holds for every d, then pin d by
     the y^2 condition, a cubic.  Returns (BringAnsatz, aux solves).
+
+    The map is T = -(z^4 + d z^3 + c z^2 + b z + a) with a = (3 p d + 4 q)/5,
+    which removes y^4.  The y^3 condition is a quadratic power-sum form in
+    (b, c, d); once b, c and a are affine in d, the y^2 condition is a cubic
+    power-sum form in d.
     """
-    p, q, r = _scalar(p), _scalar(q), _scalar(r)
-    E = _second_condition_monomials(p, q, r)
+    p, q, r = as_scalar(p), as_scalar(q), as_scalar(r)
+    A = UniPoly([r, q, p, rat(0), rat(0), rat(1)], "z")
     scale = coeff_scale(UniPoly([r, q, p, rat(1)], "z"))
-    e_bc, e_bd = _e_at(E, (1, 1, 0)), _e_at(E, (1, 0, 1))
-    e_cd, e_c2, e_d2 = _e_at(E, (0, 1, 1)), _e_at(E, (0, 2, 0)), _e_at(E, (0, 0, 2))
-    e_b, e_c, e_d = _e_at(E, (1, 0, 0)), _e_at(E, (0, 1, 0)), _e_at(E, (0, 0, 1))
-    e_00 = _e_at(E, (0, 0, 0))
-    if not negligible(_e_at(E, (2, 0, 0)), tol, scale):
+    zero, one = rat(0), rat(1)
+    a0, a1 = q * rat(4, 5), p * rat(3, 5)
+    # C's y^(5-k) coefficient is e_k of -T = a + b z + c z^2 + d z^3 + z^4;
+    # 5 e_2 = -(5/2) s_2 is the normalisation whose b-coupling is 15p + 20q
+    xs = [(a0, zero, zero, a1), (zero, one, zero, zero), (zero, zero, one, zero),
+          (zero, zero, zero, one), (one, zero, zero, zero)]
+    E = image_elementary(A, xs, 2)[1]
+
+    def e(*key):
+        got = E.get(key)
+        return zero if got is None else got * 5
+
+    e_bc, e_bd = e(1, 1, 0), e(1, 0, 1)
+    e_cd, e_c2, e_d2 = e(0, 1, 1), e(0, 2, 0), e(0, 0, 2)
+    e_b, e_c, e_d = e(1, 0, 0), e(0, 1, 0), e(0, 0, 1)
+    e_00 = e(0, 0, 0)
+    if not negligible(e(2, 0, 0), tol, scale):
         raise ConsistencyError("unexpected b^2 term in the y^3 condition")
     den = e_bc + e_bd
     if negligible(den, tol, scale):
@@ -518,28 +503,14 @@ def quintic_bring_ansatz(p, q, r, *, prec=None, tol=None):
     zeta = zeta1 * gamma + zeta0
     aux = [AuxSolve("gamma-quadratic", max(deg_g, 0), tuple(groots), gidx)]
 
-    # with gamma fixed, E composed with the ansatz must vanish for every d
-    b_d = UniPoly([zeta, alpha], "d")
-    c_d = UniPoly([gamma, rat(1)], "d")
-    d_d = UniPoly([rat(0), rat(1)], "d")
-    composed = None
-    for (ib, ic, idd), v in E.items():
-        term = (b_d ** ib) * (c_d ** ic) * (d_d ** idd) * v
-        composed = term if composed is None else composed + term
-    _assert_vanishes(composed, scale, tol, "ansatz-composed y^3 condition")
-
-    # third condition: the y^2 coefficient, degree at most 3 in the free d
-    A = UniPoly([r, q, p, rat(0), rat(0), rat(1)], "z")
-    a_d = UniPoly([q * rat(4, 5), p * rat(3, 5)], "d")
-    t = [-a_d, -b_d, -c_d, -d_d, UniPoly([rat(-1)], "d")]
-    Csym = transform_by_power_sums(A, t)
-    _assert_vanishes(Csym.coeff(4), scale, tol, "y^4 coefficient in d")
-    _assert_vanishes(Csym.coeff(3), scale, tol, "y^3 coefficient in d")
-    dcub = Csym.coeff(2)
-    if isinstance(dcub, Scalar):
-        dcub = UniPoly([dcub], "d")
-    if dcub.degree > 3:
-        raise ConsistencyError("the d condition exceeded degree three: %s" % dcub)
+    # with gamma fixed, a, b and c are affine in d: the y^4 and y^3
+    # coefficients must vanish for every d, and the y^2 coefficient is the
+    # d-cubic
+    xs = [(a0, a1), (zeta, alpha), (gamma, one), (zero, one), (one, zero)]
+    e1, e2, e3 = image_elementary(A, xs, 3)
+    _assert_vanishes(e1.values(), scale, tol, "y^4 coefficient in d")
+    _assert_vanishes(e2.values(), scale, tol, "ansatz-composed y^3 condition")
+    dcub = form_in(e3, "d")
     deg_d, droots = solve_condition(dcub, prec=prec, tol=tol)
     if deg_d == 0:
         raise DegenerateDenominator(dcub.coeff(0), "d condition is unsatisfiable")
@@ -550,7 +521,7 @@ def quintic_bring_ansatz(p, q, r, *, prec=None, tol=None):
         didx = pick_root(droots, tol)
         dstar = droots[didx]
     aux.append(AuxSolve("d-cubic", max(deg_d, 0), tuple(droots), didx))
-    return BringAnsatz(alpha, gamma, zeta, dstar, dcub), aux
+    return BringAnsatz(alpha, gamma, zeta, dstar), aux
 
 
 def quintic_to_bring_jerrard(p, q, r, *, prec=None, tol=None) -> TransformStep:
@@ -560,7 +531,7 @@ def quintic_to_bring_jerrard(p, q, r, *, prec=None, tol=None) -> TransformStep:
     over a short ladder of integer lam until the denominator revives; the
     step then records the scaled input and the lam used.
     """
-    p, q, r = _scalar(p), _scalar(q), _scalar(r)
+    p, q, r = as_scalar(p), as_scalar(q), as_scalar(r)
     if p.is_exact_zero():
         return _identity_step("bring-jerrard",
                               UniPoly([r, q, p, rat(0), rat(0), rat(1)], "z"))
@@ -623,7 +594,7 @@ def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTr
 def back_solve(step: TransformStep, y, *, prec=None, tol=None):
     """All z with B(z, y) = 0 that are also roots of the step's input; these
     are exactly the preimages of y under the step's map."""
-    y = _scalar(y)
+    y = as_scalar(y)
     if step.kind == "reciprocal":
         if y.is_exact_zero():
             raise ConsistencyError("zero has no reciprocal preimage")

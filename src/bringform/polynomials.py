@@ -1,10 +1,12 @@
-"""Dense univariate polynomials and power-sum (Newton) conversions.
+"""Dense univariate polynomials with Scalar coefficients, and the power-sum
+(Newton) conversions.
 
-Coefficients are stored ascending: coeffs[j] multiplies var**j.  Coefficient
-entries are Scalars, or (for the symbolic elimination stages) UniPoly values
-themselves, so a polynomial in y whose coefficients are polynomials in a
-formal parameter d is just UniPoly-in-y over UniPoly-in-d.  All values are
-immutable; operations return new objects.
+Coefficients are stored ascending: coeffs[j] multiplies var**j.  Every
+coefficient is a Scalar; ints and Fractions are lifted to exact rationals and
+anything else, a polynomial included, raises TypeError.  Conditions in free
+parameters are not polynomials over polynomials: they are power-sum forms
+(``elimination.image_elementary``).  All values are immutable; operations
+return new objects.
 """
 
 from __future__ import annotations
@@ -13,29 +15,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import ConsistencyError
-from .scalars import Scalar, as_tol, rat
-
-
-def _lift(v):
-    if isinstance(v, (Scalar, UniPoly)):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Scalar.rational(v)
-    raise TypeError("cannot use %r as a polynomial coefficient" % (v,))
-
-
-def _zero_like(el):
-    if isinstance(el, Scalar):
-        return rat(0)
-    return UniPoly((), el.var)
-
-
-def _one_like(el):
-    if isinstance(el, Scalar):
-        return rat(1)
-    inner = el.coeffs[0] if el.coeffs else rat(1)
-    return UniPoly((_one_like(inner),), el.var)
+from .scalars import Scalar, as_scalar, as_tol, rat
 
 
 class UniPoly:
@@ -49,7 +29,7 @@ class UniPoly:
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs, var: str = "z"):
-        cs = [_lift(c) for c in coeffs]
+        cs = [as_scalar(c) for c in coeffs]
         while cs and cs[-1].is_exact_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -72,9 +52,6 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_exact_zero(self) -> bool:
         return not self.coeffs
 
@@ -87,31 +64,17 @@ class UniPoly:
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return _zero_like(self.coeffs[0]) if self.coeffs else rat(0)
+        return rat(0)
 
     def is_monic(self) -> bool:
-        if not self.coeffs:
-            return False
-        lead = self.coeffs[-1]
-        if isinstance(lead, Scalar):
-            return lead == 1
-        return False
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def with_var(self, var: str) -> "UniPoly":
         return UniPoly(self.coeffs, var)
 
-    def map_coeffs(self, fn, var=None) -> "UniPoly":
-        return UniPoly(tuple(fn(c) for c in self.coeffs), var or self.var)
-
     def is_rational_tree(self) -> bool:
-        """True when every scalar in (possibly nested) coefficients is rational."""
-        for c in self.coeffs:
-            if isinstance(c, Scalar):
-                if not c.is_rational:
-                    return False
-            elif not c.is_rational_tree():
-                return False
-        return True
+        """True when every coefficient is an exact rational."""
+        return all(c.is_rational for c in self.coeffs)
 
     # -- ring operations ------------------------------------------------------
 
@@ -119,7 +82,7 @@ class UniPoly:
         if isinstance(other, UniPoly):
             return other
         if isinstance(other, (Scalar, int, Fraction)):
-            return UniPoly((_lift(other),), self.var)
+            return UniPoly((other,), self.var)
         return None
 
     def __add__(self, other):
@@ -153,7 +116,7 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
-            s = _lift(other)
+            s = as_scalar(other)
             return UniPoly(tuple(c * s for c in self.coeffs), self.var)
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -166,21 +129,20 @@ class UniPoly:
             for j, b in enumerate(other.coeffs):
                 t = a * b
                 out[i + j] = t if out[i + j] is None else out[i + j] + t
-        z = _zero_like(self.coeffs[0])
-        return UniPoly(tuple(z if c is None else c for c in out), self.var)
+        return UniPoly(tuple(rat(0) if c is None else c for c in out), self.var)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
-            s = _lift(other)
+            s = as_scalar(other)
             return UniPoly(tuple(c / s for c in self.coeffs), self.var)
         return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = UniPoly((_one_like(self.coeffs[0]) if self.coeffs else rat(1),), self.var)
+        result = UniPoly((rat(1),), self.var)
         base = self
         while k:
             if k & 1:
@@ -207,9 +169,9 @@ class UniPoly:
     # -- evaluation and calculus ----------------------------------------------
 
     def eval(self, x):
-        """Horner evaluation; x may be a Scalar or another UniPoly."""
+        """Horner evaluation at a Scalar x."""
         if not self.coeffs:
-            return _lift(0) if isinstance(x, Scalar) else _zero_like(x)
+            return rat(0)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
@@ -223,41 +185,13 @@ class UniPoly:
         lead = self.leading
         return UniPoly(tuple(c / lead for c in self.coeffs), self.var), lead
 
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        """Exact polynomial division; raises ConsistencyError on a nonzero remainder.
-
-        Used by fraction-free elimination, where divisibility is guaranteed.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return self
-        rem = list(self.coeffs)
-        dlead = other.leading
-        dd = other.degree
-        out = [None] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            q = rem[k] / dlead
-            out[k - dd] = q
-            if not q.is_exact_zero():
-                for j, c in enumerate(other.coeffs):
-                    rem[k - dd + j] = rem[k - dd + j] - q * c
-        for c in rem[:dd]:
-            if isinstance(c, Scalar):
-                if c.is_rational and c.fraction != 0:
-                    raise ConsistencyError("inexact polynomial division")
-            elif not c.is_exact_zero():
-                if c.is_rational_tree():
-                    raise ConsistencyError("inexact polynomial division")
-        return UniPoly(out, self.var)
-
     # -- numeric helpers --------------------------------------------------------
 
     def max_mag(self):
         """Largest coefficient magnitude (an mpf; 0 for the zero polynomial)."""
         m = mpmath.mpf(0)
         for c in self.coeffs:
-            v = c.mag() if isinstance(c, Scalar) else c.max_mag()
+            v = c.mag()
             if v > m:
                 m = v
         return m
@@ -267,13 +201,10 @@ class UniPoly:
         t = as_tol(tol) * (scale if scale is not None else max(mpmath.mpf(1), self.max_mag()))
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
-            if isinstance(c, Scalar):
-                if c.is_rational:
-                    if c.fraction != 0:
-                        return k
-                elif c.mag() > t:
+            if c.is_rational:
+                if c.fraction != 0:
                     return k
-            elif not c.is_exact_zero():
+            elif c.mag() > t:
                 return k
         return -1
 
@@ -284,9 +215,6 @@ class UniPoly:
         return "rational" if self.is_rational_tree() else "complex"
 
     def to_json(self, prec=None):
-        for c in self.coeffs:
-            if not isinstance(c, Scalar):
-                raise ValueError("only scalar-coefficient polynomials serialize to JSON")
         return {
             "var": self.var,
             "coeffs": [c.to_json() for c in self.coeffs],
@@ -313,10 +241,7 @@ class UniPoly:
             c = self.coeffs[k]
             if c.is_exact_zero():
                 continue
-            if isinstance(c, UniPoly):
-                cs = "(" + str(c) + ")"
-            else:
-                cs = str(c)
+            cs = str(c)
             if k == 0:
                 parts.append(cs)
             else:
@@ -335,13 +260,28 @@ def coeff_scale(*polys):
     return m
 
 
+def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
+    """(k, P_k - Q_k) at the first power k where P and Q differ, or None.
+
+    Two rational polynomials must agree exactly; otherwise a difference
+    counts only when it exceeds tol * coeff_scale(P, Q).
+    """
+    exact = P.is_rational_tree() and Q.is_rational_tree()
+    t = None if exact else as_tol(tol) * coeff_scale(P, Q)
+    for k in range(max(P.degree, Q.degree) + 1):
+        d = P.coeff(k) - Q.coeff(k)
+        if (not d.is_exact_zero()) if exact else d.mag() > t:
+            return k, d
+    return None
+
+
 def shift_substitute(poly: UniPoly, a) -> UniPoly:
     """Return C(y) = A(y - a), by iterated synthetic division at the point -a.
 
     shift_substitute(shift_substitute(p, a), -a) == p, exactly in rational mode.
     """
-    a = _lift(a)
-    if poly.is_zero():
+    a = as_scalar(a)
+    if poly.is_exact_zero():
         return UniPoly((), "y")
     point = -a
     d = list(reversed(poly.coeffs))  # descending
@@ -368,7 +308,7 @@ def rem_monic(P: UniPoly, A: UniPoly):
 
 def deflate(poly: UniPoly, root) -> UniPoly:
     """Synthetic division of a monic polynomial by (var - root), remainder dropped."""
-    root = _lift(root)
+    root = as_scalar(root)
     d = list(reversed(poly.coeffs))  # descending
     out = [d[0]]
     for c in d[1:-1]:
@@ -424,19 +364,16 @@ def power_sums(poly: UniPoly, k_max: int) -> PowerSums:
     return PowerSums(s, n)
 
 
-def poly_from_power_sums(sums, var: str = "y", one=None) -> UniPoly:
+def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
     """Newton's identities, power sums back to a monic polynomial.
 
-    ``sums`` lists s_1..s_n; entries may be Scalars or UniPoly values (the
-    construction only needs ring operations and division by integers).
+    ``sums`` lists the Scalars s_1..s_n.
     """
     sums = list(sums)
     n = len(sums)
     if n == 0:
         raise ValueError("need at least one power sum")
-    if one is None:
-        one = _one_like(sums[0])
-    e = [one]
+    e = [rat(1)]
     for k in range(1, n + 1):
         acc = None
         for i in range(1, k + 1):
@@ -447,7 +384,7 @@ def poly_from_power_sums(sums, var: str = "y", one=None) -> UniPoly:
                 acc = acc + t if i % 2 == 1 else acc - t
         e.append(acc * rat(1, k))
     coeffs = [None] * (n + 1)
-    coeffs[n] = one
+    coeffs[n] = rat(1)
     for k in range(1, n + 1):
         coeffs[n - k] = e[k] if k % 2 == 0 else -e[k]
     return UniPoly(coeffs, var)

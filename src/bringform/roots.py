@@ -31,7 +31,7 @@ from mpmath import workprec
 from .errors import ConsistencyError
 from .pipeline import (dual_eliminate, expected_step_input, lies_on,
                        reciprocal_transform, step_inverse)
-from .polynomials import UniPoly, coeff_scale
+from .polynomials import UniPoly, coeff_mismatch, coeff_scale
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar,
                       as_tol, rat, sort_key)
 from .solvers import assemble_preimages, solve_condition
@@ -165,16 +165,13 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
     return RootSet(roots, residuals, converged, iterations)
 
 
-def _polish_multiple(zs, cs, prec):
-    """Park every Aberth cluster on the exact multiple root it surrounds.
-
-    A root of multiplicity m is a simple root of the (m-1)th derivative, so a
-    few Newton steps from the cluster centroid recover it to full precision;
-    all m members are replaced by that one value.  Must run inside workprec.
+def _clusters(zs, prec):
+    """Index groups of the mpc values zs (at least one) joined, transitively,
+    whenever |z_i - z_j| <= tau * max(1, |z_i|, |z_j|), where
+    tau = 64 * 2^(-prec/n) is the resolution limit of an n-fold root; groups
+    come in order of their first member.  Must run inside workprec.
     """
     n = len(zs)
-    if n < 2:
-        return zs
     tau = (mpmath.mpf(2) ** (-prec)) ** (mpmath.mpf(1) / n) * 64
     parent = list(range(n))
 
@@ -193,9 +190,21 @@ def _polish_multiple(zs, cs, prec):
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _polish_multiple(zs, cs, prec):
+    """Park every Aberth cluster on the exact multiple root it surrounds.
+
+    A root of multiplicity m is a simple root of the (m-1)th derivative, so a
+    few Newton steps from the cluster centroid recover it to full precision;
+    all m members are replaced by that one value.  Must run inside workprec.
+    """
+    if len(zs) < 2:
+        return zs
     out = list(zs)
     eps = mpmath.mpf(2) ** (2 - prec)
-    for members in groups.values():
+    for members in _clusters(zs, prec):
         m = len(members)
         if m < 2:
             continue
@@ -250,32 +259,12 @@ def _best_pairing(xs, ys):
     return worst
 
 
-def _clusters(roots, prec):
-    """Group roots closer than the multiple-root resolution limit."""
-    n = len(roots)
-    if n == 0:
-        return []
-    tau = (mpmath.mpf(2) ** (-prec)) ** (mpmath.mpf(1) / n) * 64
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            lim = tau * max(1, roots[i].mag(), roots[j].mag())
-            if _distance(roots[i], roots[j]) <= lim:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+def _centroids(roots, prec):
+    """(centroid, size) of each cluster of the Scalar roots (``_clusters``)."""
+    with workprec(prec):
+        groups = _clusters([r.to_mpc(prec) for r in roots], prec)
     out = []
-    for members in groups.values():
+    for members in groups:
         acc = None
         for i in members:
             acc = roots[i] if acc is None else acc + roots[i]
@@ -301,8 +290,8 @@ def match_roots(xs, ys, *, tol=DEFAULT_MATCH_TOLERANCE,
     direct = _best_pairing(xs, ys)
     if direct <= thr:
         return True, direct
-    cx = _clusters(xs, prec)
-    cy = _clusters(ys, prec)
+    cx = _centroids(xs, prec)
+    cy = _centroids(ys, prec)
     if sorted(k for _, k in cx) != sorted(k for _, k in cy):
         return False, direct
     if len(cx) == len(xs):  # no clustering happened, the distance is real
@@ -333,18 +322,6 @@ def _transport_once(step, zs):
 def _relative_residual(poly: UniPoly, value: Scalar):
     scale = coeff_scale(poly) * max(1, value.mag()) ** poly.degree
     return poly.eval(value).mag() / scale
-
-
-def _polys_close(P: UniPoly, Q: UniPoly, tol) -> bool:
-    if P.is_rational_tree() and Q.is_rational_tree():
-        return P == Q
-    if max(P.degree, Q.degree) < 0:
-        return True
-    t = as_tol(tol) * coeff_scale(P, Q)
-    for k in range(max(P.degree, Q.degree) + 1):
-        if (P.coeff(k) - Q.coeff(k)).mag() > t:
-            return False
-    return True
 
 
 def verify_transform(step, config: RootConfig = None):
@@ -394,22 +371,22 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
     prev = trace.original
     for step in trace.steps:
         expect_in = expected_step_input(prev.with_var("z"), step)
-        if not _polys_close(expect_in, step.input, cfg.tol):
+        if coeff_mismatch(expect_in, step.input, cfg.tol) is not None:
             ok = False
         if step.is_identity:
-            if not _polys_close(step.input, step.output, cfg.tol):
+            if coeff_mismatch(step.input, step.output, cfg.tol) is not None:
                 ok = False
         elif step.kind == "reciprocal":
             try:
                 redo = reciprocal_transform(step.input, tol=cfg.tol)
-                if not _polys_close(redo.output, step.output, cfg.tol):
+                if coeff_mismatch(redo.output, step.output, cfg.tol) is not None:
                     ok = False
             except Exception:
                 ok = False
         else:
             try:
                 C, _ = dual_eliminate(step.input, step.subsidiary, cfg.tol)
-                if not _polys_close(C, step.output, cfg.tol):
+                if coeff_mismatch(C, step.output, cfg.tol) is not None:
                     ok = False
             except ConsistencyError:
                 ok = False
@@ -477,11 +454,10 @@ def obstruction_consistency(report, config: RootConfig = None):
     cstars = find_roots(G, cfg).roots
     worst = mpmath.mpf(0)
     for cstar in cstars:
-        Eb = UniPoly([pc.eval(cstar) for pc in report.y2_condition.coeffs], "b")
+        Eb, Fb = report.conditions_at(cstar)
         deg, bs = solve_condition(Eb, prec=cfg.precision_bits, tol=cfg.tol)
         if not bs:
             continue
-        Fb = UniPoly([pc.eval(cstar) for pc in report.y1_condition.coeffs], "b")
         fscale = max(1, coeff_scale(Fb))
         best = None
         for b in bs:

@@ -325,6 +325,15 @@ ZERO = rat(0)
 ONE = rat(1)
 
 
+def as_scalar(v) -> Scalar:
+    """v as a Scalar (ints and Fractions become exact rationals), by
+    ``Scalar._coerce``; TypeError for anything else."""
+    s = Scalar._coerce(v)
+    if s is None:
+        raise TypeError("expected a Scalar-compatible value, got %r" % (v,))
+    return s
+
+
 def as_tol(tol):
     """Normalize a tolerance given as str/float/mpf to an mpf."""
     return mpmath.mpf(tol if tol is not None else DEFAULT_TOLERANCE)

@@ -22,7 +22,7 @@ import mpmath
 from mpmath import workprec
 
 from .polynomials import UniPoly, deflate
-from .scalars import DEFAULT_PRECISION_BITS, Scalar, rat, sort_key
+from .scalars import DEFAULT_PRECISION_BITS, Scalar, as_scalar, rat, sort_key
 
 _OMEGAS = {}
 
@@ -35,13 +35,6 @@ def _omega(prec: int) -> Scalar:
             got = Scalar.from_mpc(mpmath.mpc(mpmath.mpf(-1) / 2, mpmath.sqrt(3) / 2), prec)
         _OMEGAS[prec] = got
     return got
-
-
-def _coerce(v) -> Scalar:
-    s = Scalar._coerce(v)
-    if s is None:
-        raise TypeError("expected a Scalar-compatible value, got %r" % (v,))
-    return s
 
 
 def _residuals(poly: UniPoly, roots):
@@ -68,7 +61,7 @@ def _finish(poly: UniPoly, roots, method: str) -> SolveResult:
 
 def solve_quadratic(m, n, *, prec: int = None) -> SolveResult:
     """Roots of z^2 + m z + n; exact when the discriminant is a rational square."""
-    m, n = _coerce(m), _coerce(n)
+    m, n = as_scalar(m), as_scalar(n)
     prec = prec or DEFAULT_PRECISION_BITS
     poly = UniPoly([n, m, rat(1)])
     sq = (m * m - 4 * n).sqrt(prec)
@@ -79,7 +72,7 @@ def solve_quadratic(m, n, *, prec: int = None) -> SolveResult:
 
 def solve_cubic_cardano(p, q, *, prec: int = None) -> SolveResult:
     """Roots of the depressed cubic z^3 + p z + q by Cardano's formula."""
-    p, q = _coerce(p), _coerce(q)
+    p, q = as_scalar(p), as_scalar(q)
     prec = prec or DEFAULT_PRECISION_BITS
     poly = UniPoly([q, p, rat(0), rat(1)])
     om = _omega(prec)
@@ -106,7 +99,7 @@ def solve_cubic_cardano(p, q, *, prec: int = None) -> SolveResult:
 
 def solve_cubic_general(m, n, p, *, prec: int = None) -> SolveResult:
     """Roots of z^3 + m z^2 + n z + p, via the depressed form and a shift back."""
-    m, n, p = _coerce(m), _coerce(n), _coerce(p)
+    m, n, p = as_scalar(m), as_scalar(n), as_scalar(p)
     prec = prec or DEFAULT_PRECISION_BITS
     poly = UniPoly([p, n, m, rat(1)])
     third = m * rat(1, 3)
@@ -136,7 +129,7 @@ def solve_quartic(n, p, q, *, prec: int = None, tol=None) -> SolveResult:
     """
     from .pipeline import quartic_remove_2_3, quartic_remove_2_4
 
-    n, p, q = _coerce(n), _coerce(p), _coerce(q)
+    n, p, q = as_scalar(n), as_scalar(p), as_scalar(q)
     prec = prec or DEFAULT_PRECISION_BITS
     poly = UniPoly([q, p, n, rat(0), rat(1)])
     if p.is_exact_zero():

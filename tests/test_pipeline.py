@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
 from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace,
                        Subsidiary, UniPoly, back_solve, coeff_scale,
@@ -22,7 +23,8 @@ from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace,
                        quintic_bring_ansatz, quintic_to_bring_jerrard, rat,
                        reciprocal_transform, reduce_general_quintic,
                        scale_poly, to_principal)
-from bringform.pipeline import _second_condition_monomials, expected_step_input
+from bringform.elimination import image_elementary
+from bringform.pipeline import expected_step_input
 from helpers import rand_monic, rand_scalar
 
 TINY = mpmath.mpf("1e-70")
@@ -200,12 +202,22 @@ def test_to_principal_identity_when_already_principal():
 
 # -- the quintic second condition ------------------------------------------------
 
+def _second_condition(p, q, r):
+    """5 e_2 = -(5/2) s_2 of the images of a + b z + c z^2 + d z^3 + z^4 over
+    the roots of z^5 + p z^2 + q z + r, a = (3pd + 4q)/5, over (b, c, d)."""
+    A = UniPoly([r, q, p, rat(0), rat(0), rat(1)], "z")
+    o, i = rat(0), rat(1)
+    xs = [(q * rat(4, 5), o, o, p * rat(3, 5)), (o, i, o, o), (o, o, i, o),
+          (o, o, o, i), (i, o, o, o)]
+    return {key: v * 5 for key, v in image_elementary(A, xs, 2)[1].items()}
+
+
 def test_second_condition_monomial_table():
     # frozen from the hand expansion of -(5/2) s2 with a = (3pd + 4q)/5
     rng = random.Random(47)
     for _ in range(10):
         p, q, r = (rand_scalar(rng, -9, 9) for _ in range(3))
-        E = _second_condition_monomials(p, q, r)
+        E = _second_condition(p, q, r)
 
         def at(key):
             v = E.get(key, rat(0))
@@ -232,7 +244,7 @@ def test_bring_ansatz_satisfies_condition_for_every_d():
             continue
         done += 1
         ans, aux = quintic_bring_ansatz(p, q, r)
-        E = _second_condition_monomials(p, q, r)
+        E = _second_condition(p, q, r)
         for dval in (ans.d, rand_scalar(rng), rat(17, 3)):
             b = ans.alpha * dval + ans.zeta
             c = dval + ans.gamma
@@ -243,6 +255,51 @@ def test_bring_ansatz_satisfies_condition_for_every_d():
             assert acc.mag() <= TINY * scale
         assert [a.kind for a in aux] == ["gamma-quadratic", "d-cubic"]
         assert all(a.degree <= 3 for a in aux)
+
+
+def _sympy_fraction(v):
+    return Fraction(int(v.p), int(v.q))
+
+
+def test_bring_ansatz_matches_sympy_closed_forms():
+    # alpha, zeta(gamma) and the gamma-quadratic derived in sympy from the
+    # companion matrix M of z^5 + p z^2 + q z + r: s_2 of the images is
+    # trace(Y^2) with Y = a + b M + c M^2 + d M^3 + M^4
+    p, q, r, b, c, d = sympy.symbols("p q r b c d")
+    al, ze, ga = sympy.symbols("alpha zeta gamma")
+    M = sympy.Matrix(5, 5, lambda i, j: 1 if i == j + 1 else 0)
+    M[:, 4] = sympy.Matrix([-r, -q, -p, 0, 0])
+    a = (3 * p * d + 4 * q) / 5
+    Y = a * sympy.eye(5) + b * M + c * M ** 2 + d * M ** 3 + M ** 4
+    assert sympy.expand(Y.trace()) == 0
+    E = sympy.expand((Y * Y).trace())
+    Ed = sympy.Poly(sympy.expand(E.subs({b: al * d + ze, c: d + ga})), d)
+    c2, c1, c0 = (Ed.coeff_monomial(d ** k) for k in (2, 1, 0))
+    alpha = sympy.solve(c2, al)[0]
+    zeta = sympy.solve(c1.subs(al, alpha), ze)[0]
+    g0, g1, g2 = reversed(sympy.Poly(
+        sympy.together(c0.subs({al: alpha, ze: zeta})).as_numer_denom()[0], ga).all_coeffs())
+    rng = random.Random(52)
+    done = 0
+    while done < 10:
+        pt = {v: sympy.Rational(rng.randint(-9, 9), rng.randint(1, 4)) for v in (p, q, r)}
+        if 0 in (pt[p], 3 * pt[p] + 4 * pt[q], g2.subs(pt)):
+            continue
+        done += 1
+        P, Q, R = (rat(_sympy_fraction(pt[v])) for v in (p, q, r))
+        ans, aux = quintic_bring_ansatz(P, Q, R)
+        assert ans.alpha.fraction == _sympy_fraction(alpha.subs(pt))
+        roots = aux[0].roots
+        assert aux[0].kind == "gamma-quadratic" and ans.gamma == roots[aux[0].chosen]
+        lead = g2.subs(pt)
+        want_sum = rat(_sympy_fraction(-g1.subs(pt) / lead))
+        want_prod = rat(_sympy_fraction(g0.subs(pt) / lead))
+        z_at = sympy.Poly(zeta.subs(pt), ga)
+        want_zeta = (rat(_sympy_fraction(z_at.coeff_monomial(ga))) * ans.gamma
+                     + rat(_sympy_fraction(z_at.coeff_monomial(1))))
+        for got, want in ((roots[0] + roots[1], want_sum), (roots[0] * roots[1], want_prod),
+                          (ans.zeta, want_zeta)):
+            assert (got - want).mag() <= TINY * max(1, want.mag())
 
 
 # -- bring-jerrard step ---------------------------------------------------------
@@ -292,6 +349,31 @@ def test_obstruction_generic_cases_reach_degree_six():
         assert not rep.degenerate
         assert rep.a == rat(3, 4) * p
         assert rep.obstruction.is_rational_tree()
+
+
+def test_obstruction_matches_sympy_resultant():
+    # eliminate b between the y^2 and y^1 coefficients of det(y - Y),
+    # Y = -(M^3 + c M^2 + b M + 3p/4) for the companion matrix M of z^4 + p z + q
+    b, c, y = sympy.symbols("b c y")
+    rng = random.Random(53)
+    points = [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(0))]
+    while len(points) < 12:
+        points.append((Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)),
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+    for pf, qf in points:
+        p, q = (sympy.Rational(v.numerator, v.denominator) for v in (pf, qf))
+        M = sympy.Matrix(4, 4, lambda i, j: 1 if i == j + 1 else 0)
+        M[:, 3] = sympy.Matrix([-q, -p, 0, 0])
+        Y = -(M ** 3 + c * M ** 2 + b * M + sympy.Rational(3, 4) * p * sympy.eye(4))
+        C = sympy.Poly(Y.charpoly(y).as_expr(), y)
+        assert sympy.expand(C.coeff_monomial(y ** 3)) == 0
+        E, F = (sympy.expand(C.coeff_monomial(y ** k)) for k in (2, 1))
+        want = sympy.Poly(sympy.resultant(E, F, b), c).monic()
+        rep = quartic_obstruction_G(rat(pf), rat(qf))
+        G, _ = rep.obstruction.monic()
+        assert [x.fraction for x in G.coeffs] == \
+            [_sympy_fraction(v) for v in reversed(want.all_coeffs())], (pf, qf)
+        assert rep.degree == want.degree() == 6
 
 
 def test_obstruction_degenerate_case_frozen():

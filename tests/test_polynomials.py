@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from bringform import (UniPoly, coeff_scale, deflate, poly_from_power_sums,
                        power_sums, rat, shift_substitute)
@@ -139,8 +140,17 @@ def test_json_roundtrip_and_mode():
     assert P.mode == "rational"
     Q = UniPoly.from_json(P.to_json())
     assert Q == P
-    R = P.map_coeffs(lambda c: c + rat(2).sqrt() * rat(0))
+    R = UniPoly([c + rat(2).sqrt() * rat(0) for c in P.coeffs], P.var)
     assert R.mode == "complex"
+
+
+def test_unipoly_rejects_polynomial_coefficient():
+    # free parameters live in power-sum forms, never in nested polynomials
+    c = UniPoly([rat(0), rat(1)], "c")
+    with pytest.raises(TypeError):
+        UniPoly([c * c, rat(2)], "b")
+    with pytest.raises(TypeError):
+        UniPoly.constant(c, "b")
 
 
 def test_coeff_scale_floor_is_one():
