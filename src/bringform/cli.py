@@ -21,14 +21,13 @@ import sys
 from fractions import Fraction
 
 import mpmath
-from mpmath import workprec
 
 from .errors import ConsistencyError, DegenerateDenominator, RescueExhausted
 from .pipeline import (ReductionTrace, quartic_obstruction_G,
                        reduce_general_quintic)
 from .polynomials import UniPoly
 from .roots import RootConfig, obstruction_consistency, verify_trace
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar, rat
+from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar, context
 from .solvers import solve_monic
 
 EXIT_OK = 0
@@ -56,8 +55,8 @@ def _parse_coeff(token: str, mode: str, prec: int) -> Scalar:
             if mode == "rational":
                 raise UsageError("not a rational coefficient: %r" % token)
     try:
-        with workprec(prec + 16):
-            return Scalar.from_mpc(mpmath.mpf(token), prec)
+        # read at prec + 16 bits, then rounded to prec
+        return Scalar.from_mpc(context(prec + 16).mpf(token), prec)
     except ValueError:
         raise UsageError("cannot parse coefficient: %r" % token)
 

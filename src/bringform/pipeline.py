@@ -27,7 +27,7 @@ from .elimination import (BiPoly, form_in, formal_resultant,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator, RescueExhausted
 from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
-                          rem_monic, shift_substitute)
+                          relative_residual, rem_monic, shift_substitute)
 from .scalars import Scalar, as_scalar, as_tol, negligible, pick_root, rat
 from .solvers import solve_condition, solve_monic
 
@@ -110,7 +110,6 @@ class TransformStep:
     subsidiary: Subsidiary  # None only for the reciprocal step
     output: UniPoly
     aux: tuple
-    normalization: Scalar
     rescue_scaling: Scalar = None
 
     @property
@@ -136,7 +135,6 @@ class TransformStep:
             None if sub is None else Subsidiary.from_json(sub, prec),
             UniPoly.from_json(d["output"], prec),
             tuple(AuxSolve.from_json(a, prec) for a in d.get("aux", ())),
-            rat(1),
             None if lam is None else Scalar.from_json(lam, prec),
         )
 
@@ -237,7 +235,7 @@ def _assert_vanishes(value, scale, tol, what):
 
 def _identity_step(kind: str, poly: UniPoly) -> TransformStep:
     sub = Subsidiary(1, (rat(0),))
-    return TransformStep(kind, poly, sub, poly, (), rat(1))
+    return TransformStep(kind, poly, sub, poly, ())
 
 
 def dual_eliminate(A: UniPoly, sub: Subsidiary, tol=None):
@@ -270,14 +268,14 @@ def depress(poly: UniPoly, *, tol=None) -> TransformStep:
         return _identity_step("depress", poly)
     a = c * rat(1, n)
     sub = Subsidiary(1, (a,))
-    C, lead = dual_eliminate(poly, sub, tol)
+    C, _ = dual_eliminate(poly, sub, tol)
     # third route, classical shift: C(y) must equal A(y - a)
     shifted = shift_substitute(poly, a)
     bad = coeff_mismatch(C, shifted, tol)
     if bad is not None:
         raise ConsistencyError("shift cross-check failed to vanish: %s" % bad[1])
     _assert_vanishes(C.coeff(n - 1), coeff_scale(C, shifted), tol, "second coefficient")
-    return TransformStep("depress", poly, sub, C, (), lead)
+    return TransformStep("depress", poly, sub, C, ())
 
 
 def _k2_conditions(A: UniPoly, j: int):
@@ -315,12 +313,12 @@ def _quadratic_subsidiary_step(kind: str, A: UniPoly, cond_power: int,
     b = roots[idx]
     a = a_b.eval(b)
     sub = Subsidiary(2, (a, b))
-    C, lead = dual_eliminate(A, sub, tol)
+    C, _ = dual_eliminate(A, sub, tol)
     out_scale = coeff_scale(C)
     _assert_vanishes(C.coeff(n - 1), out_scale, tol, "second output coefficient")
     _assert_vanishes(C.coeff(cond_power), out_scale, tol, "targeted output coefficient")
     aux = (AuxSolve(kind + "-b", deg, tuple(roots), idx),)
-    return TransformStep(kind, A, sub, C, aux, lead)
+    return TransformStep(kind, A, sub, C, aux)
 
 
 def to_principal(poly: UniPoly, *, prec=None, tol=None) -> TransformStep:
@@ -356,8 +354,7 @@ def cubic_to_pure(m, n, p, *, prec=None, tol=None) -> TransformStep:
     A = UniPoly([p, n, m, rat(1)], "z")
     if (3 * n - m * m).is_exact_zero():
         st = depress(A, tol=tol)
-        return TransformStep("pure-cubic", A, st.subsidiary, st.output,
-                             st.aux, st.normalization)
+        return TransformStep("pure-cubic", A, st.subsidiary, st.output, st.aux)
     return _quadratic_subsidiary_step("pure-cubic", A, 1, prec=prec, tol=tol)
 
 
@@ -391,7 +388,7 @@ def reciprocal_transform(poly: UniPoly, *, tol=None) -> TransformStep:
     bad = coeff_mismatch(C, map_charpoly(poly, [-c / c0 for c in poly.coeffs[1:]]), tol)
     if bad is not None:
         raise ConsistencyError("reciprocal cross-check failed to vanish: %s" % bad[1])
-    return TransformStep("reciprocal", poly, None, C, (), c0)
+    return TransformStep("reciprocal", poly, None, C, ())
 
 
 def _b_coeffs(form, c):
@@ -490,18 +487,9 @@ def quintic_bring_ansatz(p, q, r, *, prec=None, tol=None):
     g2 = e_bc * zeta1 + e_c2
     g1 = e_b * zeta1 + e_c + e_bc * zeta0
     g0 = e_00 + e_b * zeta0
-    gq = UniPoly([g0, g1, g2], "gamma")
-    deg_g, groots = solve_condition(gq, prec=prec, tol=tol)
-    if deg_g == 0:
-        raise DegenerateDenominator(g0, "gamma condition is unsatisfiable")
-    if deg_g < 0:
-        gidx, gamma = 0, rat(0)
-        groots = (rat(0),)
-    else:
-        gidx = pick_root(groots, tol)
-        gamma = groots[gidx]
+    gamma, gsolve = _aux_root("gamma-quadratic", UniPoly([g0, g1, g2], "gamma"),
+                              prec=prec, tol=tol)
     zeta = zeta1 * gamma + zeta0
-    aux = [AuxSolve("gamma-quadratic", max(deg_g, 0), tuple(groots), gidx)]
 
     # with gamma fixed, a, b and c are affine in d: the y^4 and y^3
     # coefficients must vanish for every d, and the y^2 coefficient is the
@@ -510,18 +498,23 @@ def quintic_bring_ansatz(p, q, r, *, prec=None, tol=None):
     e1, e2, e3 = image_elementary(A, xs, 3)
     _assert_vanishes(e1.values(), scale, tol, "y^4 coefficient in d")
     _assert_vanishes(e2.values(), scale, tol, "ansatz-composed y^3 condition")
-    dcub = form_in(e3, "d")
-    deg_d, droots = solve_condition(dcub, prec=prec, tol=tol)
-    if deg_d == 0:
-        raise DegenerateDenominator(dcub.coeff(0), "d condition is unsatisfiable")
-    if deg_d < 0:
-        didx, dstar = 0, rat(0)
-        droots = (rat(0),)
+    dstar, dsolve = _aux_root("d-cubic", form_in(e3, "d"), prec=prec, tol=tol)
+    return BringAnsatz(alpha, gamma, zeta, dstar), [gsolve, dsolve]
+
+
+def _aux_root(kind: str, cond: UniPoly, *, prec=None, tol=None):
+    """Solve the condition on the auxiliary parameter ``cond.var`` and choose
+    a root (``pick_root``); 0 when the condition holds identically.  Returns
+    (root, AuxSolve)."""
+    deg, roots = solve_condition(cond, prec=prec, tol=tol)
+    if deg == 0:
+        raise DegenerateDenominator(cond.coeff(0),
+                                    "%s condition is unsatisfiable" % cond.var)
+    if deg < 0:
+        roots, idx = [rat(0)], 0
     else:
-        didx = pick_root(droots, tol)
-        dstar = droots[didx]
-    aux.append(AuxSolve("d-cubic", max(deg_d, 0), tuple(droots), didx))
-    return BringAnsatz(alpha, gamma, zeta, dstar), aux
+        idx = pick_root(roots, tol)
+    return roots[idx], AuxSolve(kind, max(deg, 0), tuple(roots), idx)
 
 
 def quintic_to_bring_jerrard(p, q, r, *, prec=None, tol=None) -> TransformStep:
@@ -552,12 +545,12 @@ def quintic_to_bring_jerrard(p, q, r, *, prec=None, tol=None) -> TransformStep:
         c = d + ansatz.gamma
         a = (3 * ps * d + 4 * qs) * rat(1, 5)
         sub = Subsidiary(4, (a, b, c, d))
-        C, lead = dual_eliminate(A, sub, tol)
+        C, _ = dual_eliminate(A, sub, tol)
         out_scale = coeff_scale(C)
         _assert_vanishes(C.coeff(4), out_scale, tol, "y^4 coefficient")
         _assert_vanishes(C.coeff(3), out_scale, tol, "y^3 coefficient")
         _assert_vanishes(C.coeff(2), out_scale, tol, "y^2 coefficient")
-        return TransformStep("bring-jerrard", A, sub, C, tuple(aux), lead,
+        return TransformStep("bring-jerrard", A, sub, C, tuple(aux),
                              rescue_scaling=None if lam_int == 1 else lam)
     raise RescueExhausted("no rescue scaling revived the ansatz denominator",
                           tuple(failures))
@@ -613,9 +606,8 @@ def back_solve(step: TransformStep, y, *, prec=None, tol=None):
 
 
 def lies_on(A: UniPoly, z, tol=None) -> bool:
-    """Is z a root of A within |A(z)| <= tol * coeff_scale(A) * max(1, |z|)^deg A?"""
-    bound = as_tol(tol) * coeff_scale(A) * max(1, z.mag()) ** A.degree
-    return A.eval(z).mag() <= bound
+    """Is z a root of A, with a ``relative_residual`` of at most tol?"""
+    return relative_residual(A, z) <= as_tol(tol)
 
 
 def step_inverse(step: TransformStep, tol=None):

@@ -42,10 +42,6 @@ class UniPoly:
     def constant(cls, value, var: str = "z") -> "UniPoly":
         return cls((value,), var)
 
-    @classmethod
-    def generator(cls, var: str) -> "UniPoly":
-        return cls((rat(0), rat(1)), var)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -160,10 +156,6 @@ class UniPoly:
             return False
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     __hash__ = None
 
     # -- evaluation and calculus ----------------------------------------------
@@ -223,11 +215,9 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, obj, prec: int = None) -> "UniPoly":
-        from .scalars import DEFAULT_PRECISION_BITS
         if not isinstance(obj, dict) or "coeffs" not in obj:
             raise ValueError("polynomial JSON must be an object with a coeffs list")
-        p = prec or DEFAULT_PRECISION_BITS
-        coeffs = [Scalar.from_json(v, p) for v in obj["coeffs"]]
+        coeffs = [Scalar.from_json(v, prec) for v in obj["coeffs"]]
         return cls(coeffs, obj.get("var", "z"))
 
     def __repr__(self):
@@ -258,6 +248,12 @@ def coeff_scale(*polys):
         if v > m:
             m = v
     return m
+
+
+def relative_residual(A: UniPoly, z):
+    """|A(z)| / (coeff_scale(A) * max(1, |z|)^deg A), how far the Scalar z is
+    from a root of A relative to the size of A's terms there."""
+    return A.eval(z).mag() / (coeff_scale(A) * max(1, z.mag()) ** A.degree)
 
 
 def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
@@ -329,12 +325,6 @@ class PowerSums:
         if k == 0:
             return rat(self.source_degree)
         return self.values[k - 1]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 def power_sums(poly: UniPoly, k_max: int) -> PowerSums:

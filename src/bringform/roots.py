@@ -26,17 +26,17 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import mpmath
-from mpmath import workprec
 
 from .errors import ConsistencyError
 from .pipeline import (dual_eliminate, expected_step_input, lies_on,
                        reciprocal_transform, step_inverse)
-from .polynomials import UniPoly, coeff_mismatch, coeff_scale
+from .polynomials import UniPoly, coeff_mismatch, relative_residual
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar,
-                      as_tol, rat, sort_key)
+                      as_tol, context, rat, sort_key)
 from .solvers import assemble_preimages, solve_condition
 
 DEFAULT_MATCH_TOLERANCE = "1e-25"
+MAX_ITERATIONS = 400
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,13 @@ class RootConfig:
     precision_bits: int = DEFAULT_PRECISION_BITS
     tol: str = DEFAULT_TOLERANCE
     seed: int = 0
-    max_iterations: int = 400
-    match_tol: str = DEFAULT_MATCH_TOLERANCE
+
+
+def _match_tol(cfg: RootConfig):
+    """Root sets match within the larger of ``DEFAULT_MATCH_TOLERANCE`` and
+    the configured tol, so a tol loosened for a low precision loosens the
+    matching too."""
+    return max(as_tol(DEFAULT_MATCH_TOLERANCE), as_tol(cfg.tol))
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,6 @@ class RootSet:
     residuals: tuple
     converged: bool
     iterations: int
-
-    def max_residual(self):
-        return max(self.residuals) if self.residuals else mpmath.mpf(0)
 
 
 @dataclass(frozen=True)
@@ -98,81 +100,81 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
     converged = True
     n = len(coeffs) - 1
     if n >= 1:
-        with workprec(prec):
-            cs = [c.to_mpc(prec) for c in coeffs]
-            eps = mpmath.mpf(2) ** (6 - prec)
-            # Fujiwara's bound on the root moduli (c_0 != 0 once zero roots
-            # are stripped), so the start circle has the roots' own size
-            terms = [abs(cs[n - k]) ** (mpmath.mpf(1) / k) for k in range(1, n)]
-            terms.append((abs(cs[0]) / 2) ** (mpmath.mpf(1) / n))
-            bound = 2 * max(terms)
-            rng = random.Random(cfg.seed)
-            zs = []
-            for j in range(n):
-                ang = 2 * mpmath.pi * (j + mpmath.mpf(rng.random()) / 4 + rat(1, 3).fraction) / n
-                rad = bound * (mpmath.mpf(1) / 2 + mpmath.mpf(rng.random()) / 4)
-                zs.append(rad * mpmath.exp(mpmath.mpc(0, 1) * ang))
-            dcs = [cs[i] * i for i in range(1, n + 1)]
+        ctx = context(prec)
+        cs = [ctx.make_mpc(c.to_mpc(prec)._mpc_) for c in coeffs]  # not rounded
+        eps = ctx.mpf(2) ** (6 - prec)
+        # Fujiwara's bound on the root moduli (c_0 != 0 once zero roots
+        # are stripped), so the start circle has the roots' own size
+        terms = [abs(cs[n - k]) ** (ctx.mpf(1) / k) for k in range(1, n)]
+        terms.append((abs(cs[0]) / 2) ** (ctx.mpf(1) / n))
+        bound = 2 * max(terms)
+        rng = random.Random(cfg.seed)
+        zs = []
+        for j in range(n):
+            ang = 2 * ctx.pi * (j + ctx.mpf(rng.random()) / 4 + rat(1, 3).fraction) / n
+            rad = bound * (ctx.mpf(1) / 2 + ctx.mpf(rng.random()) / 4)
+            zs.append(rad * ctx.exp(ctx.mpc(0, 1) * ang))
+        dcs = [cs[i] * i for i in range(1, n + 1)]
 
-            def horner(csl, z):
-                acc = csl[-1]
-                for c in reversed(csl[:-1]):
-                    acc = acc * z + c
-                return acc
+        def horner(csl, z):
+            acc = csl[-1]
+            for c in reversed(csl[:-1]):
+                acc = acc * z + c
+            return acc
 
-            def noise_floor(z):
-                az = abs(z)
-                t = mpmath.mpf(0)
-                w = mpmath.mpf(1)
-                for c in cs:
-                    t += abs(c) * w
-                    w *= az
-                return eps * t
+        def noise_floor(z):
+            az = abs(z)
+            t = ctx.mpf(0)
+            w = ctx.mpf(1)
+            for c in cs:
+                t += abs(c) * w
+                w *= az
+            return eps * t
 
-            for it in range(cfg.max_iterations):
-                iterations = it + 1
-                settled = True
-                max_step = mpmath.mpf(0)
-                nxt = list(zs)
-                for i, z in enumerate(zs):
-                    pv = horner(cs, z)
-                    if abs(pv) <= 16 * noise_floor(z):
-                        continue
-                    settled = False
-                    dv = horner(dcs, z)
-                    if dv == 0:
-                        nxt[i] = z + eps * (1 + abs(z))
-                        continue
-                    w = pv / dv
-                    s = mpmath.mpc(0)
-                    for j, zj in enumerate(zs):
-                        if j != i:
-                            s += 1 / (z - zj)
-                    den = 1 - w * s
-                    corr = w if den == 0 else w / den
-                    nxt[i] = z - corr
-                    rel = abs(corr) / max(1, abs(z))
-                    if rel > max_step:
-                        max_step = rel
-                zs = nxt
-                if settled or (it > 0 and max_step <= eps):
-                    break
-            zs = _polish_multiple(zs, cs, prec)
-            converged = all(abs(horner(cs, z)) <= 64 * noise_floor(z) for z in zs)
+        for it in range(MAX_ITERATIONS):
+            iterations = it + 1
+            settled = True
+            max_step = ctx.mpf(0)
+            nxt = list(zs)
+            for i, z in enumerate(zs):
+                pv = horner(cs, z)
+                if abs(pv) <= 16 * noise_floor(z):
+                    continue
+                settled = False
+                dv = horner(dcs, z)
+                if dv == 0:
+                    nxt[i] = z + eps * (1 + abs(z))
+                    continue
+                w = pv / dv
+                s = ctx.mpc(0)
+                for j, zj in enumerate(zs):
+                    if j != i:
+                        s += 1 / (z - zj)
+                den = 1 - w * s
+                corr = w if den == 0 else w / den
+                nxt[i] = z - corr
+                rel = abs(corr) / max(1, abs(z))
+                if rel > max_step:
+                    max_step = rel
+            zs = nxt
+            if settled or (it > 0 and max_step <= eps):
+                break
+        zs = _polish_multiple(zs, cs, ctx)
+        converged = all(abs(horner(cs, z)) <= 64 * noise_floor(z) for z in zs)
         found = [Scalar.from_mpc(z, prec) for z in zs]
     roots = tuple(sorted([rat(0)] * zeros + found, key=sort_key))
     residuals = tuple(monic.eval(r).mag() for r in roots)
     return RootSet(roots, residuals, converged, iterations)
 
 
-def _clusters(zs, prec):
-    """Index groups of the mpc values zs (at least one) joined, transitively,
-    whenever |z_i - z_j| <= tau * max(1, |z_i|, |z_j|), where
-    tau = 64 * 2^(-prec/n) is the resolution limit of an n-fold root; groups
-    come in order of their first member.  Must run inside workprec.
+def _clusters(zs, ctx):
+    """Index groups of the mpc values zs (at least one, in the context ctx)
+    joined, transitively, whenever |z_i - z_j| <= tau * max(1, |z_i|, |z_j|),
+    where tau = 64 * 2^(-prec/n) at the context's precision is the resolution
+    limit of an n-fold root; groups come in order of their first member.
     """
     n = len(zs)
-    tau = (mpmath.mpf(2) ** (-prec)) ** (mpmath.mpf(1) / n) * 64
+    tau = (ctx.mpf(2) ** (-ctx.prec)) ** (ctx.mpf(1) / n) * 64
     parent = list(range(n))
 
     def find(i):
@@ -193,18 +195,19 @@ def _clusters(zs, prec):
     return list(groups.values())
 
 
-def _polish_multiple(zs, cs, prec):
+def _polish_multiple(zs, cs, ctx):
     """Park every Aberth cluster on the exact multiple root it surrounds.
 
     A root of multiplicity m is a simple root of the (m-1)th derivative, so a
     few Newton steps from the cluster centroid recover it to full precision;
-    all m members are replaced by that one value.  Must run inside workprec.
+    all m members are replaced by that one value.  zs and cs are mpc values
+    in the context ctx.
     """
     if len(zs) < 2:
         return zs
     out = list(zs)
-    eps = mpmath.mpf(2) ** (2 - prec)
-    for members in _clusters(zs, prec):
+    eps = ctx.mpf(2) ** (2 - ctx.prec)
+    for members in _clusters(zs, ctx):
         m = len(members)
         if m < 2:
             continue
@@ -261,8 +264,8 @@ def _best_pairing(xs, ys):
 
 def _centroids(roots, prec):
     """(centroid, size) of each cluster of the Scalar roots (``_clusters``)."""
-    with workprec(prec):
-        groups = _clusters([r.to_mpc(prec) for r in roots], prec)
+    ctx = context(prec)
+    groups = _clusters([ctx.make_mpc(r.to_mpc(prec)._mpc_) for r in roots], ctx)
     out = []
     for members in groups:
         acc = None
@@ -319,11 +322,6 @@ def _transport_once(step, zs):
     return [T.eval(z) for z in zs]
 
 
-def _relative_residual(poly: UniPoly, value: Scalar):
-    scale = coeff_scale(poly) * max(1, value.mag()) ** poly.degree
-    return poly.eval(value).mag() / scale
-
-
 def verify_transform(step, config: RootConfig = None):
     """Check one step: transported input roots must sit on the output within
     the noise floor and agree with the output's own roots.  Returns
@@ -333,13 +331,9 @@ def verify_transform(step, config: RootConfig = None):
         return mpmath.mpf(0), True
     zs = find_roots(step.input, cfg).roots
     ys = _transport_once(step, zs)
-    worst = mpmath.mpf(0)
-    for y in ys:
-        r = _relative_residual(step.output, y)
-        if r > worst:
-            worst = r
+    worst = max([mpmath.mpf(0)] + [relative_residual(step.output, y) for y in ys])
     direct = find_roots(step.output, cfg).roots
-    ok, _ = match_roots(ys, direct, tol=cfg.match_tol, prec=cfg.precision_bits)
+    ok, _ = match_roots(ys, direct, tol=_match_tol(cfg), prec=cfg.precision_bits)
     return worst, ok
 
 
@@ -398,13 +392,10 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
         if step.rescue_scaling is not None:
             zs = [z / step.rescue_scaling for z in zs]
         ys = _transport_once(step, zs)
-        for y in ys:
-            r = _relative_residual(step.output, y)
-            if r > worst:
-                worst = r
+        worst = max([worst] + [relative_residual(step.output, y) for y in ys])
         zs = ys
     direct = find_roots(trace.final, cfg)
-    m_ok, _ = match_roots(zs, direct.roots, tol=cfg.match_tol, prec=cfg.precision_bits)
+    m_ok, _ = match_roots(zs, direct.roots, tol=_match_tol(cfg), prec=cfg.precision_bits)
     ok = ok and m_ok and original_roots.converged and direct.converged
     bring = bring_curve_residual(zs) if trace.final.degree == 5 else ()
     return VerifyReport(worst, ok, bring)
@@ -455,15 +446,7 @@ def obstruction_consistency(report, config: RootConfig = None):
     worst = mpmath.mpf(0)
     for cstar in cstars:
         Eb, Fb = report.conditions_at(cstar)
-        deg, bs = solve_condition(Eb, prec=cfg.precision_bits, tol=cfg.tol)
-        if not bs:
-            continue
-        fscale = max(1, coeff_scale(Fb))
-        best = None
-        for b in bs:
-            r = Fb.eval(b).mag() / (fscale * max(1, b.mag()) ** max(Fb.degree, 0))
-            if best is None or r < best:
-                best = r
-        if best is not None and best > worst:
-            worst = best
+        _, bs = solve_condition(Eb, prec=cfg.precision_bits, tol=cfg.tol)
+        if bs:
+            worst = max(worst, min(relative_residual(Fb, b) for b in bs))
     return worst

@@ -7,22 +7,48 @@ stay rational; any contact with a complex operand promotes the result to
 complex at the larger precision in play.  Square and cube roots of rationals
 stay rational exactly when the result is rational, and promote otherwise.
 
-Values are immutable, but they are not safe to use from concurrent threads:
-complex arithmetic and magnitudes set mpmath's process-wide precision through
-``workprec``, so two threads working at different precisions can round each
-other's results.
+Precision travels with each value.  Every complex operation rounds to
+nearest at a precision given to it, never at a global one: ring operations,
+powers, magnitudes and square roots call mpmath's ``libmp`` functions with
+the Scalar's precision (the larger operand's for a binary operation), and
+the rest use an mpmath context fixed at the precision it needs
+(``context``).  Nothing in the package changes mpmath's global precision,
+so Scalars are safe to share between threads.  Values handed out
+(``to_mpc``, ``mag``, ``re``, ``im``) are default-context mpf/mpc objects
+carrying their full mantissa; arithmetic on them runs at mpmath's default
+precision.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from math import isqrt
 
 import mpmath
-from mpmath import mp, workprec
+from mpmath import mp
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_add, mpc_conjugate,
+                          mpc_div, mpc_mul, mpc_neg, mpc_pow_int, mpc_sqrt,
+                          mpc_sub, mpf_div, round_nearest)
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_TOLERANCE = "1e-30"
+
+
+@functools.cache
+def context(prec: int) -> MPContext:
+    """The mpmath context at prec bits, made once per precision and never changed."""
+    ctx = MPContext()
+    ctx.prec = prec
+    return ctx
+
+
+def _rat_mpf(f: Fraction, prec: int):
+    """f rounded to prec bits as a raw mpf, as mpf(numerator) / denominator."""
+    return mpf_div(from_int(f.numerator, prec, round_nearest), from_int(f.denominator),
+                   prec, round_nearest)
 
 
 def _iroot(a: int, n: int) -> int:
@@ -76,21 +102,24 @@ class Scalar:
 
     @classmethod
     def complex_(cls, re=0, im=0, prec: int = DEFAULT_PRECISION_BITS) -> "Scalar":
-        with workprec(prec):
-            c = mpmath.mpc(cls._part_to_mpf(re), cls._part_to_mpf(im))
-        return cls(None, c, prec)
+        ctx = context(prec)
+
+        def part(v):
+            if isinstance(v, Fraction):
+                return ctx.make_mpf(_rat_mpf(v, prec))
+            return ctx.mpf(v)
+
+        return cls._complex(ctx.mpc(part(re), part(im))._mpc_, prec)
 
     @classmethod
     def from_mpc(cls, c, prec: int) -> "Scalar":
-        with workprec(prec):
-            c = mpmath.mpc(c)
-        return cls(None, c, prec)
+        """c (an mpc or mpf of any context, or a real number) rounded to prec."""
+        return cls._complex(context(prec).mpc(c)._mpc_, prec)
 
-    @staticmethod
-    def _part_to_mpf(v):
-        if isinstance(v, Fraction):
-            return mpmath.mpf(v.numerator) / v.denominator
-        return mpmath.mpf(v)
+    @classmethod
+    def _complex(cls, raw, prec) -> "Scalar":
+        """The complex Scalar of a raw libmp pair, kept as it is."""
+        return cls(None, mp.make_mpc(raw), prec)
 
     # -- inspection --------------------------------------------------------
 
@@ -115,9 +144,14 @@ class Scalar:
 
     def to_mpc(self, prec=None):
         if self._frac is not None:
-            with workprec(prec or DEFAULT_PRECISION_BITS):
-                return mpmath.mpc(mpmath.mpf(self._frac.numerator) / self._frac.denominator)
+            return mp.make_mpc(self._raw(prec or DEFAULT_PRECISION_BITS))
         return self._c
+
+    def _raw(self, prec):
+        """The libmp pair of the value; a rational is rounded to prec."""
+        if self._frac is not None:
+            return _rat_mpf(self._frac, prec), fzero
+        return self._c._mpc_
 
     def re(self):
         return self.to_mpc().real
@@ -128,20 +162,14 @@ class Scalar:
     def mag(self):
         """|self| as an mpf (exact zero for the rational zero)."""
         if self._frac is not None:
-            if self._frac == 0:
-                return mpmath.mpf(0)
-            f = abs(self._frac)
-            with workprec(DEFAULT_PRECISION_BITS):
-                return mpmath.mpf(f.numerator) / f.denominator
-        with workprec(self._prec):
-            return abs(self._c)
+            return mp.make_mpf(_rat_mpf(abs(self._frac), DEFAULT_PRECISION_BITS))
+        return mp.make_mpf(mpc_abs(self._c._mpc_, self._prec, round_nearest))
 
     def conjugate(self) -> "Scalar":
         if self._frac is not None:
             return self
-        with workprec(self._prec):
-            c = mpmath.mpc(self._c.real, -self._c.imag)
-        return Scalar(None, c, self._prec)
+        return Scalar._complex(mpc_conjugate(self._c._mpc_, self._prec, round_nearest),
+                               self._prec)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -154,23 +182,24 @@ class Scalar:
         return None
 
     def _binop(self, other, ratop, cop):
+        """ratop on two rationals; otherwise the libmp function cop at the
+        larger precision in play."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if self._frac is not None and other._frac is not None:
             return Scalar(ratop(self._frac, other._frac), None, None)
-        prec = max(self._prec or 0, other._prec or 0) or DEFAULT_PRECISION_BITS
-        with workprec(prec):
-            c = cop(self.to_mpc(prec), other.to_mpc(prec))
-        return Scalar(None, c, prec)
+        prec = max(self._prec or 0, other._prec or 0)
+        return Scalar._complex(cop(self._raw(prec), other._raw(prec), prec, round_nearest),
+                               prec)
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b, lambda a, b: a + b)
+        return self._binop(other, operator.add, mpc_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b, lambda a, b: a - b)
+        return self._binop(other, operator.sub, mpc_sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -179,12 +208,12 @@ class Scalar:
         return other.__sub__(self)
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b, lambda a, b: a * b)
+        return self._binop(other, operator.mul, mpc_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b, lambda a, b: a / b)
+        return self._binop(other, operator.truediv, mpc_div)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -195,17 +224,15 @@ class Scalar:
     def __neg__(self):
         if self._frac is not None:
             return Scalar(-self._frac, None, None)
-        with workprec(self._prec):
-            c = -self._c
-        return Scalar(None, c, self._prec)
+        return Scalar._complex(mpc_neg(self._c._mpc_, self._prec, round_nearest), self._prec)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if self._frac is not None:
             return Scalar(self._frac ** k, None, None)
-        with workprec(self._prec):
-            return Scalar(None, self._c ** k, self._prec)
+        return Scalar._complex(mpc_pow_int(self._c._mpc_, k, self._prec, round_nearest),
+                               self._prec)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -227,10 +254,6 @@ class Scalar:
             return False  # one is real-valued, the other has an imaginary part
         return a._c.real == b._c.real and a._c.imag == b._c.imag
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     __hash__ = None
 
     # -- roots -------------------------------------------------------------
@@ -238,44 +261,38 @@ class Scalar:
     def _promote_prec(self, prec):
         return max(self._prec or 0, prec or 0) or DEFAULT_PRECISION_BITS
 
+    def _exact_root(self, n: int):
+        """The rational n-th root (the real one for odd n), or None."""
+        f = self._frac
+        if f is None or (f < 0 and n % 2 == 0):
+            return None
+        rn = _exact_nth_root(abs(f.numerator), n)
+        rd = _exact_nth_root(f.denominator, n)
+        if rn is None or rd is None:
+            return None
+        return Scalar(Fraction(rn if f >= 0 else -rn, rd), None, None)
+
     def sqrt(self, prec=None) -> "Scalar":
         """Principal square root; stays rational iff the value is a rational square."""
-        if self._frac is not None:
-            f = self._frac
-            if f == 0:
-                return Scalar(Fraction(0), None, None)
-            if f > 0:
-                rn = _exact_nth_root(f.numerator, 2)
-                rd = _exact_nth_root(f.denominator, 2)
-                if rn is not None and rd is not None:
-                    return Scalar(Fraction(rn, rd), None, None)
+        r = self._exact_root(2)
+        if r is not None:
+            return r
         p = self._promote_prec(prec)
-        with workprec(p):
-            return Scalar(None, mpmath.sqrt(self.to_mpc(p)), p)
+        return Scalar._complex(mpc_sqrt(self._raw(p), p, round_nearest), p)
 
     def nth_root(self, n: int, prec=None) -> "Scalar":
         """Exact rational n-th root when one exists (the real root for odd n),
         otherwise the principal complex branch exp(log(x)/n)."""
         if n < 2:
             raise ValueError("n must be at least 2")
-        if self._frac is not None:
-            f = self._frac
-            if f == 0:
-                return Scalar(Fraction(0), None, None)
-            if f > 0 or n % 2 == 1:
-                a = abs(f)
-                rn = _exact_nth_root(a.numerator, n)
-                rd = _exact_nth_root(a.denominator, n)
-                if rn is not None and rd is not None:
-                    r = Fraction(rn, rd)
-                    return Scalar(r if f > 0 else -r, None, None)
+        r = self._exact_root(n)
+        if r is not None:
+            return r
         p = self._promote_prec(prec)
-        with workprec(p):
-            c = self.to_mpc(p)
-            if c.real == 0 and c.imag == 0:
-                return Scalar(None, mpmath.mpc(0), p)
-            r = mpmath.exp(mpmath.log(c) / n)
-        return Scalar(None, r, p)
+        if self.is_exact_zero():
+            return Scalar._complex((fzero, fzero), p)
+        ctx = context(p)
+        return Scalar._complex(ctx.exp(ctx.ln(ctx.make_mpc(self._raw(p))) / n)._mpc_, p)
 
     def cbrt(self, prec=None) -> "Scalar":
         return self.nth_root(3, prec)
@@ -289,13 +306,15 @@ class Scalar:
         return [mpmath.nstr(self._c.real, dps), mpmath.nstr(self._c.imag, dps)]
 
     @classmethod
-    def from_json(cls, v, prec: int = DEFAULT_PRECISION_BITS) -> "Scalar":
+    def from_json(cls, v, prec: int = None) -> "Scalar":
+        """Inverse of ``to_json``; a complex value is read at prec + 16 bits
+        and carried at prec (default ``DEFAULT_PRECISION_BITS``)."""
         if not (isinstance(v, list) and len(v) == 2):
             raise ValueError("scalar JSON must be a two-element list")
         if all(isinstance(t, int) for t in v):
             return cls.rational(v[0], v[1])
-        with workprec(prec + 16):
-            return cls(None, mpmath.mpc(mpmath.mpf(v[0]), mpmath.mpf(v[1])), prec)
+        prec = prec or DEFAULT_PRECISION_BITS
+        return cls._complex(context(prec + 16).mpc(v[0], v[1])._mpc_, prec)
 
     def __repr__(self):
         if self._frac is not None:

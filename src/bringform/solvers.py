@@ -16,25 +16,21 @@ solved anywhere in this module has degree at most three.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import workprec
 
 from .polynomials import UniPoly, deflate
-from .scalars import DEFAULT_PRECISION_BITS, Scalar, as_scalar, rat, sort_key
+from .scalars import (DEFAULT_PRECISION_BITS, Scalar, as_scalar, context, rat,
+                      sort_key)
 
-_OMEGAS = {}
 
-
+@functools.cache
 def _omega(prec: int) -> Scalar:
     """Primitive cube root of unity at the given precision."""
-    got = _OMEGAS.get(prec)
-    if got is None:
-        with workprec(prec):
-            got = Scalar.from_mpc(mpmath.mpc(mpmath.mpf(-1) / 2, mpmath.sqrt(3) / 2), prec)
-        _OMEGAS[prec] = got
-    return got
+    ctx = context(prec)
+    return Scalar.from_mpc(ctx.mpc(ctx.mpf(-1) / 2, ctx.sqrt(3) / 2), prec)
 
 
 def _residuals(poly: UniPoly, roots):

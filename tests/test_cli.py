@@ -50,6 +50,12 @@ def test_reduce_output_is_deterministic(capsys, tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_reduce_at_64_bits_verifies_with_a_tolerance_that_fits(capsys):
+    code, out, _ = run(capsys, "reduce", "--coeffs", *QUINTIC, "--precision-bits", "64",
+                       "--tol", "1e-12", "--output", "text")
+    assert code == EXIT_OK and "verified: yes" in out
+
+
 def test_reduce_accepts_rational_and_decimal_tokens(capsys):
     # fractional negatives would parse as options, so the list may be quoted
     code, out, _ = run(capsys, "reduce", "--coeffs", "1 -1/2 0.25 1 0 3")

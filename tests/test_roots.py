@@ -143,8 +143,7 @@ def test_verify_trace_flags_corrupted_subsidiary_without_raising():
     sub = victim.subsidiary
     bad_sub = type(sub)(sub.k, (sub.coeffs[0] + rat(1, 1000),) + sub.coeffs[1:])
     steps[-1] = TransformStep(victim.kind, victim.input, bad_sub, victim.output,
-                              victim.aux, victim.normalization,
-                              victim.rescue_scaling)
+                              victim.aux, victim.rescue_scaling)
     bad = ReductionTrace(trace.original, tuple(steps), trace.final,
                          trace.bring_p, trace.bring_q)
     report = verify_trace(bad)
@@ -160,7 +159,7 @@ def test_verify_trace_flags_tampered_output_polynomial():
     bumped = UniPoly([out.coeff(0) + rat(1, 100)] + [out.coeff(k) for k in range(1, out.degree + 1)],
                      out.var)
     steps[0] = TransformStep(victim.kind, victim.input, victim.subsidiary, bumped,
-                             victim.aux, victim.normalization, victim.rescue_scaling)
+                             victim.aux, victim.rescue_scaling)
     bad = ReductionTrace(trace.original, tuple(steps), trace.final,
                          trace.bring_p, trace.bring_q)
     report = verify_trace(bad)
@@ -186,6 +185,16 @@ def test_recover_roots_through_a_rescued_step():
     recovered = recover_roots(trace)
     ok, _ = match_roots(direct, recovered, tol="1e-40")
     assert ok
+
+
+def test_low_precision_traces_verify_at_a_matching_tolerance():
+    # roots match within max(1e-25, tol), so a tol fitted to 64 bits verifies
+    cfg = RootConfig(precision_bits=64, tol="1e-12")
+    rng = random.Random(20260818)  # the acceptance batch
+    for _ in range(20):
+        P = UniPoly([rat(rng.randint(-10, 10)) for _ in range(5)] + [rat(1)])
+        trace = reduce_general_quintic(P, prec=cfg.precision_bits, tol=cfg.tol)
+        assert verify_trace(trace, cfg).matched, P
 
 
 def test_obstruction_consistency_on_generic_quartic():

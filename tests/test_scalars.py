@@ -6,13 +6,19 @@ working precision to 256 bits and require residuals at the 1e-70 scale, far
 below anything double arithmetic could produce.
 """
 
+import json
 import random
+import re
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from bringform import DEFAULT_PRECISION_BITS, Scalar, cx, rat
+from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
+                       rat, reduce_general_quintic, verify_trace)
 from bringform.scalars import as_tol, negligible, pick_root, sort_key
 
 TINY = mpmath.mpf("1e-70")
@@ -164,3 +170,55 @@ def test_pick_root_breaks_exact_ties_by_real_then_imaginary_part():
 def test_division_by_exact_zero_raises():
     with pytest.raises(ZeroDivisionError):
         rat(1) / rat(0)
+
+
+# -- precision is local to each value -------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bringform"
+
+
+def test_package_never_sets_mpmath_global_precision():
+    pattern = re.compile(r"workprec|extraprec|mp\.(prec|dps)\s*=")
+    hits = ["%s:%d" % (path.name, i)
+            for path in sorted(SRC.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
+
+
+def test_threads_at_mixed_precisions_reproduce_serial_runs():
+    # each run reduces and verifies the README quintic; threads at 128 and
+    # 512 bits interleave, and every run must give the serial bytes
+    P = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
+
+    def run(prec):
+        trace = reduce_general_quintic(P, prec=prec)
+        report = verify_trace(trace, RootConfig(precision_bits=prec))
+        return json.dumps(trace.to_json(), sort_keys=True), report.matched
+
+    precs = (128, 512, 128, 512)
+    serial = {p: run(p) for p in set(precs)}
+    assert all(matched for _, matched in serial.values())
+    start = threading.Barrier(len(precs))
+    results = [None] * len(precs)
+
+    def work(i):
+        start.wait()
+        try:
+            results[i] = [run(precs[i]) for _ in range(2)]
+        except Exception as exc:  # a race surfaces as a failed check
+            results[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(precs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for prec, got in zip(precs, results):
+        assert got == [serial[prec]] * 2, "a %d-bit run differed from the serial one" % prec
