@@ -15,6 +15,11 @@ Subsidiary coefficients are named upward from the constant term:
 Each step is computed twice, by independent routes: a Sylvester resultant in
 z, and power-sum transport through Newton's identities.  The two results must
 agree (exactly in rational mode) or the step refuses to exist.
+
+A ``TransformStep`` owns everything that depends on its kind: ``redo``
+recomputes its output, and ``image`` and ``preimages`` move roots through it
+forward and back.  The reciprocal step, z -> 1/z, is the one step without a
+subsidiary.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import ConsistencyError, DegenerateDenominator, RescueExhausted
 from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
                           relative_residual, rem_monic, shift_substitute)
 from .scalars import Scalar, as_scalar, as_tol, negligible, pick_root, rat
-from .solvers import solve_condition, solve_monic
+from .solvers import assemble_preimages, solve_condition, solve_monic
 
 RESCUE_SCALES = (2, 3, 5, 7, 11)
 
@@ -116,6 +121,37 @@ class TransformStep:
     def is_identity(self) -> bool:
         return self.subsidiary is not None and self.subsidiary.is_identity()
 
+    def redo(self, tol=None) -> UniPoly:
+        """The output recomputed from the input; raises ``ConsistencyError``
+        or ``DegenerateDenominator`` when the step cannot be redone."""
+        if self.is_identity:
+            return self.input
+        if self.subsidiary is None:
+            return reciprocal_transform(self.input, tol=tol).output
+        return dual_eliminate(self.input, self.subsidiary, tol)[0]
+
+    def image(self, zs):
+        """The images of the roots zs under the step's map."""
+        if self.subsidiary is None:
+            return [rat(1) / z for z in zs]
+        T = self.subsidiary.map_in_z()
+        return [T.eval(z) for z in zs]
+
+    def preimages(self, ys, *, prec=None, tol=None):
+        """The roots of the input that the map sends to the roots ys of the
+        output, one per y and in the order of ys: 1/y for the reciprocal
+        step; U(y) by the inverse map U (``step_inverse``) when every U(y)
+        lies on the input; otherwise by solving the subsidiary relation root
+        by root (``assemble_preimages``)."""
+        if self.subsidiary is None:
+            return [rat(1) / y for y in ys]
+        U = step_inverse(self)
+        if U is not None:
+            zs = [U.eval(y) for y in ys]
+            if all(lies_on(self.input, z, tol) for z in zs):
+                return zs
+        return assemble_preimages(self.input, ys, self, prec=prec, tol=tol)
+
     def to_json(self):
         return {
             "kind": self.kind,
@@ -127,9 +163,13 @@ class TransformStep:
 
     @classmethod
     def from_json(cls, d, input_poly: UniPoly, prec=None):
+        """Inverse of ``to_json`` on the step's input; ValueError unless the
+        step maps that input to a monic output of the same degree, by a
+        subsidiary of lower degree, or by reciprocals (no subsidiary) of
+        roots that are not zero."""
         sub = d.get("subsidiary")
         lam = d.get("rescue_lambda")
-        return cls(
+        step = cls(
             d["kind"],
             input_poly,
             None if sub is None else Subsidiary.from_json(sub, prec),
@@ -137,6 +177,19 @@ class TransformStep:
             tuple(AuxSolve.from_json(a, prec) for a in d.get("aux", ())),
             None if lam is None else Scalar.from_json(lam, prec),
         )
+        n = input_poly.degree
+        if (step.subsidiary is None) != (step.kind == "reciprocal"):
+            raise ValueError("the reciprocal step, and only it, has no subsidiary")
+        if step.subsidiary is None and input_poly.coeff(0).is_exact_zero():
+            raise ValueError("a root at zero has no reciprocal")
+        if step.subsidiary is not None and step.subsidiary.k >= n:
+            raise ValueError("a subsidiary of degree %d on an input of degree %d"
+                             % (step.subsidiary.k, n))
+        _require_monic(step.output)
+        if step.output.degree != n:
+            raise ValueError("a step output of degree %d from an input of degree %d"
+                             % (step.output.degree, n))
+        return step
 
 
 @dataclass(frozen=True)
@@ -188,7 +241,13 @@ class ReductionTrace:
 
     @classmethod
     def from_json(cls, d, prec=None):
+        """Inverse of ``to_json``; ValueError for an original that is not
+        monic of degree >= 1, or for a step of the wrong shape
+        (``TransformStep.from_json``)."""
         original = UniPoly.from_json(d["original"], prec)
+        _require_monic(original)
+        if original.degree < 1:
+            raise ValueError("a constant original has no roots")
         steps = []
         cur = original
         for sd in d["steps"]:
@@ -588,7 +647,7 @@ def back_solve(step: TransformStep, y, *, prec=None, tol=None):
     """All z with B(z, y) = 0 that are also roots of the step's input; these
     are exactly the preimages of y under the step's map."""
     y = as_scalar(y)
-    if step.kind == "reciprocal":
+    if step.subsidiary is None:
         if y.is_exact_zero():
             raise ConsistencyError("zero has no reciprocal preimage")
         return [rat(1) / y]
@@ -610,16 +669,18 @@ def lies_on(A: UniPoly, z, tol=None) -> bool:
     return relative_residual(A, z) <= as_tol(tol)
 
 
-def step_inverse(step: TransformStep, tol=None):
+def step_inverse(step: TransformStep):
     """The inverse map U of a step, with U(T(z)) = z for every root z of the
-    step's monic input A, or None when T merges roots of A.
+    step's monic input A, or None on an exactly zero pivot.
 
     U = sum u_j y^j solves the n x n system sum u_j T^j = z modulo A
-    (n = deg A; PARI's ``modreverse``).  The elimination is exact when every
-    matrix entry is rational, and pivots by magnitude otherwise.  A pivot that
-    is exactly zero, or in complex mode no larger than tol times the largest
-    entry, means the basis 1, T, ..., T^(n-1) is singular: the map is not
+    (n = deg A; PARI's ``modreverse``) by elimination with magnitude
+    pivoting, which is exact when every matrix entry is rational.  An exactly
+    zero pivot means the basis 1, T, ..., T^(n-1) is singular: the map is not
     one-to-one on the roots of A and only ``back_solve`` can pull them back.
+    In complex mode a merging map gives a tiny pivot rather than a zero one,
+    and no pivot size tells it apart from a fine map, so a caller tests each
+    U(y) on A (``TransformStep.preimages``).
     """
     A = step.input
     n = A.degree
@@ -629,13 +690,10 @@ def step_inverse(step: TransformStep, tol=None):
         cols.append(rem_monic(UniPoly(cols[-1], "z") * T, A))
     rhs = rem_monic(UniPoly([rat(0), rat(1)], "z"), A)
     M = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
-    entries = [e for row in M for e in row[:n]]
-    exact = all(e.is_rational for e in entries)
-    floor = None if exact else as_tol(tol) * max(e.mag() for e in entries)
     for c in range(n):
         p = max(range(c, n), key=lambda r: M[r][c].mag())
         pivot = M[p][c]
-        if pivot.is_exact_zero() or (floor is not None and pivot.mag() <= floor):
+        if pivot.is_exact_zero():
             return None
         M[c], M[p] = M[p], M[c]
         for r in range(c + 1, n):

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .scalars import Scalar, as_scalar, as_tol, rat
+from .scalars import (DEFAULT_PRECISION_BITS, Scalar, as_scalar, as_tol,
+                      context, rat)
 
 
 class UniPoly:
@@ -252,8 +253,11 @@ def coeff_scale(*polys):
 
 def relative_residual(A: UniPoly, z):
     """|A(z)| / (coeff_scale(A) * max(1, |z|)^deg A), how far the Scalar z is
-    from a root of A relative to the size of A's terms there."""
-    return A.eval(z).mag() / (coeff_scale(A) * max(1, z.mag()) ** A.degree)
+    from a root of A relative to the size of A's terms there, rounded at the
+    precision of z (``DEFAULT_PRECISION_BITS`` for a rational z)."""
+    ctx = context(z.prec or DEFAULT_PRECISION_BITS)
+    den = ctx.mpf(coeff_scale(A)) * ctx.mpf(max(1, z.mag())) ** A.degree
+    return ctx.mpf(A.eval(z).mag()) / den
 
 
 def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):

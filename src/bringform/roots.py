@@ -9,14 +9,13 @@ The root finder is a simultaneous Aberth-Ehrlich iteration with a seeded,
 deterministically perturbed circle of starting points, so identical inputs
 give bit-identical root sets.  The circle sits inside Fujiwara's bound on the
 root moduli, so it has the size of the roots rather than of the largest
-coefficient (Bini, Numer. Algorithms 13, 1996).  Multiple roots converge to
-tight clusters rather than single points; the matcher compares cluster
-centroids and sizes, where the symmetric placement error of a cluster
-cancels.
+coefficient (Bini, Numer. Algorithms 13, 1996).  ``find_roots`` is the one
+place that merges multiple roots: it parks every copy of one on the same
+value, so root sets compare by plain optimal pairing.
 
-Root recovery inverts each step by its map U with U(T(z)) = z on the roots
-of the step's input (``pipeline.step_inverse``), and solves the subsidiary
-relation root by root only for a step that has no such U.
+Nothing here depends on what kind a step is.  Each ``TransformStep`` redoes
+itself (``redo``) and moves roots through itself forward (``image``) and
+back (``preimages``); verification and recovery only walk the chain.
 """
 
 from __future__ import annotations
@@ -27,13 +26,12 @@ from itertools import permutations
 
 import mpmath
 
-from .errors import ConsistencyError
-from .pipeline import (dual_eliminate, expected_step_input, lies_on,
-                       reciprocal_transform, step_inverse)
+from .errors import ConsistencyError, DegenerateDenominator
+from .pipeline import expected_step_input
 from .polynomials import UniPoly, coeff_mismatch, relative_residual
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar,
                       as_tol, context, rat, sort_key)
-from .solvers import assemble_preimages, solve_condition
+from .solvers import solve_condition
 
 DEFAULT_MATCH_TOLERANCE = "1e-25"
 MAX_ITERATIONS = 400
@@ -56,7 +54,6 @@ def _match_tol(cfg: RootConfig):
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple
-    residuals: tuple
     converged: bool
     iterations: int
 
@@ -115,6 +112,7 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
             rad = bound * (ctx.mpf(1) / 2 + ctx.mpf(rng.random()) / 4)
             zs.append(rad * ctx.exp(ctx.mpc(0, 1) * ang))
         dcs = [cs[i] * i for i in range(1, n + 1)]
+        acs = [abs(c) for c in cs]
 
         def horner(csl, z):
             acc = csl[-1]
@@ -126,8 +124,8 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
             az = abs(z)
             t = ctx.mpf(0)
             w = ctx.mpf(1)
-            for c in cs:
-                t += abs(c) * w
+            for a in acs:
+                t += a * w
                 w *= az
             return eps * t
 
@@ -163,8 +161,7 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
         converged = all(abs(horner(cs, z)) <= 64 * noise_floor(z) for z in zs)
         found = [Scalar.from_mpc(z, prec) for z in zs]
     roots = tuple(sorted([rat(0)] * zeros + found, key=sort_key))
-    residuals = tuple(monic.eval(r).mag() for r in roots)
-    return RootSet(roots, residuals, converged, iterations)
+    return RootSet(roots, converged, iterations)
 
 
 def _clusters(zs, ctx):
@@ -234,16 +231,12 @@ def _polish_multiple(zs, cs, ctx):
     return out
 
 
-def _distance(x: Scalar, y: Scalar):
-    return (x - y).mag()
-
-
 def _best_pairing(xs, ys):
     """Smallest achievable max pairwise distance; exact for small sets."""
     n = len(xs)
     if n == 0:
         return mpmath.mpf(0)
-    dist = [[_distance(x, y) for y in ys] for x in xs]
+    dist = [[(x - y).mag() for y in ys] for x in xs]
     if n <= 6:
         best = None
         for perm in permutations(range(n)):
@@ -262,64 +255,17 @@ def _best_pairing(xs, ys):
     return worst
 
 
-def _centroids(roots, prec):
-    """(centroid, size) of each cluster of the Scalar roots (``_clusters``)."""
-    ctx = context(prec)
-    groups = _clusters([ctx.make_mpc(r.to_mpc(prec)._mpc_) for r in roots], ctx)
-    out = []
-    for members in groups:
-        acc = None
-        for i in members:
-            acc = roots[i] if acc is None else acc + roots[i]
-        centroid = acc * rat(1, len(members))
-        out.append((centroid, len(members)))
-    return out
-
-
-def match_roots(xs, ys, *, tol=DEFAULT_MATCH_TOLERANCE,
-                prec=DEFAULT_PRECISION_BITS):
-    """Do two root multisets agree within tol?  Returns (matched, distance).
-
-    Plain optimal pairing first; if that misses, both sides are clustered and
-    centroids compared, which forgives the symmetric scatter of a multiple
-    root without forgiving a genuinely different root.
+def match_roots(xs, ys, *, tol=DEFAULT_MATCH_TOLERANCE):
+    """Do two root multisets agree within tol * max(1, largest |root|)?
+    Returns (matched, distance), the distance being the largest gap of the
+    optimal pairing.  A multiple root needs no special case: ``find_roots``
+    returns every copy of it as one value.
     """
     if len(xs) != len(ys):
         return False, mpmath.inf
-    if not xs:
-        return True, mpmath.mpf(0)
     scale = max([1] + [v.mag() for v in xs] + [v.mag() for v in ys])
-    thr = as_tol(tol) * scale
     direct = _best_pairing(xs, ys)
-    if direct <= thr:
-        return True, direct
-    cx = _centroids(xs, prec)
-    cy = _centroids(ys, prec)
-    if sorted(k for _, k in cx) != sorted(k for _, k in cy):
-        return False, direct
-    if len(cx) == len(xs):  # no clustering happened, the distance is real
-        return False, direct
-    # pair clusters of equal size by centroid distance
-    worst = mpmath.mpf(0)
-    free = list(range(len(cy)))
-    for cen, size in cx:
-        cands = [j for j in free if cy[j][1] == size]
-        if not cands:
-            return False, direct
-        j = min(cands, key=lambda jj: _distance(cen, cy[jj][0]))
-        free.remove(j)
-        d = _distance(cen, cy[j][0])
-        if d > worst:
-            worst = d
-    return worst <= thr, worst
-
-
-def _transport_once(step, zs):
-    """Image of each root under one step's map."""
-    if step.kind == "reciprocal":
-        return [rat(1) / z for z in zs]
-    T = step.subsidiary.map_in_z()
-    return [T.eval(z) for z in zs]
+    return direct <= as_tol(tol) * scale, direct
 
 
 def verify_transform(step, config: RootConfig = None):
@@ -329,11 +275,9 @@ def verify_transform(step, config: RootConfig = None):
     cfg = config or RootConfig()
     if step.is_identity:
         return mpmath.mpf(0), True
-    zs = find_roots(step.input, cfg).roots
-    ys = _transport_once(step, zs)
+    ys = step.image(find_roots(step.input, cfg).roots)
     worst = max([mpmath.mpf(0)] + [relative_residual(step.output, y) for y in ys])
-    direct = find_roots(step.output, cfg).roots
-    ok, _ = match_roots(ys, direct, tol=_match_tol(cfg), prec=cfg.precision_bits)
+    ok, _ = match_roots(ys, find_roots(step.output, cfg).roots, tol=_match_tol(cfg))
     return worst, ok
 
 
@@ -367,23 +311,11 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
         expect_in = expected_step_input(prev.with_var("z"), step)
         if coeff_mismatch(expect_in, step.input, cfg.tol) is not None:
             ok = False
-        if step.is_identity:
-            if coeff_mismatch(step.input, step.output, cfg.tol) is not None:
+        try:
+            if coeff_mismatch(step.redo(cfg.tol), step.output, cfg.tol) is not None:
                 ok = False
-        elif step.kind == "reciprocal":
-            try:
-                redo = reciprocal_transform(step.input, tol=cfg.tol)
-                if coeff_mismatch(redo.output, step.output, cfg.tol) is not None:
-                    ok = False
-            except Exception:
-                ok = False
-        else:
-            try:
-                C, _ = dual_eliminate(step.input, step.subsidiary, cfg.tol)
-                if coeff_mismatch(C, step.output, cfg.tol) is not None:
-                    ok = False
-            except ConsistencyError:
-                ok = False
+        except (ConsistencyError, DegenerateDenominator):
+            ok = False
         prev = step.output
     original_roots = find_roots(trace.original.with_var("z"), cfg)
     zs = list(original_roots.roots)
@@ -391,11 +323,10 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
     for step in trace.steps:
         if step.rescue_scaling is not None:
             zs = [z / step.rescue_scaling for z in zs]
-        ys = _transport_once(step, zs)
-        worst = max([worst] + [relative_residual(step.output, y) for y in ys])
-        zs = ys
+        zs = step.image(zs)
+        worst = max([worst] + [relative_residual(step.output, z) for z in zs])
     direct = find_roots(trace.final, cfg)
-    m_ok, _ = match_roots(zs, direct.roots, tol=_match_tol(cfg), prec=cfg.precision_bits)
+    m_ok, _ = match_roots(zs, direct.roots, tol=_match_tol(cfg))
     ok = ok and m_ok and original_roots.converged and direct.converged
     bring = bring_curve_residual(zs) if trace.final.degree == 5 else ()
     return VerifyReport(worst, ok, bring)
@@ -403,35 +334,15 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
 
 def recover_roots(trace, config: RootConfig = None):
     """Roots of the original polynomial, recovered by walking the trace
-    backward from the roots of the final trinomial.
-
-    Each step's image roots go back through its inverse map U
-    (``step_inverse``), one polynomial evaluation per root, and every U(y)
-    must pass ``back_solve``'s test of lying on the step's input.  A step
-    whose map is not one-to-one on the input's roots has no U; it, or a step
-    whose U(y) fails that test, falls back to solving the subsidiary relation
-    for the preimages of each root (``assemble_preimages``).
-    """
+    backward from the roots of the final trinomial, each step pulling them
+    back through itself (``TransformStep.preimages``)."""
     cfg = config or RootConfig()
     ys = list(find_roots(trace.final, cfg).roots)
     for step in reversed(trace.steps):
-        if step.kind == "reciprocal":
-            ys = [rat(1) / y for y in ys]
-        else:
-            ys = _pull_back(step, ys, cfg)
+        ys = step.preimages(ys, prec=cfg.precision_bits, tol=cfg.tol)
         if step.rescue_scaling is not None:
             ys = [y * step.rescue_scaling for y in ys]
     return tuple(sorted(ys, key=sort_key))
-
-
-def _pull_back(step, ys, cfg):
-    U = step_inverse(step, cfg.tol)
-    if U is not None:
-        zs = [U.eval(y) for y in ys]
-        if all(lies_on(step.input, z, cfg.tol) for z in zs):
-            return zs
-    return assemble_preimages(step.input, ys, step,
-                              prec=cfg.precision_bits, tol=cfg.tol)
 
 
 def obstruction_consistency(report, config: RootConfig = None):

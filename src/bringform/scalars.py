@@ -340,10 +340,6 @@ def cx(re, im=0, prec: int = DEFAULT_PRECISION_BITS) -> Scalar:
     return Scalar.complex_(re, im, prec)
 
 
-ZERO = rat(0)
-ONE = rat(1)
-
-
 def as_scalar(v) -> Scalar:
     """v as a Scalar (ints and Fractions become exact rationals), by
     ``Scalar._coerce``; TypeError for anything else."""

@@ -126,19 +126,52 @@ def test_verify_garbage_json_is_usage_error(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("breakage", ["step without output", "zero denominator",
-                                      "steps not a list"])
+def _poly_json(*ascending):
+    return {"var": "z", "coeffs": [[c, 1] for c in ascending], "mode": "rational"}
+
+
+def _reciprocal_step_json(output):
+    return {"kind": "reciprocal", "subsidiary": None, "aux": [],
+            "rescue_lambda": None, "output": output}
+
+
+@pytest.mark.parametrize("breakage", [
+    "step without output", "zero denominator", "steps not a list",
+    "non-monic original", "constant original without steps",
+    "subsidiary degree not below the input's", "subsidiary missing",
+    "reciprocal of a zero root", "non-monic step output",
+    "step output of another degree"])
 def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
     trace = tmp_path / "trace.json"
     assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
     capsys.readouterr()
     doc = json.loads(trace.read_text())
+    t = doc["trace"]
     if breakage == "step without output":
-        del doc["trace"]["steps"][0]["output"]
+        del t["steps"][0]["output"]
     elif breakage == "zero denominator":
-        doc["trace"]["bring_p"] = [1, 0]
+        t["bring_p"] = [1, 0]
+    elif breakage == "steps not a list":
+        t["steps"] = 5
+    elif breakage == "non-monic original":
+        t["original"]["coeffs"][-1] = [2, 1]
+    elif breakage == "constant original without steps":
+        t["original"], t["steps"] = _poly_json(1), []
+    elif breakage == "subsidiary degree not below the input's":
+        t["original"] = _poly_json(1, 0, 1)
+        t["steps"] = [{"kind": "principal", "subsidiary": {"k": 2, "a": [1, 1], "b": [0, 1]},
+                       "aux": [], "rescue_lambda": None, "output": _poly_json(2, 0, 1)}]
+    elif breakage == "subsidiary missing":
+        t["steps"][0]["subsidiary"] = None
+    elif breakage == "reciprocal of a zero root":
+        t["original"] = _poly_json(0, 1, 0, 0, 0, 1)
+        t["steps"] = [_reciprocal_step_json(_poly_json(1, 0, 0, 0, 1, 0))]
+    elif breakage == "non-monic step output":
+        t["steps"][0]["output"]["coeffs"][-1] = [3, 1]
     else:
-        doc["trace"]["steps"] = 5
+        # a quartic original: the bring-curve check would see four roots
+        t["original"] = _poly_json(1, 0, 0, 0, 1)
+        t["steps"] = [_reciprocal_step_json(_poly_json(1, 0, 0, 0, 1, 1))]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", "--in", str(bad))

@@ -16,8 +16,9 @@ from bringform import (RootConfig, UniPoly, bring_curve_residual, find_roots,
                        quartic_obstruction_G, quartic_remove_2_4, rat,
                        recover_roots, reduce_general_quintic, verify_trace,
                        verify_transform)
+from bringform import pipeline, roots, solvers
 from bringform.pipeline import (ReductionTrace, TransformStep, depress,
-                                step_inverse)
+                                reciprocal_transform, step_inverse)
 from helpers import rand_monic, rand_scalar
 
 TINY = mpmath.mpf("1e-60")
@@ -195,6 +196,66 @@ def test_low_precision_traces_verify_at_a_matching_tolerance():
         P = UniPoly([rat(rng.randint(-10, 10)) for _ in range(5)] + [rat(1)])
         trace = reduce_general_quintic(P, prec=cfg.precision_bits, tol=cfg.tol)
         assert verify_trace(trace, cfg).matched, P
+
+
+def test_low_precision_recovery_inverts_every_step_by_its_map(monkeypatch):
+    # at 64 bits the pivots of a fine map can be tiny relative to the largest
+    # entry; U is still right, so no step falls back to a solve per root
+    cfg = RootConfig(precision_bits=64, tol="1e-12")
+    rng = random.Random(20260818)  # the acceptance batch
+    polys = [UniPoly([rat(rng.randint(-10, 10)) for _ in range(5)] + [rat(1)])
+             for _ in range(20)]
+    traces = [reduce_general_quintic(P, prec=cfg.precision_bits, tol=cfg.tol)
+              for P in polys]
+    fallback = solvers.assemble_preimages
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fallback(*args, **kwargs)
+
+    for module in (pipeline, roots, solvers):  # wherever the name is bound
+        if hasattr(module, "assemble_preimages"):
+            monkeypatch.setattr(module, "assemble_preimages", counted)
+    for P, trace in zip(polys, traces):
+        ok, dist = match_roots(recover_roots(trace, cfg), find_roots(P, cfg).roots,
+                               tol=cfg.tol)
+        assert ok, (P, dist)
+    assert calls == []
+
+
+def test_reciprocal_step_verifies_and_recovers():
+    A = _poly_from_roots([rat(2), rat(3)])
+    step = reciprocal_transform(A)
+    trace = ReductionTrace(A, (step,), step.output, rat(0), rat(0))
+    assert verify_trace(trace).matched
+    got = recover_roots(trace)
+    assert len(got) == 2
+    for g, want in zip(got, (rat(2), rat(3))):
+        assert (g - want).mag() <= TINY, got
+
+
+def test_depress_step_redoes_itself():
+    step = depress(_poly_from_roots([rat(1), rat(-2), rat(5)]))
+    assert step.redo() == step.output
+    # the output is recomputed from the input and the map, never copied
+    bad = TransformStep(step.kind, step.input, step.subsidiary,
+                        _poly_from_roots([rat(0), rat(0), rat(1)], "y"), ())
+    assert bad.redo() == step.output
+
+
+def test_depress_step_maps_roots_forward_by_its_shift():
+    zs = [rat(1), rat(-2), rat(5)]
+    step = depress(_poly_from_roots(zs))
+    ys = step.image(zs)
+    assert ys == [rat(-1, 3), rat(-10, 3), rat(11, 3)]
+    assert all(step.output.eval(y).is_exact_zero() for y in ys)
+
+
+def test_depress_step_pulls_roots_back_exactly():
+    zs = [rat(1), rat(-2), rat(5)]
+    step = depress(_poly_from_roots(zs))
+    assert step.preimages([rat(-1, 3), rat(-10, 3), rat(11, 3)]) == zs
 
 
 def test_obstruction_consistency_on_generic_quartic():
