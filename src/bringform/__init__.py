@@ -4,7 +4,7 @@ The package turns a general monic quintic into the two-parameter trinomial
 y^5 + P y + Q through a chain of coefficient-killing substitutions, each of
 which only ever requires solving a linear, quadratic, or cubic auxiliary
 equation.  Every elimination is computed twice, by independent routes, and
-the emitted trace can be re-verified numerically after the fact.
+the emitted trace can be re-verified by algebra after the fact.
 """
 
 from .elimination import (BiPoly, map_charpoly, polynomial_resultant,

@@ -2,9 +2,9 @@
 
 Every step pairs the source polynomial A(z) with a subsidiary relation
 B(z, y) = 0 that is monic in z and linear in y, so the transformed polynomial
-C(y) is the z-resultant of the pair and each root of C is the image T(z_i) of
-a root of A.  Free coefficients of the subsidiary are pinned by closed-form
-conditions of degree at most three; nothing above a cubic is ever solved.
+is C(y) = Res_z(A, B) = prod (y - T(z_i)) over the roots z_i of A.  Free
+coefficients of the subsidiary are pinned by closed-form conditions of
+degree at most three; nothing above a cubic is ever solved.
 
 Subsidiary coefficients are named upward from the constant term:
 
@@ -12,9 +12,9 @@ Subsidiary coefficients are named upward from the constant term:
     k >= 2: B = z^k + ... + c*z^2 + b*z + (a + y)
                                              T = -(z^k + ... + b*z + a)
 
-Each step is computed twice, by independent routes: a Sylvester resultant in
-z, and power-sum transport through Newton's identities.  The two results must
-agree (exactly in rational mode) or the step refuses to exist.
+Each step is computed twice, by independent routes: det(y - M_T) of
+multiplication by T modulo A, and power-sum transport through Newton's
+identities.  They must agree (exactly in rational mode) or the step fails.
 
 A ``TransformStep`` owns everything that depends on its kind: ``redo``
 recomputes its output, and ``image`` and ``preimages`` move roots through it
@@ -26,10 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elimination import (BiPoly, form_in, formal_resultant,
-                          image_elementary, map_charpoly,
-                          sylvester_resultant_with_factor,
-                          transform_by_power_sums)
+from .elimination import (form_in, formal_resultant, image_elementary,
+                          map_charpoly, transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator, RescueExhausted
 from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
                           relative_residual, rem_monic, shift_substitute)
@@ -300,11 +298,12 @@ def _identity_step(kind: str, poly: UniPoly) -> TransformStep:
 def dual_eliminate(A: UniPoly, sub: Subsidiary, tol=None):
     """Eliminate z by both routes and insist they agree.
 
-    Returns (C, lead) where C is monic in y and lead is the factor divided out
-    of the resultant.  The two routes share no code past the input, so their
-    agreement is a genuine cross-check, not a tautology.
+    Returns (C, lead): C monic in y, lead the factor divided out of Res_z(A, B),
+    (-1)^n for k = 1 and 1 otherwise.  The routes share no code past the input,
+    so their agreement is a genuine cross-check, not a tautology.
     """
-    C_res, lead = sylvester_resultant_with_factor(A, BiPoly(sub.z_coeffs_in_y()))
+    C_res = map_charpoly(A, sub.t_coeffs())
+    lead = rat(-1) ** A.degree if sub.k == 1 else rat(1)
     C_ps = transform_by_power_sums(A, sub.t_coeffs())
     bad = coeff_mismatch(C_res, C_ps, tol)
     if bad is None:
@@ -679,8 +678,9 @@ def step_inverse(step: TransformStep):
     zero pivot means the basis 1, T, ..., T^(n-1) is singular: the map is not
     one-to-one on the roots of A and only ``back_solve`` can pull them back.
     In complex mode a merging map gives a tiny pivot rather than a zero one,
-    and no pivot size tells it apart from a fine map, so a caller tests each
-    U(y) on A (``TransformStep.preimages``).
+    and neither the pivot nor the solve's own residual tells it apart from a
+    fine map, so a caller evaluates U: ``verify_transform`` checks U(T) = z
+    mod A, and ``TransformStep.preimages`` tests each U(y) on A.
     """
     A = step.input
     n = A.degree

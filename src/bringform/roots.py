@@ -1,17 +1,15 @@
-"""Numerical verification of transformation steps and whole traces.
+"""Verification of traces by algebra, recovery of roots, and the root finder.
 
-Nothing in here feeds back into the algebra: the root finder, the matcher,
-and the transports exist so that every claim a trace makes (each output is
-the image of the input, the final trinomial really carries the original
-roots) can be checked against independently computed root sets.
-
-The root finder is a simultaneous Aberth-Ehrlich iteration with a seeded,
-deterministically perturbed circle of starting points, so identical inputs
-give bit-identical root sets.  The circle sits inside Fujiwara's bound on the
-root moduli, so it has the size of the roots rather than of the largest
-coefficient (Bini, Numer. Algorithms 13, 1996).  ``find_roots`` is the one
-place that merges multiple roots: it parks every copy of one on the same
-value, so root sets compare by plain optimal pairing.
+Verification finds no roots: each step certifies itself (``verify_transform``)
+and the final polynomial must be the trinomial the trace claims.  The root
+finder serves recovery, the obstruction report and the tests.  It is a
+simultaneous Aberth-Ehrlich iteration with a seeded, deterministically
+perturbed circle of starting points, so identical inputs give bit-identical
+root sets.  The circle sits inside Fujiwara's bound on the root moduli, so
+it has the size of the roots rather than of the largest coefficient (Bini,
+Numer. Algorithms 13, 1996).  ``find_roots`` is the one place that merges
+multiple roots: it parks every copy of one on the same value, so root sets
+compare by plain optimal pairing.
 
 Nothing here depends on what kind a step is.  Each ``TransformStep`` redoes
 itself (``redo``) and moves roots through itself forward (``image``) and
@@ -27,10 +25,11 @@ from itertools import permutations
 import mpmath
 
 from .errors import ConsistencyError, DegenerateDenominator
-from .pipeline import expected_step_input
-from .polynomials import UniPoly, coeff_mismatch, relative_residual
+from .pipeline import expected_step_input, step_inverse
+from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
+                          relative_residual, rem_monic)
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar,
-                      as_tol, context, rat, sort_key)
+                      as_tol, context, negligible, rat, sort_key)
 from .solvers import solve_condition
 
 DEFAULT_MATCH_TOLERANCE = "1e-25"
@@ -42,13 +41,6 @@ class RootConfig:
     precision_bits: int = DEFAULT_PRECISION_BITS
     tol: str = DEFAULT_TOLERANCE
     seed: int = 0
-
-
-def _match_tol(cfg: RootConfig):
-    """Root sets match within the larger of ``DEFAULT_MATCH_TOLERANCE`` and
-    the configured tol, so a tol loosened for a low precision loosens the
-    matching too."""
-    return max(as_tol(DEFAULT_MATCH_TOLERANCE), as_tol(cfg.tol))
 
 
 @dataclass(frozen=True)
@@ -269,16 +261,33 @@ def match_roots(xs, ys, *, tol=DEFAULT_MATCH_TOLERANCE):
 
 
 def verify_transform(step, config: RootConfig = None):
-    """Check one step: transported input roots must sit on the output within
-    the noise floor and agree with the output's own roots.  Returns
-    (max relative forward residual, matched)."""
+    """Certify one step with no roots: a monic input, an output that ``redo``
+    reproduces (its power-sum route proves C = prod (y - T(z_i))), and an
+    inverse map U (``step_inverse``) with U(T) = z mod the input A, so T
+    keeps distinct roots apart.  U(T) is evaluated by Horner, not taken from
+    the solve.  Returns (largest |coefficient| of U(T) - z relative to
+    ``coeff_scale(A)``, 0 for a step without U, ok)."""
     cfg = config or RootConfig()
-    if step.is_identity:
-        return mpmath.mpf(0), True
-    ys = step.image(find_roots(step.input, cfg).roots)
-    worst = max([mpmath.mpf(0)] + [relative_residual(step.output, y) for y in ys])
-    ok, _ = match_roots(ys, find_roots(step.output, cfg).roots, tol=_match_tol(cfg))
-    return worst, ok
+    A = step.input
+    if not A.is_monic():
+        return mpmath.inf, False
+    try:
+        ok = coeff_mismatch(step.redo(cfg.tol), step.output, cfg.tol) is None
+    except (ConsistencyError, DegenerateDenominator, ValueError):
+        ok = False  # ValueError: a map of too high a degree for its input
+    if step.subsidiary is None or step.is_identity:
+        return mpmath.mpf(0), ok
+    U = step_inverse(step)
+    if U is None:
+        return mpmath.inf, False
+    T = step.subsidiary.map_in_z()
+    UT = UniPoly([], "z")
+    for u in reversed(U.coeffs):
+        UT = UniPoly(rem_monic(UT * T + u, A), "z")
+    miss = (UT - UniPoly([rat(0), rat(1)], "z")).coeffs
+    scale = coeff_scale(A)
+    residual = max([mpmath.mpf(0)] + [c.mag() for c in miss]) / scale
+    return residual, ok and all(negligible(c, cfg.tol, scale) for c in miss)
 
 
 def bring_curve_residual(roots):
@@ -297,38 +306,26 @@ def bring_curve_residual(roots):
 
 
 def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
-    """Re-run every elimination in a trace and transport the original roots
-    through it, comparing against directly computed roots of the final form.
-
-    matched goes false if any structural re-check fails, if either root set
-    (original or final) fails to converge, or if the final multiset
-    comparison fails; nothing raises for a corrupted trace, it just reports.
-    """
+    """matched when each step takes the previous output (rescaled where it
+    says so), is certified (``verify_transform``), and the chain ends at a
+    final polynomial equal to the claimed y^n + bring_p y + bring_q (exactly
+    in rational mode); it reports the worst step residual and |s1|, |s2|,
+    |s3| of a quintic final polynomial.  Nothing raises for a bad trace."""
     cfg = config or RootConfig()
-    ok = True
-    prev = trace.original
+    ok, worst, prev = True, mpmath.mpf(0), trace.original
     for step in trace.steps:
         expect_in = expected_step_input(prev.with_var("z"), step)
-        if coeff_mismatch(expect_in, step.input, cfg.tol) is not None:
-            ok = False
-        try:
-            if coeff_mismatch(step.redo(cfg.tol), step.output, cfg.tol) is not None:
-                ok = False
-        except (ConsistencyError, DegenerateDenominator):
-            ok = False
+        residual, step_ok = verify_transform(step, cfg)
+        ok = ok and step_ok and coeff_mismatch(expect_in, step.input, cfg.tol) is None
+        worst = max(worst, residual)
         prev = step.output
-    original_roots = find_roots(trace.original.with_var("z"), cfg)
-    zs = list(original_roots.roots)
-    worst = mpmath.mpf(0)
-    for step in trace.steps:
-        if step.rescue_scaling is not None:
-            zs = [z / step.rescue_scaling for z in zs]
-        zs = step.image(zs)
-        worst = max([worst] + [relative_residual(step.output, z) for z in zs])
-    direct = find_roots(trace.final, cfg)
-    m_ok, _ = match_roots(zs, direct.roots, tol=_match_tol(cfg))
-    ok = ok and m_ok and original_roots.converged and direct.converged
-    bring = bring_curve_residual(zs) if trace.final.degree == 5 else ()
+    final = trace.final
+    claim = UniPoly([trace.bring_q, trace.bring_p] + [rat(0)] * (final.degree - 2)
+                    + [rat(1)], final.var)
+    ok = (ok and coeff_mismatch(prev, final, cfg.tol) is None
+          and coeff_mismatch(claim, final, cfg.tol) is None)
+    bring = () if final.degree != 5 else tuple(
+        power_sums(final, 3).s(k).mag() for k in (1, 2, 3))
     return VerifyReport(worst, ok, bring)
 
 

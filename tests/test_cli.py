@@ -179,8 +179,32 @@ def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
     assert "malformed trace" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", ["made-up P and Q", "no steps"])
+def test_verify_checks_the_claimed_trinomial(capsys, tmp_path, edit):
+    trace = tmp_path / "trace.json"
+    assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads(trace.read_text())
+    if edit == "made-up P and Q":
+        doc["trace"]["bring_p"], doc["trace"]["bring_q"] = [7, 1], [-3, 1]
+    else:
+        doc["trace"]["steps"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--in", str(bad), "--output", "text")
+    assert code == EXIT_VERIFY and "verified: NO" in out
+
+
+def test_reduce_of_a_cube_times_a_square_exits_one(capsys):
+    # z^3 (z + 1)^2: the principal map merges roots, so it has no inverse
+    code, out, _ = run(capsys, "reduce", "--coeffs", "1", "2", "1", "0", "0", "0",
+                       "--output", "text")
+    assert code == EXIT_VERIFY and "verified: NO" in out
+
+
 def test_reduce_with_collapsed_repeated_root_exits_one(capsys):
-    # ascending (0, 0, 1, 1, -1, 1): its final root set does not converge
+    # ascending (0, 0, 1, 1, -1, 1): the bring-jerrard map merges its
+    # double root, so its inverse map U misses U(T) = z mod A
     code, out, _ = run(capsys, "reduce", "--coeffs", "1", "-1", "1", "1", "0", "0")
     assert code == EXIT_VERIFY
     assert json.loads(out)["verify"]["matched"] is False

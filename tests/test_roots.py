@@ -17,8 +17,8 @@ from bringform import (RootConfig, UniPoly, bring_curve_residual, find_roots,
                        recover_roots, reduce_general_quintic, verify_trace,
                        verify_transform)
 from bringform import pipeline, roots, solvers
-from bringform.pipeline import (ReductionTrace, TransformStep, depress,
-                                reciprocal_transform, step_inverse)
+from bringform.pipeline import (ReductionTrace, Subsidiary, TransformStep,
+                                depress, reciprocal_transform, step_inverse)
 from helpers import rand_monic, rand_scalar
 
 TINY = mpmath.mpf("1e-60")
@@ -189,7 +189,8 @@ def test_recover_roots_through_a_rescued_step():
 
 
 def test_low_precision_traces_verify_at_a_matching_tolerance():
-    # roots match within max(1e-25, tol), so a tol fitted to 64 bits verifies
+    # each step certificate is measured against tol, so a tol fitted to 64
+    # bits verifies
     cfg = RootConfig(precision_bits=64, tol="1e-12")
     rng = random.Random(20260818)  # the acceptance batch
     for _ in range(20):
@@ -227,7 +228,8 @@ def test_low_precision_recovery_inverts_every_step_by_its_map(monkeypatch):
 def test_reciprocal_step_verifies_and_recovers():
     A = _poly_from_roots([rat(2), rat(3)])
     step = reciprocal_transform(A)
-    trace = ReductionTrace(A, (step,), step.output, rat(0), rat(0))
+    final = step.output
+    trace = ReductionTrace(A, (step,), final, final.coeff(1), final.coeff(0))
     assert verify_trace(trace).matched
     got = recover_roots(trace)
     assert len(got) == 2
@@ -311,8 +313,72 @@ def test_step_inverse_refuses_a_map_that_merges_roots():
     (0, 0, 1, 1, 0, 1),     # z^2 (z^3 + z + 1)
 ])
 def test_verify_trace_rejects_unconverged_root_sets(ascending):
-    # the bring-jerrard map collapses the planted repeated root, and the
-    # final trinomial's root set does not converge
+    # the bring-jerrard map collapses the planted repeated root, so the
+    # final trinomial's root set does not converge; verify rejects the step
+    # itself, because U(T) mod A, its inverse map evaluated, misses z
     trace = reduce_general_quintic(UniPoly([rat(c) for c in ascending]))
     assert not find_roots(trace.final).converged
     assert verify_trace(trace).matched is False
+
+
+@pytest.mark.parametrize("ascending", [
+    (0, 0, 0, 1, 2, 1),     # z^3 (z + 1)^2
+    (3, -4, -1, 3, -2, 1),  # (z - 1)^2 (z^3 + 2z + 3)
+    (0, 0, 1, 1, -1, 1),
+])
+def test_verify_transform_refuses_a_step_that_merges_roots(ascending):
+    trace = reduce_general_quintic(UniPoly([rat(c) for c in ascending]))
+    verdicts = [verify_transform(step) for step in trace.steps]
+    assert [ok for _, ok in verdicts][:-1] == [True] * (len(verdicts) - 1)
+    residual, ok = verdicts[-1]
+    assert not ok and residual > mpmath.mpf("1e-3")
+    assert verify_trace(trace).matched is False
+
+
+def test_verify_trace_finds_no_roots(monkeypatch):
+    # the verdict is algebraic: neither the root finder nor the matcher runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("root finding in verify")
+
+    monkeypatch.setattr(roots, "find_roots", refuse)
+    monkeypatch.setattr(roots, "match_roots", refuse)
+    for ascending in [(3, -2, 1, 4, -1, 1), (1, -3, 4, 0, 0, 1)]:
+        trace = reduce_general_quintic(UniPoly([rat(c) for c in ascending]))
+        report = verify_trace(trace)
+        assert report.matched, ascending
+        assert report.max_forward_residual <= mpmath.mpf("1e-60")
+        assert all(verify_transform(step)[1] for step in trace.steps)
+
+
+def test_verify_trace_reports_a_step_of_the_wrong_shape():
+    # library traces skip the shape checks of from_json; verify must report
+    trace = reduce_general_quintic(README_QUINTIC)
+    steps = list(trace.steps)
+    victim = steps[0]
+    lifted = UniPoly(victim.input.coeffs[:-1] + (rat(2),), "z")
+    steps[0] = TransformStep(victim.kind, lifted, victim.subsidiary, victim.output,
+                             victim.aux, victim.rescue_scaling)
+    bad = ReductionTrace(trace.original, tuple(steps), trace.final,
+                         trace.bring_p, trace.bring_q)
+    assert verify_trace(bad).matched is False
+    assert verify_transform(steps[0])[1] is False
+    # a quadratic map on a quadratic input
+    A = _poly_from_roots([rat(1), rat(2)])
+    step = TransformStep("principal", A, Subsidiary(2, (rat(1), rat(0))), A, ())
+    assert verify_transform(step)[1] is False
+
+
+def test_verify_trace_checks_the_claimed_trinomial():
+    trace = reduce_general_quintic(README_QUINTIC)
+    final = trace.final
+    wrong_p = ReductionTrace(trace.original, trace.steps, final,
+                             trace.bring_p + rat(1, 10 ** 20), trace.bring_q)
+    assert verify_trace(wrong_p).matched is False
+    # no steps: the final polynomial is the original, which is no trinomial
+    bare = ReductionTrace(README_QUINTIC, (), README_QUINTIC,
+                          README_QUINTIC.coeff(1), README_QUINTIC.coeff(0))
+    assert verify_trace(bare).matched is False
+    # a final polynomial that is not where the chain ends
+    detached = ReductionTrace(trace.original, trace.steps[:-1], final,
+                              trace.bring_p, trace.bring_q)
+    assert verify_trace(detached).matched is False
