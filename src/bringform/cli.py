@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -242,6 +243,11 @@ def _validate(args):
         raise UsageError("--tol must be a number, got %r" % args.tol)
     if not t > 0:
         raise UsageError("--tol must be positive")
+    # the two routes of a step agree only to about 2^(16 - prec) relative
+    if t < mpmath.ldexp(1, 16 - args.precision_bits):
+        raise UsageError("--tol %s is finer than %d bits resolve; use --tol 1e%d or coarser"
+                         % (args.tol, args.precision_bits,
+                            math.ceil((16 - args.precision_bits) * math.log10(2))))
 
 
 def main(argv=None) -> int:

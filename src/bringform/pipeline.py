@@ -25,6 +25,7 @@ subsidiary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .elimination import (form_in, formal_resultant, image_elementary,
                           map_charpoly, transform_by_power_sums)
@@ -135,15 +136,21 @@ class TransformStep:
         T = self.subsidiary.map_in_z()
         return [T.eval(z) for z in zs]
 
+    @cached_property
+    def inverse(self):
+        """The step's inverse map U (``step_inverse``), built once per step:
+        ``verify_transform`` and ``preimages`` share it."""
+        return step_inverse(self)
+
     def preimages(self, ys, *, prec=None, tol=None):
         """The roots of the input that the map sends to the roots ys of the
         output, one per y and in the order of ys: 1/y for the reciprocal
-        step; U(y) by the inverse map U (``step_inverse``) when every U(y)
-        lies on the input; otherwise by solving the subsidiary relation root
-        by root (``assemble_preimages``)."""
+        step; U(y) by the step's one inverse map U (``inverse``) when every
+        U(y) lies on the input; otherwise by solving the subsidiary relation
+        root by root (``assemble_preimages``)."""
         if self.subsidiary is None:
             return [rat(1) / y for y in ys]
-        U = step_inverse(self)
+        U = self.inverse
         if U is not None:
             zs = [U.eval(y) for y in ys]
             if all(lies_on(self.input, z, tol) for z in zs):

@@ -7,9 +7,14 @@ simultaneous Aberth-Ehrlich iteration with a seeded, deterministically
 perturbed circle of starting points, so identical inputs give bit-identical
 root sets.  The circle sits inside Fujiwara's bound on the root moduli, so
 it has the size of the roots rather than of the largest coefficient (Bini,
-Numer. Algorithms 13, 1996).  ``find_roots`` is the one place that merges
-multiple roots: it parks every copy of one on the same value, so root sets
-compare by plain optimal pairing.
+Numer. Algorithms 13, 1996).  Precision is staged as in MPSolve (Bini &
+Robol, J. Comput. Appl. Math. 272, 2014): the circle, rounded to floats, is
+first iterated in double precision, using + - * / and comparisons only, and
+the working precision takes over from there, or from the circle itself when
+a coefficient or an iterate does not fit a float or two iterates coincide.
+``find_roots`` is the one place that merges multiple roots: it parks every
+copy of one on the same value, so root sets compare by plain optimal
+pairing.
 
 Nothing here depends on what kind a step is.  Each ``TransformStep`` redoes
 itself (``redo``) and moves roots through itself forward (``image``) and
@@ -21,11 +26,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
+from math import isfinite
 
 import mpmath
 
 from .errors import ConsistencyError, DegenerateDenominator
-from .pipeline import expected_step_input, step_inverse
+from .pipeline import expected_step_input
 from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
                           relative_residual, rem_monic)
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar,
@@ -34,6 +40,9 @@ from .solvers import solve_condition
 
 DEFAULT_MATCH_TOLERANCE = "1e-25"
 MAX_ITERATIONS = 400
+FLOAT_SWEEPS = 40       # cap on the float warm start
+FLOAT_STEP = 1e-14      # its stopping rule on the largest relative step
+FLOAT_RANGE = 1e300     # larger coefficients skip it
 
 
 @dataclass(frozen=True)
@@ -70,9 +79,14 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
     Exact zero roots are stripped first so the iteration never stalls at the
     origin.  The start points lie at 1/2 to 3/4 of Fujiwara's bound
     2 max(|c_{n-1}|, |c_{n-2}|^(1/2), ..., |c_1|^(1/(n-1)), |c_0/2|^(1/n))
-    on the root moduli of the monic remainder.  Residuals are measured
-    against a per-root noise floor 2^(6-prec) * sum |c_j| |z|^j, the best
-    any root of this polynomial can do in this precision.
+    on the root moduli of the monic remainder.  They are rounded to floats
+    and iterated in double precision first (``_float_aberth``), with + - * /
+    and comparisons only, so the bits are the same on every machine; where
+    that stage falls back, the working precision starts from the circle
+    itself.  Residuals are measured against a per-root noise floor
+    2^(6-prec) * sum |c_j| |z|^j, the best any root of this polynomial can
+    do in this precision.  ``iterations`` counts full-precision sweeps only,
+    not those of the float stage.
     """
     cfg = config or RootConfig()
     if poly.degree < 1:
@@ -103,6 +117,9 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
             ang = 2 * ctx.pi * (j + ctx.mpf(rng.random()) / 4 + rat(1, 3).fraction) / n
             rad = bound * (ctx.mpf(1) / 2 + ctx.mpf(rng.random()) / 4)
             zs.append(rad * ctx.exp(ctx.mpc(0, 1) * ang))
+        warm = _float_aberth(cs, zs)
+        if warm is not None:
+            zs = [ctx.mpc(re, im) for re, im in warm]
         dcs = [cs[i] * i for i in range(1, n + 1)]
         acs = [abs(c) for c in cs]
 
@@ -154,6 +171,65 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
         found = [Scalar.from_mpc(z, prec) for z in zs]
     roots = tuple(sorted([rat(0)] * zeros + found, key=sort_key))
     return RootSet(roots, converged, iterations)
+
+
+def _float_aberth(cs, zs):
+    """Aberth in double precision from the start points zs, for the monic
+    mpc coefficients cs (ascending); the points as (re, im) float pairs once
+    the largest relative step (|Re| + |Im|) / max(1, |Re z| + |Im z|) falls
+    below FLOAT_STEP, or after FLOAT_SWEEPS sweeps.  None, so that mpmath
+    starts from zs itself, when a coefficient lies beyond FLOAT_RANGE, an
+    iterate is no longer finite, or a divisor is zero (two iterates that
+    coincide).  Complex values are float pairs under + - * / and comparisons
+    only, each rounded on its own by IEEE 754, so every machine gets the
+    same bits."""
+    c = [(float(v.real), float(v.imag)) for v in cs]
+    if any(abs(x) > FLOAT_RANGE for pair in c for x in pair):
+        return None
+    dc = [(re * i, im * i) for i, (re, im) in enumerate(c)][1:]
+    z = [(float(v.real), float(v.imag)) for v in zs]
+
+    def horner(coeffs, xr, xi):
+        ar, ai = coeffs[-1]
+        for cr, ci in reversed(coeffs[:-1]):
+            ar, ai = ar * xr - ai * xi + cr, ar * xi + ai * xr + ci
+        return ar, ai
+
+    def div(ar, ai, br, bi):  # Smith's division: no overflow in |b|^2
+        if abs(br) >= abs(bi):
+            r = bi / br
+            d = br + bi * r
+            return (ar + ai * r) / d, (ai - ar * r) / d
+        r = br / bi
+        d = br * r + bi
+        return (ar * r + ai) / d, (ai * r - ar) / d
+
+    try:
+        for _ in range(FLOAT_SWEEPS):
+            nxt = list(z)
+            worst = 0.0
+            for i, (xr, xi) in enumerate(z):
+                pr, pi = horner(c, xr, xi)
+                if pr == 0 and pi == 0:
+                    continue
+                wr, wi = div(pr, pi, *horner(dc, xr, xi))
+                sr = si = 0.0
+                for j, (yr, yi) in enumerate(z):
+                    if j != i:
+                        qr, qi = div(1.0, 0.0, xr - yr, xi - yi)
+                        sr, si = sr + qr, si + qi
+                dr, di = 1 - (wr * sr - wi * si), -(wr * si + wi * sr)
+                cr, ci = (wr, wi) if dr == 0 and di == 0 else div(wr, wi, dr, di)
+                nxt[i] = (xr - cr, xi - ci)
+                worst = max(worst, (abs(cr) + abs(ci)) / max(1.0, abs(xr) + abs(xi)))
+            z = nxt
+            if not all(isfinite(re) and isfinite(im) for re, im in z):
+                return None
+            if worst < FLOAT_STEP:
+                break
+    except ZeroDivisionError:
+        return None
+    return z
 
 
 def _clusters(zs, ctx):
@@ -263,10 +339,11 @@ def match_roots(xs, ys, *, tol=DEFAULT_MATCH_TOLERANCE):
 def verify_transform(step, config: RootConfig = None):
     """Certify one step with no roots: a monic input, an output that ``redo``
     reproduces (its power-sum route proves C = prod (y - T(z_i))), and an
-    inverse map U (``step_inverse``) with U(T) = z mod the input A, so T
-    keeps distinct roots apart.  U(T) is evaluated by Horner, not taken from
-    the solve.  Returns (largest |coefficient| of U(T) - z relative to
-    ``coeff_scale(A)``, 0 for a step without U, ok)."""
+    inverse map U with U(T) = z mod the input A, so T keeps distinct roots
+    apart.  U is the step's one inverse map (``TransformStep.inverse``), the
+    same that ``preimages`` pulls roots back with; U(T) is evaluated by
+    Horner, not taken from the solve.  Returns (largest |coefficient| of
+    U(T) - z relative to ``coeff_scale(A)``, 0 for a step without U, ok)."""
     cfg = config or RootConfig()
     A = step.input
     if not A.is_monic():
@@ -277,7 +354,7 @@ def verify_transform(step, config: RootConfig = None):
         ok = False  # ValueError: a map of too high a degree for its input
     if step.subsidiary is None or step.is_identity:
         return mpmath.mpf(0), ok
-    U = step_inverse(step)
+    U = step.inverse
     if U is None:
         return mpmath.inf, False
     T = step.subsidiary.map_in_z()

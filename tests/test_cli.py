@@ -56,6 +56,29 @@ def test_reduce_at_64_bits_verifies_with_a_tolerance_that_fits(capsys):
     assert code == EXIT_OK and "verified: yes" in out
 
 
+def test_tolerance_finer_than_the_precision_is_refused(capsys):
+    # the default 1e-30 does not fit 64 bits: the routes of a step agree only
+    # to about 2e-17 there, so the run would end in a verification failure
+    code, out, err = run(capsys, "reduce", "--coeffs", *QUINTIC, "--precision-bits", "64")
+    assert code == EXIT_USAGE and out == ""
+    assert "--tol 1e-14" in err
+    # the tolerance the message names is workable
+    code, out, _ = run(capsys, "reduce", "--coeffs", *QUINTIC, "--precision-bits", "64",
+                       "--tol", "1e-14", "--output", "text")
+    assert code == EXIT_OK and "verified: yes" in out
+
+
+@pytest.mark.parametrize("flags", [
+    (),                                        # the default 1e-30 at 256 bits
+    ("--precision-bits", "64", "--tol", "1e-12"),
+    ("--precision-bits", "128"),
+    ("--precision-bits", "1024"),
+])
+def test_tolerances_that_fit_the_precision_are_accepted(capsys, flags):
+    code, out, _ = run(capsys, "reduce", "--coeffs", *QUINTIC, *flags, "--output", "text")
+    assert code == EXIT_OK and "verified: yes" in out
+
+
 def test_reduce_accepts_rational_and_decimal_tokens(capsys):
     # fractional negatives would parse as options, so the list may be quoted
     code, out, _ = run(capsys, "reduce", "--coeffs", "1 -1/2 0.25 1 0 3")

@@ -7,6 +7,7 @@ the harness must flag it rather than raise.
 
 import random
 from fractions import Fraction
+from math import isfinite
 
 import mpmath
 import pytest
@@ -270,7 +271,9 @@ def test_final_trinomial_needs_few_aberth_iterations():
     # a start circle of the roots' own size needs few Aberth iterations
     trace = reduce_general_quintic(README_QUINTIC)
     rs = find_roots(trace.final)
-    assert rs.converged and rs.iterations <= 12
+    # the float stage leaves a few full-precision sweeps, which is all
+    # ``iterations`` counts
+    assert rs.converged and rs.iterations <= 4
     zs = find_roots(README_QUINTIC).roots
     for step in trace.steps:
         if step.rescue_scaling is not None:
@@ -279,6 +282,88 @@ def test_final_trinomial_needs_few_aberth_iterations():
         zs = [T.eval(z) for z in zs]
     ok, dist = match_roots(rs.roots, zs, tol="1e-40")
     assert ok, "final roots drifted from the transported ones: %s" % dist
+
+
+def _spy_float_stage(monkeypatch):
+    """Record what each float warm start returns (None: the fallback)."""
+    results = []
+    stage = roots._float_aberth
+
+    def spy(cs, zs):
+        results.append(stage(cs, zs))
+        return results[-1]
+
+    monkeypatch.setattr(roots, "_float_aberth", spy)
+    return results
+
+
+def test_float_stage_skips_coefficients_beyond_float_range(monkeypatch):
+    results = _spy_float_stage(monkeypatch)
+    P = UniPoly([rat(1), rat(10 ** 310), rat(0), rat(0), rat(0), rat(1)])
+    rs = find_roots(P)
+    assert results == [None]
+    assert rs.converged and len(rs.roots) == 5
+
+
+def test_float_stage_falls_back_on_a_non_finite_iterate(monkeypatch):
+    # every coefficient fits a float, but the start points near 1e299 square
+    # to infinity, so the float stage must give up and mpmath start afresh
+    results = _spy_float_stage(monkeypatch)
+    seen = []
+
+    def finite(x):
+        seen.append(isfinite(x))
+        return seen[-1]
+
+    monkeypatch.setattr(roots, "isfinite", finite)
+    P = UniPoly([rat(1), rat(10 ** 299), rat(1)])
+    rs = find_roots(P)
+    assert results == [None] and False in seen
+    assert rs.converged
+    ok, dist = match_roots(rs.roots, [rat(-10 ** 299), rat(-1, 10 ** 299)], tol="1e-100")
+    assert ok, dist
+
+
+def test_float_stage_keeps_the_seed_bit_exact(monkeypatch):
+    results = _spy_float_stage(monkeypatch)
+    final = reduce_general_quintic(README_QUINTIC).final
+    a = find_roots(final, RootConfig(seed=3))
+    b = find_roots(final, RootConfig(seed=3))
+    assert all(r is not None for r in results)
+    assert [r.to_json() for r in a.roots] == [r.to_json() for r in b.roots]
+
+
+def test_float_stage_agrees_with_a_pure_mpmath_run(monkeypatch):
+    rng = random.Random(20260818)  # the acceptance batch
+    finals = [reduce_general_quintic(
+        UniPoly([rat(rng.randint(-10, 10)) for _ in range(5)] + [rat(1)])).final
+        for _ in range(20)]
+    staged = [find_roots(f) for f in finals]
+    monkeypatch.setattr(roots, "_float_aberth", lambda cs, zs: None)
+    for f, got in zip(finals, staged):
+        pure = find_roots(f)  # mpmath from the same circle
+        assert got.converged and pure.converged
+        ok, dist = match_roots(got.roots, pure.roots, tol="1e-60")
+        assert ok, (f, dist)
+
+
+def test_each_step_builds_its_inverse_map_once(monkeypatch):
+    trace = reduce_general_quintic(README_QUINTIC)
+    calls = []
+
+    def counted(step):
+        calls.append(step)
+        return step_inverse(step)
+
+    for module in (pipeline, roots):  # wherever the name is bound
+        if hasattr(module, "step_inverse"):
+            monkeypatch.setattr(module, "step_inverse", counted)
+    assert verify_trace(trace).matched
+    recover_roots(trace)
+    mapped = [s for s in trace.steps if s.subsidiary is not None and not s.is_identity]
+    assert len(mapped) == 3
+    for step in mapped:
+        assert sum(c is step for c in calls) == 1, step.kind
 
 
 def test_step_inverse_undoes_every_readme_step():
