@@ -10,15 +10,15 @@ the emitted trace can be re-verified by algebra after the fact.
 from .elimination import (BiPoly, map_charpoly, polynomial_resultant,
                           sylvester_resultant_with_factor,
                           transform_by_power_sums)
-from .errors import ConsistencyError, DegenerateDenominator, RescueExhausted
-from .pipeline import (RESCUE_SCALES, AuxSolve, BringAnsatz, ObstructionReport,
+from .errors import ConsistencyError, DegenerateDenominator
+from .pipeline import (AuxSolve, BringAnsatz, ObstructionReport,
                        ReductionTrace, Subsidiary, TransformStep, back_solve,
                        cubic_b_quadratic, cubic_to_pure, depress,
                        dual_eliminate, quartic_obstruction_G,
                        quartic_remove_2_3, quartic_remove_2_4,
                        quintic_bring_ansatz, quintic_to_bring_jerrard,
                        reciprocal_transform, reduce_general_quintic,
-                       scale_poly, step_inverse, to_principal)
+                       step_inverse, to_principal)
 from .polynomials import (UniPoly, coeff_scale, deflate, poly_from_power_sums,
                           power_sums, shift_substitute)
 from .roots import (DEFAULT_MATCH_TOLERANCE, RootConfig, RootSet,
@@ -34,9 +34,9 @@ from .solvers import (SolveResult, assemble_preimages, solve_condition,
 __all__ = [
     "AuxSolve", "BiPoly", "BringAnsatz", "ConsistencyError",
     "DEFAULT_MATCH_TOLERANCE", "DEFAULT_PRECISION_BITS", "DEFAULT_TOLERANCE",
-    "DegenerateDenominator", "ObstructionReport", "RESCUE_SCALES",
-    "ReductionTrace", "RescueExhausted", "RootConfig", "RootSet", "Scalar",
-    "SolveResult", "Subsidiary", "TransformStep", "UniPoly", "VerifyReport",
+    "DegenerateDenominator", "ObstructionReport", "ReductionTrace",
+    "RootConfig", "RootSet", "Scalar", "SolveResult", "Subsidiary",
+    "TransformStep", "UniPoly", "VerifyReport",
     "assemble_preimages", "back_solve", "bring_curve_residual", "coeff_scale",
     "cubic_b_quadratic", "cubic_to_pure", "cx", "deflate", "depress",
     "dual_eliminate", "find_roots", "map_charpoly", "match_roots",
@@ -45,7 +45,7 @@ __all__ = [
     "quartic_obstruction_G", "quartic_remove_2_3", "quartic_remove_2_4",
     "quintic_bring_ansatz", "quintic_to_bring_jerrard", "rat",
     "reciprocal_transform", "recover_roots", "reduce_general_quintic",
-    "scale_poly", "shift_substitute", "solve_condition", "solve_cubic_cardano",
+    "shift_substitute", "solve_condition", "solve_cubic_cardano",
     "solve_cubic_general", "solve_monic", "solve_quadratic", "solve_quartic",
     "step_inverse", "sylvester_resultant_with_factor", "to_principal",
     "transform_by_power_sums", "verify_trace", "verify_transform",

@@ -8,8 +8,9 @@ Four subcommands:
     obstruction  the degree-six blockage report for a trinomial quartic
     verify       re-check a previously emitted trace file
 
-Exit codes: 0 success, 1 verification failure, 2 degenerate input that
-rescue scaling could not revive, 64 usage error.
+Exit codes: 0 success, 1 verification failure, 2 degenerate input (an
+ansatz denominator that vanishes even at halved roots, or a rational
+quintic with a repeated root; no trace is emitted), 64 usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import ConsistencyError, DegenerateDenominator, RescueExhausted
+from .errors import ConsistencyError, DegenerateDenominator
 from .pipeline import (ReductionTrace, quartic_obstruction_G,
                        reduce_general_quintic)
 from .polynomials import UniPoly
@@ -113,9 +114,6 @@ def cmd_reduce(args) -> int:
                                 "verify": report.to_json()}))
     else:
         lines = ["steps: " + (", ".join(s.kind for s in trace.steps) or "(none)")]
-        for s in trace.steps:
-            if s.rescue_scaling is not None:
-                lines.append("rescued with lambda = %s" % _scalar_text(s.rescue_scaling))
         lines.append("P = %s" % _scalar_text(trace.bring_p))
         lines.append("Q = %s" % _scalar_text(trace.bring_q))
         lines.append("max forward residual = %s" % mpmath.nstr(report.max_forward_residual, 8))
@@ -263,7 +261,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateDenominator, RescueExhausted) as exc:
+    except DegenerateDenominator as exc:
         print("degenerate input: %s" % exc, file=sys.stderr)
         return EXIT_DEGENERATE
     except ConsistencyError as exc:

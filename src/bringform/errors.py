@@ -2,12 +2,14 @@
 
 
 class DegenerateDenominator(Exception):
-    """An auxiliary coefficient condition lost its leading term.
+    """The input is degenerate for the step: a quantity the step divides by,
+    or needs to be nonzero, vanishes.
 
     Raised when a closed-form solve cannot proceed as stated because a
-    denominator (for example 3n - m^2, or 15p + 20q) vanishes for the
-    given input.  The quintic pipeline reacts with rescue scaling; direct
-    callers get the name of the vanishing quantity.
+    denominator (for example 3n - m^2, or 15p + 20q) vanishes, and when a
+    rational quintic has a repeated root (its discriminant vanishes).  The
+    Bring-Jerrard step retries once at halved roots before it lets this
+    through; the command line maps it to exit 2.
     """
 
     def __init__(self, denominator, detail: str = ""):
@@ -17,20 +19,6 @@ class DegenerateDenominator(Exception):
         if detail:
             msg += " (" + detail + ")"
         super().__init__(msg)
-
-
-class RescueExhausted(Exception):
-    """Every rescue scaling factor failed for an input.
-
-    Carries the offending input and the per-factor failures so the case
-    can be reported instead of silently mangled.
-    """
-
-    def __init__(self, subject: str, failures):
-        self.subject = subject
-        self.failures = tuple(failures)
-        lines = ", ".join("lambda=%s: %s" % (lam, err) for lam, err in self.failures)
-        super().__init__("rescue scaling exhausted for %s [%s]" % (subject, lines))
 
 
 class ConsistencyError(Exception):

@@ -29,13 +29,11 @@ from functools import cached_property
 
 from .elimination import (form_in, formal_resultant, image_elementary,
                           map_charpoly, transform_by_power_sums)
-from .errors import ConsistencyError, DegenerateDenominator, RescueExhausted
+from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
                           relative_residual, rem_monic, shift_substitute)
 from .scalars import Scalar, as_scalar, as_tol, negligible, pick_root, rat
 from .solvers import assemble_preimages, solve_condition, solve_monic
-
-RESCUE_SCALES = (2, 3, 5, 7, 11)
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,10 @@ class TransformStep:
     subsidiary: Subsidiary  # None only for the reciprocal step
     output: UniPoly
     aux: tuple
-    rescue_scaling: Scalar = None
+
+    # not a field: every step maps the previous output itself; the
+    # benchmark's outside oracle (bench/oracles.py) still reads it
+    rescue_scaling = None
 
     @property
     def is_identity(self) -> bool:
@@ -162,7 +163,6 @@ class TransformStep:
             "kind": self.kind,
             "subsidiary": None if self.subsidiary is None else self.subsidiary.to_json(),
             "aux": [a.to_json() for a in self.aux],
-            "rescue_lambda": None if self.rescue_scaling is None else self.rescue_scaling.to_json(),
             "output": self.output.to_json(),
         }
 
@@ -171,16 +171,17 @@ class TransformStep:
         """Inverse of ``to_json`` on the step's input; ValueError unless the
         step maps that input to a monic output of the same degree, by a
         subsidiary of lower degree, or by reciprocals (no subsidiary) of
-        roots that are not zero."""
+        roots that are not zero; ValueError, too, for the rescaled input of
+        an older trace (a ``rescue_lambda``), which no step takes now."""
+        if d.get("rescue_lambda") is not None:
+            raise ValueError("a rescaled step input (rescue_lambda); reduce the quintic again")
         sub = d.get("subsidiary")
-        lam = d.get("rescue_lambda")
         step = cls(
             d["kind"],
             input_poly,
             None if sub is None else Subsidiary.from_json(sub, prec),
             UniPoly.from_json(d["output"], prec),
             tuple(AuxSolve.from_json(a, prec) for a in d.get("aux", ())),
-            None if lam is None else Scalar.from_json(lam, prec),
         )
         n = input_poly.degree
         if (step.subsidiary is None) != (step.kind == "reciprocal"):
@@ -256,9 +257,6 @@ class ReductionTrace:
         steps = []
         cur = original
         for sd in d["steps"]:
-            lam = sd.get("rescue_lambda")
-            if lam is not None:
-                cur = scale_poly(cur, Scalar.from_json(lam, prec))
             st = TransformStep.from_json(sd, cur.with_var("z"), prec)
             steps.append(st)
             cur = st.output
@@ -266,22 +264,6 @@ class ReductionTrace:
         return cls(original, tuple(steps), final,
                    Scalar.from_json(d["bring_p"], prec),
                    Scalar.from_json(d["bring_q"], prec))
-
-
-def scale_poly(poly: UniPoly, lam) -> UniPoly:
-    """A(lam * w) / lam^n: root z maps to w = z / lam, monic stays monic."""
-    lam = as_scalar(lam)
-    n = poly.degree
-    out = []
-    for i, c in enumerate(poly.coeffs):
-        out.append(c / lam ** (n - i))
-    return UniPoly(out, poly.var)
-
-
-def expected_step_input(prev_output: UniPoly, step: TransformStep) -> UniPoly:
-    if step.rescue_scaling is not None:
-        return scale_poly(prev_output, step.rescue_scaling)
-    return prev_output
 
 
 def _require_monic(poly: UniPoly):
@@ -585,51 +567,63 @@ def _aux_root(kind: str, cond: UniPoly, *, prec=None, tol=None):
 def quintic_to_bring_jerrard(p, q, r, *, prec=None, tol=None) -> TransformStep:
     """One quartic subsidiary takes z^5 + p z^2 + q z + r to y^5 + P y + Q.
 
-    When the ansatz denominator vanishes the input is rescaled z = lam * w
-    over a short ladder of integer lam until the denominator revives; the
-    step then records the scaled input and the lam used.
+    Where the ansatz fails (``DegenerateDenominator``: its coupling
+    denominator 15p + 20q vanishes, or a condition is unsatisfiable), it is
+    solved once more for the halved roots w = z/2, that is on
+    w^5 + (p/8) w^2 + (q/16) w + r/32, whose denominator (30p + 20q)/16 is
+    15p/16 != 0 where 15p + 20q = 0.  The map T_w found there is emitted on the
+    unscaled input as T(z) = 16 T_w(z/2), the subsidiary
+    (16 a_w, 8 b_w, 4 c_w, 2 d_w), whose a is again (3 p d + 4 q)/5; P and
+    Q are 2^16 and 2^20 times those of the halved quintic, and the aux
+    records are the solves at the halved roots.  A second failure raises.
     """
     p, q, r = as_scalar(p), as_scalar(q), as_scalar(r)
+    A = UniPoly([r, q, p, rat(0), rat(0), rat(1)], "z")
     if p.is_exact_zero():
-        return _identity_step("bring-jerrard",
-                              UniPoly([r, q, p, rat(0), rat(0), rat(1)], "z"))
-    failures = []
-    for lam_int in (1,) + RESCUE_SCALES:
-        lam = rat(lam_int)
-        ps = p / lam ** 3
-        qs = q / lam ** 4
-        rs = r / lam ** 5
-        A = UniPoly([rs, qs, ps, rat(0), rat(0), rat(1)], "z")
-        try:
-            ansatz, aux = quintic_bring_ansatz(ps, qs, rs, prec=prec, tol=tol)
-        except DegenerateDenominator as exc:
-            failures.append((lam_int, exc))
-            continue
-        d = ansatz.d
-        b = ansatz.alpha * d + ansatz.zeta
-        c = d + ansatz.gamma
-        a = (3 * ps * d + 4 * qs) * rat(1, 5)
-        sub = Subsidiary(4, (a, b, c, d))
-        C, _ = dual_eliminate(A, sub, tol)
-        out_scale = coeff_scale(C)
-        _assert_vanishes(C.coeff(4), out_scale, tol, "y^4 coefficient")
-        _assert_vanishes(C.coeff(3), out_scale, tol, "y^3 coefficient")
-        _assert_vanishes(C.coeff(2), out_scale, tol, "y^2 coefficient")
-        return TransformStep("bring-jerrard", A, sub, C, tuple(aux),
-                             rescue_scaling=None if lam_int == 1 else lam)
-    raise RescueExhausted("no rescue scaling revived the ansatz denominator",
-                          tuple(failures))
+        return _identity_step("bring-jerrard", A)
+    lam = rat(1)
+    try:
+        ansatz, aux = quintic_bring_ansatz(p, q, r, prec=prec, tol=tol)
+    except DegenerateDenominator:
+        lam = rat(2)
+        ansatz, aux = quintic_bring_ansatz(p / lam ** 3, q / lam ** 4, r / lam ** 5,
+                                           prec=prec, tol=tol)
+    # T = lam^4 T_w(z / lam): the coefficient of z^j gains lam^(4 - j)
+    d = lam * ansatz.d
+    c = lam ** 2 * (ansatz.d + ansatz.gamma)
+    b = lam ** 3 * (ansatz.alpha * ansatz.d + ansatz.zeta)
+    a = (3 * p * d + 4 * q) * rat(1, 5)
+    sub = Subsidiary(4, (a, b, c, d))
+    C, _ = dual_eliminate(A, sub, tol)
+    out_scale = coeff_scale(C)
+    _assert_vanishes(C.coeff(4), out_scale, tol, "y^4 coefficient")
+    _assert_vanishes(C.coeff(3), out_scale, tol, "y^3 coefficient")
+    _assert_vanishes(C.coeff(2), out_scale, tol, "y^2 coefficient")
+    return TransformStep("bring-jerrard", A, sub, C, tuple(aux))
+
+
+def _has_repeated_root(A: UniPoly) -> bool:
+    """Does the rational A share a root with A'?  Euclid's gcd on
+    ``rem_monic``, exact over Fraction."""
+    f, g = A, A.derivative()
+    while g.degree > 0:
+        f, g = g, UniPoly(rem_monic(f, g.monic()[0]), A.var)
+    return g.is_exact_zero()
 
 
 def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTrace:
     """Full chain: depress, principal shape, then the trinomial step.
 
     Identity steps (stages the input already satisfies) are elided from the
-    trace; the final polynomial is y^5 + P y + Q.
+    trace; the final polynomial is y^5 + P y + Q.  A rational input with a
+    repeated root raises ``DegenerateDenominator`` and gets no trace: the
+    ansatz would collapse its roots (README, "Repeated roots").
     """
     _require_monic(poly)
     if poly.degree != 5:
         raise ValueError("the reduction chain is for monic quintics")
+    if poly.is_rational_tree() and _has_repeated_root(poly):
+        raise DegenerateDenominator(rat(0), "the discriminant vanishes: a repeated root")
     steps = []
     cur = poly.with_var("z")
     st = depress(cur, tol=tol)

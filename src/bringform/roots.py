@@ -31,7 +31,6 @@ from math import isfinite
 import mpmath
 
 from .errors import ConsistencyError, DegenerateDenominator
-from .pipeline import expected_step_input
 from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
                           relative_residual, rem_monic)
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar,
@@ -383,17 +382,16 @@ def bring_curve_residual(roots):
 
 
 def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
-    """matched when each step takes the previous output (rescaled where it
-    says so), is certified (``verify_transform``), and the chain ends at a
-    final polynomial equal to the claimed y^n + bring_p y + bring_q (exactly
-    in rational mode); it reports the worst step residual and |s1|, |s2|,
+    """matched when each step takes the previous output, is certified
+    (``verify_transform``), and the chain ends at a final polynomial equal
+    to the claimed y^n + bring_p y + bring_q (exactly in rational mode); it
+    reports the worst step residual and |s1|, |s2|,
     |s3| of a quintic final polynomial.  Nothing raises for a bad trace."""
     cfg = config or RootConfig()
     ok, worst, prev = True, mpmath.mpf(0), trace.original
     for step in trace.steps:
-        expect_in = expected_step_input(prev.with_var("z"), step)
         residual, step_ok = verify_transform(step, cfg)
-        ok = ok and step_ok and coeff_mismatch(expect_in, step.input, cfg.tol) is None
+        ok = ok and step_ok and coeff_mismatch(prev, step.input, cfg.tol) is None
         worst = max(worst, residual)
         prev = step.output
     final = trace.final
@@ -414,8 +412,6 @@ def recover_roots(trace, config: RootConfig = None):
     ys = list(find_roots(trace.final, cfg).roots)
     for step in reversed(trace.steps):
         ys = step.preimages(ys, prec=cfg.precision_bits, tol=cfg.tol)
-        if step.rescue_scaling is not None:
-            ys = [y * step.rescue_scaling for y in ys]
     return tuple(sorted(ys, key=sort_key))
 
 

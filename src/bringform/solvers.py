@@ -120,8 +120,8 @@ def solve_quartic(n, p, q, *, prec: int = None, tol=None) -> SolveResult:
     """Roots of the depressed quartic z^4 + n z^2 + p z + q.
 
     Route: strip terms two and three (if the z^2 term is present), then strip
-    terms two and four, solve the surviving quadratic in y^2, and back-solve
-    through each subsidiary relation, assembling the multiset by deflation.
+    terms two and four, solve the surviving quadratic in y^2, and pull the
+    roots back through each step (``TransformStep.preimages``).
     """
     from .pipeline import quartic_remove_2_3, quartic_remove_2_4
 
@@ -143,7 +143,7 @@ def solve_quartic(n, p, q, *, prec: int = None, tol=None) -> SolveResult:
         steps.append(st2)
         ys = _biquadratic_roots(st2.output.coeff(2), st2.output.coeff(0), prec)
     for step in reversed(steps):
-        ys = assemble_preimages(step.input, ys, step, prec=prec, tol=tol)
+        ys = step.preimages(ys, prec=prec, tol=tol)
     return _finish(poly, ys, "tschirnhaus-biquadratic")
 
 

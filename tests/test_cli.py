@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bringform import RescueExhausted
+from bringform import DegenerateDenominator, rat
 from bringform.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            main)
 
@@ -154,8 +154,7 @@ def _poly_json(*ascending):
 
 
 def _reciprocal_step_json(output):
-    return {"kind": "reciprocal", "subsidiary": None, "aux": [],
-            "rescue_lambda": None, "output": output}
+    return {"kind": "reciprocal", "subsidiary": None, "aux": [], "output": output}
 
 
 @pytest.mark.parametrize("breakage", [
@@ -163,7 +162,7 @@ def _reciprocal_step_json(output):
     "non-monic original", "constant original without steps",
     "subsidiary degree not below the input's", "subsidiary missing",
     "reciprocal of a zero root", "non-monic step output",
-    "step output of another degree"])
+    "step output of another degree", "rescaled step input"])
 def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
     trace = tmp_path / "trace.json"
     assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
@@ -183,7 +182,7 @@ def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
     elif breakage == "subsidiary degree not below the input's":
         t["original"] = _poly_json(1, 0, 1)
         t["steps"] = [{"kind": "principal", "subsidiary": {"k": 2, "a": [1, 1], "b": [0, 1]},
-                       "aux": [], "rescue_lambda": None, "output": _poly_json(2, 0, 1)}]
+                       "aux": [], "output": _poly_json(2, 0, 1)}]
     elif breakage == "subsidiary missing":
         t["steps"][0]["subsidiary"] = None
     elif breakage == "reciprocal of a zero root":
@@ -191,6 +190,10 @@ def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
         t["steps"] = [_reciprocal_step_json(_poly_json(1, 0, 0, 0, 1, 0))]
     elif breakage == "non-monic step output":
         t["steps"][0]["output"]["coeffs"][-1] = [3, 1]
+    elif breakage == "rescaled step input":
+        # older traces took a rescue step on A(2w)/2^5; none is read now,
+        # so it is refused rather than verified against the wrong input
+        t["steps"][-1]["rescue_lambda"] = [2, 1]
     else:
         # a quartic original: the bring-curve check would see four roots
         t["original"] = _poly_json(1, 0, 0, 0, 1)
@@ -218,19 +221,44 @@ def test_verify_checks_the_claimed_trinomial(capsys, tmp_path, edit):
     assert code == EXIT_VERIFY and "verified: NO" in out
 
 
-def test_reduce_of_a_cube_times_a_square_exits_one(capsys):
-    # z^3 (z + 1)^2: the principal map merges roots, so it has no inverse
-    code, out, _ = run(capsys, "reduce", "--coeffs", "1", "2", "1", "0", "0", "0",
-                       "--output", "text")
-    assert code == EXIT_VERIFY and "verified: NO" in out
+@pytest.mark.parametrize("descending", [
+    "1 -2 3 -1 -4 3",   # (x - 1)^2 (x^3 + 2x + 3)
+    "1 1 -1 1 0 0",     # x^2 (x^3 + x^2 - x + 1)
+    "1 3 2 6 1 3",      # (x + 3) (x^2 + 1)^2
+])
+def test_reduce_refuses_a_repeated_root(capsys, descending):
+    # the ansatz would collapse the repeated root: exit 2, and no trace
+    code, out, err = run(capsys, "reduce", "--coeffs", *descending.split())
+    assert code == EXIT_DEGENERATE and out == ""
+    assert "repeated root" in err
 
 
-def test_reduce_with_collapsed_repeated_root_exits_one(capsys):
-    # ascending (0, 0, 1, 1, -1, 1): the bring-jerrard map merges its
-    # double root, so its inverse map U misses U(T) = z mod A
+def test_reduce_of_a_cube_times_a_square_exits_two(capsys):
+    # z^3 (z + 1)^2: refused before any step, even in text mode
+    code, out, err = run(capsys, "reduce", "--coeffs", "1", "2", "1", "0", "0", "0",
+                         "--output", "text")
+    assert code == EXIT_DEGENERATE and out == "" and "repeated root" in err
+
+
+def test_reduce_with_collapsed_repeated_root_exits_two(capsys):
+    # ascending (0, 0, 1, 1, -1, 1): the bring-jerrard map would merge its
+    # double root at zero
     code, out, _ = run(capsys, "reduce", "--coeffs", "1", "-1", "1", "1", "0", "0")
-    assert code == EXIT_VERIFY
-    assert json.loads(out)["verify"]["matched"] is False
+    assert code == EXIT_DEGENERATE and out == ""
+
+
+def test_trace_of_an_unrescued_older_format_verifies(capsys, tmp_path):
+    # a null rescue_lambda, as older traces wrote on every step, still reads
+    trace = tmp_path / "trace.json"
+    assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads(trace.read_text())
+    for step in doc["trace"]["steps"]:
+        step["rescue_lambda"] = None
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--in", str(old))
+    assert code == EXIT_OK and json.loads(out)["matched"] is True
 
 
 def test_usage_errors(capsys):
@@ -248,7 +276,7 @@ def test_degenerate_surfaces_as_exit_two(capsys, monkeypatch):
     import bringform.cli as cli
 
     def boom(poly, prec=None, tol=None):
-        raise RescueExhausted("bring-jerrard", [(2, "coupling vanished")])
+        raise DegenerateDenominator(rat(0), "coupling vanished")
 
     monkeypatch.setattr(cli, "reduce_general_quintic", boom)
     code, _, err = run(capsys, "reduce", "--coeffs", *QUINTIC)

@@ -1,5 +1,5 @@
-"""Transformation steps: coefficient killing, rescue scaling, the quartic
-obstruction, and the full quintic reduction.
+"""Transformation steps: coefficient killing, the halved-root retry of the
+Bring-Jerrard ansatz, the quartic obstruction, and the full quintic reduction.
 
 Frozen expectations in this file were derived by hand from power sums (the
 derivations live in the repository notes, not in library code): the cubic
@@ -22,9 +22,8 @@ from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace,
                        quartic_remove_2_3, quartic_remove_2_4,
                        quintic_bring_ansatz, quintic_to_bring_jerrard, rat,
                        reciprocal_transform, reduce_general_quintic,
-                       scale_poly, to_principal)
+                       to_principal)
 from bringform.elimination import image_elementary
-from bringform.pipeline import expected_step_input
 from helpers import rand_monic, rand_scalar
 
 TINY = mpmath.mpf("1e-70")
@@ -310,7 +309,6 @@ def test_bring_jerrard_step_kills_three_coefficients():
     for k in (4, 3, 2):
         _tiny_coeff(out, k)
     assert step.subsidiary.k == 4
-    assert step.rescue_scaling is None
 
 
 def test_bring_jerrard_identity_when_p_is_zero():
@@ -319,24 +317,22 @@ def test_bring_jerrard_identity_when_p_is_zero():
 
 
 def test_bring_jerrard_rescue_on_vanishing_coupling():
-    # 15p + 20q = 0 at scale 1; the lambda = 2 rescaling revives it
-    step = quintic_to_bring_jerrard(rat(4), rat(-3), rat(1))
-    assert step.rescue_scaling == rat(2)
-    A = UniPoly([rat(1), rat(-3), rat(4), rat(0), rat(0), rat(1)])
-    assert step.input == scale_poly(A, rat(2))
+    # 15p + 20q = 0 at scale 1; the ansatz at halved roots revives it, and
+    # its map T_w is emitted on the unscaled input as 16 T_w(z/2)
+    p, q, r = rat(4), rat(-3), rat(1)
+    with pytest.raises(DegenerateDenominator):
+        quintic_bring_ansatz(p, q, r)
+    step = quintic_to_bring_jerrard(p, q, r)
+    assert step.input == UniPoly([r, q, p, rat(0), rat(0), rat(1)])
     for k in (4, 3, 2):
         _tiny_coeff(step.output, k)
-
-
-def test_scale_poly_divides_roots_by_lambda():
-    rng = random.Random(49)
-    for _ in range(20):
-        P = rand_monic(rng, rng.randint(1, 5))
-        lam = rat(rng.randint(1, 9))
-        S = scale_poly(P, lam)
-        x = rand_scalar(rng)
-        n = P.degree
-        assert S.eval(x) * lam ** n == P.eval(lam * x)
+    half = quintic_to_bring_jerrard(p / 8, q / 16, r / 32)
+    assert step.aux == half.aux
+    for got, want, f in zip(step.subsidiary.coeffs, half.subsidiary.coeffs, (16, 8, 4, 2)):
+        assert (got - want * f).mag() <= TINY * max(1, got.mag())
+    for k, f in ((1, 2 ** 16), (0, 2 ** 20)):
+        got = step.output.coeff(k)
+        assert (got - half.output.coeff(k) * f).mag() <= TINY * got.mag()
 
 
 # -- obstruction -----------------------------------------------------------------
@@ -432,11 +428,12 @@ def test_reduce_rejects_non_quintic_and_non_monic():
 
 
 def test_step_chaining_accounts_for_rescue_scaling():
+    # a rescued step maps the previous output itself, like every other step
     P = UniPoly([rat(1), rat(-3), rat(4), rat(0), rat(0), rat(1)])
     trace = reduce_general_quintic(P)
     cur = trace.original
     for step in trace.steps:
-        assert expected_step_input(cur, step) == step.input
+        assert step.input == cur
         cur = step.output
 
 

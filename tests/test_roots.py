@@ -12,14 +12,17 @@ from math import isfinite
 import mpmath
 import pytest
 
-from bringform import (RootConfig, UniPoly, bring_curve_residual, find_roots,
-                       match_roots, obstruction_consistency,
-                       quartic_obstruction_G, quartic_remove_2_4, rat,
+from bringform import (DegenerateDenominator, RootConfig, UniPoly,
+                       bring_curve_residual, find_roots, match_roots,
+                       obstruction_consistency, quartic_obstruction_G,
+                       quartic_remove_2_4, quintic_bring_ansatz, rat,
                        recover_roots, reduce_general_quintic, verify_trace,
                        verify_transform)
 from bringform import pipeline, roots, solvers
 from bringform.pipeline import (ReductionTrace, Subsidiary, TransformStep,
-                                depress, reciprocal_transform, step_inverse)
+                                depress, quintic_to_bring_jerrard,
+                                reciprocal_transform, step_inverse,
+                                to_principal)
 from helpers import rand_monic, rand_scalar
 
 TINY = mpmath.mpf("1e-60")
@@ -145,7 +148,7 @@ def test_verify_trace_flags_corrupted_subsidiary_without_raising():
     sub = victim.subsidiary
     bad_sub = type(sub)(sub.k, (sub.coeffs[0] + rat(1, 1000),) + sub.coeffs[1:])
     steps[-1] = TransformStep(victim.kind, victim.input, bad_sub, victim.output,
-                              victim.aux, victim.rescue_scaling)
+                              victim.aux)
     bad = ReductionTrace(trace.original, tuple(steps), trace.final,
                          trace.bring_p, trace.bring_q)
     report = verify_trace(bad)
@@ -161,7 +164,7 @@ def test_verify_trace_flags_tampered_output_polynomial():
     bumped = UniPoly([out.coeff(0) + rat(1, 100)] + [out.coeff(k) for k in range(1, out.degree + 1)],
                      out.var)
     steps[0] = TransformStep(victim.kind, victim.input, victim.subsidiary, bumped,
-                             victim.aux, victim.rescue_scaling)
+                             victim.aux)
     bad = ReductionTrace(trace.original, tuple(steps), trace.final,
                          trace.bring_p, trace.bring_q)
     report = verify_trace(bad)
@@ -178,9 +181,12 @@ def test_recover_roots_inverts_the_whole_chain():
 
 
 def test_recover_roots_through_a_rescued_step():
+    # 15p + 20q = 0: the step solves the ansatz at halved roots
+    with pytest.raises(DegenerateDenominator):
+        quintic_bring_ansatz(rat(4), rat(-3), rat(1))
     P = UniPoly([rat(1), rat(-3), rat(4), rat(0), rat(0), rat(1)])
     trace = reduce_general_quintic(P)
-    assert any(s.rescue_scaling is not None for s in trace.steps)
+    assert [s.input for s in trace.steps] == [P]
     report = verify_trace(trace)
     assert report.matched
     direct = find_roots(P).roots
@@ -276,8 +282,6 @@ def test_final_trinomial_needs_few_aberth_iterations():
     assert rs.converged and rs.iterations <= 4
     zs = find_roots(README_QUINTIC).roots
     for step in trace.steps:
-        if step.rescue_scaling is not None:
-            zs = [z / step.rescue_scaling for z in zs]
         T = step.subsidiary.map_in_z()
         zs = [T.eval(z) for z in zs]
     ok, dist = match_roots(rs.roots, zs, tol="1e-40")
@@ -392,6 +396,24 @@ def test_step_inverse_refuses_a_map_that_merges_roots():
     assert ok, dist
 
 
+def _chain_past_the_refusal(ascending):
+    """The trace ``reduce_general_quintic`` would give a quintic with a
+    repeated root if it did not refuse it: depress, principal shape and the
+    bring-jerrard step, identities elided."""
+    P = UniPoly([rat(c) for c in ascending])
+    with pytest.raises(DegenerateDenominator):
+        reduce_general_quintic(P)
+    steps, cur = [], P
+    for make in (depress, to_principal,
+                 lambda A: quintic_to_bring_jerrard(A.coeff(2), A.coeff(1), A.coeff(0))):
+        st = make(cur)
+        if not st.is_identity:
+            steps.append(st)
+            cur = st.output.with_var("z")
+    final = cur.with_var("y")
+    return ReductionTrace(P, tuple(steps), final, final.coeff(1), final.coeff(0))
+
+
 @pytest.mark.parametrize("ascending", [
     (0, 0, 1, 1, -1, 1),
     (3, -4, -1, 3, -2, 1),  # (z - 1)^2 (z^3 + 2z + 3)
@@ -401,7 +423,7 @@ def test_verify_trace_rejects_unconverged_root_sets(ascending):
     # the bring-jerrard map collapses the planted repeated root, so the
     # final trinomial's root set does not converge; verify rejects the step
     # itself, because U(T) mod A, its inverse map evaluated, misses z
-    trace = reduce_general_quintic(UniPoly([rat(c) for c in ascending]))
+    trace = _chain_past_the_refusal(ascending)
     assert not find_roots(trace.final).converged
     assert verify_trace(trace).matched is False
 
@@ -412,7 +434,7 @@ def test_verify_trace_rejects_unconverged_root_sets(ascending):
     (0, 0, 1, 1, -1, 1),
 ])
 def test_verify_transform_refuses_a_step_that_merges_roots(ascending):
-    trace = reduce_general_quintic(UniPoly([rat(c) for c in ascending]))
+    trace = _chain_past_the_refusal(ascending)
     verdicts = [verify_transform(step) for step in trace.steps]
     assert [ok for _, ok in verdicts][:-1] == [True] * (len(verdicts) - 1)
     residual, ok = verdicts[-1]
@@ -442,7 +464,7 @@ def test_verify_trace_reports_a_step_of_the_wrong_shape():
     victim = steps[0]
     lifted = UniPoly(victim.input.coeffs[:-1] + (rat(2),), "z")
     steps[0] = TransformStep(victim.kind, lifted, victim.subsidiary, victim.output,
-                             victim.aux, victim.rescue_scaling)
+                             victim.aux)
     bad = ReductionTrace(trace.original, tuple(steps), trace.final,
                          trace.bring_p, trace.bring_q)
     assert verify_trace(bad).matched is False
