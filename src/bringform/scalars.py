@@ -7,16 +7,29 @@ stay rational; any contact with a complex operand promotes the result to
 complex at the larger precision in play.  Square and cube roots of rationals
 stay rational exactly when the result is rational, and promote otherwise.
 
+A complex Scalar holds the raw libmp pair (re, im) of its parts, not an
+mpmath object; ``to_mpc``, ``mag``, ``re``, ``im``, ``to_json`` and the
+display methods build mpmath objects only when called.  Values handed out
+are default-context mpf/mpc objects carrying their full mantissa;
+arithmetic on them runs at mpmath's default precision.
+
 Precision travels with each value.  Every complex operation rounds to
 nearest at a precision given to it, never at a global one: ring operations,
 powers, magnitudes and square roots call mpmath's ``libmp`` functions with
 the Scalar's precision (the larger operand's for a binary operation), and
 the rest use an mpmath context fixed at the precision it needs
 (``context``).  Nothing in the package changes mpmath's global precision,
-so Scalars are safe to share between threads.  Values handed out
-(``to_mpc``, ``mag``, ``re``, ``im``) are default-context mpf/mpc objects
-carrying their full mantissa; arithmetic on them runs at mpmath's default
-precision.
+so Scalars are safe to share between threads.
+
+A binary operation of a complex operand z with a rational one (a Scalar,
+an int or a Fraction) takes shortcuts: z + 0 and z * 1 round z, 0 - z and
+z * -1 negate it, z * 0 is the complex zero (for a finite z), and any other
+rational enters as one real mpf (``mpc_mul_mpf``, or one ``mpf_add`` or
+``mpf_sub`` on the real part).  The rule for every shortcut is that it
+returns exactly what the generic call ``cop(z, (rational rounded to prec,
+0), prec)`` returns: the same kind, precision and bits.  So z * 1 is not
+z: it is z rounded to prec, which differs when z carries more bits than its
+precision (``from_json`` reads at prec + 16 bits).
 """
 
 from __future__ import annotations
@@ -30,8 +43,9 @@ import mpmath
 from mpmath import mp
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_add, mpc_conjugate,
-                          mpc_div, mpc_mul, mpc_neg, mpc_pow_int, mpc_sqrt,
-                          mpc_sub, mpf_div, round_nearest)
+                          mpc_div, mpc_mul, mpc_mul_mpf, mpc_neg, mpc_pos,
+                          mpc_pow_int, mpc_sqrt, mpc_sub, mpf_add, mpf_div,
+                          mpf_eq, mpf_neg, mpf_pos, mpf_sub, round_nearest)
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_TOLERANCE = "1e-30"
@@ -45,10 +59,16 @@ def context(prec: int) -> MPContext:
     return ctx
 
 
-def _rat_mpf(f: Fraction, prec: int):
-    """f rounded to prec bits as a raw mpf, as mpf(numerator) / denominator."""
+def _rat_mpf(f, prec: int):
+    """f (an int or Fraction) rounded to prec bits as a raw mpf, as
+    mpf(numerator) / denominator; an integer needs no division."""
+    if f.denominator == 1:
+        return from_int(f.numerator, prec, round_nearest)
     return mpf_div(from_int(f.numerator, prec, round_nearest), from_int(f.denominator),
                    prec, round_nearest)
+
+
+_CZERO = (fzero, fzero)
 
 
 def _iroot(a: int, n: int) -> int:
@@ -80,8 +100,63 @@ def mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+def _finite(z) -> bool:
+    """Both parts of the raw pair z are finite (an mpf with a zero
+    mantissa and a nonzero exponent is an infinity or nan)."""
+    a, b = z
+    return (a[1] or not a[2]) and (b[1] or not b[2])
+
+
+# Complex OP rational, for g an int or Fraction and z a raw pair at prec.
+# lhs tells whether g is the left operand; libmp's addition and product
+# give the same bits in either order, so only - and / read it.  Each returns
+# exactly the raw pair of the generic cop(z, (_rat_mpf(g, prec), fzero),
+# prec) (operands in their order): every shortcut rounds to prec, as the
+# generic call does, so a value carrying more bits than prec (from
+# ``Scalar.from_json``) times 1 is rounded, not returned as it is.
+
+def _add_rat(z, g, prec, lhs):
+    if not g:
+        return mpc_pos(z, prec, round_nearest)
+    a, b = z
+    return mpf_add(a, _rat_mpf(g, prec), prec, round_nearest), mpf_pos(b, prec, round_nearest)
+
+
+def _sub_rat(z, g, prec, lhs):
+    if not g:
+        return (mpc_neg if lhs else mpc_pos)(z, prec, round_nearest)
+    a, b = z
+    r = _rat_mpf(g, prec)
+    if lhs:  # g - z
+        return mpf_sub(r, a, prec, round_nearest), mpf_neg(b, prec, round_nearest)
+    return mpf_sub(a, r, prec, round_nearest), mpf_pos(b, prec, round_nearest)
+
+
+def _mul_rat(z, g, prec, lhs):
+    # the generic product meets a non-finite part with an exact zero (nan)
+    if not _finite(z):
+        return mpc_mul(z, (_rat_mpf(g, prec), fzero), prec, round_nearest)
+    if not g:
+        return _CZERO
+    if g == 1:
+        return mpc_pos(z, prec, round_nearest)
+    if g == -1:
+        return mpc_neg(z, prec, round_nearest)
+    return mpc_mul_mpf(z, _rat_mpf(g, prec), prec, round_nearest)
+
+
+def _div_rat(z, g, prec, lhs):
+    r = (_rat_mpf(g, prec), fzero)
+    return mpc_div(r, z, prec, round_nearest) if lhs else mpc_div(z, r, prec, round_nearest)
+
+
 class Scalar:
     """One number from the tower: exact rational or complex float.
+
+    A rational keeps its ``Fraction`` in ``_frac`` (``_c`` and ``_prec``
+    are None); a complex value keeps the raw libmp pair (re, im) of its
+    rounded parts in ``_c`` and its precision in ``_prec`` (``_frac`` is
+    None).  mpmath objects are built only when asked for.
 
     Use :meth:`rational` / :meth:`complex_` (or the module helpers ``rat``
     and ``cx``) to construct.  Arithmetic accepts int and Fraction operands.
@@ -109,17 +184,12 @@ class Scalar:
                 return ctx.make_mpf(_rat_mpf(v, prec))
             return ctx.mpf(v)
 
-        return cls._complex(ctx.mpc(part(re), part(im))._mpc_, prec)
+        return cls(None, ctx.mpc(part(re), part(im))._mpc_, prec)
 
     @classmethod
     def from_mpc(cls, c, prec: int) -> "Scalar":
         """c (an mpc or mpf of any context, or a real number) rounded to prec."""
-        return cls._complex(context(prec).mpc(c)._mpc_, prec)
-
-    @classmethod
-    def _complex(cls, raw, prec) -> "Scalar":
-        """The complex Scalar of a raw libmp pair, kept as it is."""
-        return cls(None, mp.make_mpc(raw), prec)
+        return cls(None, context(prec).mpc(c)._mpc_, prec)
 
     # -- inspection --------------------------------------------------------
 
@@ -140,36 +210,33 @@ class Scalar:
     def is_exact_zero(self) -> bool:
         if self._frac is not None:
             return self._frac == 0
-        return self._c.real == 0 and self._c.imag == 0
+        return self._c == _CZERO
 
     def to_mpc(self, prec=None):
-        if self._frac is not None:
-            return mp.make_mpc(self._raw(prec or DEFAULT_PRECISION_BITS))
-        return self._c
+        return mp.make_mpc(self._raw(prec or DEFAULT_PRECISION_BITS))
 
     def _raw(self, prec):
         """The libmp pair of the value; a rational is rounded to prec."""
         if self._frac is not None:
             return _rat_mpf(self._frac, prec), fzero
-        return self._c._mpc_
+        return self._c
 
     def re(self):
-        return self.to_mpc().real
+        return mp.make_mpf(self._raw(DEFAULT_PRECISION_BITS)[0])
 
     def im(self):
-        return self.to_mpc().imag
+        return mp.make_mpf(self._raw(DEFAULT_PRECISION_BITS)[1])
 
     def mag(self):
         """|self| as an mpf (exact zero for the rational zero)."""
         if self._frac is not None:
             return mp.make_mpf(_rat_mpf(abs(self._frac), DEFAULT_PRECISION_BITS))
-        return mp.make_mpf(mpc_abs(self._c._mpc_, self._prec, round_nearest))
+        return mp.make_mpf(mpc_abs(self._c, self._prec, round_nearest))
 
     def conjugate(self) -> "Scalar":
         if self._frac is not None:
             return self
-        return Scalar._complex(mpc_conjugate(self._c._mpc_, self._prec, round_nearest),
-                               self._prec)
+        return Scalar(None, mpc_conjugate(self._c, self._prec, round_nearest), self._prec)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -181,58 +248,63 @@ class Scalar:
             return Scalar(Fraction(v), None, None)
         return None
 
-    def _binop(self, other, ratop, cop):
-        """ratop on two rationals; otherwise the libmp function cop at the
-        larger precision in play."""
-        other = self._coerce(other)
-        if other is None:
+    def _binop(self, other, ratop, cop, ratcop, lhs=False):
+        """self OP other (other OP self when lhs): ratop on two rationals,
+        ratcop when one operand is rational, otherwise the libmp function
+        cop at the larger precision in play."""
+        if isinstance(other, Scalar):
+            g = other._frac
+        elif isinstance(other, (int, Fraction)):
+            g = other
+        else:
             return NotImplemented
-        if self._frac is not None and other._frac is not None:
-            return Scalar(ratop(self._frac, other._frac), None, None)
-        prec = max(self._prec or 0, other._prec or 0)
-        return Scalar._complex(cop(self._raw(prec), other._raw(prec), prec, round_nearest),
-                               prec)
+        f = self._frac
+        if f is not None and g is not None:
+            return Scalar(ratop(g, f) if lhs else ratop(f, g), None, None)
+        if g is not None:
+            prec = self._prec
+            return Scalar(None, ratcop(self._c, g, prec, lhs), prec)
+        prec = other._prec
+        if f is not None:
+            return Scalar(None, ratcop(other._c, f, prec, not lhs), prec)
+        if self._prec > prec:
+            prec = self._prec
+        z, w = (other._c, self._c) if lhs else (self._c, other._c)
+        return Scalar(None, cop(z, w, prec, round_nearest), prec)
 
     def __add__(self, other):
-        return self._binop(other, operator.add, mpc_add)
+        return self._binop(other, operator.add, mpc_add, _add_rat)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, operator.sub, mpc_sub)
+        return self._binop(other, operator.sub, mpc_sub, _sub_rat)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__sub__(self)
+        return self._binop(other, operator.sub, mpc_sub, _sub_rat, True)
 
     def __mul__(self, other):
-        return self._binop(other, operator.mul, mpc_mul)
+        return self._binop(other, operator.mul, mpc_mul, _mul_rat)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, operator.truediv, mpc_div)
+        return self._binop(other, operator.truediv, mpc_div, _div_rat)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__truediv__(self)
+        return self._binop(other, operator.truediv, mpc_div, _div_rat, True)
 
     def __neg__(self):
         if self._frac is not None:
             return Scalar(-self._frac, None, None)
-        return Scalar._complex(mpc_neg(self._c._mpc_, self._prec, round_nearest), self._prec)
+        return Scalar(None, mpc_neg(self._c, self._prec, round_nearest), self._prec)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if self._frac is not None:
             return Scalar(self._frac ** k, None, None)
-        return Scalar._complex(mpc_pow_int(self._c._mpc_, k, self._prec, round_nearest),
-                               self._prec)
+        return Scalar(None, mpc_pow_int(self._c, k, self._prec, round_nearest), self._prec)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -243,16 +315,16 @@ class Scalar:
         a, b = self, other
         try:
             fa = a._frac if a._frac is not None else (
-                mpf_to_fraction(a._c.real) if a._c.imag == 0 else None)
+                mpf_to_fraction(mp.make_mpf(a._c[0])) if a._c[1] == fzero else None)
             fb = b._frac if b._frac is not None else (
-                mpf_to_fraction(b._c.real) if b._c.imag == 0 else None)
+                mpf_to_fraction(mp.make_mpf(b._c[0])) if b._c[1] == fzero else None)
         except ValueError:
             return False
         if fa is not None and fb is not None:
             return fa == fb
         if a._frac is not None or b._frac is not None:
             return False  # one is real-valued, the other has an imaginary part
-        return a._c.real == b._c.real and a._c.imag == b._c.imag
+        return mpf_eq(a._c[0], b._c[0]) and mpf_eq(a._c[1], b._c[1])
 
     __hash__ = None
 
@@ -278,7 +350,7 @@ class Scalar:
         if r is not None:
             return r
         p = self._promote_prec(prec)
-        return Scalar._complex(mpc_sqrt(self._raw(p), p, round_nearest), p)
+        return Scalar(None, mpc_sqrt(self._raw(p), p, round_nearest), p)
 
     def nth_root(self, n: int, prec=None) -> "Scalar":
         """Exact rational n-th root when one exists (the real root for odd n),
@@ -290,9 +362,9 @@ class Scalar:
             return r
         p = self._promote_prec(prec)
         if self.is_exact_zero():
-            return Scalar._complex((fzero, fzero), p)
+            return Scalar(None, _CZERO, p)
         ctx = context(p)
-        return Scalar._complex(ctx.exp(ctx.ln(ctx.make_mpc(self._raw(p))) / n)._mpc_, p)
+        return Scalar(None, ctx.exp(ctx.ln(ctx.make_mpc(self._raw(p))) / n)._mpc_, p)
 
     def cbrt(self, prec=None) -> "Scalar":
         return self.nth_root(3, prec)
@@ -303,7 +375,8 @@ class Scalar:
         if self._frac is not None:
             return [self._frac.numerator, self._frac.denominator]
         dps = int(self._prec / 3.3219280948873626) + 10
-        return [mpmath.nstr(self._c.real, dps), mpmath.nstr(self._c.imag, dps)]
+        c = self.to_mpc()
+        return [mpmath.nstr(c.real, dps), mpmath.nstr(c.imag, dps)]
 
     @classmethod
     def from_json(cls, v, prec: int = None) -> "Scalar":
@@ -314,22 +387,23 @@ class Scalar:
         if all(isinstance(t, int) for t in v):
             return cls.rational(v[0], v[1])
         prec = prec or DEFAULT_PRECISION_BITS
-        return cls._complex(context(prec + 16).mpc(v[0], v[1])._mpc_, prec)
+        return cls(None, context(prec + 16).mpc(v[0], v[1])._mpc_, prec)
 
     def __repr__(self):
         if self._frac is not None:
             return "rat(%s)" % self._frac
-        return "cx(%s, %s; %d)" % (mpmath.nstr(self._c.real, 12),
-                                   mpmath.nstr(self._c.imag, 12), self._prec)
+        c = self.to_mpc()
+        return "cx(%s, %s; %d)" % (mpmath.nstr(c.real, 12), mpmath.nstr(c.imag, 12),
+                                   self._prec)
 
     def __str__(self):
         if self._frac is not None:
             return str(self._frac)
-        if self._c.imag == 0:
-            return mpmath.nstr(self._c.real, 12)
-        return "(%s%s%sj)" % (mpmath.nstr(self._c.real, 12),
-                              "+" if self._c.imag >= 0 else "-",
-                              mpmath.nstr(abs(self._c.imag), 12))
+        c = self.to_mpc()
+        if c.imag == 0:
+            return mpmath.nstr(c.real, 12)
+        return "(%s%s%sj)" % (mpmath.nstr(c.real, 12), "+" if c.imag >= 0 else "-",
+                              mpmath.nstr(abs(c.imag), 12))
 
 
 def rat(num, den=1) -> Scalar:

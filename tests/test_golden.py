@@ -10,6 +10,13 @@ beyond the 40th may move freely.
 
 Regenerate it, after a deliberate change of choice, with
 ``PYTHONPATH=src python tests/test_golden.py``.
+
+``golden/readme_reduce.json`` is the standard output of
+``bringform reduce --coeffs 1 -1 4 1 -2 3``, byte for byte: a change that
+moves even a trailing digit of the README quintic's trace or report fails
+here and has to say so.  Regenerate it, after such a deliberate change, with
+``PYTHONPATH=src python -m bringform.cli reduce --coeffs 1 -1 4 1 -2 3
+--out tests/golden/readme_reduce.json``.
 """
 
 import json
@@ -19,8 +26,10 @@ import random
 import mpmath
 
 from bringform import UniPoly, rat, reduce_general_quintic
+from bringform.cli import EXIT_OK, main
 
 CORPUS = os.path.join(os.path.dirname(__file__), "golden", "choices.json")
+README_REDUCE = os.path.join(os.path.dirname(__file__), "golden", "readme_reduce.json")
 DIGITS = 40
 REL_TOL = mpmath.mpf("1e-30")
 README_QUINTIC = [3, -2, 1, 4, -1, 1]
@@ -64,6 +73,12 @@ def test_choices_match_golden_corpus():
             for name in ("P", "Q"):
                 assert _close(got[name], want[name]), "%s: %s = %s, golden %s" % (
                     where, name, got[name], want[name])
+
+
+def test_readme_reduce_output_matches_golden_bytes(capsys):
+    assert main(["reduce", "--coeffs", "1", "-1", "4", "1", "-2", "3"]) == EXIT_OK
+    with open(README_REDUCE) as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 if __name__ == "__main__":

@@ -2,17 +2,24 @@
 that the seeded batches rarely reach.
 
 The 15p + 20q = 0 family makes the Bring-Jerrard ansatz fail at the input
-itself, so every example runs the retry at halved roots.  sympy's
-discriminant is the outside oracle that keeps repeated roots, which
-``reduce_general_quintic`` refuses, out of the rational examples.
+itself, so every example runs the retry at halved roots.  The precision
+round trips run general quintics at 64 bits (tolerance 1e-14), 128, 512 and
+1024 bits, and quintics with complex coefficients: the paths where exact
+rational operands meet complex ones at a precision other than the default.
+sympy's discriminant is the outside oracle that keeps repeated roots, which
+``reduce_general_quintic`` refuses, out of the examples.
 """
+
+import json
+
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bringform import (DegenerateDenominator, UniPoly, cx, find_roots,
+from bringform import (DEFAULT_TOLERANCE, DegenerateDenominator,
+                       ReductionTrace, RootConfig, UniPoly, cx, find_roots,
                        match_roots, quintic_bring_ansatz, rat,
                        recover_roots, reduce_general_quintic, verify_trace)
 
@@ -48,3 +55,41 @@ def test_complex_rescue_family_round_trips():
     p = cx("1.5", "-2")
     _round_trip(p, p * rat(-3, 4), cx("0.25", "0.5"))
 
+
+
+def _precision_round_trip(P, prec, tol):
+    """reduce -> verify -> recover at prec bits; the trace read back from
+    its JSON verifies too, and the recovered roots match the input's own
+    roots to half the precision's digits."""
+    cfg = RootConfig(precision_bits=prec, tol=tol)
+    trace = reduce_general_quintic(P, prec=prec, tol=tol)
+    assert verify_trace(trace, cfg).matched
+    back = ReductionTrace.from_json(json.loads(json.dumps(trace.to_json())), prec)
+    assert verify_trace(back, cfg).matched
+    ok, dist = match_roots(find_roots(P, cfg).roots, recover_roots(trace, cfg),
+                           tol=2.0 ** (-prec // 2))
+    assert ok, dist
+
+
+def _distinct_roots(coeffs):
+    return sympy.discriminant(sum(c * _X ** k for k, c in enumerate(coeffs)), _X) != 0
+
+
+@pytest.mark.parametrize("prec,tol", [(64, "1e-14"), (128, DEFAULT_TOLERANCE),
+                                      (512, DEFAULT_TOLERANCE), (1024, DEFAULT_TOLERANCE)])
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(cs=st.lists(st.fractions(-10, 10, max_denominator=4), min_size=5, max_size=5))
+def test_round_trips_across_precisions(prec, tol, cs):
+    assume(_distinct_roots(cs + [1]))
+    P = UniPoly([rat(c.numerator, c.denominator) for c in cs] + [rat(1)], "z")
+    _precision_round_trip(P, prec, tol)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(parts=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                      min_size=5, max_size=5),
+       prec=st.sampled_from([128, 256, 512]))
+def test_complex_coefficient_round_trips(parts, prec):
+    assume(_distinct_roots([a + b * sympy.I for a, b in parts] + [1]))
+    P = UniPoly([cx(a, b, prec) for a, b in parts] + [rat(1)], "z")
+    _precision_round_trip(P, prec, DEFAULT_TOLERANCE)

@@ -7,6 +7,7 @@ below anything double arithmetic could produce.
 """
 
 import json
+import operator
 import random
 import re
 import sys
@@ -16,10 +17,14 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import (from_int, fzero, mpc_add, mpc_div, mpc_mul, mpc_pos,
+                          mpc_sub, mpf_div, round_nearest)
 
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        rat, reduce_general_quintic, verify_trace)
-from bringform.scalars import as_tol, negligible, pick_root, sort_key
+from bringform.scalars import as_scalar, as_tol, negligible, pick_root, sort_key
 
 TINY = mpmath.mpf("1e-70")
 
@@ -170,6 +175,127 @@ def test_pick_root_breaks_exact_ties_by_real_then_imaginary_part():
 def test_division_by_exact_zero_raises():
     with pytest.raises(ZeroDivisionError):
         rat(1) / rat(0)
+
+
+# -- shortcuts return the generic libmp result ----------------------------------
+
+# dunder -> (Fraction operator, libmp function, whether the argument is the
+# left operand, the same operation seen from the argument)
+BINARY_DUNDERS = {
+    "__add__": (operator.add, mpc_add, False, "__radd__"),
+    "__radd__": (operator.add, mpc_add, True, "__add__"),
+    "__sub__": (operator.sub, mpc_sub, False, "__rsub__"),
+    "__rsub__": (operator.sub, mpc_sub, True, "__sub__"),
+    "__mul__": (operator.mul, mpc_mul, False, "__rmul__"),
+    "__rmul__": (operator.mul, mpc_mul, True, "__mul__"),
+    "__truediv__": (operator.truediv, mpc_div, False, "__rtruediv__"),
+    "__rtruediv__": (operator.truediv, mpc_div, True, "__truediv__"),
+}
+
+
+def _generic_raw(v, prec):
+    """The libmp pair the generic path feeds to libmp: a rational rounded
+    as mpf(numerator) / denominator, a complex Scalar as it is stored."""
+    if isinstance(v, Scalar) and not v.is_rational:
+        return v._c
+    f = v.fraction if isinstance(v, Scalar) else Fraction(v)
+    return (mpf_div(from_int(f.numerator, prec, round_nearest), from_int(f.denominator),
+                    prec, round_nearest), fzero)
+
+
+_fractions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-10 ** 40, 10 ** 40).map(Fraction),
+    st.fractions(max_denominator=10 ** 12).filter(lambda f: abs(f) < 10 ** 40))
+
+
+@st.composite
+def _rational_operands(draw):
+    """0, 1, -1, integers and fractions, as Scalars or as plain int / Fraction."""
+    f = draw(_fractions)
+    form = draw(st.sampled_from(["scalar", "plain"] if f.denominator == 1
+                                else ["scalar", "fraction"]))
+    if form == "scalar":
+        return rat(f.numerator, f.denominator)
+    return f.numerator if form == "plain" else f
+
+
+@st.composite
+def _complex_operands(draw):
+    """Complex Scalars at 64, 256 or 1024 bits, real-valued or not; some read
+    by from_json (prec + 16 bits in a prec-bit value), some not finite."""
+    prec = draw(st.sampled_from([64, 256, 1024]))
+    kind = draw(st.sampled_from(["cx", "cx", "json", "json", "inf"]))
+    if kind == "inf":
+        return Scalar.complex_(draw(st.sampled_from([mpmath.inf, -mpmath.inf, mpmath.nan, 1])),
+                               draw(st.sampled_from([mpmath.inf, mpmath.nan, 0, 2])), prec)
+    re = draw(_fractions)
+    im = draw(st.one_of(st.just(Fraction(0)), _fractions))
+    z = cx(re, im, prec + 40).sqrt() if draw(st.booleans()) else cx(re, im, prec + 40)
+    if kind == "json":
+        return Scalar.from_json(z.to_json(), prec)
+    return Scalar.from_mpc(z.to_mpc(), prec)
+
+
+def _check_dunder(x, y, name):
+    """x.name(y), and the same operation from y when y is a Scalar, against
+    the generic libmp call: same kind, precision and raw pair."""
+    _, cop, swapped, mirror = BINARY_DUNDERS[name]
+    prec = max(x.prec, y.prec if isinstance(y, Scalar) and y.prec else 0)
+    a, b = _generic_raw(x, prec), _generic_raw(y, prec)
+    calls = [lambda: getattr(x, name)(y)]
+    if isinstance(y, Scalar):
+        calls.append(lambda: getattr(y, mirror)(x))
+    try:
+        want = cop(b, a, prec, round_nearest) if swapped else cop(a, b, prec, round_nearest)
+    except ZeroDivisionError:
+        for call in calls:
+            with pytest.raises(ZeroDivisionError):
+                call()
+        return
+    for call in calls:
+        got = call()
+        assert not got.is_rational and got.prec == prec
+        assert got._c == want, (x, y, name)
+
+
+# every shortcut's operand, in each form, meets every drawn complex value
+SHORTCUT_OPERANDS = (rat(0), rat(1), rat(-1), 0, 1, -1, Fraction(-1), rat(12), 12,
+                     Fraction(-5, 3), rat(2, 7))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(x=_complex_operands(), y=st.one_of(_rational_operands(), _complex_operands()))
+def test_binary_dunders_match_the_generic_libmp_call(x, y):
+    for other in SHORTCUT_OPERANDS + (y,):
+        for name in BINARY_DUNDERS:
+            _check_dunder(x, other, name)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(x=_rational_operands(), y=_rational_operands(),
+       name=st.sampled_from(sorted(BINARY_DUNDERS)))
+def test_rational_dunders_stay_exact(x, y, name):
+    op, _, swapped, _ = BINARY_DUNDERS[name]
+    x = as_scalar(x)
+    left, right = x.fraction, y.fraction if isinstance(y, Scalar) else Fraction(y)
+    if swapped:
+        left, right = right, left
+    if op is operator.truediv and right == 0:
+        with pytest.raises(ZeroDivisionError):
+            getattr(x, name)(y)
+        return
+    got = getattr(x, name)(y)
+    assert got.is_rational and type(got.fraction) is Fraction
+    assert got.fraction == op(left, right)
+
+
+def test_times_one_rounds_a_value_read_at_extra_precision():
+    # from_json carries prec + 16 bits; x * 1 must come back at prec bits
+    x = Scalar.from_json(["0.1234567890123456789012345678901234567", "-7.5e-3"], 64)
+    assert x._c != mpc_pos(x._c, 64, round_nearest)
+    for y in (x * 1, 1 * x, x * rat(1), x + 0, x - 0, -(0 - x), -(x * -1)):
+        assert y._c == mpc_pos(x._c, 64, round_nearest)
 
 
 # -- precision is local to each value -------------------------------------------
