@@ -239,13 +239,14 @@ def _validate(args):
         t = mpmath.mpf(args.tol)
     except ValueError:
         raise UsageError("--tol must be a number, got %r" % args.tol)
-    if not t > 0:
-        raise UsageError("--tol must be positive")
-    # the two routes of a step agree only to about 2^(16 - prec) relative
-    if t < mpmath.ldexp(1, 16 - args.precision_bits):
+    if not (t > 0 and t < 1):  # also refuses nan and inf
+        raise UsageError("--tol must lie strictly between 0 and 1, got %r" % args.tol)
+    # the two routes of a step agree to about 2^(16 - prec) relative; the
+    # ansatz's conditions and the back-solve lose up to 8 bits more
+    if t < mpmath.ldexp(1, 24 - args.precision_bits):
         raise UsageError("--tol %s is finer than %d bits resolve; use --tol 1e%d or coarser"
                          % (args.tol, args.precision_bits,
-                            math.ceil((16 - args.precision_bits) * math.log10(2))))
+                            math.ceil((24 - args.precision_bits) * math.log10(2))))
 
 
 def main(argv=None) -> int:

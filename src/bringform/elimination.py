@@ -10,7 +10,9 @@ is computed here by two independent routes:
   Computational Algebraic Number Theory*, Alg. 2.2.9).  The similarity
   transforms are exact ``Fraction`` arithmetic when every entry is rational
   and pivot by magnitude otherwise.  ``sylvester_resultant_with_factor``
-  routes a subsidiary relation B = c*y - T(z) here.
+  routes a subsidiary relation B = c*y - T(z) here, and
+  ``polynomial_resultant`` any Res(P, Q), as the constant term of the
+  charpoly of Q modulo P.  It is the package's one determinant routine.
 * ``transform_by_power_sums``: the power sums of C are the traces
   sum_i (T^j mod A)_i s_i(A), so only s_0..s_(n-1) of A are needed; Newton's
   identities rebuild C from them.
@@ -22,10 +24,10 @@ Conditions in free parameters come from ``image_elementary``: with each
 coefficient of T affine in the parameters, the power sums of the images are
 Hankel forms in the power sums of A (Adamchik & Jeffrey, "Polynomial
 transformations of Tschirnhaus, Bring and Jerrard", SIGSAM Bull. 37(3),
-2003), returned as dicts from exponent tuples to Scalars.  ``formal_resultant``
-is the one Sylvester determinant, over scalars, for the elimination that is
-not a map of roots (b between the two conditions of the quartic obstruction,
-taken at sample values of c and interpolated, after Collins, JACM 18, 1971).
+2003), returned as dicts from exponent tuples to Scalars.  The one
+elimination that is not a map of roots, b between the two conditions of the
+quartic obstruction, needs no determinant: the first condition is linear in
+b (``pipeline.quartic_obstruction_G``).
 """
 
 from __future__ import annotations
@@ -51,55 +53,6 @@ class BiPoly:
     @property
     def degree_z(self) -> int:
         return len(self.z_coeffs) - 1
-
-
-def _det(M):
-    """Determinant by fraction-free (Bareiss) elimination: exact over the
-    rationals with the first nonzero pivot, largest-magnitude pivot otherwise."""
-    n = len(M)
-    M = [row[:] for row in M]
-    exact = all(e.is_rational for row in M for e in row)
-    sign = 1
-    prev = rat(1)
-    for k in range(n - 1):
-        cands = [i for i in range(k, n) if not M[i][k].is_exact_zero()]
-        if not cands:
-            return rat(0)
-        p = cands[0] if exact else max(cands, key=lambda i: M[i][k].mag())
-        if p != k:
-            M[k], M[p] = M[p], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]) / prev
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def formal_resultant(p, q):
-    """Sylvester determinant of two ascending Scalar coefficient sequences,
-    taken at their formal degrees len - 1 (a zero leading entry is kept)."""
-    if not p or not q:
-        return rat(0)
-    dp, dq = len(p) - 1, len(q) - 1
-    if dp == 0:
-        return p[0] ** dq
-    if dq == 0:
-        return q[0] ** dp
-    size = dp + dq
-    zero = rat(0)
-    rows = []
-    for i in range(dq):
-        rows.append([zero] * i + list(reversed(p)) + [zero] * (size - dp - 1 - i))
-    for i in range(dp):
-        rows.append([zero] * i + list(reversed(q)) + [zero] * (size - dq - 1 - i))
-    return _det(rows)
-
-
-def polynomial_resultant(P: UniPoly, Q: UniPoly) -> Scalar:
-    """Resultant of two scalar-coefficient polynomials."""
-    return formal_resultant(P.coeffs, Q.coeffs)
 
 
 def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
@@ -160,6 +113,18 @@ def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
                 new[k] = new[k] - f * c
         polys.append(new)
     return UniPoly(polys[n], "y")
+
+
+def polynomial_resultant(P: UniPoly, Q: UniPoly) -> Scalar:
+    """Res(P, Q) = lc(P)^(deg Q) prod Q(z_i) over the roots z_i of P, that is
+    lc(P)^(deg Q) (-1)^(deg P) times the constant term of the
+    ``map_charpoly`` of Q modulo the monic P/lc(P); 0 when P or Q is zero."""
+    if P.is_exact_zero() or Q.is_exact_zero():
+        return rat(0)
+    A, lc = P.monic()
+    charpoly_at_0 = map_charpoly(A, Q.coeffs).coeff(0)
+    value = lc ** Q.degree * charpoly_at_0
+    return -value if P.degree % 2 else value
 
 
 def sylvester_resultant_with_factor(A: UniPoly, B: BiPoly):

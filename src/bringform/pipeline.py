@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .elimination import (form_in, formal_resultant, image_elementary,
-                          map_charpoly, transform_by_power_sums)
+from .elimination import (form_in, image_elementary, map_charpoly,
+                          transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
                           relative_residual, rem_monic, shift_substitute)
@@ -212,7 +212,12 @@ class BringAnsatz:
 @dataclass(frozen=True)
 class ObstructionReport:
     """Why a cubic subsidiary cannot finish a trinomial quartic in radicals of
-    low degree: the two remaining conditions collide in a sextic."""
+    low degree: the two remaining conditions collide in a sextic.
+
+    ``y2_condition`` is E(b, c), linear in b, and ``y1_condition`` F(b, c);
+    ``obstruction`` is G(c) = Res_b(E, F) and ``degree`` its degree after
+    dropping negligible leading coefficients, below six when ``degenerate``.
+    """
 
     p: Scalar
     q: Scalar
@@ -225,8 +230,8 @@ class ObstructionReport:
 
     def conditions_at(self, c):
         """The y^2 and y^1 conditions as polynomials in b at the given c."""
-        return (UniPoly(_b_coeffs(self.y2_condition, c), "b"),
-                UniPoly(_b_coeffs(self.y1_condition, c), "b"))
+        return tuple(UniPoly([row.eval(c) for row in _b_rows(form)], "b")
+                     for form in (self.y2_condition, self.y1_condition))
 
 
 @dataclass(frozen=True)
@@ -438,26 +443,13 @@ def reciprocal_transform(poly: UniPoly, *, tol=None) -> TransformStep:
     return TransformStep("reciprocal", poly, None, C, ())
 
 
-def _b_coeffs(form, c):
-    """Ascending b-coefficients of a form in (b, c) at a value of c (Horner
-    in c), up to the form's formal degree in b."""
+def _b_rows(form):
+    """The rows of a form in (b, c), ascending in b up to its formal degree,
+    each a polynomial in c."""
     rows = [{} for _ in range(max((ib for ib, _ in form), default=-1) + 1)]
     for (ib, ic), v in form.items():
         rows[ib][(ic,)] = v
-    return [form_in(row, "c").eval(c) for row in rows]
-
-
-def _interpolate(values, var: str) -> UniPoly:
-    """The polynomial of degree < len(values) that takes values[c] at
-    c = 0, 1, 2, ..., by Newton's forward differences."""
-    coef = list(values)
-    for j in range(1, len(coef)):
-        for i in range(len(coef) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * rat(1, j)
-    out = UniPoly([coef[-1]], var)
-    for i in range(len(coef) - 2, -1, -1):
-        out = out * UniPoly([rat(-i), rat(1)], var) + coef[i]
-    return out
+    return [form_in(row, "c") for row in rows]
 
 
 def quartic_obstruction_G(p, q, *, prec=None, tol=None) -> ObstructionReport:
@@ -468,10 +460,11 @@ def quartic_obstruction_G(p, q, *, prec=None, tol=None) -> ObstructionReport:
     b leaves a degree-six polynomial in c: reaching a pure quartic this way
     costs a sextic, which is the whole point of reporting it.
 
-    E and F are power-sum forms.  G(c) = Res_b(E, F) is a scalar Sylvester
-    determinant at c = 0, ..., 7, with E and F at their formal degrees in b
-    (a leading coefficient may vanish at a node), interpolated through the
-    first seven nodes; the eighth checks that deg G <= 6.
+    E and F are power-sum forms.  Since s_1 = s_2 = 0 for z^4 + p z + q, E is
+    E_0(c) + E_1(c) b, linear in b, so G(c) = Res_b(E, F) at the forms'
+    formal degrees is sum_j F_j(c) (-E_0(c))^j E_1(c)^(d_F - j) over the
+    b-rows F_j of F: a polynomial identity, of degree at most six by
+    construction.
     """
     p, q = as_scalar(p), as_scalar(q)
     A = UniPoly([q, p, rat(0), rat(0), rat(1)], "z")
@@ -482,11 +475,15 @@ def quartic_obstruction_G(p, q, *, prec=None, tol=None) -> ObstructionReport:
     xs = [(a, zero, zero), (zero, one, zero), (zero, zero, one), (one, zero, zero)]
     e1, E, F = image_elementary(A, xs, 3)
     _assert_vanishes(e1.values(), coeff_scale(A), tol, "second coefficient in b, c")
-    values = [formal_resultant(_b_coeffs(E, rat(c)), _b_coeffs(F, rat(c)))
-              for c in range(8)]
-    G = _interpolate(values[:7], "c")
-    _assert_vanishes(G.eval(rat(7)) - values[7], max(1, values[7].mag()), tol,
-                     "obstruction above degree six")
+    Es, Fs = _b_rows(E), _b_rows(F)
+    if len(Es) > 2:
+        raise ConsistencyError("unexpected b^2 term in the y^2 condition")
+    G = UniPoly((), "c")
+    if len(Es) == 2:
+        for j, Fj in enumerate(Fs):
+            G = G + Fj * (-Es[0]) ** j * Es[1] ** (len(Fs) - 1 - j)
+    elif Es and Fs:  # E has no b-row
+        G = Es[0] ** (len(Fs) - 1)
     eff = G.effective_degree(tol)
     return ObstructionReport(p, q, a, E, F, G, eff, eff < 6)
 

@@ -122,12 +122,6 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
         dcs = [cs[i] * i for i in range(1, n + 1)]
         acs = [abs(c) for c in cs]
 
-        def horner(csl, z):
-            acc = csl[-1]
-            for c in reversed(csl[:-1]):
-                acc = acc * z + c
-            return acc
-
         def noise_floor(z):
             az = abs(z)
             t = ctx.mpf(0)
@@ -143,11 +137,11 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
             max_step = ctx.mpf(0)
             nxt = list(zs)
             for i, z in enumerate(zs):
-                pv = horner(cs, z)
+                pv = _horner(cs, z)
                 if abs(pv) <= 16 * noise_floor(z):
                     continue
                 settled = False
-                dv = horner(dcs, z)
+                dv = _horner(dcs, z)
                 if dv == 0:
                     nxt[i] = z + eps * (1 + abs(z))
                     continue
@@ -166,10 +160,18 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
             if settled or (it > 0 and max_step <= eps):
                 break
         zs = _polish_multiple(zs, cs, ctx)
-        converged = all(abs(horner(cs, z)) <= 64 * noise_floor(z) for z in zs)
+        converged = all(abs(_horner(cs, z)) <= 64 * noise_floor(z) for z in zs)
         found = [Scalar.from_mpc(z, prec) for z in zs]
     roots = tuple(sorted([rat(0)] * zeros + found, key=sort_key))
     return RootSet(roots, converged, iterations)
+
+
+def _horner(cs, x):
+    """The polynomial with ascending mpc coefficients cs (at least one) at x."""
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * x + c
+    return acc
 
 
 def _float_aberth(cs, zs):
@@ -281,12 +283,7 @@ def _polish_multiple(zs, cs, ctx):
         dq = [q[i] * i for i in range(1, len(q))]
         x = sum(zs[i] for i in members) / m
         for _ in range(60):
-            fx = x * 0
-            for c in reversed(q):
-                fx = fx * x + c
-            dfx = x * 0
-            for c in reversed(dq):
-                dfx = dfx * x + c
+            fx, dfx = _horner(q, x), _horner(dq, x)
             if dfx == 0:
                 break
             step = fx / dfx

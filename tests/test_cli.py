@@ -57,15 +57,35 @@ def test_reduce_at_64_bits_verifies_with_a_tolerance_that_fits(capsys):
 
 
 def test_tolerance_finer_than_the_precision_is_refused(capsys):
-    # the default 1e-30 does not fit 64 bits: the routes of a step agree only
-    # to about 2e-17 there, so the run would end in a verification failure
-    code, out, err = run(capsys, "reduce", "--coeffs", *QUINTIC, "--precision-bits", "64")
-    assert code == EXIT_USAGE and out == ""
-    assert "--tol 1e-14" in err
+    # neither the default 1e-30 nor 1e-14 fits 64 bits: the routes of a step
+    # agree only to about 2e-17 there, and the ansatz's conditions and the
+    # back-solve lose up to 8 bits more (1e-14 fails 4 of the first 100
+    # acceptance quintics), so the run could end in a verification failure
+    for flags in ((), ("--tol", "1e-14")):
+        code, out, err = run(capsys, "reduce", "--coeffs", *QUINTIC,
+                             "--precision-bits", "64", *flags)
+        assert code == EXIT_USAGE and out == ""
+        assert "--tol 1e-12" in err
     # the tolerance the message names is workable
     code, out, _ = run(capsys, "reduce", "--coeffs", *QUINTIC, "--precision-bits", "64",
-                       "--tol", "1e-14", "--output", "text")
+                       "--tol", "1e-12", "--output", "text")
     assert code == EXIT_OK and "verified: yes" in out
+
+
+@pytest.mark.parametrize("tol", ["inf", "1e300", "1", "nan"])
+def test_tolerance_that_checks_nothing_is_refused(capsys, tmp_path, tol):
+    # a wrong claimed P fails verify at the default tolerance; at a tolerance
+    # of 1 or more every comparison would pass and the claim be "verified"
+    trace = tmp_path / "trace.json"
+    assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
+    doc = json.loads(trace.read_text())
+    doc["trace"]["bring_p"] = ["7.0", "0.0"]
+    trace.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--in", str(trace), "--output", "text")
+    assert code == EXIT_VERIFY and "verified: NO" in out
+    code, out, err = run(capsys, "verify", "--in", str(trace), "--tol", tol)
+    assert code == EXIT_USAGE and out == ""
+    assert "--tol" in err
 
 
 @pytest.mark.parametrize("flags", [

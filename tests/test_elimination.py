@@ -97,6 +97,71 @@ def test_resultant_detects_shared_root():
     assert polynomial_resultant(P, Q).is_exact_zero()
 
 
+def _nonzero_poly(rng, deg, coeff):
+    """A polynomial of exact degree deg with coefficients drawn by coeff(rng)."""
+    cs = [coeff(rng) for _ in range(deg + 1)]
+    while cs[-1].mag() == 0:
+        cs[-1] = coeff(rng)
+    return UniPoly(cs)
+
+
+def _sympy_expr(P, z):
+    def value(c):
+        if c.is_rational:
+            return sympy.Rational(c.fraction.numerator, c.fraction.denominator)
+        # Gaussian integers here, so rounding to int is exact
+        return int(c.re()) + sympy.I * int(c.im())
+    return sum((value(c) * z ** k for k, c in enumerate(P.coeffs)), sympy.Integer(0))
+
+
+def _sympy_resultant(X, Y, z):
+    """Res(X, Y) from sympy.  sympy 1.14 returns Res(Y, X) when deg X < deg Y,
+    which has the wrong sign when both degrees are odd: resultant(z - 1,
+    z^5 + 1) gives -2, where the Sylvester determinant and Q(1) give 2.  So
+    it is asked in the order it gets right."""
+    x, y = _sympy_expr(X, z), _sympy_expr(Y, z)
+    if X.degree >= Y.degree:
+        return sympy.expand(sympy.resultant(x, y, z))
+    return (-1) ** (X.degree * Y.degree) * sympy.expand(sympy.resultant(y, x, z))
+
+
+def test_polynomial_resultant_matches_sympy_on_rational_pairs():
+    z = sympy.Symbol("z")
+    rng = random.Random(43)
+    for _ in range(60):
+        P, Q = (_nonzero_poly(rng, rng.randint(0, 5), rand_scalar) for _ in range(2))
+        for X, Y in ((P, Q), (Q, P)):
+            want = sympy.Rational(_sympy_resultant(X, Y, z))
+            got = polynomial_resultant(X, Y)
+            assert got.fraction == Fraction(int(want.p), int(want.q)), (X, Y)
+        # swapping the arguments flips the sign when both degrees are odd
+        sign = -1 if P.degree * Q.degree % 2 else 1
+        assert polynomial_resultant(Q, P) == polynomial_resultant(P, Q) * sign
+
+
+def test_polynomial_resultant_with_the_zero_polynomial_is_zero():
+    zero = UniPoly([])
+    for other in (UniPoly([rat(5)]), UniPoly([rat(1), rat(0), rat(1)]), zero):
+        assert polynomial_resultant(zero, other).is_exact_zero()
+        assert polynomial_resultant(other, zero).is_exact_zero()
+
+
+def test_polynomial_resultant_matches_sympy_on_gaussian_integer_pairs():
+    z = sympy.Symbol("z")
+    rng = random.Random(44)
+
+    def gaussian(rng):
+        return cx(rng.randint(-5, 5), rng.randint(-5, 5))
+
+    for _ in range(20):
+        P, Q = (_nonzero_poly(rng, rng.randint(1, 5), gaussian) for _ in range(2))
+        for X, Y in ((P, Q), (Q, P)):
+            exact = _sympy_resultant(X, Y, z)
+            w = mpmath.mpc(int(sympy.re(exact)), int(sympy.im(exact)))
+            got = polynomial_resultant(X, Y).to_mpc()
+            assert abs(got - w) <= mpmath.mpf("1e-60") * max(1, abs(w)), (X, Y)
+
+
 def test_routes_agree_in_complex_mode():
     rng = random.Random(34)
     for _ in range(10):

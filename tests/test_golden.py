@@ -17,11 +17,19 @@ moves even a trailing digit of the README quintic's trace or report fails
 here and has to say so.  Regenerate it, after such a deliberate change, with
 ``PYTHONPATH=src python -m bringform.cli reduce --coeffs 1 -1 4 1 -2 3
 --out tests/golden/readme_reduce.json``.
+
+``golden/obstruction.json`` maps each of six trinomial quartics, written as
+the one ``--coeffs`` token of ``bringform obstruction``, to that command's
+standard output, byte for byte.  Regenerate it, after a deliberate change,
+with ``PYTHONPATH=src python tests/test_golden.py obstruction``.
 """
 
+import contextlib
+import io
 import json
 import os
 import random
+import sys
 
 import mpmath
 
@@ -33,6 +41,9 @@ README_REDUCE = os.path.join(os.path.dirname(__file__), "golden", "readme_reduce
 DIGITS = 40
 REL_TOL = mpmath.mpf("1e-30")
 README_QUINTIC = [3, -2, 1, 4, -1, 1]
+OBSTRUCTION = os.path.join(os.path.dirname(__file__), "golden", "obstruction.json")
+OBSTRUCTION_QUARTICS = ["1 0 0 1 1", "1 0 0 0 1", "1 0 0 4 -3", "1 0 0 2 -3",
+                        "1 0 0 0 0", "1 0 0 1/2 -7/3"]
 
 
 def _quintics():
@@ -81,7 +92,26 @@ def test_readme_reduce_output_matches_golden_bytes(capsys):
         assert capsys.readouterr().out == fh.read()
 
 
-if __name__ == "__main__":
+def _obstruction_stdout(coeffs):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["obstruction", "--coeffs", coeffs]) == EXIT_OK
+    return out.getvalue()
+
+
+def test_obstruction_output_matches_golden_bytes():
+    with open(OBSTRUCTION) as fh:
+        golden = json.load(fh)
+    assert list(golden) == OBSTRUCTION_QUARTICS
+    for coeffs, want in golden.items():
+        assert _obstruction_stdout(coeffs) == want, coeffs
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["obstruction"]:
+    with open(OBSTRUCTION, "w") as fh:
+        json.dump({c: _obstruction_stdout(c) for c in OBSTRUCTION_QUARTICS}, fh, indent=1)
+        fh.write("\n")
+elif __name__ == "__main__":
     lines = [json.dumps(_record(c)) for c in _quintics()]
     with open(CORPUS, "w") as fh:
         fh.write("[\n" + ",\n".join(lines) + "\n]\n")

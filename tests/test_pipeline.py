@@ -351,8 +351,11 @@ def test_obstruction_matches_sympy_resultant():
     # Y = -(M^3 + c M^2 + b M + 3p/4) for the companion matrix M of z^4 + p z + q
     b, c, y = sympy.symbols("b c y")
     rng = random.Random(53)
-    points = [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(0))]
-    while len(points) < 12:
+    # at (4, -3) and (2, -3) the b-coefficient 3pc + 4q of the y^2
+    # condition vanishes at a small integer c
+    points = [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(0)),
+              (Fraction(4), Fraction(-3)), (Fraction(2), Fraction(-3))]
+    while len(points) < 14:
         points.append((Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)),
                        Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
     for pf, qf in points:
