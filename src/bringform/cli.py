@@ -9,8 +9,9 @@ Four subcommands:
     verify       re-check a previously emitted trace file
 
 Exit codes: 0 success, 1 verification failure, 2 degenerate input (an
-ansatz denominator that vanishes even at halved roots, or a rational
-quintic with a repeated root; no trace is emitted), 64 usage error.
+ansatz denominator that vanishes even at halved roots, a rational quintic
+with a repeated root, or a complex one whose bring-jerrard step merges
+roots; no trace is emitted), 64 usage error.
 """
 
 from __future__ import annotations

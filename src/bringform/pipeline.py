@@ -16,16 +16,23 @@ Each step is computed twice, by independent routes: det(y - M_T) of
 multiplication by T modulo A, and power-sum transport through Newton's
 identities.  They must agree (exactly in rational mode) or the step fails.
 
-A ``TransformStep`` owns everything that depends on its kind: ``redo``
-recomputes its output, and ``image`` and ``preimages`` move roots through it
-forward and back.  The reciprocal step, z -> 1/z, is the one step without a
-subsidiary.
+A ``TransformStep`` owns everything that depends on its kind: ``certify``
+proves its output without eliminating again, and ``image`` and
+``preimages`` move roots through it forward and back.  The certificate is
+two identities modulo A.  U(T) = z, for the inverse map U, makes 1, T, ...,
+T^(n-1) a basis of K[z]/(A), so the minimal polynomial of M_T is its
+characteristic polynomial; a monic C of degree n with C(T) = 0 is then
+det(y - M_T) = prod (y - T(z_i)).  The powers of T modulo A are built once
+per step (``powers``) and serve both the C(T) sum and the solve for U.  The
+reciprocal step, z -> 1/z, is the one step without a subsidiary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+import mpmath
 
 from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
@@ -121,14 +128,47 @@ class TransformStep:
     def is_identity(self) -> bool:
         return self.subsidiary is not None and self.subsidiary.is_identity()
 
-    def redo(self, tol=None) -> UniPoly:
-        """The output recomputed from the input; raises ``ConsistencyError``
-        or ``DegenerateDenominator`` when the step cannot be redone."""
-        if self.is_identity:
-            return self.input
+    def certify(self, tol=None):
+        """Certify the step modulo its monic input A, with no elimination
+        and no roots (see the module docstring): U(T) = z by Horner, U being
+        the step's one inverse map (``inverse``), and C(T) = 0 for the monic
+        output C of degree n, summed as sum c_j (T^j mod A) over ``powers``.
+        The reciprocal step's output must be the reversed input over c_0,
+        an identity step's its input.  Returns (largest |coefficient| of
+        U(T) - z relative to ``coeff_scale(A)``, 0 for a step without U;
+        ok); C(T) counts within tol * coeff_scale(A) * coeff_scale(C),
+        exactly in rational mode."""
+        A, C = self.input, self.output
+        if not A.is_monic():
+            return mpmath.inf, False
         if self.subsidiary is None:
-            return reciprocal_transform(self.input, tol=tol).output
-        return dual_eliminate(self.input, self.subsidiary, tol)[0]
+            c0 = A.coeff(0)
+            ok = not c0.is_exact_zero() and coeff_mismatch(
+                UniPoly([c / c0 for c in reversed(A.coeffs)], "y"), C, tol) is None
+            return mpmath.mpf(0), ok
+        if self.is_identity:
+            return mpmath.mpf(0), coeff_mismatch(A, C, tol) is None
+        U = self.inverse
+        if U is None:
+            return mpmath.inf, False
+        T = self.subsidiary.map_in_z()
+        UT = UniPoly([], "z")
+        for u in reversed(U.coeffs):
+            UT = UniPoly(rem_monic(UT * T + u, A), "z")
+        miss = (UT - UniPoly([rat(0), rat(1)], "z")).coeffs
+        scale = coeff_scale(A)
+        residual = max([mpmath.mpf(0)] + [c.mag() for c in miss]) / scale
+        n = A.degree
+        ok = (all(negligible(c, tol, scale) for c in miss)
+              and self.subsidiary.k < n and C.is_monic() and C.degree == n)
+        if ok:
+            CT = [rat(0)] * n
+            for c, P in zip(C.coeffs, self.powers):
+                if not c.is_exact_zero():
+                    CT = [r + c * p for r, p in zip(CT, P)]
+            scale = scale * coeff_scale(C)
+            ok = all(negligible(r, tol, scale) for r in CT)
+        return residual, ok
 
     def image(self, zs):
         """The images of the roots zs under the step's map."""
@@ -138,9 +178,21 @@ class TransformStep:
         return [T.eval(z) for z in zs]
 
     @cached_property
+    def powers(self):
+        """T^0, T^1, ..., T^n modulo the input A (n = deg A), each as its n
+        ascending coefficients, built once per step: ``step_inverse`` solves
+        on the first n and ``certify`` sums C(T) over all n + 1."""
+        A = self.input
+        T = self.subsidiary.map_in_z()
+        out = [rem_monic(UniPoly([rat(1)], "z"), A)]
+        while len(out) <= A.degree:
+            out.append(rem_monic(UniPoly(out[-1], "z") * T, A))
+        return out
+
+    @cached_property
     def inverse(self):
         """The step's inverse map U (``step_inverse``), built once per step:
-        ``verify_transform`` and ``preimages`` share it."""
+        ``certify`` and ``preimages`` share it."""
         return step_inverse(self)
 
     def preimages(self, ys, *, prec=None, tol=None):
@@ -614,7 +666,10 @@ def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTr
     Identity steps (stages the input already satisfies) are elided from the
     trace; the final polynomial is y^5 + P y + Q.  A rational input with a
     repeated root raises ``DegenerateDenominator`` and gets no trace: the
-    ansatz would collapse its roots (README, "Repeated roots").
+    ansatz would collapse its roots (README, "Repeated roots").  A complex
+    input is not tested for repeated roots; it raises the same when the
+    bring-jerrard step fails its certificate (``TransformStep.certify``),
+    as a step that merges roots does.
     """
     _require_monic(poly)
     if poly.degree != 5:
@@ -633,6 +688,9 @@ def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTr
         cur = st.output.with_var("z")
     st = quintic_to_bring_jerrard(cur.coeff(2), cur.coeff(1), cur.coeff(0),
                                   prec=prec, tol=tol)
+    if not poly.is_rational_tree() and not st.certify(tol)[1]:
+        raise DegenerateDenominator(rat(0), "the bring-jerrard map merges roots: "
+                                            "a repeated root")
     if not st.is_identity:
         steps.append(st)
         cur = st.output
@@ -677,15 +735,12 @@ def step_inverse(step: TransformStep):
     one-to-one on the roots of A and only ``back_solve`` can pull them back.
     In complex mode a merging map gives a tiny pivot rather than a zero one,
     and neither the pivot nor the solve's own residual tells it apart from a
-    fine map, so a caller evaluates U: ``verify_transform`` checks U(T) = z
-    mod A, and ``TransformStep.preimages`` tests each U(y) on A.
+    fine map, so a caller evaluates U: ``TransformStep.certify`` checks
+    U(T) = z mod A, and ``TransformStep.preimages`` tests each U(y) on A.
     """
     A = step.input
     n = A.degree
-    T = step.subsidiary.map_in_z()
-    cols = [rem_monic(UniPoly([rat(1)], "z"), A)]
-    while len(cols) < n:
-        cols.append(rem_monic(UniPoly(cols[-1], "z") * T, A))
+    cols = step.powers
     rhs = rem_monic(UniPoly([rat(0), rat(1)], "z"), A)
     M = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
     for c in range(n):

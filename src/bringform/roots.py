@@ -1,7 +1,8 @@
 """Verification of traces by algebra, recovery of roots, and the root finder.
 
-Verification finds no roots: each step certifies itself (``verify_transform``)
-and the final polynomial must be the trinomial the trace claims.  The root
+Verification finds no roots and eliminates nothing: each step certifies
+itself by C(T) = 0 and U(T) = z modulo its input (``verify_transform``), and
+the final polynomial must be the trinomial the trace claims.  The root
 finder serves recovery, the obstruction report and the tests.  It is a
 simultaneous Aberth-Ehrlich iteration with a seeded, deterministically
 perturbed circle of starting points, so identical inputs give bit-identical
@@ -16,9 +17,10 @@ a coefficient or an iterate does not fit a float or two iterates coincide.
 copy of one on the same value, so root sets compare by plain optimal
 pairing.
 
-Nothing here depends on what kind a step is.  Each ``TransformStep`` redoes
-itself (``redo``) and moves roots through itself forward (``image``) and
-back (``preimages``); verification and recovery only walk the chain.
+Nothing here depends on what kind a step is.  Each ``TransformStep``
+certifies itself (``certify``) and moves roots through itself forward
+(``image``) and back (``preimages``); verification and recovery only walk
+the chain.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from math import isfinite
 
 import mpmath
 
-from .errors import ConsistencyError, DegenerateDenominator
-from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
-                          relative_residual, rem_monic)
+from .polynomials import (UniPoly, coeff_mismatch, power_sums,
+                          relative_residual)
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar,
-                      as_tol, context, negligible, rat, sort_key)
+                      as_tol, context, rat, sort_key)
 from .solvers import solve_condition
 
 DEFAULT_MATCH_TOLERANCE = "1e-25"
@@ -333,34 +334,11 @@ def match_roots(xs, ys, *, tol=DEFAULT_MATCH_TOLERANCE):
 
 
 def verify_transform(step, config: RootConfig = None):
-    """Certify one step with no roots: a monic input, an output that ``redo``
-    reproduces (its power-sum route proves C = prod (y - T(z_i))), and an
-    inverse map U with U(T) = z mod the input A, so T keeps distinct roots
-    apart.  U is the step's one inverse map (``TransformStep.inverse``), the
-    same that ``preimages`` pulls roots back with; U(T) is evaluated by
-    Horner, not taken from the solve.  Returns (largest |coefficient| of
-    U(T) - z relative to ``coeff_scale(A)``, 0 for a step without U, ok)."""
-    cfg = config or RootConfig()
-    A = step.input
-    if not A.is_monic():
-        return mpmath.inf, False
-    try:
-        ok = coeff_mismatch(step.redo(cfg.tol), step.output, cfg.tol) is None
-    except (ConsistencyError, DegenerateDenominator, ValueError):
-        ok = False  # ValueError: a map of too high a degree for its input
-    if step.subsidiary is None or step.is_identity:
-        return mpmath.mpf(0), ok
-    U = step.inverse
-    if U is None:
-        return mpmath.inf, False
-    T = step.subsidiary.map_in_z()
-    UT = UniPoly([], "z")
-    for u in reversed(U.coeffs):
-        UT = UniPoly(rem_monic(UT * T + u, A), "z")
-    miss = (UT - UniPoly([rat(0), rat(1)], "z")).coeffs
-    scale = coeff_scale(A)
-    residual = max([mpmath.mpf(0)] + [c.mag() for c in miss]) / scale
-    return residual, ok and all(negligible(c, cfg.tol, scale) for c in miss)
+    """Certify one step with no roots and no elimination
+    (``TransformStep.certify`` at the config's tolerance).  Returns (largest
+    |coefficient| of U(T) - z relative to ``coeff_scale(A)``, 0 for a step
+    without U; ok)."""
+    return step.certify((config or RootConfig()).tol)
 
 
 def bring_curve_residual(roots):

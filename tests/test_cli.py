@@ -267,6 +267,16 @@ def test_reduce_with_collapsed_repeated_root_exits_two(capsys):
     assert code == EXIT_DEGENERATE and out == ""
 
 
+def test_reduce_in_complex_mode_with_collapsed_repeated_root_exits_two(capsys):
+    # (x - 1)^2 (x^3 + 2x + 3) read as complex floats is not tested for a
+    # repeated root; its bring-jerrard step then fails its certificate
+    code, out, err = run(capsys, "reduce", "--mode", "complex",
+                         "--coeffs", "1", "-2", "3", "-1", "-4", "3")
+    assert code == EXIT_DEGENERATE and out == "" and "merges roots" in err
+    code, out, _ = run(capsys, "reduce", "--mode", "complex", "--coeffs", *QUINTIC)
+    assert code == EXIT_OK and json.loads(out)["verify"]["matched"] is True
+
+
 def test_trace_of_an_unrescued_older_format_verifies(capsys, tmp_path):
     # a null rescue_lambda, as older traces wrote on every step, still reads
     trace = tmp_path / "trace.json"

@@ -13,12 +13,12 @@ import mpmath
 import pytest
 
 from bringform import (DegenerateDenominator, RootConfig, UniPoly,
-                       bring_curve_residual, find_roots, match_roots,
-                       obstruction_consistency, quartic_obstruction_G,
+                       bring_curve_residual, coeff_scale, cx, find_roots,
+                       match_roots, obstruction_consistency, quartic_obstruction_G,
                        quartic_remove_2_4, quintic_bring_ansatz, rat,
                        recover_roots, reduce_general_quintic, verify_trace,
                        verify_transform)
-from bringform import pipeline, roots, solvers
+from bringform import elimination, pipeline, roots, solvers
 from bringform.pipeline import (ReductionTrace, Subsidiary, TransformStep,
                                 depress, quintic_to_bring_jerrard,
                                 reciprocal_transform, step_inverse,
@@ -27,6 +27,12 @@ from helpers import rand_monic, rand_scalar
 
 TINY = mpmath.mpf("1e-60")
 README_QUINTIC = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
+
+
+def _batch_quintics(count):
+    rng = random.Random(20260818)  # the acceptance batch
+    return [UniPoly([rat(rng.randint(-10, 10)) for _ in range(5)] + [rat(1)])
+            for _ in range(count)]
 
 
 def _poly_from_roots(roots, var="z"):
@@ -244,13 +250,13 @@ def test_reciprocal_step_verifies_and_recovers():
         assert (g - want).mag() <= TINY, got
 
 
-def test_depress_step_redoes_itself():
+def test_depress_step_certifies_its_own_output_only():
     step = depress(_poly_from_roots([rat(1), rat(-2), rat(5)]))
-    assert step.redo() == step.output
-    # the output is recomputed from the input and the map, never copied
+    assert step.certify() == (0, True)
+    # the same input and map with another output: C(T) mod A misses zero
     bad = TransformStep(step.kind, step.input, step.subsidiary,
                         _poly_from_roots([rat(0), rat(0), rat(1)], "y"), ())
-    assert bad.redo() == step.output
+    assert bad.certify() == (0, False)
 
 
 def test_depress_step_maps_roots_forward_by_its_shift():
@@ -338,10 +344,7 @@ def test_float_stage_keeps_the_seed_bit_exact(monkeypatch):
 
 
 def test_float_stage_agrees_with_a_pure_mpmath_run(monkeypatch):
-    rng = random.Random(20260818)  # the acceptance batch
-    finals = [reduce_general_quintic(
-        UniPoly([rat(rng.randint(-10, 10)) for _ in range(5)] + [rat(1)])).final
-        for _ in range(20)]
+    finals = [reduce_general_quintic(P).final for P in _batch_quintics(20)]
     staged = [find_roots(f) for f in finals]
     monkeypatch.setattr(roots, "_float_aberth", lambda cs, zs: None)
     for f, got in zip(finals, staged):
@@ -455,6 +458,46 @@ def test_verify_trace_finds_no_roots(monkeypatch):
         assert report.matched, ascending
         assert report.max_forward_residual <= mpmath.mpf("1e-60")
         assert all(verify_transform(step)[1] for step in trace.steps)
+
+
+def test_verify_trace_runs_no_elimination(monkeypatch):
+    # C(T) = 0 and U(T) = z mod A certify a step: it is never eliminated again
+    trace = reduce_general_quintic(README_QUINTIC)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination in verify")
+
+    for module in (pipeline, elimination):
+        for name in ("dual_eliminate", "map_charpoly", "transform_by_power_sums"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert verify_trace(trace).matched
+    assert verify_trace(ReductionTrace.from_json(trace.to_json())).matched
+
+
+def test_a_step_output_moved_by_1e_20_of_its_scale_fails():
+    for P in [README_QUINTIC] + _batch_quintics(3):
+        trace = reduce_general_quintic(P)
+        for i, step in enumerate(trace.steps):
+            C = step.output
+            nudge = cx(mpmath.mpf("1e-20") * coeff_scale(C))
+            for j in range(C.degree):
+                cs = list(C.coeffs)
+                cs[j] = cs[j] + nudge
+                bad = TransformStep(step.kind, step.input, step.subsidiary,
+                                    UniPoly(cs, C.var), step.aux)
+                assert verify_transform(bad)[1] is False, (P, step.kind, j)
+                # the next step reads the moved output, so the chain links up
+                steps = list(trace.steps)
+                steps[i] = bad
+                if i + 1 < len(steps):
+                    nxt = steps[i + 1]
+                    steps[i + 1] = TransformStep(nxt.kind, bad.output.with_var("z"),
+                                                 nxt.subsidiary, nxt.output, nxt.aux)
+                final = steps[-1].output
+                moved = ReductionTrace(trace.original, tuple(steps), final,
+                                       final.coeff(1), final.coeff(0))
+                assert verify_trace(moved).matched is False, (P, step.kind, j)
 
 
 def test_verify_trace_reports_a_step_of_the_wrong_shape():
