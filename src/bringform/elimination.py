@@ -15,7 +15,9 @@ is computed here by two independent routes:
   charpoly of Q modulo P.  It is the package's one determinant routine.
 * ``transform_by_power_sums``: the power sums of C are the traces
   sum_i (T^j mod A)_i s_i(A), so only s_0..s_(n-1) of A are needed; Newton's
-  identities rebuild C from them.
+  identities rebuild C from them.  The powers T^j mod A come from
+  ``polynomials.powers_mod``; ``pipeline.dual_eliminate`` hands that table
+  to the step it builds, whose certificate and inverse map read it again.
 
 The two routes are deliberately kept independent so tests can use each as an
 oracle for the other.
@@ -37,7 +39,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from .polynomials import (UniPoly, poly_from_power_sums, power_sums,
-                          rem_monic)
+                          powers_mod, rem_monic)
 from .scalars import Scalar, rat
 
 
@@ -149,12 +151,14 @@ def sylvester_resultant_with_factor(A: UniPoly, B: BiPoly):
     return map_charpoly(A, t), c ** n
 
 
-def transform_by_power_sums(A: UniPoly, t_coeffs) -> UniPoly:
+def transform_by_power_sums(A: UniPoly, t_coeffs, powers=None) -> UniPoly:
     """Transport route: power sums of C from power sums of A through y = T(z).
 
-    s_j(C) = sum_i (T^j mod A)_i s_i(A) for j = 1..n, with each power of T
-    reduced modulo A (``rem_monic``), so only s_0..s_(n-1) of A are needed.
-    Exact for rational inputs.
+    s_j(C) = sum_i (T^j mod A)_i s_i(A) for j = 1..n, read off rows 1..n of
+    the table ``powers_mod(T, A)``, so only s_0..s_(n-1) of A are needed.
+    ``powers`` is that table when the caller has built it (``dual_eliminate``
+    keeps it for the step); otherwise it is built here.  Exact for rational
+    inputs.
     """
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
@@ -163,16 +167,15 @@ def transform_by_power_sums(A: UniPoly, t_coeffs) -> UniPoly:
     k = T.degree
     if k < 1 or k >= n:
         raise ValueError("map degree must satisfy 1 <= deg T < deg A")
+    if powers is None:
+        powers = powers_mod(T, A)
     s = power_sums(A, n - 1)
-    P = UniPoly([rat(1)], A.var)
     sums = []
-    for _ in range(n):
-        rem = rem_monic(P * T, A)
+    for rem in powers[1:]:
         acc = rem[0] * s.s(0)
         for j in range(1, n):
             acc = acc + rem[j] * s.s(j)
         sums.append(acc)
-        P = UniPoly(rem, A.var)
     return poly_from_power_sums(sums, "y")
 
 

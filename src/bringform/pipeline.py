@@ -23,13 +23,15 @@ two identities modulo A.  U(T) = z, for the inverse map U, makes 1, T, ...,
 T^(n-1) a basis of K[z]/(A), so the minimal polynomial of M_T is its
 characteristic polynomial; a monic C of degree n with C(T) = 0 is then
 det(y - M_T) = prod (y - T(z_i)).  The powers of T modulo A are built once
-per step (``powers``) and serve both the C(T) sum and the solve for U.  The
-reciprocal step, z -> 1/z, is the one step without a subsidiary.
+per step (``powers``): the power-sum route of ``dual_eliminate`` builds
+them and the step builder hands them to the step, whose C(T) sum and solve
+for U read them again.  The reciprocal step, z -> 1/z, is the one step
+without a subsidiary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import mpmath
@@ -38,7 +40,8 @@ from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
-                          relative_residual, rem_monic, shift_substitute)
+                          powers_mod, relative_residual, rem_monic,
+                          shift_substitute)
 from .scalars import Scalar, as_scalar, as_tol, negligible, pick_root, rat
 from .solvers import assemble_preimages, solve_condition, solve_monic
 
@@ -119,6 +122,9 @@ class TransformStep:
     subsidiary: Subsidiary  # None only for the reciprocal step
     output: UniPoly
     aux: tuple
+    # T^0..T^n mod the input as ``dual_eliminate`` built them, or None;
+    # read through ``powers``, and no part of equality, repr or JSON
+    table: tuple = field(default=None, compare=False, repr=False)
 
     # not a field: every step maps the previous output itself; the
     # benchmark's outside oracle (bench/oracles.py) still reads it
@@ -179,15 +185,14 @@ class TransformStep:
 
     @cached_property
     def powers(self):
-        """T^0, T^1, ..., T^n modulo the input A (n = deg A), each as its n
-        ascending coefficients, built once per step: ``step_inverse`` solves
-        on the first n and ``certify`` sums C(T) over all n + 1."""
-        A = self.input
-        T = self.subsidiary.map_in_z()
-        out = [rem_monic(UniPoly([rat(1)], "z"), A)]
-        while len(out) <= A.degree:
-            out.append(rem_monic(UniPoly(out[-1], "z") * T, A))
-        return out
+        """T^0, T^1, ..., T^n modulo the input A (n = deg A), each as the
+        tuple of its n ascending coefficients (``powers_mod``): the table
+        the step was built with, or, for a step read from JSON or made by
+        hand, one built on first use.  ``step_inverse`` solves on the first
+        n rows and ``certify`` sums C(T) over all n + 1."""
+        if self.table is not None:
+            return self.table
+        return powers_mod(self.subsidiary.map_in_z(), self.input)
 
     @cached_property
     def inverse(self):
@@ -195,19 +200,25 @@ class TransformStep:
         ``certify`` and ``preimages`` share it."""
         return step_inverse(self)
 
-    def preimages(self, ys, *, prec=None, tol=None):
-        """The roots of the input that the map sends to the roots ys of the
-        output, one per y and in the order of ys: 1/y for the reciprocal
-        step; U(y) by the step's one inverse map U (``inverse``) when every
-        U(y) lies on the input; otherwise by solving the subsidiary relation
-        root by root (``assemble_preimages``)."""
+    def pull_back(self, ys):
+        """The unchecked preimages of the points ys, in their order: 1/y for
+        the reciprocal step, U(y) by the step's one inverse map U
+        (``inverse``), or None for a step without U."""
         if self.subsidiary is None:
             return [rat(1) / y for y in ys]
         U = self.inverse
-        if U is not None:
-            zs = [U.eval(y) for y in ys]
-            if all(lies_on(self.input, z, tol) for z in zs):
-                return zs
+        return None if U is None else [U.eval(y) for y in ys]
+
+    def preimages(self, ys, *, prec=None, tol=None):
+        """The roots of the input that the map sends to the roots ys of the
+        output, one per y and in the order of ys: ``pull_back`` for the
+        reciprocal step, and for a mapped step when every U(y) lies on the
+        input; otherwise by solving the subsidiary relation root by root
+        (``assemble_preimages``)."""
+        zs = self.pull_back(ys)
+        if self.subsidiary is None or (
+                zs is not None and all(lies_on(self.input, z, tol) for z in zs)):
+            return zs
         return assemble_preimages(self.input, ys, self, prec=prec, tol=tol)
 
     def to_json(self):
@@ -344,16 +355,19 @@ def _identity_step(kind: str, poly: UniPoly) -> TransformStep:
 def dual_eliminate(A: UniPoly, sub: Subsidiary, tol=None):
     """Eliminate z by both routes and insist they agree.
 
-    Returns (C, lead): C monic in y, lead the factor divided out of Res_z(A, B),
-    (-1)^n for k = 1 and 1 otherwise.  The routes share no code past the input,
-    so their agreement is a genuine cross-check, not a tautology.
+    Returns (C, powers): C monic in y, and the table T^0..T^n mod A
+    (``powers_mod``) that the power-sum route read, which the step builders
+    hand to their ``TransformStep``.  The routes share no code past the
+    polynomial ring, so their agreement is a genuine cross-check, not a
+    tautology.
     """
-    C_res = map_charpoly(A, sub.t_coeffs())
-    lead = rat(-1) ** A.degree if sub.k == 1 else rat(1)
-    C_ps = transform_by_power_sums(A, sub.t_coeffs())
+    t = sub.t_coeffs()
+    C_res = map_charpoly(A, t)
+    powers = powers_mod(UniPoly(t, A.var), A)
+    C_ps = transform_by_power_sums(A, t, powers)
     bad = coeff_mismatch(C_res, C_ps, tol)
     if bad is None:
-        return C_res, lead
+        return C_res, powers
     if C_res.is_rational_tree() and C_ps.is_rational_tree():
         raise ConsistencyError(
             "resultant and power-sum routes disagree: %s vs %s" % (C_res, C_ps))
@@ -372,14 +386,14 @@ def depress(poly: UniPoly, *, tol=None) -> TransformStep:
         return _identity_step("depress", poly)
     a = c * rat(1, n)
     sub = Subsidiary(1, (a,))
-    C, _ = dual_eliminate(poly, sub, tol)
+    C, powers = dual_eliminate(poly, sub, tol)
     # third route, classical shift: C(y) must equal A(y - a)
     shifted = shift_substitute(poly, a)
     bad = coeff_mismatch(C, shifted, tol)
     if bad is not None:
         raise ConsistencyError("shift cross-check failed to vanish: %s" % bad[1])
     _assert_vanishes(C.coeff(n - 1), coeff_scale(C, shifted), tol, "second coefficient")
-    return TransformStep("depress", poly, sub, C, ())
+    return TransformStep("depress", poly, sub, C, (), powers)
 
 
 def _k2_conditions(A: UniPoly, j: int):
@@ -417,12 +431,12 @@ def _quadratic_subsidiary_step(kind: str, A: UniPoly, cond_power: int,
     b = roots[idx]
     a = a_b.eval(b)
     sub = Subsidiary(2, (a, b))
-    C, _ = dual_eliminate(A, sub, tol)
+    C, powers = dual_eliminate(A, sub, tol)
     out_scale = coeff_scale(C)
     _assert_vanishes(C.coeff(n - 1), out_scale, tol, "second output coefficient")
     _assert_vanishes(C.coeff(cond_power), out_scale, tol, "targeted output coefficient")
     aux = (AuxSolve(kind + "-b", deg, tuple(roots), idx),)
-    return TransformStep(kind, A, sub, C, aux)
+    return TransformStep(kind, A, sub, C, aux, powers)
 
 
 def to_principal(poly: UniPoly, *, prec=None, tol=None) -> TransformStep:
@@ -458,7 +472,8 @@ def cubic_to_pure(m, n, p, *, prec=None, tol=None) -> TransformStep:
     A = UniPoly([p, n, m, rat(1)], "z")
     if (3 * n - m * m).is_exact_zero():
         st = depress(A, tol=tol)
-        return TransformStep("pure-cubic", A, st.subsidiary, st.output, st.aux)
+        return TransformStep("pure-cubic", A, st.subsidiary, st.output, st.aux,
+                             st.table)
     return _quadratic_subsidiary_step("pure-cubic", A, 1, prec=prec, tol=tol)
 
 
@@ -643,12 +658,12 @@ def quintic_to_bring_jerrard(p, q, r, *, prec=None, tol=None) -> TransformStep:
     b = lam ** 3 * (ansatz.alpha * ansatz.d + ansatz.zeta)
     a = (3 * p * d + 4 * q) * rat(1, 5)
     sub = Subsidiary(4, (a, b, c, d))
-    C, _ = dual_eliminate(A, sub, tol)
+    C, powers = dual_eliminate(A, sub, tol)
     out_scale = coeff_scale(C)
     _assert_vanishes(C.coeff(4), out_scale, tol, "y^4 coefficient")
     _assert_vanishes(C.coeff(3), out_scale, tol, "y^3 coefficient")
     _assert_vanishes(C.coeff(2), out_scale, tol, "y^2 coefficient")
-    return TransformStep("bring-jerrard", A, sub, C, tuple(aux))
+    return TransformStep("bring-jerrard", A, sub, C, tuple(aux), powers)
 
 
 def _has_repeated_root(A: UniPoly) -> bool:

@@ -306,6 +306,16 @@ def rem_monic(P: UniPoly, A: UniPoly):
     return rem[:n] + [rat(0)] * (n - len(rem))
 
 
+def powers_mod(T: UniPoly, A: UniPoly):
+    """T^0, T^1, ..., T^n modulo the monic A (n = deg A), each as the tuple of
+    its n ascending coefficients (``rem_monic``), row j + 1 being row j times
+    T reduced modulo A."""
+    out = [tuple(rem_monic(UniPoly([rat(1)], A.var), A))]
+    while len(out) <= A.degree:
+        out.append(tuple(rem_monic(UniPoly(out[-1], A.var) * T, A)))
+    return tuple(out)
+
+
 def deflate(poly: UniPoly, root) -> UniPoly:
     """Synthetic division of a monic polynomial by (var - root), remainder dropped."""
     root = as_scalar(root)

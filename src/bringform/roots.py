@@ -19,8 +19,8 @@ pairing.
 
 Nothing here depends on what kind a step is.  Each ``TransformStep``
 certifies itself (``certify``) and moves roots through itself forward
-(``image``) and back (``preimages``); verification and recovery only walk
-the chain.
+(``image``) and back (``pull_back`` unchecked, ``preimages`` checked);
+verification and recovery only walk the chain.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from math import isfinite
 
 import mpmath
 
+from .pipeline import lies_on
 from .polynomials import (UniPoly, coeff_mismatch, power_sums,
                           relative_residual)
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar,
@@ -160,9 +161,12 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
             zs = nxt
             if settled or (it > 0 and max_step <= eps):
                 break
-        zs = _polish_multiple(zs, cs, ctx)
-        converged = all(abs(_horner(cs, z)) <= 64 * noise_floor(z) for z in zs)
-        found = [Scalar.from_mpc(z, prec) for z in zs]
+        # a settled sweep found every root within 16 noise floors; only the
+        # roots the polish moved need their residual again
+        polished = _polish_multiple(zs, cs, ctx)
+        converged = all(abs(_horner(cs, z)) <= 64 * noise_floor(z)
+                        for z, old in zip(polished, zs) if not (settled and z is old))
+        found = [Scalar.from_mpc(z, prec) for z in polished]
     roots = tuple(sorted([rat(0)] * zeros + found, key=sort_key))
     return RootSet(roots, converged, iterations)
 
@@ -381,13 +385,23 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
 
 def recover_roots(trace, config: RootConfig = None):
     """Roots of the original polynomial, recovered by walking the trace
-    backward from the roots of the final trinomial, each step pulling them
-    back through itself (``TransformStep.preimages``)."""
+    backward from the roots of the final trinomial.  The walk first pulls
+    them back through every step unchecked (``TransformStep.pull_back``)
+    and tests the results once, on the original (``lies_on``).  When a step
+    has no inverse map or a result misses, it walks again, each step
+    checking its own preimages (``TransformStep.preimages``)."""
     cfg = config or RootConfig()
     ys = list(find_roots(trace.final, cfg).roots)
+    zs = ys
     for step in reversed(trace.steps):
-        ys = step.preimages(ys, prec=cfg.precision_bits, tol=cfg.tol)
-    return tuple(sorted(ys, key=sort_key))
+        zs = step.pull_back(zs)
+        if zs is None:
+            break
+    if zs is None or not all(lies_on(trace.original, z, cfg.tol) for z in zs):
+        zs = ys
+        for step in reversed(trace.steps):
+            zs = step.preimages(zs, prec=cfg.precision_bits, tol=cfg.tol)
+    return tuple(sorted(zs, key=sort_key))
 
 
 def obstruction_consistency(report, config: RootConfig = None):

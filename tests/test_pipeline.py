@@ -24,6 +24,7 @@ from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace,
                        reciprocal_transform, reduce_general_quintic,
                        to_principal)
 from bringform.elimination import image_elementary
+from bringform.polynomials import powers_mod
 from helpers import rand_monic, rand_scalar
 
 TINY = mpmath.mpf("1e-70")
@@ -475,5 +476,8 @@ def test_dual_elimination_is_monic_and_consistent():
         A = rand_monic(rng, n)
         k = rng.randint(1, min(3, n - 1))
         sub = Subsidiary(k, tuple(rand_scalar(rng) for _ in range(k)))
-        C, lead = dual_eliminate(A, sub)
+        C, powers = dual_eliminate(A, sub)
         assert C.is_monic() and C.degree == n
+        # the table the power-sum route read, which the step builders keep
+        assert powers == powers_mod(UniPoly(sub.t_coeffs(), "z"), A)
+        assert len(powers) == n + 1 and all(len(row) == n for row in powers)

@@ -18,11 +18,13 @@ from bringform import (DegenerateDenominator, RootConfig, UniPoly,
                        quartic_remove_2_4, quintic_bring_ansatz, rat,
                        recover_roots, reduce_general_quintic, verify_trace,
                        verify_transform)
-from bringform import elimination, pipeline, roots, solvers
+from bringform import elimination, pipeline, polynomials, roots, solvers
 from bringform.pipeline import (ReductionTrace, Subsidiary, TransformStep,
                                 depress, quintic_to_bring_jerrard,
                                 reciprocal_transform, step_inverse,
                                 to_principal)
+from bringform.polynomials import powers_mod
+from bringform.scalars import sort_key
 from helpers import rand_monic, rand_scalar
 
 TINY = mpmath.mpf("1e-60")
@@ -371,6 +373,85 @@ def test_each_step_builds_its_inverse_map_once(monkeypatch):
     assert len(mapped) == 3
     for step in mapped:
         assert sum(c is step for c in calls) == 1, step.kind
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Wrap the function ``name`` wherever one of ``modules`` binds it; the
+    list of the calls' positional arguments."""
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_step_builds_its_powers_of_T_once(monkeypatch):
+    # reduce's power-sum route builds the table and the step keeps it, so
+    # verify and recover build none; a step read from JSON builds its own
+    calls = _count_calls(monkeypatch, "powers_mod",
+                         [polynomials, elimination, pipeline, roots])
+    trace = reduce_general_quintic(README_QUINTIC)
+    assert verify_trace(trace).matched
+    recover_roots(trace)
+    assert len(calls) == 3
+    copy = ReductionTrace.from_json(trace.to_json())
+    assert verify_trace(copy).matched
+    recover_roots(copy)
+    assert len(calls) == 6
+    for step, read in zip(trace.steps, copy.steps):
+        assert read.powers == powers_mod(read.subsidiary.map_in_z(), read.input)
+        if read.input == step.input:
+            assert read.powers == step.powers, step.kind
+        else:
+            # the bring-jerrard input of a trace file keeps the principal
+            # output's vanished z^4, z^3 coefficients as rounding noise
+            # (ROADMAP item 4), so its table differs in that noise only
+            assert step.kind == "bring-jerrard"
+            scale = max(c.mag() for row in step.powers for c in row)
+            assert all((a - b).mag() <= TINY * scale
+                       for ra, rb in zip(step.powers, read.powers)
+                       for a, b in zip(ra, rb))
+
+
+def test_the_powers_table_stays_out_of_equality_repr_and_json():
+    step = reduce_general_quintic(README_QUINTIC).steps[0]
+    bare = TransformStep(step.kind, step.input, step.subsidiary, step.output, step.aux)
+    assert step.table is not None and bare.table is None
+    assert step == bare and repr(step) == repr(bare)
+    assert step.to_json() == bare.to_json()
+    assert isinstance(step.table, tuple) and all(isinstance(r, tuple) for r in step.table)
+    assert bare.powers == step.powers
+
+
+def test_recover_tests_each_root_once_on_the_original(monkeypatch):
+    for P in [README_QUINTIC] + _batch_quintics(3):
+        trace = reduce_general_quintic(P)
+        tested = _count_calls(monkeypatch, "lies_on", [pipeline, roots])
+        solved = _count_calls(monkeypatch, "assemble_preimages",
+                              [solvers, pipeline, roots])
+        recover_roots(trace)
+        assert len(tested) == 5 and all(args[0] is trace.original for args in tested), P
+        assert solved == [], P
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("ascending", [
+    (3, -4, -1, 3, -2, 1),  # (z - 1)^2 (z^3 + 2z + 3): pulled-back roots miss
+    (0, 0, 0, 1, 2, 1),     # z^3 (z + 1)^2: the principal step has no U
+])
+def test_recover_falls_back_to_the_per_step_walk(ascending):
+    trace = _chain_past_the_refusal(ascending)
+    ys = list(find_roots(trace.final).roots)
+    for step in reversed(trace.steps):
+        ys = step.preimages(ys)
+    walked = tuple(sorted(ys, key=sort_key))
+    assert [r.to_json() for r in recover_roots(trace)] == [r.to_json() for r in walked]
 
 
 def test_step_inverse_undoes_every_readme_step():

@@ -10,6 +10,7 @@ and checks each name against the package.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,29 @@ def test_unipoly_multiplication_is_an_own_entry():
 def test_span_target_resolves(span):
     module, attr = tracing.SPANS[span]
     assert callable(getattr(importlib.import_module("bringform." + module), attr, None)), span
+
+
+def test_dual_eliminate_still_runs_the_power_sum_route_span():
+    # the tracer's ``elimination.transform_by_power_sums`` span only counts
+    # while dual_eliminate calls that function by name, rebindable in every
+    # module namespace that holds it
+    from bringform import Subsidiary, dual_eliminate, rat
+
+    module, attr = tracing.SPANS["elimination.transform_by_power_sums"]
+    original = getattr(importlib.import_module("bringform." + module), attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    holders = [m for name, m in sys.modules.items()
+               if name == "bringform" or name.startswith("bringform.")]
+    with pytest.MonkeyPatch.context() as mp:
+        for m in holders:
+            for key, value in list(vars(m).items()):
+                if value is original:
+                    mp.setattr(m, key, counted)
+        A = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
+        dual_eliminate(A, Subsidiary(2, (rat(1), rat(-2))))
+    assert len(calls) == 1
