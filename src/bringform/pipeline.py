@@ -18,11 +18,12 @@ identities.  They must agree (exactly in rational mode) or the step fails.
 
 A ``TransformStep`` owns everything that depends on its kind: ``certify``
 proves its output without eliminating again, and ``image`` and
-``preimages`` move roots through it forward and back.  The certificate is
-two identities modulo A.  U(T) = z, for the inverse map U, makes 1, T, ...,
-T^(n-1) a basis of K[z]/(A), so the minimal polynomial of M_T is its
-characteristic polynomial; a monic C of degree n with C(T) = 0 is then
-det(y - M_T) = prod (y - T(z_i)).  The powers of T modulo A are built once
+``pull_back`` move roots through it forward and back (``preimages`` also
+solves the subsidiary root by root, for ``solve_quartic``).  The
+certificate is two identities modulo A.  U(T) = z, for the inverse map U,
+makes 1, T, ..., T^(n-1) a basis of K[z]/(A), so the minimal polynomial of
+M_T is its characteristic polynomial; a monic C of degree n with C(T) = 0
+is then det(y - M_T) = prod (y - T(z_i)).  The powers of T modulo A are built once
 per step (``powers``): the power-sum route of ``dual_eliminate`` builds
 them and the step builder hands them to the step, whose C(T) sum and solve
 for U read them again.  The reciprocal step, z -> 1/z, is the one step
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import mpmath
+from mpmath.libmp import mpf_div, round_nearest
 
 from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
@@ -163,7 +165,10 @@ class TransformStep:
             UT = UniPoly(rem_monic(UT * T + u, A), "z")
         miss = (UT - UniPoly([rat(0), rat(1)], "z")).coeffs
         scale = coeff_scale(A)
-        residual = max([mpmath.mpf(0)] + [c.mag() for c in miss]) / scale
+        # rounded once at mpmath's default 53 bits, whatever the global
+        # precision, so the residual depends on the step alone
+        worst = max([mpmath.mpf(0)] + [c.mag() for c in miss])
+        residual = mpmath.mp.make_mpf(mpf_div(worst._mpf_, scale._mpf_, 53, round_nearest))
         n = A.degree
         ok = (all(negligible(c, tol, scale) for c in miss)
               and self.subsidiary.k < n and C.is_monic() and C.degree == n)
@@ -197,7 +202,7 @@ class TransformStep:
     @cached_property
     def inverse(self):
         """The step's inverse map U (``step_inverse``), built once per step:
-        ``certify`` and ``preimages`` share it."""
+        ``certify``, ``pull_back`` and ``preimages`` share it."""
         return step_inverse(self)
 
     def pull_back(self, ys):
@@ -419,24 +424,17 @@ def _quadratic_subsidiary_step(kind: str, A: UniPoly, cond_power: int,
     n = A.degree
     es, a_b = _k2_conditions(A, n - cond_power)
     _assert_vanishes(es[0].coeffs, coeff_scale(A), tol, "second coefficient in b")
-    cond = es[-1]
-    deg, roots = solve_condition(cond, prec=prec, tol=tol)
-    if deg == 0:
-        raise DegenerateDenominator(cond.coeff(0),
-                                    "coefficient condition for %s is unsatisfiable" % kind)
-    if deg < 0:
+    b, solve = _aux_root(kind + "-b", es[-1], prec=prec, tol=tol)
+    if solve.degree == 0:
         # condition holds identically: the input already has the target shape
         return _identity_step(kind, A)
-    idx = pick_root(roots, tol)
-    b = roots[idx]
     a = a_b.eval(b)
     sub = Subsidiary(2, (a, b))
     C, powers = dual_eliminate(A, sub, tol)
     out_scale = coeff_scale(C)
     _assert_vanishes(C.coeff(n - 1), out_scale, tol, "second output coefficient")
     _assert_vanishes(C.coeff(cond_power), out_scale, tol, "targeted output coefficient")
-    aux = (AuxSolve(kind + "-b", deg, tuple(roots), idx),)
-    return TransformStep(kind, A, sub, C, aux, powers)
+    return TransformStep(kind, A, sub, C, (solve,), powers)
 
 
 def to_principal(poly: UniPoly, *, prec=None, tol=None) -> TransformStep:
@@ -615,8 +613,8 @@ def quintic_bring_ansatz(p, q, r, *, prec=None, tol=None):
 
 def _aux_root(kind: str, cond: UniPoly, *, prec=None, tol=None):
     """Solve the condition on the auxiliary parameter ``cond.var`` and choose
-    a root (``pick_root``); 0 when the condition holds identically.  Returns
-    (root, AuxSolve)."""
+    a root (``pick_root``); 0, a solve of degree 0, when the condition holds
+    identically.  Returns (root, AuxSolve)."""
     deg, roots = solve_condition(cond, prec=prec, tol=tol)
     if deg == 0:
         raise DegenerateDenominator(cond.coeff(0),
@@ -682,33 +680,30 @@ def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTr
     trace; the final polynomial is y^5 + P y + Q.  A rational input with a
     repeated root raises ``DegenerateDenominator`` and gets no trace: the
     ansatz would collapse its roots (README, "Repeated roots").  A complex
-    input is not tested for repeated roots; it raises the same when the
-    bring-jerrard step fails its certificate (``TransformStep.certify``),
-    as a step that merges roots does.
+    input is not tested for repeated roots; it raises the same when any step
+    the chain keeps fails its certificate (``TransformStep.certify``), as a
+    step that merges roots does.
     """
     _require_monic(poly)
     if poly.degree != 5:
         raise ValueError("the reduction chain is for monic quintics")
-    if poly.is_rational_tree() and _has_repeated_root(poly):
+    exact = poly.is_rational_tree()
+    if exact and _has_repeated_root(poly):
         raise DegenerateDenominator(rat(0), "the discriminant vanishes: a repeated root")
     steps = []
     cur = poly.with_var("z")
-    st = depress(cur, tol=tol)
-    if not st.is_identity:
+    for make in (lambda A: depress(A, tol=tol),
+                 lambda A: to_principal(A, prec=prec, tol=tol),
+                 lambda A: quintic_to_bring_jerrard(A.coeff(2), A.coeff(1), A.coeff(0),
+                                                    prec=prec, tol=tol)):
+        st = make(cur)
+        if st.is_identity:
+            continue
+        if not exact and not st.certify(tol)[1]:
+            raise DegenerateDenominator(rat(0), "the %s map merges roots: a repeated "
+                                                "root" % st.kind)
         steps.append(st)
         cur = st.output.with_var("z")
-    st = to_principal(cur, prec=prec, tol=tol)
-    if not st.is_identity:
-        steps.append(st)
-        cur = st.output.with_var("z")
-    st = quintic_to_bring_jerrard(cur.coeff(2), cur.coeff(1), cur.coeff(0),
-                                  prec=prec, tol=tol)
-    if not poly.is_rational_tree() and not st.certify(tol)[1]:
-        raise DegenerateDenominator(rat(0), "the bring-jerrard map merges roots: "
-                                            "a repeated root")
-    if not st.is_identity:
-        steps.append(st)
-        cur = st.output
     final = cur.with_var("y")
     return ReductionTrace(poly, tuple(steps), final, final.coeff(1), final.coeff(0))
 
@@ -751,7 +746,8 @@ def step_inverse(step: TransformStep):
     In complex mode a merging map gives a tiny pivot rather than a zero one,
     and neither the pivot nor the solve's own residual tells it apart from a
     fine map, so a caller evaluates U: ``TransformStep.certify`` checks
-    U(T) = z mod A, and ``TransformStep.preimages`` tests each U(y) on A.
+    U(T) = z mod A, ``TransformStep.preimages`` tests each U(y) on A, and
+    ``recover_roots`` tests each pulled-back root on the original.
     """
     A = step.input
     n = A.degree

@@ -19,19 +19,19 @@ pairing.
 
 Nothing here depends on what kind a step is.  Each ``TransformStep``
 certifies itself (``certify``) and moves roots through itself forward
-(``image``) and back (``pull_back`` unchecked, ``preimages`` checked);
-verification and recovery only walk the chain.
+(``image``) and back (``pull_back``); verification and recovery only walk
+the chain, and recovery refuses a chain that does not walk back.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 from math import isfinite
 
 import mpmath
 
+from .errors import ConsistencyError
 from .pipeline import lies_on
 from .polynomials import (UniPoly, coeff_mismatch, power_sums,
                           relative_residual)
@@ -301,27 +301,28 @@ def _polish_multiple(zs, cs, ctx):
 
 
 def _best_pairing(xs, ys):
-    """Smallest achievable max pairwise distance; exact for small sets."""
-    n = len(xs)
-    if n == 0:
-        return mpmath.mpf(0)
+    """Smallest achievable max pairwise distance over all pairings of xs
+    with ys (equally many): the bottleneck matching, the least distance at
+    which augmenting paths (Kuhn) pair every x."""
     dist = [[(x - y).mag() for y in ys] for x in xs]
-    if n <= 6:
-        best = None
-        for perm in permutations(range(n)):
-            worst = max(dist[i][perm[i]] for i in range(n))
-            if best is None or worst < best:
-                best = worst
-        return best
-    # greedy nearest-neighbour for larger sets
-    free = set(range(n))
-    worst = mpmath.mpf(0)
-    for i in range(n):
-        j = min(free, key=lambda jj: dist[i][jj])
-        free.remove(j)
-        if dist[i][j] > worst:
-            worst = dist[i][j]
-    return worst
+    n = len(dist)
+
+    def perfect(limit):
+        owner = [None] * n  # the x paired with each y
+
+        def augment(i, seen):
+            for j in range(n):
+                if dist[i][j] <= limit and j not in seen:
+                    seen.add(j)
+                    if owner[j] is None or augment(owner[j], seen):
+                        owner[j] = i
+                        return True
+            return False
+
+        return all(augment(i, set()) for i in range(n))
+
+    return next((d for d in sorted(d for row in dist for d in row) if perfect(d)),
+                mpmath.mpf(0))
 
 
 def match_roots(xs, ys, *, tol=DEFAULT_MATCH_TOLERANCE):
@@ -384,23 +385,23 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
 
 
 def recover_roots(trace, config: RootConfig = None):
-    """Roots of the original polynomial, recovered by walking the trace
-    backward from the roots of the final trinomial.  The walk first pulls
-    them back through every step unchecked (``TransformStep.pull_back``)
-    and tests the results once, on the original (``lies_on``).  When a step
-    has no inverse map or a result misses, it walks again, each step
-    checking its own preimages (``TransformStep.preimages``)."""
+    """Roots of the original polynomial: the roots of the final trinomial
+    pulled back through every step by its inverse map
+    (``TransformStep.pull_back``), then tested once, each on the original
+    (``lies_on``).  ConsistencyError, rather than a guess, when a step has no
+    inverse map or a pulled-back root misses: a map that merges roots, as on
+    a quintic with a repeated root, cannot be walked back."""
     cfg = config or RootConfig()
-    ys = list(find_roots(trace.final, cfg).roots)
-    zs = ys
-    for step in reversed(trace.steps):
-        zs = step.pull_back(zs)
+    zs = list(find_roots(trace.final, cfg).roots)
+    for i in reversed(range(len(trace.steps))):
+        zs = trace.steps[i].pull_back(zs)
         if zs is None:
-            break
-    if zs is None or not all(lies_on(trace.original, z, cfg.tol) for z in zs):
-        zs = ys
-        for step in reversed(trace.steps):
-            zs = step.preimages(zs, prec=cfg.precision_bits, tol=cfg.tol)
+            raise ConsistencyError("step %d (%s) has no inverse map: it merges roots"
+                                   % (i, trace.steps[i].kind))
+    for z in zs:
+        if not lies_on(trace.original, z, cfg.tol):
+            raise ConsistencyError("recovered root %s misses the original: relative residual %s"
+                                   % (z, mpmath.nstr(relative_residual(trace.original, z), 5)))
     return tuple(sorted(zs, key=sort_key))
 
 

@@ -121,7 +121,8 @@ def solve_quartic(n, p, q, *, prec: int = None, tol=None) -> SolveResult:
 
     Route: strip terms two and three (if the z^2 term is present), then strip
     terms two and four, solve the surviving quadratic in y^2, and pull the
-    roots back through each step (``TransformStep.preimages``).
+    roots back through each step (``TransformStep.preimages``, which solves
+    a merging step's subsidiary root by root; ``recover_roots`` refuses one).
     """
     from .pipeline import quartic_remove_2_3, quartic_remove_2_4
 

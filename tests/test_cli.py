@@ -2,9 +2,10 @@
 
 import json
 
+import mpmath
 import pytest
 
-from bringform import DegenerateDenominator, rat
+from bringform import DegenerateDenominator, ReductionTrace, rat, recover_roots
 from bringform.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            main)
 
@@ -275,6 +276,32 @@ def test_reduce_in_complex_mode_with_collapsed_repeated_root_exits_two(capsys):
     assert code == EXIT_DEGENERATE and out == "" and "merges roots" in err
     code, out, _ = run(capsys, "reduce", "--mode", "complex", "--coeffs", *QUINTIC)
     assert code == EXIT_OK and json.loads(out)["verify"]["matched"] is True
+
+
+def test_complex_repeated_root_collapsed_at_the_principal_step_exits_two(capsys):
+    # (z - 4)^2 (z + 1)^3 reaches y^5 at the principal step, so the
+    # bring-jerrard step is an identity; the principal step's own
+    # certificate refuses it
+    code, out, err = run(capsys, "reduce", "--mode", "complex",
+                         "--coeffs", "1", "-5", "-5", "25", "40", "16")
+    assert code == EXIT_DEGENERATE and out == ""
+    assert "principal map merges roots" in err
+
+
+@pytest.mark.parametrize("prec", [20, 300])
+def test_reports_do_not_depend_on_mpmaths_global_precision(capsys, tmp_path, prec):
+    def reports():
+        trace = tmp_path / "trace.json"
+        assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
+        reduced = trace.read_text()
+        assert main(["verify", "--in", str(trace)]) == EXIT_OK
+        body = ReductionTrace.from_json(json.loads(reduced)["trace"])
+        recovered = [r.to_json() for r in recover_roots(body)]
+        return reduced, capsys.readouterr().out, recovered
+
+    default = reports()
+    with mpmath.workprec(prec):
+        assert reports() == default
 
 
 def test_trace_of_an_unrescued_older_format_verifies(capsys, tmp_path):

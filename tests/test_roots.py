@@ -12,7 +12,7 @@ from math import isfinite
 import mpmath
 import pytest
 
-from bringform import (DegenerateDenominator, RootConfig, UniPoly,
+from bringform import (ConsistencyError, DegenerateDenominator, RootConfig, UniPoly,
                        bring_curve_residual, coeff_scale, cx, find_roots,
                        match_roots, obstruction_consistency, quartic_obstruction_G,
                        quartic_remove_2_4, quintic_bring_ansatz, rat,
@@ -119,6 +119,15 @@ def test_match_roots_rejects_different_multiplicity_split():
     assert not ok
 
 
+def test_match_roots_pairs_seven_roots_optimally():
+    # nearest-neighbour pairing would take 0 with 1, leaving 2 with -1.1
+    # (3.1); the optimal pairing is 0 with -1.1 and 2 with 1
+    xs = [rat(v) for v in (0, 2, 10, 20, 30, 40, 50)]
+    ys = [rat(1), rat(-11, 10)] + [rat(v) for v in (10, 20, 30, 40, 50)]
+    ok, dist = match_roots(xs, ys, tol="0.03")
+    assert ok and dist == rat(11, 10).mag()
+
+
 def test_verify_transform_on_single_step():
     rng = random.Random(64)
     P = rand_monic(rng, 4)
@@ -216,7 +225,7 @@ def test_low_precision_traces_verify_at_a_matching_tolerance():
 
 def test_low_precision_recovery_inverts_every_step_by_its_map(monkeypatch):
     # at 64 bits the pivots of a fine map can be tiny relative to the largest
-    # entry; U is still right, so no step falls back to a solve per root
+    # entry; U is still right, so recover neither refuses nor solves per root
     cfg = RootConfig(precision_bits=64, tol="1e-12")
     rng = random.Random(20260818)  # the acceptance batch
     polys = [UniPoly([rat(rng.randint(-10, 10)) for _ in range(5)] + [rat(1)])
@@ -445,13 +454,12 @@ def test_recover_tests_each_root_once_on_the_original(monkeypatch):
     (3, -4, -1, 3, -2, 1),  # (z - 1)^2 (z^3 + 2z + 3): pulled-back roots miss
     (0, 0, 0, 1, 2, 1),     # z^3 (z + 1)^2: the principal step has no U
 ])
-def test_recover_falls_back_to_the_per_step_walk(ascending):
+def test_recover_refuses_a_chain_past_the_refusal(ascending):
+    # walking back cannot separate roots the map merged; stepwise solving
+    # gave five copies of 1 for the first, so recover refuses instead
     trace = _chain_past_the_refusal(ascending)
-    ys = list(find_roots(trace.final).roots)
-    for step in reversed(trace.steps):
-        ys = step.preimages(ys)
-    walked = tuple(sorted(ys, key=sort_key))
-    assert [r.to_json() for r in recover_roots(trace)] == [r.to_json() for r in walked]
+    with pytest.raises(ConsistencyError):
+        recover_roots(trace)
 
 
 def test_step_inverse_undoes_every_readme_step():
@@ -473,29 +481,65 @@ def test_step_inverse_refuses_a_map_that_merges_roots():
     # z^4 + z -> y^4 + 3y^2 sends two roots to y = 0
     step = quartic_remove_2_4(rat(1), rat(0))
     assert step_inverse(step) is None
-    # recover_roots then solves the subsidiary relation root by root
-    trace = ReductionTrace(step.input, (step,), step.output, rat(0), rat(0))
-    ok, dist = match_roots(recover_roots(trace), find_roots(step.input).roots,
-                           tol="1e-40")
+    # the step solves the subsidiary relation root by root itself
+    # (``solve_quartic`` walks this way) ...
+    ok, dist = match_roots(step.preimages(find_roots(step.output).roots),
+                           find_roots(step.input).roots, tol="1e-40")
     assert ok, dist
+    # ... but recover_roots, which walks inverse maps only, refuses and
+    # names the step
+    trace = ReductionTrace(step.input, (step,), step.output, rat(0), rat(0))
+    with pytest.raises(ConsistencyError, match="step 0 .*no inverse map"):
+        recover_roots(trace)
 
 
-def _chain_past_the_refusal(ascending):
-    """The trace ``reduce_general_quintic`` would give a quintic with a
-    repeated root if it did not refuse it: depress, principal shape and the
-    bring-jerrard step, identities elided."""
-    P = UniPoly([rat(c) for c in ascending])
+def _chain_past_the_refusal(P):
+    """The trace ``reduce_general_quintic`` would give the quintic P (a
+    UniPoly, or its ascending integer coefficients) with a repeated root if
+    it did not refuse it: depress, principal shape and the bring-jerrard
+    step, identities elided, up to the first step that is itself
+    degenerate."""
+    if not isinstance(P, UniPoly):
+        P = UniPoly([rat(c) for c in P])
     with pytest.raises(DegenerateDenominator):
         reduce_general_quintic(P)
     steps, cur = [], P
     for make in (depress, to_principal,
                  lambda A: quintic_to_bring_jerrard(A.coeff(2), A.coeff(1), A.coeff(0))):
-        st = make(cur)
+        try:
+            st = make(cur)
+        except DegenerateDenominator:
+            break
         if not st.is_identity:
             steps.append(st)
             cur = st.output.with_var("z")
     final = cur.with_var("y")
     return ReductionTrace(P, tuple(steps), final, final.coeff(1), final.coeff(0))
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+@pytest.mark.parametrize("shape", [(2, 1, 1, 1), (3, 1, 1), (2, 2, 1), (2, 3), (4, 1)],
+                         ids=str)
+def test_planted_repeated_roots_are_refused_not_guessed(shape, gaussian):
+    # rational roots exactly, Gaussian integers as complex floats: reduce
+    # refuses both, and on the chain past the refusal recover either
+    # refuses too or returns the roots, never another multiset
+    rng = random.Random("%s %s" % (shape, gaussian))
+    for _ in range(4):
+        vals = []
+        while len(vals) < len(shape):
+            v = (cx(rng.randint(-3, 3), rng.randint(-3, 3)) if gaussian
+                 else rat(rng.randint(-4, 4), rng.randint(1, 2)))
+            if all(v != w for w in vals):
+                vals.append(v)
+        P = _poly_from_roots([v for v, m in zip(vals, shape) for _ in range(m)])
+        trace = _chain_past_the_refusal(P)
+        try:
+            got = recover_roots(trace)
+        except ConsistencyError:
+            continue
+        ok, dist = match_roots(got, find_roots(P).roots, tol="1e-25")
+        assert ok, (P, dist)
 
 
 @pytest.mark.parametrize("ascending", [
