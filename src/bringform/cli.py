@@ -10,8 +10,9 @@ Four subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 degenerate input (an
 ansatz denominator that vanishes even at halved roots, a rational quintic
-with a repeated root, or a complex one whose bring-jerrard step merges
-roots; no trace is emitted), 64 usage error.
+with a repeated root, or a complex one with a step that merges roots; no
+trace is emitted), 64 usage error (a non-finite coefficient or trace value
+included).
 """
 
 from __future__ import annotations
@@ -59,9 +60,12 @@ def _parse_coeff(token: str, mode: str, prec: int) -> Scalar:
                 raise UsageError("not a rational coefficient: %r" % token)
     try:
         # read at prec + 16 bits, then rounded to prec
-        return Scalar.from_mpc(context(prec + 16).mpf(token), prec)
+        x = context(prec + 16).mpf(token)
     except ValueError:
         raise UsageError("cannot parse coefficient: %r" % token)
+    if not mpmath.isfinite(x):
+        raise UsageError("not a finite coefficient: %r" % token)
+    return Scalar.from_mpc(x, prec)
 
 
 def _poly_from_args(args, prec: int) -> UniPoly:
@@ -154,8 +158,7 @@ def cmd_obstruction(args) -> int:
     if not (poly.coeff(3).is_exact_zero() and poly.coeff(2).is_exact_zero()):
         raise UsageError("obstruction expects the trinomial shape z^4 + p z + q")
     cfg = _config(args)
-    rep = quartic_obstruction_G(poly.coeff(1), poly.coeff(0), prec=cfg.precision_bits,
-                                tol=cfg.tol)
+    rep = quartic_obstruction_G(poly.coeff(1), poly.coeff(0), tol=cfg.tol)
     slack = obstruction_consistency(rep, cfg)
     if args.output == "json":
         _emit(args, _json_dump({

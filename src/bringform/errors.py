@@ -8,7 +8,7 @@ class DegenerateDenominator(Exception):
     Raised when a closed-form solve cannot proceed as stated because a
     denominator (for example 3n - m^2, or 15p + 20q) vanishes, and when a
     quintic has a repeated root: a rational one when its discriminant
-    vanishes, a complex one when its bring-jerrard map merges roots.  The
+    vanishes, a complex one when any step the chain keeps merges roots.  The
     Bring-Jerrard step retries once at halved roots before it lets this
     through; the command line maps it to exit 2.
     """

@@ -17,17 +17,16 @@ multiplication by T modulo A, and power-sum transport through Newton's
 identities.  They must agree (exactly in rational mode) or the step fails.
 
 A ``TransformStep`` owns everything that depends on its kind: ``certify``
-proves its output without eliminating again, and ``image`` and
-``pull_back`` move roots through it forward and back (``preimages`` also
-solves the subsidiary root by root, for ``solve_quartic``).  The
-certificate is two identities modulo A.  U(T) = z, for the inverse map U,
-makes 1, T, ..., T^(n-1) a basis of K[z]/(A), so the minimal polynomial of
-M_T is its characteristic polynomial; a monic C of degree n with C(T) = 0
-is then det(y - M_T) = prod (y - T(z_i)).  The powers of T modulo A are built once
-per step (``powers``): the power-sum route of ``dual_eliminate`` builds
-them and the step builder hands them to the step, whose C(T) sum and solve
-for U read them again.  The reciprocal step, z -> 1/z, is the one step
-without a subsidiary.
+proves its output without eliminating again, and ``pull_back`` moves roots
+back through it (``preimages`` also solves the subsidiary root by root, for
+``solve_quartic``).  The certificate is two identities modulo A.  U(T) = z,
+for the inverse map U, makes 1, T, ..., T^(n-1) a basis of K[z]/(A), so the
+minimal polynomial of M_T is its characteristic polynomial; a monic C of
+degree n with C(T) = 0 is then det(y - M_T) = prod (y - T(z_i)).  The
+powers of T modulo A are built once per step (``powers``): the power-sum
+route of ``dual_eliminate`` builds them and the step builder hands them to
+the step, whose C(T) sum and solve for U read them again.  The reciprocal
+step, z -> 1/z, is the one step without a subsidiary.
 """
 
 from __future__ import annotations
@@ -41,10 +40,9 @@ from mpmath.libmp import mpf_div, round_nearest
 from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
-from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, power_sums,
-                          powers_mod, relative_residual, rem_monic,
-                          shift_substitute)
-from .scalars import Scalar, as_scalar, as_tol, negligible, pick_root, rat
+from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, lies_on,
+                          power_sums, powers_mod, rem_monic, shift_substitute)
+from .scalars import Scalar, as_scalar, negligible, pick_root, rat
 from .solvers import assemble_preimages, solve_condition, solve_monic
 
 
@@ -138,11 +136,14 @@ class TransformStep:
 
     def certify(self, tol=None):
         """Certify the step modulo its monic input A, with no elimination
-        and no roots (see the module docstring): U(T) = z by Horner, U being
-        the step's one inverse map (``inverse``), and C(T) = 0 for the monic
+        and no roots (see the module docstring): U(T) = z, U being the
+        step's one inverse map (``inverse``), and C(T) = 0 for the monic
         output C of degree n, summed as sum c_j (T^j mod A) over ``powers``.
-        The reciprocal step's output must be the reversed input over c_0,
-        an identity step's its input.  Returns (largest |coefficient| of
+        U(T) is evaluated by Horner on T, not summed over ``powers``: U
+        solves sum u_j (T^j mod A) = z on those very rows, so that sum is
+        only the solve's own residual, and it passes complex steps that
+        merge roots, which Horner rejects.  The reciprocal step's output must be the
+        reversed input over c_0.  Returns (largest |coefficient| of
         U(T) - z relative to ``coeff_scale(A)``, 0 for a step without U;
         ok); C(T) counts within tol * coeff_scale(A) * coeff_scale(C),
         exactly in rational mode."""
@@ -154,8 +155,6 @@ class TransformStep:
             ok = not c0.is_exact_zero() and coeff_mismatch(
                 UniPoly([c / c0 for c in reversed(A.coeffs)], "y"), C, tol) is None
             return mpmath.mpf(0), ok
-        if self.is_identity:
-            return mpmath.mpf(0), coeff_mismatch(A, C, tol) is None
         U = self.inverse
         if U is None:
             return mpmath.inf, False
@@ -180,13 +179,6 @@ class TransformStep:
             scale = scale * coeff_scale(C)
             ok = all(negligible(r, tol, scale) for r in CT)
         return residual, ok
-
-    def image(self, zs):
-        """The images of the roots zs under the step's map."""
-        if self.subsidiary is None:
-            return [rat(1) / z for z in zs]
-        T = self.subsidiary.map_in_z()
-        return [T.eval(z) for z in zs]
 
     @cached_property
     def powers(self):
@@ -517,7 +509,7 @@ def _b_rows(form):
     return [form_in(row, "c") for row in rows]
 
 
-def quartic_obstruction_G(p, q, *, prec=None, tol=None) -> ObstructionReport:
+def quartic_obstruction_G(p, q, *, tol=None) -> ObstructionReport:
     """Push a cubic subsidiary at z^4 + p z + q and report the blockage.
 
     The constant coefficient a = 3p/4 removes y^3 for free, but the conditions
@@ -717,8 +709,6 @@ def back_solve(step: TransformStep, y, *, prec=None, tol=None):
             raise ConsistencyError("zero has no reciprocal preimage")
         return [rat(1) / y]
     sub = step.subsidiary
-    if sub.is_identity():
-        return [y]
     if sub.k == 1:
         return [y - sub.coeffs[0]]
     B_at_y = UniPoly([sub.coeffs[0] + y] + list(sub.coeffs[1:]) + [rat(1)], "z")
@@ -727,11 +717,6 @@ def back_solve(step: TransformStep, y, *, prec=None, tol=None):
     if not keep:
         raise ConsistencyError("no preimage of %s lies on the source polynomial" % y)
     return keep
-
-
-def lies_on(A: UniPoly, z, tol=None) -> bool:
-    """Is z a root of A, with a ``relative_residual`` of at most tol?"""
-    return relative_residual(A, z) <= as_tol(tol)
 
 
 def step_inverse(step: TransformStep):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath
 
 from .scalars import (DEFAULT_PRECISION_BITS, Scalar, as_scalar, as_tol,
-                      context, rat)
+                      context, negligible, rat)
 
 
 class UniPoly:
@@ -190,14 +190,11 @@ class UniPoly:
         return m
 
     def effective_degree(self, tol, scale=None) -> int:
-        """Degree after ignoring leading coefficients below tol*scale."""
-        t = as_tol(tol) * (scale if scale is not None else max(mpmath.mpf(1), self.max_mag()))
+        """Degree after dropping the leading coefficients that are
+        ``negligible`` at tol * scale (default ``coeff_scale(self)``)."""
+        t = as_tol(tol) * (coeff_scale(self) if scale is None else scale)
         for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_rational:
-                if c.fraction != 0:
-                    return k
-            elif c.mag() > t:
+            if not negligible(self.coeffs[k], t):
                 return k
         return -1
 
@@ -260,17 +257,21 @@ def relative_residual(A: UniPoly, z):
     return ctx.mpf(A.eval(z).mag()) / den
 
 
-def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
-    """(k, P_k - Q_k) at the first power k where P and Q differ, or None.
+def lies_on(A: UniPoly, z, tol=None) -> bool:
+    """Is z a root of A, with a ``relative_residual`` of at most tol?"""
+    return relative_residual(A, z) <= as_tol(tol)
 
-    Two rational polynomials must agree exactly; otherwise a difference
-    counts only when it exceeds tol * coeff_scale(P, Q).
-    """
-    exact = P.is_rational_tree() and Q.is_rational_tree()
-    t = None if exact else as_tol(tol) * coeff_scale(P, Q)
+
+def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
+    """(k, P_k - Q_k) at the first power k where the difference is not
+    ``negligible`` at tol * coeff_scale(P, Q), or None: two rational
+    coefficients must agree exactly."""
+    t = None  # tol * coeff_scale(P, Q), which a rational difference never reads
     for k in range(max(P.degree, Q.degree) + 1):
         d = P.coeff(k) - Q.coeff(k)
-        if (not d.is_exact_zero()) if exact else d.mag() > t:
+        if t is None and not d.is_rational:
+            t = as_tol(tol) * coeff_scale(P, Q)
+        if not negligible(d, t):
             return k, d
     return None
 

@@ -18,9 +18,9 @@ copy of one on the same value, so root sets compare by plain optimal
 pairing.
 
 Nothing here depends on what kind a step is.  Each ``TransformStep``
-certifies itself (``certify``) and moves roots through itself forward
-(``image``) and back (``pull_back``); verification and recovery only walk
-the chain, and recovery refuses a chain that does not walk back.
+certifies itself (``certify``) and moves roots back through itself
+(``pull_back``); verification and recovery only walk the chain, and
+recovery refuses a chain that does not walk back.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from math import isfinite
 import mpmath
 
 from .errors import ConsistencyError
-from .pipeline import lies_on
-from .polynomials import (UniPoly, coeff_mismatch, power_sums,
+from .polynomials import (UniPoly, coeff_mismatch, lies_on, power_sums,
                           relative_residual)
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar,
                       as_tol, context, rat, sort_key)

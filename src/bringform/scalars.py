@@ -381,13 +381,17 @@ class Scalar:
     @classmethod
     def from_json(cls, v, prec: int = None) -> "Scalar":
         """Inverse of ``to_json``; a complex value is read at prec + 16 bits
-        and carried at prec (default ``DEFAULT_PRECISION_BITS``)."""
+        and carried at prec (default ``DEFAULT_PRECISION_BITS``).
+        ValueError for a part that is an infinity or nan."""
         if not (isinstance(v, list) and len(v) == 2):
             raise ValueError("scalar JSON must be a two-element list")
         if all(isinstance(t, int) for t in v):
             return cls.rational(v[0], v[1])
         prec = prec or DEFAULT_PRECISION_BITS
-        return cls(None, context(prec + 16).mpc(v[0], v[1])._mpc_, prec)
+        z = context(prec + 16).mpc(v[0], v[1])._mpc_
+        if not _finite(z):
+            raise ValueError("scalar JSON must be finite, got %r" % (v,))
+        return cls(None, z, prec)
 
     def __repr__(self):
         if self._frac is not None:
@@ -429,7 +433,8 @@ def as_tol(tol):
 
 
 def negligible(x: Scalar, tol, scale=1) -> bool:
-    """Zero test: exact for rationals, |x| <= tol*scale for complex floats."""
+    """The one zero test: exact for rationals, |x| <= tol*scale for complex
+    floats, so a nan is never negligible."""
     if x.is_rational:
         return x.fraction == 0
     return x.mag() <= as_tol(tol) * scale

@@ -226,6 +226,41 @@ def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
     assert "malformed trace" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, token", [
+    ("reduce --coeffs 1 0 0 0 0 nan", "nan"),
+    ("reduce --coeffs 1 0 0 0 inf 1", "inf"),
+    ("reduce --coeffs 1 1 0 0 0 nan", "nan"),  # not a repeated root
+    ("reduce --mode complex --coeffs 1,0,0,-inf,0,1", "-inf"),
+    ("solve --coeffs 1 nan 2", "nan"),
+    ("obstruction --coeffs 1 0 0 1 inf", "inf"),
+])
+def test_a_coefficient_that_is_not_finite_is_refused(capsys, argv, token):
+    code, out, err = run(capsys, *argv.split())
+    assert code == EXIT_USAGE and out == ""
+    assert "not a finite coefficient: %r" % token in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["bring_p", "original", "step output"])
+def test_verify_refuses_a_trace_value_that_is_not_finite(capsys, tmp_path, where, value):
+    trace = tmp_path / "trace.json"
+    assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads(trace.read_text())
+    t = doc["trace"]
+    if where == "bring_p":
+        t["bring_p"] = [value, "0"]
+    elif where == "original":
+        t["original"]["coeffs"][2] = ["0", value]
+    else:
+        t["steps"][1]["output"]["coeffs"][0] = [value, "0"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--in", str(bad))
+    assert code == EXIT_USAGE and out == ""
+    assert "malformed trace" in err and "finite" in err
+
+
 @pytest.mark.parametrize("edit", ["made-up P and Q", "no steps"])
 def test_verify_checks_the_claimed_trinomial(capsys, tmp_path, edit):
     trace = tmp_path / "trace.json"

@@ -11,8 +11,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from bringform import (UniPoly, coeff_scale, deflate, poly_from_power_sums,
-                       power_sums, rat, shift_substitute)
+from bringform import (Scalar, UniPoly, coeff_scale, cx, deflate,
+                       poly_from_power_sums, power_sums, rat, shift_substitute)
+from bringform.polynomials import coeff_mismatch
 from helpers import max_coeff_diff, rand_fraction, rand_monic, rand_scalar
 
 
@@ -166,3 +167,22 @@ def test_effective_degree_discards_negligible_lead():
     P = UniPoly([rat(3), rat(2), lead])
     assert P.degree == 2
     assert P.effective_degree("1e-30") == 1
+
+
+def test_a_nan_coefficient_is_never_negligible():
+    nan = Scalar.complex_(mpmath.nan, 0, 256)
+    assert UniPoly([1, nan]).effective_degree("1e-30") == 1
+    assert UniPoly([rat(1), nan, rat(0)]).effective_degree("1e-30", mpmath.mpf(1)) == 1
+    P = UniPoly([rat(1), rat(2), rat(1)])
+    k, d = coeff_mismatch(P, UniPoly([rat(1), nan, rat(1)]), "1e-30")
+    assert k == 1 and mpmath.isnan(d.mag())
+
+
+def test_coeff_mismatch_asks_exactness_of_each_rational_pair():
+    # a complex polynomial does not excuse a rational coefficient that differs
+    P = UniPoly([cx(1), rat(2), rat(1)])
+    assert coeff_mismatch(P, UniPoly([cx(1), rat(2), rat(1)]), "1e-30") is None
+    assert coeff_mismatch(P, UniPoly([cx(1), rat(2) + rat(1, 10 ** 40), rat(1)]),
+                          "1e-30")[0] == 1
+    assert coeff_mismatch(P, UniPoly([cx(1), cx(2) + cx("1e-40"), rat(1)]),
+                          "1e-30") is None

@@ -12,8 +12,8 @@ from math import isfinite
 import mpmath
 import pytest
 
-from bringform import (ConsistencyError, DegenerateDenominator, RootConfig, UniPoly,
-                       bring_curve_residual, coeff_scale, cx, find_roots,
+from bringform import (ConsistencyError, DegenerateDenominator, RootConfig, Scalar,
+                       UniPoly, bring_curve_residual, coeff_scale, cx, find_roots,
                        match_roots, obstruction_consistency, quartic_obstruction_G,
                        quartic_remove_2_4, quintic_bring_ansatz, rat,
                        recover_roots, reduce_general_quintic, verify_trace,
@@ -273,7 +273,8 @@ def test_depress_step_certifies_its_own_output_only():
 def test_depress_step_maps_roots_forward_by_its_shift():
     zs = [rat(1), rat(-2), rat(5)]
     step = depress(_poly_from_roots(zs))
-    ys = step.image(zs)
+    T = step.subsidiary.map_in_z()
+    ys = [T.eval(z) for z in zs]
     assert ys == [rat(-1, 3), rat(-10, 3), rat(11, 3)]
     assert all(step.output.eval(y).is_exact_zero() for y in ys)
 
@@ -657,3 +658,14 @@ def test_verify_trace_checks_the_claimed_trinomial():
     detached = ReductionTrace(trace.original, trace.steps[:-1], final,
                               trace.bring_p, trace.bring_q)
     assert verify_trace(detached).matched is False
+
+
+def test_a_nan_never_verifies():
+    nan = Scalar.complex_(mpmath.nan, 0, 256)
+    trace = reduce_general_quintic(README_QUINTIC)
+    nan_p = ReductionTrace(trace.original, trace.steps, trace.final, nan, trace.bring_q)
+    assert verify_trace(nan_p).matched is False
+    # no steps: y^5 + nan y^4 + y + 1 is no trinomial
+    final = UniPoly([rat(1), rat(1), rat(0), rat(0), nan, rat(1)], "y")
+    bare = ReductionTrace(final, (), final, rat(1), rat(1))
+    assert verify_trace(bare).matched is False

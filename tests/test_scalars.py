@@ -122,6 +122,12 @@ def test_json_roundtrip_complex_precision():
         assert rel < mpmath.mpf(2) ** (-240)
 
 
+@pytest.mark.parametrize("v", [["nan", "0"], ["0", "inf"], ["-inf", "1"], [1.5, float("nan")]])
+def test_json_refuses_a_part_that_is_not_finite(v):
+    with pytest.raises(ValueError, match="finite"):
+        Scalar.from_json(v)
+
+
 def test_negligible_is_exact_for_rationals():
     assert negligible(rat(0), "1e-30")
     assert not negligible(rat(1, 10 ** 60), "1e-30")  # exact nonzero never passes
