@@ -17,14 +17,13 @@ from .pipeline import (AuxSolve, BringAnsatz, ObstructionReport,
                        dual_eliminate, quartic_obstruction_G,
                        quartic_remove_2_3, quartic_remove_2_4,
                        quintic_bring_ansatz, quintic_to_bring_jerrard,
-                       reciprocal_transform, reduce_general_quintic,
-                       step_inverse, to_principal)
+                       reduce_general_quintic, step_inverse, to_principal)
 from .polynomials import (UniPoly, coeff_scale, deflate, poly_from_power_sums,
                           power_sums, shift_substitute)
 from .roots import (DEFAULT_MATCH_TOLERANCE, RootConfig, RootSet,
                     VerifyReport, bring_curve_residual, find_roots,
                     match_roots, obstruction_consistency, recover_roots,
-                    verify_trace, verify_transform)
+                    verify_trace)
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar, cx,
                       rat)
 from .solvers import (SolveResult, assemble_preimages, solve_condition,
@@ -44,11 +43,11 @@ __all__ = [
     "power_sums",
     "quartic_obstruction_G", "quartic_remove_2_3", "quartic_remove_2_4",
     "quintic_bring_ansatz", "quintic_to_bring_jerrard", "rat",
-    "reciprocal_transform", "recover_roots", "reduce_general_quintic",
+    "recover_roots", "reduce_general_quintic",
     "shift_substitute", "solve_condition", "solve_cubic_cardano",
     "solve_cubic_general", "solve_monic", "solve_quadratic", "solve_quartic",
     "step_inverse", "sylvester_resultant_with_factor", "to_principal",
-    "transform_by_power_sums", "verify_trace", "verify_transform",
+    "transform_by_power_sums", "verify_trace",
 ]
 
 __version__ = "0.1.0"

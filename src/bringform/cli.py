@@ -49,9 +49,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _too_long(token: str) -> bool:
+    """Would Fraction(token), before reduction, have a numerator or
+    denominator of more digits than Python prints?  Judged from a decimal
+    token's digits and its exponent e, before 10^|e| is built."""
+    m = re.fullmatch(r"[-+]?(\d*)\.?(\d*)[eE]([-+]?\d+)", token.replace("_", ""))
+    if not m or not sys.get_int_max_str_digits():
+        return False
+    whole, frac, e = len(m[1]), len(m[2]), float(m[3])  # inf when e is that long
+    return max(whole + max(e, frac), 1 + frac - e) > sys.get_int_max_str_digits()
+
+
 def _parse_coeff(token: str, mode: str, prec: int) -> Scalar:
     token = token.strip()
     if mode in ("rational", "auto"):
+        if _too_long(token):
+            raise UsageError("coefficient %r has too many digits to print" % token)
         try:
             f = Fraction(token)
             return Scalar.rational(f.numerator, f.denominator)
@@ -189,8 +202,8 @@ def cmd_verify(args) -> int:
             raise UsageError("cannot read trace file: %s" % exc)
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise UsageError("trace file is not JSON: %s" % exc)
+    except ValueError as exc:  # not JSON, or an integer too long to read
+        raise UsageError("malformed trace: %s: %s" % (type(exc).__name__, exc))
     body = data.get("trace", data) if isinstance(data, dict) else None
     if body is None:
         raise UsageError("trace file has no trace object")

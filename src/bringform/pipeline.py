@@ -25,8 +25,7 @@ minimal polynomial of M_T is its characteristic polynomial; a monic C of
 degree n with C(T) = 0 is then det(y - M_T) = prod (y - T(z_i)).  The
 powers of T modulo A are built once per step (``powers``): the power-sum
 route of ``dual_eliminate`` builds them and the step builder hands them to
-the step, whose C(T) sum and solve for U read them again.  The reciprocal
-step, z -> 1/z, is the one step without a subsidiary.
+the step, whose C(T) sum and solve for U read them again.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ class Subsidiary:
 
     def __post_init__(self):
         cs = tuple(as_scalar(c) for c in self.coeffs)
-        if len(cs) != self.k:
-            raise ValueError("need %d coefficients, got %d" % (self.k, len(cs)))
+        if type(self.k) is not int or not 1 <= self.k == len(cs):  # True is no k
+            raise ValueError("need k >= 1 coefficients, got k = %r and %d" % (self.k, len(cs)))
         object.__setattr__(self, "coeffs", cs)
 
     def is_identity(self) -> bool:
@@ -119,7 +118,7 @@ class AuxSolve:
 class TransformStep:
     kind: str
     input: UniPoly
-    subsidiary: Subsidiary  # None only for the reciprocal step
+    subsidiary: Subsidiary
     output: UniPoly
     aux: tuple
     # T^0..T^n mod the input as ``dual_eliminate`` built them, or None;
@@ -132,7 +131,7 @@ class TransformStep:
 
     @property
     def is_identity(self) -> bool:
-        return self.subsidiary is not None and self.subsidiary.is_identity()
+        return self.subsidiary.is_identity()
 
     def certify(self, tol=None):
         """Certify the step modulo its monic input A, with no elimination
@@ -142,19 +141,13 @@ class TransformStep:
         U(T) is evaluated by Horner on T, not summed over ``powers``: U
         solves sum u_j (T^j mod A) = z on those very rows, so that sum is
         only the solve's own residual, and it passes complex steps that
-        merge roots, which Horner rejects.  The reciprocal step's output must be the
-        reversed input over c_0.  Returns (largest |coefficient| of
-        U(T) - z relative to ``coeff_scale(A)``, 0 for a step without U;
-        ok); C(T) counts within tol * coeff_scale(A) * coeff_scale(C),
+        merge roots, which Horner rejects.  Returns (largest |coefficient|
+        of U(T) - z relative to ``coeff_scale(A)``, inf for a step without
+        U; ok); C(T) counts within tol * coeff_scale(A) * coeff_scale(C),
         exactly in rational mode."""
         A, C = self.input, self.output
         if not A.is_monic():
             return mpmath.inf, False
-        if self.subsidiary is None:
-            c0 = A.coeff(0)
-            ok = not c0.is_exact_zero() and coeff_mismatch(
-                UniPoly([c / c0 for c in reversed(A.coeffs)], "y"), C, tol) is None
-            return mpmath.mpf(0), ok
         U = self.inverse
         if U is None:
             return mpmath.inf, False
@@ -198,57 +191,53 @@ class TransformStep:
         return step_inverse(self)
 
     def pull_back(self, ys):
-        """The unchecked preimages of the points ys, in their order: 1/y for
-        the reciprocal step, U(y) by the step's one inverse map U
-        (``inverse``), or None for a step without U."""
-        if self.subsidiary is None:
-            return [rat(1) / y for y in ys]
+        """The unchecked preimages of the points ys, in their order: U(y) by
+        the step's one inverse map U (``inverse``), or None for a step
+        without U."""
         U = self.inverse
         return None if U is None else [U.eval(y) for y in ys]
 
     def preimages(self, ys, *, prec=None, tol=None):
         """The roots of the input that the map sends to the roots ys of the
-        output, one per y and in the order of ys: ``pull_back`` for the
-        reciprocal step, and for a mapped step when every U(y) lies on the
-        input; otherwise by solving the subsidiary relation root by root
-        (``assemble_preimages``)."""
+        output, one per y and in the order of ys: ``pull_back`` when every
+        U(y) lies on the input; otherwise by solving the subsidiary relation
+        root by root (``assemble_preimages``)."""
         zs = self.pull_back(ys)
-        if self.subsidiary is None or (
-                zs is not None and all(lies_on(self.input, z, tol) for z in zs)):
+        if zs is not None and all(lies_on(self.input, z, tol) for z in zs):
             return zs
         return assemble_preimages(self.input, ys, self, prec=prec, tol=tol)
 
     def to_json(self):
         return {
             "kind": self.kind,
-            "subsidiary": None if self.subsidiary is None else self.subsidiary.to_json(),
+            "subsidiary": self.subsidiary.to_json(),
             "aux": [a.to_json() for a in self.aux],
             "output": self.output.to_json(),
         }
 
     @classmethod
     def from_json(cls, d, input_poly: UniPoly, prec=None):
-        """Inverse of ``to_json`` on the step's input; ValueError unless the
-        step maps that input to a monic output of the same degree, by a
-        subsidiary of lower degree, or by reciprocals (no subsidiary) of
-        roots that are not zero; ValueError, too, for the rescaled input of
-        an older trace (a ``rescue_lambda``), which no step takes now."""
+        """Inverse of ``to_json`` on the step's input; ValueError unless d
+        is an object whose kind is a string and whose subsidiary, of lower
+        degree than the input, maps it to a monic output of the same
+        degree; ValueError, too, for the rescaled input of an older trace (a
+        ``rescue_lambda``), which no step takes now."""
+        if not (isinstance(d, dict) and isinstance(d.get("kind"), str)):
+            raise ValueError("a step must be an object with a string kind")
         if d.get("rescue_lambda") is not None:
             raise ValueError("a rescaled step input (rescue_lambda); reduce the quintic again")
         sub = d.get("subsidiary")
+        if sub is None:
+            raise ValueError("a step without a subsidiary")
         step = cls(
             d["kind"],
             input_poly,
-            None if sub is None else Subsidiary.from_json(sub, prec),
+            Subsidiary.from_json(sub, prec),
             UniPoly.from_json(d["output"], prec),
             tuple(AuxSolve.from_json(a, prec) for a in d.get("aux", ())),
         )
         n = input_poly.degree
-        if (step.subsidiary is None) != (step.kind == "reciprocal"):
-            raise ValueError("the reciprocal step, and only it, has no subsidiary")
-        if step.subsidiary is None and input_poly.coeff(0).is_exact_zero():
-            raise ValueError("a root at zero has no reciprocal")
-        if step.subsidiary is not None and step.subsidiary.k >= n:
+        if step.subsidiary.k >= n:
             raise ValueError("a subsidiary of degree %d on an input of degree %d"
                              % (step.subsidiary.k, n))
         _require_monic(step.output)
@@ -298,9 +287,13 @@ class ObstructionReport:
 class ReductionTrace:
     original: UniPoly
     steps: tuple
-    final: UniPoly
     bring_p: Scalar
     bring_q: Scalar
+
+    @property
+    def final(self) -> UniPoly:
+        """Where the chain ends: the last step's output, or the original."""
+        return self.steps[-1].output if self.steps else self.original
 
     def to_json(self):
         return {
@@ -325,9 +318,7 @@ class ReductionTrace:
             st = TransformStep.from_json(sd, cur.with_var("z"), prec)
             steps.append(st)
             cur = st.output
-        final = steps[-1].output if steps else original
-        return cls(original, tuple(steps), final,
-                   Scalar.from_json(d["bring_p"], prec),
+        return cls(original, tuple(steps), Scalar.from_json(d["bring_p"], prec),
                    Scalar.from_json(d["bring_q"], prec))
 
 
@@ -483,21 +474,6 @@ def quartic_remove_2_4(p, q, *, prec=None, tol=None) -> TransformStep:
     p, q = as_scalar(p), as_scalar(q)
     A = UniPoly([q, p, rat(0), rat(0), rat(1)], "z")
     return _quadratic_subsidiary_step("quartic-remove-2-4", A, 1, prec=prec, tol=tol)
-
-
-def reciprocal_transform(poly: UniPoly, *, tol=None) -> TransformStep:
-    """Map every root to its reciprocal by reversing the coefficient list,
-    cross-checked against the characteristic polynomial of z^-1 mod A."""
-    _require_monic(poly)
-    c0 = poly.coeff(0)
-    if c0.is_exact_zero():
-        raise DegenerateDenominator(c0, "a root at zero has no reciprocal")
-    C = UniPoly([c / c0 for c in reversed(poly.coeffs)], "y")
-    # z (c_1 + c_2 z + ... + z^(n-1)) = -c_0 modulo A
-    bad = coeff_mismatch(C, map_charpoly(poly, [-c / c0 for c in poly.coeffs[1:]]), tol)
-    if bad is not None:
-        raise ConsistencyError("reciprocal cross-check failed to vanish: %s" % bad[1])
-    return TransformStep("reciprocal", poly, None, C, ())
 
 
 def _b_rows(form):
@@ -696,18 +672,13 @@ def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTr
                                                 "root" % st.kind)
         steps.append(st)
         cur = st.output.with_var("z")
-    final = cur.with_var("y")
-    return ReductionTrace(poly, tuple(steps), final, final.coeff(1), final.coeff(0))
+    return ReductionTrace(poly, tuple(steps), cur.coeff(1), cur.coeff(0))
 
 
 def back_solve(step: TransformStep, y, *, prec=None, tol=None):
     """All z with B(z, y) = 0 that are also roots of the step's input; these
     are exactly the preimages of y under the step's map."""
     y = as_scalar(y)
-    if step.subsidiary is None:
-        if y.is_exact_zero():
-            raise ConsistencyError("zero has no reciprocal preimage")
-        return [rat(1) / y]
     sub = step.subsidiary
     if sub.k == 1:
         return [y - sub.coeffs[0]]

@@ -204,7 +204,7 @@ class UniPoly:
     def mode(self) -> str:
         return "rational" if self.is_rational_tree() else "complex"
 
-    def to_json(self, prec=None):
+    def to_json(self):
         return {
             "var": self.var,
             "coeffs": [c.to_json() for c in self.coeffs],

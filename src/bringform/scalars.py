@@ -42,10 +42,11 @@ from math import isqrt
 import mpmath
 from mpmath import mp
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_add, mpc_conjugate,
-                          mpc_div, mpc_mul, mpc_mul_mpf, mpc_neg, mpc_pos,
-                          mpc_pow_int, mpc_sqrt, mpc_sub, mpf_add, mpf_div,
-                          mpf_eq, mpf_neg, mpf_pos, mpf_sub, round_nearest)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add,
+                          mpc_conjugate, mpc_div, mpc_mul, mpc_mul_mpf,
+                          mpc_neg, mpc_pos, mpc_pow_int, mpc_sqrt, mpc_sub,
+                          mpf_add, mpf_div, mpf_eq, mpf_neg, mpf_pos, mpf_sub,
+                          round_nearest)
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_TOLERANCE = "1e-30"
@@ -87,17 +88,6 @@ def _exact_nth_root(a: int, n: int):
     """Exact n-th root of a >= 0, or None."""
     r = isqrt(a) if n == 2 else _iroot(a, n)
     return r if r ** n == a else None
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """Exact conversion of a finite mpf to a Fraction."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
-        raise ValueError("cannot convert non-finite value")
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
 
 
 def _finite(z) -> bool:
@@ -310,21 +300,21 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self._frac is not None and other._frac is not None:
-            return self._frac == other._frac
-        a, b = self, other
-        try:
-            fa = a._frac if a._frac is not None else (
-                mpf_to_fraction(mp.make_mpf(a._c[0])) if a._c[1] == fzero else None)
-            fb = b._frac if b._frac is not None else (
-                mpf_to_fraction(mp.make_mpf(b._c[0])) if b._c[1] == fzero else None)
-        except ValueError:
+        f, g = self._frac, other._frac
+        if f is not None and g is not None:
+            return f == g
+        z = self._c if f is None else other._c
+        if not _finite(z):
             return False
-        if fa is not None and fb is not None:
-            return fa == fb
-        if a._frac is not None or b._frac is not None:
-            return False  # one is real-valued, the other has an imaginary part
-        return mpf_eq(a._c[0], b._c[0]) and mpf_eq(a._c[1], b._c[1])
+        if f is None and g is None:
+            return mpf_eq(z[0], other._c[0]) and mpf_eq(z[1], other._c[1])
+        # a complex value equals a rational only when it is real and the
+        # rational is a dyadic num / 2^k, compared as the mpf num * 2^-k
+        # without building 2^exp
+        r = g if f is None else f
+        den = r.denominator
+        return (z[1] == fzero and not den & (den - 1)
+                and mpf_eq(z[0], from_man_exp(r.numerator, 1 - den.bit_length())))
 
     __hash__ = None
 

@@ -174,16 +174,14 @@ def _poly_json(*ascending):
     return {"var": "z", "coeffs": [[c, 1] for c in ascending], "mode": "rational"}
 
 
-def _reciprocal_step_json(output):
-    return {"kind": "reciprocal", "subsidiary": None, "aux": [], "output": output}
-
-
 @pytest.mark.parametrize("breakage", [
     "step without output", "zero denominator", "steps not a list",
     "non-monic original", "constant original without steps",
     "subsidiary degree not below the input's", "subsidiary missing",
-    "reciprocal of a zero root", "non-monic step output",
-    "step output of another degree", "rescaled step input"])
+    "reciprocal step", "non-monic step output",
+    "step output of another degree", "rescaled step input",
+    "step not an object", "integer of 5000 digits", "subsidiary degree true",
+    "subsidiary degree zero", "kind not a string", "leading coefficient 1e999999999999"])
 def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
     trace = tmp_path / "trace.json"
     assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
@@ -206,21 +204,38 @@ def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
                        "aux": [], "output": _poly_json(2, 0, 1)}]
     elif breakage == "subsidiary missing":
         t["steps"][0]["subsidiary"] = None
-    elif breakage == "reciprocal of a zero root":
-        t["original"] = _poly_json(0, 1, 0, 0, 0, 1)
-        t["steps"] = [_reciprocal_step_json(_poly_json(1, 0, 0, 0, 1, 0))]
+    elif breakage == "reciprocal step":
+        # z -> 1/z on z^2 - 1: no subsidiary relation, so no step
+        t["original"], t["bring_p"], t["bring_q"] = _poly_json(-1, 0, 1), [0, 1], [-1, 1]
+        t["steps"] = [{"kind": "reciprocal", "subsidiary": None, "aux": [],
+                       "output": _poly_json(-1, 0, 1)}]
     elif breakage == "non-monic step output":
         t["steps"][0]["output"]["coeffs"][-1] = [3, 1]
     elif breakage == "rescaled step input":
         # older traces took a rescue step on A(2w)/2^5; none is read now,
         # so it is refused rather than verified against the wrong input
         t["steps"][-1]["rescue_lambda"] = [2, 1]
+    elif breakage == "step not an object":
+        t["steps"] = [5]
+    elif breakage == "integer of 5000 digits":
+        # valid JSON that Python will not read as an int
+        t["bring_p"] = ["BIG", 1]
+    elif breakage == "subsidiary degree true":
+        t["steps"][0]["subsidiary"]["k"] = True  # not read as k = 1
+    elif breakage == "subsidiary degree zero":
+        t["steps"][0]["subsidiary"]["k"] = 0
+    elif breakage == "kind not a string":
+        t["steps"][0]["kind"] = ["depress"]
+    elif breakage == "leading coefficient 1e999999999999":
+        # not monic, decided without building 2^(3.3e12)
+        t["original"]["coeffs"][-1] = ["1e999999999999", "0"]
     else:
         # a quartic original: the bring-curve check would see four roots
         t["original"] = _poly_json(1, 0, 0, 0, 1)
-        t["steps"] = [_reciprocal_step_json(_poly_json(1, 0, 0, 0, 1, 1))]
+        t["steps"] = [{"kind": "depress", "subsidiary": {"k": 1, "a": [0, 1]}, "aux": [],
+                       "output": _poly_json(1, 0, 0, 0, 1, 1)}]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(doc).replace('"BIG"', "7" * 5000))
     code, out, err = run(capsys, "verify", "--in", str(bad))
     assert code == EXIT_USAGE and out == ""
     assert "malformed trace" in err and "Traceback" not in err
@@ -238,6 +253,19 @@ def test_a_coefficient_that_is_not_finite_is_refused(capsys, argv, token):
     code, out, err = run(capsys, *argv.split())
     assert code == EXIT_USAGE and out == ""
     assert "not a finite coefficient: %r" % token in err
+
+
+@pytest.mark.parametrize("argv, token", [
+    ("reduce --coeffs 1 0 0 0 0 1e5000", "1e5000"),
+    ("solve --coeffs 1 1e5000", "1e5000"),
+    ("reduce --coeffs 1 0 0 0 1e-5000 1", "1e-5000"),
+    ("solve --mode rational --coeffs 1 1e-5000", "1e-5000"),
+])
+def test_a_coefficient_with_too_many_digits_is_refused(capsys, argv, token):
+    # refused before 10^5000 is built, whose digits Python will not print
+    code, out, err = run(capsys, *argv.split())
+    assert code == EXIT_USAGE and out == ""
+    assert "coefficient %r has too many digits to print" % token in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -13,13 +13,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from mpmath.libmp import to_rational
 
 from bringform import (BiPoly, Subsidiary, UniPoly, cx, find_roots,
                        map_charpoly, match_roots, polynomial_resultant,
                        quartic_remove_2_4, rat, shift_substitute,
                        sylvester_resultant_with_factor,
                        transform_by_power_sums)
-from bringform.scalars import mpf_to_fraction
 from helpers import rand_monic, rand_scalar
 
 
@@ -184,9 +184,8 @@ def _to_sympy(x):
     """The exact value of a Scalar (a complex one through its binary parts)."""
     if x.is_rational:
         return sympy.Rational(x.fraction.numerator, x.fraction.denominator)
-    re, im = (mpf_to_fraction(v) for v in (x.re(), x.im()))
-    return sympy.Rational(re.numerator, re.denominator) + \
-        sympy.I * sympy.Rational(im.numerator, im.denominator)
+    re, im = (sympy.Rational(*to_rational(v._mpf_)) for v in (x.re(), x.im()))
+    return re + sympy.I * im
 
 
 def _from_sympy(v):

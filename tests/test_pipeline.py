@@ -7,6 +7,7 @@ b-conditions, the trinomial-quartic step outputs, and the monomial table of
 the quintic second condition.
 """
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -21,8 +22,7 @@ from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace,
                        cx, dual_eliminate, quartic_obstruction_G,
                        quartic_remove_2_3, quartic_remove_2_4,
                        quintic_bring_ansatz, quintic_to_bring_jerrard, rat,
-                       reciprocal_transform, reduce_general_quintic,
-                       to_principal)
+                       reduce_general_quintic, to_principal)
 from bringform.elimination import image_elementary
 from bringform.polynomials import powers_mod
 from helpers import rand_monic, rand_scalar
@@ -162,22 +162,6 @@ def test_quartic_steps_back_solve_recovers_preimages():
         for y in find_roots(step.output).roots:
             for z in back_solve(step, y):
                 assert A.eval(z).mag() <= TINY * coeff_scale(A)
-
-
-# -- reciprocal ----------------------------------------------------------------
-
-def test_reciprocal_flips_roots():
-    P = UniPoly([rat(6), rat(-5), rat(1)])  # (z-2)(z-3)
-    step = reciprocal_transform(P)
-    assert step.output == UniPoly([rat(1, 6), rat(-5, 6), rat(1)], "y")
-    assert step.subsidiary is None
-    (z,) = back_solve(step, rat(1, 2))
-    assert z.fraction == 2
-
-
-def test_reciprocal_rejects_zero_constant():
-    with pytest.raises(DegenerateDenominator):
-        reciprocal_transform(UniPoly([rat(0), rat(-5), rat(1)]))
 
 
 # -- principal form --------------------------------------------------------------
@@ -395,6 +379,8 @@ def test_reduce_structure_and_trinomial_output():
     trace = reduce_general_quintic(P)
     assert [s.kind for s in trace.steps] == ["depress", "principal", "bring-jerrard"]
     final = trace.final
+    assert final is trace.steps[-1].output  # not stored: where the chain ends
+    assert "final" not in {f.name for f in dataclasses.fields(ReductionTrace)}
     for k in (4, 3, 2):
         _tiny_coeff(final, k)
     assert trace.bring_p == final.coeff(1)

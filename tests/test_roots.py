@@ -16,13 +16,11 @@ from bringform import (ConsistencyError, DegenerateDenominator, RootConfig, Scal
                        UniPoly, bring_curve_residual, coeff_scale, cx, find_roots,
                        match_roots, obstruction_consistency, quartic_obstruction_G,
                        quartic_remove_2_4, quintic_bring_ansatz, rat,
-                       recover_roots, reduce_general_quintic, verify_trace,
-                       verify_transform)
+                       recover_roots, reduce_general_quintic, verify_trace)
 from bringform import elimination, pipeline, polynomials, roots, solvers
 from bringform.pipeline import (ReductionTrace, Subsidiary, TransformStep,
                                 depress, quintic_to_bring_jerrard,
-                                reciprocal_transform, step_inverse,
-                                to_principal)
+                                step_inverse, to_principal)
 from bringform.polynomials import powers_mod
 from bringform.scalars import sort_key
 from helpers import rand_monic, rand_scalar
@@ -132,7 +130,7 @@ def test_verify_transform_on_single_step():
     rng = random.Random(64)
     P = rand_monic(rng, 4)
     step = depress(P)
-    worst, ok = verify_transform(step)
+    worst, ok = step.certify()
     assert ok and worst <= mpmath.mpf("1e-50")
 
 
@@ -166,8 +164,7 @@ def test_verify_trace_flags_corrupted_subsidiary_without_raising():
     bad_sub = type(sub)(sub.k, (sub.coeffs[0] + rat(1, 1000),) + sub.coeffs[1:])
     steps[-1] = TransformStep(victim.kind, victim.input, bad_sub, victim.output,
                               victim.aux)
-    bad = ReductionTrace(trace.original, tuple(steps), trace.final,
-                         trace.bring_p, trace.bring_q)
+    bad = ReductionTrace(trace.original, tuple(steps), trace.bring_p, trace.bring_q)
     report = verify_trace(bad)
     assert not report.matched
 
@@ -182,8 +179,7 @@ def test_verify_trace_flags_tampered_output_polynomial():
                      out.var)
     steps[0] = TransformStep(victim.kind, victim.input, victim.subsidiary, bumped,
                              victim.aux)
-    bad = ReductionTrace(trace.original, tuple(steps), trace.final,
-                         trace.bring_p, trace.bring_q)
+    bad = ReductionTrace(trace.original, tuple(steps), trace.bring_p, trace.bring_q)
     report = verify_trace(bad)
     assert not report.matched
 
@@ -247,18 +243,6 @@ def test_low_precision_recovery_inverts_every_step_by_its_map(monkeypatch):
                                tol=cfg.tol)
         assert ok, (P, dist)
     assert calls == []
-
-
-def test_reciprocal_step_verifies_and_recovers():
-    A = _poly_from_roots([rat(2), rat(3)])
-    step = reciprocal_transform(A)
-    final = step.output
-    trace = ReductionTrace(A, (step,), final, final.coeff(1), final.coeff(0))
-    assert verify_trace(trace).matched
-    got = recover_roots(trace)
-    assert len(got) == 2
-    for g, want in zip(got, (rat(2), rat(3))):
-        assert (g - want).mag() <= TINY, got
 
 
 def test_depress_step_certifies_its_own_output_only():
@@ -489,7 +473,7 @@ def test_step_inverse_refuses_a_map_that_merges_roots():
     assert ok, dist
     # ... but recover_roots, which walks inverse maps only, refuses and
     # names the step
-    trace = ReductionTrace(step.input, (step,), step.output, rat(0), rat(0))
+    trace = ReductionTrace(step.input, (step,), rat(0), rat(0))
     with pytest.raises(ConsistencyError, match="step 0 .*no inverse map"):
         recover_roots(trace)
 
@@ -514,8 +498,7 @@ def _chain_past_the_refusal(P):
         if not st.is_identity:
             steps.append(st)
             cur = st.output.with_var("z")
-    final = cur.with_var("y")
-    return ReductionTrace(P, tuple(steps), final, final.coeff(1), final.coeff(0))
+    return ReductionTrace(P, tuple(steps), cur.coeff(1), cur.coeff(0))
 
 
 @pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
@@ -564,7 +547,7 @@ def test_verify_trace_rejects_unconverged_root_sets(ascending):
 ])
 def test_verify_transform_refuses_a_step_that_merges_roots(ascending):
     trace = _chain_past_the_refusal(ascending)
-    verdicts = [verify_transform(step) for step in trace.steps]
+    verdicts = [step.certify() for step in trace.steps]
     assert [ok for _, ok in verdicts][:-1] == [True] * (len(verdicts) - 1)
     residual, ok = verdicts[-1]
     assert not ok and residual > mpmath.mpf("1e-3")
@@ -583,7 +566,7 @@ def test_verify_trace_finds_no_roots(monkeypatch):
         report = verify_trace(trace)
         assert report.matched, ascending
         assert report.max_forward_residual <= mpmath.mpf("1e-60")
-        assert all(verify_transform(step)[1] for step in trace.steps)
+        assert all(step.certify()[1] for step in trace.steps)
 
 
 def test_verify_trace_runs_no_elimination(monkeypatch):
@@ -612,7 +595,7 @@ def test_a_step_output_moved_by_1e_20_of_its_scale_fails():
                 cs[j] = cs[j] + nudge
                 bad = TransformStep(step.kind, step.input, step.subsidiary,
                                     UniPoly(cs, C.var), step.aux)
-                assert verify_transform(bad)[1] is False, (P, step.kind, j)
+                assert bad.certify()[1] is False, (P, step.kind, j)
                 # the next step reads the moved output, so the chain links up
                 steps = list(trace.steps)
                 steps[i] = bad
@@ -621,7 +604,7 @@ def test_a_step_output_moved_by_1e_20_of_its_scale_fails():
                     steps[i + 1] = TransformStep(nxt.kind, bad.output.with_var("z"),
                                                  nxt.subsidiary, nxt.output, nxt.aux)
                 final = steps[-1].output
-                moved = ReductionTrace(trace.original, tuple(steps), final,
+                moved = ReductionTrace(trace.original, tuple(steps),
                                        final.coeff(1), final.coeff(0))
                 assert verify_trace(moved).matched is False, (P, step.kind, j)
 
@@ -634,38 +617,35 @@ def test_verify_trace_reports_a_step_of_the_wrong_shape():
     lifted = UniPoly(victim.input.coeffs[:-1] + (rat(2),), "z")
     steps[0] = TransformStep(victim.kind, lifted, victim.subsidiary, victim.output,
                              victim.aux)
-    bad = ReductionTrace(trace.original, tuple(steps), trace.final,
-                         trace.bring_p, trace.bring_q)
+    bad = ReductionTrace(trace.original, tuple(steps), trace.bring_p, trace.bring_q)
     assert verify_trace(bad).matched is False
-    assert verify_transform(steps[0])[1] is False
+    assert steps[0].certify()[1] is False
     # a quadratic map on a quadratic input
     A = _poly_from_roots([rat(1), rat(2)])
     step = TransformStep("principal", A, Subsidiary(2, (rat(1), rat(0))), A, ())
-    assert verify_transform(step)[1] is False
+    assert step.certify()[1] is False
 
 
 def test_verify_trace_checks_the_claimed_trinomial():
     trace = reduce_general_quintic(README_QUINTIC)
-    final = trace.final
-    wrong_p = ReductionTrace(trace.original, trace.steps, final,
+    wrong_p = ReductionTrace(trace.original, trace.steps,
                              trace.bring_p + rat(1, 10 ** 20), trace.bring_q)
     assert verify_trace(wrong_p).matched is False
     # no steps: the final polynomial is the original, which is no trinomial
-    bare = ReductionTrace(README_QUINTIC, (), README_QUINTIC,
-                          README_QUINTIC.coeff(1), README_QUINTIC.coeff(0))
+    bare = ReductionTrace(README_QUINTIC, (), README_QUINTIC.coeff(1), README_QUINTIC.coeff(0))
     assert verify_trace(bare).matched is False
-    # a final polynomial that is not where the chain ends
-    detached = ReductionTrace(trace.original, trace.steps[:-1], final,
-                              trace.bring_p, trace.bring_q)
-    assert verify_trace(detached).matched is False
+    # a chain that stops short of the trinomial, claiming its P and Q
+    short = ReductionTrace(trace.original, trace.steps[:-1], trace.bring_p, trace.bring_q)
+    assert short.final == trace.steps[-2].output
+    assert verify_trace(short).matched is False
 
 
 def test_a_nan_never_verifies():
     nan = Scalar.complex_(mpmath.nan, 0, 256)
     trace = reduce_general_quintic(README_QUINTIC)
-    nan_p = ReductionTrace(trace.original, trace.steps, trace.final, nan, trace.bring_q)
+    nan_p = ReductionTrace(trace.original, trace.steps, nan, trace.bring_q)
     assert verify_trace(nan_p).matched is False
     # no steps: y^5 + nan y^4 + y + 1 is no trinomial
     final = UniPoly([rat(1), rat(1), rat(0), rat(0), nan, rat(1)], "y")
-    bare = ReductionTrace(final, (), final, rat(1), rat(1))
+    bare = ReductionTrace(final, (), rat(1), rat(1))
     assert verify_trace(bare).matched is False

@@ -106,6 +106,16 @@ def test_promotion_rules():
     assert d.is_rational and d.fraction == 2
 
 
+def test_a_complex_value_equals_a_rational_only_when_it_is_that_dyadic():
+    assert cx(3) == 3 and cx("-1.25") == rat(-5, 4) and rat(1, 2 ** 70) == cx(2.0 ** -70)
+    assert cx("0.1") != rat(1, 10)  # 1/10 is no binary float
+    assert cx(2, 1) != rat(2) and cx(1) != rat(2)
+    assert cx(mpmath.inf) != cx(mpmath.inf) and cx(mpmath.nan) != rat(0)
+    # compared as mpf values: 2^(10^12 log2 10) is never built
+    huge = Scalar.from_json(["1e999999999999", "0"])
+    assert huge != rat(1) and huge == huge and huge != cx(1)
+
+
 def test_json_roundtrip_rational_exact():
     for f in (Fraction(0), Fraction(-7, 3), Fraction(10 ** 30, 7)):
         s = rat(f.numerator, f.denominator)
