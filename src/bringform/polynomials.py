@@ -6,7 +6,10 @@ coefficient is a Scalar; ints and Fractions are lifted to exact rationals and
 anything else, a polynomial included, raises TypeError.  Conditions in free
 parameters are not polynomials over polynomials: they are power-sum forms
 (``elimination.image_elementary``).  All values are immutable; operations
-return new objects.
+return new objects.  A ``UniPoly`` also keeps two memo slots, filled on first
+use and never part of equality, repr or JSON: its largest coefficient
+magnitude (``max_mag``) and the power sums of its roots computed so far
+(``power_sums``), a prefix that only grows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ class UniPoly:
     degree -1.
     """
 
-    __slots__ = ("coeffs", "var")
+    # _max_mag and _sums are memo slots (module docstring)
+    __slots__ = ("coeffs", "var", "_max_mag", "_sums")
 
     def __init__(self, coeffs, var: str = "z"):
         cs = [as_scalar(c) for c in coeffs]
@@ -35,6 +39,8 @@ class UniPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "var", var)
+        object.__setattr__(self, "_max_mag", None)
+        object.__setattr__(self, "_sums", ())
 
     def __setattr__(self, *a):
         raise AttributeError("UniPoly is immutable")
@@ -181,12 +187,16 @@ class UniPoly:
     # -- numeric helpers --------------------------------------------------------
 
     def max_mag(self):
-        """Largest coefficient magnitude (an mpf; 0 for the zero polynomial)."""
-        m = mpmath.mpf(0)
-        for c in self.coeffs:
-            v = c.mag()
-            if v > m:
-                m = v
+        """Largest coefficient magnitude (an mpf; 0 for the zero
+        polynomial), computed once."""
+        m = self._max_mag
+        if m is None:
+            m = mpmath.mpf(0)
+            for c in self.coeffs:
+                v = c.mag()
+                if v > m:
+                    m = v
+            object.__setattr__(self, "_max_mag", m)
         return m
 
     def effective_degree(self, tol, scale=None) -> int:
@@ -345,19 +355,25 @@ class PowerSums:
 def power_sums(poly: UniPoly, k_max: int) -> PowerSums:
     """Newton's identities, coefficients to power sums, up to s_{k_max}.
 
-    The polynomial is normalized monic first; degree 0 is rejected.
+    The polynomial is normalized monic first; degree 0 is rejected.  The
+    sums are kept on ``poly``, and a later call computes only those past
+    the ones kept: s_k depends on s_1..s_(k-1) alone, so the bits are the
+    same.
     """
     if poly.degree < 1:
         raise ValueError("power sums need degree at least 1")
+    n = poly.degree
+    known = poly._sums
+    if len(known) >= k_max:
+        return PowerSums(known[:k_max], n)
     p = poly if poly.is_monic() else poly.monic()[0]
-    n = p.degree
     # elementary symmetric functions: e_k = (-1)^k * c_{n-k}
     e = [rat(1)]
     for k in range(1, n + 1):
         c = p.coeff(n - k)
         e.append(-c if k % 2 == 1 else c)
-    s = []
-    for k in range(1, k_max + 1):
+    s = list(known)
+    for k in range(len(s) + 1, k_max + 1):
         acc = rat(0)
         for i in range(1, min(k - 1, n) + 1):
             t = e[i] * s[k - i - 1]
@@ -366,6 +382,7 @@ def power_sums(poly: UniPoly, k_max: int) -> PowerSums:
             t = e[k] * k
             acc = acc + t if k % 2 == 1 else acc - t
         s.append(acc)
+    object.__setattr__(poly, "_sums", tuple(s))
     return PowerSums(s, n)
 
 

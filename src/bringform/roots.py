@@ -13,6 +13,10 @@ Robol, J. Comput. Appl. Math. 272, 2014): the circle, rounded to floats, is
 first iterated in double precision, using + - * / and comparisons only, and
 the working precision takes over from there, or from the circle itself when
 a coefficient or an iterate does not fit a float or two iterates coincide.
+The working-precision stage, its convergence test and the cluster polish
+run on raw libmp pairs through the fused kernels of ``scalars`` (``cadd``,
+``csub``, ``cmul``) and the libmp calls an mpmath object would make, so they
+give the bits of the same iteration on mpmath objects.
 ``find_roots`` is the one place that merges multiple roots: it parks every
 copy of one on the same value, so root sets compare by plain optimal
 pairing.
@@ -25,17 +29,21 @@ recovery refuses a chain that does not walk back.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from math import isfinite
 
 import mpmath
+from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc_div,
+                          mpc_div_mpf, mpc_mpf_div, mpc_mul_int, mpf_add, mpf_div,
+                          mpf_gt, mpf_le, mpf_mul, mpf_mul_int, round_nearest)
 
 from .errors import ConsistencyError
 from .polynomials import (UniPoly, coeff_mismatch, lies_on, power_sums,
                           relative_residual)
-from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar,
-                      as_tol, context, rat, sort_key)
+from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar, as_tol,
+                      cadd, cmul, context, csub, rat, sort_key)
 from .solvers import solve_condition
 
 DEFAULT_MATCH_TOLERANCE = "1e-25"
@@ -43,6 +51,9 @@ MAX_ITERATIONS = 400
 FLOAT_SWEEPS = 40       # cap on the float warm start
 FLOAT_STEP = 1e-14      # its stopping rule on the largest relative step
 FLOAT_RANGE = 1e300     # larger coefficients skip it
+RND = round_nearest
+CZERO = (fzero, fzero)
+CONE = (fone, fzero)
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,8 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
     2^(6-prec) * sum |c_j| |z|^j, the best any root of this polynomial can
     do in this precision.  ``iterations`` counts full-precision sweeps only,
     not those of the float stage.
+
+    The full-precision sweeps work on raw libmp pairs (module docstring).
     """
     cfg = config or RootConfig()
     if poly.degree < 1:
@@ -105,7 +118,7 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
     if n >= 1:
         ctx = context(prec)
         cs = [ctx.make_mpc(c.to_mpc(prec)._mpc_) for c in coeffs]  # not rounded
-        eps = ctx.mpf(2) ** (6 - prec)
+        eps = (ctx.mpf(2) ** (6 - prec))._mpf_
         # Fujiwara's bound on the root moduli (c_0 != 0 once zero roots
         # are stripped), so the start circle has the roots' own size
         terms = [abs(cs[n - k]) ** (ctx.mpf(1) / k) for k in range(1, n)]
@@ -120,61 +133,72 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
         warm = _float_aberth(cs, zs)
         if warm is not None:
             zs = [ctx.mpc(re, im) for re, im in warm]
-        dcs = [cs[i] * i for i in range(1, n + 1)]
-        acs = [abs(c) for c in cs]
+        zs = [z._mpc_ for z in zs]
+        cs = [c._mpc_ for c in cs]
+        dcs = [mpc_mul_int(cs[i], i, prec, RND) for i in range(1, n + 1)]
+        acs = [mpc_abs(c, prec, RND) for c in cs]
 
-        def noise_floor(z):
-            az = abs(z)
-            t = ctx.mpf(0)
-            w = ctx.mpf(1)
+        def noise_floor(az):
+            """2^(6-prec) sum |c_j| |z|^j for az = |z|."""
+            t, w = fzero, fone
             for a in acs:
-                t += a * w
-                w *= az
-            return eps * t
+                t = mpf_add(t, mpf_mul(a, w, prec, RND), prec, RND)
+                w = mpf_mul(w, az, prec, RND)
+            return mpf_mul(eps, t, prec, RND)
 
         for it in range(MAX_ITERATIONS):
             iterations = it + 1
             settled = True
-            max_step = ctx.mpf(0)
+            max_step = fzero
             nxt = list(zs)
             for i, z in enumerate(zs):
-                pv = _horner(cs, z)
-                if abs(pv) <= 16 * noise_floor(z):
+                az = mpc_abs(z, prec, RND)
+                pv = _horner(cs, z, prec)
+                if mpf_le(mpc_abs(pv, prec, RND), mpf_mul_int(noise_floor(az), 16, prec, RND)):
                     continue
                 settled = False
-                dv = _horner(dcs, z)
-                if dv == 0:
-                    nxt[i] = z + eps * (1 + abs(z))
+                dv = _horner(dcs, z, prec)
+                if dv == CZERO:
+                    nxt[i] = mpc_add_mpf(z, mpf_mul(eps, mpf_add(az, fone, prec, RND), prec, RND),
+                                         prec, RND)
                     continue
-                w = pv / dv
-                s = ctx.mpc(0)
+                w = mpc_div(pv, dv, prec, RND)
+                s = CZERO
                 for j, zj in enumerate(zs):
                     if j != i:
-                        s += 1 / (z - zj)
-                den = 1 - w * s
-                corr = w if den == 0 else w / den
-                nxt[i] = z - corr
-                rel = abs(corr) / max(1, abs(z))
-                if rel > max_step:
+                        s = cadd(s, mpc_mpf_div(fone, csub(z, zj, prec), prec, RND), prec)
+                den = csub(CONE, cmul(w, s, prec), prec)
+                corr = w if den == CZERO else mpc_div(w, den, prec, RND)
+                nxt[i] = csub(z, corr, prec)
+                rel = mpf_div(mpc_abs(corr, prec, RND), _at_least_one(az), prec, RND)
+                if mpf_gt(rel, max_step):
                     max_step = rel
             zs = nxt
-            if settled or (it > 0 and max_step <= eps):
+            if settled or (it > 0 and mpf_le(max_step, eps)):
                 break
         # a settled sweep found every root within 16 noise floors; only the
         # roots the polish moved need their residual again
-        polished = _polish_multiple(zs, cs, ctx)
-        converged = all(abs(_horner(cs, z)) <= 64 * noise_floor(z)
-                        for z, old in zip(polished, zs) if not (settled and z is old))
-        found = [Scalar.from_mpc(z, prec) for z in polished]
+        polished = _polish_multiple(zs, cs, prec)
+        converged = all(
+            mpf_le(mpc_abs(_horner(cs, z, prec), prec, RND),
+                   mpf_mul_int(noise_floor(mpc_abs(z, prec, RND)), 64, prec, RND))
+            for z, old in zip(polished, zs) if not (settled and z is old))
+        found = [Scalar.from_mpc(ctx.make_mpc(z), prec) for z in polished]
     roots = tuple(sorted([rat(0)] * zeros + found, key=sort_key))
     return RootSet(roots, converged, iterations)
 
 
-def _horner(cs, x):
-    """The polynomial with ascending mpc coefficients cs (at least one) at x."""
+def _at_least_one(x):
+    """max(1, x) for a raw mpf x, as the raw mpf that Python's max hands on."""
+    return x if mpf_gt(x, fone) else fone
+
+
+def _horner(cs, x, prec):
+    """The polynomial with ascending raw-pair coefficients cs (at least one)
+    at the raw pair x."""
     acc = cs[-1]
     for c in reversed(cs[:-1]):
-        acc = acc * x + c
+        acc = cadd(cmul(acc, x, prec), c, prec)
     return acc
 
 
@@ -237,14 +261,22 @@ def _float_aberth(cs, zs):
     return z
 
 
-def _clusters(zs, ctx):
-    """Index groups of the mpc values zs (at least one, in the context ctx)
-    joined, transitively, whenever |z_i - z_j| <= tau * max(1, |z_i|, |z_j|),
-    where tau = 64 * 2^(-prec/n) at the context's precision is the resolution
-    limit of an n-fold root; groups come in order of their first member.
+@functools.lru_cache(maxsize=64)
+def _cluster_tau(prec, n):
+    """64 * 2^(-prec/n) at prec bits, the resolution limit of an n-fold root."""
+    ctx = context(prec)
+    return ((ctx.mpf(2) ** (-prec)) ** (ctx.mpf(1) / n) * 64)._mpf_
+
+
+def _clusters(zs, prec):
+    """Index groups of the raw pairs zs (at least one, at prec bits) joined,
+    transitively, whenever |z_i - z_j| <= tau * max(1, |z_i|, |z_j|), where
+    tau = 64 * 2^(-prec/n) (``_cluster_tau``); groups come in order of their
+    first member.
     """
     n = len(zs)
-    tau = (ctx.mpf(2) ** (-ctx.prec)) ** (ctx.mpf(1) / n) * 64
+    tau = _cluster_tau(prec, n)
+    mags = [mpc_abs(z, prec, RND) for z in zs]
     parent = list(range(n))
 
     def find(i):
@@ -255,7 +287,10 @@ def _clusters(zs, ctx):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(zs[i] - zs[j]) <= tau * max(1, abs(zs[i]), abs(zs[j])):
+            m = _at_least_one(mags[i])
+            if mpf_gt(mags[j], m):
+                m = mags[j]
+            if mpf_le(mpc_abs(csub(zs[i], zs[j], prec), prec, RND), mpf_mul(tau, m, prec, RND)):
                 pi, pj = find(i), find(j)
                 if pi != pj:
                     parent[pi] = pj
@@ -265,34 +300,39 @@ def _clusters(zs, ctx):
     return list(groups.values())
 
 
-def _polish_multiple(zs, cs, ctx):
+def _polish_multiple(zs, cs, prec):
     """Park every Aberth cluster on the exact multiple root it surrounds.
 
     A root of multiplicity m is a simple root of the (m-1)th derivative, so a
     few Newton steps from the cluster centroid recover it to full precision;
-    all m members are replaced by that one value.  zs and cs are mpc values
-    in the context ctx.
+    all m members are replaced by that one value.  zs and cs are raw pairs
+    at prec bits.
     """
     if len(zs) < 2:
         return zs
     out = list(zs)
-    eps = ctx.mpf(2) ** (2 - ctx.prec)
-    for members in _clusters(zs, ctx):
+    eps = (context(prec).mpf(2) ** (2 - prec))._mpf_
+    for members in _clusters(zs, prec):
         m = len(members)
         if m < 2:
             continue
         q = list(cs)
         for _ in range(m - 1):
-            q = [q[i] * i for i in range(1, len(q))]
-        dq = [q[i] * i for i in range(1, len(q))]
-        x = sum(zs[i] for i in members) / m
+            q = [mpc_mul_int(q[i], i, prec, RND) for i in range(1, len(q))]
+        dq = [mpc_mul_int(q[i], i, prec, RND) for i in range(1, len(q))]
+        # the centroid as sum() and / m make it: 0 + z enters as an mpf
+        x = mpc_add_mpf(zs[members[0]], fzero, prec, RND)
+        for i in members[1:]:
+            x = cadd(x, zs[i], prec)
+        x = mpc_div_mpf(x, from_int(m), prec, RND)
         for _ in range(60):
-            fx, dfx = _horner(q, x), _horner(dq, x)
-            if dfx == 0:
+            fx, dfx = _horner(q, x, prec), _horner(dq, x, prec)
+            if dfx == CZERO:
                 break
-            step = fx / dfx
-            x = x - step
-            if abs(step) <= eps * max(1, abs(x)):
+            step = mpc_div(fx, dfx, prec, RND)
+            x = csub(x, step, prec)
+            if mpf_le(mpc_abs(step, prec, RND),
+                      mpf_mul(eps, _at_least_one(mpc_abs(x, prec, RND)), prec, RND)):
                 break
         for i in members:
             out[i] = x

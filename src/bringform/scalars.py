@@ -18,8 +18,15 @@ nearest at a precision given to it, never at a global one: ring operations,
 powers, magnitudes and square roots call mpmath's ``libmp`` functions with
 the Scalar's precision (the larger operand's for a binary operation), and
 the rest use an mpmath context fixed at the precision it needs
-(``context``).  Nothing in the package changes mpmath's global precision,
-so Scalars are safe to share between threads.
+(``context``).  Complex + - * go through fused kernels on the raw pairs
+(``cadd``, ``csub``, ``cmul``), which ``roots.find_roots`` uses too: each
+part's exact integer sum is rounded once with libmp's ``normalize``, and
+where the terms lie more than ``_WINDOW`` bits apart, or a part is an
+infinity or nan, the generic ``mpc_add``/``mpc_sub``/``mpc_mul`` call
+runs instead.  Both give the same bits.  A rational rounded to an mpf
+(``_rat_mpf``) and a parsed tolerance string (``as_tol``) are memoized, in
+bounded caches of immutable values.  Nothing in the package changes
+mpmath's global precision, so Scalars are safe to share between threads.
 
 A binary operation of a complex operand z with a rational one (a Scalar,
 an int or a Fraction) takes shortcuts: z + 0 and z * 1 round z, 0 - z and
@@ -46,7 +53,7 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add,
                           mpc_conjugate, mpc_div, mpc_mul, mpc_mul_mpf,
                           mpc_neg, mpc_pos, mpc_pow_int, mpc_sqrt, mpc_sub,
                           mpf_add, mpf_div, mpf_eq, mpf_neg, mpf_pos, mpf_sub,
-                          round_nearest)
+                          normalize, round_nearest)
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_TOLERANCE = "1e-30"
@@ -60,9 +67,11 @@ def context(prec: int) -> MPContext:
     return ctx
 
 
+@functools.lru_cache(maxsize=4096)
 def _rat_mpf(f, prec: int):
     """f (an int or Fraction) rounded to prec bits as a raw mpf, as
-    mpf(numerator) / denominator; an integer needs no division."""
+    mpf(numerator) / denominator; an integer needs no division.  Memoized:
+    the same rationals meet complex values again and again."""
     if f.denominator == 1:
         return from_int(f.numerator, prec, round_nearest)
     return mpf_div(from_int(f.numerator, prec, round_nearest), from_int(f.denominator),
@@ -95,6 +104,125 @@ def _finite(z) -> bool:
     mantissa and a nonzero exponent is an infinity or nan)."""
     a, b = z
     return (a[1] or not a[2]) and (b[1] or not b[2])
+
+
+# Complex OP complex.  libmp's mpc_add, mpc_sub and mpc_mul round each part
+# of the result once from an exact sum of two terms (two parts, or two exact
+# products of parts), shifting one term onto the other unless their
+# exponents lie more than 100 bits apart: there mpf_add may add a sticky bit
+# instead, which rounds the same and keeps the integers small.  The fused
+# kernels form each part's exact sum as one integer and round it once with
+# ``normalize``; past that window, or when a part is an infinity or nan,
+# they make the generic call.  Either way they return its raw pair, bit for
+# bit.
+
+_WINDOW = 100
+
+
+def _fuse(m1, e1, m2, e2, m3, e3, m4, e4, prec):
+    """(m1 2^e1 + m2 2^e2, m3 2^e3 + m4 2^e4), signed integer mantissas,
+    each exact sum rounded once at prec as mpf_add rounds it; None when a
+    sum's terms lie past the window."""
+    if m2:
+        if m1:
+            d = e1 - e2
+            if d > 0:
+                if d > _WINDOW:
+                    return None
+                m1, e1 = (m1 << d) + m2, e2
+            elif d:
+                if d < -_WINDOW:
+                    return None
+                m1 += m2 << -d
+            else:
+                m1 += m2
+        else:
+            m1, e1 = m2, e2
+    if m4:
+        if m3:
+            d = e3 - e4
+            if d > 0:
+                if d > _WINDOW:
+                    return None
+                m3, e3 = (m3 << d) + m4, e4
+            elif d:
+                if d < -_WINDOW:
+                    return None
+                m3 += m4 << -d
+            else:
+                m3 += m4
+        else:
+            m3, e3 = m4, e4
+    if m1 > 0:
+        re = normalize(0, m1, e1, m1.bit_length(), prec, round_nearest)
+    elif m1:
+        m1 = -m1
+        re = normalize(1, m1, e1, m1.bit_length(), prec, round_nearest)
+    else:
+        re = fzero
+    if m3 > 0:
+        return re, normalize(0, m3, e3, m3.bit_length(), prec, round_nearest)
+    if m3:
+        m3 = -m3
+        return re, normalize(1, m3, e3, m3.bit_length(), prec, round_nearest)
+    return re, fzero
+
+
+def cadd(z, w, prec):
+    """The raw pair of mpc_add(z, w, prec, round_nearest)."""
+    (a, b), (c, d) = z, w
+    sa, ma, ea, _ = a
+    sb, mb, eb, _ = b
+    sc, mc, ec, _ = c
+    sd, md, ed, _ = d
+    if (ma or not ea) and (mb or not eb) and (mc or not ec) and (md or not ed):
+        got = _fuse(-ma if sa else ma, ea, -mc if sc else mc, ec,
+                    -mb if sb else mb, eb, -md if sd else md, ed, prec)
+        if got is not None:
+            return got
+    return mpc_add(z, w, prec, round_nearest)
+
+
+def csub(z, w, prec):
+    """The raw pair of mpc_sub(z, w, prec, round_nearest)."""
+    (a, b), (c, d) = z, w
+    sa, ma, ea, _ = a
+    sb, mb, eb, _ = b
+    sc, mc, ec, _ = c
+    sd, md, ed, _ = d
+    if (ma or not ea) and (mb or not eb) and (mc or not ec) and (md or not ed):
+        got = _fuse(-ma if sa else ma, ea, mc if sc else -mc, ec,
+                    -mb if sb else mb, eb, md if sd else -md, ed, prec)
+        if got is not None:
+            return got
+    return mpc_sub(z, w, prec, round_nearest)
+
+
+def cmul(z, w, prec):
+    """The raw pair of mpc_mul(z, w, prec, round_nearest): (ac - bd) and
+    (ad + bc), each from its exact products."""
+    (a, b), (c, d) = z, w
+    sa, ma, ea, _ = a
+    sb, mb, eb, _ = b
+    sc, mc, ec, _ = c
+    sd, md, ed, _ = d
+    if (ma or not ea) and (mb or not eb) and (mc or not ec) and (md or not ed):
+        if sa:
+            ma = -ma
+        if sb:
+            mb = -mb
+        if sc:
+            mc = -mc
+        if sd:
+            md = -md
+        got = _fuse(ma * mc, ea + ec, -mb * md, eb + ed, ma * md, ea + ed, mb * mc, eb + ec, prec)
+        if got is not None:
+            return got
+    return mpc_mul(z, w, prec, round_nearest)
+
+
+def _cdiv(z, w, prec):
+    return mpc_div(z, w, prec, round_nearest)
 
 
 # Complex OP rational, for g an int or Fraction and z a raw pair at prec.
@@ -240,7 +368,7 @@ class Scalar:
 
     def _binop(self, other, ratop, cop, ratcop, lhs=False):
         """self OP other (other OP self when lhs): ratop on two rationals,
-        ratcop when one operand is rational, otherwise the libmp function
+        ratcop when one operand is rational, otherwise the complex kernel
         cop at the larger precision in play."""
         if isinstance(other, Scalar):
             g = other._frac
@@ -260,29 +388,29 @@ class Scalar:
         if self._prec > prec:
             prec = self._prec
         z, w = (other._c, self._c) if lhs else (self._c, other._c)
-        return Scalar(None, cop(z, w, prec, round_nearest), prec)
+        return Scalar(None, cop(z, w, prec), prec)
 
     def __add__(self, other):
-        return self._binop(other, operator.add, mpc_add, _add_rat)
+        return self._binop(other, operator.add, cadd, _add_rat)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, operator.sub, mpc_sub, _sub_rat)
+        return self._binop(other, operator.sub, csub, _sub_rat)
 
     def __rsub__(self, other):
-        return self._binop(other, operator.sub, mpc_sub, _sub_rat, True)
+        return self._binop(other, operator.sub, csub, _sub_rat, True)
 
     def __mul__(self, other):
-        return self._binop(other, operator.mul, mpc_mul, _mul_rat)
+        return self._binop(other, operator.mul, cmul, _mul_rat)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, operator.truediv, mpc_div, _div_rat)
+        return self._binop(other, operator.truediv, _cdiv, _div_rat)
 
     def __rtruediv__(self, other):
-        return self._binop(other, operator.truediv, mpc_div, _div_rat, True)
+        return self._binop(other, operator.truediv, _cdiv, _div_rat, True)
 
     def __neg__(self):
         if self._frac is not None:
@@ -417,9 +545,20 @@ def as_scalar(v) -> Scalar:
     return s
 
 
+@functools.lru_cache(maxsize=64)
+def _parse_tol(text, prec):
+    return mpmath.mpf(text)
+
+
 def as_tol(tol):
-    """Normalize a tolerance given as str/float/mpf to an mpf."""
-    return mpmath.mpf(tol if tol is not None else DEFAULT_TOLERANCE)
+    """Normalize a tolerance given as str/float/mpf to an mpf (rounded at
+    mpmath's global precision); a string, the default "1e-30" included, is
+    parsed once per precision."""
+    if tol is None:
+        tol = DEFAULT_TOLERANCE
+    if isinstance(tol, str):
+        return _parse_tol(tol, mp.prec)
+    return mpmath.mpf(tol)
 
 
 def negligible(x: Scalar, tol, scale=1) -> bool:

@@ -22,9 +22,21 @@ here and has to say so.  Regenerate it, after such a deliberate change, with
 the one ``--coeffs`` token of ``bringform obstruction``, to that command's
 standard output, byte for byte.  Regenerate it, after a deliberate change,
 with ``PYTHONPATH=src python tests/test_golden.py obstruction``.
+
+``golden/digests.json`` pins, by sha256, the exact bytes of the numeric
+engine: for the README quintic and the first 20 quintics of seeds 20260818
+and 20261017 (``random.Random(seed)``, c0..c4 in [-10, 10]), the reduce
+trace JSON, the verify JSON and the recovered roots, and verify and recover
+again after a ``ReductionTrace.from_json`` re-read; and ``find_roots`` on
+z^5 + 10^310 z + 1 (the float stage falls back: a coefficient out of float
+range), z^2 + 10^299 z + 1 (the float iterates stop being finite) and
+(z - 1)^5 (the cluster polish).  A speed-up must leave every digest as it
+is; a deliberate change of output bytes regenerates the file, in about two
+seconds, with ``PYTHONPATH=src python tests/test_golden.py digests``.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -33,7 +45,8 @@ import sys
 
 import mpmath
 
-from bringform import UniPoly, rat, reduce_general_quintic
+from bringform import (ReductionTrace, UniPoly, find_roots, rat, recover_roots,
+                       reduce_general_quintic, verify_trace)
 from bringform.cli import EXIT_OK, main
 
 CORPUS = os.path.join(os.path.dirname(__file__), "golden", "choices.json")
@@ -44,6 +57,13 @@ README_QUINTIC = [3, -2, 1, 4, -1, 1]
 OBSTRUCTION = os.path.join(os.path.dirname(__file__), "golden", "obstruction.json")
 OBSTRUCTION_QUARTICS = ["1 0 0 1 1", "1 0 0 0 1", "1 0 0 4 -3", "1 0 0 2 -3",
                         "1 0 0 0 0", "1 0 0 1/2 -7/3"]
+DIGESTS = os.path.join(os.path.dirname(__file__), "golden", "digests.json")
+DIGEST_SEEDS = (20260818, 20261017)
+DIGEST_COUNT = 20
+# ascending coefficients of the find_roots cases
+FIND_ROOTS_CASES = {"float-range": [1, 10 ** 310, 0, 0, 0, 1],
+                    "non-finite": [1, 10 ** 299, 1],
+                    "cluster": [-1, 5, -10, 10, -5, 1]}
 
 
 def _quintics():
@@ -92,6 +112,44 @@ def test_readme_reduce_output_matches_golden_bytes(capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+def _roots_json(roots):
+    return json.dumps([z.to_json() for z in roots])
+
+
+def _digest_texts():
+    """(name, text) for every output that ``golden/digests.json`` pins."""
+    cases = [("readme", README_QUINTIC)]
+    for seed in DIGEST_SEEDS:
+        rng = random.Random(seed)
+        for i in range(DIGEST_COUNT):
+            cases.append(("%d/%d" % (seed, i), [rng.randint(-10, 10) for _ in range(5)] + [1]))
+    for name, coeffs in cases:
+        trace = reduce_general_quintic(UniPoly([rat(c) for c in coeffs], "z"))
+        text = json.dumps(trace.to_json(), sort_keys=True)
+        yield name + "/trace", text
+        yield name + "/verify", json.dumps(verify_trace(trace).to_json())
+        yield name + "/roots", _roots_json(recover_roots(trace))
+        reread = ReductionTrace.from_json(json.loads(text))
+        yield name + "/reread-verify", json.dumps(verify_trace(reread).to_json())
+        yield name + "/reread-roots", _roots_json(recover_roots(reread))
+    for name, coeffs in FIND_ROOTS_CASES.items():
+        found = find_roots(UniPoly([rat(c) for c in coeffs], "z"))
+        yield "find_roots/" + name, json.dumps(
+            [[z.to_json() for z in found.roots], found.converged, found.iterations])
+
+
+def _digests():
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in _digest_texts()}
+
+
+def test_outputs_match_golden_digests():
+    with open(DIGESTS) as fh:
+        golden = json.load(fh)
+    got = _digests()
+    assert list(got) == list(golden)
+    assert [name for name in golden if got[name] != golden[name]] == []
+
+
 def _obstruction_stdout(coeffs):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -107,7 +165,11 @@ def test_obstruction_output_matches_golden_bytes():
         assert _obstruction_stdout(coeffs) == want, coeffs
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["obstruction"]:
+if __name__ == "__main__" and sys.argv[1:] == ["digests"]:
+    with open(DIGESTS, "w") as fh:
+        json.dump(_digests(), fh, indent=1)
+        fh.write("\n")
+elif __name__ == "__main__" and sys.argv[1:] == ["obstruction"]:
     with open(OBSTRUCTION, "w") as fh:
         json.dump({c: _obstruction_stdout(c) for c in OBSTRUCTION_QUARTICS}, fh, indent=1)
         fh.write("\n")

@@ -186,3 +186,20 @@ def test_coeff_mismatch_asks_exactness_of_each_rational_pair():
                           "1e-30")[0] == 1
     assert coeff_mismatch(P, UniPoly([cx(1), cx(2) + cx("1e-40"), rat(1)]),
                           "1e-30") is None
+
+
+def test_memo_slots_take_no_part_in_equality_or_output():
+    # max_mag and the power-sum prefix are kept on the polynomial once
+    # asked for; equality, repr and JSON must not see them
+    P = UniPoly([cx(Fraction(1, 3), 2), rat(-4), rat(7, 2), rat(0), rat(0), rat(1)])
+    fresh = UniPoly(P.coeffs, P.var)
+    before = (repr(P), P.to_json())
+    assert P.max_mag() == fresh.max_mag() == 4
+    short, long = power_sums(P, 3), power_sums(P, 8)
+    assert long.values[:3] == short.values
+    assert power_sums(P, 5).values == long.values[:5]
+    assert P == UniPoly(P.coeffs, P.var) and UniPoly(P.coeffs, P.var) == P
+    assert (repr(P), P.to_json()) == before
+    # a prefix grown in steps has the bits of one computed in one go
+    once = power_sums(UniPoly(P.coeffs, P.var), 8)
+    assert [s._c for s in once.values] == [s._c for s in long.values]

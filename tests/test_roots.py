@@ -5,7 +5,10 @@ against itself.  Verification tests include a deliberately corrupted trace:
 the harness must flag it rather than raise.
 """
 
+import json
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import isfinite
 
@@ -363,10 +366,48 @@ def test_each_step_builds_its_inverse_map_once(monkeypatch):
             monkeypatch.setattr(module, "step_inverse", counted)
     assert verify_trace(trace).matched
     recover_roots(trace)
-    mapped = [s for s in trace.steps if s.subsidiary is not None and not s.is_identity]
+    mapped = [s for s in trace.steps if not s.is_identity]
     assert len(mapped) == 3
     for step in mapped:
         assert sum(c is step for c in calls) == 1, step.kind
+
+
+def test_threads_sharing_one_trace_fill_its_memos_consistently():
+    # a re-read trace starts with empty memo slots (powers, inverse maps,
+    # max_mag, power sums); four threads fill them at once and must give
+    # the bytes of a run on a trace of its own
+    text = reduce_general_quintic(README_QUINTIC).to_json()
+
+    def run(trace):
+        report = verify_trace(trace)
+        found = recover_roots(trace)
+        return json.dumps(report.to_json()), json.dumps([z.to_json() for z in found])
+
+    serial = run(ReductionTrace.from_json(text))
+    shared = ReductionTrace.from_json(text)
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(i):
+        start.wait()
+        try:
+            results[i] = run(shared)
+        except Exception as exc:  # a race surfaces as a failed check
+            results[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
+    assert run(shared) == serial
 
 
 def _count_calls(monkeypatch, name, modules):

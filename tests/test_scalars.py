@@ -19,12 +19,14 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import (from_int, fzero, mpc_add, mpc_div, mpc_mul, mpc_pos,
-                          mpc_sub, mpf_div, round_nearest)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_div, mpc_mul,
+                          mpc_pos, mpc_sub, mpf_div, mpf_neg, mpf_pos, mpf_shift,
+                          round_nearest)
 
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        rat, reduce_general_quintic, verify_trace)
-from bringform.scalars import as_scalar, as_tol, negligible, pick_root, sort_key
+from bringform.scalars import (as_scalar, as_tol, context, negligible, pick_root,
+                               sort_key)
 
 TINY = mpmath.mpf("1e-70")
 
@@ -236,11 +238,14 @@ def _rational_operands(draw):
     return f.numerator if form == "plain" else f
 
 
+PRECISIONS = [53, 64, 256, 1024]
+
+
 @st.composite
 def _complex_operands(draw):
-    """Complex Scalars at 64, 256 or 1024 bits, real-valued or not; some read
-    by from_json (prec + 16 bits in a prec-bit value), some not finite."""
-    prec = draw(st.sampled_from([64, 256, 1024]))
+    """Complex Scalars at 53, 64, 256 or 1024 bits, real-valued or not; some
+    read by from_json (prec + 16 bits in a prec-bit value), some not finite."""
+    prec = draw(st.sampled_from(PRECISIONS))
     kind = draw(st.sampled_from(["cx", "cx", "json", "json", "inf"]))
     if kind == "inf":
         return Scalar.complex_(draw(st.sampled_from([mpmath.inf, -mpmath.inf, mpmath.nan, 1])),
@@ -251,6 +256,55 @@ def _complex_operands(draw):
     if kind == "json":
         return Scalar.from_json(z.to_json(), prec)
     return Scalar.from_mpc(z.to_mpc(), prec)
+
+
+# exponent gaps around the complex kernels' window of 100 bits, and around
+# prec + 4, past which libmp's addition perturbs instead of shifting
+_GAPS = [0, 1, 50, 99, 100, 101, 102, 150, "prec+3", "prec+4", "prec+5", "prec+60"]
+
+
+@st.composite
+def _gapped_pairs(draw):
+    """Two complex Scalars at one precision whose parts, or the products of
+    their parts, lie the drawn exponent gaps apart: y is -x (an exact
+    cancellation), x scaled by 2^(+-gap) with its sign flipped or not, or x
+    with its parts swapped and one of them gapped; x may have an exactly
+    zero part, and either may be read by from_json."""
+    prec = draw(st.sampled_from(PRECISIONS))
+    wide = context(prec + 40)
+
+    def gap():
+        g = draw(st.sampled_from(_GAPS))
+        return prec + int(g[5:]) if isinstance(g, str) else g
+
+    def part(exp):
+        man = draw(st.integers(1, 2 ** (prec + 40))) * draw(st.sampled_from([1, -1]))
+        return from_man_exp(man, exp)
+
+    def scalar(re, im):
+        z = wide.mpc(wide.make_mpf(re), wide.make_mpf(im))
+        if draw(st.booleans()):
+            # the text of a (prec + 40)-bit value, read at prec + 16 bits
+            return Scalar.from_json(Scalar.from_mpc(z, prec + 40).to_json(), prec)
+        return Scalar.from_mpc(z, prec)
+
+    exp = draw(st.integers(-200, 200))
+    re, im = part(exp), part(exp - gap())
+    shape = draw(st.sampled_from(["both", "both", "zero-re", "zero-im"]))
+    if shape == "zero-re":
+        re = fzero
+    elif shape == "zero-im":
+        im = fzero
+    x = scalar(re, im)
+    xr, xi = x._c
+    how = draw(st.sampled_from(["negated", "scaled", "scaled", "swapped"]))
+    if how == "negated":
+        return x, -x
+    k = gap() * draw(st.sampled_from([1, -1]))
+    sign = mpf_neg if draw(st.booleans()) else mpf_pos
+    if how == "scaled":
+        return x, scalar(sign(mpf_shift(xr, k)), sign(mpf_shift(xi, k)))
+    return x, scalar(sign(mpf_shift(xi, k)), xr)
 
 
 def _check_dunder(x, y, name):
@@ -280,9 +334,14 @@ SHORTCUT_OPERANDS = (rat(0), rat(1), rat(-1), 0, 1, -1, Fraction(-1), rat(12), 1
                      Fraction(-5, 3), rat(2, 7))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(x=_complex_operands(), y=st.one_of(_rational_operands(), _complex_operands()))
-def test_binary_dunders_match_the_generic_libmp_call(x, y):
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(pair=st.one_of(
+    st.tuples(_complex_operands(), st.one_of(_rational_operands(), _complex_operands())),
+    _gapped_pairs()))
+def test_binary_dunders_match_the_generic_libmp_call(pair):
+    # complex OP complex runs the fused kernels (scalars.cadd, csub, cmul),
+    # complex OP rational the shortcuts; both must give the generic bits
+    x, y = pair
     for other in SHORTCUT_OPERANDS + (y,):
         for name in BINARY_DUNDERS:
             _check_dunder(x, other, name)
