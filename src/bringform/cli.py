@@ -9,9 +9,9 @@ Four subcommands:
     verify       re-check a previously emitted trace file
 
 Exit codes: 0 success, 1 verification failure, 2 degenerate input (an
-ansatz denominator that vanishes even at halved roots, a rational quintic
-with a repeated root, or a complex one with a step that merges roots; no
-trace is emitted), 64 usage error (a non-finite coefficient or trace value
+ansatz denominator that vanishes even at halved roots, or a quintic with a
+repeated root that a kept step merges, in either mode; no trace is
+emitted), 64 usage error (a non-finite coefficient or trace value
 included).
 """
 

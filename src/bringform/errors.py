@@ -7,10 +7,10 @@ class DegenerateDenominator(Exception):
 
     Raised when a closed-form solve cannot proceed as stated because a
     denominator (for example 3n - m^2, or 15p + 20q) vanishes, and when a
-    quintic has a repeated root: a rational one when its discriminant
-    vanishes, a complex one when any step the chain keeps merges roots.  The
-    Bring-Jerrard step retries once at halved roots before it lets this
-    through; the command line maps it to exit 2.
+    step the chain keeps merges the roots of a quintic with a repeated root
+    (its certificate fails, in either mode).  The Bring-Jerrard step
+    retries once at halved roots before it lets this through; the command
+    line maps it to exit 2.
     """
 
     def __init__(self, denominator, detail: str = ""):

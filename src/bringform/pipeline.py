@@ -41,7 +41,7 @@ from .elimination import (form_in, image_elementary, map_charpoly,
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, lies_on,
                           power_sums, powers_mod, rem_monic, shift_substitute)
-from .scalars import Scalar, as_scalar, negligible, pick_root, rat
+from .scalars import Scalar, as_scalar, as_tol, negligible, pick_root, rat
 from .solvers import assemble_preimages, solve_condition, solve_monic
 
 
@@ -124,6 +124,10 @@ class TransformStep:
     # T^0..T^n mod the input as ``dual_eliminate`` built them, or None;
     # read through ``powers``, and no part of equality, repr or JSON
     table: tuple = field(default=None, compare=False, repr=False)
+    # certify's verdicts by (tolerance, precision): a memo slot, empty in
+    # every new step, no part of equality, repr or JSON; threads that race
+    # on it compute the same verdict
+    _verdicts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # not a field: every step maps the previous output itself; the
     # benchmark's outside oracle (bench/oracles.py) still reads it
@@ -144,7 +148,18 @@ class TransformStep:
         merge roots, which Horner rejects.  Returns (largest |coefficient|
         of U(T) - z relative to ``coeff_scale(A)``, inf for a step without
         U; ok); C(T) counts within tol * coeff_scale(A) * coeff_scale(C),
-        exactly in rational mode."""
+        exactly in rational mode.  The verdict reads only the step,
+        ``as_tol(tol)`` and mpmath's global precision, so the step keeps it
+        per (tolerance, precision): ``verify_trace`` of a reduced trace reads
+        what ``reduce_general_quintic`` computed; a re-read step has none."""
+        key = (as_tol(tol), mpmath.mp.prec)
+        got = self._verdicts.get(key)
+        if got is None:
+            got = self._verdicts[key] = self._certificate(tol)
+        return got
+
+    def _certificate(self, tol):
+        """The body of ``certify``, run once per tolerance and precision."""
         A, C = self.input, self.output
         if not A.is_monic():
             return mpmath.inf, False
@@ -632,32 +647,19 @@ def quintic_to_bring_jerrard(p, q, r, *, prec=None, tol=None) -> TransformStep:
     return TransformStep("bring-jerrard", A, sub, C, tuple(aux), powers)
 
 
-def _has_repeated_root(A: UniPoly) -> bool:
-    """Does the rational A share a root with A'?  Euclid's gcd on
-    ``rem_monic``, exact over Fraction."""
-    f, g = A, A.derivative()
-    while g.degree > 0:
-        f, g = g, UniPoly(rem_monic(f, g.monic()[0]), A.var)
-    return g.is_exact_zero()
-
-
 def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTrace:
     """Full chain: depress, principal shape, then the trinomial step.
 
     Identity steps (stages the input already satisfies) are elided from the
-    trace; the final polynomial is y^5 + P y + Q.  A rational input with a
-    repeated root raises ``DegenerateDenominator`` and gets no trace: the
-    ansatz would collapse its roots (README, "Repeated roots").  A complex
-    input is not tested for repeated roots; it raises the same when any step
-    the chain keeps fails its certificate (``TransformStep.certify``), as a
-    step that merges roots does.
+    trace; the final polynomial is y^5 + P y + Q.  Every step the chain
+    keeps, in either mode, must pass ``TransformStep.certify`` at tol; one
+    that fails merges roots, as the ansatz does to a repeated root (README,
+    "Repeated roots"), and raises ``DegenerateDenominator`` naming the step.
+    A repeated root that no kept step merges, as in z^5 - 5z + 4, reduces.
     """
     _require_monic(poly)
     if poly.degree != 5:
         raise ValueError("the reduction chain is for monic quintics")
-    exact = poly.is_rational_tree()
-    if exact and _has_repeated_root(poly):
-        raise DegenerateDenominator(rat(0), "the discriminant vanishes: a repeated root")
     steps = []
     cur = poly.with_var("z")
     for make in (lambda A: depress(A, tol=tol),
@@ -667,7 +669,7 @@ def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTr
         st = make(cur)
         if st.is_identity:
             continue
-        if not exact and not st.certify(tol)[1]:
+        if not st.certify(tol)[1]:
             raise DegenerateDenominator(rat(0), "the %s map merges roots: a repeated "
                                                 "root" % st.kind)
         steps.append(st)

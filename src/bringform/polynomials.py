@@ -165,7 +165,7 @@ class UniPoly:
 
     __hash__ = None
 
-    # -- evaluation and calculus ----------------------------------------------
+    # -- evaluation ------------------------------------------------------------
 
     def eval(self, x):
         """Horner evaluation at a Scalar x."""
@@ -175,9 +175,6 @@ class UniPoly:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k > 0), self.var)
 
     def monic(self):
         """Return (self/lead, lead)."""

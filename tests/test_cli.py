@@ -5,7 +5,8 @@ import json
 import mpmath
 import pytest
 
-from bringform import DegenerateDenominator, ReductionTrace, rat, recover_roots
+from bringform import (DegenerateDenominator, ReductionTrace, find_roots, match_roots,
+                       rat, recover_roots)
 from bringform.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            main)
 
@@ -306,19 +307,46 @@ def test_verify_checks_the_claimed_trinomial(capsys, tmp_path, edit):
 
 
 @pytest.mark.parametrize("descending", [
-    "1 -2 3 -1 -4 3",   # (x - 1)^2 (x^3 + 2x + 3)
-    "1 1 -1 1 0 0",     # x^2 (x^3 + x^2 - x + 1)
-    "1 3 2 6 1 3",      # (x + 3) (x^2 + 1)^2
+    "1 -2 3 -1 -4 3",    # (x - 1)^2 (x^3 + 2x + 3)
+    "1 1 -1 1 0 0",      # x^2 (x^3 + x^2 - x + 1)
+    "1 3 2 6 1 3",       # (x + 3) (x^2 + 1)^2
+    "1 2 1 0 0 0",       # x^3 (x + 1)^2
+    "1 -1 1 1 0 0",      # x^2 (x^3 - x^2 + x + 1)
+    "1 -5 -5 25 40 16",  # (x - 4)^2 (x + 1)^3
 ])
 def test_reduce_refuses_a_repeated_root(capsys, descending):
-    # the ansatz would collapse the repeated root: exit 2, and no trace
-    code, out, err = run(capsys, "reduce", "--coeffs", *descending.split())
-    assert code == EXIT_DEGENERATE and out == ""
-    assert "repeated root" in err
+    # the ansatz would collapse the repeated root: exit 2, and no trace; in
+    # both modes the same step's certificate refuses it
+    errs = []
+    for mode in ("rational", "complex"):
+        code, out, err = run(capsys, "reduce", "--mode", mode,
+                             "--coeffs", *descending.split())
+        assert code == EXIT_DEGENERATE and out == ""
+        assert "map merges roots: a repeated root" in err
+        errs.append(err)
+    assert errs[0] == errs[1]
+
+
+@pytest.mark.parametrize("descending", [
+    "1 0 0 0 -5 4",      # (z - 1)^2 (z^3 + 2z^2 + 3z + 4), already y^5 + P y + Q
+    "1 -5 10 -10 5 -1",  # (z - 1)^5, which the shift alone takes to y^5
+])
+def test_a_repeated_root_that_no_step_merges_reduces_in_both_modes(capsys, descending):
+    for mode in ("rational", "complex"):
+        code, out, err = run(capsys, "reduce", "--mode", mode,
+                             "--coeffs", *descending.split())
+        assert code == EXIT_OK and err == ""
+        doc = json.loads(out)
+        assert doc["verify"]["matched"] is True
+        trace = ReductionTrace.from_json(doc["trace"])
+        ok, dist = match_roots(recover_roots(trace), find_roots(trace.original).roots,
+                               tol="1e-25")
+        assert ok, (mode, dist)
 
 
 def test_reduce_of_a_cube_times_a_square_exits_two(capsys):
-    # z^3 (z + 1)^2: refused before any step, even in text mode
+    # z^3 (z + 1)^2: the principal map merges its roots; no output, even
+    # in text mode
     code, out, err = run(capsys, "reduce", "--coeffs", "1", "2", "1", "0", "0", "0",
                          "--output", "text")
     assert code == EXIT_DEGENERATE and out == "" and "repeated root" in err
@@ -332,8 +360,8 @@ def test_reduce_with_collapsed_repeated_root_exits_two(capsys):
 
 
 def test_reduce_in_complex_mode_with_collapsed_repeated_root_exits_two(capsys):
-    # (x - 1)^2 (x^3 + 2x + 3) read as complex floats is not tested for a
-    # repeated root; its bring-jerrard step then fails its certificate
+    # (x - 1)^2 (x^3 + 2x + 3) read as complex floats: its bring-jerrard
+    # step fails its certificate, as in rational mode
     code, out, err = run(capsys, "reduce", "--mode", "complex",
                          "--coeffs", "1", "-2", "3", "-1", "-4", "3")
     assert code == EXIT_DEGENERATE and out == "" and "merges roots" in err

@@ -103,11 +103,6 @@ def test_deflate_inverts_root_multiplication():
         assert deflate(P, r) == Q
 
 
-def test_derivative_power_rule():
-    P = UniPoly([rat(5), rat(-3), rat(0), rat(2)])  # 2z^3 - 3z + 5
-    assert _fracs(P.derivative()) == [Fraction(-3), Fraction(0), Fraction(6)]
-
-
 def test_power_sums_against_explicit_roots():
     # (z-1)(z-2)(z-3): s_k = 1 + 2^k + 3^k
     P = UniPoly([rat(-6), rat(11), rat(-6), rat(1)])

@@ -354,7 +354,7 @@ def test_float_stage_agrees_with_a_pure_mpmath_run(monkeypatch):
 
 
 def test_each_step_builds_its_inverse_map_once(monkeypatch):
-    trace = reduce_general_quintic(README_QUINTIC)
+    # counted from reduce on, whose certificates build every inverse map
     calls = []
 
     def counted(step):
@@ -364,6 +364,7 @@ def test_each_step_builds_its_inverse_map_once(monkeypatch):
     for module in (pipeline, roots):  # wherever the name is bound
         if hasattr(module, "step_inverse"):
             monkeypatch.setattr(module, "step_inverse", counted)
+    trace = reduce_general_quintic(README_QUINTIC)
     assert verify_trace(trace).matched
     recover_roots(trace)
     mapped = [s for s in trace.steps if not s.is_identity]
@@ -454,10 +455,30 @@ def test_each_step_builds_its_powers_of_T_once(monkeypatch):
                        for a, b in zip(ra, rb))
 
 
-def test_the_powers_table_stays_out_of_equality_repr_and_json():
-    step = reduce_general_quintic(README_QUINTIC).steps[0]
+def test_the_powers_table_stays_out_of_equality_repr_and_json(monkeypatch):
+    # the table and the kept certificates; reduce certifies each step it
+    # keeps once, and verify reads those verdicts until the tolerance or
+    # mpmath's global precision changes
+    runs = _count_calls(monkeypatch, "_certificate", [TransformStep])
+    trace = reduce_general_quintic(README_QUINTIC)
+    assert len(runs) == 3
+    before = [(repr(s), s.to_json()) for s in trace.steps]
+    assert verify_trace(trace).matched and verify_trace(trace).matched
+    assert len(runs) == 3
+    dyadic = RootConfig(tol=mpmath.ldexp(1, -100))  # the same mpf at every precision
+    verify_trace(trace, dyadic)
+    assert len(runs) == 6
+    with mpmath.workprec(300):
+        verify_trace(trace, dyadic)
+    assert len(runs) == 9
+    assert [(repr(s), s.to_json()) for s in trace.steps] == before
+    copy = ReductionTrace.from_json(trace.to_json())
+    assert all(not s._verdicts for s in copy.steps)
+    assert verify_trace(copy).matched and len(runs) == 12
+    step = trace.steps[0]
     bare = TransformStep(step.kind, step.input, step.subsidiary, step.output, step.aux)
     assert step.table is not None and bare.table is None
+    assert step._verdicts and not bare._verdicts
     assert step == bare and repr(step) == repr(bare)
     assert step.to_json() == bare.to_json()
     assert isinstance(step.table, tuple) and all(isinstance(r, tuple) for r in step.table)
