@@ -8,11 +8,12 @@ is computed here by two independent routes:
   scalar matrix of multiplication by T in K[z]/(A), by reduction to
   Hessenberg form and the Hessenberg recurrence (Cohen, *A Course in
   Computational Algebraic Number Theory*, Alg. 2.2.9).  The similarity
-  transforms are exact ``Fraction`` arithmetic when every entry is rational
-  and pivot by magnitude otherwise.  ``sylvester_resultant_with_factor``
-  routes a subsidiary relation B = c*y - T(z) here, and
-  ``polynomial_resultant`` any Res(P, Q), as the constant term of the
-  charpoly of Q modulo P.  It is the package's one determinant routine.
+  transforms are exact when every entry is rational (each rational Scalar
+  is a numerator and a denominator, two ints) and pivot by magnitude
+  otherwise.  ``sylvester_resultant_with_factor`` routes a subsidiary
+  relation B = c*y - T(z) here, and ``polynomial_resultant`` any Res(P, Q),
+  as the constant term of the charpoly of Q modulo P.  It is the package's
+  one determinant routine.
 * ``transform_by_power_sums``: the power sums of C are the traces
   sum_i (T^j mod A)_i s_i(A), so only s_0..s_(n-1) of A are needed; Newton's
   identities rebuild C from them.  The powers T^j mod A come from

@@ -1,11 +1,15 @@
 """Number tower for the engine: exact rationals and arbitrary-precision complex floats.
 
-A Scalar is immutable and is either an exact rational (``fractions.Fraction``,
-lowest terms, positive denominator) or a complex float carried at an explicit
-mantissa precision in bits (mpmath).  Ring operations between two rationals
-stay rational; any contact with a complex operand promotes the result to
-complex at the larger precision in play.  Square and cube roots of rationals
-stay rational exactly when the result is rational, and promote otherwise.
+A Scalar is immutable and is either an exact rational, held as two Python
+ints (a numerator and a positive denominator coprime to it), or a complex
+float carried at an explicit mantissa precision in bits (mpmath).  Ring
+operations between two rationals stay rational: + - * / and ``**`` run on
+the ints, with the gcd reductions of CPython's ``fractions``, so every
+value equals what ``Fraction`` arithmetic gives, and no ``Fraction`` is
+built unless ``Scalar.fraction`` asks for one.  Any contact with a complex
+operand promotes the result to complex at the larger precision in play.
+Square and cube roots of rationals stay rational exactly when the result is
+rational, and promote otherwise.
 
 A complex Scalar holds the raw libmp pair (re, im) of its parts, not an
 mpmath object; ``to_mpc``, ``mag``, ``re``, ``im``, ``to_json`` and the
@@ -24,9 +28,10 @@ part's exact integer sum is rounded once with libmp's ``normalize``, and
 where the terms lie more than ``_WINDOW`` bits apart, or a part is an
 infinity or nan, the generic ``mpc_add``/``mpc_sub``/``mpc_mul`` call
 runs instead.  Both give the same bits.  A rational rounded to an mpf
-(``_rat_mpf``) and a parsed tolerance string (``as_tol``) are memoized, in
-bounded caches of immutable values.  Nothing in the package changes
-mpmath's global precision, so Scalars are safe to share between threads.
+(``_rat_mpf``, keyed by numerator, denominator and precision) and a parsed
+tolerance string (``as_tol``) are memoized, in bounded caches of immutable
+values.  Nothing in the package changes mpmath's global precision, so
+Scalars are safe to share between threads.
 
 A binary operation of a complex operand z with a rational one (a Scalar,
 an int or a Fraction) takes shortcuts: z + 0 and z * 1 round z, 0 - z and
@@ -42,9 +47,8 @@ precision (``from_json`` reads at prec + 16 bits).
 from __future__ import annotations
 
 import functools
-import operator
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath
 from mpmath import mp
@@ -68,14 +72,13 @@ def context(prec: int) -> MPContext:
 
 
 @functools.lru_cache(maxsize=4096)
-def _rat_mpf(f, prec: int):
-    """f (an int or Fraction) rounded to prec bits as a raw mpf, as
-    mpf(numerator) / denominator; an integer needs no division.  Memoized:
-    the same rationals meet complex values again and again."""
-    if f.denominator == 1:
-        return from_int(f.numerator, prec, round_nearest)
-    return mpf_div(from_int(f.numerator, prec, round_nearest), from_int(f.denominator),
-                   prec, round_nearest)
+def _rat_mpf(n: int, d: int, prec: int):
+    """n / d rounded to prec bits as a raw mpf, as mpf(n) / d; an integer
+    needs no division.  Memoized: the same rationals meet complex values
+    again and again."""
+    if d == 1:
+        return from_int(n, prec, round_nearest)
+    return mpf_div(from_int(n, prec, round_nearest), from_int(d), prec, round_nearest)
 
 
 _CZERO = (fzero, fzero)
@@ -225,65 +228,147 @@ def _cdiv(z, w, prec):
     return mpc_div(z, w, prec, round_nearest)
 
 
-# Complex OP rational, for g an int or Fraction and z a raw pair at prec.
-# lhs tells whether g is the left operand; libmp's addition and product
-# give the same bits in either order, so only - and / read it.  Each returns
-# exactly the raw pair of the generic cop(z, (_rat_mpf(g, prec), fzero),
-# prec) (operands in their order): every shortcut rounds to prec, as the
-# generic call does, so a value carrying more bits than prec (from
-# ``Scalar.from_json``) times 1 is rounded, not returned as it is.
+# Complex OP rational, for z a raw pair at prec and the rational n / d in
+# lowest terms.  lhs tells whether n / d is the left operand; libmp's
+# addition and product give the same bits in either order, so only - and /
+# read it.  Each returns exactly the raw pair of the generic cop(z,
+# (_rat_mpf(n, d, prec), fzero), prec) (operands in their order): every
+# shortcut rounds to prec, as the generic call does, so a value carrying
+# more bits than prec (from ``Scalar.from_json``) times 1 is rounded, not
+# returned as it is.
 
-def _add_rat(z, g, prec, lhs):
-    if not g:
+def _add_rat(z, n, d, prec, lhs):
+    if not n:
         return mpc_pos(z, prec, round_nearest)
     a, b = z
-    return mpf_add(a, _rat_mpf(g, prec), prec, round_nearest), mpf_pos(b, prec, round_nearest)
+    return mpf_add(a, _rat_mpf(n, d, prec), prec, round_nearest), mpf_pos(b, prec, round_nearest)
 
 
-def _sub_rat(z, g, prec, lhs):
-    if not g:
+def _sub_rat(z, n, d, prec, lhs):
+    if not n:
         return (mpc_neg if lhs else mpc_pos)(z, prec, round_nearest)
     a, b = z
-    r = _rat_mpf(g, prec)
-    if lhs:  # g - z
+    r = _rat_mpf(n, d, prec)
+    if lhs:  # n / d - z
         return mpf_sub(r, a, prec, round_nearest), mpf_neg(b, prec, round_nearest)
     return mpf_sub(a, r, prec, round_nearest), mpf_pos(b, prec, round_nearest)
 
 
-def _mul_rat(z, g, prec, lhs):
+def _mul_rat(z, n, d, prec, lhs):
     # the generic product meets a non-finite part with an exact zero (nan)
     if not _finite(z):
-        return mpc_mul(z, (_rat_mpf(g, prec), fzero), prec, round_nearest)
-    if not g:
+        return mpc_mul(z, (_rat_mpf(n, d, prec), fzero), prec, round_nearest)
+    if not n:
         return _CZERO
-    if g == 1:
-        return mpc_pos(z, prec, round_nearest)
-    if g == -1:
-        return mpc_neg(z, prec, round_nearest)
-    return mpc_mul_mpf(z, _rat_mpf(g, prec), prec, round_nearest)
+    if d == 1:
+        if n == 1:
+            return mpc_pos(z, prec, round_nearest)
+        if n == -1:
+            return mpc_neg(z, prec, round_nearest)
+    return mpc_mul_mpf(z, _rat_mpf(n, d, prec), prec, round_nearest)
 
 
-def _div_rat(z, g, prec, lhs):
-    r = (_rat_mpf(g, prec), fzero)
+def _div_rat(z, n, d, prec, lhs):
+    r = (_rat_mpf(n, d, prec), fzero)
     return mpc_div(r, z, prec, round_nearest) if lhs else mpc_div(z, r, prec, round_nearest)
+
+
+# Rational OP rational, on the numerators and the positive denominators of
+# two operands in lowest terms.  Each reduces with the gcds of CPython's
+# ``fractions``, so it returns the same value as Fraction arithmetic, in
+# lowest terms with a positive denominator; two integers (denominator 1)
+# take no gcd for + - *.
+
+def _q(n, d):
+    """The rational n / d (ints, d nonzero) in lowest terms."""
+    if d == 1:
+        return Scalar(n, 1, None, None)
+    if not d:
+        raise ZeroDivisionError("rational with denominator 0")
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return Scalar(n // g, d // g, None, None)
+
+
+def _qadd(na, da, nb, db):
+    if da == 1 and db == 1:
+        return Scalar(na + nb, 1, None, None)
+    g = gcd(da, db)
+    if g == 1:
+        return Scalar(na * db + da * nb, da * db, None, None)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return Scalar(t, s * db, None, None)
+    return Scalar(t // g2, s * (db // g2), None, None)
+
+
+def _qsub(na, da, nb, db):
+    return _qadd(na, da, -nb, db)
+
+
+def _qmul(na, da, nb, db):
+    if da == 1 and db == 1:
+        return Scalar(na * nb, 1, None, None)
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return Scalar(na * nb, da * db, None, None)
+
+
+def _qdiv(na, da, nb, db):
+    if not nb:
+        raise ZeroDivisionError("rational division by 0")
+    g1 = gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = gcd(da, db)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    n, d = na * db, nb * da
+    if d < 0:
+        n, d = -n, -d
+    return Scalar(n, d, None, None)
+
+
+def _qpow(n, d, k):
+    if k >= 0:
+        return Scalar(n ** k, d ** k, None, None)
+    if not n:
+        raise ZeroDivisionError("rational 0 to a negative power")
+    if n < 0:
+        n, d = -n, -d
+    return Scalar(d ** -k, n ** -k, None, None)
 
 
 class Scalar:
     """One number from the tower: exact rational or complex float.
 
-    A rational keeps its ``Fraction`` in ``_frac`` (``_c`` and ``_prec``
-    are None); a complex value keeps the raw libmp pair (re, im) of its
-    rounded parts in ``_c`` and its precision in ``_prec`` (``_frac`` is
-    None).  mpmath objects are built only when asked for.
+    A rational keeps two ints, its numerator in ``_num`` and its
+    denominator, positive and coprime to it, in ``_den`` (``_c`` and
+    ``_prec`` are None); a complex value keeps the raw libmp pair (re, im)
+    of its rounded parts in ``_c`` and its precision in ``_prec`` (``_num``
+    and ``_den`` are None).  Neither a ``Fraction`` nor an mpmath object is
+    built unless asked for.
 
     Use :meth:`rational` / :meth:`complex_` (or the module helpers ``rat``
     and ``cx``) to construct.  Arithmetic accepts int and Fraction operands.
     """
 
-    __slots__ = ("_frac", "_c", "_prec")
+    __slots__ = ("_num", "_den", "_c", "_prec")
 
-    def __init__(self, frac, c, prec):
-        self._frac = frac
+    def __init__(self, num, den, c, prec):
+        self._num = num
+        self._den = den
         self._c = c
         self._prec = prec
 
@@ -291,7 +376,14 @@ class Scalar:
 
     @classmethod
     def rational(cls, num, den=1) -> "Scalar":
-        return cls(Fraction(num, den), None, None)
+        """num / den in lowest terms, for int or Fraction arguments;
+        ZeroDivisionError for den = 0."""
+        if type(num) is not int or type(den) is not int:
+            if not (isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction))):
+                raise TypeError("a rational needs int or Fraction arguments, got %s, %s"
+                                % (type(num).__name__, type(den).__name__))
+            num, den = num.numerator * den.denominator, num.denominator * den.numerator
+        return _q(num, den)
 
     @classmethod
     def complex_(cls, re=0, im=0, prec: int = DEFAULT_PRECISION_BITS) -> "Scalar":
@@ -299,35 +391,36 @@ class Scalar:
 
         def part(v):
             if isinstance(v, Fraction):
-                return ctx.make_mpf(_rat_mpf(v, prec))
+                return ctx.make_mpf(_rat_mpf(v.numerator, v.denominator, prec))
             return ctx.mpf(v)
 
-        return cls(None, ctx.mpc(part(re), part(im))._mpc_, prec)
+        return cls(None, None, ctx.mpc(part(re), part(im))._mpc_, prec)
 
     @classmethod
     def from_mpc(cls, c, prec: int) -> "Scalar":
         """c (an mpc or mpf of any context, or a real number) rounded to prec."""
-        return cls(None, context(prec).mpc(c)._mpc_, prec)
+        return cls(None, None, context(prec).mpc(c)._mpc_, prec)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self._frac is not None
+        return self._den is not None
 
     @property
     def fraction(self) -> Fraction:
-        if self._frac is None:
+        """The value as a new ``Fraction``; ValueError for a complex value."""
+        if self._den is None:
             raise ValueError("not an exact rational")
-        return self._frac
+        return Fraction(self._num, self._den)
 
     @property
     def prec(self):
         return self._prec
 
     def is_exact_zero(self) -> bool:
-        if self._frac is not None:
-            return self._frac == 0
+        if self._den is not None:
+            return not self._num
         return self._c == _CZERO
 
     def to_mpc(self, prec=None):
@@ -335,8 +428,8 @@ class Scalar:
 
     def _raw(self, prec):
         """The libmp pair of the value; a rational is rounded to prec."""
-        if self._frac is not None:
-            return _rat_mpf(self._frac, prec), fzero
+        if self._den is not None:
+            return _rat_mpf(self._num, self._den, prec), fzero
         return self._c
 
     def re(self):
@@ -347,102 +440,110 @@ class Scalar:
 
     def mag(self):
         """|self| as an mpf (exact zero for the rational zero)."""
-        if self._frac is not None:
-            return mp.make_mpf(_rat_mpf(abs(self._frac), DEFAULT_PRECISION_BITS))
+        if self._den is not None:
+            return mp.make_mpf(_rat_mpf(abs(self._num), self._den, DEFAULT_PRECISION_BITS))
         return mp.make_mpf(mpc_abs(self._c, self._prec, round_nearest))
 
     def conjugate(self) -> "Scalar":
-        if self._frac is not None:
+        if self._den is not None:
             return self
-        return Scalar(None, mpc_conjugate(self._c, self._prec, round_nearest), self._prec)
+        return Scalar(None, None, mpc_conjugate(self._c, self._prec, round_nearest), self._prec)
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, Scalar):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return Scalar(Fraction(v), None, None)
-        return None
-
-    def _binop(self, other, ratop, cop, ratcop, lhs=False):
-        """self OP other (other OP self when lhs): ratop on two rationals,
+    def _binop(self, other, qop, cop, ratcop, lhs=False):
+        """self OP other (other OP self when lhs): qop on two rationals,
         ratcop when one operand is rational, otherwise the complex kernel
         cop at the larger precision in play."""
         if isinstance(other, Scalar):
-            g = other._frac
+            nb, db = other._num, other._den
         elif isinstance(other, (int, Fraction)):
-            g = other
+            nb, db = other.numerator, other.denominator
         else:
             return NotImplemented
-        f = self._frac
-        if f is not None and g is not None:
-            return Scalar(ratop(g, f) if lhs else ratop(f, g), None, None)
-        if g is not None:
-            prec = self._prec
-            return Scalar(None, ratcop(self._c, g, prec, lhs), prec)
-        prec = other._prec
-        if f is not None:
-            return Scalar(None, ratcop(other._c, f, prec, not lhs), prec)
-        if self._prec > prec:
-            prec = self._prec
+        da = self._den
+        if da is not None:
+            if db is not None:
+                return qop(nb, db, self._num, da) if lhs else qop(self._num, da, nb, db)
+            prec = other._prec
+            return Scalar(None, None, ratcop(other._c, self._num, da, prec, not lhs), prec)
+        prec = self._prec
+        if db is not None:
+            return Scalar(None, None, ratcop(self._c, nb, db, prec, lhs), prec)
+        if other._prec > prec:
+            prec = other._prec
         z, w = (other._c, self._c) if lhs else (self._c, other._c)
-        return Scalar(None, cop(z, w, prec), prec)
+        return Scalar(None, None, cop(z, w, prec), prec)
+
+    # Two rational Scalars, the common case, go straight to the kernel.
 
     def __add__(self, other):
-        return self._binop(other, operator.add, cadd, _add_rat)
+        da = self._den
+        if da is not None and type(other) is Scalar and other._den is not None:
+            return _qadd(self._num, da, other._num, other._den)
+        return self._binop(other, _qadd, cadd, _add_rat)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, operator.sub, csub, _sub_rat)
+        da = self._den
+        if da is not None and type(other) is Scalar and other._den is not None:
+            return _qadd(self._num, da, -other._num, other._den)
+        return self._binop(other, _qsub, csub, _sub_rat)
 
     def __rsub__(self, other):
-        return self._binop(other, operator.sub, csub, _sub_rat, True)
+        return self._binop(other, _qsub, csub, _sub_rat, True)
 
     def __mul__(self, other):
-        return self._binop(other, operator.mul, cmul, _mul_rat)
+        da = self._den
+        if da is not None and type(other) is Scalar and other._den is not None:
+            return _qmul(self._num, da, other._num, other._den)
+        return self._binop(other, _qmul, cmul, _mul_rat)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, operator.truediv, _cdiv, _div_rat)
+        da = self._den
+        if da is not None and type(other) is Scalar and other._den is not None:
+            return _qdiv(self._num, da, other._num, other._den)
+        return self._binop(other, _qdiv, _cdiv, _div_rat)
 
     def __rtruediv__(self, other):
-        return self._binop(other, operator.truediv, _cdiv, _div_rat, True)
+        return self._binop(other, _qdiv, _cdiv, _div_rat, True)
 
     def __neg__(self):
-        if self._frac is not None:
-            return Scalar(-self._frac, None, None)
-        return Scalar(None, mpc_neg(self._c, self._prec, round_nearest), self._prec)
+        if self._den is not None:
+            return Scalar(-self._num, self._den, None, None)
+        return Scalar(None, None, mpc_neg(self._c, self._prec, round_nearest), self._prec)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if self._frac is not None:
-            return Scalar(self._frac ** k, None, None)
-        return Scalar(None, mpc_pow_int(self._c, k, self._prec, round_nearest), self._prec)
+        if self._den is not None:
+            return _qpow(self._num, self._den, k)
+        return Scalar(None, None, mpc_pow_int(self._c, k, self._prec, round_nearest), self._prec)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, Scalar):
+            nb, db = other._num, other._den
+        elif isinstance(other, (int, Fraction)):
+            nb, db = other.numerator, other.denominator
+        else:
             return NotImplemented
-        f, g = self._frac, other._frac
-        if f is not None and g is not None:
-            return f == g
-        z = self._c if f is None else other._c
+        na, da = self._num, self._den
+        if da is not None and db is not None:
+            return na == nb and da == db
+        z = self._c if da is None else other._c
         if not _finite(z):
             return False
-        if f is None and g is None:
+        if da is None and db is None:
             return mpf_eq(z[0], other._c[0]) and mpf_eq(z[1], other._c[1])
         # a complex value equals a rational only when it is real and the
-        # rational is a dyadic num / 2^k, compared as the mpf num * 2^-k
+        # rational is a dyadic n / 2^k, compared as the mpf n * 2^-k
         # without building 2^exp
-        r = g if f is None else f
-        den = r.denominator
-        return (z[1] == fzero and not den & (den - 1)
-                and mpf_eq(z[0], from_man_exp(r.numerator, 1 - den.bit_length())))
+        n, d = (nb, db) if da is None else (na, da)
+        return (z[1] == fzero and not d & (d - 1)
+                and mpf_eq(z[0], from_man_exp(n, 1 - d.bit_length())))
 
     __hash__ = None
 
@@ -451,16 +552,16 @@ class Scalar:
     def _promote_prec(self, prec):
         return max(self._prec or 0, prec or 0) or DEFAULT_PRECISION_BITS
 
-    def _exact_root(self, n: int):
-        """The rational n-th root (the real one for odd n), or None."""
-        f = self._frac
-        if f is None or (f < 0 and n % 2 == 0):
+    def _exact_root(self, k: int):
+        """The rational k-th root (the real one for odd k), or None."""
+        n, d = self._num, self._den
+        if d is None or (n < 0 and k % 2 == 0):
             return None
-        rn = _exact_nth_root(abs(f.numerator), n)
-        rd = _exact_nth_root(f.denominator, n)
+        rn = _exact_nth_root(abs(n), k)
+        rd = _exact_nth_root(d, k)
         if rn is None or rd is None:
             return None
-        return Scalar(Fraction(rn if f >= 0 else -rn, rd), None, None)
+        return Scalar(rn if n >= 0 else -rn, rd, None, None)
 
     def sqrt(self, prec=None) -> "Scalar":
         """Principal square root; stays rational iff the value is a rational square."""
@@ -468,7 +569,7 @@ class Scalar:
         if r is not None:
             return r
         p = self._promote_prec(prec)
-        return Scalar(None, mpc_sqrt(self._raw(p), p, round_nearest), p)
+        return Scalar(None, None, mpc_sqrt(self._raw(p), p, round_nearest), p)
 
     def nth_root(self, n: int, prec=None) -> "Scalar":
         """Exact rational n-th root when one exists (the real root for odd n),
@@ -480,9 +581,9 @@ class Scalar:
             return r
         p = self._promote_prec(prec)
         if self.is_exact_zero():
-            return Scalar(None, _CZERO, p)
+            return Scalar(None, None, _CZERO, p)
         ctx = context(p)
-        return Scalar(None, ctx.exp(ctx.ln(ctx.make_mpc(self._raw(p))) / n)._mpc_, p)
+        return Scalar(None, None, ctx.exp(ctx.ln(ctx.make_mpc(self._raw(p))) / n)._mpc_, p)
 
     def cbrt(self, prec=None) -> "Scalar":
         return self.nth_root(3, prec)
@@ -490,8 +591,8 @@ class Scalar:
     # -- serialization and display ------------------------------------------
 
     def to_json(self):
-        if self._frac is not None:
-            return [self._frac.numerator, self._frac.denominator]
+        if self._den is not None:
+            return [self._num, self._den]
         dps = int(self._prec / 3.3219280948873626) + 10
         c = self.to_mpc()
         return [mpmath.nstr(c.real, dps), mpmath.nstr(c.imag, dps)]
@@ -500,27 +601,29 @@ class Scalar:
     def from_json(cls, v, prec: int = None) -> "Scalar":
         """Inverse of ``to_json``; a complex value is read at prec + 16 bits
         and carried at prec (default ``DEFAULT_PRECISION_BITS``).
-        ValueError for a part that is an infinity or nan."""
+        ValueError for a part that is a boolean, an infinity or a nan."""
         if not (isinstance(v, list) and len(v) == 2):
             raise ValueError("scalar JSON must be a two-element list")
+        if any(isinstance(t, bool) for t in v):
+            raise ValueError("scalar JSON must not hold a boolean, got %r" % (v,))
         if all(isinstance(t, int) for t in v):
             return cls.rational(v[0], v[1])
         prec = prec or DEFAULT_PRECISION_BITS
         z = context(prec + 16).mpc(v[0], v[1])._mpc_
         if not _finite(z):
             raise ValueError("scalar JSON must be finite, got %r" % (v,))
-        return cls(None, z, prec)
+        return cls(None, None, z, prec)
 
     def __repr__(self):
-        if self._frac is not None:
-            return "rat(%s)" % self._frac
+        if self._den is not None:
+            return "rat(%s)" % self
         c = self.to_mpc()
         return "cx(%s, %s; %d)" % (mpmath.nstr(c.real, 12), mpmath.nstr(c.imag, 12),
                                    self._prec)
 
     def __str__(self):
-        if self._frac is not None:
-            return str(self._frac)
+        if self._den is not None:
+            return str(self._num) if self._den == 1 else "%d/%d" % (self._num, self._den)
         c = self.to_mpc()
         if c.imag == 0:
             return mpmath.nstr(c.real, 12)
@@ -537,12 +640,13 @@ def cx(re, im=0, prec: int = DEFAULT_PRECISION_BITS) -> Scalar:
 
 
 def as_scalar(v) -> Scalar:
-    """v as a Scalar (ints and Fractions become exact rationals), by
-    ``Scalar._coerce``; TypeError for anything else."""
-    s = Scalar._coerce(v)
-    if s is None:
-        raise TypeError("expected a Scalar-compatible value, got %r" % (v,))
-    return s
+    """v as a Scalar (ints and Fractions become exact rationals);
+    TypeError for anything else."""
+    if isinstance(v, Scalar):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return Scalar(v.numerator, v.denominator, None, None)
+    raise TypeError("expected a Scalar-compatible value, got %r" % (v,))
 
 
 @functools.lru_cache(maxsize=64)
@@ -564,8 +668,8 @@ def as_tol(tol):
 def negligible(x: Scalar, tol, scale=1) -> bool:
     """The one zero test: exact for rationals, |x| <= tol*scale for complex
     floats, so a nan is never negligible."""
-    if x.is_rational:
-        return x.fraction == 0
+    if x._den is not None:
+        return not x._num
     return x.mag() <= as_tol(tol) * scale
 
 

@@ -181,8 +181,15 @@ def solve_condition(cond: UniPoly, *, prec: int = None, tol=None):
     Returns (effective_degree, roots).  Degree -1 means the condition holds
     identically (any value works); degree 0 means it is unsatisfiable and the
     caller raises its structured error.
+
+    The degree is decided at the working precision, not at the acceptance
+    tol: a leading coefficient counts unless it is ``negligible`` at
+    2^(24 - prec) times the condition's coefficient scale, the finest
+    tolerance the CLI accepts.  Rounding leaves about 2^-prec of the scale,
+    while a true leading coefficient can lie far below tol times it: with
+    input coefficients near 1e8, the gamma-quadratic's is 1e-31 of it.
     """
-    d = cond.effective_degree(tol)
+    d = cond.effective_degree(mpmath.ldexp(1, 24 - (prec or DEFAULT_PRECISION_BITS)))
     if d <= 0:
         return d, []
     mon = UniPoly(cond.coeffs[:d + 1]).monic()[0]

@@ -182,7 +182,8 @@ def _poly_json(*ascending):
     "reciprocal step", "non-monic step output",
     "step output of another degree", "rescaled step input",
     "step not an object", "integer of 5000 digits", "subsidiary degree true",
-    "subsidiary degree zero", "kind not a string", "leading coefficient 1e999999999999"])
+    "subsidiary degree zero", "kind not a string", "leading coefficient 1e999999999999",
+    "leading coefficient [true, true]"])
 def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
     trace = tmp_path / "trace.json"
     assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
@@ -230,6 +231,9 @@ def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
     elif breakage == "leading coefficient 1e999999999999":
         # not monic, decided without building 2^(3.3e12)
         t["original"]["coeffs"][-1] = ["1e999999999999", "0"]
+    elif breakage == "leading coefficient [true, true]":
+        # JSON booleans are not the integers 1 / 1
+        t["original"]["coeffs"][-1] = [True, True]
     else:
         # a quartic original: the bring-curve check would see four roots
         t["original"] = _poly_json(1, 0, 0, 0, 1)

@@ -30,9 +30,17 @@ trace JSON, the verify JSON and the recovered roots, and verify and recover
 again after a ``ReductionTrace.from_json`` re-read; and ``find_roots`` on
 z^5 + 10^310 z + 1 (the float stage falls back: a coefficient out of float
 range), z^2 + 10^299 z + 1 (the float iterates stop being finite) and
-(z - 1)^5 (the cluster polish).  A speed-up must leave every digest as it
-is; a deliberate change of output bytes regenerates the file, in about two
-seconds, with ``PYTHONPATH=src python tests/test_golden.py digests``.
+(z - 1)^5 (the cluster polish).  Its ``exact/`` group pins the bytes of
+rational mode: ``dual_eliminate(A, sub)[0].to_json()`` for 60 rational
+steps drawn from ``random.Random(20260818)`` (A monic of degree 3 to 5, a
+subsidiary of degree 1 <= k < deg A, every coefficient
+``Fraction(randint(-9, 9), randint(1, 5))``), the E, F, G and degree of
+``quartic_obstruction_G`` for 10 rational pairs (p, q) with p != 0 drawn
+next from the same generator, and the standard output of ``bringform
+reduce --mode rational --coeffs "1 -1/2 0.25 1 0 3"``.  A speed-up must
+leave every digest as it is; a deliberate change of output bytes
+regenerates the file, in about two seconds, with ``PYTHONPATH=src python
+tests/test_golden.py digests``.
 """
 
 import contextlib
@@ -42,10 +50,12 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 import mpmath
 
-from bringform import (ReductionTrace, UniPoly, find_roots, rat, recover_roots,
+from bringform import (ReductionTrace, Subsidiary, UniPoly, dual_eliminate,
+                       find_roots, quartic_obstruction_G, rat, recover_roots,
                        reduce_general_quintic, verify_trace)
 from bringform.cli import EXIT_OK, main
 
@@ -64,6 +74,10 @@ DIGEST_COUNT = 20
 FIND_ROOTS_CASES = {"float-range": [1, 10 ** 310, 0, 0, 0, 1],
                     "non-finite": [1, 10 ** 299, 1],
                     "cluster": [-1, 5, -10, 10, -5, 1]}
+EXACT_SEED = 20260818
+EXACT_STEPS = 60
+EXACT_OBSTRUCTIONS = 10
+EXACT_CLI = ["reduce", "--mode", "rational", "--coeffs", "1 -1/2 0.25 1 0 3"]
 
 
 def _quintics():
@@ -136,6 +150,38 @@ def _digest_texts():
         found = find_roots(UniPoly([rat(c) for c in coeffs], "z"))
         yield "find_roots/" + name, json.dumps(
             [[z.to_json() for z in found.roots], found.converged, found.iterations])
+    yield from _exact_texts()
+
+
+def _exact_texts():
+    """(name, text) for the ``exact/`` group: rational mode end to end."""
+    rng = random.Random(EXACT_SEED)
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    for i in range(EXACT_STEPS):
+        n = rng.randint(3, 5)
+        A = UniPoly([rat(c) for c in [draw() for _ in range(n)] + [1]], "z")
+        k = rng.randint(1, n - 1)
+        sub = Subsidiary(k, tuple(rat(draw()) for _ in range(k)))
+        yield "exact/eliminate/%d" % i, json.dumps(dual_eliminate(A, sub)[0].to_json())
+
+    def form(f):
+        return [[list(e), f[e].to_json()] for e in sorted(f)]
+
+    for i in range(EXACT_OBSTRUCTIONS):
+        p = draw()
+        while p == 0:
+            p = draw()
+        report = quartic_obstruction_G(rat(p), rat(draw()))
+        yield "exact/obstruction/%d" % i, json.dumps(
+            [form(report.y2_condition), form(report.y1_condition),
+             report.obstruction.to_json(), report.degree])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(EXACT_CLI) == EXIT_OK
+    yield "exact/cli-rational", out.getvalue()
 
 
 def _digests():

@@ -6,13 +6,15 @@ itself, so every example runs the retry at halved roots.  The precision
 round trips run general quintics at 64 bits (tolerance 1e-12, the finest
 the CLI accepts there), 128, 512 and 1024 bits, and quintics with complex
 coefficients: the paths where exact rational operands meet complex ones at a
-precision other than the default.
+precision other than the default.  The large-coefficient round trips run
+integer quintics with coefficients near +-1e8 at 256 bits and near +-1e12 at
+512 bits, where a condition's true leading coefficient lies below the
+acceptance tolerance times its scale.
 sympy's discriminant is the outside oracle that keeps repeated roots, which
 ``reduce_general_quintic`` refuses, out of the examples.
 """
 
 import json
-
 
 import pytest
 import sympy
@@ -61,7 +63,7 @@ def test_complex_rescue_family_round_trips():
 def _precision_round_trip(P, prec, tol):
     """reduce -> verify -> recover at prec bits; the trace read back from
     its JSON verifies too, and the recovered roots match the input's own
-    roots to half the precision's digits."""
+    roots to half the precision's digits.  Returns the trace."""
     cfg = RootConfig(precision_bits=prec, tol=tol)
     trace = reduce_general_quintic(P, prec=prec, tol=tol)
     assert verify_trace(trace, cfg).matched
@@ -70,6 +72,7 @@ def _precision_round_trip(P, prec, tol):
     ok, dist = match_roots(find_roots(P, cfg).roots, recover_roots(trace, cfg),
                            tol=2.0 ** (-prec // 2))
     assert ok, dist
+    return trace
 
 
 def _distinct_roots(coeffs):
@@ -107,3 +110,26 @@ def test_integer_quintics_round_trip_at_64_bits(ascending):
     # at tol 1e-14, finer than 64 bits resolve, each raises ConsistencyError
     P = UniPoly([rat(c) for c in ascending], "z")
     _precision_round_trip(P, 64, "1e-12")
+
+
+def _near(bound):
+    """Integers of magnitude bound/10 to bound, either sign."""
+    return st.tuples(st.integers(bound // 10, bound), st.sampled_from([1, -1])).map(
+        lambda t: t[0] * t[1])
+
+
+@pytest.mark.parametrize("bound,prec", [(10 ** 8, 256), (10 ** 12, 512)])
+@settings(max_examples=5, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_large_coefficient_round_trips(bound, prec, data):
+    cs = data.draw(st.lists(_near(bound), min_size=5, max_size=5))
+    assume(_distinct_roots(cs + [1]))
+    P = UniPoly([rat(c) for c in cs] + [rat(1)], "z")
+    trace = _precision_round_trip(P, prec, DEFAULT_TOLERANCE)
+    # a leading coefficient kept at noise level would add one root huge
+    # beside the others; no auxiliary solve may choose it
+    for step in trace.steps:
+        for aux in step.aux:
+            mags = sorted(r.mag() for r in aux.roots)
+            if len(mags) > 1 and mags[-1] > 10 ** 20 * max(1, mags[-2]):
+                assert aux.roots[aux.chosen].mag() < mags[-1], (aux.kind, mags)

@@ -190,6 +190,16 @@ def test_pick_root_breaks_exact_ties_by_real_then_imaginary_part():
     assert pick_root([cx("1e40", 0), cx("-1e40", "1e-50")]) == 1
 
 
+@pytest.mark.parametrize("huge", ["-1e31", "1e45", "-1e70"])
+def test_pick_root_does_not_prefer_a_huge_real_root_to_small_complex_ones(huge):
+    # a condition's leading coefficient eps at most tol times its scale,
+    # kept because it lies above the working precision's noise, adds one
+    # root of about 1/eps >= 1/tol beside the others; "prefer real" counts
+    # every root within tol times the largest one as real, so the small
+    # complex pair wins
+    assert pick_root([cx(huge), cx("0.5", 1), cx("0.5", -1)]) == 2
+
+
 def test_division_by_exact_zero_raises():
     with pytest.raises(ZeroDivisionError):
         rat(1) / rat(0)
@@ -347,22 +357,86 @@ def test_binary_dunders_match_the_generic_libmp_call(pair):
             _check_dunder(x, other, name)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(x=_rational_operands(), y=_rational_operands(),
+# numerators and denominators up to 10^40, of either sign
+_wide_fractions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-10 ** 40, 10 ** 40).map(Fraction),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)))
+
+
+@st.composite
+def _exact_operands(draw):
+    """A rational as a Scalar, a Fraction, or a plain int when it is one."""
+    f = draw(_wide_fractions)
+    form = draw(st.sampled_from(["scalar", "fraction", "int"] if f.denominator == 1
+                                else ["scalar", "fraction"]))
+    if form == "scalar":
+        return rat(f.numerator, f.denominator)
+    return f.numerator if form == "int" else f
+
+
+def _assert_exact(got, f):
+    """got is the rational f, kept in lowest terms with a positive denominator."""
+    assert got.is_rational and type(got.fraction) is Fraction
+    assert got.fraction == f and got.to_json() == [f.numerator, f.denominator]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(x=_exact_operands(), y=_exact_operands(),
        name=st.sampled_from(sorted(BINARY_DUNDERS)))
 def test_rational_dunders_stay_exact(x, y, name):
+    # the dunder on a Scalar x, and the operator with the plain operand y on
+    # its side (an int or Fraction y on the left reaches the reflected one)
     op, _, swapped, _ = BINARY_DUNDERS[name]
     x = as_scalar(x)
     left, right = x.fraction, y.fraction if isinstance(y, Scalar) else Fraction(y)
     if swapped:
         left, right = right, left
+    calls = [lambda: getattr(x, name)(y), lambda: op(y, x) if swapped else op(x, y)]
     if op is operator.truediv and right == 0:
-        with pytest.raises(ZeroDivisionError):
-            getattr(x, name)(y)
+        for call in calls:
+            with pytest.raises(ZeroDivisionError):
+                call()
         return
-    got = getattr(x, name)(y)
-    assert got.is_rational and type(got.fraction) is Fraction
-    assert got.fraction == op(left, right)
+    for call in calls:
+        _assert_exact(call(), op(left, right))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(f=_wide_fractions, k=st.integers(-3, 5))
+def test_rational_powers_stay_exact(f, k):
+    x = rat(f.numerator, f.denominator)
+    if f == 0 and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+        return
+    _assert_exact(x ** k, f ** k)
+
+
+def test_zero_to_a_negative_power_raises():
+    for k in (-1, -2, -3):
+        with pytest.raises(ZeroDivisionError):
+            rat(0) ** k
+    _assert_exact(rat(0) ** 0, Fraction(1))
+
+
+# n / 2^k: the rationals a complex value can equal
+_dyadics = st.builds(lambda n, k: Fraction(n, 2 ** k), st.integers(-10 ** 40, 10 ** 40),
+                     st.integers(0, 130))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(f=st.one_of(_wide_fractions, _dyadics))
+def test_rational_equality_with_ints_fractions_and_complex_values(f):
+    x = rat(f.numerator, f.denominator)
+    assert x == f and f == x and x != f + 1 and f - 1 != x
+    n = f.numerator
+    assert (x == n) == (f.denominator == 1) and (n == x) == (f.denominator == 1)
+    # 256 bits hold every such n / 2^k exactly, and no other rational
+    dyadic = not f.denominator & (f.denominator - 1)
+    z = cx(f, 0, 256)
+    assert (x == z) is dyadic and (z == x) is dyadic
+    assert x != cx(f, 1, 256) and cx(f, 1, 256) != x
 
 
 def test_times_one_rounds_a_value_read_at_extra_precision():

@@ -15,6 +15,7 @@ import pytest
 from bringform import (UniPoly, find_roots, match_roots, rat, solve_condition,
                        solve_cubic_cardano, solve_cubic_general, solve_monic,
                        solve_quadratic, solve_quartic)
+from bringform.scalars import pick_root
 from helpers import rand_monic, rand_scalar
 
 TINY = mpmath.mpf("1e-70")
@@ -153,8 +154,13 @@ def test_solve_condition_effective_degrees():
     assert solve_condition(UniPoly([rat(3)], "b")) == (0, [])
     deg, roots = solve_condition(UniPoly([rat(4), rat(2)], "b"))
     assert deg == 1 and roots[0].fraction == -2
-    # a leading coefficient at noise level is not a real degree
-    lead = rat(1, 10 ** 45) * rat(2).sqrt()
+    # a leading coefficient at the noise of 256 bits, 2^-250 of the
+    # scale, is not a real degree
+    lead = rat(4, 2 ** 250) * rat(2).sqrt()
     deg, roots = solve_condition(UniPoly([rat(4), rat(2), lead], "b"))
     assert deg == 1
     assert (roots[0] + rat(2)).mag() <= mpmath.mpf("1e-40")
+    # one far above that noise is, though below the acceptance tolerance
+    lead = rat(1, 10 ** 45) * rat(2).sqrt()
+    deg, roots = solve_condition(UniPoly([rat(4), rat(2), lead], "b"))
+    assert deg == 2 and (roots[pick_root(roots)] + rat(2)).mag() <= mpmath.mpf("1e-40")
