@@ -31,7 +31,8 @@ from .pipeline import (ReductionTrace, quartic_obstruction_G,
                        reduce_general_quintic)
 from .polynomials import UniPoly
 from .roots import RootConfig, obstruction_consistency, verify_trace
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar, context
+from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar, as_tol,
+                      context, noise_tol)
 from .solvers import solve_monic
 
 EXIT_OK = 0
@@ -253,17 +254,16 @@ def _validate(args):
     if args.precision_bits < 64 or args.precision_bits > 1 << 20:
         raise UsageError("--precision-bits must be between 64 and 2^20")
     try:
-        t = mpmath.mpf(args.tol)
+        t = as_tol(args.tol)
     except ValueError:
         raise UsageError("--tol must be a number, got %r" % args.tol)
     if not (t > 0 and t < 1):  # also refuses nan and inf
         raise UsageError("--tol must lie strictly between 0 and 1, got %r" % args.tol)
-    # the two routes of a step agree to about 2^(16 - prec) relative; the
-    # ansatz's conditions and the back-solve lose up to 8 bits more
-    if t < mpmath.ldexp(1, 24 - args.precision_bits):
+    floor = noise_tol(args.precision_bits)
+    if t < floor:
         raise UsageError("--tol %s is finer than %d bits resolve; use --tol 1e%d or coarser"
                          % (args.tol, args.precision_bits,
-                            math.ceil((24 - args.precision_bits) * math.log10(2))))
+                            math.ceil(floor.man_exp[1] * math.log10(2))))
 
 
 def main(argv=None) -> int:

@@ -173,9 +173,9 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, powers=None) -> UniPoly:
     s = power_sums(A, n - 1)
     sums = []
     for rem in powers[1:]:
-        acc = rem[0] * s.s(0)
+        acc = rem[0] * s[0]
         for j in range(1, n):
-            acc = acc + rem[j] * s.s(j)
+            acc = acc + rem[j] * s[j]
         sums.append(acc)
     return poly_from_power_sums(sums, "y")
 
@@ -215,8 +215,7 @@ def image_elementary(A: UniPoly, xs, m: int):
         for combo in combinations_with_replacement(range(width), k):
             prod = prods[combo] = prods[combo[:-1]] * X[combo[-1]]
             tr = None
-            for j, c in enumerate(prod.coeffs):
-                sj = s.s(j)
+            for c, sj in zip(prod.coeffs, s):
                 if not (c.is_exact_zero() or sj.is_exact_zero()):
                     tr = c * sj if tr is None else tr + c * sj
             if tr is None:

@@ -124,9 +124,8 @@ class TransformStep:
     # T^0..T^n mod the input as ``dual_eliminate`` built them, or None;
     # read through ``powers``, and no part of equality, repr or JSON
     table: tuple = field(default=None, compare=False, repr=False)
-    # certify's verdicts by (tolerance, precision): a memo slot, empty in
-    # every new step, no part of equality, repr or JSON; threads that race
-    # on it compute the same verdict
+    # certify's verdicts by tolerance, a memo slot no part of equality, repr
+    # or JSON; threads that race on it compute the same verdict
     _verdicts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # not a field: every step maps the previous output itself; the
@@ -148,18 +147,18 @@ class TransformStep:
         merge roots, which Horner rejects.  Returns (largest |coefficient|
         of U(T) - z relative to ``coeff_scale(A)``, inf for a step without
         U; ok); C(T) counts within tol * coeff_scale(A) * coeff_scale(C),
-        exactly in rational mode.  The verdict reads only the step,
-        ``as_tol(tol)`` and mpmath's global precision, so the step keeps it
-        per (tolerance, precision): ``verify_trace`` of a reduced trace reads
-        what ``reduce_general_quintic`` computed; a re-read step has none."""
-        key = (as_tol(tol), mpmath.mp.prec)
+        exactly in rational mode.  The verdict reads only the step and
+        ``as_tol(tol)``, never mpmath's global precision, so the step keeps
+        it per tolerance: ``verify_trace`` of a reduced trace reads what
+        ``reduce_general_quintic`` computed; a re-read step has none."""
+        key = as_tol(tol)._mpf_
         got = self._verdicts.get(key)
         if got is None:
             got = self._verdicts[key] = self._certificate(tol)
         return got
 
     def _certificate(self, tol):
-        """The body of ``certify``, run once per tolerance and precision."""
+        """The body of ``certify``, run once per tolerance."""
         A, C = self.input, self.output
         if not A.is_monic():
             return mpmath.inf, False
@@ -184,8 +183,8 @@ class TransformStep:
             for c, P in zip(C.coeffs, self.powers):
                 if not c.is_exact_zero():
                     CT = [r + c * p for r, p in zip(CT, P)]
-            scale = scale * coeff_scale(C)
-            ok = all(negligible(r, tol, scale) for r in CT)
+            bound = as_tol(tol, scale, coeff_scale(C))
+            ok = all(negligible(r, bound) for r in CT)
         return residual, ok
 
     @cached_property
@@ -279,8 +278,9 @@ class ObstructionReport:
     low degree: the two remaining conditions collide in a sextic.
 
     ``y2_condition`` is E(b, c), linear in b, and ``y1_condition`` F(b, c);
-    ``obstruction`` is G(c) = Res_b(E, F) and ``degree`` its degree after
-    dropping negligible leading coefficients, below six when ``degenerate``.
+    ``obstruction`` is G(c) = Res_b(E, F) and ``degree`` its
+    ``effective_degree`` at the precision of p and q (exact for rational p
+    and q), so both modes agree; below six when ``degenerate``.
     """
 
     p: Scalar
@@ -409,7 +409,7 @@ def _k2_conditions(A: UniPoly, j: int):
     """
     n = A.degree
     s = power_sums(A, 2)
-    a = (-s.s(2) * rat(1, n), -s.s(1) * rat(1, n))
+    a = (-s[2] * rat(1, n), -s[1] * rat(1, n))
     es = image_elementary(A, [a, (rat(0), rat(1)), (rat(1), rat(0))], j)
     return [form_in(e, "b") for e in es], UniPoly(a, "b")
 
@@ -516,7 +516,7 @@ def quartic_obstruction_G(p, q, *, tol=None) -> ObstructionReport:
     """
     p, q = as_scalar(p), as_scalar(q)
     A = UniPoly([q, p, rat(0), rat(0), rat(1)], "z")
-    a = -power_sums(A, 3).s(3) * rat(1, 4)
+    a = -power_sums(A, 3)[3] * rat(1, 4)
     zero, one = rat(0), rat(1)
     # T = -(z^3 + c z^2 + b z + a): C's y^(4-k) coefficient is e_k of -T,
     # a form in the parameters (b, c)
@@ -532,7 +532,7 @@ def quartic_obstruction_G(p, q, *, tol=None) -> ObstructionReport:
             G = G + Fj * (-Es[0]) ** j * Es[1] ** (len(Fs) - 1 - j)
     elif Es and Fs:  # E has no b-row
         G = Es[0] ** (len(Fs) - 1)
-    eff = G.effective_degree(tol)
+    eff = G.effective_degree(max(p.prec or 0, q.prec or 0) or None)
     return ObstructionReport(p, q, a, E, F, G, eff, eff < 6)
 
 

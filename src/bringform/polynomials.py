@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath
 
 from .scalars import (DEFAULT_PRECISION_BITS, Scalar, as_scalar, as_tol,
-                      context, negligible, rat)
+                      context, negligible, noise_tol, rat)
 
 
 class UniPoly:
@@ -196,10 +196,11 @@ class UniPoly:
             object.__setattr__(self, "_max_mag", m)
         return m
 
-    def effective_degree(self, tol, scale=None) -> int:
-        """Degree after dropping the leading coefficients that are
-        ``negligible`` at tol * scale (default ``coeff_scale(self)``)."""
-        t = as_tol(tol) * (coeff_scale(self) if scale is None else scale)
+    def effective_degree(self, prec=None) -> int:
+        """Degree after dropping the leading coefficients that are rounding
+        noise at prec bits, ``negligible`` at ``noise_tol(prec)`` times
+        ``coeff_scale(self)``; a rational one only when it is zero."""
+        t = as_tol(noise_tol(prec), coeff_scale(self))
         for k in range(len(self.coeffs) - 1, -1, -1):
             if not negligible(self.coeffs[k], t):
                 return k
@@ -277,7 +278,7 @@ def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
     for k in range(max(P.degree, Q.degree) + 1):
         d = P.coeff(k) - Q.coeff(k)
         if t is None and not d.is_rational:
-            t = as_tol(tol) * coeff_scale(P, Q)
+            t = as_tol(tol, coeff_scale(P, Q))
         if not negligible(d, t):
             return k, d
     return None
@@ -334,23 +335,9 @@ def deflate(poly: UniPoly, root) -> UniPoly:
     return UniPoly(list(reversed(out)), poly.var)
 
 
-class PowerSums:
-    """Power sums s_1..s_k of the roots of a monic polynomial (s_0 is the degree)."""
-
-    __slots__ = ("values", "source_degree")
-
-    def __init__(self, values, source_degree: int):
-        self.values = tuple(values)
-        self.source_degree = source_degree
-
-    def s(self, k: int):
-        if k == 0:
-            return rat(self.source_degree)
-        return self.values[k - 1]
-
-
-def power_sums(poly: UniPoly, k_max: int) -> PowerSums:
-    """Newton's identities, coefficients to power sums, up to s_{k_max}.
+def power_sums(poly: UniPoly, k_max: int):
+    """Newton's identities, coefficients to power sums: the tuple (s_0, s_1,
+    ..., s_{k_max}) of the roots, s_0 being the degree as an exact rational.
 
     The polynomial is normalized monic first; degree 0 is rejected.  The
     sums are kept on ``poly``, and a later call computes only those past
@@ -361,26 +348,26 @@ def power_sums(poly: UniPoly, k_max: int) -> PowerSums:
         raise ValueError("power sums need degree at least 1")
     n = poly.degree
     known = poly._sums
-    if len(known) >= k_max:
-        return PowerSums(known[:k_max], n)
+    if len(known) > k_max:
+        return known[:k_max + 1]
     p = poly if poly.is_monic() else poly.monic()[0]
     # elementary symmetric functions: e_k = (-1)^k * c_{n-k}
     e = [rat(1)]
     for k in range(1, n + 1):
         c = p.coeff(n - k)
         e.append(-c if k % 2 == 1 else c)
-    s = list(known)
-    for k in range(len(s) + 1, k_max + 1):
+    s = list(known) or [rat(n)]
+    for k in range(len(s), k_max + 1):
         acc = rat(0)
         for i in range(1, min(k - 1, n) + 1):
-            t = e[i] * s[k - i - 1]
+            t = e[i] * s[k - i]
             acc = acc + t if i % 2 == 1 else acc - t
         if k <= n:
             t = e[k] * k
             acc = acc + t if k % 2 == 1 else acc - t
         s.append(acc)
     object.__setattr__(poly, "_sums", tuple(s))
-    return PowerSums(s, n)
+    return poly._sums
 
 
 def poly_from_power_sums(sums, var: str = "y") -> UniPoly:

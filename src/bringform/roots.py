@@ -372,9 +372,9 @@ def match_roots(xs, ys, *, tol=DEFAULT_MATCH_TOLERANCE):
     """
     if len(xs) != len(ys):
         return False, mpmath.inf
-    scale = max([1] + [v.mag() for v in xs] + [v.mag() for v in ys])
+    scale = max([mpmath.mpf(1)] + [v.mag() for v in xs] + [v.mag() for v in ys])
     direct = _best_pairing(xs, ys)
-    return direct <= as_tol(tol) * scale, direct
+    return direct <= as_tol(tol, scale), direct
 
 
 def bring_curve_residual(roots):
@@ -409,8 +409,7 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
     claim = UniPoly([trace.bring_q, trace.bring_p] + [rat(0)] * (final.degree - 2)
                     + [rat(1)], final.var)
     ok = ok and coeff_mismatch(claim, final, cfg.tol) is None
-    bring = () if final.degree != 5 else tuple(
-        power_sums(final, 3).s(k).mag() for k in (1, 2, 3))
+    bring = () if final.degree != 5 else tuple(s.mag() for s in power_sums(final, 3)[1:])
     return VerifyReport(worst, ok, bring)
 
 

@@ -30,8 +30,13 @@ infinity or nan, the generic ``mpc_add``/``mpc_sub``/``mpc_mul`` call
 runs instead.  Both give the same bits.  A rational rounded to an mpf
 (``_rat_mpf``, keyed by numerator, denominator and precision) and a parsed
 tolerance string (``as_tol``) are memoized, in bounded caches of immutable
-values.  Nothing in the package changes mpmath's global precision, so
-Scalars are safe to share between threads.
+values.  Nothing in the package changes or reads mpmath's global
+precision, so Scalars are safe to share between threads.
+
+Two rules decide what counts as zero.  Noise: a degree drops only leading
+coefficients below ``noise_tol(prec)`` = 2^(24 - prec) times the scale
+(``UniPoly.effective_degree``).  Acceptance: a check passes within tol *
+scale (``negligible``), each product rounded at ``TOL_PREC`` bits (``as_tol``).
 
 A binary operation of a complex operand z with a rational one (a Scalar,
 an int or a Fraction) takes shortcuts: z + 0 and z * 1 round z, 0 - z and
@@ -56,11 +61,12 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add,
                           mpc_conjugate, mpc_div, mpc_mul, mpc_mul_mpf,
                           mpc_neg, mpc_pos, mpc_pow_int, mpc_sqrt, mpc_sub,
-                          mpf_add, mpf_div, mpf_eq, mpf_neg, mpf_pos, mpf_sub,
-                          normalize, round_nearest)
+                          mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_le, mpf_mul,
+                          mpf_neg, mpf_pos, mpf_sub, normalize, round_nearest)
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_TOLERANCE = "1e-30"
+TOL_PREC = 53  # mpmath's default
 
 
 @functools.cache
@@ -650,27 +656,38 @@ def as_scalar(v) -> Scalar:
 
 
 @functools.lru_cache(maxsize=64)
-def _parse_tol(text, prec):
-    return mpmath.mpf(text)
+def _parse_tol(text):
+    return context(TOL_PREC).mpf(text)._mpf_
 
 
-def as_tol(tol):
-    """Normalize a tolerance given as str/float/mpf to an mpf (rounded at
-    mpmath's global precision); a string, the default "1e-30" included, is
-    parsed once per precision."""
-    if tol is None:
-        tol = DEFAULT_TOLERANCE
-    if isinstance(tol, str):
-        return _parse_tol(tol, mp.prec)
-    return mpmath.mpf(tol)
+def as_tol(tol, *scales):
+    """tol times the mpf scales, the one place a tolerance is read: tol (a
+    str, parsed once, a float or an mpf; None for ``DEFAULT_TOLERANCE``) and
+    each product rounded at ``TOL_PREC`` bits, scales multiplied first.
+    ValueError for a string that is not a number."""
+    tol = DEFAULT_TOLERANCE if tol is None else tol
+    t = _parse_tol(tol) if isinstance(tol, str) else context(TOL_PREC).mpf(tol)._mpf_
+    if scales:
+        s = functools.reduce(lambda a, b: mpf_mul(a, b, TOL_PREC, round_nearest),
+                             (v._mpf_ for v in scales))
+        t = mpf_mul(t, s, TOL_PREC, round_nearest)
+    return mp.make_mpf(t)
 
 
-def negligible(x: Scalar, tol, scale=1) -> bool:
-    """The one zero test: exact for rationals, |x| <= tol*scale for complex
-    floats, so a nan is never negligible."""
+def noise_tol(prec=None):
+    """2^(24 - prec) (default ``DEFAULT_PRECISION_BITS``), the CLI's floor
+    for ``--tol`` and the noise rule of ``UniPoly.effective_degree``: a
+    step's two routes agree to about 2^(16 - prec) relative, and the ansatz
+    and the back-solve lose up to 8 bits more."""
+    return mp.make_mpf(from_man_exp(1, 24 - (prec or DEFAULT_PRECISION_BITS)))
+
+
+def negligible(x: Scalar, tol, scale=mpmath.mpf(1)) -> bool:
+    """The one zero test: exact for rationals, |x| <= ``as_tol(tol,
+    scale)`` for complex floats, so a nan is never negligible."""
     if x._den is not None:
         return not x._num
-    return x.mag() <= as_tol(tol) * scale
+    return x.mag() <= as_tol(tol, scale)
 
 
 def sort_key(x: Scalar):
@@ -686,14 +703,16 @@ def pick_root(roots, tol=None) -> int:
     Each of the first three preferences keeps every root within tol * s of
     the best value (s = max(1, largest |root|)), so rounding noise, such as
     the +-1e-77 imaginary parts of a cubic's three real roots, never decides
-    the choice.
+    the choice.  |Im|, the window and each difference round at ``TOL_PREC``.
     """
-    keys = [(abs(r.im()), r.mag(), r.re()) for r in roots]
-    t = as_tol(tol) * max(mpmath.mpf(1), max(k[1] for k in keys))
+    keys = [(mp.make_mpf(mpf_abs(r.im()._mpf_, TOL_PREC, round_nearest)), r.mag(), r.re())
+            for r in roots]
+    t = as_tol(tol, max(mpmath.mpf(1), max(k[1] for k in keys)))._mpf_
     keep = range(len(roots))
     for stage in range(3):
-        low = min(keys[i][stage] for i in keep)
-        # v - low, not v <= low + t: the sum would be rounded to mpmath's
-        # global precision and could fall below low itself
-        keep = [i for i in keep if keys[i][stage] - low <= t]
+        low = min(keys[i][stage] for i in keep)._mpf_
+        # v - low, not v <= low + t: the sum would be rounded and could
+        # fall below low itself
+        keep = [i for i in keep
+                if mpf_le(mpf_sub(keys[i][stage]._mpf_, low, TOL_PREC, round_nearest), t)]
     return min(keep, key=lambda i: roots[i].im())

@@ -17,11 +17,11 @@ solved anywhere in this module has degree at most three.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 
-from .polynomials import UniPoly, deflate
+from .polynomials import UniPoly, deflate, shift_substitute
 from .scalars import (DEFAULT_PRECISION_BITS, Scalar, as_scalar, context, rat,
                       sort_key)
 
@@ -33,26 +33,25 @@ def _omega(prec: int) -> Scalar:
     return Scalar.from_mpc(ctx.mpc(ctx.mpf(-1) / 2, ctx.sqrt(3) / 2), prec)
 
 
-def _residuals(poly: UniPoly, roots):
-    return tuple(poly.eval(r).mag() for r in roots)
-
-
 @dataclass(frozen=True)
 class SolveResult:
-    """Roots of one polynomial: the root multiset, how it was obtained, and
-    the absolute residuals |A(root)|."""
+    """Roots of one polynomial A: the root multiset, how it was obtained,
+    and the absolute residuals |A(root)|, evaluated when first read."""
 
     roots: tuple
     method: str
-    residuals: tuple
+    poly: UniPoly = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def residuals(self):
+        return tuple(self.poly.eval(r).mag() for r in self.roots)
 
     def max_residual(self):
         return max(self.residuals) if self.residuals else mpmath.mpf(0)
 
 
 def _finish(poly: UniPoly, roots, method: str) -> SolveResult:
-    roots = tuple(sorted(roots, key=sort_key))
-    return SolveResult(roots, method, _residuals(poly, roots))
+    return SolveResult(tuple(sorted(roots, key=sort_key)), method, poly)
 
 
 def solve_quadratic(m, n, *, prec: int = None) -> SolveResult:
@@ -154,8 +153,7 @@ def solve_monic(poly: UniPoly, *, prec: int = None, tol=None) -> SolveResult:
         raise ValueError("polynomial must be monic")
     d = poly.degree
     if d == 1:
-        r = -poly.coeff(0)
-        return SolveResult((r,), "linear", _residuals(poly, (r,)))
+        return _finish(poly, (-poly.coeff(0),), "linear")
     if d == 2:
         return solve_quadratic(poly.coeff(1), poly.coeff(0), prec=prec)
     if d == 3:
@@ -166,7 +164,6 @@ def solve_monic(poly: UniPoly, *, prec: int = None, tol=None) -> SolveResult:
             return solve_quartic(poly.coeff(2), poly.coeff(1), poly.coeff(0),
                                  prec=prec, tol=tol)
         quarter = m * rat(1, 4)
-        from .polynomials import shift_substitute
         dep = shift_substitute(poly, quarter)
         inner = solve_quartic(dep.coeff(2), dep.coeff(1), dep.coeff(0),
                               prec=prec, tol=tol)
@@ -182,14 +179,12 @@ def solve_condition(cond: UniPoly, *, prec: int = None, tol=None):
     identically (any value works); degree 0 means it is unsatisfiable and the
     caller raises its structured error.
 
-    The degree is decided at the working precision, not at the acceptance
-    tol: a leading coefficient counts unless it is ``negligible`` at
-    2^(24 - prec) times the condition's coefficient scale, the finest
-    tolerance the CLI accepts.  Rounding leaves about 2^-prec of the scale,
-    while a true leading coefficient can lie far below tol times it: with
-    input coefficients near 1e8, the gamma-quadratic's is 1e-31 of it.
+    The degree is ``cond.effective_degree(prec)``, decided at the working
+    precision, not at the acceptance tol: rounding leaves about 2^-prec of
+    the scale, while a true leading coefficient can lie far below tol times
+    it: with input coefficients near 1e8, the gamma-quadratic's is 1e-31.
     """
-    d = cond.effective_degree(mpmath.ldexp(1, 24 - (prec or DEFAULT_PRECISION_BITS)))
+    d = cond.effective_degree(prec)
     if d <= 0:
         return d, []
     mon = UniPoly(cond.coeffs[:d + 1]).monic()[0]

@@ -139,6 +139,23 @@ def test_obstruction_reports(capsys):
     assert json.loads(out)["degenerate"] is True
 
 
+@pytest.mark.parametrize("p, q, prec", [
+    ("1e20", "1", 256), ("1", "1e20", 256), ("1e-10", "1e10", 256),
+    ("3e30", "-2", 256), ("1e-40", "1", 256), ("1e40", "1", 512)])
+def test_obstruction_degree_is_the_same_in_both_modes(capsys, p, q, prec):
+    # complex mode decides the degree of G at the working precision, where
+    # a true leading coefficient far below --tol times the scale still counts
+    def report(mode):
+        code, out, _ = run(capsys, "obstruction", "--coeffs", "1", "0", "0", p, q,
+                           "--mode", mode, "--precision-bits", str(prec))
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        return doc["degree"], doc["degenerate"]
+
+    assert report("rational") == (6, False)
+    assert report("complex") == (6, False)
+
+
 def test_obstruction_rejects_wrong_shape(capsys):
     code, _, err = run(capsys, "obstruction", "--coeffs", "1", "2", "0", "1", "1")
     assert code == EXIT_USAGE and "trinomial" in err

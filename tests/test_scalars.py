@@ -24,7 +24,8 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_div, mpc_m
                           round_nearest)
 
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
-                       rat, reduce_general_quintic, verify_trace)
+                       match_roots, rat, reduce_general_quintic, verify_trace)
+from bringform.polynomials import coeff_mismatch
 from bringform.scalars import (as_scalar, as_tol, context, negligible, pick_root,
                                sort_key)
 
@@ -453,12 +454,36 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bringform"
 
 
 def test_package_never_sets_mpmath_global_precision():
-    pattern = re.compile(r"workprec|extraprec|mp\.(prec|dps)\s*=")
+    # nor reads it: mp.prec, mp.dps and mpmath.mp.prec appear nowhere
+    pattern = re.compile(r"workprec|extraprec|\bmp\.(prec|dps)\b")
     hits = ["%s:%d" % (path.name, i)
             for path in sorted(SRC.glob("*.py"))
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert hits == []
+
+
+def _boundary_verdicts():
+    """Each tolerance check on a value just past its bound: |x| is
+    1e-30 (1 + 2^-40) against "1e-30", and a leading coefficient is
+    2^(24 - 256) (1 + 2^-40) times a coefficient scale 2 - 2^-29, which 20
+    bits would round up to 2."""
+    x = cx("1e-30") * rat(2 ** 40 + 1, 2 ** 40)
+    scale = rat(2) - rat(1, 2 ** 29)
+    lead = cx(0) + scale * rat(2 ** 40 + 1, 2 ** (40 + 232))
+    return (negligible(x, "1e-30"),
+            UniPoly([scale, rat(0), lead]).effective_degree(256),
+            coeff_mismatch(UniPoly([x]), UniPoly([]), "1e-30") is not None,
+            match_roots([x], [rat(0)], tol="1e-30")[0],
+            pick_root([cx(1) + x, cx(1)], "1e-30"))
+
+
+def test_verdicts_do_not_depend_on_mpmaths_global_precision():
+    default = _boundary_verdicts()
+    assert default == (False, 2, True, False, 1)
+    for prec in (20, 300):
+        with mpmath.workprec(prec):
+            assert _boundary_verdicts() == default, prec
 
 
 def test_threads_at_mixed_precisions_reproduce_serial_runs():
