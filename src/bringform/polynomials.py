@@ -6,10 +6,11 @@ coefficient is a Scalar; ints and Fractions are lifted to exact rationals and
 anything else, a polynomial included, raises TypeError.  Conditions in free
 parameters are not polynomials over polynomials: they are power-sum forms
 (``elimination.image_elementary``).  All values are immutable; operations
-return new objects.  A ``UniPoly`` also keeps two memo slots, filled on first
-use and never part of equality, repr or JSON: its largest coefficient
-magnitude (``max_mag``) and the power sums of its roots computed so far
-(``power_sums``), a prefix that only grows.
+return new objects.  A ``UniPoly`` also keeps three memo slots, filled on
+first use and never part of equality, repr or JSON: its largest coefficient
+magnitude (``max_mag``), its terms that are not exact zeros (``terms``),
+and the power sums of its roots computed so far (``power_sums``), a prefix
+that only grows.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ class UniPoly:
     degree -1.
     """
 
-    # _max_mag and _sums are memo slots (module docstring)
-    __slots__ = ("coeffs", "var", "_max_mag", "_sums")
+    # _max_mag, _terms and _sums are memo slots (module docstring)
+    __slots__ = ("coeffs", "var", "_max_mag", "_terms", "_sums")
 
     def __init__(self, coeffs, var: str = "z"):
         cs = [as_scalar(c) for c in coeffs]
@@ -40,6 +41,7 @@ class UniPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "_max_mag", None)
+        object.__setattr__(self, "_terms", None)
         object.__setattr__(self, "_sums", ())
 
     def __setattr__(self, *a):
@@ -126,10 +128,11 @@ class UniPoly:
         if not self.coeffs or not other.coeffs:
             return UniPoly((), self.var)
         out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = other.terms()
         for i, a in enumerate(self.coeffs):
             if a.is_exact_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in right:
                 t = a * b
                 out[i + j] = t if out[i + j] is None else out[i + j] + t
         return UniPoly(tuple(rat(0) if c is None else c for c in out), self.var)
@@ -182,6 +185,15 @@ class UniPoly:
         return UniPoly(tuple(c / lead for c in self.coeffs), self.var), lead
 
     # -- numeric helpers --------------------------------------------------------
+
+    def terms(self):
+        """The pairs (k, c_k) of the coefficients that are not exact zeros,
+        by rising k, computed once."""
+        t = self._terms
+        if t is None:
+            t = tuple((k, c) for k, c in enumerate(self.coeffs) if not c.is_exact_zero())
+            object.__setattr__(self, "_terms", t)
+        return t
 
     def max_mag(self):
         """Largest coefficient magnitude (an mpf; 0 for the zero
@@ -306,12 +318,13 @@ def shift_substitute(poly: UniPoly, a) -> UniPoly:
 def rem_monic(P: UniPoly, A: UniPoly):
     """The n = deg A ascending coefficients of P modulo the monic A."""
     n = A.degree
+    low = A.terms()[:-1]  # A is monic: its leading term is the last
     rem = list(P.coeffs)
     for k in range(len(rem) - 1, n - 1, -1):
         q = rem[k]
         if not q.is_exact_zero():
-            for j in range(n):
-                rem[k - n + j] = rem[k - n + j] - q * A.coeffs[j]
+            for j, a in low:
+                rem[k - n + j] = rem[k - n + j] - q * a
     return rem[:n] + [rat(0)] * (n - len(rem))
 
 

@@ -6,20 +6,28 @@ and the polynomial the chain ends at must be the trinomial the trace
 claims.  The root finder serves recovery, the obstruction report and the
 tests.  It is a simultaneous Aberth-Ehrlich iteration with a seeded,
 deterministically perturbed circle of starting points, so identical inputs
-give bit-identical root sets.  The circle sits inside Fujiwara's bound on the root moduli, so
-it has the size of the roots rather than of the largest coefficient (Bini,
-Numer. Algorithms 13, 1996).  Precision is staged as in MPSolve (Bini &
-Robol, J. Comput. Appl. Math. 272, 2014): the circle, rounded to floats, is
-first iterated in double precision, using + - * / and comparisons only, and
-the working precision takes over from there, or from the circle itself when
-a coefficient or an iterate does not fit a float or two iterates coincide.
-The working-precision stage, its convergence test and the cluster polish
-run on raw libmp pairs through the fused kernels of ``scalars`` (``cadd``,
-``csub``, ``cmul``) and the libmp calls an mpmath object would make, so they
-give the bits of the same iteration on mpmath objects.
-``find_roots`` is the one place that merges multiple roots: it parks every
-copy of one on the same value, so root sets compare by plain optimal
-pairing.
+give bit-identical root sets.  The circle sits inside Fujiwara's bound on
+the root moduli, so it has the size of the roots rather than of the largest
+coefficient (Bini, Numer. Algorithms 13, 1996).  Precision is staged as in
+MPSolve (Bini & Robol, J. Comput. Appl. Math. 272, 2014), in three stages:
+
+1. The circle, made at 53 bits, is iterated in double precision, using
+   + - * / and comparisons only.
+2. Newton refines each of those roots at doubling precision, 116, 222, ...
+   bits and last the working precision, over the terms each stage can see.
+3. Full-precision Aberth sweeps take over and alone decide convergence and
+   the clusters of multiple roots.  From polished points the first sweep
+   usually finds every root settled.
+
+The working precision starts from the float roots instead when Newton drew
+two of them together, and from the circle itself when a coefficient or an
+iterate does not fit a float or two iterates coincide.  The Newton stages,
+the sweeps, their convergence test and the cluster polish run on raw libmp
+pairs through the fused kernels of ``scalars`` (``cadd``, ``csub``,
+``cmul``) and the libmp calls an mpmath object would make, so they give the
+bits of the same iteration on mpmath objects.  ``find_roots`` is the one
+place that merges multiple roots: it parks every copy of one on the same
+value, so root sets compare by plain optimal pairing.
 
 Nothing here depends on what kind a step is.  Each ``TransformStep``
 certifies itself (``certify``) and moves roots back through itself
@@ -35,9 +43,11 @@ from dataclasses import dataclass
 from math import isfinite
 
 import mpmath
-from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc_div,
-                          mpc_div_mpf, mpc_mpf_div, mpc_mul_int, mpf_add, mpf_div,
-                          mpf_gt, mpf_le, mpf_mul, mpf_mul_int, round_nearest)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_abs, mpc_add_mpf,
+                          mpc_div, mpc_div_mpf, mpc_mpf_div, mpc_mul_int, mpc_pow_int,
+                          mpf_add, mpf_cmp, mpf_cos_sin, mpf_div, mpf_gt, mpf_le, mpf_mul,
+                          mpf_mul_int, mpf_nthroot, mpf_pi, mpf_shift, round_nearest,
+                          to_float)
 
 from .errors import ConsistencyError
 from .polynomials import (UniPoly, coeff_mismatch, lies_on, power_sums,
@@ -54,6 +64,7 @@ FLOAT_RANGE = 1e300     # larger coefficients skip it
 RND = round_nearest
 CZERO = (fzero, fzero)
 CONE = (fone, fzero)
+_NO_BITS = -(1 << 62)  # ``_bits`` of zero
 
 
 @dataclass(frozen=True)
@@ -90,16 +101,21 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
     Exact zero roots are stripped first so the iteration never stalls at the
     origin.  The start points lie at 1/2 to 3/4 of Fujiwara's bound
     2 max(|c_{n-1}|, |c_{n-2}|^(1/2), ..., |c_1|^(1/(n-1)), |c_0/2|^(1/n))
-    on the root moduli of the monic remainder.  They are rounded to floats
-    and iterated in double precision first (``_float_aberth``), with + - * /
-    and comparisons only, so the bits are the same on every machine; where
-    that stage falls back, the working precision starts from the circle
-    itself.  Residuals are measured against a per-root noise floor
-    2^(6-prec) * sum |c_j| |z|^j, the best any root of this polynomial can
-    do in this precision.  ``iterations`` counts full-precision sweeps only,
-    not those of the float stage.
+    on the root moduli of the monic remainder, made at 53 bits.  They are
+    rounded to floats and iterated in double precision first
+    (``_float_aberth``), with + - * / and comparisons only, so the bits are
+    the same on every machine.  Newton then refines those roots at doubling
+    precision up to the working precision (``_newton_stages``); they are
+    handed on only if ``_clusters`` finds them pairwise apart, and the float
+    roots are handed on otherwise.  Where the float stage falls back, the
+    working precision starts from the circle itself.  Full-precision Aberth
+    sweeps follow, usually one.  Residuals are measured against a per-root
+    noise floor 2^(6-prec) * sum |c_j| |z|^j, the best any root of this
+    polynomial can do in this precision.  ``iterations`` counts
+    full-precision sweeps only, not the float stage or the Newton stages.
 
-    The full-precision sweeps work on raw libmp pairs (module docstring).
+    The Newton stages and the sweeps work on raw libmp pairs (module
+    docstring).
     """
     cfg = config or RootConfig()
     if poly.degree < 1:
@@ -117,24 +133,21 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
     n = len(coeffs) - 1
     if n >= 1:
         ctx = context(prec)
-        cs = [ctx.make_mpc(c.to_mpc(prec)._mpc_) for c in coeffs]  # not rounded
+        cs = [c._raw(prec) for c in coeffs]  # not rounded
         eps = (ctx.mpf(2) ** (6 - prec))._mpf_
-        # Fujiwara's bound on the root moduli (c_0 != 0 once zero roots
-        # are stripped), so the start circle has the roots' own size
-        terms = [abs(cs[n - k]) ** (ctx.mpf(1) / k) for k in range(1, n)]
-        terms.append((abs(cs[0]) / 2) ** (ctx.mpf(1) / n))
-        bound = 2 * max(terms)
-        rng = random.Random(cfg.seed)
-        zs = []
-        for j in range(n):
-            ang = 2 * ctx.pi * (j + ctx.mpf(rng.random()) / 4 + rat(1, 3).fraction) / n
-            rad = bound * (ctx.mpf(1) / 2 + ctx.mpf(rng.random()) / 4)
-            zs.append(rad * ctx.exp(ctx.mpc(0, 1) * ang))
+        zs = _start_circle([mpc_abs(c, 53, RND) for c in cs], cfg.seed)
         warm = _float_aberth(cs, zs)
+        groups = None  # the clusters of the start points, when known
         if warm is not None:
-            zs = [ctx.mpc(re, im) for re, im in warm]
-        zs = [z._mpc_ for z in zs]
-        cs = [c._mpc_ for c in cs]
+            zs = [(from_float(re), from_float(im)) for re, im in warm]
+            polished = _newton_stages(zs, cs, prec)
+            # Newton may draw two points onto one root, where the sweep
+            # below would divide by their difference
+            groups = _clusters(polished, prec)
+            if len(groups) == n:
+                zs = polished
+            else:
+                groups = None
         dcs = [mpc_mul_int(cs[i], i, prec, RND) for i in range(1, n + 1)]
         acs = [mpc_abs(c, prec, RND) for c in cs]
 
@@ -176,9 +189,11 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
             zs = nxt
             if settled or (it > 0 and mpf_le(max_step, eps)):
                 break
+        # a first sweep that settles moves nothing, so the start points'
+        # clusters are still those of zs
+        polished = _polish_multiple(zs, cs, prec, groups if settled and iterations == 1 else None)
         # a settled sweep found every root within 16 noise floors; only the
         # roots the polish moved need their residual again
-        polished = _polish_multiple(zs, cs, prec)
         converged = all(
             mpf_le(mpc_abs(_horner(cs, z, prec), prec, RND),
                    mpf_mul_int(noise_floor(mpc_abs(z, prec, RND)), 64, prec, RND))
@@ -186,6 +201,92 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
         found = [Scalar.from_mpc(ctx.make_mpc(z), prec) for z in polished]
     roots = tuple(sorted([rat(0)] * zeros + found, key=sort_key))
     return RootSet(roots, converged, iterations)
+
+
+def _start_circle(mags, seed):
+    """n seeded start points, as raw pairs at 53 bits, from the moduli mags
+    (raw mpfs, ascending, m_n = 1, m_0 != 0) of a monic polynomial's
+    coefficients: angles 2 pi (j + u/4 + 1/3) / n and radii (1/2 + u/4)
+    times Fujiwara's bound, u drawn from ``random.Random(seed)``.  The angle
+    and radius factors are float + - * /, the rest libmp at 53 bits, so the
+    bits are the same on every machine.  The points only seed the float
+    stage or, where it falls back, the working precision."""
+    n = len(mags) - 1
+    terms = [mpf_nthroot(mags[n - k], k, 53, RND) for k in range(1, n)]
+    terms.append(mpf_nthroot(mpf_shift(mags[0], -1), n, 53, RND))
+    bound = mpf_shift(max(terms, key=functools.cmp_to_key(mpf_cmp)), 1)
+    two_pi = mpf_shift(mpf_pi(53), 1)
+    rng = random.Random(seed)
+    zs = []
+    for j in range(n):
+        turn = from_float((j + rng.random() / 4 + 1 / 3) / n)
+        rad = mpf_mul(bound, from_float(0.5 + rng.random() / 4), 53, RND)
+        cos, sin = mpf_cos_sin(mpf_mul(two_pi, turn, 53, RND), 53, RND)
+        zs.append((mpf_mul(rad, cos, 53, RND), mpf_mul(rad, sin, 53, RND)))
+    return zs
+
+
+def _newton_stages(zs, cs, prec):
+    """The raw pairs zs, roots to about 53 bits of the polynomial with
+    ascending raw-pair coefficients cs, refined by one Newton step at each
+    of 116, 222, ... bits (double the accuracy plus 10 guard bits) and last
+    at exactly prec.  A stage of wp bits evaluates by Horner over the terms
+    c_j z^j that lie, at some point of zs, within 2^(wp+8) of the largest
+    term there, sizes taken in powers of two (``_bits``), and the leading
+    one: an exact zero never enters, and rounding noise in a coefficient
+    only from the stages fine enough to see it.  A point where the
+    derivative vanishes stays where it is."""
+    n = len(cs) - 1
+    sizes = [_bits(c) for c in cs]
+    short = []  # per point, the bits by which each term falls short of the largest
+    for z in zs:
+        bz = _bits(z)
+        term = [b + j * bz for j, b in enumerate(sizes)]
+        top = max(term)
+        short.append([top - t for t in term])
+    room = [min(col) for col in zip(*short)]
+    bits = 53
+    while True:
+        bits *= 2
+        wp = min(bits + 10, prec)
+        terms = [(j, cs[j]) for j in range(n, -1, -1) if j == n or room[j] <= wp + 8]
+        dterms = [(j - 1, mpc_mul_int(c, j, wp, RND)) for j, c in terms if j]
+        out = []
+        for z in zs:
+            pows = {}
+            fz = _sparse_horner(terms, z, wp, pows)
+            dfz = _sparse_horner(dterms, z, wp, pows)
+            out.append(z if dfz == CZERO else csub(z, mpc_div(fz, dfz, wp, RND), wp))
+        zs = out
+        if wp == prec:
+            return zs
+
+
+def _bits(z):
+    """The binary exponent of the larger part of the raw pair z, log2 |z| to
+    within two bits; far below any real value for zero."""
+    (_, ma, ea, ba), (_, mb, eb, bb) = z
+    return max(ea + ba if ma else _NO_BITS, eb + bb if mb else _NO_BITS)
+
+
+def _sparse_horner(terms, x, prec, pows):
+    """sum c x^e over terms, (e, c) pairs by falling e, c raw pairs, at the
+    raw pair x: Horner that steps over the missing powers by x^gap, each
+    power kept in the dict pows for the next polynomial at the same x."""
+    e, acc = terms[0]
+    for f, c in terms[1:]:
+        g = e - f
+        xg = pows.get(g)
+        if xg is None:
+            xg = pows[g] = mpc_pow_int(x, g, prec, RND)
+        acc = cadd(xg if acc == CONE else cmul(acc, xg, prec), c, prec)
+        e = f
+    if e:
+        xg = pows.get(e)
+        if xg is None:
+            xg = pows[e] = mpc_pow_int(x, e, prec, RND)
+        acc = cmul(acc, xg, prec)
+    return acc
 
 
 def _at_least_one(x):
@@ -204,19 +305,19 @@ def _horner(cs, x, prec):
 
 def _float_aberth(cs, zs):
     """Aberth in double precision from the start points zs, for the monic
-    mpc coefficients cs (ascending); the points as (re, im) float pairs once
-    the largest relative step (|Re| + |Im|) / max(1, |Re z| + |Im z|) falls
+    coefficients cs (ascending), all raw pairs; the points as (re, im) float
+    pairs once the largest relative step (|Re| + |Im|) / max(1, |Re z| + |Im z|) falls
     below FLOAT_STEP, or after FLOAT_SWEEPS sweeps.  None, so that mpmath
     starts from zs itself, when a coefficient lies beyond FLOAT_RANGE, an
     iterate is no longer finite, or a divisor is zero (two iterates that
     coincide).  Complex values are float pairs under + - * / and comparisons
     only, each rounded on its own by IEEE 754, so every machine gets the
     same bits."""
-    c = [(float(v.real), float(v.imag)) for v in cs]
+    c = [(to_float(re, rnd=RND), to_float(im, rnd=RND)) for re, im in cs]
     if any(abs(x) > FLOAT_RANGE for pair in c for x in pair):
         return None
     dc = [(re * i, im * i) for i, (re, im) in enumerate(c)][1:]
-    z = [(float(v.real), float(v.imag)) for v in zs]
+    z = [(to_float(re, rnd=RND), to_float(im, rnd=RND)) for re, im in zs]
 
     def horner(coeffs, xr, xi):
         ar, ai = coeffs[-1]
@@ -300,19 +401,19 @@ def _clusters(zs, prec):
     return list(groups.values())
 
 
-def _polish_multiple(zs, cs, prec):
+def _polish_multiple(zs, cs, prec, groups=None):
     """Park every Aberth cluster on the exact multiple root it surrounds.
 
     A root of multiplicity m is a simple root of the (m-1)th derivative, so a
     few Newton steps from the cluster centroid recover it to full precision;
     all m members are replaced by that one value.  zs and cs are raw pairs
-    at prec bits.
+    at prec bits; groups, when given, are ``_clusters(zs, prec)``.
     """
     if len(zs) < 2:
         return zs
     out = list(zs)
     eps = (context(prec).mpf(2) ** (2 - prec))._mpf_
-    for members in _clusters(zs, prec):
+    for members in groups or _clusters(zs, prec):
         m = len(members)
         if m < 2:
             continue

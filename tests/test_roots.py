@@ -282,9 +282,9 @@ def test_final_trinomial_needs_few_aberth_iterations():
     # a start circle of the roots' own size needs few Aberth iterations
     trace = reduce_general_quintic(README_QUINTIC)
     rs = find_roots(trace.final)
-    # the float stage leaves a few full-precision sweeps, which is all
-    # ``iterations`` counts
-    assert rs.converged and rs.iterations <= 4
+    # the float stage and the Newton stages leave one or two full-precision
+    # sweeps, which is all ``iterations`` counts
+    assert rs.converged and rs.iterations <= 2
     zs = find_roots(README_QUINTIC).roots
     for step in trace.steps:
         T = step.subsidiary.map_in_z()
@@ -335,11 +335,75 @@ def test_float_stage_falls_back_on_a_non_finite_iterate(monkeypatch):
 
 def test_float_stage_keeps_the_seed_bit_exact(monkeypatch):
     results = _spy_float_stage(monkeypatch)
+    guards = _spy_newton_guard(monkeypatch)
     final = reduce_general_quintic(README_QUINTIC).final
     a = find_roots(final, RootConfig(seed=3))
     b = find_roots(final, RootConfig(seed=3))
     assert all(r is not None for r in results)
+    assert guards == [5, 5]  # the Newton stages ran and handed their points on
     assert [r.to_json() for r in a.roots] == [r.to_json() for r in b.roots]
+
+
+def _spy_newton_guard(monkeypatch):
+    """Record how many clusters the guard finds among the points each Newton
+    stage returns (fewer than the points: the guard's fallback)."""
+    found, polished = [], []
+    stages, clusters = roots._newton_stages, roots._clusters
+
+    def newton(zs, cs, prec):
+        polished.append(stages(zs, cs, prec))
+        return polished[-1]
+
+    def spy(zs, prec):
+        groups = clusters(zs, prec)
+        if polished and zs is polished[-1]:
+            found.append(len(groups))
+        return groups
+
+    monkeypatch.setattr(roots, "_newton_stages", newton)
+    monkeypatch.setattr(roots, "_clusters", spy)
+    return found
+
+
+@pytest.mark.parametrize("prec,tol", [(64, "1e-12"), (256, "1e-60"), (1024, "1e-60")])
+def test_newton_stages_agree_with_a_run_without_them(monkeypatch, prec, tol):
+    # the Newton stages only move where the full-precision sweeps start, so
+    # both runs end at the same roots (to the tolerance 64 bits can hold)
+    finals = [reduce_general_quintic(P, prec=prec, tol="1e-12" if prec == 64 else None).final
+              for P in _batch_quintics(20)]
+    cfg = RootConfig(precision_bits=prec)
+    staged = [find_roots(f, cfg) for f in finals]
+    monkeypatch.setattr(roots, "_newton_stages", lambda zs, cs, prec: zs)
+    for f, got in zip(finals, staged):
+        plain = find_roots(f, cfg)
+        assert got.converged and plain.converged
+        assert got.iterations <= 2 and got.iterations <= plain.iterations, f
+        ok, dist = match_roots(got.roots, plain.roots, tol=tol)
+        assert ok, (f, dist)
+
+
+def test_newton_stages_see_terms_at_the_size_of_the_roots():
+    # the roots 10^20 .. 5 * 10^20 make c_0 ~ 10^102 dwarf c_4 ~ 10^21 by
+    # far more than 2^124, yet every term is as large as c_0 there: a stage
+    # that dropped c_4 as small would pull the points away from the roots
+    planted = [rat(k * 10 ** 20) for k in range(1, 6)]
+    rs = find_roots(_poly_from_roots(planted))
+    assert rs.converged and rs.iterations == 1
+    ok, dist = match_roots(rs.roots, planted, tol="1e-70")
+    assert ok, dist
+
+
+def test_a_near_double_root_takes_the_guards_fallback(monkeypatch):
+    # at 128 bits the roots 1 and 1 + 10^-20 lie within one cluster radius,
+    # so the guard hands the sweeps the float points, as before the stages
+    guards = _spy_newton_guard(monkeypatch)
+    planted = [rat(1), rat(10 ** 20 + 1, 10 ** 20), rat(-2), cx(0, 1), cx(0, -1)]
+    P = _poly_from_roots(planted[:3]) * UniPoly([rat(1), rat(0), rat(1)])
+    rs = find_roots(P, RootConfig(precision_bits=128))
+    assert guards and guards[0] < 5
+    assert rs.converged
+    ok, dist = match_roots(rs.roots, planted, tol="1e-19")
+    assert ok, dist
 
 
 def test_float_stage_agrees_with_a_pure_mpmath_run(monkeypatch):
