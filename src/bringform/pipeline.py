@@ -34,14 +34,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import mpmath
-from mpmath.libmp import mpf_div, round_nearest
+from mpmath.libmp import mpf_add, mpf_div, mpf_lt, mpf_shift, round_nearest
 
 from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, lies_on,
                           power_sums, powers_mod, rem_monic, shift_substitute)
-from .scalars import Scalar, as_scalar, as_tol, negligible, pick_root, rat
+from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, Scalar, as_scalar, as_tol,
+                      negligible, pick_root, rat)
 from .solvers import assemble_preimages, solve_condition, solve_monic
 
 
@@ -573,6 +574,12 @@ def quintic_bring_ansatz(p, q, r, *, prec=None, tol=None):
     den = e_bc + e_bd
     if negligible(den, tol, scale):
         raise DegenerateDenominator(den, "ansatz coupling denominator 15p + 20q vanished")
+    # the d-cubic's coefficients grow like 1/den^3, and forming it cancels
+    # about three times the bits that den cancelled: below 2^(-prec/8) of
+    # its terms, the halved roots take over
+    terms = mpf_add(e_bc.mag()._mpf_, e_bd.mag()._mpf_, TOL_PREC, round_nearest)
+    if mpf_lt(den.mag()._mpf_, mpf_shift(terms, -((prec or DEFAULT_PRECISION_BITS) // 8))):
+        raise DegenerateDenominator(den, "ansatz coupling denominator 15p + 20q cancelled")
     alpha = -(e_cd + e_c2 + e_d2) / den
     zeta1 = -(e_bc * alpha + e_cd + 2 * e_c2) / den
     zeta0 = -(e_b * alpha + e_c + e_d) / den
@@ -613,7 +620,8 @@ def quintic_to_bring_jerrard(p, q, r, *, prec=None, tol=None) -> TransformStep:
     """One quartic subsidiary takes z^5 + p z^2 + q z + r to y^5 + P y + Q.
 
     Where the ansatz fails (``DegenerateDenominator``: its coupling
-    denominator 15p + 20q vanishes, or a condition is unsatisfiable), it is
+    denominator 15p + 20q vanishes or cancels below 2^(-prec/8) of
+    |15p| + |20q|, or a condition is unsatisfiable), it is
     solved once more for the halved roots w = z/2, that is on
     w^5 + (p/8) w^2 + (q/16) w + r/32, whose denominator (30p + 20q)/16 is
     15p/16 != 0 where 15p + 20q = 0.  The map T_w found there is emitted on the

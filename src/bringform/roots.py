@@ -15,15 +15,13 @@ MPSolve (Bini & Robol, J. Comput. Appl. Math. 272, 2014), in three stages:
    + - * / and comparisons only.
 2. Newton refines each of those roots at doubling precision, 116, 222, ...
    bits and last the working precision, over the terms each stage can see.
-3. Full-precision Aberth sweeps take over and alone decide convergence and
-   the clusters of multiple roots.  From polished points the first sweep
-   usually finds every root settled.
+3. Full-precision Aberth sweeps take over.  Inclusion discs alone decide
+   whether the Newton points go on, which points form a cluster to polish
+   into a multiple root, and when the roots have converged.  From polished
+   points the first sweep usually finds every root settled.
 
-The working precision starts from the float roots instead when Newton drew
-two of them together, and from the circle itself when a coefficient or an
-iterate does not fit a float or two iterates coincide.  The Newton stages,
-the sweeps, their convergence test and the cluster polish run on raw libmp
-pairs through the fused kernels of ``scalars`` (``cadd``, ``csub``,
+The Newton stages, the sweeps, the discs and the cluster polish run on raw
+libmp pairs through the fused kernels of ``scalars`` (``cadd``, ``csub``,
 ``cmul``) and the libmp calls an mpmath object would make, so they give the
 bits of the same iteration on mpmath objects.  ``find_roots`` is the one
 place that merges multiple roots: it parks every copy of one on the same
@@ -43,11 +41,11 @@ from dataclasses import dataclass
 from math import isfinite
 
 import mpmath
-from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_abs, mpc_add_mpf,
+from mpmath.libmp import (finf, fone, from_float, from_int, fzero, mpc_abs, mpc_add_mpf,
                           mpc_div, mpc_div_mpf, mpc_mpf_div, mpc_mul_int, mpc_pow_int,
                           mpf_add, mpf_cmp, mpf_cos_sin, mpf_div, mpf_gt, mpf_le, mpf_mul,
-                          mpf_mul_int, mpf_nthroot, mpf_pi, mpf_shift, round_nearest,
-                          to_float)
+                          mpf_mul_int, mpf_nthroot, mpf_pi, mpf_shift, mpf_sub, round_down,
+                          round_nearest, round_up, to_float)
 
 from .errors import ConsistencyError
 from .polynomials import (UniPoly, coeff_mismatch, lies_on, power_sums,
@@ -62,6 +60,7 @@ FLOAT_SWEEPS = 40       # cap on the float warm start
 FLOAT_STEP = 1e-14      # its stopping rule on the largest relative step
 FLOAT_RANGE = 1e300     # larger coefficients skip it
 RND = round_nearest
+UP, DOWN = round_up, round_down  # away from and towards zero
 CZERO = (fzero, fzero)
 CONE = (fone, fzero)
 _NO_BITS = -(1 << 62)  # ``_bits`` of zero
@@ -101,21 +100,23 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
     Exact zero roots are stripped first so the iteration never stalls at the
     origin.  The start points lie at 1/2 to 3/4 of Fujiwara's bound
     2 max(|c_{n-1}|, |c_{n-2}|^(1/2), ..., |c_1|^(1/(n-1)), |c_0/2|^(1/n))
-    on the root moduli of the monic remainder, made at 53 bits.  They are
-    rounded to floats and iterated in double precision first
-    (``_float_aberth``), with + - * / and comparisons only, so the bits are
-    the same on every machine.  Newton then refines those roots at doubling
-    precision up to the working precision (``_newton_stages``); they are
-    handed on only if ``_clusters`` finds them pairwise apart, and the float
-    roots are handed on otherwise.  Where the float stage falls back, the
-    working precision starts from the circle itself.  Full-precision Aberth
-    sweeps follow, usually one.  Residuals are measured against a per-root
-    noise floor 2^(6-prec) * sum |c_j| |z|^j, the best any root of this
-    polynomial can do in this precision.  ``iterations`` counts
-    full-precision sweeps only, not the float stage or the Newton stages.
+    on the root moduli of the monic remainder, made at 53 bits, and go
+    through the float stage (``_float_aberth``, the same bits on every
+    machine) and the Newton stages (``_newton_stages``).
 
-    The Newton stages and the sweeps work on raw libmp pairs (module
-    docstring).
+    Each full-precision sweep judges its points first: p at each point,
+    plus a noise floor 2^(6-prec) sum |c_j| |z|^j, gives the inclusion
+    discs (``_clusters``).  An isolated disc whose |p(z)| is within 16
+    noise floors is a settled simple root.  A component of k >= 2 discs
+    that is the same as in the sweep before goes to ``_polish_multiple``;
+    it is settled, its k points parked on the polished value, if that
+    value passes the same residual test.  Aberth steps move the rest.  The
+    Newton points go on only if their discs are all isolated; the sweeps
+    start from the float roots otherwise, and from the circle where the
+    float stage fell back.  ``converged`` says that every component
+    settled before the steps stalled (none above 2^(6-prec) relative) or
+    MAX_ITERATIONS sweeps ran.  ``iterations`` counts full-precision
+    sweeps only.
     """
     cfg = config or RootConfig()
     if poly.degree < 1:
@@ -127,29 +128,14 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
         zeros += 1
         coeffs.pop(0)
     prec = cfg.precision_bits
-    found = []
-    iterations = 0
-    converged = True
+    found, iterations, converged = [], 0, True
     n = len(coeffs) - 1
     if n >= 1:
-        ctx = context(prec)
         cs = [c._raw(prec) for c in coeffs]  # not rounded
-        eps = (ctx.mpf(2) ** (6 - prec))._mpf_
-        zs = _start_circle([mpc_abs(c, 53, RND) for c in cs], cfg.seed)
-        warm = _float_aberth(cs, zs)
-        groups = None  # the clusters of the start points, when known
-        if warm is not None:
-            zs = [(from_float(re), from_float(im)) for re, im in warm]
-            polished = _newton_stages(zs, cs, prec)
-            # Newton may draw two points onto one root, where the sweep
-            # below would divide by their difference
-            groups = _clusters(polished, prec)
-            if len(groups) == n:
-                zs = polished
-            else:
-                groups = None
+        eps = mpf_shift(fone, 6 - prec)
         dcs = [mpc_mul_int(cs[i], i, prec, RND) for i in range(1, n + 1)]
         acs = [mpc_abs(c, prec, RND) for c in cs]
+        polishes = {}  # by cluster, its polished value if that passed, else None
 
         def noise_floor(az):
             """2^(6-prec) sum |c_j| |z|^j for az = |z|."""
@@ -159,17 +145,56 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
                 w = mpf_mul(w, az, prec, RND)
             return mpf_mul(eps, t, prec, RND)
 
+        def evaluate(z):
+            """p(z), |z|, a bound on |p(z)| (with the noise floor, at 53 bits
+            rounded up), and whether |p(z)| is within 16 noise floors."""
+            az = mpc_abs(z, prec, RND)
+            pv = _horner(cs, z, prec)
+            ap, floor = mpc_abs(pv, prec, RND), noise_floor(az)
+            return pv, az, mpf_add(ap, floor, 53, UP), mpf_le(ap, mpf_mul_int(floor, 16, prec, RND))
+
+        def judge(zs, prev):
+            """Each point's ``evaluate``, the components of their discs, the
+            polished value of each member of a settled cluster, and the
+            points not settled; prev are the components of the sweep before."""
+            evals = [evaluate(z) for z in zs]
+            groups = _clusters(zs, [e[2] for e in evals])
+            parked, todo = {}, []
+            for g in groups:
+                if len(g) == 1 and evals[g[0]][3]:
+                    continue
+                key = tuple(g)
+                if len(g) > 1 and g in prev and key not in polishes:  # it stopped splitting
+                    x = _polish_multiple([zs[i] for i in g], cs, prec)
+                    polishes[key] = x if evaluate(x)[3] else None
+                if polishes.get(key):
+                    parked.update((i, polishes[key]) for i in g)
+                else:
+                    todo.extend(g)
+            return evals, groups, parked, todo
+
+        zs = _start_circle([mpc_abs(c, 53, RND) for c in cs], cfg.seed)
+        warm = _float_aberth(cs, zs)
+        first = None  # the judgment of zs, when already made
+        if warm is not None:
+            zs = [(from_float(re), from_float(im)) for re, im in warm]
+            polished = _newton_stages(zs, cs, prec)
+            # Newton may draw two points onto one root, where the sweep
+            # below would divide by their difference
+            first = judge(polished, [])
+            zs, first = (polished, first) if len(first[1]) == n else (zs, None)
+        groups = []
         for it in range(MAX_ITERATIONS):
             iterations = it + 1
-            settled = True
+            evals, groups, parked, todo = first or judge(zs, groups)
+            first = None
+            if not todo:
+                break
             max_step = fzero
             nxt = list(zs)
-            for i, z in enumerate(zs):
-                az = mpc_abs(z, prec, RND)
-                pv = _horner(cs, z, prec)
-                if mpf_le(mpc_abs(pv, prec, RND), mpf_mul_int(noise_floor(az), 16, prec, RND)):
-                    continue
-                settled = False
+            for i in todo:
+                z = zs[i]
+                pv, az = evals[i][:2]
                 dv = _horner(dcs, z, prec)
                 if dv == CZERO:
                     nxt[i] = mpc_add_mpf(z, mpf_mul(eps, mpf_add(az, fone, prec, RND), prec, RND),
@@ -187,18 +212,14 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
                 if mpf_gt(rel, max_step):
                     max_step = rel
             zs = nxt
-            if settled or (it > 0 and mpf_le(max_step, eps)):
+            if it > 0 and mpf_le(max_step, eps):
                 break
-        # a first sweep that settles moves nothing, so the start points'
-        # clusters are still those of zs
-        polished = _polish_multiple(zs, cs, prec, groups if settled and iterations == 1 else None)
-        # a settled sweep found every root within 16 noise floors; only the
-        # roots the polish moved need their residual again
-        converged = all(
-            mpf_le(mpc_abs(_horner(cs, z, prec), prec, RND),
-                   mpf_mul_int(noise_floor(mpc_abs(z, prec, RND)), 64, prec, RND))
-            for z, old in zip(polished, zs) if not (settled and z is old))
-        found = [Scalar.from_mpc(ctx.make_mpc(z), prec) for z in polished]
+        if todo:  # the steps stalled or the sweeps ran out: judge where they ended,
+            polishes.clear()  # polishing each cluster afresh from there
+            _, _, parked, todo = judge(zs, groups)
+        converged = not todo
+        found = [Scalar.from_mpc(context(prec).make_mpc(parked.get(i, z)), prec)
+                 for i, z in enumerate(zs)]
     roots = tuple(sorted([rat(0)] * zeros + found, key=sort_key))
     return RootSet(roots, converged, iterations)
 
@@ -362,82 +383,59 @@ def _float_aberth(cs, zs):
     return z
 
 
-@functools.lru_cache(maxsize=64)
-def _cluster_tau(prec, n):
-    """64 * 2^(-prec/n) at prec bits, the resolution limit of an n-fold root."""
-    ctx = context(prec)
-    return ((ctx.mpf(2) ** (-prec)) ** (ctx.mpf(1) / n) * 64)._mpf_
-
-
-def _clusters(zs, prec):
-    """Index groups of the raw pairs zs (at least one, at prec bits) joined,
-    transitively, whenever |z_i - z_j| <= tau * max(1, |z_i|, |z_j|), where
-    tau = 64 * 2^(-prec/n) (``_cluster_tau``); groups come in order of their
-    first member.
-    """
+def _clusters(zs, bounds):
+    """Index groups of the raw pairs zs (at least one), in order of their
+    first member: the components of the inclusion discs |z - z_i| <= r_i,
+    r_i = n bounds[i] / prod_{j != i} |z_i - z_j|, where bounds[i] (a raw
+    mpf) bounds |p(z_i)| for the monic p of degree n = len(zs).  A
+    component of k discs holds exactly k roots of p (Carstensen, Numer.
+    Math. 59, 1991; Bini & Fiorentino, Numer. Algorithms 23, 2000).  It
+    works at 53 bits, distances rounded down and radii up; a point that
+    coincides with another has an infinite radius."""
     n = len(zs)
-    tau = _cluster_tau(prec, n)
-    mags = [mpc_abs(z, prec, RND) for z in zs]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    dist, prods = {}, [fone] * n
     for i in range(n):
         for j in range(i + 1, n):
-            m = _at_least_one(mags[i])
-            if mpf_gt(mags[j], m):
-                m = mags[j]
-            if mpf_le(mpc_abs(csub(zs[i], zs[j], prec), prec, RND), mpf_mul(tau, m, prec, RND)):
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+            (a, b), (c, d) = zs[i], zs[j]
+            dist[i, j] = mpc_abs((mpf_sub(a, c, 53, DOWN), mpf_sub(b, d, 53, DOWN)), 53, DOWN)
+            prods[i] = mpf_mul(prods[i], dist[i, j], 53, DOWN)
+            prods[j] = mpf_mul(prods[j], dist[i, j], 53, DOWN)
+    radii = [finf if p == fzero else mpf_div(mpf_mul_int(b, n, 53, UP), p, 53, UP)
+             for b, p in zip(bounds, prods)]
+    label = list(range(n))  # a component's label is one of its members
+    for (i, j), d in dist.items():
+        if label[i] != label[j] and mpf_le(d, mpf_add(radii[i], radii[j], 53, UP)):
+            old = label[i]
+            label = [label[j] if x == old else x for x in label]
+    return [[i for i in range(n) if label[i] == x] for x in dict.fromkeys(label)]
 
 
-def _polish_multiple(zs, cs, prec, groups=None):
-    """Park every Aberth cluster on the exact multiple root it surrounds.
-
-    A root of multiplicity m is a simple root of the (m-1)th derivative, so a
-    few Newton steps from the cluster centroid recover it to full precision;
-    all m members are replaced by that one value.  zs and cs are raw pairs
-    at prec bits; groups, when given, are ``_clusters(zs, prec)``.
-    """
-    if len(zs) < 2:
-        return zs
-    out = list(zs)
-    eps = (context(prec).mpf(2) ** (2 - prec))._mpf_
-    for members in groups or _clusters(zs, prec):
-        m = len(members)
-        if m < 2:
-            continue
-        q = list(cs)
-        for _ in range(m - 1):
-            q = [mpc_mul_int(q[i], i, prec, RND) for i in range(1, len(q))]
-        dq = [mpc_mul_int(q[i], i, prec, RND) for i in range(1, len(q))]
-        # the centroid as sum() and / m make it: 0 + z enters as an mpf
-        x = mpc_add_mpf(zs[members[0]], fzero, prec, RND)
-        for i in members[1:]:
-            x = cadd(x, zs[i], prec)
-        x = mpc_div_mpf(x, from_int(m), prec, RND)
-        for _ in range(60):
-            fx, dfx = _horner(q, x, prec), _horner(dq, x, prec)
-            if dfx == CZERO:
-                break
-            step = mpc_div(fx, dfx, prec, RND)
-            x = csub(x, step, prec)
-            if mpf_le(mpc_abs(step, prec, RND),
-                      mpf_mul(eps, _at_least_one(mpc_abs(x, prec, RND)), prec, RND)):
-                break
-        for i in members:
-            out[i] = x
-    return out
+def _polish_multiple(cluster, cs, prec):
+    """The multiple root that the raw pairs cluster (m >= 2 points at prec
+    bits) surround, of the polynomial with ascending raw-pair coefficients
+    cs.  A root of multiplicity m is a simple root of the (m-1)th
+    derivative, so a few Newton steps on it from the cluster's centroid
+    recover the root to full precision."""
+    m = len(cluster)
+    q = list(cs)
+    for _ in range(m - 1):
+        q = [mpc_mul_int(q[i], i, prec, RND) for i in range(1, len(q))]
+    dq = [mpc_mul_int(q[i], i, prec, RND) for i in range(1, len(q))]
+    eps = mpf_shift(fone, 2 - prec)
+    x = cluster[0]
+    for z in cluster[1:]:
+        x = cadd(x, z, prec)
+    x = mpc_div_mpf(x, from_int(m), prec, RND)
+    for _ in range(60):
+        fx, dfx = _horner(q, x, prec), _horner(dq, x, prec)
+        if dfx == CZERO:
+            break
+        step = mpc_div(fx, dfx, prec, RND)
+        x = csub(x, step, prec)
+        if mpf_le(mpc_abs(step, prec, RND),
+                  mpf_mul(eps, _at_least_one(mpc_abs(x, prec, RND)), prec, RND)):
+            break
+    return x
 
 
 def _best_pairing(xs, ys):

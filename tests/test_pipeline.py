@@ -17,12 +17,13 @@ import pytest
 import sympy
 
 from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace,
-                       Subsidiary, UniPoly, back_solve, coeff_scale,
+                       RootConfig, Subsidiary, UniPoly, back_solve, coeff_scale,
                        cubic_b_quadratic, cubic_to_pure, depress,
-                       cx, dual_eliminate, quartic_obstruction_G,
-                       quartic_remove_2_3, quartic_remove_2_4,
-                       quintic_bring_ansatz, quintic_to_bring_jerrard, rat,
-                       reduce_general_quintic, to_principal)
+                       cx, dual_eliminate, find_roots, match_roots,
+                       quartic_obstruction_G, quartic_remove_2_3,
+                       quartic_remove_2_4, quintic_bring_ansatz,
+                       quintic_to_bring_jerrard, rat, recover_roots,
+                       reduce_general_quintic, to_principal, verify_trace)
 from bringform.elimination import image_elementary
 from bringform.polynomials import powers_mod
 from helpers import rand_monic, rand_scalar
@@ -318,6 +319,26 @@ def test_bring_jerrard_rescue_on_vanishing_coupling():
     for k, f in ((1, 2 ** 16), (0, 2 ** 20)):
         got = step.output.coeff(k)
         assert (got - half.output.coeff(k) * f).mag() <= TINY * got.mag()
+
+
+@pytest.mark.parametrize("prec", [256, 512])
+@pytest.mark.parametrize("k", [12, 15, 20, 25, 29])
+def test_bring_jerrard_rescue_on_a_cancelling_coupling(k, prec):
+    # 15p + 20q = 10^-k with p = 4, r = 2: far above tol, yet the d-cubic
+    # built on it cancels about three times its lost digits, so the ansatz
+    # refuses a denominator below 2^(-prec/8) of its terms and the halved
+    # roots take over
+    p, q, r = rat(4), rat(-3) + rat(1, 20 * 10 ** k), rat(2)
+    if 10 ** -k < 120 * 2.0 ** (-prec // 8):
+        with pytest.raises(DegenerateDenominator, match="cancelled"):
+            quintic_bring_ansatz(p, q, r, prec=prec)
+    P = UniPoly([r, q, p, rat(0), rat(0), rat(1)], "z")
+    trace = reduce_general_quintic(P, prec=prec)
+    assert verify_trace(trace, RootConfig(precision_bits=prec)).matched
+    got = recover_roots(trace, RootConfig(precision_bits=prec))
+    ok, dist = match_roots(got, find_roots(P, RootConfig(precision_bits=prec)).roots,
+                           tol="1e-25")
+    assert ok, dist
 
 
 # -- obstruction -----------------------------------------------------------------

@@ -82,11 +82,14 @@ def test_different_seed_same_values():
 
 def test_multiple_roots_polished_to_cluster_center():
     # (z-1)^5: a plain simultaneous iteration smears this; the polish pass
-    # must put every copy at the same point, essentially exactly
+    # must put every copy at the same point, essentially exactly, as soon
+    # as two sweeps agree on the one component that the five discs make
     P = _poly_from_roots([rat(1)] * 5)
-    rs = find_roots(P)
-    for r in rs.roots:
-        assert (r - rat(1)).mag() <= TINY
+    for prec in (256, 1024):
+        rs = find_roots(P, RootConfig(precision_bits=prec))
+        assert rs.converged and rs.iterations <= 10
+        for r in rs.roots:
+            assert (r - rat(1)).mag() <= TINY
 
 
 def test_mixed_multiplicities():
@@ -345,8 +348,9 @@ def test_float_stage_keeps_the_seed_bit_exact(monkeypatch):
 
 
 def _spy_newton_guard(monkeypatch):
-    """Record how many clusters the guard finds among the points each Newton
-    stage returns (fewer than the points: the guard's fallback)."""
+    """Record how many components the inclusion discs of the points each
+    Newton stage returns make (fewer than the points: the guard's
+    fallback)."""
     found, polished = [], []
     stages, clusters = roots._newton_stages, roots._clusters
 
@@ -354,8 +358,8 @@ def _spy_newton_guard(monkeypatch):
         polished.append(stages(zs, cs, prec))
         return polished[-1]
 
-    def spy(zs, prec):
-        groups = clusters(zs, prec)
+    def spy(zs, bounds):
+        groups = clusters(zs, bounds)
         if polished and zs is polished[-1]:
             found.append(len(groups))
         return groups
@@ -393,17 +397,61 @@ def test_newton_stages_see_terms_at_the_size_of_the_roots():
     assert ok, dist
 
 
+def _near_double(k):
+    """(z - 1)(z - 1 - 10^-k)(z + 2)(z^2 + 1) and its five planted roots."""
+    planted = [rat(1), rat(10 ** k + 1, 10 ** k), rat(-2), cx(0, 1), cx(0, -1)]
+    return _poly_from_roots(planted[:3]) * UniPoly([rat(1), rat(0), rat(1)]), planted
+
+
+def _distinct(rs):
+    return len({tuple(r.to_json()) for r in rs.roots})
+
+
 def test_a_near_double_root_takes_the_guards_fallback(monkeypatch):
-    # at 128 bits the roots 1 and 1 + 10^-20 lie within one cluster radius,
-    # so the guard hands the sweeps the float points, as before the stages
+    # 128 bits pin the roots 1 and 1 + 10^-20 only to about 1e-17, so the
+    # discs of the Newton points there overlap and the guard hands the
+    # sweeps the float points; the pair is one double root at this
+    # precision, polished onto one value between the two
     guards = _spy_newton_guard(monkeypatch)
-    planted = [rat(1), rat(10 ** 20 + 1, 10 ** 20), rat(-2), cx(0, 1), cx(0, -1)]
-    P = _poly_from_roots(planted[:3]) * UniPoly([rat(1), rat(0), rat(1)])
+    P, planted = _near_double(20)
     rs = find_roots(P, RootConfig(precision_bits=128))
     assert guards and guards[0] < 5
-    assert rs.converged
+    assert rs.converged and _distinct(rs) == 4
     ok, dist = match_roots(rs.roots, planted, tol="1e-19")
     assert ok, dist
+
+
+@pytest.mark.parametrize("k,prec,tol", [(3, 64, "1e-12"), (5, 64, "1e-12"),
+                                        (20, 256, "1e-50")])
+def test_near_double_roots_that_the_precision_resolves_stay_apart(k, prec, tol):
+    # the discs of 1 and 1 + 10^-k are disjoint once the precision pins
+    # each root far inside 10^-k, so neither is parked on the other
+    P, planted = _near_double(k)
+    rs = find_roots(P, RootConfig(precision_bits=prec))
+    assert rs.converged and _distinct(rs) == 5
+    ok, dist = match_roots(rs.roots, planted, tol=tol)
+    assert ok, dist
+
+
+def test_roots_of_unity_stay_apart_at_64_bits():
+    # 16 simple roots 0.39 apart: each disc is isolated at any precision
+    rs = find_roots(UniPoly([rat(-1)] + [rat(0)] * 15 + [rat(1)]),
+                    RootConfig(precision_bits=64))
+    assert rs.converged and _distinct(rs) == 16
+    unity = [Scalar.from_mpc(mpmath.expjpi(mpmath.mpf(2 * j) / 16), 64) for j in range(16)]
+    ok, dist = match_roots(rs.roots, unity, tol="1e-15")
+    assert ok, dist
+
+
+def test_random_integer_polynomials_converge_at_64_bits():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(6, 12)
+        P = UniPoly([rat(rng.randint(-10, 10)) for _ in range(n)] + [rat(1)])
+        rs = find_roots(P, RootConfig(precision_bits=64))
+        assert rs.converged and _distinct(rs) == n, P
+        ok, dist = match_roots(rs.roots, find_roots(P).roots, tol="1e-12")
+        assert ok, (P, dist)
 
 
 def test_float_stage_agrees_with_a_pure_mpmath_run(monkeypatch):
@@ -657,12 +705,14 @@ def test_planted_repeated_roots_are_refused_not_guessed(shape, gaussian):
     (3, -4, -1, 3, -2, 1),  # (z - 1)^2 (z^3 + 2z + 3)
     (0, 0, 1, 1, 0, 1),     # z^2 (z^3 + z + 1)
 ])
-def test_verify_trace_rejects_unconverged_root_sets(ascending):
-    # the bring-jerrard map collapses the planted repeated root, so the
-    # final trinomial's root set does not converge; verify rejects the step
-    # itself, because U(T) mod A, its inverse map evaluated, misses z
+def test_verify_trace_rejects_a_collapsed_chain(ascending):
+    # the bring-jerrard map collapses the planted repeated root: the final
+    # polynomial is y^5 plus rounding noise, whose five roots, all within
+    # 1e-20 of 0, the discs find apart; verify rejects the step itself,
+    # because U(T) mod A, its inverse map evaluated, misses z
     trace = _chain_past_the_refusal(ascending)
-    assert not find_roots(trace.final).converged
+    rs = find_roots(trace.final)
+    assert rs.converged and all(r.mag() <= mpmath.mpf("1e-20") for r in rs.roots)
     assert verify_trace(trace).matched is False
 
 

@@ -1,11 +1,13 @@
-"""The benchmark tracer's hooks still find what they wrap.
+"""The benchmark tracer's hooks, and the oracle's reads, still find what
+they use.
 
 ``bench/tracing.py`` rebinds the arithmetic dunders of ``Scalar``, the
-multiplication of ``UniPoly`` and every span target by name.  A rewrite
-that inlines, renames or inherits one of them would crash ``bench/run.py
---trace 1`` while every other test stays green, so this file reads the
+multiplication of ``UniPoly`` and every span target by name, and
+``bench/oracles.py`` reads ``TransformStep.rescue_scaling``.  A rewrite
+that inlines, renames, inherits or deletes one of them would crash
+``bench/run.py`` while every other test stays green, so this file reads the
 tracer's tables (it imports ``bench/tracing.py`` and changes nothing there)
-and checks each name against the package.
+and the oracle's source, and checks each name against the package.
 """
 
 import importlib
@@ -16,8 +18,10 @@ from pathlib import Path
 import pytest
 
 from bringform import Scalar, UniPoly
+from bringform.pipeline import TransformStep
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_ORACLES = _TRACING.with_name("oracles.py")
 
 
 def _tracing():
@@ -45,6 +49,13 @@ def test_unipoly_multiplication_is_an_own_entry():
 def test_span_target_resolves(span):
     module, attr = tracing.SPANS[span]
     assert callable(getattr(importlib.import_module("bringform." + module), attr, None)), span
+
+
+def test_the_oracles_read_of_rescue_scaling_resolves():
+    # the attribute is always None, kept for the oracle alone: it may go
+    # once bench/oracles.py stops reading it
+    if "step.rescue_scaling" in _ORACLES.read_text():
+        assert hasattr(TransformStep, "rescue_scaling")
 
 
 def test_dual_eliminate_still_runs_the_power_sum_route_span():
