@@ -41,7 +41,7 @@ from math import factorial
 
 from .polynomials import (UniPoly, poly_from_power_sums, power_sums,
                           powers_mod, rem_monic)
-from .scalars import Scalar, rat
+from .scalars import ONE, ZERO, Scalar, fma, fms, mul, rat
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
     col = rem_monic(UniPoly(t_coeffs, A.var), A)
     cols = [col]
     while len(cols) < n:
-        col = rem_monic(UniPoly([rat(0)] + col, A.var), A)
+        col = rem_monic(UniPoly._of([ZERO] + col, A.var), A)
         cols.append(col)
     H = [[cols[j][i] for j in range(n)] for i in range(n)]
     exact = all(e.is_rational for c in cols for e in c)
@@ -94,28 +94,29 @@ def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
             if u.is_exact_zero():
                 continue
             for j in range(m, n):
-                H[i][j] = H[i][j] - u * H[m][j]
+                H[i][j] = fms(H[i][j], u, H[m][j])
             for row in H:
-                row[m] = row[m] + u * row[i]
+                row[m] = fma(row[m], u, row[i])
     # p_m(y) = (y - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
-    polys = [[rat(1)]]
+    polys = [[ONE]]
     for m in range(n):
         prev = polys[m]
-        new = [rat(0)] + prev
+        new = [ZERO] + prev
+        h = H[m][m]
         for k, c in enumerate(prev):
-            new[k] = new[k] - H[m][m] * c
-        t = rat(1)
+            new[k] = fms(new[k], h, c)
+        t = ONE
         for i in range(m - 1, -1, -1):
-            t = t * H[i + 1][i]
+            t = mul(t, H[i + 1][i])
             if t.is_exact_zero():
                 break
-            f = H[i][m] * t
+            f = mul(H[i][m], t)
             if f.is_exact_zero():
                 continue
             for k, c in enumerate(polys[i]):
-                new[k] = new[k] - f * c
+                new[k] = fms(new[k], f, c)
         polys.append(new)
-    return UniPoly(polys[n], "y")
+    return UniPoly._of(polys[n], "y")
 
 
 def polynomial_resultant(P: UniPoly, Q: UniPoly) -> Scalar:
@@ -173,9 +174,9 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, powers=None) -> UniPoly:
     s = power_sums(A, n - 1)
     sums = []
     for rem in powers[1:]:
-        acc = rem[0] * s[0]
+        acc = mul(rem[0], s[0])
         for j in range(1, n):
-            acc = acc + rem[j] * s[j]
+            acc = fma(acc, rem[j], s[j])
         sums.append(acc)
     return poly_from_power_sums(sums, "y")
 
@@ -185,9 +186,8 @@ def _form_mul(f, g):
     for ka, va in f.items():
         for kb, vb in g.items():
             key = tuple(x + y for x, y in zip(ka, kb))
-            t = va * vb
             got = out.get(key)
-            out[key] = t if got is None else got + t
+            out[key] = mul(va, vb) if got is None else fma(got, va, vb)
     return out
 
 
@@ -207,8 +207,8 @@ def image_elementary(A: UniPoly, xs, m: int):
     s = power_sums(A, m * (len(xs) - 1))
     # X[p] is the z-polynomial multiplying t_p (t_0 = 1): y = sum_p t_p X[p]
     X = [UniPoly([x[p] for x in xs], A.var) for p in range(width)]
-    prods = {(): UniPoly([rat(1)], A.var)}
-    es = [{(0,) * (width - 1): rat(1)}]
+    prods = {(): UniPoly._of([ONE], A.var)}
+    es = [{(0,) * (width - 1): ONE}]
     sums = []
     for k in range(1, m + 1):
         sk = {}
@@ -217,7 +217,7 @@ def image_elementary(A: UniPoly, xs, m: int):
             tr = None
             for c, sj in zip(prod.coeffs, s):
                 if not (c.is_exact_zero() or sj.is_exact_zero()):
-                    tr = c * sj if tr is None else tr + c * sj
+                    tr = mul(c, sj) if tr is None else fma(tr, c, sj)
             if tr is None:
                 continue
             # the multiset combo stands for k!/prod(mult!) ordered products

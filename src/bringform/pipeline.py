@@ -41,8 +41,8 @@ from .elimination import (form_in, image_elementary, map_charpoly,
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, lies_on,
                           power_sums, powers_mod, rem_monic, shift_substitute)
-from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, Scalar, as_scalar, as_tol,
-                      negligible, pick_root, rat)
+from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, as_scalar,
+                      as_tol, fma, fms, largest_mag, negligible, pick_root, rat)
 from .solvers import assemble_preimages, solve_condition, solve_monic
 
 
@@ -174,16 +174,16 @@ class TransformStep:
         scale = coeff_scale(A)
         # rounded once at mpmath's default 53 bits, whatever the global
         # precision, so the residual depends on the step alone
-        worst = max([mpmath.mpf(0)] + [c.mag() for c in miss])
+        worst = largest_mag(miss)
         residual = mpmath.mp.make_mpf(mpf_div(worst._mpf_, scale._mpf_, 53, round_nearest))
         n = A.degree
         ok = (all(negligible(c, tol, scale) for c in miss)
               and self.subsidiary.k < n and C.is_monic() and C.degree == n)
         if ok:
-            CT = [rat(0)] * n
+            CT = [ZERO] * n
             for c, P in zip(C.coeffs, self.powers):
                 if not c.is_exact_zero():
-                    CT = [r + c * p for r, p in zip(CT, P)]
+                    CT = [fma(r, c, p) for r, p in zip(CT, P)]
             bound = as_tol(tol, scale, coeff_scale(C))
             ok = all(negligible(r, bound) for r in CT)
         return residual, ok
@@ -730,11 +730,11 @@ def step_inverse(step: TransformStep):
             f = M[r][c] / pivot
             if not f.is_exact_zero():
                 for k in range(c, n + 1):
-                    M[r][k] = M[r][k] - f * M[c][k]
-    u = [rat(0)] * n
+                    M[r][k] = fms(M[r][k], f, M[c][k])
+    u = [ZERO] * n
     for c in range(n - 1, -1, -1):
         acc = M[c][n]
         for k in range(c + 1, n):
-            acc = acc - M[c][k] * u[k]
+            acc = fms(acc, M[c][k], u[k])
         u[c] = acc / M[c][c]
     return UniPoly(u, "y")

@@ -19,8 +19,9 @@ from fractions import Fraction
 
 import mpmath
 
-from .scalars import (DEFAULT_PRECISION_BITS, Scalar, as_scalar, as_tol,
-                      context, negligible, noise_tol, rat)
+from .scalars import (DEFAULT_PRECISION_BITS, ONE, ZERO, Scalar, as_scalar,
+                      as_tol, context, fma, fms, largest_mag, mul, negligible,
+                      noise_tol, rat)
 
 
 class UniPoly:
@@ -35,7 +36,17 @@ class UniPoly:
     __slots__ = ("coeffs", "var", "_max_mag", "_terms", "_sums")
 
     def __init__(self, coeffs, var: str = "z"):
-        cs = [as_scalar(c) for c in coeffs]
+        self._fill([as_scalar(c) for c in coeffs], var)
+
+    @classmethod
+    def _of(cls, cs, var: str = "z") -> "UniPoly":
+        """The polynomial of cs, a list of Scalars taken without a check;
+        its trailing exact zeros are popped."""
+        p = cls.__new__(cls)
+        p._fill(cs, var)
+        return p
+
+    def _fill(self, cs, var):
         while cs and cs[-1].is_exact_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -133,9 +144,9 @@ class UniPoly:
             if a.is_exact_zero():
                 continue
             for j, b in right:
-                t = a * b
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        return UniPoly(tuple(rat(0) if c is None else c for c in out), self.var)
+                c = out[i + j]
+                out[i + j] = mul(a, b) if c is None else fma(c, a, b)
+        return UniPoly._of([ZERO if c is None else c for c in out], self.var)
 
     __rmul__ = __mul__
 
@@ -200,11 +211,7 @@ class UniPoly:
         polynomial), computed once."""
         m = self._max_mag
         if m is None:
-            m = mpmath.mpf(0)
-            for c in self.coeffs:
-                v = c.mag()
-                if v > m:
-                    m = v
+            m = largest_mag(self.coeffs)
             object.__setattr__(self, "_max_mag", m)
         return m
 
@@ -324,17 +331,17 @@ def rem_monic(P: UniPoly, A: UniPoly):
         q = rem[k]
         if not q.is_exact_zero():
             for j, a in low:
-                rem[k - n + j] = rem[k - n + j] - q * a
-    return rem[:n] + [rat(0)] * (n - len(rem))
+                rem[k - n + j] = fms(rem[k - n + j], q, a)
+    return rem[:n] + [ZERO] * (n - len(rem))
 
 
 def powers_mod(T: UniPoly, A: UniPoly):
     """T^0, T^1, ..., T^n modulo the monic A (n = deg A), each as the tuple of
     its n ascending coefficients (``rem_monic``), row j + 1 being row j times
     T reduced modulo A."""
-    out = [tuple(rem_monic(UniPoly([rat(1)], A.var), A))]
+    out = [tuple(rem_monic(UniPoly._of([ONE], A.var), A))]
     while len(out) <= A.degree:
-        out.append(tuple(rem_monic(UniPoly(out[-1], A.var) * T, A)))
+        out.append(tuple(rem_monic(UniPoly._of(list(out[-1]), A.var) * T, A)))
     return tuple(out)
 
 
@@ -365,16 +372,15 @@ def power_sums(poly: UniPoly, k_max: int):
         return known[:k_max + 1]
     p = poly if poly.is_monic() else poly.monic()[0]
     # elementary symmetric functions: e_k = (-1)^k * c_{n-k}
-    e = [rat(1)]
+    e = [ONE]
     for k in range(1, n + 1):
         c = p.coeff(n - k)
         e.append(-c if k % 2 == 1 else c)
     s = list(known) or [rat(n)]
     for k in range(len(s), k_max + 1):
-        acc = rat(0)
+        acc = ZERO
         for i in range(1, min(k - 1, n) + 1):
-            t = e[i] * s[k - i]
-            acc = acc + t if i % 2 == 1 else acc - t
+            acc = (fma if i % 2 == 1 else fms)(acc, e[i], s[k - i])
         if k <= n:
             t = e[k] * k
             acc = acc + t if k % 2 == 1 else acc - t
@@ -392,18 +398,14 @@ def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
     n = len(sums)
     if n == 0:
         raise ValueError("need at least one power sum")
-    e = [rat(1)]
+    e = [ONE]
     for k in range(1, n + 1):
-        acc = None
-        for i in range(1, k + 1):
-            t = e[k - i] * sums[i - 1]
-            if acc is None:
-                acc = t if i % 2 == 1 else -t
-            else:
-                acc = acc + t if i % 2 == 1 else acc - t
+        acc = mul(e[k - 1], sums[0])
+        for i in range(2, k + 1):
+            acc = (fma if i % 2 == 1 else fms)(acc, e[k - i], sums[i - 1])
         e.append(acc * rat(1, k))
     coeffs = [None] * (n + 1)
-    coeffs[n] = rat(1)
+    coeffs[n] = ONE
     for k in range(1, n + 1):
         coeffs[n - k] = e[k] if k % 2 == 0 else -e[k]
     return UniPoly(coeffs, var)

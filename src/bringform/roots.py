@@ -43,9 +43,9 @@ from math import isfinite
 import mpmath
 from mpmath.libmp import (finf, fone, from_float, from_int, fzero, mpc_abs, mpc_add_mpf,
                           mpc_div, mpc_div_mpf, mpc_mpf_div, mpc_mul_int, mpc_pow_int,
-                          mpf_add, mpf_cmp, mpf_cos_sin, mpf_div, mpf_gt, mpf_le, mpf_mul,
-                          mpf_mul_int, mpf_nthroot, mpf_pi, mpf_shift, mpf_sub, round_down,
-                          round_nearest, round_up, to_float)
+                          mpf_add, mpf_cmp, mpf_cos_sin, mpf_div, mpf_gt, mpf_le, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_nthroot, mpf_pi, mpf_shift, mpf_sub,
+                          round_down, round_nearest, round_up, to_float)
 
 from .errors import ConsistencyError
 from .polynomials import (UniPoly, coeff_mismatch, lies_on, power_sums,
@@ -415,7 +415,9 @@ def _polish_multiple(cluster, cs, prec):
     bits) surround, of the polynomial with ascending raw-pair coefficients
     cs.  A root of multiplicity m is a simple root of the (m-1)th
     derivative, so a few Newton steps on it from the cluster's centroid
-    recover the root to full precision."""
+    recover the root to full precision.  Those steps shrink quadratically
+    until they reach rounding noise, so the polish stops at a step that is
+    not below half the one before, without taking it."""
     m = len(cluster)
     q = list(cs)
     for _ in range(m - 1):
@@ -426,15 +428,19 @@ def _polish_multiple(cluster, cs, prec):
     for z in cluster[1:]:
         x = cadd(x, z, prec)
     x = mpc_div_mpf(x, from_int(m), prec, RND)
+    last = finf
     for _ in range(60):
         fx, dfx = _horner(q, x, prec), _horner(dq, x, prec)
         if dfx == CZERO:
             break
         step = mpc_div(fx, dfx, prec, RND)
-        x = csub(x, step, prec)
-        if mpf_le(mpc_abs(step, prec, RND),
-                  mpf_mul(eps, _at_least_one(mpc_abs(x, prec, RND)), prec, RND)):
+        size = mpc_abs(step, prec, RND)
+        if not mpf_lt(size, mpf_shift(last, -1)):
             break
+        x = csub(x, step, prec)
+        if mpf_le(size, mpf_mul(eps, _at_least_one(mpc_abs(x, prec, RND)), prec, RND)):
+            break
+        last = size
     return x
 
 

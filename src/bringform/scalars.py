@@ -24,13 +24,17 @@ the Scalar's precision (the larger operand's for a binary operation), and
 the rest use an mpmath context fixed at the precision it needs
 (``context``).  Complex + - * go through fused kernels on the raw pairs
 (``cadd``, ``csub``, ``cmul``), which ``roots.find_roots`` uses too: each
-part's exact integer sum is rounded once with libmp's ``normalize``, and
-where the terms lie more than ``_WINDOW`` bits apart, or a part is an
-infinity or nan, the generic ``mpc_add``/``mpc_sub``/``mpc_mul`` call
-runs instead.  Both give the same bits.  A rational rounded to an mpf
-(``_rat_mpf``, keyed by numerator, denominator and precision) and a parsed
-tolerance string (``as_tol``) are memoized, in bounded caches of immutable
-values.  Nothing in the package changes or reads mpmath's global
+part's sum is formed as one integer, as mpf_add forms it, and rounded once
+with libmp's ``normalize``; where a part is an infinity or nan, the generic
+``mpc_add``/``mpc_sub``/``mpc_mul`` call runs instead.  Both give the same
+bits.  The eliminations' loops of acc +- x * y call Scalar kernels
+(``mul``, ``fma``, ``fms``): one dispatch when the operands are all
+rational or all complex, the dunders otherwise.  Their rule: the same kind,
+precision and bits as the dunders, the product rounded at its factors'
+larger precision and the sum at the larger of that and acc's.  A rational
+rounded to an mpf (``_rat_mpf``, keyed by numerator, denominator and
+precision) and a parsed tolerance string (``as_tol``) are memoized, in
+bounded caches of immutable values.  Nothing in the package changes or reads mpmath's global
 precision, so Scalars are safe to share between threads.
 
 Two rules decide what counts as zero.  Noise: a degree drops only leading
@@ -61,8 +65,9 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add,
                           mpc_conjugate, mpc_div, mpc_mul, mpc_mul_mpf,
                           mpc_neg, mpc_pos, mpc_pow_int, mpc_sqrt, mpc_sub,
-                          mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_le, mpf_mul,
-                          mpf_neg, mpf_pos, mpf_sub, normalize, round_nearest)
+                          mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_gt, mpf_le,
+                          mpf_mul, mpf_neg, mpf_pos, mpf_sqrt, mpf_sub, normalize,
+                          round_nearest)
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_TOLERANCE = "1e-30"
@@ -116,50 +121,54 @@ def _finite(z) -> bool:
 
 
 # Complex OP complex.  libmp's mpc_add, mpc_sub and mpc_mul round each part
-# of the result once from an exact sum of two terms (two parts, or two exact
-# products of parts), shifting one term onto the other unless their
-# exponents lie more than 100 bits apart: there mpf_add may add a sticky bit
-# instead, which rounds the same and keeps the integers small.  The fused
-# kernels form each part's exact sum as one integer and round it once with
-# ``normalize``; past that window, or when a part is an infinity or nan,
-# they make the generic call.  Either way they return its raw pair, bit for
-# bit.
+# of the result once from a sum of two terms (two parts, or two exact
+# products of parts), which mpf_add forms exactly unless the terms lie more
+# than _WINDOW = 100 bits apart (``_far``).  The fused kernels form each
+# part's sum as one integer by the same rule and round it once with
+# ``normalize``; when a part is an infinity or nan, they make the generic
+# call.  Either way they return its raw pair, bit for bit.
 
 _WINDOW = 100
 
 
+def _far(m1, e1, m2, e2, prec):
+    """The unrounded m1 2^e1 + m2 2^e2 (signed integer mantissas, e1 - e2 >
+    _WINDOW) as mpf_add forms it: m1 shifted by prec + 4 plus a sticky +-1
+    in place of m2 when the leading bits lie more than prec + 4 apart, the
+    exact sum otherwise."""
+    k = prec + 4
+    if m1.bit_length() - m2.bit_length() + e1 - e2 > k:
+        return (m1 << k) + (1 if m2 > 0 else -1), e1 - k
+    return (m1 << (e1 - e2)) + m2, e2
+
+
 def _fuse(m1, e1, m2, e2, m3, e3, m4, e4, prec):
     """(m1 2^e1 + m2 2^e2, m3 2^e3 + m4 2^e4), signed integer mantissas,
-    each exact sum rounded once at prec as mpf_add rounds it; None when a
-    sum's terms lie past the window."""
+    each sum rounded once at prec as mpf_add rounds it."""
     if m2:
         if m1:
             d = e1 - e2
-            if d > 0:
-                if d > _WINDOW:
-                    return None
+            if d > _WINDOW:
+                m1, e1 = _far(m1, e1, m2, e2, prec)
+            elif d > 0:
                 m1, e1 = (m1 << d) + m2, e2
-            elif d:
-                if d < -_WINDOW:
-                    return None
-                m1 += m2 << -d
+            elif d < -_WINDOW:
+                m1, e1 = _far(m2, e2, m1, e1, prec)
             else:
-                m1 += m2
+                m1 += m2 << -d
         else:
             m1, e1 = m2, e2
     if m4:
         if m3:
             d = e3 - e4
-            if d > 0:
-                if d > _WINDOW:
-                    return None
+            if d > _WINDOW:
+                m3, e3 = _far(m3, e3, m4, e4, prec)
+            elif d > 0:
                 m3, e3 = (m3 << d) + m4, e4
-            elif d:
-                if d < -_WINDOW:
-                    return None
-                m3 += m4 << -d
+            elif d < -_WINDOW:
+                m3, e3 = _far(m4, e4, m3, e3, prec)
             else:
-                m3 += m4
+                m3 += m4 << -d
         else:
             m3, e3 = m4, e4
     if m1 > 0:
@@ -185,10 +194,8 @@ def cadd(z, w, prec):
     sc, mc, ec, _ = c
     sd, md, ed, _ = d
     if (ma or not ea) and (mb or not eb) and (mc or not ec) and (md or not ed):
-        got = _fuse(-ma if sa else ma, ea, -mc if sc else mc, ec,
-                    -mb if sb else mb, eb, -md if sd else md, ed, prec)
-        if got is not None:
-            return got
+        return _fuse(-ma if sa else ma, ea, -mc if sc else mc, ec,
+                     -mb if sb else mb, eb, -md if sd else md, ed, prec)
     return mpc_add(z, w, prec, round_nearest)
 
 
@@ -200,10 +207,8 @@ def csub(z, w, prec):
     sc, mc, ec, _ = c
     sd, md, ed, _ = d
     if (ma or not ea) and (mb or not eb) and (mc or not ec) and (md or not ed):
-        got = _fuse(-ma if sa else ma, ea, mc if sc else -mc, ec,
-                    -mb if sb else mb, eb, md if sd else -md, ed, prec)
-        if got is not None:
-            return got
+        return _fuse(-ma if sa else ma, ea, mc if sc else -mc, ec,
+                     -mb if sb else mb, eb, md if sd else -md, ed, prec)
     return mpc_sub(z, w, prec, round_nearest)
 
 
@@ -224,9 +229,8 @@ def cmul(z, w, prec):
             mc = -mc
         if sd:
             md = -md
-        got = _fuse(ma * mc, ea + ec, -mb * md, eb + ed, ma * md, ea + ed, mb * mc, eb + ec, prec)
-        if got is not None:
-            return got
+        return _fuse(ma * mc, ea + ec, -mb * md, eb + ed, ma * md, ea + ed, mb * mc, eb + ec,
+                     prec)
     return mpc_mul(z, w, prec, round_nearest)
 
 
@@ -637,6 +641,61 @@ class Scalar:
                               mpmath.nstr(abs(c.imag), 12))
 
 
+ZERO = Scalar(0, 1, None, None)
+ONE = Scalar(1, 1, None, None)
+
+
+# The kernels for the eliminations' loops (module docstring).
+
+def mul(x, y):
+    """x * y for Scalars x and y."""
+    if x._den is None and y._den is None:
+        prec = x._prec if x._prec >= y._prec else y._prec
+        return Scalar(None, None, cmul(x._c, y._c, prec), prec)
+    return x * y
+
+
+def _qfma(na, da, n, d):
+    """na / da + n / d in lowest terms, for d > 0 (n / d need not be): one
+    numerator over one denominator and one gcd give the canonical pair."""
+    if da == 1 and d == 1:
+        return Scalar(na + n, 1, None, None)
+    n = na * d + n * da
+    d *= da
+    g = gcd(n, d)
+    return Scalar(n // g, d // g, None, None)
+
+
+def fma(acc, x, y):
+    """acc + x * y for Scalars acc, x and y."""
+    ad, xd, yd = acc._den, x._den, y._den
+    if ad is not None:
+        if xd is not None and yd is not None:
+            return _qfma(acc._num, ad, x._num * y._num, xd * yd)
+    elif xd is None and yd is None:
+        prec = x._prec if x._prec >= y._prec else y._prec
+        z = cmul(x._c, y._c, prec)
+        if acc._prec > prec:
+            prec = acc._prec
+        return Scalar(None, None, cadd(acc._c, z, prec), prec)
+    return acc + x * y
+
+
+def fms(acc, x, y):
+    """acc - x * y for Scalars acc, x and y."""
+    ad, xd, yd = acc._den, x._den, y._den
+    if ad is not None:
+        if xd is not None and yd is not None:
+            return _qfma(acc._num, ad, -x._num * y._num, xd * yd)
+    elif xd is None and yd is None:
+        prec = x._prec if x._prec >= y._prec else y._prec
+        z = cmul(x._c, y._c, prec)
+        if acc._prec > prec:
+            prec = acc._prec
+        return Scalar(None, None, csub(acc._c, z, prec), prec)
+    return acc - x * y
+
+
 def rat(num, den=1) -> Scalar:
     return Scalar.rational(num, den)
 
@@ -680,6 +739,30 @@ def noise_tol(prec=None):
     step's two routes agree to about 2^(16 - prec) relative, and the ansatz
     and the back-solve lose up to 8 bits more."""
     return mp.make_mpf(from_man_exp(1, 24 - (prec or DEFAULT_PRECISION_BITS)))
+
+
+def largest_mag(values):
+    """The largest ``mag()`` of the Scalars values as an mpf (0 for none),
+    with one square root per precision.  For two nonzero finite parts,
+    mpc_abs takes the correctly rounded square root of the sum of squares
+    rounded at prec + 4 bits (mpf_hypot), which is non-decreasing in that
+    sum; any other value takes its ``mag()``, which takes no root."""
+    m, sums = fzero, {}
+    for v in values:
+        if v._den is None and v._c[0][1] and v._c[1][1]:
+            (a, b), prec = v._c, v._prec
+            s = mpf_add(mpf_mul(a, a), mpf_mul(b, b), prec + 4)
+            if mpf_gt(s, sums.get(prec, fzero)):
+                sums[prec] = s
+        else:
+            r = v.mag()._mpf_
+            if mpf_gt(r, m):
+                m = r
+    for prec, s in sums.items():
+        r = mpf_sqrt(s, prec, round_nearest)
+        if mpf_gt(r, m):
+            m = r
+    return mp.make_mpf(m)
 
 
 def negligible(x: Scalar, tol, scale=mpmath.mpf(1)) -> bool:

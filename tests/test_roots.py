@@ -92,6 +92,39 @@ def test_multiple_roots_polished_to_cluster_center():
             assert (r - rat(1)).mag() <= TINY
 
 
+def test_the_cluster_polish_stops_at_rounding_noise(monkeypatch):
+    # (z - 1 + 3i)^3 (z + 2)^4 (z - 1/3)^3 with 256-bit coefficients, solved
+    # at 512 bits: each polish's Newton steps shrink quadratically down to
+    # about 1e-153 and stall there, so the polish must stop at that step
+    # rather than run on rounding noise
+    planted = [cx(1, -3)] * 3 + [rat(-2)] * 4 + [rat(1, 3)] * 3
+    P = _poly_from_roots(planted)
+    P = UniPoly([Scalar.from_mpc(c.to_mpc(), 256) for c in P.coeffs])
+    polish, horner = roots._polish_multiple, roots._horner
+    steps = []
+
+    def counted(cluster, cs, prec):
+        calls = []
+
+        def evaluate(q, x, p):
+            calls.append(q)
+            return horner(q, x, p)
+
+        monkeypatch.setattr(roots, "_horner", evaluate)
+        try:
+            return polish(cluster, cs, prec)
+        finally:
+            monkeypatch.setattr(roots, "_horner", horner)
+            steps.append(len(calls) // 2)  # f and f' at each step
+
+    monkeypatch.setattr(roots, "_polish_multiple", counted)
+    rs = find_roots(P, RootConfig(precision_bits=512))
+    assert len(steps) == 3 and max(steps) <= 10, steps
+    assert rs.converged
+    ok, dist = match_roots(rs.roots, planted, tol="1e-15")
+    assert ok, dist
+
+
 def test_mixed_multiplicities():
     P = _poly_from_roots([rat(2), rat(2), rat(-1), rat(-1), rat(-1)])
     rs = find_roots(P)

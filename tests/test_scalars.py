@@ -26,8 +26,8 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_div, mpc_m
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        match_roots, rat, reduce_general_quintic, verify_trace)
 from bringform.polynomials import coeff_mismatch
-from bringform.scalars import (as_scalar, as_tol, context, negligible, pick_root,
-                               sort_key)
+from bringform.scalars import (as_scalar, as_tol, context, fma, fms, largest_mag, mul,
+                               negligible, pick_root, sort_key)
 
 TINY = mpmath.mpf("1e-70")
 
@@ -269,9 +269,20 @@ def _complex_operands(draw):
     return Scalar.from_mpc(z.to_mpc(), prec)
 
 
+def _mantissas(prec):
+    """Signed mantissas of up to prec + 40 bits, or of prec + 1 bits ending
+    in 1: halfway between two prec-bit values, where only a term far below
+    (mpf_add's sticky bit) decides the rounding.  A value read by from_json
+    carries prec + 16 bits, so it keeps such a mantissa."""
+    tie = st.integers(2 ** (prec - 1), 2 ** prec - 1).map(lambda r: 2 * r + 1)
+    return st.tuples(st.one_of(st.integers(1, 2 ** (prec + 40)), tie),
+                     st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
+
+
 # exponent gaps around the complex kernels' window of 100 bits, and around
 # prec + 4, past which libmp's addition perturbs instead of shifting
-_GAPS = [0, 1, 50, 99, 100, 101, 102, 150, "prec+3", "prec+4", "prec+5", "prec+60"]
+_GAPS = [0, 1, 50, 99, 100, 101, 102, 150, 300, 600, "prec+3", "prec+4", "prec+5",
+         "prec+60"]
 
 
 @st.composite
@@ -289,8 +300,7 @@ def _gapped_pairs(draw):
         return prec + int(g[5:]) if isinstance(g, str) else g
 
     def part(exp):
-        man = draw(st.integers(1, 2 ** (prec + 40))) * draw(st.sampled_from([1, -1]))
-        return from_man_exp(man, exp)
+        return from_man_exp(draw(_mantissas(prec)), exp)
 
     def scalar(re, im):
         z = wide.mpc(wide.make_mpf(re), wide.make_mpf(im))
@@ -446,6 +456,88 @@ def test_times_one_rounds_a_value_read_at_extra_precision():
     assert x._c != mpc_pos(x._c, 64, round_nearest)
     for y in (x * 1, 1 * x, x * rat(1), x + 0, x - 0, -(0 - x), -(x * -1)):
         assert y._c == mpc_pos(x._c, 64, round_nearest)
+
+
+# -- the fused kernels give the dunders' bits ------------------------------------
+
+# exponent gaps between the parts of one value, around the 100-bit window
+# of libmp's addition and past it
+_PART_GAPS = [0, 1, 99, 100, 101, 150, 260, 300, 450, 600]
+
+
+@st.composite
+def _kernel_complex(draw, prec):
+    """A complex Scalar at prec bits: from cx, from JSON (prec + 16 bits
+    carried), real-valued, the exact complex zero, with an infinite or nan
+    part, or with parts 0-600 bits apart at an exponent within +-600."""
+    kind = draw(st.sampled_from(["cx", "json", "real", "zero", "inf", "gapped", "gapped"]))
+    if kind == "zero":
+        return cx(0, 0, prec)
+    if kind == "inf":
+        return Scalar.complex_(draw(st.sampled_from([mpmath.inf, -mpmath.inf, mpmath.nan, 1])),
+                               draw(st.sampled_from([mpmath.inf, mpmath.nan, 0, 2])), prec)
+    wide = context(prec + 40)
+    if kind == "gapped":
+        exp, gap = draw(st.integers(-600, 600)), draw(st.sampled_from(_PART_GAPS))
+        parts = [from_man_exp(draw(_mantissas(prec)), e) for e in (exp, exp - gap)]
+        if draw(st.booleans()):
+            parts.reverse()
+        z = wide.mpc(*map(wide.make_mpf, parts))
+    else:
+        z = cx(draw(_fractions), Fraction(0) if kind == "real" else draw(_fractions), prec + 40)
+        z = (z.sqrt() if draw(st.booleans()) else z).to_mpc()
+    if kind == "json" or kind == "gapped" and draw(st.booleans()):
+        return Scalar.from_json(Scalar.from_mpc(z, prec + 40).to_json(), prec)
+    return Scalar.from_mpc(z, prec)
+
+
+_KERNEL_PRECISIONS = [64, 256, 1024]
+_kernel_rationals = _fractions.map(lambda f: rat(f.numerator, f.denominator))
+_kernel_operands = st.one_of(
+    _kernel_rationals,
+    st.sampled_from(_KERNEL_PRECISIONS).flatmap(_kernel_complex))
+
+
+@st.composite
+def _complex_triples(draw):
+    """acc, x and y complex, acc at a precision at least that of x and y
+    (often above both: the product rounds at the factors' precision)."""
+    px, py = (draw(st.sampled_from(_KERNEL_PRECISIONS)) for _ in "xy")
+    pa = draw(st.sampled_from([p for p in _KERNEL_PRECISIONS if p >= max(px, py)]))
+    return tuple(draw(_kernel_complex(p)) for p in (pa, px, py))
+
+
+def _bits(v):
+    """The kind, precision and raw pair or (numerator, denominator) of v."""
+    return (v.is_rational, v.prec, (v._num, v._den) if v.is_rational else v._c)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(ops=st.one_of(st.tuples(_kernel_operands, _kernel_operands, _kernel_operands),
+                     _complex_triples()))
+def test_fused_kernels_match_the_dunders(ops):
+    acc, x, y = ops
+    assert _bits(mul(x, y)) == _bits(x * y)
+    assert _bits(fma(acc, x, y)) == _bits(acc + x * y)
+    assert _bits(fms(acc, x, y)) == _bits(acc - x * y)
+    if not (acc.is_rational or x.is_rational or y.is_rational):
+        # and the generic libmp calls, sticky bits past the window included
+        p = max(x.prec, y.prec)
+        xy = mpc_mul(x._c, y._c, p, round_nearest)
+        q = max(p, acc.prec)
+        assert fma(acc, x, y)._c == mpc_add(acc._c, xy, q, round_nearest)
+        assert fms(acc, x, y)._c == mpc_sub(acc._c, xy, q, round_nearest)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(values=st.lists(_kernel_operands, max_size=6))
+def test_largest_mag_is_the_largest_mag(values):
+    # one square root per precision, the value of the largest mag() itself
+    want = mpmath.mpf(0)
+    for v in values:
+        if v.mag() > want:
+            want = v.mag()
+    assert largest_mag(values)._mpf_ == want._mpf_
 
 
 # -- precision is local to each value -------------------------------------------

@@ -7,11 +7,16 @@ multiplication of ``UniPoly`` and every span target by name, and
 that inlines, renames, inherits or deletes one of them would crash
 ``bench/run.py`` while every other test stays green, so this file reads the
 tracer's tables (it imports ``bench/tracing.py`` and changes nothing there)
-and the oracle's source, and checks each name against the package.
+and the oracle's source, and checks each name against the package.  The
+fused kernels of ``scalars`` do the arithmetic that the dunders no longer
+see; a tracer can count them only while they stay module-level functions
+that every user imports by name.
 """
 
 import importlib
 import importlib.util
+import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -82,3 +87,48 @@ def test_dual_eliminate_still_runs_the_power_sum_route_span():
         A = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
         dual_eliminate(A, Subsidiary(2, (rat(1), rat(-2))))
     assert len(calls) == 1
+
+
+KERNELS = ("mul", "fma", "fms", "cadd", "csub", "cmul")
+
+
+def _package_modules():
+    return [m for name, m in sys.modules.items()
+            if name == "bringform" or name.startswith("bringform.")]
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_fused_kernel_is_a_module_function_imported_by_name(name):
+    from bringform import scalars
+
+    kernel = getattr(scalars, name)
+    assert inspect.isfunction(kernel) and kernel.__module__ == "bringform.scalars"
+    users = [m for m in _package_modules()
+             if m is not scalars and re.search(r"\b%s\(" % name, inspect.getsource(m))]
+    assert users, name
+    for m in users:
+        # called through its own name, which a tracer can rebind
+        assert vars(m).get(name) is kernel, (m.__name__, name)
+        assert not re.search(r"\.%s\(" % name, inspect.getsource(m)), (m.__name__, name)
+
+
+def test_rebinding_the_fused_kernels_counts_their_calls():
+    from bringform import Subsidiary, dual_eliminate, rat, scalars
+
+    calls = dict.fromkeys(("mul", "fma", "fms"), 0)
+
+    def counted(name, original):
+        def kernel(*args):
+            calls[name] += 1
+            return original(*args)
+        return kernel
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            original = getattr(scalars, name)
+            for m in _package_modules():
+                if vars(m).get(name) is original:
+                    mp.setattr(m, name, counted(name, original))
+        A = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
+        dual_eliminate(A, Subsidiary(2, (rat(1), rat(-2))))
+    assert all(calls.values()), calls
