@@ -35,23 +35,21 @@ b (``pipeline.quartic_obstruction_G``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .polynomials import (UniPoly, poly_from_power_sums, power_sums,
+from .polynomials import (Record, UniPoly, poly_from_power_sums, power_sums,
                           powers_mod, rem_monic)
 from .scalars import ONE, ZERO, Scalar, fma, fms, mul, rat
 
 
-@dataclass(frozen=True)
-class BiPoly:
+class BiPoly(Record):
     """Polynomial in z whose coefficients are polynomials in y (ascending in z)."""
 
-    z_coeffs: tuple
+    __slots__ = _fields = ("z_coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "z_coeffs", tuple(self.z_coeffs))
+    def __init__(self, z_coeffs: tuple):
+        self._set(z_coeffs=tuple(z_coeffs))
 
     @property
     def degree_z(self) -> int:

@@ -30,8 +30,8 @@ the step, whose C(T) sum and solve for U read them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import mpf_add, mpf_div, mpf_lt, mpf_shift, round_nearest
@@ -39,26 +39,24 @@ from mpmath.libmp import mpf_add, mpf_div, mpf_lt, mpf_shift, round_nearest
 from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
-from .polynomials import (UniPoly, coeff_mismatch, coeff_scale, lies_on,
+from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, lies_on,
                           power_sums, powers_mod, rem_monic, shift_substitute)
 from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, as_scalar,
                       as_tol, fma, fms, largest_mag, negligible, pick_root, rat)
 from .solvers import assemble_preimages, solve_condition, solve_monic
 
 
-@dataclass(frozen=True)
-class Subsidiary:
+class Subsidiary(Record):
     """The relation B(z, y) = 0 of one step; coefficients ascending from the
     constant term, so (a,), (a, b), (a, b, c) or (a, b, c, d)."""
 
-    k: int
-    coeffs: tuple
+    __slots__ = _fields = ("k", "coeffs")
 
-    def __post_init__(self):
-        cs = tuple(as_scalar(c) for c in self.coeffs)
-        if type(self.k) is not int or not 1 <= self.k == len(cs):  # True is no k
-            raise ValueError("need k >= 1 coefficients, got k = %r and %d" % (self.k, len(cs)))
-        object.__setattr__(self, "coeffs", cs)
+    def __init__(self, k: int, coeffs: tuple):
+        cs = tuple(as_scalar(c) for c in coeffs)
+        if type(k) is not int or not 1 <= k == len(cs):  # True is no k
+            raise ValueError("need k >= 1 coefficients, got k = %r and %d" % (k, len(cs)))
+        self._set(k=k, coeffs=cs)
 
     def is_identity(self) -> bool:
         return self.k == 1 and self.coeffs[0].is_exact_zero()
@@ -95,8 +93,7 @@ class Subsidiary:
         return cls(k, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class AuxSolve:
+class AuxSolve(NamedTuple):
     """Record of one auxiliary closed-form solve: what was solved, every root
     found, and which was chosen."""
 
@@ -111,23 +108,27 @@ class AuxSolve:
 
     @classmethod
     def from_json(cls, d, prec=None):
-        return cls(d["kind"], d["degree"],
-                   tuple(Scalar.from_json(r, prec) for r in d["roots"]), d["chosen"])
+        """Inverse of ``to_json``; ValueError unless the degree is an int in
+        0..3 (no solve above a cubic) and chosen an int indexing the roots."""
+        roots = tuple(Scalar.from_json(r, prec) for r in d["roots"])
+        deg, idx = d["degree"], d["chosen"]
+        if not (type(deg) is int and 0 <= deg <= 3 and type(idx) is int and 0 <= idx < len(roots)):
+            raise ValueError("an auxiliary solve of degree %r choosing root %r of %d"
+                             % (deg, idx, len(roots)))
+        return cls(d["kind"], deg, roots, idx)
 
 
-@dataclass(frozen=True)
-class TransformStep:
-    kind: str
-    input: UniPoly
-    subsidiary: Subsidiary
-    output: UniPoly
-    aux: tuple
-    # T^0..T^n mod the input as ``dual_eliminate`` built them, or None;
-    # read through ``powers``, and no part of equality, repr or JSON
-    table: tuple = field(default=None, compare=False, repr=False)
-    # certify's verdicts by tolerance, a memo slot no part of equality, repr
-    # or JSON; threads that race on it compute the same verdict
-    _verdicts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+class TransformStep(Record):
+    _fields = ("kind", "input", "subsidiary", "output", "aux")
+
+    def __init__(self, kind: str, input: UniPoly, subsidiary: Subsidiary, output: UniPoly,
+                 aux: tuple, table: tuple = None):
+        # no part of equality, repr or JSON: table, T^0..T^n mod the input
+        # as ``dual_eliminate`` built them or None, read through ``powers``,
+        # and _verdicts, certify's verdicts by tolerance, a memo that racing
+        # threads fill with the same verdict
+        self._set(kind=kind, input=input, subsidiary=subsidiary, output=output, aux=aux,
+                  table=table, _verdicts={})
 
     # not a field: every step maps the previous output itself; the
     # benchmark's outside oracle (bench/oracles.py) still reads it
@@ -262,8 +263,7 @@ class TransformStep:
         return step
 
 
-@dataclass(frozen=True)
-class BringAnsatz:
+class BringAnsatz(NamedTuple):
     """Parameters of the coupled substitution b = alpha*d + zeta, c = d + gamma
     that makes the second-coefficient condition hold for every d."""
 
@@ -273,8 +273,7 @@ class BringAnsatz:
     d: Scalar
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Why a cubic subsidiary cannot finish a trinomial quartic in radicals of
     low degree: the two remaining conditions collide in a sextic.
 
@@ -299,8 +298,7 @@ class ObstructionReport:
                      for form in (self.y2_condition, self.y1_condition))
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     original: UniPoly
     steps: tuple
     bring_p: Scalar

@@ -6,11 +6,12 @@ coefficient is a Scalar; ints and Fractions are lifted to exact rationals and
 anything else, a polynomial included, raises TypeError.  Conditions in free
 parameters are not polynomials over polynomials: they are power-sum forms
 (``elimination.image_elementary``).  All values are immutable; operations
-return new objects.  A ``UniPoly`` also keeps three memo slots, filled on
-first use and never part of equality, repr or JSON: its largest coefficient
-magnitude (``max_mag``), its terms that are not exact zeros (``terms``),
-and the power sums of its roots computed so far (``power_sums``), a prefix
-that only grows.
+return new objects.  ``Record`` is the read-only base of ``UniPoly`` and of
+the records in other modules that do work at construction.  A ``UniPoly``
+also keeps three memo slots, filled on first use and never part of
+equality, repr or JSON: its largest coefficient magnitude (``max_mag``),
+its terms that are not exact zeros (``terms``), and the power sums of its
+roots computed so far (``power_sums``), a prefix that only grows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,37 @@ from .scalars import (DEFAULT_PRECISION_BITS, ONE, ZERO, Scalar, as_scalar,
                       noise_tol, rat)
 
 
-class UniPoly:
+class Record:
+    """Base of the read-only records that have work to do at construction:
+    ``==`` and ``repr`` cover the attributes named by ``_fields``, in that
+    order; ``__init__`` sets attributes through ``_set``, and assigning or
+    deleting one afterwards raises AttributeError.  The plain records are
+    named tuples."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _set(self, **attrs):
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, f) for f in self._fields]
+                == [getattr(other, f) for f in self._fields])
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class UniPoly(Record):
     """Univariate polynomial with dense ascending coefficients.
 
     The variable name is presentational only; equality compares coefficient
@@ -54,9 +85,6 @@ class UniPoly:
         object.__setattr__(self, "_max_mag", None)
         object.__setattr__(self, "_terms", None)
         object.__setattr__(self, "_sums", ())
-
-    def __setattr__(self, *a):
-        raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def constant(cls, value, var: str = "z") -> "UniPoly":
@@ -176,8 +204,6 @@ class UniPoly:
         if len(self.coeffs) != len(other.coeffs):
             return False
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    __hash__ = None
 
     # -- evaluation ------------------------------------------------------------
 

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import (finf, fone, from_float, from_int, fzero, mpc_abs, mpc_add_mpf,
@@ -66,22 +66,19 @@ CONE = (fone, fzero)
 _NO_BITS = -(1 << 62)  # ``_bits`` of zero
 
 
-@dataclass(frozen=True)
-class RootConfig:
+class RootConfig(NamedTuple):
     precision_bits: int = DEFAULT_PRECISION_BITS
     tol: str = DEFAULT_TOLERANCE
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     roots: tuple
     converged: bool
     iterations: int
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     max_forward_residual: object  # mpf
     matched: bool
     bring_residuals: tuple

@@ -17,11 +17,10 @@ solved anywhere in this module has degree at most three.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import mpmath
 
-from .polynomials import UniPoly, deflate, shift_substitute
+from .polynomials import Record, UniPoly, deflate, shift_substitute
 from .scalars import (DEFAULT_PRECISION_BITS, Scalar, as_scalar, context, rat,
                       sort_key)
 
@@ -33,14 +32,15 @@ def _omega(prec: int) -> Scalar:
     return Scalar.from_mpc(ctx.mpc(ctx.mpf(-1) / 2, ctx.sqrt(3) / 2), prec)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     """Roots of one polynomial A: the root multiset, how it was obtained,
-    and the absolute residuals |A(root)|, evaluated when first read."""
+    and the absolute residuals |A(root)|, evaluated when first read.  A is
+    ``poly``, no part of equality or repr."""
 
-    roots: tuple
-    method: str
-    poly: UniPoly = field(repr=False, compare=False)
+    _fields = ("roots", "method")
+
+    def __init__(self, roots: tuple, method: str, poly: UniPoly):
+        self._set(roots=roots, method=method, poly=poly)
 
     @functools.cached_property
     def residuals(self):

@@ -200,7 +200,8 @@ def _poly_json(*ascending):
     "step output of another degree", "rescaled step input",
     "step not an object", "integer of 5000 digits", "subsidiary degree true",
     "subsidiary degree zero", "kind not a string", "leading coefficient 1e999999999999",
-    "leading coefficient [true, true]"])
+    "leading coefficient [true, true]", "aux chosen 99", "aux chosen -1", "aux chosen true",
+    "aux degree 4", "aux degree true"])
 def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
     trace = tmp_path / "trace.json"
     assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
@@ -251,6 +252,10 @@ def test_verify_malformed_trace_is_usage_error(capsys, tmp_path, breakage):
     elif breakage == "leading coefficient [true, true]":
         # JSON booleans are not the integers 1 / 1
         t["original"]["coeffs"][-1] = [True, True]
+    elif breakage.startswith("aux "):
+        # the principal step's quadratic solve: its root index and degree
+        _, key, value = breakage.split()
+        t["steps"][1]["aux"][0][key] = json.loads(value)
     else:
         # a quartic original: the bring-curve check would see four roots
         t["original"] = _poly_json(1, 0, 0, 0, 1)

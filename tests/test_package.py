@@ -1,8 +1,19 @@
-"""The package root exports exactly what ``__all__`` lists."""
+"""The package root exports exactly what ``__all__`` lists, its import
+stays light, and its records are read-only."""
 
 import inspect
+import os
+import subprocess
+import sys
+
+import mpmath
+import pytest
 
 import bringform
+from bringform import (AuxSolve, BiPoly, BringAnsatz, ObstructionReport,
+                       ReductionTrace, RootConfig, RootSet, SolveResult,
+                       Subsidiary, TransformStep, UniPoly, VerifyReport, rat,
+                       solve_quadratic)
 
 
 def test_all_lists_every_public_name_and_only_bound_ones():
@@ -12,3 +23,65 @@ def test_all_lists_every_public_name_and_only_bound_ones():
               if not n.startswith("_") and not inspect.ismodule(v)}
     assert public - listed == set(), "public but not listed"
     assert listed - public == set(), "listed but not bound, or a module"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses and the inspect it imports cost a CLI process ~10 ms
+    src = os.path.dirname(os.path.dirname(bringform.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import bringform.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+_P = UniPoly([rat(-1), rat(0), rat(1)])
+_SUB = Subsidiary(1, (rat(0),))
+RECORDS = {
+    "AuxSolve": AuxSolve("principal-b", 1, (rat(2),), 0),
+    "BiPoly": BiPoly([_P]),
+    "BringAnsatz": BringAnsatz(rat(1), rat(2), rat(3), rat(4)),
+    "ObstructionReport": ObstructionReport(rat(1), rat(2), rat(0), {}, {}, _P, 2, True),
+    "ReductionTrace": ReductionTrace(_P, (), rat(0), rat(-1)),
+    "RootConfig": RootConfig(),
+    "RootSet": RootSet((rat(1), rat(-1)), True, 0),
+    "SolveResult": solve_quadratic(0, -1),
+    "Subsidiary": _SUB,
+    "TransformStep": TransformStep("depress", _P, _SUB, _P, ()),
+    "VerifyReport": VerifyReport(mpmath.mpf(0), True, ()),
+}
+
+
+def test_every_public_record_is_listed():
+    records = {n for n in bringform.__all__ if isinstance(getattr(bringform, n), type)
+               and n not in ("ConsistencyError", "DegenerateDenominator", "Scalar", "UniPoly")}
+    assert records == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_read_only(name):
+    rec = RECORDS[name]
+    first = rec._fields[0]
+    before = getattr(rec, first)
+    for attempt in (lambda: setattr(rec, first, None), lambda: delattr(rec, first),
+                    lambda: setattr(rec, "extra", 1)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert getattr(rec, first) is before
+    assert not hasattr(rec, "extra")
+
+
+def test_a_solve_result_compares_and_prints_without_its_polynomial():
+    roots = (rat(1), rat(-1))
+    a = SolveResult(roots, "quadratic", _P)
+    b = SolveResult(roots, "quadratic", UniPoly([rat(-2), rat(0), rat(2)]))
+    assert a == b and repr(a) == repr(b) and "poly" not in repr(a)
+    assert a != SolveResult(roots, "cardano", _P)
+    assert "residuals" not in vars(a)  # evaluated when first read
+    assert a.residuals == (0, 0) and "residuals" in vars(a)
+
+
+@pytest.mark.parametrize("k", [True, 2])
+def test_a_subsidiary_of_the_wrong_k_is_refused(k):
+    with pytest.raises(ValueError, match=r"need k >= 1 coefficients, got k = %r and 1" % k):
+        Subsidiary(k, (1,))
