@@ -42,15 +42,10 @@ coefficients below ``noise_tol(prec)`` = 2^(24 - prec) times the scale
 (``UniPoly.effective_degree``).  Acceptance: a check passes within tol *
 scale (``negligible``), each product rounded at ``TOL_PREC`` bits (``as_tol``).
 
-A binary operation of a complex operand z with a rational one (a Scalar,
-an int or a Fraction) takes shortcuts: z + 0 and z * 1 round z, 0 - z and
-z * -1 negate it, z * 0 is the complex zero (for a finite z), and any other
-rational enters as one real mpf (``mpc_mul_mpf``, or one ``mpf_add`` or
-``mpf_sub`` on the real part).  The rule for every shortcut is that it
-returns exactly what the generic call ``cop(z, (rational rounded to prec,
-0), prec)`` returns: the same kind, precision and bits.  So z * 1 is not
-z: it is z rounded to prec, which differs when z carries more bits than its
-precision (``from_json`` reads at prec + 16 bits).
+A rational operand (a Scalar, an int or a Fraction) of a complex + - * /
+enters as its value rounded to the operation's precision and goes through
+the same kernel, so z * 1 is z rounded to prec, not z (``from_json`` reads
+at prec + 16 bits).
 """
 
 from __future__ import annotations
@@ -63,10 +58,9 @@ import mpmath
 from mpmath import mp
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add,
-                          mpc_conjugate, mpc_div, mpc_mul, mpc_mul_mpf,
-                          mpc_neg, mpc_pos, mpc_pow_int, mpc_sqrt, mpc_sub,
-                          mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_gt, mpf_le,
-                          mpf_mul, mpf_neg, mpf_pos, mpf_sqrt, mpf_sub, normalize,
+                          mpc_conjugate, mpc_div, mpc_mul, mpc_neg, mpc_pow_int,
+                          mpc_sqrt, mpc_sub, mpf_abs, mpf_add, mpf_div, mpf_eq,
+                          mpf_gt, mpf_le, mpf_mul, mpf_sqrt, mpf_sub, normalize,
                           round_nearest)
 
 DEFAULT_PRECISION_BITS = 256
@@ -236,51 +230,6 @@ def cmul(z, w, prec):
 
 def _cdiv(z, w, prec):
     return mpc_div(z, w, prec, round_nearest)
-
-
-# Complex OP rational, for z a raw pair at prec and the rational n / d in
-# lowest terms.  lhs tells whether n / d is the left operand; libmp's
-# addition and product give the same bits in either order, so only - and /
-# read it.  Each returns exactly the raw pair of the generic cop(z,
-# (_rat_mpf(n, d, prec), fzero), prec) (operands in their order): every
-# shortcut rounds to prec, as the generic call does, so a value carrying
-# more bits than prec (from ``Scalar.from_json``) times 1 is rounded, not
-# returned as it is.
-
-def _add_rat(z, n, d, prec, lhs):
-    if not n:
-        return mpc_pos(z, prec, round_nearest)
-    a, b = z
-    return mpf_add(a, _rat_mpf(n, d, prec), prec, round_nearest), mpf_pos(b, prec, round_nearest)
-
-
-def _sub_rat(z, n, d, prec, lhs):
-    if not n:
-        return (mpc_neg if lhs else mpc_pos)(z, prec, round_nearest)
-    a, b = z
-    r = _rat_mpf(n, d, prec)
-    if lhs:  # n / d - z
-        return mpf_sub(r, a, prec, round_nearest), mpf_neg(b, prec, round_nearest)
-    return mpf_sub(a, r, prec, round_nearest), mpf_pos(b, prec, round_nearest)
-
-
-def _mul_rat(z, n, d, prec, lhs):
-    # the generic product meets a non-finite part with an exact zero (nan)
-    if not _finite(z):
-        return mpc_mul(z, (_rat_mpf(n, d, prec), fzero), prec, round_nearest)
-    if not n:
-        return _CZERO
-    if d == 1:
-        if n == 1:
-            return mpc_pos(z, prec, round_nearest)
-        if n == -1:
-            return mpc_neg(z, prec, round_nearest)
-    return mpc_mul_mpf(z, _rat_mpf(n, d, prec), prec, round_nearest)
-
-
-def _div_rat(z, n, d, prec, lhs):
-    r = (_rat_mpf(n, d, prec), fzero)
-    return mpc_div(r, z, prec, round_nearest) if lhs else mpc_div(z, r, prec, round_nearest)
 
 
 # Rational OP rational, on the numerators and the positive denominators of
@@ -461,10 +410,11 @@ class Scalar:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _binop(self, other, qop, cop, ratcop, lhs=False):
+    def _binop(self, other, qop, cop, lhs=False):
         """self OP other (other OP self when lhs): qop on two rationals,
-        ratcop when one operand is rational, otherwise the complex kernel
-        cop at the larger precision in play."""
+        otherwise the complex kernel cop at the larger precision in play,
+        with a rational operand entering as its value rounded to that
+        precision (``_raw``)."""
         if isinstance(other, Scalar):
             nb, db = other._num, other._den
         elif isinstance(other, (int, Fraction)):
@@ -472,18 +422,14 @@ class Scalar:
         else:
             return NotImplemented
         da = self._den
-        if da is not None:
-            if db is not None:
-                return qop(nb, db, self._num, da) if lhs else qop(self._num, da, nb, db)
+        if da is not None and db is not None:
+            return qop(nb, db, self._num, da) if lhs else qop(self._num, da, nb, db)
+        prec = self._prec or other._prec
+        if db is None and other._prec > prec:
             prec = other._prec
-            return Scalar(None, None, ratcop(other._c, self._num, da, prec, not lhs), prec)
-        prec = self._prec
-        if db is not None:
-            return Scalar(None, None, ratcop(self._c, nb, db, prec, lhs), prec)
-        if other._prec > prec:
-            prec = other._prec
-        z, w = (other._c, self._c) if lhs else (self._c, other._c)
-        return Scalar(None, None, cop(z, w, prec), prec)
+        z = self._raw(prec)
+        w = other._c if db is None else (_rat_mpf(nb, db, prec), fzero)
+        return Scalar(None, None, cop(w, z, prec) if lhs else cop(z, w, prec), prec)
 
     # Two rational Scalars, the common case, go straight to the kernel.
 
@@ -491,7 +437,7 @@ class Scalar:
         da = self._den
         if da is not None and type(other) is Scalar and other._den is not None:
             return _qadd(self._num, da, other._num, other._den)
-        return self._binop(other, _qadd, cadd, _add_rat)
+        return self._binop(other, _qadd, cadd)
 
     __radd__ = __add__
 
@@ -499,16 +445,16 @@ class Scalar:
         da = self._den
         if da is not None and type(other) is Scalar and other._den is not None:
             return _qadd(self._num, da, -other._num, other._den)
-        return self._binop(other, _qsub, csub, _sub_rat)
+        return self._binop(other, _qsub, csub)
 
     def __rsub__(self, other):
-        return self._binop(other, _qsub, csub, _sub_rat, True)
+        return self._binop(other, _qsub, csub, True)
 
     def __mul__(self, other):
         da = self._den
         if da is not None and type(other) is Scalar and other._den is not None:
             return _qmul(self._num, da, other._num, other._den)
-        return self._binop(other, _qmul, cmul, _mul_rat)
+        return self._binop(other, _qmul, cmul)
 
     __rmul__ = __mul__
 
@@ -516,10 +462,10 @@ class Scalar:
         da = self._den
         if da is not None and type(other) is Scalar and other._den is not None:
             return _qdiv(self._num, da, other._num, other._den)
-        return self._binop(other, _qdiv, _cdiv, _div_rat)
+        return self._binop(other, _qdiv, _cdiv)
 
     def __rtruediv__(self, other):
-        return self._binop(other, _qdiv, _cdiv, _div_rat, True)
+        return self._binop(other, _qdiv, _cdiv, True)
 
     def __neg__(self):
         if self._den is not None:

@@ -62,6 +62,12 @@ def solve_quadratic(m, n, *, prec: int = None) -> SolveResult:
     sq = (m * m - 4 * n).sqrt(prec)
     half = rat(1, 2)
     roots = ((-m + sq) * half, (-m - sq) * half)
+    if not (roots[0].is_rational or n.is_exact_zero()):
+        # a root that cancellation has left with less than half the working
+        # precision comes from the other by Vieta's r1 r2 = n
+        small, big = sorted(roots, key=Scalar.mag)
+        if small.mag() <= mpmath.ldexp(big.mag(), -(big.prec // 2)):
+            roots = (n / big, big)
     return _finish(poly, roots, "quadratic")
 
 

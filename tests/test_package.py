@@ -1,6 +1,9 @@
 """The package root exports exactly what ``__all__`` lists, its import
-stays light, and its records are read-only."""
+stays light, its modules import nothing they do not use, and its records
+are read-only."""
 
+import ast
+import glob
 import inspect
 import os
 import subprocess
@@ -33,6 +36,31 @@ def test_importing_the_cli_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _unused_imports(path):
+    """The names a module's imports bind that it never reads (``from
+    __future__`` imports bind none)."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - used
+
+
+# __init__.py imports to re-export, so only the other modules are linted
+LINTED = sorted(p for p in glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py"))
+                if os.path.basename(p) != "__init__.py")
+
+
+@pytest.mark.parametrize("path", LINTED, ids=os.path.basename)
+def test_a_module_imports_no_name_it_does_not_use(path):
+    assert _unused_imports(path) == set()
 
 
 _P = UniPoly([rat(-1), rat(0), rat(1)])

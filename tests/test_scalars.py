@@ -206,7 +206,7 @@ def test_division_by_exact_zero_raises():
         rat(1) / rat(0)
 
 
-# -- shortcuts return the generic libmp result ----------------------------------
+# -- a binary operator gives the generic libmp result, whatever its operands ----
 
 # dunder -> (Fraction operator, libmp function, whether the argument is the
 # left operand, the same operation seen from the argument)
@@ -350,8 +350,9 @@ def _check_dunder(x, y, name):
         assert got._c == want, (x, y, name)
 
 
-# every shortcut's operand, in each form, meets every drawn complex value
-SHORTCUT_OPERANDS = (rat(0), rat(1), rat(-1), 0, 1, -1, Fraction(-1), rat(12), 12,
+# rationals, in each form, that meet every drawn complex value: 0 and +-1
+# pin z * 0 = nan for an infinite z and the rounding of z * 1
+RATIONAL_OPERANDS = (rat(0), rat(1), rat(-1), 0, 1, -1, Fraction(-1), rat(12), 12,
                      Fraction(-5, 3), rat(2, 7))
 
 
@@ -360,10 +361,11 @@ SHORTCUT_OPERANDS = (rat(0), rat(1), rat(-1), 0, 1, -1, Fraction(-1), rat(12), 1
     st.tuples(_complex_operands(), st.one_of(_rational_operands(), _complex_operands())),
     _gapped_pairs()))
 def test_binary_dunders_match_the_generic_libmp_call(pair):
-    # complex OP complex runs the fused kernels (scalars.cadd, csub, cmul),
-    # complex OP rational the shortcuts; both must give the generic bits
+    # a complex operation runs one kernel per operator (scalars.cadd, csub,
+    # cmul, _cdiv), a rational operand entering rounded to the complex
+    # precision; each must give the generic bits
     x, y = pair
-    for other in SHORTCUT_OPERANDS + (y,):
+    for other in RATIONAL_OPERANDS + (y,):
         for name in BINARY_DUNDERS:
             _check_dunder(x, other, name)
 

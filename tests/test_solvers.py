@@ -12,9 +12,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from bringform import (UniPoly, find_roots, match_roots, rat, solve_condition,
-                       solve_cubic_cardano, solve_cubic_general, solve_monic,
-                       solve_quadratic, solve_quartic)
+from bringform import (UniPoly, cx, find_roots, match_roots, rat,
+                       solve_condition, solve_cubic_cardano, solve_cubic_general,
+                       solve_monic, solve_quadratic, solve_quartic)
 from bringform.scalars import pick_root
 from helpers import rand_monic, rand_scalar
 
@@ -47,6 +47,21 @@ def test_quadratic_rational_discriminant_stays_exact():
     assert [r.fraction for r in res.roots] == [Fraction(2), Fraction(3)]
     res = solve_quadratic(rat(1), rat(-6))
     assert [r.fraction for r in res.roots] == [Fraction(-3), Fraction(2)]
+
+
+@pytest.mark.parametrize("mode", ["rational", "complex"])
+@pytest.mark.parametrize("k", [20, 40, 60, 100])
+def test_quadratic_keeps_the_small_root_of_a_cancelling_pair(k, mode):
+    # z^2 + m z + 2 has roots near -m and -2/m; (-m + sqrt(m^2 - 8)) / 2
+    # cancels nearly every digit, so the small root must come from Vieta
+    m = 10 ** k
+    make = rat if mode == "rational" else (lambda v: cx(v, 0, 256))
+    small = min(solve_quadratic(make(m), make(2), prec=256).roots, key=lambda r: r.mag())
+    # the root is -2/m (1 + 2/m^2 + ...); one exact Newton step from -2/m
+    # has it to 1e-79 relative
+    r = Fraction(-2, m)
+    r -= (r * r + m * r + 2) / (2 * r + m)
+    assert ((small - r) / r).mag() <= mpmath.mpf("1e-60")
 
 
 def test_cardano_random_suite():
