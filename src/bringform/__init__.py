@@ -13,11 +13,11 @@ from .elimination import (BiPoly, map_charpoly, polynomial_resultant,
 from .errors import ConsistencyError, DegenerateDenominator
 from .pipeline import (AuxSolve, BringAnsatz, ObstructionReport,
                        ReductionTrace, Subsidiary, TransformStep, back_solve,
-                       cubic_b_quadratic, cubic_to_pure, depress,
-                       dual_eliminate, quartic_obstruction_G,
-                       quartic_remove_2_3, quartic_remove_2_4,
-                       quintic_bring_ansatz, quintic_to_bring_jerrard,
-                       reduce_general_quintic, step_inverse, to_principal)
+                       cubic_to_pure, depress, dual_eliminate,
+                       quartic_obstruction_G, quartic_remove_2_3,
+                       quartic_remove_2_4, quintic_bring_ansatz,
+                       quintic_to_bring_jerrard, reduce_general_quintic,
+                       step_inverse, to_principal)
 from .polynomials import (UniPoly, coeff_scale, deflate, poly_from_power_sums,
                           power_sums, shift_substitute)
 from .roots import (DEFAULT_MATCH_TOLERANCE, RootConfig, RootSet,
@@ -37,7 +37,7 @@ __all__ = [
     "RootConfig", "RootSet", "Scalar", "SolveResult", "Subsidiary",
     "TransformStep", "UniPoly", "VerifyReport",
     "assemble_preimages", "back_solve", "bring_curve_residual", "coeff_scale",
-    "cubic_b_quadratic", "cubic_to_pure", "cx", "deflate", "depress",
+    "cubic_to_pure", "cx", "deflate", "depress",
     "dual_eliminate", "find_roots", "map_charpoly", "match_roots",
     "obstruction_consistency", "poly_from_power_sums", "polynomial_resultant",
     "power_sums",

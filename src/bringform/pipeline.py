@@ -18,9 +18,8 @@ identities.  They must agree (exactly in rational mode) or the step fails.
 
 A ``TransformStep`` owns everything that depends on its kind: ``certify``
 proves its output without eliminating again, and ``pull_back`` moves roots
-back through it (``preimages`` also solves the subsidiary root by root, for
-``solve_quartic``).  The certificate is two identities modulo A.  U(T) = z,
-for the inverse map U, makes 1, T, ..., T^(n-1) a basis of K[z]/(A), so the
+back through it by its one inverse map U.  The certificate is two identities
+modulo A.  U(T) = z makes 1, T, ..., T^(n-1) a basis of K[z]/(A), so the
 minimal polynomial of M_T is its characteristic polynomial; a monic C of
 degree n with C(T) = 0 is then det(y - M_T) = prod (y - T(z_i)).  The
 powers of T modulo A are built once per step (``powers``): the power-sum
@@ -43,7 +42,7 @@ from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, lies_on,
                           power_sums, powers_mod, rem_monic, shift_substitute)
 from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, as_scalar,
                       as_tol, fma, fms, largest_mag, negligible, pick_root, rat)
-from .solvers import assemble_preimages, solve_condition, solve_monic
+from .solvers import solve_condition, solve_monic
 
 
 class Subsidiary(Record):
@@ -202,8 +201,8 @@ class TransformStep(Record):
 
     @cached_property
     def inverse(self):
-        """The step's inverse map U (``step_inverse``), built once per step:
-        ``certify``, ``pull_back`` and ``preimages`` share it."""
+        """The step's one inverse map U (``step_inverse``), built once per
+        step: ``certify`` and ``pull_back`` share it."""
         return step_inverse(self)
 
     def pull_back(self, ys):
@@ -212,16 +211,6 @@ class TransformStep(Record):
         without U."""
         U = self.inverse
         return None if U is None else [U.eval(y) for y in ys]
-
-    def preimages(self, ys, *, prec=None, tol=None):
-        """The roots of the input that the map sends to the roots ys of the
-        output, one per y and in the order of ys: ``pull_back`` when every
-        U(y) lies on the input; otherwise by solving the subsidiary relation
-        root by root (``assemble_preimages``)."""
-        zs = self.pull_back(ys)
-        if zs is not None and all(lies_on(self.input, z, tol) for z in zs):
-            return zs
-        return assemble_preimages(self.input, ys, self, prec=prec, tol=tol)
 
     def to_json(self):
         return {
@@ -445,18 +434,6 @@ def to_principal(poly: UniPoly, *, prec=None, tol=None) -> TransformStep:
     return _quadratic_subsidiary_step("principal", poly, n - 2, prec=prec, tol=tol)
 
 
-def cubic_b_quadratic(m, n, p) -> UniPoly:
-    """The monic quadratic in b whose roots complete z^3 + m z^2 + n z + p to
-    pure form; raises when its leading coefficient 3n - m^2 vanishes."""
-    m, n, p = as_scalar(m), as_scalar(n), as_scalar(p)
-    A = UniPoly([p, n, m, rat(1)], "z")
-    cond = _k2_conditions(A, 2)[0][1]
-    if cond.degree < 2:
-        raise DegenerateDenominator(3 * n - m * m,
-                                    "pure-form condition degenerates when 3n - m^2 = 0")
-    return cond.monic()[0]
-
-
 def cubic_to_pure(m, n, p, *, prec=None, tol=None) -> TransformStep:
     """Take z^3 + m z^2 + n z + p to a pure cubic y^3 + const.
 
@@ -529,8 +506,6 @@ def quartic_obstruction_G(p, q, *, tol=None) -> ObstructionReport:
     if len(Es) == 2:
         for j, Fj in enumerate(Fs):
             G = G + Fj * (-Es[0]) ** j * Es[1] ** (len(Fs) - 1 - j)
-    elif Es and Fs:  # E has no b-row
-        G = Es[0] ** (len(Fs) - 1)
     eff = G.effective_degree(max(p.prec or 0, q.prec or 0) or None)
     return ObstructionReport(p, q, a, E, F, G, eff, eff < 6)
 
@@ -706,12 +681,12 @@ def step_inverse(step: TransformStep):
     (n = deg A; PARI's ``modreverse``) by elimination with magnitude
     pivoting, which is exact when every matrix entry is rational.  An exactly
     zero pivot means the basis 1, T, ..., T^(n-1) is singular: the map is not
-    one-to-one on the roots of A and only ``back_solve`` can pull them back.
+    one-to-one on the roots of A, and no inverse map can pull them back.
     In complex mode a merging map gives a tiny pivot rather than a zero one,
     and neither the pivot nor the solve's own residual tells it apart from a
     fine map, so a caller evaluates U: ``TransformStep.certify`` checks
-    U(T) = z mod A, ``TransformStep.preimages`` tests each U(y) on A, and
-    ``recover_roots`` tests each pulled-back root on the original.
+    U(T) = z mod A, and ``recover_roots`` tests each pulled-back root on the
+    original.
     """
     A = step.input
     n = A.degree

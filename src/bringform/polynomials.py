@@ -86,10 +86,6 @@ class UniPoly(Record):
         object.__setattr__(self, "_terms", None)
         object.__setattr__(self, "_sums", ())
 
-    @classmethod
-    def constant(cls, value, var: str = "z") -> "UniPoly":
-        return cls((value,), var)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -152,16 +148,7 @@ class UniPoly(Record):
             return NotImplemented
         return self.__add__(-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__sub__(self)
-
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            s = as_scalar(other)
-            return UniPoly(tuple(c * s for c in self.coeffs), self.var)
         if not isinstance(other, UniPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -177,12 +164,6 @@ class UniPoly(Record):
         return UniPoly._of([ZERO if c is None else c for c in out], self.var)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            s = as_scalar(other)
-            return UniPoly(tuple(c / s for c in self.coeffs), self.var)
-        return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:

@@ -107,7 +107,21 @@ def solve_cubic_general(m, n, p, *, prec: int = None) -> SolveResult:
     dp = n - m * m * rat(1, 3)
     dq = m ** 3 * rat(2, 27) - m * n * rat(1, 3) + p
     dep = solve_cubic_cardano(dp, dq, prec=prec)
-    roots = tuple(r - third for r in dep.roots)
+    roots = sorted((r - third for r in dep.roots), key=Scalar.mag)
+    big = roots[2]
+    if (not (big.is_rational or p.is_exact_zero())
+            and roots[1].mag() <= mpmath.ldexp(big.mag(), -(prec // 4))):
+        # the shift back cancels the two small roots: they come from Vieta's
+        # r2 + r3 = -m - r1 and r2 r3 = -p / r1, then two Newton steps each
+        slope = UniPoly([n, 2 * m, rat(3)])
+        roots = [big]
+        for z in solve_quadratic(m + big, -p / big, prec=prec).roots:
+            for _ in range(2):
+                d = slope.eval(z)
+                if d.is_exact_zero():
+                    break
+                z = z - poly.eval(z) / d
+            roots.append(z)
     return _finish(poly, roots, "cardano-shifted")
 
 
@@ -126,8 +140,8 @@ def solve_quartic(n, p, q, *, prec: int = None, tol=None) -> SolveResult:
 
     Route: strip terms two and three (if the z^2 term is present), then strip
     terms two and four, solve the surviving quadratic in y^2, and pull the
-    roots back through each step (``TransformStep.preimages``, which solves
-    a merging step's subsidiary root by root; ``recover_roots`` refuses one).
+    roots back through each step's subsidiary relation
+    (``assemble_preimages``), which also undoes a map that merges roots.
     """
     from .pipeline import quartic_remove_2_3, quartic_remove_2_4
 
@@ -143,13 +157,13 @@ def solve_quartic(n, p, q, *, prec: int = None, tol=None) -> SolveResult:
         steps.append(st1)
         cur_p, cur_q = st1.output.coeff(1), st1.output.coeff(0)
     if cur_p.is_exact_zero():
-        ys = _biquadratic_roots(steps[-1].output.coeff(2) if steps else n, cur_q, prec)
+        ys = _biquadratic_roots(steps[-1].output.coeff(2), cur_q, prec)
     else:
         st2 = quartic_remove_2_4(cur_p, cur_q, prec=prec, tol=tol)
         steps.append(st2)
         ys = _biquadratic_roots(st2.output.coeff(2), st2.output.coeff(0), prec)
     for step in reversed(steps):
-        ys = step.preimages(ys, prec=prec, tol=tol)
+        ys = assemble_preimages(step, ys, prec=prec, tol=tol)
     return _finish(poly, ys, "tschirnhaus-biquadratic")
 
 
@@ -198,12 +212,15 @@ def solve_condition(cond: UniPoly, *, prec: int = None, tol=None):
     return d, list(res.roots)
 
 
-def assemble_preimages(target: UniPoly, y_roots, step, *, prec: int = None, tol=None):
-    """Pick one preimage per image root so the multiset of preimages matches
-    the root multiset of ``target``, greedily against the deflated remainder."""
+def assemble_preimages(step, y_roots, *, prec: int = None, tol=None):
+    """The roots of the step's input that its map sends to y_roots, the
+    roots of its output, one per y and in their order.  A y's candidates
+    solve the subsidiary relation B(z, y) = 0 (``back_solve``); the pick is
+    the one that best fits the input deflated by the earlier picks, so a map
+    that merges roots is undone too."""
     from .pipeline import back_solve
 
-    R = target
+    R = step.input
     out = []
     for y in y_roots:
         cands = back_solve(step, y, prec=prec, tol=tol)

@@ -1,5 +1,6 @@
 """Command-line surface: argument handling, exit codes, output determinism."""
 
+import io
 import json
 
 import mpmath
@@ -139,6 +140,23 @@ def test_obstruction_reports(capsys):
     assert json.loads(out)["degenerate"] is True
 
 
+def test_obstruction_text_report(capsys):
+    code, out, _ = run(capsys, "obstruction", "--coeffs", "1", "0", "0", "1", "1",
+                       "--output", "text")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0].startswith("G(c) = ") and lines[1] == "degree: 6"
+    assert lines[2].startswith("root-consistency slack: ")
+
+
+@pytest.mark.parametrize("mode", ["rational", "complex"])
+def test_obstruction_of_z4_is_degenerate(capsys, mode):
+    code, out, _ = run(capsys, "obstruction", "--coeffs", "1", "0", "0", "0", "0",
+                       "--mode", mode, "--output", "text")
+    assert code == EXIT_OK
+    assert "degree: -1  (degenerate)" in out.splitlines()
+
+
 @pytest.mark.parametrize("p, q, prec", [
     ("1e20", "1", 256), ("1", "1e20", 256), ("1e-10", "1e10", 256),
     ("3e30", "-2", 256), ("1e-40", "1", 256), ("1e40", "1", 512)])
@@ -186,6 +204,28 @@ def test_verify_garbage_json_is_usage_error(capsys, tmp_path):
     f.write_text("{not json")
     code, _, err = run(capsys, "verify", "--in", str(f))
     assert code == EXIT_USAGE
+
+
+def test_verify_reads_a_trace_from_stdin(capsys, tmp_path, monkeypatch):
+    trace = tmp_path / "trace.json"
+    assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(trace.read_text()))
+    code, out, _ = run(capsys, "verify", "--in", "-")
+    assert code == EXIT_OK and json.loads(out)["matched"] is True
+
+
+def test_verify_of_a_file_without_a_trace_object_is_usage_error(capsys, tmp_path):
+    f = tmp_path / "list.json"
+    f.write_text("[]")
+    code, _, err = run(capsys, "verify", "--in", str(f))
+    assert code == EXIT_USAGE and "trace file has no trace object" in err
+
+
+def test_unparsable_complex_coefficient_is_usage_error(capsys):
+    code, out, err = run(capsys, "reduce", "--mode", "complex",
+                         "--coeffs", "1", "abc", "0", "0", "0", "1")
+    assert code == EXIT_USAGE and out == "" and "cannot parse coefficient" in err
 
 
 def _poly_json(*ascending):

@@ -17,8 +17,8 @@ import sympy
 
 from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace,
                        RootConfig, Subsidiary, UniPoly, back_solve, coeff_scale,
-                       cubic_b_quadratic, cubic_to_pure, depress,
-                       cx, dual_eliminate, find_roots, match_roots,
+                       cubic_to_pure, cx, depress, dual_eliminate,
+                       find_roots, match_roots,
                        quartic_obstruction_G, quartic_remove_2_3,
                        quartic_remove_2_4, quintic_bring_ansatz,
                        quintic_to_bring_jerrard, rat, recover_roots,
@@ -63,20 +63,6 @@ def test_depress_identity_when_already_depressed():
 
 
 # -- cubic steps ---------------------------------------------------------------
-
-def test_cubic_b_condition_frozen_forms():
-    # z^3 + z: p2(b) = -2b^2 + 2/3, monic b^2 - 1/3
-    assert cubic_b_quadratic(rat(0), rat(1), rat(0)) == \
-        UniPoly([rat(-1, 3), rat(0), rat(1)], "b")
-    # z^3 + z^2 + z + 1: -4/3 b^2 - 8/3 b + 8/3, monic b^2 + 2b - 2
-    assert cubic_b_quadratic(rat(1), rat(1), rat(1)) == \
-        UniPoly([rat(-2), rat(2), rat(1)], "b")
-
-
-def test_cubic_b_condition_degenerate_line():
-    with pytest.raises(DegenerateDenominator):
-        cubic_b_quadratic(rat(3), rat(3), rat(5))
-
 
 def test_cubic_to_pure_known_constant():
     # z^3 + z maps to y^3 + 8/27 (root product -8/27 derived from 0, +-i)

@@ -145,8 +145,6 @@ def test_unipoly_rejects_polynomial_coefficient():
     c = UniPoly([rat(0), rat(1)], "c")
     with pytest.raises(TypeError):
         UniPoly([c * c, rat(2)], "b")
-    with pytest.raises(TypeError):
-        UniPoly.constant(c, "b")
 
 
 def test_coeff_scale_floor_is_one():

@@ -305,13 +305,22 @@ def test_depress_step_maps_roots_forward_by_its_shift():
 def test_depress_step_pulls_roots_back_exactly():
     zs = [rat(1), rat(-2), rat(5)]
     step = depress(_poly_from_roots(zs))
-    assert step.preimages([rat(-1, 3), rat(-10, 3), rat(11, 3)]) == zs
+    assert step.pull_back([rat(-1, 3), rat(-10, 3), rat(11, 3)]) == zs
 
 
 def test_obstruction_consistency_on_generic_quartic():
     rep = quartic_obstruction_G(rat(1), rat(1))
     slack = obstruction_consistency(rep)
     assert slack <= mpmath.mpf("1e-25")
+
+
+@pytest.mark.parametrize("zero", [rat(0), cx(0, 0, 256)])
+def test_obstruction_of_z4_is_the_zero_polynomial(zero):
+    # every power sum of z^4 vanishes, so both conditions are empty forms
+    rep = quartic_obstruction_G(zero, zero)
+    assert rep.degree == -1 and rep.degenerate
+    assert rep.obstruction.is_exact_zero()
+    assert obstruction_consistency(rep) == 0
 
 
 def test_final_trinomial_needs_few_aberth_iterations():
@@ -673,9 +682,9 @@ def test_step_inverse_refuses_a_map_that_merges_roots():
     # z^4 + z -> y^4 + 3y^2 sends two roots to y = 0
     step = quartic_remove_2_4(rat(1), rat(0))
     assert step_inverse(step) is None
-    # the step solves the subsidiary relation root by root itself
-    # (``solve_quartic`` walks this way) ...
-    ok, dist = match_roots(step.preimages(find_roots(step.output).roots),
+    # solving the subsidiary relation root by root still pulls the roots
+    # back (``solve_quartic`` walks this way) ...
+    ok, dist = match_roots(solvers.assemble_preimages(step, find_roots(step.output).roots),
                            find_roots(step.input).roots, tol="1e-40")
     assert ok, dist
     # ... but recover_roots, which walks inverse maps only, refuses and

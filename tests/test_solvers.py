@@ -12,9 +12,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from bringform import (UniPoly, cx, find_roots, match_roots, rat,
+from bringform import (UniPoly, cx, find_roots, match_roots, pipeline, rat,
                        solve_condition, solve_cubic_cardano, solve_cubic_general,
                        solve_monic, solve_quadratic, solve_quartic)
+from bringform.polynomials import relative_residual
 from bringform.scalars import pick_root
 from helpers import rand_monic, rand_scalar
 
@@ -109,6 +110,29 @@ def test_cubic_general_matches_known_factorization():
         assert (r - rat(k)).mag() <= TINY
 
 
+@pytest.mark.parametrize("mode", ["rational", "complex"])
+@pytest.mark.parametrize("prec, k, bound", [
+    (256, 31, "1e-60"), (256, 45, "1e-60"), (256, 60, "1e-60"),
+    (512, 45, "1e-120"), (512, 60, "1e-120")])
+def test_cubic_keeps_its_small_roots_beside_a_large_one(prec, k, bound, mode):
+    # eps b^3 + b^2 + 1 has roots near -1/eps and +-i; the shift back from
+    # the depressed cubic, by 1/(3 eps), cancels nearly every digit of the
+    # small pair, so they must come from Vieta's relations with the large root
+    eps = rat(1, 10 ** k) if mode == "rational" else cx(Fraction(1, 10 ** k), 0, prec)
+    cond = UniPoly([rat(1), rat(0), rat(1), eps], "b")
+    deg, roots = solve_condition(cond, prec=prec)
+    assert deg == 3 and len(roots) == 3
+    for r in roots:
+        assert relative_residual(cond, r) <= mpmath.mpf(bound), r
+
+
+def test_cubic_small_double_root_beside_a_large_one():
+    # (z - 1)^2 (z + 2^100): Vieta gives the pair as exactly 1, where the
+    # cubic's slope is exactly zero, so no Newton step may divide by it
+    res = solve_cubic_general(rat(2 ** 100 - 2), rat(1 - 2 ** 101), rat(2 ** 100), prec=256)
+    assert res.roots[1:] == (rat(1), rat(1)) and res.max_residual() == 0
+
+
 def test_real_coefficients_give_conjugate_closed_roots():
     rng = random.Random(24)
     for _ in range(40):
@@ -140,6 +164,25 @@ def test_quartic_trinomial_path_uses_low_degree_chain():
     res = solve_quartic(rat(0), rat(1), rat(1))
     assert len(res.roots) == 4
     assert res.max_residual() <= TINY
+
+
+@pytest.mark.parametrize("mode", ["rational", "complex"])
+@pytest.mark.parametrize("ascending, tol", [
+    ((5, 2, -3, 0, 1), "1e-60"),   # z^4 - 3z^2 + 2z + 5
+    ((0, 1, 0, 0, 1), "1e-60"),    # z^4 + z: its map sends two roots to y = 0
+    ((12, 4, -9, 0, 1), "1e-30"),  # (z - 2)^2 (z + 1)(z + 3)
+])
+def test_quartic_pulls_back_through_subsidiary_relations_alone(monkeypatch, ascending,
+                                                               tol, mode):
+    def refuse(step):
+        raise AssertionError("solve_quartic built the inverse map of a %s step" % step.kind)
+
+    monkeypatch.setattr(pipeline, "step_inverse", refuse)
+    make = rat if mode == "rational" else (lambda v: cx(v, 0, 256))
+    cs = [make(c) for c in ascending]
+    res = solve_quartic(cs[2], cs[1], cs[0], prec=256)
+    ok, dist = match_roots(res.roots, find_roots(UniPoly(cs)).roots, tol=tol)
+    assert ok, dist
 
 
 def test_solve_monic_dispatch_and_degree_guard():
