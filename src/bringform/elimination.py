@@ -5,7 +5,8 @@ satisfied by the images of A's roots, C(y) = Res_z(A, y - T) = prod (y - T(z_i))
 is computed here by two independent routes:
 
 * ``map_charpoly``: the characteristic polynomial det(y - M_T) of the n x n
-  scalar matrix of multiplication by T in K[z]/(A), by reduction to
+  scalar matrix of multiplication by T in K[z]/(A), whose columns z^i T mod
+  A are coefficient lists (``polynomials.rem_monic``), by reduction to
   Hessenberg form and the Hessenberg recurrence (Cohen, *A Course in
   Computational Algebraic Number Theory*, Alg. 2.2.9).  The similarity
   transforms are exact when every entry is rational (each rational Scalar
@@ -38,9 +39,9 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .polynomials import (Record, UniPoly, poly_from_power_sums, power_sums,
-                          powers_mod, rem_monic)
-from .scalars import ONE, ZERO, Scalar, fma, fms, mul, rat
+from .polynomials import (Record, UniPoly, mul_terms, poly_from_power_sums,
+                          power_sums, powers_mod, rem_monic)
+from .scalars import ONE, ZERO, Scalar, as_scalar, fma, fms, mul, rat
 
 
 class BiPoly(Record):
@@ -67,10 +68,10 @@ def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
     n = A.degree
-    col = rem_monic(UniPoly(t_coeffs, A.var), A)
+    col = rem_monic([as_scalar(c) for c in t_coeffs], A)
     cols = [col]
     while len(cols) < n:
-        col = rem_monic(UniPoly._of([ZERO] + col, A.var), A)
+        col = rem_monic([ZERO] + col, A)
         cols.append(col)
     H = [[cols[j][i] for j in range(n)] for i in range(n)]
     exact = all(e.is_rational for c in cols for e in c)
@@ -163,12 +164,11 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, powers=None) -> UniPoly:
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
     n = A.degree
-    T = UniPoly(t_coeffs, A.var)
-    k = T.degree
+    k = max((j for j, c in enumerate(t_coeffs) if not as_scalar(c).is_exact_zero()), default=-1)
     if k < 1 or k >= n:
         raise ValueError("map degree must satisfy 1 <= deg T < deg A")
     if powers is None:
-        powers = powers_mod(T, A)
+        powers = powers_mod(UniPoly(t_coeffs, A.var), A)
     s = power_sums(A, n - 1)
     sums = []
     for rem in powers[1:]:
@@ -204,16 +204,16 @@ def image_elementary(A: UniPoly, xs, m: int):
     width = len(xs[0])
     s = power_sums(A, m * (len(xs) - 1))
     # X[p] is the z-polynomial multiplying t_p (t_0 = 1): y = sum_p t_p X[p]
-    X = [UniPoly([x[p] for x in xs], A.var) for p in range(width)]
-    prods = {(): UniPoly._of([ONE], A.var)}
+    X = [UniPoly([x[p] for x in xs], A.var).terms() for p in range(width)]
+    prods = {(): [ONE]}
     es = [{(0,) * (width - 1): ONE}]
     sums = []
     for k in range(1, m + 1):
         sk = {}
         for combo in combinations_with_replacement(range(width), k):
-            prod = prods[combo] = prods[combo[:-1]] * X[combo[-1]]
+            prod = prods[combo] = mul_terms(prods[combo[:-1]], X[combo[-1]])
             tr = None
-            for c, sj in zip(prod.coeffs, s):
+            for c, sj in zip(prod, s):
                 if not (c.is_exact_zero() or sj.is_exact_zero()):
                     tr = mul(c, sj) if tr is None else fma(tr, c, sj)
             if tr is None:

@@ -24,7 +24,8 @@ minimal polynomial of M_T is its characteristic polynomial; a monic C of
 degree n with C(T) = 0 is then det(y - M_T) = prod (y - T(z_i)).  The
 powers of T modulo A are built once per step (``powers``): the power-sum
 route of ``dual_eliminate`` builds them and the step builder hands them to
-the step, whose C(T) sum and solve for U read them again.
+the step, whose C(T) sum and solve for U read them again.  They, and U(T)
+by Horner, multiply by T modulo A on coefficient lists (``mul_terms``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, lies_on,
-                          power_sums, powers_mod, rem_monic, shift_substitute)
+                          mul_terms, power_sums, powers_mod, rem_monic, shift_substitute)
 from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, as_scalar,
                       as_tol, fma, fms, largest_mag, negligible, pick_root, rat)
 from .solvers import solve_condition, solve_monic
@@ -166,11 +167,10 @@ class TransformStep(Record):
         U = self.inverse
         if U is None:
             return mpmath.inf, False
-        T = self.subsidiary.map_in_z()
-        UT = UniPoly([], "z")
+        terms, UT = self.subsidiary.map_in_z().terms(), []
         for u in reversed(U.coeffs):
-            UT = UniPoly(rem_monic(UT * T + u, A), "z")
-        miss = (UT - UniPoly([rat(0), rat(1)], "z")).coeffs
+            UT = rem_monic(mul_terms(UT, terms, u), A)  # u added before reducing
+        miss = (UniPoly(UT, "z") - UniPoly([rat(0), rat(1)], "z")).coeffs
         scale = coeff_scale(A)
         # rounded once at mpmath's default 53 bits, whatever the global
         # precision, so the residual depends on the step alone
@@ -350,7 +350,8 @@ def dual_eliminate(A: UniPoly, sub: Subsidiary, tol=None):
     (``powers_mod``) that the power-sum route read, which the step builders
     hand to their ``TransformStep``.  The routes share no code past the
     polynomial ring, so their agreement is a genuine cross-check, not a
-    tautology.
+    tautology.  A complex disagreement is reported relative to
+    ``coeff_scale(C_res, C_ps)``, beside the tol it was held to.
     """
     t = sub.t_coeffs()
     C_res = map_charpoly(A, t)
@@ -362,8 +363,10 @@ def dual_eliminate(A: UniPoly, sub: Subsidiary, tol=None):
     if C_res.is_rational_tree() and C_ps.is_rational_tree():
         raise ConsistencyError(
             "resultant and power-sum routes disagree: %s vs %s" % (C_res, C_ps))
-    raise ConsistencyError(
-        "resultant and power-sum routes disagree at y^%d by %s" % (bad[0], bad[1].mag()))
+    d, scale = bad[1].mag(), coeff_scale(C_res, C_ps)
+    d, rel, scale, t = (mpmath.nstr(v, 3) for v in (d, d / scale, scale, as_tol(tol)))
+    raise ConsistencyError("resultant and power-sum routes disagree at y^%d by %s, %s of "
+                           "a scale of %s, against tol %s" % (bad[0], d, rel, scale, t))
 
 
 def depress(poly: UniPoly, *, tol=None) -> TransformStep:
@@ -635,7 +638,8 @@ def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTr
     trace; the final polynomial is y^5 + P y + Q.  Every step the chain
     keeps, in either mode, must pass ``TransformStep.certify`` at tol; one
     that fails merges roots, as the ansatz does to a repeated root (README,
-    "Repeated roots"), and raises ``DegenerateDenominator`` naming the step.
+    "Repeated roots") or to roots too close to resolve at prec bits, and
+    raises ``DegenerateDenominator`` naming the step and prec.
     A repeated root that no kept step merges, as in z^5 - 5z + 4, reduces.
     """
     _require_monic(poly)
@@ -651,8 +655,9 @@ def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTr
         if st.is_identity:
             continue
         if not st.certify(tol)[1]:
-            raise DegenerateDenominator(rat(0), "the %s map merges roots: a repeated "
-                                                "root" % st.kind)
+            raise DegenerateDenominator(rat(0), "the %s map merges roots: a repeated root, "
+                                        "or roots too close to resolve at %d bits"
+                                        % (st.kind, prec or DEFAULT_PRECISION_BITS))
         steps.append(st)
         cur = st.output.with_var("z")
     return ReductionTrace(poly, tuple(steps), cur.coeff(1), cur.coeff(0))
@@ -691,7 +696,7 @@ def step_inverse(step: TransformStep):
     A = step.input
     n = A.degree
     cols = step.powers
-    rhs = rem_monic(UniPoly([rat(0), rat(1)], "z"), A)
+    rhs = rem_monic([rat(0), rat(1)], A)
     M = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
     for c in range(n):
         p = max(range(c, n), key=lambda r: M[r][c].mag())

@@ -6,17 +6,19 @@ coefficient is a Scalar; ints and Fractions are lifted to exact rationals and
 anything else, a polynomial included, raises TypeError.  Conditions in free
 parameters are not polynomials over polynomials: they are power-sum forms
 (``elimination.image_elementary``).  All values are immutable; operations
-return new objects.  ``Record`` is the read-only base of ``UniPoly`` and of
-the records in other modules that do work at construction.  A ``UniPoly``
-also keeps three memo slots, filled on first use and never part of
-equality, repr or JSON: its largest coefficient magnitude (``max_mag``),
-its terms that are not exact zeros (``terms``), and the power sums of its
-roots computed so far (``power_sums``), a prefix that only grows.
+return new objects, and + - * take a polynomial on both sides.  The
+eliminations multiply by T modulo A on plain lists of ascending
+coefficients, with no UniPoly per row: ``mul_terms``, which
+``UniPoly.__mul__`` wraps, then ``rem_monic``.  ``Record`` is the read-only
+base of ``UniPoly`` and of the records in other modules that do work at
+construction.  A ``UniPoly`` also keeps three memo slots, filled on first
+use and never part of equality, repr or JSON: its largest coefficient
+magnitude (``max_mag``), its terms that are not exact zeros (``terms``),
+and the power sums of its roots computed so far (``power_sums``), a prefix
+that only grows.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import mpmath
 
@@ -118,16 +120,8 @@ class UniPoly(Record):
 
     # -- ring operations ------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (Scalar, int, Fraction)):
-            return UniPoly((other,), self.var)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, UniPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -143,25 +137,14 @@ class UniPoly(Record):
         return UniPoly(tuple(-c for c in self.coeffs), self.var)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, UniPoly):
             return NotImplemented
         return self.__add__(-other)
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly((), self.var)
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        right = other.terms()
-        for i, a in enumerate(self.coeffs):
-            if a.is_exact_zero():
-                continue
-            for j, b in right:
-                c = out[i + j]
-                out[i + j] = mul(a, b) if c is None else fma(c, a, b)
-        return UniPoly._of([ZERO if c is None else c for c in out], self.var)
+        return UniPoly._of(mul_terms(self.coeffs, other.terms()), self.var)
 
     __rmul__ = __mul__
 
@@ -329,11 +312,33 @@ def shift_substitute(poly: UniPoly, a) -> UniPoly:
     return UniPoly(out, "y")
 
 
-def rem_monic(P: UniPoly, A: UniPoly):
-    """The n = deg A ascending coefficients of P modulo the monic A."""
+def mul_terms(cs, terms, u=ZERO):
+    """cs (ascending Scalars) times the polynomial of ``terms`` (its nonzero
+    ``UniPoly.terms``), plus the constant u, ascending and without trailing
+    exact zeros."""
+    out = [None] * (len(cs) + terms[-1][0]) if terms else []
+    for i, a in enumerate(cs):
+        if a.is_exact_zero():
+            continue
+        for j, b in terms:
+            c = out[i + j]
+            out[i + j] = mul(a, b) if c is None else fma(c, a, b)
+    while out and (out[-1] is None or out[-1].is_exact_zero()):
+        out.pop()
+    out = [ZERO if c is None else c for c in out]
+    if u.is_exact_zero():
+        return out
+    return [out[0] + u] + out[1:] if out else [u]
+
+
+def rem_monic(P, A: UniPoly):
+    """The n = deg A ascending coefficients of P (ascending Scalars, its
+    trailing exact zeros dropped as a UniPoly drops them) modulo the monic A."""
     n = A.degree
     low = A.terms()[:-1]  # A is monic: its leading term is the last
-    rem = list(P.coeffs)
+    rem = list(P)
+    while rem and rem[-1].is_exact_zero():
+        rem.pop()
     for k in range(len(rem) - 1, n - 1, -1):
         q = rem[k]
         if not q.is_exact_zero():
@@ -345,10 +350,11 @@ def rem_monic(P: UniPoly, A: UniPoly):
 def powers_mod(T: UniPoly, A: UniPoly):
     """T^0, T^1, ..., T^n modulo the monic A (n = deg A), each as the tuple of
     its n ascending coefficients (``rem_monic``), row j + 1 being row j times
-    T reduced modulo A."""
-    out = [tuple(rem_monic(UniPoly._of([ONE], A.var), A))]
+    T reduced modulo A, all on lists."""
+    terms = T.terms()
+    out = [tuple(rem_monic([ONE], A))]
     while len(out) <= A.degree:
-        out.append(tuple(rem_monic(UniPoly._of(list(out[-1]), A.var) * T, A)))
+        out.append(tuple(rem_monic(mul_terms(out[-1], terms), A)))
     return tuple(out)
 
 

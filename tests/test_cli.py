@@ -445,6 +445,35 @@ def test_complex_repeated_root_collapsed_at_the_principal_step_exits_two(capsys)
     assert "principal map merges roots" in err
 
 
+def test_route_disagreement_states_its_relative_size(capsys):
+    # the two routes of the principal step differ by 3.11e+20 on a scale of
+    # 1.05e+34: 2.95e-14 relative, far above the default tol
+    code, out, err = run(capsys, "reduce", "--precision-bits", "128", "--coeffs",
+                         "1", "5999997", "-9000007", "3000004", "-8000002", "-7999992")
+    assert code == EXIT_VERIFY and out == ""
+    assert ("disagree at y^0 by 3.11e+20, 2.95e-14 of a scale of 1.05e+34, "
+            "against tol 1.0e-30") in err
+
+
+def test_roots_too_close_for_the_precision_are_not_called_repeated(capsys):
+    # four simple roots within 2e-4 of 0, beside one at -7: at 128 bits the
+    # principal map fails its certificate, and the refusal names the
+    # precision instead of claiming a repeated root; 256 bits resolve them
+    coeffs = ["--coeffs", "1 7 1e-15 -3e-15 5e-15 2e-15"]
+    code, out, err = run(capsys, "reduce", "--precision-bits", "128", *coeffs)
+    assert code == EXIT_DEGENERATE and out == ""
+    assert ("map merges roots: a repeated root, or roots too close to resolve "
+            "at 128 bits") in err
+    code, out, err = run(capsys, "reduce", "--precision-bits", "256", *coeffs)
+    assert code == EXIT_OK and err == ""
+    doc = json.loads(out)
+    assert doc["verify"]["matched"] is True
+    trace = ReductionTrace.from_json(doc["trace"])
+    ok, dist = match_roots(recover_roots(trace), find_roots(trace.original).roots,
+                           tol="1e-25")
+    assert ok, dist
+
+
 @pytest.mark.parametrize("prec", [20, 300])
 def test_reports_do_not_depend_on_mpmaths_global_precision(capsys, tmp_path, prec):
     def reports():

@@ -10,10 +10,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import mpf_div, round_nearest
 
-from bringform import (Scalar, UniPoly, coeff_scale, cx, deflate,
-                       poly_from_power_sums, power_sums, rat, shift_substitute)
-from bringform.polynomials import coeff_mismatch
+from bringform import (ReductionTrace, Scalar, UniPoly, coeff_scale, cx,
+                       deflate, poly_from_power_sums, power_sums, rat,
+                       reduce_general_quintic, shift_substitute)
+from bringform.polynomials import coeff_mismatch, mul_terms, powers_mod, rem_monic
+from bringform.scalars import ONE, ZERO, fma, largest_mag, mul
 from helpers import max_coeff_diff, rand_fraction, rand_monic, rand_scalar
 
 
@@ -201,3 +206,115 @@ def test_memo_slots_take_no_part_in_equality_or_output():
     # a prefix grown in steps has the bits of one computed in one go
     once = power_sums(UniPoly(P.coeffs, P.var), 8)
     assert [s._c for s in once[1:]] == [s._c for s in long[1:]]
+
+
+# -- multiplying by T modulo A on coefficient lists ---------------------------
+#
+# The power table (``powers_mod``), the charpoly columns and the certificate's
+# Horner multiply by T modulo A on plain lists; they used to build a UniPoly
+# per row.  The old UniPoly path, kept here as the reference, must give the
+# same bits: kind, precision and raw pair of every coefficient.
+
+def _old_product(P, T):
+    """UniPoly.__mul__ as it was before its loop moved into mul_terms."""
+    if not P.coeffs or not T.coeffs:
+        return UniPoly((), P.var)
+    out = [None] * (len(P.coeffs) + len(T.coeffs) - 1)
+    for i, a in enumerate(P.coeffs):
+        if a.is_exact_zero():
+            continue
+        for j, b in T.terms():
+            c = out[i + j]
+            out[i + j] = mul(a, b) if c is None else fma(c, a, b)
+    return UniPoly([ZERO if c is None else c for c in out], P.var)
+
+
+def _old_step(row, T, u, A):
+    """rem_monic(UniPoly(row) * T + u, A) on UniPolys: a step of the
+    certificate's Horner, and of the power table for u = 0."""
+    return rem_monic((_old_product(UniPoly(row), T) + UniPoly([u])).coeffs, A)
+
+
+def _bits(values):
+    """The kind, precision and raw pair or (numerator, denominator) of each."""
+    return [(v.is_rational, v.prec, (v._num, v._den) if v.is_rational else v._c)
+            for v in values]
+
+
+_KINDS = {"rational": ["rational"], "complex": ["complex"], "json": ["json"],
+          "mixed": ["rational", "complex", "json"]}
+
+
+@st.composite
+def _mod_case(draw):
+    """(row, T, u, A) in one of rational, complex, from_json (prec + 16 bits
+    carried at prec) or mixed values, at 64 or 256 bits, with exact zeros
+    (rational, and complex (0, 0) outside rational mode) anywhere in the
+    row, trailing ones included."""
+    mode = draw(st.sampled_from(sorted(_KINDS)))
+    prec = draw(st.sampled_from([64, 256]))
+    zeros = ["zero"] if mode == "rational" else ["zero", "czero"]
+
+    def scalar(kinds):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            return ZERO
+        if kind == "czero":
+            return cx(0, 0, prec)
+        re, im = (draw(st.fractions(-50, 50, max_denominator=9)) for _ in "ri")
+        if kind == "rational" or re == im == 0:
+            return rat(re.numerator, re.denominator)
+        z = cx(re, im, prec + 40).sqrt()
+        if kind == "json":
+            return Scalar.from_json(z.to_json(), prec)
+        return Scalar.from_mpc(z.to_mpc(), prec)
+
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n - 1))
+    A = UniPoly([scalar(_KINDS[mode] + zeros) for _ in range(n)] + [ONE])
+    T = UniPoly([scalar(_KINDS[mode] + zeros) for _ in range(k)] + [scalar(_KINDS[mode])])
+    row = [scalar(_KINDS[mode] + zeros) for _ in range(n)]
+    cut = draw(st.integers(0, n))
+    row[n - cut:] = [scalar(zeros) for _ in range(cut)]
+    return row, T, scalar(_KINDS[mode] + zeros), A
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(case=_mod_case())
+def test_multiplying_modulo_a_on_lists_keeps_every_bit(case):
+    row, T, u, A = case
+    terms = T.terms()
+    # the certificate's Horner step: u joins the product before the reduction
+    assert _bits(rem_monic(mul_terms(row, terms, u), A)) == _bits(_old_step(row, T, u, A))
+    # the product alone, and UniPoly.__mul__, which wraps the kernel
+    want = _bits(_old_product(UniPoly(row), T).coeffs)
+    assert _bits(mul_terms(row, terms)) == want == _bits((UniPoly(row) * T).coeffs)
+    # a charpoly column z * col, whose trailing zeros the reduction drops
+    assert _bits(rem_monic([ZERO] + row, A)) == _bits(rem_monic(UniPoly([ZERO] + row).coeffs, A))
+    # the power table, row by row
+    ref = [rem_monic([ONE], A)]
+    while len(ref) <= A.degree:
+        ref.append(_old_step(ref[-1], T, ZERO, A))
+    assert [_bits(r) for r in powers_mod(T, A)] == [_bits(r) for r in ref]
+
+
+def _old_certificate_residual(step):
+    """The U(T) = z residual of ``TransformStep.certify``, with U(T) by
+    Horner on UniPolys."""
+    A, T, UT = step.input, step.subsidiary.map_in_z(), UniPoly([], "z")
+    for u in reversed(step.inverse.coeffs):
+        UT = UniPoly(rem_monic((_old_product(UT, T) + UniPoly([u])).coeffs, A), "z")
+    worst = largest_mag((UT - UniPoly([rat(0), rat(1)], "z")).coeffs)
+    return mpmath.mp.make_mpf(mpf_div(worst._mpf_, coeff_scale(A)._mpf_, 53, round_nearest))
+
+
+@pytest.mark.parametrize("prec, tol", [(64, "1e-14"), (256, "1e-30")])
+def test_certificate_horner_keeps_every_bit(prec, tol):
+    # in process and after a JSON re-read, whose values carry prec + 16 bits
+    for ascending in [(3, -2, 1, 4, -1, 1), (-7, 2, 9, -3, 5, 1), (1, 0, -6, 2, 8, 1)]:
+        for lift in (rat, lambda c: cx(c, 0, prec)):
+            trace = reduce_general_quintic(UniPoly([lift(c) for c in ascending]),
+                                           prec=prec, tol=tol)
+            reread = ReductionTrace.from_json(trace.to_json(), prec)
+            for step in trace.steps + reread.steps:
+                assert step.certify(tol)[0] == _old_certificate_residual(step)

@@ -10,7 +10,10 @@ tracer's tables (it imports ``bench/tracing.py`` and changes nothing there)
 and the oracle's source, and checks each name against the package.  The
 fused kernels of ``scalars`` do the arithmetic that the dunders no longer
 see; a tracer can count them only while they stay module-level functions
-that every user imports by name.
+that every user imports by name.  The same holds for the list kernel of
+``polynomials``, ``mul_terms``, which multiplies by T on coefficient lists
+for ``UniPoly.__mul__``, the power table, ``image_elementary`` and the
+certificate's Horner.
 """
 
 import importlib
@@ -132,3 +135,40 @@ def test_rebinding_the_fused_kernels_counts_their_calls():
         A = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
         dual_eliminate(A, Subsidiary(2, (rat(1), rat(-2))))
     assert all(calls.values()), calls
+
+
+def test_list_kernel_is_a_module_function_imported_by_name():
+    from bringform import polynomials
+
+    kernel = polynomials.mul_terms
+    assert inspect.isfunction(kernel) and kernel.__module__ == "bringform.polynomials"
+    users = {m.__name__: m for m in _package_modules()
+             if re.search(r"\bmul_terms\(", inspect.getsource(m))}
+    assert set(users) >= {"bringform.polynomials", "bringform.elimination",
+                          "bringform.pipeline"}
+    for m in users.values():
+        # called through its own name, which a tracer can rebind
+        assert vars(m).get("mul_terms") is kernel, m.__name__
+        assert not re.search(r"\.mul_terms\(", inspect.getsource(m)), m.__name__
+
+
+def test_rebinding_the_list_kernel_counts_the_table_and_the_horner(monkeypatch):
+    # a step read from JSON builds its power table (one product per row
+    # after the first) and runs the certificate's Horner (one product with
+    # an addend per coefficient of U) through the rebound name
+    from bringform import ReductionTrace, polynomials, rat, reduce_general_quintic
+
+    original, calls = polynomials.mul_terms, []
+
+    def counted(*args):
+        calls.append(len(args))
+        return original(*args)
+
+    trace = reduce_general_quintic(UniPoly([rat(c) for c in (3, -2, 1, 4, -1, 1)]))
+    step = ReductionTrace.from_json(trace.to_json()).steps[-1]
+    for m in _package_modules():
+        if vars(m).get("mul_terms") is original:
+            monkeypatch.setattr(m, "mul_terms", counted)
+    assert step.certify()[1]
+    assert calls.count(2) == step.input.degree
+    assert calls.count(3) == len(step.inverse.coeffs)
