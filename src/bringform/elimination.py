@@ -41,7 +41,7 @@ from math import factorial
 
 from .polynomials import (Record, UniPoly, mul_terms, poly_from_power_sums,
                           power_sums, powers_mod, rem_monic)
-from .scalars import ONE, ZERO, Scalar, as_scalar, fma, fms, mul, rat
+from .scalars import ONE, ZERO, Scalar, as_scalar, fma, fms, mul, pivot_index, rat
 
 
 class BiPoly(Record):
@@ -82,7 +82,7 @@ def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
         cands = [i for i in range(m, n) if not H[i][m - 1].is_exact_zero()]
         if not cands:
             continue
-        p = cands[0] if exact else max(cands, key=lambda i: H[i][m - 1].mag())
+        p = cands[0] if exact else cands[pivot_index([H[i][m - 1] for i in cands])]
         if p != m:
             H[p], H[m] = H[m], H[p]
             for row in H:

@@ -6,8 +6,9 @@ class DegenerateDenominator(Exception):
     or needs to be nonzero, vanishes.
 
     Raised when a closed-form solve cannot proceed as stated because a
-    denominator (for example 3n - m^2, or 15p + 20q) vanishes, and when a
-    step the chain keeps merges the roots of a quintic with a repeated root
+    denominator (for example 3n - m^2, or 15p + 20q) vanishes, and, with
+    no denominator (None) and the detail alone as its message, when a step
+    the chain keeps merges the roots of a quintic with a repeated root
     (its certificate fails, in either mode).  The Bring-Jerrard step
     retries once at halved roots before it lets this through; the command
     line maps it to exit 2.
@@ -16,9 +17,12 @@ class DegenerateDenominator(Exception):
     def __init__(self, denominator, detail: str = ""):
         self.denominator = denominator
         self.detail = detail
-        msg = "degenerate denominator: %s" % (denominator,)
-        if detail:
-            msg += " (" + detail + ")"
+        if denominator is None:
+            msg = detail
+        else:
+            msg = "degenerate denominator: %s" % (denominator,)
+            if detail:
+                msg += " (" + detail + ")"
         super().__init__(msg)
 
 

@@ -42,7 +42,8 @@ from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, lies_on,
                           mul_terms, power_sums, powers_mod, rem_monic, shift_substitute)
 from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, as_scalar,
-                      as_tol, fma, fms, largest_mag, negligible, pick_root, rat)
+                      as_tol, fma, fms, largest_mag, negligible, pick_root, pivot_index,
+                      rat)
 from .solvers import solve_condition, solve_monic
 
 
@@ -332,10 +333,14 @@ def _require_monic(poly: UniPoly):
 
 def _assert_vanishes(value, scale, tol, what):
     """value, a Scalar or an iterable of Scalars (the coefficients of a
-    condition), must be zero: exactly if rational, within tol * scale if not."""
+    condition), must be zero: exactly if rational, within tol * scale if not.
+    A refusal states the value, the bound tol * scale and their ratio."""
     for c in (value,) if isinstance(value, Scalar) else value:
         if not negligible(c, tol, scale):
-            raise ConsistencyError("%s failed to vanish: %s" % (what, c))
+            bound = as_tol(tol, scale)
+            raise ConsistencyError("%s failed to vanish: %s, %s times tol x scale %s"
+                                   % (what, c, mpmath.nstr(c.mag() / bound, 3),
+                                      mpmath.nstr(bound, 3)))
 
 
 def _identity_step(kind: str, poly: UniPoly) -> TransformStep:
@@ -639,7 +644,9 @@ def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTr
     keeps, in either mode, must pass ``TransformStep.certify`` at tol; one
     that fails merges roots, as the ansatz does to a repeated root (README,
     "Repeated roots") or to roots too close to resolve at prec bits, and
-    raises ``DegenerateDenominator`` naming the step and prec.
+    raises ``DegenerateDenominator`` naming the step and prec, with no
+    denominator.  A ``ConsistencyError`` raised while a step is built
+    gains the step's kind in front of its message.
     A repeated root that no kept step merges, as in z^5 - 5z + 4, reduces.
     """
     _require_monic(poly)
@@ -647,15 +654,19 @@ def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTr
         raise ValueError("the reduction chain is for monic quintics")
     steps = []
     cur = poly.with_var("z")
-    for make in (lambda A: depress(A, tol=tol),
-                 lambda A: to_principal(A, prec=prec, tol=tol),
-                 lambda A: quintic_to_bring_jerrard(A.coeff(2), A.coeff(1), A.coeff(0),
-                                                    prec=prec, tol=tol)):
-        st = make(cur)
+    for kind, make in (
+            ("depress", lambda A: depress(A, tol=tol)),
+            ("principal", lambda A: to_principal(A, prec=prec, tol=tol)),
+            ("bring-jerrard", lambda A: quintic_to_bring_jerrard(
+                A.coeff(2), A.coeff(1), A.coeff(0), prec=prec, tol=tol))):
+        try:
+            st = make(cur)
+        except ConsistencyError as exc:
+            raise ConsistencyError("%s step: %s" % (kind, exc)) from exc
         if st.is_identity:
             continue
         if not st.certify(tol)[1]:
-            raise DegenerateDenominator(rat(0), "the %s map merges roots: a repeated root, "
+            raise DegenerateDenominator(None, "the %s map merges roots: a repeated root, "
                                         "or roots too close to resolve at %d bits"
                                         % (st.kind, prec or DEFAULT_PRECISION_BITS))
         steps.append(st)
@@ -699,7 +710,7 @@ def step_inverse(step: TransformStep):
     rhs = rem_monic([rat(0), rat(1)], A)
     M = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
     for c in range(n):
-        p = max(range(c, n), key=lambda r: M[r][c].mag())
+        p = c + pivot_index([M[r][c] for r in range(c, n)])
         pivot = M[p][c]
         if pivot.is_exact_zero():
             return None

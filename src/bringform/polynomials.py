@@ -23,8 +23,8 @@ from __future__ import annotations
 import mpmath
 
 from .scalars import (DEFAULT_PRECISION_BITS, ONE, ZERO, Scalar, as_scalar,
-                      as_tol, context, fma, fms, largest_mag, mul, negligible,
-                      noise_tol, rat)
+                      as_tol, context, fma, fms, largest_mag, mag_binades, mul,
+                      negligible, noise_tol, rat)
 
 
 class Record:
@@ -177,7 +177,7 @@ class UniPoly(Record):
             return rat(0)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
+            acc = fma(c, acc, x)  # the exact sum of acc * x + c, rounded alike
         return acc
 
     def monic(self):
@@ -275,8 +275,29 @@ def relative_residual(A: UniPoly, z):
 
 
 def lies_on(A: UniPoly, z, tol=None) -> bool:
-    """Is z a root of A, with a ``relative_residual`` of at most tol?"""
-    return relative_residual(A, z) <= as_tol(tol)
+    """Is z a root of A, with a ``relative_residual`` of at most tol?
+
+    The ``mag_binades`` of A(z) and z and the binade of coeff_scale(A)
+    bound the residual between two powers of two, and no rounding to
+    nearest carries a value past a power of two, so they bound it as
+    ``relative_residual`` rounds it too.  When both bounds lie two binades
+    clear of tol, they decide, with no square root; otherwise the residual
+    is computed."""
+    bound = as_tol(tol)
+    sign, man, exp, bc = bound._mpf_
+    zb = mag_binades(z)
+    if man and not sign and zb is not None:
+        rb = mag_binades(A.eval(z))
+        s = coeff_scale(A)._mpf_
+        if rb is not None and s[1]:
+            top, se, n = exp + bc, s[2] + s[3], A.degree
+            # 2^(se - 1) <= coeff_scale(A) < 2^se, and max(1, |z|)^n lies
+            # between 2^(n max(0, lo)) and 2^(n max(0, hi)) for z's binades
+            if rb[1] - se + 1 - n * max(0, zb[0]) < top - 1:
+                return True
+            if rb[0] - se - n * max(0, zb[1]) > top:
+                return False
+    return relative_residual(A, z) <= bound
 
 
 def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):

@@ -27,20 +27,39 @@ the rest use an mpmath context fixed at the precision it needs
 part's sum is formed as one integer, as mpf_add forms it, and rounded once
 with libmp's ``normalize``; where a part is an infinity or nan, the generic
 ``mpc_add``/``mpc_sub``/``mpc_mul`` call runs instead.  Both give the same
-bits.  The eliminations' loops of acc +- x * y call Scalar kernels
-(``mul``, ``fma``, ``fms``): one dispatch when the operands are all
-rational or all complex, the dunders otherwise.  Their rule: the same kind,
-precision and bits as the dunders, the product rounded at its factors'
-larger precision and the sum at the larger of that and acc's.  A rational
-rounded to an mpf (``_rat_mpf``, keyed by numerator, denominator and
-precision) and a parsed tolerance string (``as_tol``) are memoized, in
-bounded caches of immutable values.  Nothing in the package changes or reads mpmath's global
-precision, so Scalars are safe to share between threads.
+bits.  The eliminations' loops of acc +- x * y, and ``UniPoly.eval``'s
+Horner, call Scalar kernels (``mul``, ``fma``, ``fms``), with no hop
+through the dunders.  Their rule: the same kind, precision and bits as the
+dunders, the product rounded at its factors' larger precision and the sum
+at the larger of that and acc's; a rational meeting a complex operand is
+rounded at the complex precision (``_rat_mpf``) and goes through the same
+``cmul``, ``cadd`` or ``csub``.  Where that rounding cannot change a bit,
+they skip it: a complex value times an exact 1, -1 or 0 is the value
+itself, its exact negation or the complex zero, and an exact rational zero
+accumulator gives +-x * y, whenever the complex parts are finite and have
+at most prec mantissa bits (a value ``from_json`` read at prec + 16 bits
+goes the rounding way).  A rational rounded to an mpf (``_rat_mpf``,
+keyed by numerator, denominator and precision), a parsed tolerance string
+and its products with a scale (``as_tol``) are memoized, in bounded caches
+of immutable values.  Nothing in the package changes or reads mpmath's
+global precision, so Scalars are safe to share between threads.
 
 Two rules decide what counts as zero.  Noise: a degree drops only leading
 coefficients below ``noise_tol(prec)`` = 2^(24 - prec) times the scale
 (``UniPoly.effective_degree``).  Acceptance: a check passes within tol *
 scale (``negligible``), each product rounded at ``TOL_PREC`` bits (``as_tol``).
+
+Three comparisons read a magnitude off the exponents before they take a
+square root.  ``mag_binades`` bounds ``mag()`` between two powers of two
+from a complex value's exponents and mantissa bit counts, or a rational's
+bit lengths; rounding never carries a value past a power of two, so the
+bounds hold at every precision.  ``negligible`` decides when |x| lies a
+whole binade clear of tol * scale; ``pivot_index`` (the pivots of
+``pipeline.step_inverse`` and of ``elimination.map_charpoly``) drops only
+candidates whose upper bound lies strictly below another's lower bound;
+``polynomials.lies_on`` decides when its residual's bounds lie two binades
+clear of tol.  Otherwise each computes ``mag()``, so every verdict and
+every pivot is the one the square roots give.
 
 A rational operand (a Scalar, an int or a Fraction) of a complex + - * /
 enters as its value rounded to the operation's precision and goes through
@@ -593,12 +612,62 @@ ONE = Scalar(1, 1, None, None)
 
 # The kernels for the eliminations' loops (module docstring).
 
+def _fits(c, prec):
+    """The raw pair c is finite and rounding it at prec gives it back: no
+    part's mantissa has more than prec bits (one ``from_json`` read at
+    prec + 16 bits may)."""
+    a, b = c
+    return (a[1] or not a[2]) and (b[1] or not b[2]) and a[3] <= prec and b[3] <= prec
+
+
+def _scaled(z, n, d, lhs):
+    """z * (n / d), or (n / d) * z when lhs, for a complex z and a rational
+    n / d, with the dunders' bits: n / d rounded at z's precision
+    (``_rat_mpf``) through ``cmul``, or, for an exact 1, -1 or 0 and a z
+    that ``_fits``, z itself, its exact negation or the complex zero."""
+    c, prec = z._c, z._prec
+    if d == 1 and -1 <= n <= 1 and _fits(c, prec):
+        if n == 1:
+            return z
+        return Scalar(None, None, mpc_neg(c) if n else _CZERO, prec)
+    w = _rat_mpf(n, d, prec), fzero
+    return Scalar(None, None, cmul(w, c, prec) if lhs else cmul(c, w, prec), prec)
+
+
+def _accumulate(acc, p, op):
+    """acc + p (op ``cadd``) or acc - p (op ``csub``) for Scalars of which
+    one at least is complex, with the dunders' bits: a rational lifted at the
+    other's precision (``_rat_mpf``), two complex values at the larger.  An
+    exact rational zero acc gives p or its exact negation, and a rational
+    zero p gives acc, when the complex value ``_fits``."""
+    if acc._den is not None:
+        prec = p._prec
+        if not acc._num and _fits(p._c, prec):
+            return p if op is cadd else Scalar(None, None, mpc_neg(p._c), prec)
+        return Scalar(None, None, op((_rat_mpf(acc._num, acc._den, prec), fzero), p._c, prec),
+                      prec)
+    prec = acc._prec
+    if p._den is not None:
+        if not p._num and _fits(acc._c, prec):
+            return acc
+        return Scalar(None, None, op(acc._c, (_rat_mpf(p._num, p._den, prec), fzero), prec),
+                      prec)
+    if p._prec > prec:
+        prec = p._prec
+    return Scalar(None, None, op(acc._c, p._c, prec), prec)
+
+
 def mul(x, y):
     """x * y for Scalars x and y."""
-    if x._den is None and y._den is None:
-        prec = x._prec if x._prec >= y._prec else y._prec
-        return Scalar(None, None, cmul(x._c, y._c, prec), prec)
-    return x * y
+    xd, yd = x._den, y._den
+    if xd is None:
+        if yd is None:
+            prec = x._prec if x._prec >= y._prec else y._prec
+            return Scalar(None, None, cmul(x._c, y._c, prec), prec)
+        return _scaled(x, y._num, yd, False)
+    if yd is None:
+        return _scaled(y, x._num, xd, True)
+    return _qmul(x._num, xd, y._num, yd)
 
 
 def _qfma(na, da, n, d):
@@ -624,7 +693,7 @@ def fma(acc, x, y):
         if acc._prec > prec:
             prec = acc._prec
         return Scalar(None, None, cadd(acc._c, z, prec), prec)
-    return acc + x * y
+    return _accumulate(acc, mul(x, y), cadd)
 
 
 def fms(acc, x, y):
@@ -639,7 +708,7 @@ def fms(acc, x, y):
         if acc._prec > prec:
             prec = acc._prec
         return Scalar(None, None, csub(acc._c, z, prec), prec)
-    return acc - x * y
+    return _accumulate(acc, mul(x, y), csub)
 
 
 def rat(num, den=1) -> Scalar:
@@ -711,12 +780,87 @@ def largest_mag(values):
     return mp.make_mpf(m)
 
 
-def negligible(x: Scalar, tol, scale=mpmath.mpf(1)) -> bool:
+_NEG_INF = float("-inf")
+
+
+def mag_binades(v):
+    """(lo, hi) with 2^lo <= v.mag() <= 2^hi, with no square root: from the
+    raw exponent and mantissa bit count of each part of a complex value
+    (for E the larger exponent plus bit count, E - 1 and E + 1), or from
+    the bit lengths of a rational's numerator and denominator.  Both bounds
+    are powers of two, which rounding at any precision keeps.  (-inf, -inf)
+    for zero; None for a part that is an infinity or nan."""
+    n = v._num
+    if n is not None:
+        if not n:
+            return _NEG_INF, _NEG_INF
+        e = n.bit_length() - v._den.bit_length()
+        return (e, e + 1) if v._den == 1 else (e - 1, e + 1)
+    (_, ma, ea, ba), (_, mb, eb, bb) = v._c
+    if ma:
+        e = ea + ba
+        if mb:
+            if eb + bb > e:
+                e = eb + bb
+        elif eb:
+            return None
+    elif ea:
+        return None
+    elif mb:
+        e = eb + bb
+    elif eb:
+        return None
+    else:
+        return _NEG_INF, _NEG_INF
+    return e - 1, e + 1
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _bound(tol, scale):
+    """(t, T): t = ``as_tol(tol, scale)`` as a raw mpf (scale a raw mpf
+    too), and T with 2^(T - 1) <= t < 2^T, or None when t is not positive
+    and finite.  Memoized: checks meet the same tolerance and scale again
+    and again."""
+    t = as_tol(tol, mp.make_mpf(scale))._mpf_
+    return t, (t[2] + t[3] if t[1] and not t[0] else None)
+
+
+_ONE = mpmath.mpf(1)
+
+
+def negligible(x: Scalar, tol, scale=_ONE) -> bool:
     """The one zero test: exact for rationals, |x| <= ``as_tol(tol,
-    scale)`` for complex floats, so a nan is never negligible."""
+    scale)`` for complex floats, so a nan is never negligible.  Where
+    ``mag_binades`` puts |x| a whole binade clear of that bound, they
+    decide it with no square root."""
     if x._den is not None:
         return not x._num
-    return x.mag() <= as_tol(tol, scale)
+    t, top = _bound(tol, scale._mpf_)
+    if top is not None:
+        b = mag_binades(x)
+        if b is not None:
+            if b[1] < top:
+                return True
+            if b[0] >= top:
+                return False
+    return x.mag() <= mp.make_mpf(t)
+
+
+def pivot_index(values):
+    """The index of the first of the Scalars values with the largest
+    ``mag()``, as max(range(len(values)), key=lambda i: values[i].mag()):
+    a value whose ``mag_binades`` upper bound lies strictly below
+    another's lower bound cannot be it, and only the rest take a square
+    root.  A part that is an infinity or nan sends them all to ``mag()``."""
+    bounds = [mag_binades(v) for v in values]
+    if None in bounds:
+        keep = range(len(values))
+    else:
+        floor = max(b[0] for b in bounds)
+        keep = [i for i, b in enumerate(bounds) if b[1] >= floor]
+        if len(keep) == 1:
+            return keep[0]
+    return max(keep, key=lambda i: values[i].mag())
 
 
 def sort_key(x: Scalar):

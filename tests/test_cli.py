@@ -474,6 +474,33 @@ def test_roots_too_close_for_the_precision_are_not_called_repeated(capsys):
     assert ok, dist
 
 
+def test_a_failed_certificate_claims_no_denominator(capsys):
+    # no formula divided by zero: the step's certificate failed, and the
+    # refusal says that alone
+    code, out, err = run(capsys, "reduce", "--precision-bits", "128",
+                         "--coeffs", "1 7 1e-15 -3e-15 5e-15 2e-15")
+    assert code == EXIT_DEGENERATE and out == ""
+    assert err == ("degenerate input: the principal map merges roots: a repeated root, "
+                   "or roots too close to resolve at 128 bits\n")
+
+
+def test_a_cross_check_refusal_names_its_step(capsys):
+    code, out, err = run(capsys, "reduce", "--precision-bits", "128", "--coeffs",
+                         "1", "5999997", "-9000007", "3000004", "-8000002", "-7999992")
+    assert code == EXIT_VERIFY and out == ""
+    assert err.startswith("verification failure: principal step: resultant and power-sum "
+                          "routes disagree at y^0 by 3.11e+20")
+
+
+def test_a_condition_that_fails_to_vanish_states_its_bound_and_ratio(capsys):
+    # the ansatz's y^3 condition on z^5 + 1e-25 z^2 + 1e-25 z + 1 is
+    # measured against tol x the input's scale of 1
+    code, out, err = run(capsys, "reduce", "--coeffs", "1", "0", "0", "1e-25", "1e-25", "1")
+    assert code == EXIT_VERIFY and out == ""
+    assert err == ("verification failure: bring-jerrard step: ansatz-composed y^3 condition "
+                   "failed to vanish: 2.36998797148e-27, 2.37e+3 times tol x scale 1.0e-30\n")
+
+
 @pytest.mark.parametrize("prec", [20, 300])
 def test_reports_do_not_depend_on_mpmaths_global_precision(capsys, tmp_path, prec):
     def reports():

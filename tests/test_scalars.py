@@ -24,10 +24,11 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_div, mpc_m
                           round_nearest)
 
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
-                       match_roots, rat, reduce_general_quintic, verify_trace)
-from bringform.polynomials import coeff_mismatch
-from bringform.scalars import (as_scalar, as_tol, context, fma, fms, largest_mag, mul,
-                               negligible, pick_root, sort_key)
+                       find_roots, match_roots, rat, reduce_general_quintic, verify_trace)
+from bringform.polynomials import coeff_mismatch, lies_on, relative_residual
+from bringform.scalars import (as_scalar, as_tol, context, fma, fms, largest_mag,
+                               mag_binades, mul, negligible, pick_root, pivot_index,
+                               sort_key)
 
 TINY = mpmath.mpf("1e-70")
 
@@ -514,9 +515,26 @@ def _bits(v):
     return (v.is_rational, v.prec, (v._num, v._den) if v.is_rational else v._c)
 
 
-@settings(max_examples=500, derandomize=True, deadline=None, database=None)
-@given(ops=st.one_of(st.tuples(_kernel_operands, _kernel_operands, _kernel_operands),
-                     _complex_triples()))
+_units = st.sampled_from([rat(0), rat(1), rat(-1)])
+# exact 1, -1 and 0 skip the rounding where the complex value fits its
+# precision: against cx, from_json (prec + 16 bits) and non-finite values
+_fused_operands = st.one_of(_units, _kernel_operands)
+
+
+@st.composite
+def _zero_acc_triples(draw):
+    """An exact rational zero accumulator, x and y complex at two
+    precisions or one of them rational (often an exact unit)."""
+    px, py = (draw(st.sampled_from(_KERNEL_PRECISIONS)) for _ in "xy")
+    x, y = draw(_kernel_complex(px)), draw(_kernel_complex(py))
+    if draw(st.booleans()):
+        x = draw(st.one_of(_units, _kernel_rationals))
+    return rat(0), x, y
+
+
+@settings(max_examples=700, derandomize=True, deadline=None, database=None)
+@given(ops=st.one_of(st.tuples(_fused_operands, _fused_operands, _fused_operands),
+                     _complex_triples(), _zero_acc_triples()))
 def test_fused_kernels_match_the_dunders(ops):
     acc, x, y = ops
     assert _bits(mul(x, y)) == _bits(x * y)
@@ -529,6 +547,83 @@ def test_fused_kernels_match_the_dunders(ops):
         q = max(p, acc.prec)
         assert fma(acc, x, y)._c == mpc_add(acc._c, xy, q, round_nearest)
         assert fms(acc, x, y)._c == mpc_sub(acc._c, xy, q, round_nearest)
+
+
+def _binade_values():
+    """Values at exact powers of two around 2^-100, 2^0 and 2^100 and just
+    off them, complex at 64 and 256 bits (real, both parts, from JSON) and
+    rational; zeros and infinite and nan parts."""
+    out = [rat(0), cx(0, 0, 64), Scalar.complex_(mpmath.inf, 0, 256),
+           Scalar.complex_(0, mpmath.nan, 64), rat(2 ** 300 - 1), rat(2 ** 300),
+           rat(-(2 ** 300))]
+    for center in (-100, 0, 100):
+        for k in range(center - 4, center + 5):
+            p = Fraction(2) ** k
+            for f in (p, p * (1 - Fraction(1, 2 ** 70)), p * (1 + Fraction(1, 2 ** 70))):
+                out += [rat(f.numerator, f.denominator), cx(f, 0, 64), cx(0, -f, 256),
+                        cx(f, f, 256), cx(f / 3, f, 64)]
+            out.append(Scalar.from_json(cx(p, p / 7, 300).to_json(), 256))
+    return out
+
+
+_TOLS = ["1e-30", 1e-30, mpmath.mpf("1e-30"), "0.5", 2.0 ** -60, mpmath.mpf(2) ** 100]
+_SCALES = [mpmath.mpf(1), mpmath.mpf(2) ** 70, mpmath.mpf("3.7e5"), mpmath.mpf(2) ** -130]
+
+
+def test_the_binade_bounds_decide_as_the_square_roots_do():
+    values = _binade_values()
+    for v in values:
+        b = mag_binades(v)
+        m = v.mag()
+        if b is not None:
+            lo, hi = (mpmath.mpf(0) if e == float("-inf") else mpmath.ldexp(1, e) for e in b)
+            assert lo <= m <= hi, (v, b)
+    # negligible: x.mag() <= as_tol(tol, scale), a whole binade clear or not
+    for tol in _TOLS:
+        for scale in _SCALES:
+            bound = as_tol(tol, scale)
+            near = [cx(mpmath.ldexp(bound, k), 0, 256) for k in range(-3, 4)]
+            near += [cx(bound, 0, 64), cx(0, mpmath.ldexp(bound, 1), 64)]
+            for x in values + near:
+                assert negligible(x, tol, scale) is (x.mag() <= bound
+                                                    if not x.is_rational
+                                                    else x.is_exact_zero()), (x, tol, scale)
+    # the pivot: the first index of the largest mag(), from every start
+    rng = random.Random(5)
+    for _ in range(300):
+        v = [rng.choice(values) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:  # a tie: 2^300 - 1 rounds up to 2^300 at 256 bits
+            v = [rat(2 ** 300 - 1), rat(2 ** 300)] + v
+        for start in range(len(v)):
+            want = max(range(start, len(v)), key=lambda i: v[i].mag())
+            assert start + pivot_index(v[start:]) == want, (v, start)
+    # lies_on: relative_residual(A, z) <= as_tol(tol), points swept across
+    # the binades of the residual from far inside tol to far outside
+    def agree(A, z, tol):
+        return lies_on(A, z, tol) is (relative_residual(A, z) <= as_tol(tol))
+
+    polys = [UniPoly([rat(-2), rat(0), rat(1)]),
+             UniPoly([rat(-5), rat(3), rat(0), rat(1, 2 ** 90)]),
+             UniPoly([cx("1.5", "-2", 256), rat(0), rat(0), rat(1)])]
+    for A in polys:
+        for prec in (64, 256):
+            r = find_roots(A, RootConfig(precision_bits=prec)).roots[-1]
+            points = [r * (rat(1) + rat(m, 2 ** j)) for j in range(prec + 8) for m in (1, 3)]
+            points += [r, cx(0, 0, prec), rat(0), rat(3, 2), rat(2 ** 40),
+                       Scalar.complex_(mpmath.inf, 1, prec), Scalar.complex_(1, mpmath.nan, prec)]
+            for z in points:
+                for tol in _TOLS[:5]:
+                    assert agree(A, z, tol), (A, z, tol)
+    # and where the bounds are tight: |A(z)| just below a power of two with
+    # coeff_scale(A) = max(1, |z|) = 1, or |A(z)| = 1 with coeff_scale(A)
+    # just below 2^40, against tols at and near powers of two
+    tight = [UniPoly([rat(1 - 2 ** k, 2 ** (k + 30)), rat(1)]) for k in (1, 2, 60)]
+    tight.append(UniPoly([rat(1), rat(2 ** 40 - 1), rat(1)]))
+    for A in tight:
+        for z in (rat(0), cx(0, 0, 64), rat(1, 2 ** 50), cx(Fraction(-1, 2 ** 33), 0, 256)):
+            for m in range(26, 44):
+                for tol in (2.0 ** -m, mpmath.ldexp(3, -m), repr(2.0 ** -m), "1e-%d" % (m // 3)):
+                    assert agree(A, z, tol), (A, z, tol)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
