@@ -172,7 +172,7 @@ def cmd_obstruction(args) -> int:
     if not (poly.coeff(3).is_exact_zero() and poly.coeff(2).is_exact_zero()):
         raise UsageError("obstruction expects the trinomial shape z^4 + p z + q")
     cfg = _config(args)
-    rep = quartic_obstruction_G(poly.coeff(1), poly.coeff(0), tol=cfg.tol)
+    rep = quartic_obstruction_G(poly.coeff(1), poly.coeff(0))
     slack = obstruction_consistency(rep, cfg)
     if args.output == "json":
         _emit(args, _json_dump({

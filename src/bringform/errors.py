@@ -6,12 +6,12 @@ class DegenerateDenominator(Exception):
     or needs to be nonzero, vanishes.
 
     Raised when a closed-form solve cannot proceed as stated because a
-    denominator (for example 3n - m^2, or 15p + 20q) vanishes, and, with
-    no denominator (None) and the detail alone as its message, when a step
-    the chain keeps merges the roots of a quintic with a repeated root
-    (its certificate fails, in either mode).  The Bring-Jerrard step
-    retries once at halved roots before it lets this through; the command
-    line maps it to exit 2.
+    denominator vanishes or cancels (the ansatz's 15p + 20q) or a condition
+    is unsatisfiable, and, with no denominator (None) and the detail alone
+    as its message, when a step the chain keeps merges the roots of a
+    quintic with a repeated root (its certificate fails, in either mode).
+    The Bring-Jerrard step retries once at halved roots before it lets this
+    through; the command line maps it to exit 2.
     """
 
     def __init__(self, denominator, detail: str = ""):

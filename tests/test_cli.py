@@ -6,8 +6,8 @@ import json
 import mpmath
 import pytest
 
-from bringform import (DegenerateDenominator, ReductionTrace, find_roots, match_roots,
-                       rat, recover_roots)
+from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace, UniPoly,
+                       find_roots, match_roots, rat, recover_roots, reduce_general_quintic)
 from bringform.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            main)
 
@@ -493,12 +493,19 @@ def test_a_cross_check_refusal_names_its_step(capsys):
 
 
 def test_a_condition_that_fails_to_vanish_states_its_bound_and_ratio(capsys):
-    # the ansatz's y^3 condition on z^5 + 1e-25 z^2 + 1e-25 z + 1 is
-    # measured against tol x the input's scale of 1
-    code, out, err = run(capsys, "reduce", "--coeffs", "1", "0", "0", "1e-25", "1e-25", "1")
-    assert code == EXIT_VERIFY and out == ""
-    assert err == ("verification failure: bring-jerrard step: ansatz-composed y^3 condition "
-                   "failed to vanish: 2.36998797148e-27, 2.37e+3 times tol x scale 1.0e-30\n")
+    # tiny p and q: the ansatz's conditions hold by construction, and the
+    # step measures them once, on its output, against that output's scale
+    code, out, err = run(capsys, "reduce", "--coeffs", "1", "0", "0", "1e-25", "1e-25", "1",
+                         "--output", "text")
+    assert code == EXIT_OK and err == "" and "verified: yes" in out
+    # a y^2 coefficient just above tol x scale; the command line refuses a
+    # tol this fine at 64 bits, so the library is called
+    P = UniPoly([rat(c) for c in (-1, -3, 9, 7, -1, 1)])
+    with pytest.raises(ConsistencyError) as exc:
+        reduce_general_quintic(P, prec=64, tol="1e-14")
+    assert str(exc.value) == ("bring-jerrard step: y^2 coefficient failed to vanish: "
+                              "(2.74534134315e-9+1.05209993495e-10j), "
+                              "1.01 times tol x scale 2.71e-9")
 
 
 @pytest.mark.parametrize("prec", [20, 300])

@@ -24,7 +24,8 @@ from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace,
                        quintic_to_bring_jerrard, rat, recover_roots,
                        reduce_general_quintic, to_principal, verify_trace)
 from bringform.elimination import image_elementary
-from bringform.polynomials import powers_mod
+from bringform.pipeline import _k2_conditions
+from bringform.polynomials import lies_on, powers_mod
 from helpers import rand_monic, rand_scalar
 
 TINY = mpmath.mpf("1e-70")
@@ -324,6 +325,54 @@ def test_bring_jerrard_rescue_on_a_cancelling_coupling(k, prec):
     ok, dist = match_roots(got, find_roots(P, RootConfig(precision_bits=prec)).roots,
                            tol="1e-25")
     assert ok, dist
+
+
+@pytest.mark.parametrize("mode", ["rational", "complex"])
+@pytest.mark.parametrize("k", [22, 25, 30, 40, 60])
+def test_tiny_p_and_q_reduce_verify_and_recover(k, mode):
+    # z^5 + eps z^2 + eps z + 1: alpha grows like 1/eps, so the ansatz's
+    # composed conditions are large in absolute terms; the step measures
+    # them once, on its output, against the output's scale
+    eps = rat(1, 10 ** k) if mode == "rational" else cx("1e-%d" % k)
+    P = UniPoly([rat(1), eps, eps, rat(0), rat(0), rat(1)], "z")
+    cfg = RootConfig(precision_bits=256)
+    trace = reduce_general_quintic(P, prec=256)
+    assert verify_trace(trace, cfg).matched
+    reread = ReductionTrace.from_json(json.loads(json.dumps(trace.to_json())), 256)
+    assert verify_trace(reread, cfg).matched
+    roots = recover_roots(reread, cfg)
+    assert len(roots) == 5
+    assert all(lies_on(P, z, cfg.tol) for z in roots)
+
+
+def test_construction_identities_hold_exactly():
+    # each subsidiary coefficient is chosen to make a form vanish, so the
+    # steps do not test these at run time: a(b) removes y^(n-1) for every
+    # b; the ansatz's y^3 form has no b^2 term and its composed y^4 form
+    # vanishes for every d; the obstruction's y^3 form vanishes and its y^2
+    # form is linear in b
+    rng = random.Random(20260818)
+    quintics = [UniPoly([rat(rng.randint(-10, 10)) for _ in range(5)] + [rat(1)], "z")
+                for _ in range(40)]
+    draws = [tuple(rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
+             for _ in range(40)]
+    for A in quintics:
+        assert _k2_conditions(A, 1)[0].coeffs == ()
+        assert _k2_conditions(depress(A).output, 1)[0].coeffs == ()
+    o, i = rat(0), rat(1)
+    for p, q, r in draws + [(A.coeff(2), A.coeff(1), A.coeff(0)) for A in quintics]:
+        assert (2, 0, 0) not in _second_condition(p, q, r)
+        A = UniPoly([r, q, p, o, o, i], "z")
+        if not (rat(15) * p + rat(20) * q).is_exact_zero():
+            ans, _ = quintic_bring_ansatz(p, q, r)
+            xs = [(q * rat(4, 5), p * rat(3, 5)), (ans.zeta, ans.alpha), (ans.gamma, i),
+                  (o, i), (i, o)]
+            assert image_elementary(A, xs, 1) == [{}]
+        rep = quartic_obstruction_G(p, q)
+        Q = UniPoly([q, p, o, o, i], "z")
+        xs = [(rep.a, o, o), (o, i, o), (o, o, i), (i, o, o)]
+        e1, E = image_elementary(Q, xs, 2)
+        assert e1 == {} and all(ib <= 1 for ib, _ in E)
 
 
 # -- obstruction -----------------------------------------------------------------
