@@ -20,29 +20,39 @@ arithmetic on them runs at mpmath's default precision.
 Precision travels with each value.  Every complex operation rounds to
 nearest at a precision given to it, never at a global one: ring operations,
 powers, magnitudes and square roots call mpmath's ``libmp`` functions with
-the Scalar's precision (the larger operand's for a binary operation), and
-the rest use an mpmath context fixed at the precision it needs
-(``context``).  Complex + - * go through fused kernels on the raw pairs
-(``cadd``, ``csub``, ``cmul``), which ``roots.find_roots`` uses too: each
-part's sum is formed as one integer, as mpf_add forms it, and rounded once
-with libmp's ``normalize``; where a part is an infinity or nan, the generic
+the Scalar's precision, and the rest use an mpmath context fixed at the
+precision it needs (``context``).  Nothing in the package changes or reads
+mpmath's global precision, so Scalars are safe to share between threads.
+
+Arithmetic has one path.  The operators + - * / only turn an int or
+Fraction operand into an exact rational (``_operand``) and call one module
+kernel, ``add``, ``sub``, ``mul`` or ``div``; the eliminations' loops of
+acc +- x * y and ``UniPoly.eval``'s Horner call ``fma`` and ``fms``.  One
+rule holds for all six:
+
+* Two rationals give the exact rational (``_qadd``, ``_qmul``, ``_qdiv``,
+  ``_qfma``).
+* Otherwise the result is complex, rounded at the larger precision in
+  play; a rational operand enters as its value rounded at the complex
+  precision (``_rat_mpf``, in ``_lift``).  ``fma`` and ``fms`` round the
+  product at its factors' larger precision, and the sum at the larger of
+  that and acc's.
+* Rounding is skipped only where it cannot change a bit, for a complex z
+  whose parts are finite and have at most prec mantissa bits (``_fits``):
+  z times an exact 1, -1 or 0 is z, its exact negation or the complex
+  zero; z + 0, 0 + z and z - 0 are z, and 0 - z is its exact negation.  A
+  value ``from_json`` read at prec + 16 bits does not fit, so z * 1 and
+  z + 0 round it to prec.
+
+Complex + - * run the fused kernels on the raw pairs (``cadd``, ``csub``,
+``cmul``), which ``roots.find_roots`` uses too: each part's sum is formed as
+one integer, as mpf_add forms it, and rounded once with libmp's
+``normalize``; where a part is an infinity or nan, the generic
 ``mpc_add``/``mpc_sub``/``mpc_mul`` call runs instead.  Both give the same
-bits.  The eliminations' loops of acc +- x * y, and ``UniPoly.eval``'s
-Horner, call Scalar kernels (``mul``, ``fma``, ``fms``), with no hop
-through the dunders.  Their rule: the same kind, precision and bits as the
-dunders, the product rounded at its factors' larger precision and the sum
-at the larger of that and acc's; a rational meeting a complex operand is
-rounded at the complex precision (``_rat_mpf``) and goes through the same
-``cmul``, ``cadd`` or ``csub``.  Where that rounding cannot change a bit,
-they skip it: a complex value times an exact 1, -1 or 0 is the value
-itself, its exact negation or the complex zero, and an exact rational zero
-accumulator gives +-x * y, whenever the complex parts are finite and have
-at most prec mantissa bits (a value ``from_json`` read at prec + 16 bits
-goes the rounding way).  A rational rounded to an mpf (``_rat_mpf``,
-keyed by numerator, denominator and precision), a parsed tolerance string
-and its products with a scale (``as_tol``) are memoized, in bounded caches
-of immutable values.  Nothing in the package changes or reads mpmath's
-global precision, so Scalars are safe to share between threads.
+bits.  Complex / calls libmp's ``mpc_div``.  A rational rounded to an mpf
+(``_rat_mpf``, keyed by numerator, denominator and precision), a parsed
+tolerance string and its products with a scale (``as_tol``) are memoized,
+in bounded caches of immutable values.
 
 Two rules decide what counts as zero.  Noise: a degree drops only leading
 coefficients below ``noise_tol(prec)`` = 2^(24 - prec) times the scale
@@ -60,11 +70,6 @@ candidates whose upper bound lies strictly below another's lower bound;
 ``polynomials.lies_on`` decides when its residual's bounds lie two binades
 clear of tol.  Otherwise each computes ``mag()``, so every verdict and
 every pivot is the one the square roots give.
-
-A rational operand (a Scalar, an int or a Fraction) of a complex + - * /
-enters as its value rounded to the operation's precision and goes through
-the same kernel, so z * 1 is z rounded to prec, not z (``from_json`` reads
-at prec + 16 bits).
 """
 
 from __future__ import annotations
@@ -247,10 +252,6 @@ def cmul(z, w, prec):
     return mpc_mul(z, w, prec, round_nearest)
 
 
-def _cdiv(z, w, prec):
-    return mpc_div(z, w, prec, round_nearest)
-
-
 # Rational OP rational, on the numerators and the positive denominators of
 # two operands in lowest terms.  Each reduces with the gcds of CPython's
 # ``fractions``, so it returns the same value as Fraction arithmetic, in
@@ -281,10 +282,6 @@ def _qadd(na, da, nb, db):
     if g2 == 1:
         return Scalar(t, s * db, None, None)
     return Scalar(t // g2, s * (db // g2), None, None)
-
-
-def _qsub(na, da, nb, db):
-    return _qadd(na, da, -nb, db)
 
 
 def _qmul(na, da, nb, db):
@@ -428,63 +425,35 @@ class Scalar:
         return Scalar(None, None, mpc_conjugate(self._c, self._prec, round_nearest), self._prec)
 
     # -- arithmetic --------------------------------------------------------
-
-    def _binop(self, other, qop, cop, lhs=False):
-        """self OP other (other OP self when lhs): qop on two rationals,
-        otherwise the complex kernel cop at the larger precision in play,
-        with a rational operand entering as its value rounded to that
-        precision (``_raw``)."""
-        if isinstance(other, Scalar):
-            nb, db = other._num, other._den
-        elif isinstance(other, (int, Fraction)):
-            nb, db = other.numerator, other.denominator
-        else:
-            return NotImplemented
-        da = self._den
-        if da is not None and db is not None:
-            return qop(nb, db, self._num, da) if lhs else qop(self._num, da, nb, db)
-        prec = self._prec or other._prec
-        if db is None and other._prec > prec:
-            prec = other._prec
-        z = self._raw(prec)
-        w = other._c if db is None else (_rat_mpf(nb, db, prec), fzero)
-        return Scalar(None, None, cop(w, z, prec) if lhs else cop(z, w, prec), prec)
-
-    # Two rational Scalars, the common case, go straight to the kernel.
+    # Each operator only coerces its operand and calls one module kernel.
 
     def __add__(self, other):
-        da = self._den
-        if da is not None and type(other) is Scalar and other._den is not None:
-            return _qadd(self._num, da, other._num, other._den)
-        return self._binop(other, _qadd, cadd)
+        y = _operand(other)
+        return NotImplemented if y is None else add(self, y)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        da = self._den
-        if da is not None and type(other) is Scalar and other._den is not None:
-            return _qadd(self._num, da, -other._num, other._den)
-        return self._binop(other, _qsub, csub)
+        y = _operand(other)
+        return NotImplemented if y is None else sub(self, y)
 
     def __rsub__(self, other):
-        return self._binop(other, _qsub, csub, True)
+        y = _operand(other)
+        return NotImplemented if y is None else sub(y, self)
 
     def __mul__(self, other):
-        da = self._den
-        if da is not None and type(other) is Scalar and other._den is not None:
-            return _qmul(self._num, da, other._num, other._den)
-        return self._binop(other, _qmul, cmul)
+        y = _operand(other)
+        return NotImplemented if y is None else mul(self, y)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        da = self._den
-        if da is not None and type(other) is Scalar and other._den is not None:
-            return _qdiv(self._num, da, other._num, other._den)
-        return self._binop(other, _qdiv, _cdiv)
+        y = _operand(other)
+        return NotImplemented if y is None else div(self, y)
 
     def __rtruediv__(self, other):
-        return self._binop(other, _qdiv, _cdiv, True)
+        y = _operand(other)
+        return NotImplemented if y is None else div(y, self)
 
     def __neg__(self):
         if self._den is not None:
@@ -499,13 +468,10 @@ class Scalar:
         return Scalar(None, None, mpc_pow_int(self._c, k, self._prec, round_nearest), self._prec)
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            nb, db = other._num, other._den
-        elif isinstance(other, (int, Fraction)):
-            nb, db = other.numerator, other.denominator
-        else:
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        na, da = self._num, self._den
+        na, da, nb, db = self._num, self._den, other._num, other._den
         if da is not None and db is not None:
             return na == nb and da == db
         z = self._c if da is None else other._c
@@ -610,7 +576,18 @@ ZERO = Scalar(0, 1, None, None)
 ONE = Scalar(1, 1, None, None)
 
 
-# The kernels for the eliminations' loops (module docstring).
+def _operand(v):
+    """v as a Scalar: itself, or an int or Fraction as an exact rational;
+    None for anything else."""
+    if isinstance(v, Scalar):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return Scalar(v.numerator, v.denominator, None, None)
+    return None
+
+
+# The arithmetic kernels: every + - * / of two Scalars runs one of them, by
+# the one rule of the module docstring.
 
 def _fits(c, prec):
     """The raw pair c is finite and rounding it at prec gives it back: no
@@ -620,41 +597,45 @@ def _fits(c, prec):
     return (a[1] or not a[2]) and (b[1] or not b[2]) and a[3] <= prec and b[3] <= prec
 
 
-def _scaled(z, n, d, lhs):
-    """z * (n / d), or (n / d) * z when lhs, for a complex z and a rational
-    n / d, with the dunders' bits: n / d rounded at z's precision
-    (``_rat_mpf``) through ``cmul``, or, for an exact 1, -1 or 0 and a z
-    that ``_fits``, z itself, its exact negation or the complex zero."""
-    c, prec = z._c, z._prec
-    if d == 1 and -1 <= n <= 1 and _fits(c, prec):
-        if n == 1:
-            return z
-        return Scalar(None, None, mpc_neg(c) if n else _CZERO, prec)
-    w = _rat_mpf(n, d, prec), fzero
-    return Scalar(None, None, cmul(w, c, prec) if lhs else cmul(c, w, prec), prec)
+def _lift(x, y):
+    """(prec, a, b) for Scalars x and y of which one at least is complex:
+    the larger precision in play and the raw pairs of x and y, a rational
+    entering as its value rounded at the complex precision (``_rat_mpf``)."""
+    if x._den is None:
+        prec = x._prec
+        if y._den is None:
+            if y._prec > prec:
+                prec = y._prec
+            return prec, x._c, y._c
+        return prec, x._c, (_rat_mpf(y._num, y._den, prec), fzero)
+    prec = y._prec
+    return prec, (_rat_mpf(x._num, x._den, prec), fzero), y._c
 
 
-def _accumulate(acc, p, op):
-    """acc + p (op ``cadd``) or acc - p (op ``csub``) for Scalars of which
-    one at least is complex, with the dunders' bits: a rational lifted at the
-    other's precision (``_rat_mpf``), two complex values at the larger.  An
-    exact rational zero acc gives p or its exact negation, and a rational
-    zero p gives acc, when the complex value ``_fits``."""
-    if acc._den is not None:
-        prec = p._prec
-        if not acc._num and _fits(p._c, prec):
-            return p if op is cadd else Scalar(None, None, mpc_neg(p._c), prec)
-        return Scalar(None, None, op((_rat_mpf(acc._num, acc._den, prec), fzero), p._c, prec),
-                      prec)
-    prec = acc._prec
-    if p._den is not None:
-        if not p._num and _fits(acc._c, prec):
-            return acc
-        return Scalar(None, None, op(acc._c, (_rat_mpf(p._num, p._den, prec), fzero), prec),
-                      prec)
-    if p._prec > prec:
-        prec = p._prec
-    return Scalar(None, None, op(acc._c, p._c, prec), prec)
+def add(x, y):
+    """x + y for Scalars x and y."""
+    if x._den is not None:
+        if y._den is not None:
+            return _qadd(x._num, x._den, y._num, y._den)
+        if not x._num and _fits(y._c, y._prec):
+            return y
+    elif y._den is not None and not y._num and _fits(x._c, x._prec):
+        return x
+    prec, a, b = _lift(x, y)
+    return Scalar(None, None, cadd(a, b, prec), prec)
+
+
+def sub(x, y):
+    """x - y for Scalars x and y."""
+    if x._den is not None:
+        if y._den is not None:
+            return _qadd(x._num, x._den, -y._num, y._den)
+        if not x._num and _fits(y._c, y._prec):
+            return Scalar(None, None, mpc_neg(y._c), y._prec)
+    elif y._den is not None and not y._num and _fits(x._c, x._prec):
+        return x
+    prec, a, b = _lift(x, y)
+    return Scalar(None, None, csub(a, b, prec), prec)
 
 
 def mul(x, y):
@@ -664,10 +645,25 @@ def mul(x, y):
         if yd is None:
             prec = x._prec if x._prec >= y._prec else y._prec
             return Scalar(None, None, cmul(x._c, y._c, prec), prec)
-        return _scaled(x, y._num, yd, False)
-    if yd is None:
-        return _scaled(y, x._num, xd, True)
-    return _qmul(x._num, xd, y._num, yd)
+        z, q = x, y
+    elif yd is None:
+        z, q = y, x
+    else:
+        return _qmul(x._num, xd, y._num, yd)
+    if q._den == 1 and -1 <= q._num <= 1 and _fits(z._c, z._prec):
+        if q._num == 1:
+            return z
+        return Scalar(None, None, mpc_neg(z._c) if q._num else _CZERO, z._prec)
+    prec, a, b = _lift(x, y)
+    return Scalar(None, None, cmul(a, b, prec), prec)
+
+
+def div(x, y):
+    """x / y for Scalars x and y."""
+    if x._den is not None and y._den is not None:
+        return _qdiv(x._num, x._den, y._num, y._den)
+    prec, a, b = _lift(x, y)
+    return Scalar(None, None, mpc_div(a, b, prec, round_nearest), prec)
 
 
 def _qfma(na, da, n, d):
@@ -693,7 +689,7 @@ def fma(acc, x, y):
         if acc._prec > prec:
             prec = acc._prec
         return Scalar(None, None, cadd(acc._c, z, prec), prec)
-    return _accumulate(acc, mul(x, y), cadd)
+    return add(acc, mul(x, y))
 
 
 def fms(acc, x, y):
@@ -708,7 +704,7 @@ def fms(acc, x, y):
         if acc._prec > prec:
             prec = acc._prec
         return Scalar(None, None, csub(acc._c, z, prec), prec)
-    return _accumulate(acc, mul(x, y), csub)
+    return sub(acc, mul(x, y))
 
 
 def rat(num, den=1) -> Scalar:
@@ -722,11 +718,10 @@ def cx(re, im=0, prec: int = DEFAULT_PRECISION_BITS) -> Scalar:
 def as_scalar(v) -> Scalar:
     """v as a Scalar (ints and Fractions become exact rationals);
     TypeError for anything else."""
-    if isinstance(v, Scalar):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Scalar(v.numerator, v.denominator, None, None)
-    raise TypeError("expected a Scalar-compatible value, got %r" % (v,))
+    s = _operand(v)
+    if s is None:
+        raise TypeError("expected a Scalar-compatible value, got %r" % (v,))
+    return s
 
 
 @functools.lru_cache(maxsize=64)

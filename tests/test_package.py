@@ -1,6 +1,6 @@
 """The package root exports exactly what ``__all__`` lists, its import
-stays light, its modules import nothing they do not use, and its records
-are read-only."""
+stays light, its modules import nothing they do not use, no module but
+``scalars`` reads a Scalar's slots, and its records are read-only."""
 
 import ast
 import glob
@@ -61,6 +61,29 @@ LINTED = sorted(p for p in glob.glob(os.path.join(os.path.dirname(bringform.__fi
 @pytest.mark.parametrize("path", LINTED, ids=os.path.basename)
 def test_a_module_imports_no_name_it_does_not_use(path):
     assert _unused_imports(path) == set()
+
+
+_SLOTS = {"_num", "_den", "_c", "_prec"}
+
+
+def _slot_reads(path):
+    """(line, slot) for each access to a Scalar slot in a module."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in _SLOTS)
+
+
+# scalars owns the representation; every other module goes through its
+# methods and kernels, so the number rule has one copy
+OUTSIDE_SCALARS = sorted(p for p in glob.glob(os.path.join(os.path.dirname(bringform.__file__),
+                                                            "*.py"))
+                         if os.path.basename(p) != "scalars.py")
+
+
+@pytest.mark.parametrize("path", OUTSIDE_SCALARS, ids=os.path.basename)
+def test_only_scalars_reads_the_scalar_slots(path):
+    assert _slot_reads(path) == []
 
 
 _P = UniPoly([rat(-1), rat(0), rat(1)])

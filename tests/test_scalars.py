@@ -26,9 +26,9 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_div, mpc_m
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        find_roots, match_roots, rat, reduce_general_quintic, verify_trace)
 from bringform.polynomials import coeff_mismatch, lies_on, relative_residual
-from bringform.scalars import (as_scalar, as_tol, context, fma, fms, largest_mag,
+from bringform.scalars import (add, as_scalar, as_tol, context, div, fma, fms, largest_mag,
                                mag_binades, mul, negligible, pick_root, pivot_index,
-                               sort_key)
+                               sort_key, sub)
 
 TINY = mpmath.mpf("1e-70")
 
@@ -362,8 +362,8 @@ RATIONAL_OPERANDS = (rat(0), rat(1), rat(-1), 0, 1, -1, Fraction(-1), rat(12), 1
     st.tuples(_complex_operands(), st.one_of(_rational_operands(), _complex_operands())),
     _gapped_pairs()))
 def test_binary_dunders_match_the_generic_libmp_call(pair):
-    # a complex operation runs one kernel per operator (scalars.cadd, csub,
-    # cmul, _cdiv), a rational operand entering rounded to the complex
+    # a complex operation runs one kernel per operator (scalars.add, sub,
+    # mul, div), a rational operand entering rounded to the complex
     # precision; each must give the generic bits
     x, y = pair
     for other in RATIONAL_OPERANDS + (y,):
@@ -461,7 +461,35 @@ def test_times_one_rounds_a_value_read_at_extra_precision():
         assert y._c == mpc_pos(x._c, 64, round_nearest)
 
 
-# -- the fused kernels give the dunders' bits ------------------------------------
+def test_each_operator_runs_exactly_one_kernel(monkeypatch):
+    # the operators only coerce an operand and call a module kernel, which
+    # a tracer can rebind in the scalars namespace to count every operation
+    from bringform import scalars
+
+    calls = []
+    for name in ("add", "sub", "mul", "div"):
+        def counted(x, y, name=name, original=getattr(scalars, name)):
+            calls.append(name)
+            return original(x, y)
+        monkeypatch.setattr(scalars, name, counted)
+    z, r = cx("1.5", "-2", 256), rat(2, 3)
+    cases = [("add", lambda: z + r), ("add", lambda: r + z), ("sub", lambda: z - 3),
+             ("sub", lambda: Fraction(1, 3) - z), ("mul", lambda: 2 * z),
+             ("div", lambda: z / r), ("div", lambda: 1 / z), ("add", lambda: r + 5),
+             ("sub", lambda: r - r), ("mul", lambda: r * Fraction(3, 4)),
+             ("div", lambda: 7 / r)]
+    for name, op in cases:
+        calls.clear()
+        op()
+        assert calls == [name], (name, calls)
+    for bad in (lambda: z + 1.5, lambda: z * "a"):
+        calls.clear()
+        with pytest.raises(TypeError):
+            bad()
+        assert calls == []
+
+
+# -- the kernels give the bits of libmp's generic calls and of Fraction ---------
 
 # exponent gaps between the parts of one value, around the 100-bit window
 # of libmp's addition and past it
@@ -532,21 +560,64 @@ def _zero_acc_triples(draw):
     return rat(0), x, y
 
 
+_REFERENCES = {  # kernel -> (Fraction operator, libmp function)
+    add: (operator.add, mpc_add),
+    sub: (operator.sub, mpc_sub),
+    mul: (operator.mul, mpc_mul),
+    div: (operator.truediv, mpc_div),
+}
+
+
+def _reference(kernel, a, b):
+    """a OP b for values a and b, each a Fraction or a complex Scalar's
+    (raw pair, precision), sharing no code with the kernels: Fraction
+    arithmetic for two rationals, otherwise libmp's generic call at the
+    larger precision in play with a rational rounded at it
+    (``_generic_raw``).  Returns ``_bits``, or the exception's type."""
+    fop, cop = _REFERENCES[kernel]
+    try:
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            f = fop(a, b)
+            return True, None, (f.numerator, f.denominator)
+        prec = max(v[1] for v in (a, b) if not isinstance(v, Fraction))
+        raw = [_generic_raw(v, prec) if isinstance(v, Fraction) else v[0] for v in (a, b)]
+        return False, prec, cop(*raw, prec, round_nearest)
+    except ZeroDivisionError as e:
+        return type(e)
+
+
+def _value(v):
+    """The value of a Scalar, or of a reference result, as ``_reference``
+    takes it."""
+    if isinstance(v, Scalar):
+        return v.fraction if v.is_rational else (v._c, v.prec)
+    return Fraction(*v[2]) if v[0] else (v[2], v[1])
+
+
+def _outcome(kernel, *args):
+    try:
+        return _bits(kernel(*args))
+    except ZeroDivisionError as e:
+        return type(e)
+
+
 @settings(max_examples=700, derandomize=True, deadline=None, database=None)
 @given(ops=st.one_of(st.tuples(_fused_operands, _fused_operands, _fused_operands),
                      _complex_triples(), _zero_acc_triples()))
-def test_fused_kernels_match_the_dunders(ops):
+def test_kernels_match_libmp_and_fraction(ops):
+    # every mix of kinds, exact 0 and +-1, values read by from_json at
+    # prec + 16 bits and infinite or nan parts: where a kernel skips the
+    # rounding of an exact unit or zero, the generic call gives the same bits
     acc, x, y = ops
-    assert _bits(mul(x, y)) == _bits(x * y)
-    assert _bits(fma(acc, x, y)) == _bits(acc + x * y)
-    assert _bits(fms(acc, x, y)) == _bits(acc - x * y)
-    if not (acc.is_rational or x.is_rational or y.is_rational):
-        # and the generic libmp calls, sticky bits past the window included
-        p = max(x.prec, y.prec)
-        xy = mpc_mul(x._c, y._c, p, round_nearest)
-        q = max(p, acc.prec)
-        assert fma(acc, x, y)._c == mpc_add(acc._c, xy, q, round_nearest)
-        assert fms(acc, x, y)._c == mpc_sub(acc._c, xy, q, round_nearest)
+    for a, b in ((x, y), (acc, x), (y, acc)):
+        for kernel in _REFERENCES:
+            want = _reference(kernel, _value(a), _value(b))
+            assert _outcome(kernel, a, b) == want, (kernel.__name__, a, b)
+    # acc +- x * y: the product at its factors' larger precision, the sum
+    # at the larger of that and acc's
+    xy = _value(_reference(mul, _value(x), _value(y)))
+    assert _outcome(fma, acc, x, y) == _reference(add, _value(acc), xy)
+    assert _outcome(fms, acc, x, y) == _reference(sub, _value(acc), xy)
 
 
 def _binade_values():

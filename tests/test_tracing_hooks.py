@@ -13,7 +13,10 @@ see; a tracer can count them only while they stay module-level functions
 that every user imports by name.  The same holds for the list kernel of
 ``polynomials``, ``mul_terms``, which multiplies by T on coefficient lists
 for ``UniPoly.__mul__``, the power table, ``image_elementary`` and the
-certificate's Horner.
+certificate's Horner.  Every Scalar + - * / reaches one of the module
+kernels (``add``, ``sub``, ``mul``, ``div``, ``fma``, ``fms``), through the
+dunders or directly, so a counter of operations counts at the kernels or
+at the dunders, never at both.
 """
 
 import importlib
