@@ -26,6 +26,12 @@ powers of T modulo A are built once per step (``powers``): the power-sum
 route of ``dual_eliminate`` builds them and the step builder hands them to
 the step, whose C(T) sum and solve for U read them again.  They, and U(T)
 by Horner, multiply by T modulo A on coefficient lists (``mul_terms``).
+In rational mode the power-sum route, the table included, runs on Python
+ints over one denominator per vector, and makes Scalars only for what it
+hands on (C's coefficients, the table's rows, and A's power sums, kept on
+A): the exact values the Scalar operations would give, so every trace,
+certificate and refusal is the same to the byte.  Complex steps run the
+Scalar route unchanged.
 """
 
 from __future__ import annotations

@@ -9,7 +9,13 @@ parameters are not polynomials over polynomials: they are power-sum forms
 return new objects, and + - * take a polynomial on both sides.  The
 eliminations multiply by T modulo A on plain lists of ascending
 coefficients, with no UniPoly per row: ``mul_terms``, which
-``UniPoly.__mul__`` wraps, then ``rem_monic``.  ``Record`` is the read-only
+``UniPoly.__mul__`` wraps, then ``rem_monic``.  Where every coefficient is
+rational, ``powers_mod`` and Newton's identities both ways (``power_sums``,
+``poly_from_power_sums``) run on Python ints instead, a vector of values
+over one common denominator (``scalars.int_vector``, ``int_powers_mod``,
+``monic_from_int_sums``), and make Scalars only for what they return:
+rational values are canonical, so they are the ones the Scalar operations
+give, and complex input runs the Scalar code as before.  ``Record`` is the read-only
 base of ``UniPoly`` and of the records in other modules that do work at
 construction.  A ``UniPoly`` also keeps three memo slots, filled on first
 use and never part of equality, repr or JSON: its largest coefficient
@@ -20,11 +26,13 @@ that only grows.
 
 from __future__ import annotations
 
+from math import gcd
+
 import mpmath
 
 from .scalars import (DEFAULT_PRECISION_BITS, ONE, ZERO, Scalar, as_scalar,
-                      as_tol, context, fma, fms, largest_mag, mag_binades, mul,
-                      negligible, noise_tol, rat)
+                      as_tol, context, fma, fms, int_vector, largest_mag, mag_binades,
+                      mul, negligible, noise_tol, rat, rational_vector)
 
 
 class Record:
@@ -371,12 +379,63 @@ def rem_monic(P, A: UniPoly):
 def powers_mod(T: UniPoly, A: UniPoly):
     """T^0, T^1, ..., T^n modulo the monic A (n = deg A), each as the tuple of
     its n ascending coefficients (``rem_monic``), row j + 1 being row j times
-    T reduced modulo A, all on lists."""
+    T reduced modulo A, all on lists: on ints (``int_powers_mod``) when
+    every coefficient of T and A is rational."""
+    ints = int_powers_mod(T.coeffs, A)
+    if ints is not None:
+        return tuple(tuple(rational_vector(row, d)) for row, d in ints)
     terms = T.terms()
     out = [tuple(rem_monic([ONE], A))]
     while len(out) <= A.degree:
         out.append(tuple(rem_monic(mul_terms(out[-1], terms), A)))
     return tuple(out)
+
+
+def int_powers_mod(t, A: UniPoly):
+    """The rows of ``powers_mod`` for T of ascending Scalar coefficients t,
+    each as (nums, d), ints over one denominator d > 0 with no factor
+    common to all of them, when every coefficient of T and A is rational;
+    otherwise None.
+
+    With T = tn / td and A = an / an[n] (``int_vector``), row j + 1 is row
+    j times tn, reduced by pseudo-division: a term q z^k, k >= n, goes by
+    multiplying the terms below it by an[n] and subtracting q z^(k-n) times
+    the low terms of an, which multiplies d by an[n].
+    """
+    n = A.degree
+    vt = int_vector(t)
+    va = None if vt is None or n < 1 else int_vector(A.coeffs)
+    if va is None:
+        return None
+    (an, lead), (tn, td) = va, vt
+    low = [(j, c) for j, c in enumerate(an[:n]) if c]
+    tterms = [(j, c) for j, c in enumerate(tn) if c]
+    width = n + (tterms[-1][0] if tterms else 0)
+    row, d = [1] + [0] * (n - 1), 1
+    out = [(row, d)]
+    while len(out) <= n:
+        prod = [0] * width
+        for i, x in enumerate(row):
+            if x:
+                for j, c in tterms:
+                    prod[i + j] += x * c
+        d *= td
+        for k in range(width - 1, n - 1, -1):
+            q = prod[k]
+            if q:
+                if lead != 1:
+                    for m in range(k):
+                        prod[m] *= lead
+                    d *= lead
+                for j, c in low:
+                    prod[k - n + j] -= q * c
+        row = prod[:n]
+        g = gcd(d, *row)
+        if g != 1:
+            row = [x // g for x in row]
+            d //= g
+        out.append((row, d))
+    return out
 
 
 def deflate(poly: UniPoly, root) -> UniPoly:
@@ -393,10 +452,14 @@ def power_sums(poly: UniPoly, k_max: int):
     """Newton's identities, coefficients to power sums: the tuple (s_0, s_1,
     ..., s_{k_max}) of the roots, s_0 being the degree as an exact rational.
 
-    The polynomial is normalized monic first; degree 0 is rejected.  The
-    sums are kept on ``poly``, and a later call computes only those past
-    the ones kept: s_k depends on s_1..s_(k-1) alone, so the bits are the
-    same.
+    Degree 0 is rejected.  The sums are kept on ``poly``, and a later call
+    computes only those past the ones kept.  A rational ``poly`` runs on
+    ints: with its coefficients an / D (``int_vector``), signs flipped so
+    that L = an[n] > 0, S_k = L^k s_k is the integer -(sum_(i<k) b_i
+    S_(k-i) + k b_k) for b_i = an[n-i] L^(i-1) (b_k = 0 past n), and the
+    sums come back over L^k_max; rational sums are canonical, so all of
+    them are computed again.  Otherwise the polynomial is normalized monic
+    first, and s_k depends on s_1..s_(k-1) alone, so the bits are the same.
     """
     if poly.degree < 1:
         raise ValueError("power sums need degree at least 1")
@@ -404,6 +467,23 @@ def power_sums(poly: UniPoly, k_max: int):
     known = poly._sums
     if len(known) > k_max:
         return known[:k_max + 1]
+    ints = int_vector(poly.coeffs)
+    if ints is not None:
+        an = ints[0]
+        if an[n] < 0:
+            an = [-c for c in an]
+        L = an[n]
+        b = [0] + [an[n - i] * L ** (i - 1) for i in range(1, n + 1)]
+        S = [n]
+        for k in range(1, k_max + 1):
+            acc = k * b[k] if k <= n else 0
+            for i in range(1, min(k - 1, n) + 1):
+                acc += b[i] * S[k - i]
+            S.append(-acc)
+        if L != 1:
+            S = [x * L ** (k_max - k) for k, x in enumerate(S)]
+        object.__setattr__(poly, "_sums", tuple(rational_vector(S, L ** k_max)))
+        return poly._sums
     p = poly if poly.is_monic() else poly.monic()[0]
     # elementary symmetric functions: e_k = (-1)^k * c_{n-k}
     e = [ONE]
@@ -426,12 +506,18 @@ def power_sums(poly: UniPoly, k_max: int):
 def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
     """Newton's identities, power sums back to a monic polynomial.
 
-    ``sums`` lists the Scalars s_1..s_n.
+    ``sums`` lists the Scalars s_1..s_n; rational ones run on ints
+    (``monic_from_int_sums``).
     """
     sums = list(sums)
     n = len(sums)
     if n == 0:
         raise ValueError("need at least one power sum")
+    ints = int_vector(sums)
+    if ints is not None:
+        nums, q = ints
+        return UniPoly._of(monic_from_int_sums([x * q ** i for i, x in enumerate(nums)], q),
+                           var)
     e = [ONE]
     for k in range(1, n + 1):
         acc = mul(e[k - 1], sums[0])
@@ -443,3 +529,29 @@ def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
     for k in range(1, n + 1):
         coeffs[n - k] = e[k] if k % 2 == 0 else -e[k]
     return UniPoly(coeffs, var)
+
+
+def monic_from_int_sums(P, Q):
+    """The ascending rational coefficients of the monic polynomial of degree
+    n = len(P) whose roots have the power sums s_i = P[i - 1] / Q^i (ints,
+    Q > 0), by Newton's identities on ints: G_k = k! Q^k e_k is
+    sum_(i=1..k) (-1)^(i-1) (k-1)!/(k-i)! P_i G_(k-i), and the coefficient
+    (-1)^k e_k of y^(n-k) comes back over n! Q^n."""
+    n = len(P)
+    G = [1]
+    for k in range(1, n + 1):
+        acc, f = 0, 1
+        for i in range(1, k + 1):
+            if i % 2:
+                acc += f * P[i - 1] * G[k - i]
+            else:
+                acc -= f * P[i - 1] * G[k - i]
+            f *= k - i
+        G.append(acc)
+    # (-1)^k G_k (n!/k!) Q^(n-k), from k = n down to 1, then n! Q^n itself
+    nums, w = [], 1
+    for k in range(n, 0, -1):
+        nums.append(w * G[k] if k % 2 == 0 else -w * G[k])
+        w *= k * Q
+    nums.append(w)
+    return rational_vector(nums, w)

@@ -707,6 +707,33 @@ def fms(acc, x, y):
     return sub(acc, mul(x, y))
 
 
+def int_vector(values):
+    """The integer view of a vector of Scalars: (nums, d), ints over the
+    least common denominator d > 0 of the values, values[i] == nums[i] / d;
+    None when one of them is complex.  ``rational_vector`` turns it back."""
+    d = 1
+    for v in values:
+        vd = v._den
+        if vd is None:
+            return None
+        if d % vd:
+            d = d // gcd(d, vd) * vd
+    if d == 1:
+        return [v._num for v in values], 1
+    return [v._num * (d // v._den) for v in values], d
+
+
+def rational_vector(nums, d):
+    """The Scalars nums[i] / d in lowest terms (ints, d > 0)."""
+    if d == 1:
+        return [Scalar(n, 1, None, None) for n in nums]
+    out = []
+    for n in nums:
+        g = gcd(n, d)
+        out.append(Scalar(n // g, d // g, None, None))
+    return out
+
+
 def rat(num, den=1) -> Scalar:
     return Scalar.rational(num, den)
 

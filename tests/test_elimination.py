@@ -4,22 +4,29 @@ The two routes share nothing past the polynomial ring: one goes through the
 characteristic polynomial of multiplication by T modulo A, the other through
 Newton's identities.  On rational input they must agree coefficient for
 coefficient, exactly.  That equality is the oracle for both, and sympy's
-resultant, outside the package, is a third.
+resultant, outside the package, is a third.  The power-sum route runs on
+Python ints when its input is rational; a Fraction copy of it written here
+checks it pair for pair.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath.libmp import to_rational
 
-from bringform import (BiPoly, Subsidiary, UniPoly, cx, find_roots,
-                       map_charpoly, match_roots, polynomial_resultant,
-                       quartic_remove_2_4, rat, shift_substitute,
+from bringform import (BiPoly, Subsidiary, UniPoly, cx, dual_eliminate,
+                       find_roots, map_charpoly, match_roots,
+                       poly_from_power_sums, polynomial_resultant, power_sums,
+                       quartic_remove_2_4, rat, scalars, shift_substitute,
                        sylvester_resultant_with_factor,
                        transform_by_power_sums)
+from bringform.polynomials import powers_mod
 from helpers import rand_monic, rand_scalar
 
 
@@ -250,3 +257,157 @@ def test_subsidiary_not_linear_in_y_is_refused():
     no_y = BiPoly([UniPoly([rat(2)], "y"), UniPoly([rat(1)], "y")])  # B = z + 2
     with pytest.raises(ValueError):
         sylvester_resultant_with_factor(A, no_y)
+
+
+# -- the power-sum route on ints, against Fraction arithmetic -----------------
+#
+# A rational elimination runs its power-sum route on Python ints, one common
+# denominator per vector.  The references below are Newton's identities and
+# the remainders T^j mod A written on Fractions, sharing no code with it.
+
+def _ref_power_sums(cs, k_max):
+    """s_0..s_k_max of the roots of the polynomial of ascending Fractions cs."""
+    n = len(cs) - 1
+    e = [(-1) ** k * cs[n - k] / cs[n] for k in range(n + 1)]
+    s = [Fraction(n)]
+    for k in range(1, k_max + 1):
+        acc = sum((-1) ** (i - 1) * e[i] * s[k - i] for i in range(1, min(k - 1, n) + 1))
+        if k <= n:
+            acc += (-1) ** (k - 1) * k * e[k]
+        s.append(acc)
+    return s
+
+
+def _ref_from_power_sums(sums):
+    """The ascending Fractions of the monic polynomial with power sums s_1..s_n."""
+    n = len(sums)
+    e = [Fraction(1)]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
+    return [(-1) ** (n - j) * e[n - j] for j in range(n + 1)]
+
+
+def _ref_powers_mod(t, a):
+    """Rows T^0..T^n mod the monic A, n ascending Fractions each."""
+    n = len(a) - 1
+    rows = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
+    while len(rows) <= n:
+        prod = [Fraction(0)] * (n + len(t) - 1)
+        for i, x in enumerate(rows[-1]):
+            for j, y in enumerate(t):
+                if x and y:
+                    prod[i + j] += x * y
+        for k in range(len(prod) - 1, n - 1, -1):
+            q = prod[k]
+            for j in range(n + 1):
+                if q and a[j]:
+                    prod[k - n + j] -= q * a[j]
+        rows.append(prod[:n])
+    return rows
+
+
+def _ref_route(rows, a):
+    """The monic C of the images of A's roots under T, by the power-sum
+    route on Fractions, from the rows T^j mod A."""
+    s = _ref_power_sums(a, len(a) - 2)
+    return _ref_from_power_sums([sum(x * y for x, y in zip(row, s)) for row in rows[1:]])
+
+
+def _pairs(values):
+    return [(v.numerator, v.denominator) for v in values]
+
+
+def _scalar_pairs(values):
+    return [tuple(v.to_json()) for v in values]
+
+
+def _lift(values):
+    return [rat(v.numerator, v.denominator) for v in values]
+
+
+_BIG = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 6))
+_SMALL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+_COEFF = st.one_of(st.just(Fraction(0)), _SMALL, _BIG)
+
+
+@st.composite
+def _exact_case(draw):
+    """(A, T, lead): a monic rational A of degree 2-7 with exact zeros, z^n
+    among them; T of degree 1 to n - 1 whose leading coefficient is not a
+    unit; a nonzero rational lead that makes A non-monic."""
+    n = draw(st.integers(2, 7))
+    a = [Fraction(0)] * n if draw(st.integers(0, 9)) == 0 else [draw(_COEFF) for _ in range(n)]
+    k = draw(st.integers(1, n - 1))
+    top = draw(st.one_of(_SMALL, _BIG).filter(lambda x: x not in (0, 1, -1)))
+    t = [draw(_COEFF) for _ in range(k)] + [top]
+    lead = draw(st.one_of(_SMALL, _BIG).filter(bool))
+    return a + [Fraction(1)], t, lead
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(case=_exact_case())
+def test_the_integer_power_sum_route_matches_fraction_arithmetic(case):
+    a, t, lead = case
+    n = len(a) - 1
+    A, T = UniPoly(_lift(a)), _lift(t)
+    # the route building its own rows and the route handed the table,
+    # against the Fraction route and the resultant route
+    rows = _ref_powers_mod(t, a)
+    ref = _pairs(_ref_route(rows, a))
+    table = powers_mod(UniPoly(T), A)
+    assert [_scalar_pairs(r) for r in table] == [_pairs(r) for r in rows]
+    assert _scalar_pairs(transform_by_power_sums(A, T).coeffs) == ref
+    assert _scalar_pairs(transform_by_power_sums(A, T, table).coeffs) == ref
+    assert _scalar_pairs(map_charpoly(A, T).coeffs) == ref
+    # a subsidiary's T is monic up to sign: dual_eliminate's table is
+    # powers_mod's, and its C the Fraction route's
+    sub = Subsidiary(len(t) - 1, tuple(T[:-1]))
+    C, kept = dual_eliminate(A, sub)
+    assert kept == powers_mod(UniPoly(sub.t_coeffs()), A)
+    rows = _ref_powers_mod([c.fraction for c in sub.t_coeffs()], a)
+    assert [_scalar_pairs(r) for r in kept] == [_pairs(r) for r in rows]
+    assert _scalar_pairs(C.coeffs) == _pairs(_ref_route(rows, a))
+    # power sums of a non-monic input, past its degree too, an odd number
+    # of them after s_0 so that a negative lead shows
+    P = UniPoly(_lift([c * lead for c in a]))
+    assert _scalar_pairs(power_sums(P, 2 * n + 1)) == _pairs(_ref_power_sums(a, 2 * n + 1))
+    # back to a monic polynomial, from A's own sums and from sums that no
+    # polynomial with integral roots has
+    own = _lift(_ref_power_sums(a, n)[1:])
+    assert _scalar_pairs(poly_from_power_sums(own).coeffs) == _pairs(a)
+    sums = [c * lead for c in t] + [lead] * (n - len(t))
+    assert (_scalar_pairs(poly_from_power_sums(_lift(sums)).coeffs)
+            == _pairs(_ref_from_power_sums(sums)))
+
+
+def _count_kernels(monkeypatch):
+    """Rebind scalars.mul, fma and fms, in every package module that holds
+    them, to counters; returns the counts."""
+    calls = dict.fromkeys(("mul", "fma", "fms"), 0)
+    modules = [m for name, m in sys.modules.items()
+               if name == "bringform" or name.startswith("bringform.")]
+    for name in calls:
+        original = getattr(scalars, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+        for m in modules:
+            if vars(m).get(name) is original:
+                monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+def test_a_rational_power_sum_route_runs_no_scalar_kernel(monkeypatch):
+    # rational: Newton's identities both ways, the rows and their traces run
+    # on ints; complex: the Scalar route, which must keep calling the kernels
+    A = UniPoly([rat(3, 4), rat(-2, 3), rat(0), rat(4), rat(-1, 2), rat(1)])
+    P = UniPoly([rat(3, 2), rat(-4, 3), rat(0), rat(8), rat(-1), rat(2)])  # 2A
+    t = (rat(1, 3), rat(-2, 5), rat(7, 2))
+    calls = _count_kernels(monkeypatch)
+    transform_by_power_sums(A, t)
+    assert poly_from_power_sums(power_sums(P, 5)[1:], "z") == A
+    assert calls == {"mul": 0, "fma": 0, "fms": 0}
+    Z = UniPoly([cx(c.fraction, 1, 64) for c in A.coeffs[:-1]] + [rat(1)])
+    transform_by_power_sums(Z, t)
+    assert all(calls.values()), calls
