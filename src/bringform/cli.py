@@ -260,7 +260,7 @@ def _validate(args):
     if not (t > 0 and t < 1):  # also refuses nan and inf
         raise UsageError("--tol must lie strictly between 0 and 1, got %r" % args.tol)
     floor = noise_tol(args.precision_bits)
-    if t < floor:
+    if t < floor and args.command != "obstruction":  # the one command that reads no tol
         raise UsageError("--tol %s is finer than %d bits resolve; use --tol 1e%d or coarser"
                          % (args.tol, args.precision_bits,
                             math.ceil(floor.man_exp[1] * math.log10(2))))

@@ -26,12 +26,13 @@ powers of T modulo A are built once per step (``powers``): the power-sum
 route of ``dual_eliminate`` builds them and the step builder hands them to
 the step, whose C(T) sum and solve for U read them again.  They, and U(T)
 by Horner, multiply by T modulo A on coefficient lists (``mul_terms``).
-In rational mode the power-sum route, the table included, runs on Python
-ints over one denominator per vector, and makes Scalars only for what it
-hands on (C's coefficients, the table's rows, and A's power sums, kept on
-A): the exact values the Scalar operations would give, so every trace,
-certificate and refusal is the same to the byte.  Complex steps run the
-Scalar route unchanged.
+The table has one builder, ``powers_mod``.  In rational mode it and the
+power-sum route run on Python ints, in one scaling (A as a monic integer
+polynomial in w = L z), and make Scalars only for what they hand on (C's
+coefficients, the table's rows, and A's power sums, kept on A): the exact
+values the Scalar operations would give, so every trace, certificate and
+refusal is the same to the byte.  Complex steps run the Scalar route
+unchanged.
 """
 
 from __future__ import annotations
@@ -511,8 +512,14 @@ def quartic_obstruction_G(p, q) -> ObstructionReport:
     Es, Fs = _b_rows(E), _b_rows(F)
     G = UniPoly((), "c")
     if len(Es) == 2:
+        # each power of -E_0 and E_1 formed once, as E times the power
+        # before: in complex mode the order of the products fixes the bits
+        neg, pos = [UniPoly([one], "c")], [UniPoly([one], "c")]
+        for _ in Fs[1:]:
+            neg.append(-Es[0] * neg[-1])
+            pos.append(Es[1] * pos[-1])
         for j, Fj in enumerate(Fs):
-            G = G + Fj * (-Es[0]) ** j * Es[1] ** (len(Fs) - 1 - j)
+            G = G + Fj * neg[j] * pos[len(Fs) - 1 - j]
     eff = G.effective_degree(max(p.prec or 0, q.prec or 0) or None)
     return ObstructionReport(p, q, a, E, F, G, eff, eff < 6)
 

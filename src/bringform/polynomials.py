@@ -9,24 +9,24 @@ parameters are not polynomials over polynomials: they are power-sum forms
 return new objects, and + - * take a polynomial on both sides.  The
 eliminations multiply by T modulo A on plain lists of ascending
 coefficients, with no UniPoly per row: ``mul_terms``, which
-``UniPoly.__mul__`` wraps, then ``rem_monic``.  Where every coefficient is
-rational, ``powers_mod`` and Newton's identities both ways (``power_sums``,
+``UniPoly.__mul__`` wraps, then ``rem_monic``; ``powers_mod`` is the one
+builder of the table of T^j mod A.  Where every coefficient is rational,
+the table and Newton's identities both ways (``power_sums``,
 ``poly_from_power_sums``) run on Python ints instead, a vector of values
-over one common denominator (``scalars.int_vector``, ``int_powers_mod``,
-``monic_from_int_sums``), and make Scalars only for what they return:
-rational values are canonical, so they are the ones the Scalar operations
-give, and complex input runs the Scalar code as before.  ``Record`` is the read-only
-base of ``UniPoly`` and of the records in other modules that do work at
-construction.  A ``UniPoly`` also keeps three memo slots, filled on first
-use and never part of equality, repr or JSON: its largest coefficient
-magnitude (``max_mag``), its terms that are not exact zeros (``terms``),
-and the power sums of its roots computed so far (``power_sums``), a prefix
-that only grows.
+over one common denominator (``scalars.int_vector``), and make Scalars only
+for what they return.  The table and ``power_sums`` share one scaling: the
+monic integer polynomial in w = L z (``int_monic``), so reducing modulo it
+is a plain division.  Rational values are canonical, so they are the ones
+the Scalar operations give, and complex input runs the Scalar code as
+before.  ``Record`` is the read-only base of ``UniPoly`` and of the records
+in other modules that do work at construction.  A ``UniPoly`` also keeps
+three memo slots, filled on first use and never part of equality, repr or
+JSON: its largest coefficient magnitude (``max_mag``), its terms that are
+not exact zeros (``terms``), and the power sums of its roots computed so
+far (``power_sums``), a prefix that only grows.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 import mpmath
 
@@ -155,20 +155,6 @@ class UniPoly(Record):
         return UniPoly._of(mul_terms(self.coeffs, other.terms()), self.var)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        result = UniPoly((rat(1),), self.var)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -379,63 +365,58 @@ def rem_monic(P, A: UniPoly):
 def powers_mod(T: UniPoly, A: UniPoly):
     """T^0, T^1, ..., T^n modulo the monic A (n = deg A), each as the tuple of
     its n ascending coefficients (``rem_monic``), row j + 1 being row j times
-    T reduced modulo A, all on lists: on ints (``int_powers_mod``) when
-    every coefficient of T and A is rational."""
-    ints = int_powers_mod(T.coeffs, A)
-    if ints is not None:
-        return tuple(tuple(rational_vector(row, d)) for row, d in ints)
-    terms = T.terms()
-    out = [tuple(rem_monic([ONE], A))]
-    while len(out) <= A.degree:
-        out.append(tuple(rem_monic(mul_terms(out[-1], terms), A)))
+    T reduced modulo A, all on lists; the package's one builder of the table.
+
+    When every coefficient of T and A is rational it runs on ints, in
+    w = L z (``int_monic``): with T = tn / td of degree k, Tw(w) = td L^k
+    T(w / L) has integer coefficients tn_i L^(k-i), and row j is Tw^j
+    modulo the monic integer A(w / L), a plain division, whose coefficient
+    of w^i times L^i / (td L^k)^j is that of z^i in T^j mod A.
+    """
+    n = A.degree
+    vt = int_vector(T.coeffs)
+    va = None if vt is None else int_monic(A.coeffs)
+    if va is None:
+        terms = T.terms()
+        out = [tuple(rem_monic([ONE], A))]
+        while len(out) <= n:
+            out.append(tuple(rem_monic(mul_terms(out[-1], terms), A)))
+        return tuple(out)
+    (tn, td), (a, L) = vt, va
+    k = max(len(tn) - 1, 0)
+    tw = [(i, c * L ** (k - i)) for i, c in enumerate(tn) if c]
+    low = [(j, c) for j, c in enumerate(a[:n]) if c]
+    scale, q = [L ** i for i in range(n)], td * L ** k
+    row = [int(i == 0) for i in range(n)]
+    out = [tuple(rational_vector(row, 1))]
+    for j in range(1, n + 1):
+        prod = [0] * (n + k)
+        for i, x in enumerate(row):
+            if x:
+                for m, c in tw:
+                    prod[i + m] += x * c
+        for m in range(n + k - 1, n - 1, -1):
+            r = prod[m]
+            if r:
+                for i, c in low:
+                    prod[m - n + i] -= r * c
+        row = prod[:n]
+        out.append(tuple(rational_vector([x * f for x, f in zip(row, scale)], q ** j)))
     return tuple(out)
 
 
-def int_powers_mod(t, A: UniPoly):
-    """The rows of ``powers_mod`` for T of ascending Scalar coefficients t,
-    each as (nums, d), ints over one denominator d > 0 with no factor
-    common to all of them, when every coefficient of T and A is rational;
-    otherwise None.
-
-    With T = tn / td and A = an / an[n] (``int_vector``), row j + 1 is row
-    j times tn, reduced by pseudo-division: a term q z^k, k >= n, goes by
-    multiplying the terms below it by an[n] and subtracting q z^(k-n) times
-    the low terms of an, which multiplies d by an[n].
-    """
-    n = A.degree
-    vt = int_vector(t)
-    va = None if vt is None or n < 1 else int_vector(A.coeffs)
-    if va is None:
+def int_monic(coeffs):
+    """The rational polynomial of ascending Scalar coefficients ``coeffs``,
+    of degree n, as the monic integer polynomial in w = L z whose roots are
+    L times its roots: (a, L), a[j] = an_j L^(n-1-j) for its coefficients
+    an_j over one denominator (``int_vector``), signs flipped so that
+    L = an_n > 0, and a[n] = 1; None when one of them is complex."""
+    v = int_vector(coeffs)
+    if v is None:
         return None
-    (an, lead), (tn, td) = va, vt
-    low = [(j, c) for j, c in enumerate(an[:n]) if c]
-    tterms = [(j, c) for j, c in enumerate(tn) if c]
-    width = n + (tterms[-1][0] if tterms else 0)
-    row, d = [1] + [0] * (n - 1), 1
-    out = [(row, d)]
-    while len(out) <= n:
-        prod = [0] * width
-        for i, x in enumerate(row):
-            if x:
-                for j, c in tterms:
-                    prod[i + j] += x * c
-        d *= td
-        for k in range(width - 1, n - 1, -1):
-            q = prod[k]
-            if q:
-                if lead != 1:
-                    for m in range(k):
-                        prod[m] *= lead
-                    d *= lead
-                for j, c in low:
-                    prod[k - n + j] -= q * c
-        row = prod[:n]
-        g = gcd(d, *row)
-        if g != 1:
-            row = [x // g for x in row]
-            d //= g
-        out.append((row, d))
-    return out
+    an = v[0] if v[0][-1] > 0 else [-c for c in v[0]]
+    n, L = len(an) - 1, an[-1]
+    return [c * L ** (n - 1 - j) for j, c in enumerate(an[:n])] + [1], L
 
 
 def deflate(poly: UniPoly, root) -> UniPoly:
@@ -454,11 +435,11 @@ def power_sums(poly: UniPoly, k_max: int):
 
     Degree 0 is rejected.  The sums are kept on ``poly``, and a later call
     computes only those past the ones kept.  A rational ``poly`` runs on
-    ints: with its coefficients an / D (``int_vector``), signs flipped so
-    that L = an[n] > 0, S_k = L^k s_k is the integer -(sum_(i<k) b_i
-    S_(k-i) + k b_k) for b_i = an[n-i] L^(i-1) (b_k = 0 past n), and the
-    sums come back over L^k_max; rational sums are canonical, so all of
-    them are computed again.  Otherwise the polynomial is normalized monic
+    ints: S_k = L^k s_k, the power sums of the roots of its monic integer
+    polynomial a in w = L z (``int_monic``), is the integer -(sum_(i<k)
+    a_(n-i) S_(k-i) + k a_(n-k)) (a_(n-k) = 0 past n), and the sums come
+    back over L^k_max; rational sums are canonical, so all of them are
+    computed again.  Otherwise the polynomial is normalized monic
     first, and s_k depends on s_1..s_(k-1) alone, so the bits are the same.
     """
     if poly.degree < 1:
@@ -467,18 +448,14 @@ def power_sums(poly: UniPoly, k_max: int):
     known = poly._sums
     if len(known) > k_max:
         return known[:k_max + 1]
-    ints = int_vector(poly.coeffs)
+    ints = int_monic(poly.coeffs)
     if ints is not None:
-        an = ints[0]
-        if an[n] < 0:
-            an = [-c for c in an]
-        L = an[n]
-        b = [0] + [an[n - i] * L ** (i - 1) for i in range(1, n + 1)]
+        a, L = ints
         S = [n]
         for k in range(1, k_max + 1):
-            acc = k * b[k] if k <= n else 0
+            acc = k * a[n - k] if k <= n else 0
             for i in range(1, min(k - 1, n) + 1):
-                acc += b[i] * S[k - i]
+                acc += a[n - i] * S[k - i]
             S.append(-acc)
         if L != 1:
             S = [x * L ** (k_max - k) for k, x in enumerate(S)]

@@ -141,7 +141,10 @@ def solve_quartic(n, p, q, *, prec: int = None, tol=None) -> SolveResult:
     Route: strip terms two and three (if the z^2 term is present), then strip
     terms two and four, solve the surviving quadratic in y^2, and pull the
     roots back through each step's subsidiary relation
-    (``assemble_preimages``), which also undoes a map that merges roots.
+    (``assemble_preimages``), which also undoes a map that merges roots.  A
+    first step that leaves no z term, as for z^4 - 3 z^2 + 3 z - 3/4, needs
+    no special case: the second step's b is then 0, and its map y = -z^2
+    merges root pairs, which the pull-back undoes.
     """
     from .pipeline import quartic_remove_2_3, quartic_remove_2_4
 
@@ -151,17 +154,12 @@ def solve_quartic(n, p, q, *, prec: int = None, tol=None) -> SolveResult:
     if p.is_exact_zero():
         return _finish(poly, _biquadratic_roots(n, q, prec), "biquadratic")
     steps = []
-    cur_p, cur_q = p, q
     if not n.is_exact_zero():
-        st1 = quartic_remove_2_3(n, p, q, prec=prec, tol=tol)
-        steps.append(st1)
-        cur_p, cur_q = st1.output.coeff(1), st1.output.coeff(0)
-    if cur_p.is_exact_zero():
-        ys = _biquadratic_roots(steps[-1].output.coeff(2), cur_q, prec)
-    else:
-        st2 = quartic_remove_2_4(cur_p, cur_q, prec=prec, tol=tol)
-        steps.append(st2)
-        ys = _biquadratic_roots(st2.output.coeff(2), st2.output.coeff(0), prec)
+        steps.append(quartic_remove_2_3(n, p, q, prec=prec, tol=tol))
+        p, q = steps[0].output.coeff(1), steps[0].output.coeff(0)
+    steps.append(quartic_remove_2_4(p, q, prec=prec, tol=tol))
+    out = steps[-1].output
+    ys = _biquadratic_roots(out.coeff(2), out.coeff(0), prec)
     for step in reversed(steps):
         ys = assemble_preimages(step, ys, prec=prec, tol=tol)
     return _finish(poly, ys, "tschirnhaus-biquadratic")

@@ -75,6 +75,24 @@ def test_tolerance_finer_than_the_precision_is_refused(capsys):
     assert code == EXIT_OK and "verified: yes" in out
 
 
+def test_the_tolerance_floor_holds_only_where_a_tolerance_is_read(capsys, tmp_path):
+    # obstruction reads no --tol, so the default needs no workable value at
+    # 64 bits; reduce, solve and verify read it and keep the floor
+    code, out, err = run(capsys, "obstruction", "--coeffs", "1", "0", "0", "1", "1",
+                         "--precision-bits", "64")
+    assert code == EXIT_OK and err == "" and json.loads(out)["degree"] == 6
+    trace = tmp_path / "trace.json"
+    assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
+    for argv in (["solve", "--coeffs", "1", "0", "-7", "6"], ["verify", "--in", str(trace)]):
+        code, out, err = run(capsys, *argv, "--precision-bits", "64")
+        assert code == EXIT_USAGE and out == "" and "--tol 1e-12" in err
+    # the parse and range checks hold for obstruction too
+    for tol in ("bogus", "1", "nan"):
+        code, out, err = run(capsys, "obstruction", "--coeffs", "1", "0", "0", "1", "1",
+                             "--tol", tol)
+        assert code == EXIT_USAGE and out == "" and "--tol" in err
+
+
 @pytest.mark.parametrize("tol", ["inf", "1e300", "1", "nan"])
 def test_tolerance_that_checks_nothing_is_refused(capsys, tmp_path, tol):
     # a wrong claimed P fails verify at the default tolerance; at a tolerance
@@ -547,6 +565,20 @@ def test_usage_errors(capsys):
     assert run(capsys, "solve", "--coeffs", "1", "2", "--mode", "rational",
                "--coeffs", "1", "0.5j")[0] == EXIT_USAGE
     assert run(capsys)[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce"], "--coeffs is required"),
+    (["reduce", "--coeffs", ""], "--coeffs is required"),
+    (["solve", "--coeffs", "5"], "nothing to solve at degree 0"),
+    (["obstruction", "--coeffs", "1", "0", "1", "1"], "expects a monic quartic"),
+    (["obstruction", "--coeffs", "2", "0", "0", "1", "1"], "expects a monic quartic"),
+    (["verify"], "verify needs --in"),
+])
+def test_usage_error_messages(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error: ") and message in err
 
 
 def test_degenerate_surfaces_as_exit_two(capsys, monkeypatch):

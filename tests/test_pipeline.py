@@ -128,6 +128,13 @@ def test_remove_2_4_worked_cases_exact():
     assert step.output == UniPoly([rat(9), rat(0), rat(6), rat(0), rat(1)], "y")
 
 
+def test_remove_2_4_of_z4_is_an_identity_step_with_no_aux_solve():
+    # at p = q = 0 the y-term condition -p b^3 - 4q b^2 + p^2 holds for every b
+    step = quartic_remove_2_4(rat(0), rat(0))
+    assert step.is_identity and step.kind == "quartic-remove-2-4"
+    assert step.aux == () and step.output == step.input
+
+
 def test_remove_2_4_random_suite():
     rng = random.Random(44)
     for _ in range(20):
@@ -522,3 +529,23 @@ def test_dual_elimination_is_monic_and_consistent():
         # the table the power-sum route read, which the step builders keep
         assert powers == powers_mod(UniPoly(sub.t_coeffs(), "z"), A)
         assert len(powers) == n + 1 and all(len(row) == n for row in powers)
+
+
+def test_routes_that_disagree_are_refused(monkeypatch):
+    # a power-sum route that returns another rational C is a disagreement,
+    # and the chain names the step it happened in
+    from bringform import pipeline
+
+    original = pipeline.transform_by_power_sums
+
+    def off_by_one(A, t, powers=None):
+        C = original(A, t, powers)
+        return UniPoly([C.coeffs[0] + rat(1)] + list(C.coeffs[1:]), C.var)
+
+    monkeypatch.setattr(pipeline, "transform_by_power_sums", off_by_one)
+    A = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
+    with pytest.raises(ConsistencyError, match="^resultant and power-sum routes disagree: "):
+        dual_eliminate(A, Subsidiary(1, (rat(-1, 5),)))
+    with pytest.raises(ConsistencyError,
+                       match="^depress step: resultant and power-sum routes disagree: "):
+        reduce_general_quintic(A)

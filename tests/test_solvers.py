@@ -12,8 +12,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from bringform import (UniPoly, cx, find_roots, match_roots, pipeline, rat,
-                       solve_condition, solve_cubic_cardano, solve_cubic_general,
+from bringform import (UniPoly, cx, find_roots, match_roots, pipeline, quartic_remove_2_3,
+                       rat, solve_condition, solve_cubic_cardano, solve_cubic_general,
                        solve_monic, solve_quadratic, solve_quartic)
 from bringform.polynomials import relative_residual
 from bringform.scalars import pick_root
@@ -182,6 +182,18 @@ def test_quartic_pulls_back_through_subsidiary_relations_alone(monkeypatch, asce
     cs = [make(c) for c in ascending]
     res = solve_quartic(cs[2], cs[1], cs[0], prec=256)
     ok, dist = match_roots(res.roots, find_roots(UniPoly(cs)).roots, tol=tol)
+    assert ok, dist
+
+
+def test_quartic_whose_first_step_leaves_no_z_term():
+    # z^4 - 3z^2 + 3z - 3/4: the first step (b = 1) lands on y^4 - 3/4, so
+    # the second runs at p = 0, where b = 0 and y = -z^2 merges root pairs
+    n, p, q = rat(-3), rat(3), rat(-3, 4)
+    first = quartic_remove_2_3(n, p, q)
+    assert first.output == UniPoly([rat(-3, 4), rat(0), rat(0), rat(0), rat(1)], "y")
+    res = solve_quartic(n, p, q, prec=256)
+    ok, dist = match_roots(res.roots, find_roots(UniPoly([q, p, n, rat(0), rat(1)])).roots,
+                           tol="1e-60")
     assert ok, dist
 
 

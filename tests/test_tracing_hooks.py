@@ -13,7 +13,8 @@ see; a tracer can count them only while they stay module-level functions
 that every user imports by name.  The same holds for the list kernel of
 ``polynomials``, ``mul_terms``, which multiplies by T on coefficient lists
 for ``UniPoly.__mul__``, the power table, ``image_elementary`` and the
-certificate's Horner.  Every Scalar + - * / reaches one of the module
+certificate's Horner, and for ``powers_mod``, the power table's one
+builder.  Every Scalar + - * / reaches one of the module
 kernels (``add``, ``sub``, ``mul``, ``div``, ``fma``, ``fms``), through the
 dunders or directly, so a counter of operations counts at the kernels or
 at the dunders, never at both.
@@ -140,19 +141,27 @@ def test_rebinding_the_fused_kernels_counts_their_calls():
     assert all(calls.values()), calls
 
 
-def test_list_kernel_is_a_module_function_imported_by_name():
+def _assert_called_by_its_own_name(name):
     from bringform import polynomials
 
-    kernel = polynomials.mul_terms
+    kernel = getattr(polynomials, name)
     assert inspect.isfunction(kernel) and kernel.__module__ == "bringform.polynomials"
     users = {m.__name__: m for m in _package_modules()
-             if re.search(r"\bmul_terms\(", inspect.getsource(m))}
+             if re.search(r"\b%s\(" % name, inspect.getsource(m))}
     assert set(users) >= {"bringform.polynomials", "bringform.elimination",
                           "bringform.pipeline"}
     for m in users.values():
         # called through its own name, which a tracer can rebind
-        assert vars(m).get("mul_terms") is kernel, m.__name__
-        assert not re.search(r"\.mul_terms\(", inspect.getsource(m)), m.__name__
+        assert vars(m).get(name) is kernel, m.__name__
+        assert not re.search(r"\.%s\(" % name, inspect.getsource(m)), m.__name__
+
+
+def test_list_kernel_is_a_module_function_imported_by_name():
+    _assert_called_by_its_own_name("mul_terms")
+
+
+def test_power_table_builder_is_a_module_function_imported_by_name():
+    _assert_called_by_its_own_name("powers_mod")
 
 
 def test_rebinding_the_list_kernel_counts_the_table_and_the_horner(monkeypatch):
