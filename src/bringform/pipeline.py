@@ -21,11 +21,13 @@ proves its output without eliminating again, and ``pull_back`` moves roots
 back through it by its one inverse map U.  The certificate is two identities
 modulo A.  U(T) = z makes 1, T, ..., T^(n-1) a basis of K[z]/(A), so the
 minimal polynomial of M_T is its characteristic polynomial; a monic C of
-degree n with C(T) = 0 is then det(y - M_T) = prod (y - T(z_i)).  The
-powers of T modulo A are built once per step (``powers``): the power-sum
-route of ``dual_eliminate`` builds them and the step builder hands them to
-the step, whose C(T) sum and solve for U read them again.  They, and U(T)
-by Horner, multiply by T modulo A on coefficient lists (``mul_terms``).
+degree n with C(T) = 0 is then det(y - M_T) = prod (y - T(z_i)).  One
+constructor, ``_step``, makes every step that eliminates: it runs
+``dual_eliminate``, checks each targeted output coefficient once, and hands
+the step the table of the powers of T modulo A that the power-sum route
+built (``powers``), which its C(T) sum and solve for U read again.  The
+table, and U(T) by Horner, multiply by T modulo A on coefficient lists
+(``mul_terms``).
 The table has one builder, ``powers_mod``.  In rational mode it and the
 power-sum route run on Python ints, in one scaling (A as a monic integer
 polynomial in w = L z), and make Scalars only for what they hand on (C's
@@ -49,8 +51,7 @@ from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, lies_on,
                           mul_terms, power_sums, powers_mod, rem_monic)
 from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, as_scalar,
-                      as_tol, fma, fms, largest_mag, negligible, pick_root, pivot_index,
-                      rat)
+                      as_tol, fma, fms, negligible, pick_root, pivot_index, rat)
 from .solvers import solve_condition, solve_monic
 
 
@@ -178,14 +179,14 @@ class TransformStep(Record):
         terms, UT = self.subsidiary.map_in_z().terms(), []
         for u in reversed(U.coeffs):
             UT = rem_monic(mul_terms(UT, terms, u), A)  # u added before reducing
-        miss = (UniPoly(UT, "z") - UniPoly([rat(0), rat(1)], "z")).coeffs
+        miss = UniPoly(UT, "z") - UniPoly([rat(0), rat(1)], "z")
         scale = coeff_scale(A)
         # rounded once at mpmath's default 53 bits, whatever the global
         # precision, so the residual depends on the step alone
-        worst = largest_mag(miss)
-        residual = mpmath.mp.make_mpf(mpf_div(worst._mpf_, scale._mpf_, 53, round_nearest))
+        residual = mpmath.mp.make_mpf(mpf_div(miss.max_mag()._mpf_, scale._mpf_, 53,
+                                              round_nearest))
         n = A.degree
-        ok = (all(negligible(c, tol, scale) for c in miss)
+        ok = (all(negligible(c, tol, scale) for c in miss.coeffs)
               and self.subsidiary.k < n and C.is_monic() and C.degree == n)
         if ok:
             CT = [ZERO] * n
@@ -353,12 +354,25 @@ def _identity_step(kind: str, poly: UniPoly) -> TransformStep:
     return TransformStep(kind, poly, sub, poly, ())
 
 
+def _step(kind: str, A: UniPoly, sub: Subsidiary, aux, tol, checks=()) -> TransformStep:
+    """The one maker of a step that eliminates: C and the table of powers
+    from ``dual_eliminate``, looked up by name in this module so that a
+    tracer can rebind it, then each of checks, (power, name) pairs in order, once on
+    C's coefficient of y^power against tol * ``coeff_scale(C)``
+    (``_assert_vanishes``).  The step keeps the table."""
+    C, powers = dual_eliminate(A, sub, tol)
+    scale = coeff_scale(C)
+    for power, what in checks:
+        _assert_vanishes(C.coeff(power), scale, tol, what)
+    return TransformStep(kind, A, sub, C, tuple(aux), powers)
+
+
 def dual_eliminate(A: UniPoly, sub: Subsidiary, tol=None):
     """Eliminate z by both routes and insist they agree.
 
     Returns (C, powers): C monic in y, and the table T^0..T^n mod A
-    (``powers_mod``) that the power-sum route read, which the step builders
-    hand to their ``TransformStep``.  The routes share no code past the
+    (``powers_mod``) that the power-sum route read, which ``_step`` hands
+    to its ``TransformStep``.  The routes share no code past the
     polynomial ring, so their agreement is a genuine cross-check, not a
     tautology.  A complex disagreement is reported relative to
     ``coeff_scale(C_res, C_ps)``, beside the tol it was held to.
@@ -392,10 +406,7 @@ def depress(poly: UniPoly, *, tol=None) -> TransformStep:
     c = poly.coeff(n - 1)
     if c.is_exact_zero():
         return _identity_step("depress", poly)
-    a = c * rat(1, n)
-    sub = Subsidiary(1, (a,))
-    C, powers = dual_eliminate(poly, sub, tol)
-    return TransformStep("depress", poly, sub, C, (), powers)
+    return _step("depress", poly, Subsidiary(1, (c * rat(1, n),)), (), tol)
 
 
 def _k2_conditions(A: UniPoly, j: int):
@@ -424,13 +435,9 @@ def _quadratic_subsidiary_step(kind: str, A: UniPoly, cond_power: int,
     if solve.degree == 0:
         # condition holds identically: the input already has the target shape
         return _identity_step(kind, A)
-    a = a_b.eval(b)
-    sub = Subsidiary(2, (a, b))
-    C, powers = dual_eliminate(A, sub, tol)
-    out_scale = coeff_scale(C)
-    _assert_vanishes(C.coeff(n - 1), out_scale, tol, "second output coefficient")
-    _assert_vanishes(C.coeff(cond_power), out_scale, tol, "targeted output coefficient")
-    return TransformStep(kind, A, sub, C, (solve,), powers)
+    return _step(kind, A, Subsidiary(2, (a_b.eval(b), b)), (solve,), tol,
+                 ((n - 1, "second output coefficient"),
+                  (cond_power, "targeted output coefficient")))
 
 
 def to_principal(poly: UniPoly, *, prec=None, tol=None) -> TransformStep:
@@ -447,15 +454,15 @@ def to_principal(poly: UniPoly, *, prec=None, tol=None) -> TransformStep:
 def cubic_to_pure(m, n, p, *, prec=None, tol=None) -> TransformStep:
     """Take z^3 + m z^2 + n z + p to a pure cubic y^3 + const.
 
-    When 3n = m^2 the plain shift already lands on a pure cubic, so the
-    quadratic subsidiary is not needed at all.
+    When 3n = m^2 the shift T = z + m/3 already lands on a pure cubic and
+    no quadratic subsidiary is needed; at m = n = 0 the step is the identity.
     """
     m, n, p = as_scalar(m), as_scalar(n), as_scalar(p)
     A = UniPoly([p, n, m, rat(1)], "z")
     if (3 * n - m * m).is_exact_zero():
-        st = depress(A, tol=tol)
-        return TransformStep("pure-cubic", A, st.subsidiary, st.output, st.aux,
-                             st.table)
+        if m.is_exact_zero():
+            return _identity_step("pure-cubic", A)
+        return _step("pure-cubic", A, Subsidiary(1, (m * rat(1, 3),)), (), tol)
     return _quadratic_subsidiary_step("pure-cubic", A, 1, prec=prec, tol=tol)
 
 
@@ -631,13 +638,8 @@ def quintic_to_bring_jerrard(p, q, r, *, prec=None, tol=None) -> TransformStep:
     c = lam ** 2 * (ansatz.d + ansatz.gamma)
     b = lam ** 3 * (ansatz.alpha * ansatz.d + ansatz.zeta)
     a = (3 * p * d + 4 * q) * rat(1, 5)
-    sub = Subsidiary(4, (a, b, c, d))
-    C, powers = dual_eliminate(A, sub, tol)
-    out_scale = coeff_scale(C)
-    _assert_vanishes(C.coeff(4), out_scale, tol, "y^4 coefficient")
-    _assert_vanishes(C.coeff(3), out_scale, tol, "y^3 coefficient")
-    _assert_vanishes(C.coeff(2), out_scale, tol, "y^2 coefficient")
-    return TransformStep("bring-jerrard", A, sub, C, tuple(aux), powers)
+    return _step("bring-jerrard", A, Subsidiary(4, (a, b, c, d)), aux, tol,
+                 ((4, "y^4 coefficient"), (3, "y^3 coefficient"), (2, "y^2 coefficient")))
 
 
 def reduce_general_quintic(poly: UniPoly, *, prec=None, tol=None) -> ReductionTrace:

@@ -31,8 +31,8 @@ from __future__ import annotations
 import mpmath
 
 from .scalars import (DEFAULT_PRECISION_BITS, ONE, ZERO, Scalar, as_scalar,
-                      as_tol, context, fma, fms, int_vector, largest_mag, mag_binades,
-                      mul, negligible, noise_tol, rat, rational_vector)
+                      as_tol, context, fma, fms, int_vector, mag_binades, mul,
+                      negligible, noise_tol, pivot_index, rat, rational_vector)
 
 
 class Record:
@@ -192,10 +192,12 @@ class UniPoly(Record):
 
     def max_mag(self):
         """Largest coefficient magnitude (an mpf; 0 for the zero
-        polynomial), computed once."""
+        polynomial), computed once: the ``mag()`` of the coefficient that
+        ``pivot_index`` picks."""
         m = self._max_mag
         if m is None:
-            m = largest_mag(self.coeffs)
+            cs = self.coeffs
+            m = cs[pivot_index(cs)].mag() if cs else mpmath.mpf(0)
             object.__setattr__(self, "_max_mag", m)
         return m
 

@@ -30,8 +30,8 @@ kernel, ``add``, ``sub``, ``mul`` or ``div``; the eliminations' loops of
 acc +- x * y and ``UniPoly.eval``'s Horner call ``fma`` and ``fms``.  One
 rule holds for all six:
 
-* Two rationals give the exact rational (``_qadd``, ``_qmul``, ``_qdiv``,
-  ``_qfma``).
+* Two rationals give the exact rational (``_qadd``, ``_qmul``, ``_qfma``;
+  ``div`` multiplies by the reciprocal pair through ``_qmul``).
 * Otherwise the result is complex, rounded at the larger precision in
   play; a rational operand enters as its value rounded at the complex
   precision (``_rat_mpf``, in ``_lift``).  ``fma`` and ``fms`` round the
@@ -59,17 +59,18 @@ coefficients below ``noise_tol(prec)`` = 2^(24 - prec) times the scale
 (``UniPoly.effective_degree``).  Acceptance: a check passes within tol *
 scale (``negligible``), each product rounded at ``TOL_PREC`` bits (``as_tol``).
 
-Three comparisons read a magnitude off the exponents before they take a
+Four comparisons read a magnitude off the exponents before they take a
 square root.  ``mag_binades`` bounds ``mag()`` between two powers of two
 from a complex value's exponents and mantissa bit counts, or a rational's
 bit lengths; rounding never carries a value past a power of two, so the
 bounds hold at every precision.  ``negligible`` decides when |x| lies a
 whole binade clear of tol * scale; ``pivot_index`` (the pivots of
 ``pipeline.step_inverse`` and of ``elimination.map_charpoly``) drops only
-candidates whose upper bound lies strictly below another's lower bound;
+candidates whose upper bound lies strictly below another's lower bound, and
+``UniPoly.max_mag`` takes the ``mag()`` of its pick;
 ``polynomials.lies_on`` decides when its residual's bounds lie two binades
-clear of tol.  Otherwise each computes ``mag()``, so every verdict and
-every pivot is the one the square roots give.
+clear of tol.  Otherwise each computes ``mag()``, so every verdict,
+pivot and largest magnitude is the one the square roots give.
 """
 
 from __future__ import annotations
@@ -83,9 +84,8 @@ from mpmath import mp
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add,
                           mpc_conjugate, mpc_div, mpc_mul, mpc_neg, mpc_pow_int,
-                          mpc_sqrt, mpc_sub, mpf_abs, mpf_add, mpf_div, mpf_eq,
-                          mpf_gt, mpf_le, mpf_mul, mpf_sqrt, mpf_sub, normalize,
-                          round_nearest)
+                          mpc_sqrt, mpc_sub, mpf_abs, mpf_div, mpf_eq, mpf_le,
+                          mpf_mul, mpf_sub, normalize, round_nearest)
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_TOLERANCE = "1e-30"
@@ -296,23 +296,6 @@ def _qmul(na, da, nb, db):
         nb //= g2
         da //= g2
     return Scalar(na * nb, da * db, None, None)
-
-
-def _qdiv(na, da, nb, db):
-    if not nb:
-        raise ZeroDivisionError("rational division by 0")
-    g1 = gcd(na, nb)
-    if g1 > 1:
-        na //= g1
-        nb //= g1
-    g2 = gcd(da, db)
-    if g2 > 1:
-        da //= g2
-        db //= g2
-    n, d = na * db, nb * da
-    if d < 0:
-        n, d = -n, -d
-    return Scalar(n, d, None, None)
 
 
 def _qpow(n, d, k):
@@ -661,7 +644,12 @@ def mul(x, y):
 def div(x, y):
     """x / y for Scalars x and y."""
     if x._den is not None and y._den is not None:
-        return _qdiv(x._num, x._den, y._num, y._den)
+        n, d = y._num, y._den
+        if not n:
+            raise ZeroDivisionError("rational division by 0")
+        if n < 0:  # the reciprocal d / n, its sign on the numerator
+            n, d = -n, -d
+        return _qmul(x._num, x._den, d, n)
     prec, a, b = _lift(x, y)
     return Scalar(None, None, mpc_div(a, b, prec, round_nearest), prec)
 
@@ -776,30 +764,6 @@ def noise_tol(prec=None):
     step's two routes agree to about 2^(16 - prec) relative, and the ansatz
     and the back-solve lose up to 8 bits more."""
     return mp.make_mpf(from_man_exp(1, 24 - (prec or DEFAULT_PRECISION_BITS)))
-
-
-def largest_mag(values):
-    """The largest ``mag()`` of the Scalars values as an mpf (0 for none),
-    with one square root per precision.  For two nonzero finite parts,
-    mpc_abs takes the correctly rounded square root of the sum of squares
-    rounded at prec + 4 bits (mpf_hypot), which is non-decreasing in that
-    sum; any other value takes its ``mag()``, which takes no root."""
-    m, sums = fzero, {}
-    for v in values:
-        if v._den is None and v._c[0][1] and v._c[1][1]:
-            (a, b), prec = v._c, v._prec
-            s = mpf_add(mpf_mul(a, a), mpf_mul(b, b), prec + 4)
-            if mpf_gt(s, sums.get(prec, fzero)):
-                sums[prec] = s
-        else:
-            r = v.mag()._mpf_
-            if mpf_gt(r, m):
-                m = r
-    for prec, s in sums.items():
-        r = mpf_sqrt(s, prec, round_nearest)
-        if mpf_gt(r, m):
-            m = r
-    return mp.make_mpf(m)
 
 
 _NEG_INF = float("-inf")

@@ -20,9 +20,9 @@ import functools
 
 import mpmath
 
-from .polynomials import Record, UniPoly, deflate, shift_substitute
-from .scalars import (DEFAULT_PRECISION_BITS, Scalar, as_scalar, context, rat,
-                      sort_key)
+from .polynomials import Record, UniPoly, coeff_scale, deflate, shift_substitute
+from .scalars import (DEFAULT_PRECISION_BITS, Scalar, as_scalar, as_tol, context,
+                      negligible, noise_tol, rat, sort_key)
 
 
 @functools.cache
@@ -156,7 +156,12 @@ def solve_quartic(n, p, q, *, prec: int = None, tol=None) -> SolveResult:
     steps = []
     if not n.is_exact_zero():
         steps.append(quartic_remove_2_3(n, p, q, prec=prec, tol=tol))
-        p, q = steps[0].output.coeff(1), steps[0].output.coeff(0)
+        out = steps[0].output
+        p, q = out.coeff(1), out.coeff(0)
+        if negligible(p, as_tol(noise_tol(prec), coeff_scale(out))):
+            # noise (``effective_degree``'s rule) for rational mode's exact 0;
+            # left in, it gives the next cubic a near-double root at b = 0
+            p = rat(0)
     steps.append(quartic_remove_2_4(p, q, prec=prec, tol=tol))
     out = steps[-1].output
     ys = _biquadratic_roots(out.coeff(2), out.coeff(0), prec)

@@ -212,6 +212,30 @@ def test_verify_roundtrip_and_tamper_detection(capsys, tmp_path):
     assert code == EXIT_VERIFY and json.loads(out)["matched"] is False
 
 
+def test_verify_reads_a_negative_denominator_as_its_canonical_pair(capsys, tmp_path):
+    trace = tmp_path / "trace.json"
+    assert main(["reduce", "--coeffs"] + QUINTIC + ["--out", str(trace)]) == EXIT_OK
+    capsys.readouterr()
+
+    def negated(v):  # every rational [n, d] of the trace as [-n, -d]
+        if isinstance(v, list) and len(v) == 2 and all(type(t) is int for t in v):
+            return [-v[0], -v[1]]
+        if isinstance(v, list):
+            return [negated(t) for t in v]
+        if isinstance(v, dict):
+            return {k: negated(t) for k, t in v.items()}
+        return v
+
+    doc = json.loads(trace.read_text())
+    assert doc["trace"]["original"]["mode"] == "rational"
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(json.dumps(negated(doc)))
+    assert flipped.read_text() != trace.read_text()
+    code, out, _ = run(capsys, "verify", "--in", str(trace))
+    assert code == EXIT_OK and json.loads(out)["matched"] is True
+    assert run(capsys, "verify", "--in", str(flipped)) == (code, out, "")
+
+
 def test_verify_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--in", "/nonexistent/trace.json")
     assert code == EXIT_USAGE and "cannot read" in err

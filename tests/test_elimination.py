@@ -26,8 +26,31 @@ from bringform import (BiPoly, Subsidiary, UniPoly, cx, dual_eliminate,
                        quartic_remove_2_4, rat, scalars, shift_substitute,
                        sylvester_resultant_with_factor,
                        transform_by_power_sums)
+from bringform.elimination import image_elementary
 from bringform.polynomials import powers_mod
 from helpers import rand_monic, rand_scalar
+
+
+def test_the_routes_refuse_a_non_monic_input_and_a_map_of_the_wrong_degree():
+    A = UniPoly([rat(1), rat(2), rat(0), rat(1)])  # z^3 + 2z + 1
+    loose = UniPoly([rat(1), rat(2), rat(0), rat(3)])
+    t = [rat(1), rat(1)]
+    B = BiPoly(Subsidiary(1, (rat(1),)).z_coeffs_in_y())
+    for refuse in (lambda: map_charpoly(loose, t),
+                   lambda: sylvester_resultant_with_factor(loose, B),
+                   lambda: transform_by_power_sums(loose, t),
+                   lambda: image_elementary(loose, [(rat(0),), (rat(1),)], 2)):
+        with pytest.raises(ValueError, match=r"A must be monic \(normalize first\)"):
+            refuse()
+    # degree 0, a constant map, and degree n or more
+    for t in ([rat(2)], [rat(2), rat(0), rat(0), rat(0)], [rat(1), rat(0), rat(0), rat(1)],
+              [rat(1), rat(0), rat(0), rat(0), rat(1)]):
+        with pytest.raises(ValueError, match=r"map degree must satisfy 1 <= deg T < deg A"):
+            transform_by_power_sums(A, t)
+    for B in (BiPoly([UniPoly([rat(1), rat(-1)], "y")]),
+              BiPoly(Subsidiary(3, (rat(1), rat(0), rat(2))).z_coeffs_in_y())):
+        with pytest.raises(ValueError, match=r"subsidiary degree must satisfy 1 <= k < deg A"):
+            sylvester_resultant_with_factor(A, B)
 
 
 def _random_subsidiary(rng, k):

@@ -86,6 +86,42 @@ def test_only_scalars_reads_the_scalar_slots(path):
     assert _slot_reads(path) == []
 
 
+class _StepMakers(ast.NodeVisitor):
+    """(innermost function, line, bare) for each call of ``dual_eliminate``,
+    bare when it goes by the name a tracer rebinds in the module rather than
+    through an attribute, and for each ``TransformStep`` handed a table (a
+    sixth argument or ``table=``)."""
+
+    def __init__(self):
+        self.scope, self.hits = ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name == "dual_eliminate":
+            self.hits.append((self.scope[-1], node.lineno, isinstance(f, ast.Name)))
+        elif name == "TransformStep" and (len(node.args) > 5
+                                          or any(k.arg == "table" for k in node.keywords)):
+            self.hits.append((self.scope[-1], node.lineno, True))
+        self.generic_visit(node)
+
+
+# one constructor makes every step that eliminates: it alone runs both
+# routes and hands the step the table the power-sum route built
+@pytest.mark.parametrize("path", LINTED, ids=os.path.basename)
+def test_only_the_step_constructor_eliminates_or_hands_a_step_its_table(path):
+    with open(path, encoding="utf-8") as f:
+        finder = _StepMakers()
+        finder.visit(ast.parse(f.read(), path))
+    want = [("_step", True)] * 2 if os.path.basename(path) == "pipeline.py" else []
+    assert [(fn, bare) for fn, _, bare in finder.hits] == want, finder.hits
+
+
 _P = UniPoly([rat(-1), rat(0), rat(1)])
 _SUB = Subsidiary(1, (rat(0),))
 RECORDS = {

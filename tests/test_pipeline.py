@@ -16,7 +16,8 @@ import pytest
 import sympy
 
 from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace,
-                       RootConfig, Subsidiary, UniPoly, back_solve, coeff_scale,
+                       RootConfig, Subsidiary, TransformStep, UniPoly, back_solve,
+                       coeff_scale,
                        cubic_to_pure, cx, depress, dual_eliminate,
                        find_roots, match_roots,
                        quartic_obstruction_G, quartic_remove_2_3,
@@ -97,6 +98,14 @@ def test_cubic_to_pure_random_suite():
         for a in step.aux:
             assert a.degree <= 2
 
+def test_cubic_to_pure_of_z3_plus_constant_is_an_identity_step():
+    # m = n = 0: the shift is the identity, and no step is made
+    for p in (rat(5), cx(5, 1, 256)):
+        step = cubic_to_pure(rat(0), rat(0), p)
+        A = UniPoly([p, rat(0), rat(0), rat(1)], "z")
+        assert step == TransformStep("pure-cubic", A, Subsidiary(1, (rat(0),)), A, ())
+        assert step.is_identity and step.table is None
+
 
 # -- quartic steps -------------------------------------------------------------
 
@@ -106,6 +115,13 @@ def test_remove_2_3_worked_case_exact():
     assert step.output == UniPoly([rat(151, 81), rat(-13, 27), rat(0), rat(0), rat(1)], "y")
     aux = step.aux[-1]
     assert aux.roots[aux.chosen].fraction == Fraction(-2, 3)
+
+
+def test_back_solve_refuses_a_point_with_no_preimage_on_the_source():
+    step = quartic_remove_2_3(rat(0), rat(1), rat(1))
+    with pytest.raises(ConsistencyError,
+                       match="no preimage of 1000 lies on the source polynomial"):
+        back_solve(step, rat(1000))
 
 
 def test_remove_2_3_random_suite():

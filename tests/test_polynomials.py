@@ -18,7 +18,7 @@ from bringform import (ReductionTrace, Scalar, UniPoly, coeff_scale, cx,
                        deflate, poly_from_power_sums, power_sums, rat,
                        reduce_general_quintic, shift_substitute)
 from bringform.polynomials import coeff_mismatch, mul_terms, powers_mod, rem_monic
-from bringform.scalars import ONE, ZERO, fma, largest_mag, mul
+from bringform.scalars import ONE, ZERO, fma, mul
 from helpers import max_coeff_diff, rand_fraction, rand_monic, rand_scalar
 
 
@@ -304,7 +304,7 @@ def _old_certificate_residual(step):
     A, T, UT = step.input, step.subsidiary.map_in_z(), UniPoly([], "z")
     for u in reversed(step.inverse.coeffs):
         UT = UniPoly(rem_monic((_old_product(UT, T) + UniPoly([u])).coeffs, A), "z")
-    worst = largest_mag((UT - UniPoly([rat(0), rat(1)], "z")).coeffs)
+    worst = (UT - UniPoly([rat(0), rat(1)], "z")).max_mag()
     return mpmath.mp.make_mpf(mpf_div(worst._mpf_, coeff_scale(A)._mpf_, 53, round_nearest))
 
 

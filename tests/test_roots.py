@@ -156,6 +156,11 @@ def test_match_roots_rejects_different_multiplicity_split():
     assert not ok
 
 
+def test_match_roots_of_sets_of_different_sizes_is_no_match():
+    assert match_roots([rat(1)], [rat(1), rat(2)]) == (False, mpmath.inf)
+    assert match_roots([rat(1), rat(2)], []) == (False, mpmath.inf)
+
+
 def test_match_roots_pairs_seven_roots_optimally():
     # nearest-neighbour pairing would take 0 with 1, leaving 2 with -1.1
     # (3.1); the optimal pairing is 0 with -1.1 and 2 with 1

@@ -26,9 +26,8 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_div, mpc_m
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        find_roots, match_roots, rat, reduce_general_quintic, verify_trace)
 from bringform.polynomials import coeff_mismatch, lies_on, relative_residual
-from bringform.scalars import (add, as_scalar, as_tol, context, div, fma, fms, largest_mag,
-                               mag_binades, mul, negligible, pick_root, pivot_index,
-                               sort_key, sub)
+from bringform.scalars import (add, as_scalar, as_tol, context, div, fma, fms, mag_binades,
+                               mul, negligible, pick_root, pivot_index, sort_key, sub)
 
 TINY = mpmath.mpf("1e-70")
 
@@ -125,6 +124,11 @@ def test_json_roundtrip_rational_exact():
         s = rat(f.numerator, f.denominator)
         t = Scalar.from_json(s.to_json())
         assert t.is_rational and t.fraction == f
+
+
+def test_a_negative_denominator_gives_its_sign_to_the_numerator():
+    assert rat(3, -6).to_json() == Scalar.from_json([3, -6]).to_json() == [-1, 2]
+    assert rat(-3, -6).to_json() == [1, 2] and rat(0, -5).to_json() == [0, 1]
 
 
 def test_json_roundtrip_complex_precision():
@@ -699,13 +703,19 @@ def test_the_binade_bounds_decide_as_the_square_roots_do():
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(values=st.lists(_kernel_operands, max_size=6))
-def test_largest_mag_is_the_largest_mag(values):
-    # one square root per precision, the value of the largest mag() itself
-    want = mpmath.mpf(0)
-    for v in values:
-        if v.mag() > want:
-            want = v.mag()
-    assert largest_mag(values)._mpf_ == want._mpf_
+def test_max_mag_is_the_largest_mag(values):
+    # the mag() of pivot_index's pick: on finite values the largest mag()
+    # itself, bit for bit; with an infinite or nan part, Python's max of
+    # the mag()s, which pivot_index falls back to
+    got = UniPoly(values).max_mag()._mpf_
+    if all(mag_binades(v) is not None for v in values):
+        want = mpmath.mpf(0)
+        for v in values:
+            if v.mag() > want:
+                want = v.mag()
+    else:
+        want = max(v.mag() for v in values)
+    assert got == want._mpf_
 
 
 # -- precision is local to each value -------------------------------------------

@@ -197,6 +197,19 @@ def test_quartic_whose_first_step_leaves_no_z_term():
     assert ok, dist
 
 
+@pytest.mark.parametrize("prec", [128, 256, 512])
+@pytest.mark.parametrize("mode", ["rational", "complex"])
+def test_quartic_whose_first_step_leaves_a_noise_z_term_keeps_its_bits(mode, prec):
+    # in complex mode the first step leaves rounding noise for the z term
+    # (-2.6e-77 at 256 bits), whose near-double root at b = 0 once cost
+    # half the bits (6.5e-39); counted as 0, it takes rational mode's path
+    lift = rat if mode == "rational" else lambda v: cx(v, 0, prec)
+    n, p, q = lift(-3), lift(3), lift(Fraction(-3, 4))
+    res = solve_quartic(n, p, q, prec=prec)
+    assert res.method == "tschirnhaus-biquadratic"
+    assert res.max_residual() <= mpmath.ldexp(1, 8 - prec), res.residuals
+
+
 def test_solve_monic_dispatch_and_degree_guard():
     rng = random.Random(26)
     for deg in (1, 2, 3, 4):
