@@ -21,14 +21,12 @@ is computed here by two independent routes:
   ``polynomials.powers_mod``; ``pipeline.dual_eliminate`` hands that table
   to the step it builds, whose certificate and inverse map read it again.
   ``powers_mod`` is the table's one builder: the route reads it, and
-  builds none itself.  When A and T are rational the route runs on Python
-  ints, each vector (A's power sums, a row of the table, the traces) over
-  one common denominator (``scalars.int_vector``): the traces and Newton's
-  identities back to C build no Scalar, and A's power sums are the ones
-  ``power_sums`` keeps on A.  The table, the power sums and the traces'
-  denominator q share one scaling, A as a monic integer polynomial in
-  w = L z (``polynomials.int_monic``).  The values are the canonical
-  rationals of the Scalar route; complex input takes that route, unchanged.
+  builds none itself.  The traces are formed with the Scalar kernels in
+  both modes, from the table's rows and the power sums that ``power_sums``
+  keeps on A.  When every value is rational, the table, the power sums
+  and Newton's identities back to C run on Python ints inside
+  ``polynomials``, and their values are the canonical rationals that the
+  Scalar code gives.
 
 The two routes are deliberately kept independent so tests can use each as an
 oracle for the other.
@@ -48,10 +46,9 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .polynomials import (Record, UniPoly, int_monic, monic_from_int_sums, mul_terms,
-                          poly_from_power_sums, power_sums, powers_mod, rem_monic)
-from .scalars import (ONE, ZERO, Scalar, as_scalar, fma, fms, int_vector, mul,
-                      pivot_index, rat)
+from .polynomials import (Record, UniPoly, mul_terms, poly_from_power_sums, power_sums,
+                          powers_mod, rem_monic)
+from .scalars import ONE, ZERO, Scalar, as_scalar, fma, fms, mul, pivot_index, rat
 
 
 class BiPoly(Record):
@@ -168,10 +165,9 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, powers=None) -> UniPoly:
     s_j(C) = sum_i (T^j mod A)_i s_i(A) for j = 1..n, read off rows 1..n of
     the table ``powers_mod(T, A)``, so only s_0..s_(n-1) of A are needed.
     ``powers`` is that table when the caller has built it (``dual_eliminate``
-    keeps it for the step); otherwise ``powers_mod`` builds it.  Exact for
-    rational inputs, which run on ints: each row, A's power sums and the
-    traces are ints over one denominator (``int_vector``), and the only
-    Scalars made are C's coefficients (``monic_from_int_sums``).
+    keeps it for the step); otherwise ``powers_mod`` builds it.  The
+    traces are Scalar sums (``mul``, ``fma``), exact for rational inputs,
+    and ``poly_from_power_sums`` rebuilds C from them.
     """
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
@@ -183,18 +179,6 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, powers=None) -> UniPoly:
     if powers is None:
         powers = powers_mod(UniPoly(t, A.var), A)
     s = power_sums(A, n - 1)
-    vt = int_vector(t)
-    va = None if vt is None else int_monic(A.coeffs)
-    if va is not None:
-        sig, ds = int_vector(s)
-        # the images T(z_i) are algebraic integers over q = td L^deg T, with
-        # td T's common denominator and L = D that of the monic A
-        # (``int_monic``): each q^j s_j(C) is an integer, and the division
-        # below is exact
-        q = vt[1] * va[1] ** k
-        traces = [sum(x * y for x, y in zip(row, sig)) * q ** j // (d * ds)
-                  for j, (row, d) in enumerate(map(int_vector, powers[1:]), 1)]
-        return UniPoly._of(monic_from_int_sums(traces, q), "y")
     sums = []
     for rem in powers[1:]:
         acc = mul(rem[0], s[0])

@@ -14,9 +14,11 @@ builder of the table of T^j mod A.  Where every coefficient is rational,
 the table and Newton's identities both ways (``power_sums``,
 ``poly_from_power_sums``) run on Python ints instead, a vector of values
 over one common denominator (``scalars.int_vector``), and make Scalars only
-for what they return.  The table and ``power_sums`` share one scaling: the
-monic integer polynomial in w = L z (``int_monic``), so reducing modulo it
-is a plain division.  Rational values are canonical, so they are the ones
+for what they return; these three are the package's integer routes, and
+the traces between them (``elimination.transform_by_power_sums``) are
+Scalar sums.  The table and ``power_sums`` share one scaling: the monic
+integer polynomial in w = L z (``int_monic``), so reducing modulo it is a
+plain division.  Rational values are canonical, so they are the ones
 the Scalar operations give, and complex input runs the Scalar code as
 before.  ``Record`` is the read-only base of ``UniPoly`` and of the records
 in other modules that do work at construction.  A ``UniPoly`` also keeps
@@ -485,8 +487,11 @@ def power_sums(poly: UniPoly, k_max: int):
 def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
     """Newton's identities, power sums back to a monic polynomial.
 
-    ``sums`` lists the Scalars s_1..s_n; rational ones run on ints
-    (``monic_from_int_sums``).
+    ``sums`` lists the Scalars s_1..s_n.  Rational ones run on ints: over
+    their common denominator Q (``int_vector``), P_i = Q^i s_i is an
+    integer, G_k = k! Q^k e_k is sum_(i=1..k) (-1)^(i-1) (k-1)!/(k-i)! P_i
+    G_(k-i), and the coefficient (-1)^k e_k of y^(n-k) comes back over
+    n! Q^n.
     """
     sums = list(sums)
     n = len(sums)
@@ -494,9 +499,25 @@ def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
         raise ValueError("need at least one power sum")
     ints = int_vector(sums)
     if ints is not None:
-        nums, q = ints
-        return UniPoly._of(monic_from_int_sums([x * q ** i for i, x in enumerate(nums)], q),
-                           var)
+        nums, Q = ints
+        P = [x * Q ** i for i, x in enumerate(nums)]
+        G = [1]
+        for k in range(1, n + 1):
+            acc, f = 0, 1
+            for i in range(1, k + 1):
+                if i % 2:
+                    acc += f * P[i - 1] * G[k - i]
+                else:
+                    acc -= f * P[i - 1] * G[k - i]
+                f *= k - i
+            G.append(acc)
+        # (-1)^k G_k (n!/k!) Q^(n-k), from k = n down to 1, then n! Q^n itself
+        coeffs, w = [], 1
+        for k in range(n, 0, -1):
+            coeffs.append(w * G[k] if k % 2 == 0 else -w * G[k])
+            w *= k * Q
+        coeffs.append(w)
+        return UniPoly._of(rational_vector(coeffs, w), var)
     e = [ONE]
     for k in range(1, n + 1):
         acc = mul(e[k - 1], sums[0])
@@ -508,29 +529,3 @@ def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
     for k in range(1, n + 1):
         coeffs[n - k] = e[k] if k % 2 == 0 else -e[k]
     return UniPoly(coeffs, var)
-
-
-def monic_from_int_sums(P, Q):
-    """The ascending rational coefficients of the monic polynomial of degree
-    n = len(P) whose roots have the power sums s_i = P[i - 1] / Q^i (ints,
-    Q > 0), by Newton's identities on ints: G_k = k! Q^k e_k is
-    sum_(i=1..k) (-1)^(i-1) (k-1)!/(k-i)! P_i G_(k-i), and the coefficient
-    (-1)^k e_k of y^(n-k) comes back over n! Q^n."""
-    n = len(P)
-    G = [1]
-    for k in range(1, n + 1):
-        acc, f = 0, 1
-        for i in range(1, k + 1):
-            if i % 2:
-                acc += f * P[i - 1] * G[k - i]
-            else:
-                acc -= f * P[i - 1] * G[k - i]
-            f *= k - i
-        G.append(acc)
-    # (-1)^k G_k (n!/k!) Q^(n-k), from k = n down to 1, then n! Q^n itself
-    nums, w = [], 1
-    for k in range(n, 0, -1):
-        nums.append(w * G[k] if k % 2 == 0 else -w * G[k])
-        w *= k * Q
-    nums.append(w)
-    return rational_vector(nums, w)

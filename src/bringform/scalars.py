@@ -4,12 +4,12 @@ A Scalar is immutable and is either an exact rational, held as two Python
 ints (a numerator and a positive denominator coprime to it), or a complex
 float carried at an explicit mantissa precision in bits (mpmath).  Ring
 operations between two rationals stay rational: + - * / and ``**`` run on
-the ints, with the gcd reductions of CPython's ``fractions``, so every
-value equals what ``Fraction`` arithmetic gives, and no ``Fraction`` is
-built unless ``Scalar.fraction`` asks for one.  Any contact with a complex
-operand promotes the result to complex at the larger precision in play.
-Square and cube roots of rationals stay rational exactly when the result is
-rational, and promote otherwise.
+the ints, each result in lowest terms (``_q``; a power of a coprime pair
+needs no gcd), so every value equals what ``Fraction`` arithmetic gives,
+and no ``Fraction`` is built unless ``Scalar.fraction`` asks for one.
+Any contact with a complex operand promotes the result to complex at the
+larger precision in play.  Square and cube roots of rationals stay
+rational exactly when the result is rational, and promote otherwise.
 
 A complex Scalar holds the raw libmp pair (re, im) of its parts, not an
 mpmath object; ``to_mpc``, ``mag``, ``re``, ``im``, ``to_json`` and the
@@ -30,8 +30,8 @@ kernel, ``add``, ``sub``, ``mul`` or ``div``; the eliminations' loops of
 acc +- x * y and ``UniPoly.eval``'s Horner call ``fma`` and ``fms``.  One
 rule holds for all six:
 
-* Two rationals give the exact rational (``_qadd``, ``_qmul``, ``_qfma``;
-  ``div`` multiplies by the reciprocal pair through ``_qmul``).
+* Two rationals give the exact rational: each kernel forms the unreduced
+  numerator and denominator, and one normalizer, ``_q``, reduces them.
 * Otherwise the result is complex, rounded at the larger precision in
   play; a rational operand enters as its value rounded at the complex
   precision (``_rat_mpf``, in ``_lift``).  ``fma`` and ``fms`` round the
@@ -252,11 +252,10 @@ def cmul(z, w, prec):
     return mpc_mul(z, w, prec, round_nearest)
 
 
-# Rational OP rational, on the numerators and the positive denominators of
-# two operands in lowest terms.  Each reduces with the gcds of CPython's
-# ``fractions``, so it returns the same value as Fraction arithmetic, in
-# lowest terms with a positive denominator; two integers (denominator 1)
-# take no gcd for + - *.
+# Rational OP rational: every kernel forms the unreduced pair on the ints
+# and ``_q`` reduces it, so each result is the value Fraction arithmetic
+# gives, in lowest terms with a positive denominator; two integers
+# (denominator 1) take no gcd for + - *.
 
 def _q(n, d):
     """The rational n / d (ints, d nonzero) in lowest terms."""
@@ -268,34 +267,6 @@ def _q(n, d):
     if d < 0:
         g = -g
     return Scalar(n // g, d // g, None, None)
-
-
-def _qadd(na, da, nb, db):
-    if da == 1 and db == 1:
-        return Scalar(na + nb, 1, None, None)
-    g = gcd(da, db)
-    if g == 1:
-        return Scalar(na * db + da * nb, da * db, None, None)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return Scalar(t, s * db, None, None)
-    return Scalar(t // g2, s * (db // g2), None, None)
-
-
-def _qmul(na, da, nb, db):
-    if da == 1 and db == 1:
-        return Scalar(na * nb, 1, None, None)
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return Scalar(na * nb, da * db, None, None)
 
 
 def _qpow(n, d, k):
@@ -599,7 +570,7 @@ def add(x, y):
     """x + y for Scalars x and y."""
     if x._den is not None:
         if y._den is not None:
-            return _qadd(x._num, x._den, y._num, y._den)
+            return _q(x._num * y._den + y._num * x._den, x._den * y._den)
         if not x._num and _fits(y._c, y._prec):
             return y
     elif y._den is not None and not y._num and _fits(x._c, x._prec):
@@ -612,7 +583,7 @@ def sub(x, y):
     """x - y for Scalars x and y."""
     if x._den is not None:
         if y._den is not None:
-            return _qadd(x._num, x._den, -y._num, y._den)
+            return _q(x._num * y._den - y._num * x._den, x._den * y._den)
         if not x._num and _fits(y._c, y._prec):
             return Scalar(None, None, mpc_neg(y._c), y._prec)
     elif y._den is not None and not y._num and _fits(x._c, x._prec):
@@ -632,7 +603,7 @@ def mul(x, y):
     elif yd is None:
         z, q = y, x
     else:
-        return _qmul(x._num, xd, y._num, yd)
+        return _q(x._num * y._num, xd * yd)
     if q._den == 1 and -1 <= q._num <= 1 and _fits(z._c, z._prec):
         if q._num == 1:
             return z
@@ -644,25 +615,11 @@ def mul(x, y):
 def div(x, y):
     """x / y for Scalars x and y."""
     if x._den is not None and y._den is not None:
-        n, d = y._num, y._den
-        if not n:
+        if not y._num:
             raise ZeroDivisionError("rational division by 0")
-        if n < 0:  # the reciprocal d / n, its sign on the numerator
-            n, d = -n, -d
-        return _qmul(x._num, x._den, d, n)
+        return _q(x._num * y._den, x._den * y._num)
     prec, a, b = _lift(x, y)
     return Scalar(None, None, mpc_div(a, b, prec, round_nearest), prec)
-
-
-def _qfma(na, da, n, d):
-    """na / da + n / d in lowest terms, for d > 0 (n / d need not be): one
-    numerator over one denominator and one gcd give the canonical pair."""
-    if da == 1 and d == 1:
-        return Scalar(na + n, 1, None, None)
-    n = na * d + n * da
-    d *= da
-    g = gcd(n, d)
-    return Scalar(n // g, d // g, None, None)
 
 
 def fma(acc, x, y):
@@ -670,7 +627,8 @@ def fma(acc, x, y):
     ad, xd, yd = acc._den, x._den, y._den
     if ad is not None:
         if xd is not None and yd is not None:
-            return _qfma(acc._num, ad, x._num * y._num, xd * yd)
+            d = xd * yd
+            return _q(acc._num * d + x._num * y._num * ad, ad * d)
     elif xd is None and yd is None:
         prec = x._prec if x._prec >= y._prec else y._prec
         z = cmul(x._c, y._c, prec)
@@ -685,7 +643,8 @@ def fms(acc, x, y):
     ad, xd, yd = acc._den, x._den, y._den
     if ad is not None:
         if xd is not None and yd is not None:
-            return _qfma(acc._num, ad, -x._num * y._num, xd * yd)
+            d = xd * yd
+            return _q(acc._num * d - x._num * y._num * ad, ad * d)
     elif xd is None and yd is None:
         prec = x._prec if x._prec >= y._prec else y._prec
         z = cmul(x._c, y._c, prec)

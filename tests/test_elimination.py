@@ -421,14 +421,14 @@ def _count_kernels(monkeypatch):
     return calls
 
 
-def test_a_rational_power_sum_route_runs_no_scalar_kernel(monkeypatch):
-    # rational: Newton's identities both ways, the rows and their traces run
-    # on ints; complex: the Scalar route, which must keep calling the kernels
+def test_the_rational_integer_routes_run_no_scalar_kernel(monkeypatch):
+    # rational: the table and Newton's identities both ways run on ints;
+    # complex: the power-sum route, which must keep calling the kernels
     A = UniPoly([rat(3, 4), rat(-2, 3), rat(0), rat(4), rat(-1, 2), rat(1)])
     P = UniPoly([rat(3, 2), rat(-4, 3), rat(0), rat(8), rat(-1), rat(2)])  # 2A
     t = (rat(1, 3), rat(-2, 5), rat(7, 2))
     calls = _count_kernels(monkeypatch)
-    transform_by_power_sums(A, t)
+    powers_mod(UniPoly(t), A)
     assert poly_from_power_sums(power_sums(P, 5)[1:], "z") == A
     assert calls == {"mul": 0, "fma": 0, "fms": 0}
     Z = UniPoly([cx(c.fraction, 1, 64) for c in A.coeffs[:-1]] + [rat(1)])

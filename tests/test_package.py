@@ -122,6 +122,36 @@ def test_only_the_step_constructor_eliminates_or_hands_a_step_its_table(path):
     assert [(fn, bare) for fn, _, bare in finder.hits] == want, finder.hits
 
 
+def _gcd_calls(path):
+    """(innermost function, line) for each call of ``gcd`` in a module, by
+    its bare name or as an attribute (``math.gcd``)."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    hits = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "gcd":
+                hits.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(tree, "<module>")
+    return hits
+
+
+# one normalizer: every rational result is reduced by ``_q``, and only the
+# integer views of a vector take gcds of their own
+def test_only_the_rational_normalizer_and_the_vector_views_take_a_gcd():
+    allowed = {("scalars.py", fn) for fn in ("_q", "int_vector", "rational_vector")}
+    hits = [(os.path.basename(p), fn, line)
+            for p in sorted(glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py")))
+            for fn, line in _gcd_calls(p)]
+    assert [h for h in hits if h[:2] not in allowed] == []
+
+
 _P = UniPoly([rat(-1), rat(0), rat(1)])
 _SUB = Subsidiary(1, (rat(0),))
 RECORDS = {
