@@ -5,13 +5,18 @@ satisfied by the images of A's roots, C(y) = Res_z(A, y - T) = prod (y - T(z_i))
 is computed here by two independent routes:
 
 * ``map_charpoly``: the characteristic polynomial det(y - M_T) of the n x n
-  scalar matrix of multiplication by T in K[z]/(A), whose columns z^i T mod
-  A are coefficient lists (``polynomials.rem_monic``), by reduction to
-  Hessenberg form and the Hessenberg recurrence (Cohen, *A Course in
-  Computational Algebraic Number Theory*, Alg. 2.2.9).  The similarity
-  transforms are exact when every entry is rational (each rational Scalar
-  is a numerator and a denominator, two ints) and pivot by magnitude
-  otherwise.  ``sylvester_resultant_with_factor`` routes a subsidiary
+  matrix of multiplication by T in K[z]/(A), whose columns are z^i T mod
+  A.  When T and A are rational it runs on Python ints, as ``powers_mod``
+  does: the columns are those of multiplication by the integer Tw modulo
+  the monic integer A in w = L z (``int_monic``), and Berkowitz's
+  division-free recursion over the leading principal minors (Berkowitz,
+  *Inf. Process. Lett.* 18, 1984) gives their charpoly.  Otherwise the
+  columns are Scalar coefficient lists (``polynomials.rem_monic``), reduced
+  to Hessenberg form and read by the Hessenberg recurrence (Cohen, *A Course
+  in Computational Algebraic Number Theory*, Alg. 2.2.9), pivoting by
+  magnitude, or on the first nonzero entry when every entry is rational.
+  Neither way forms a trace, so the route stays apart from the next one.
+  ``sylvester_resultant_with_factor`` routes a subsidiary
   relation B = c*y - T(z) here, and ``polynomial_resultant`` any Res(P, Q),
   as the constant term of the charpoly of Q modulo P.  It is the package's
   one determinant routine.
@@ -43,12 +48,14 @@ b (``pipeline.quartic_obstruction_G``).
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .polynomials import (Record, UniPoly, mul_terms, poly_from_power_sums, power_sums,
-                          powers_mod, rem_monic)
-from .scalars import ONE, ZERO, Scalar, as_scalar, fma, fms, mul, pivot_index, rat
+from .polynomials import (Record, UniPoly, int_monic, int_rem_monic, mul_terms,
+                          poly_from_power_sums, power_sums, powers_mod, rem_monic)
+from .scalars import (ONE, ZERO, Scalar, as_scalar, fma, fms, int_vector, mul, pivot_index, rat,
+                      rational_vector)
 
 
 class BiPoly(Record):
@@ -70,12 +77,21 @@ def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
     the basis 1, z, ..., z^(n-1) of K[z]/(A).
 
     This is prod (y - T(z_i)) over the roots of A, repeated roots included.
-    Exact when every entry of M_T is rational.
+    When T and A are rational (``int_vector``, ``int_monic``) it is
+    ``_int_charpoly``'s, on ints; otherwise the Hessenberg recurrence's,
+    exact when every entry of M_T is rational.
     """
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
     n = A.degree
-    col = rem_monic([as_scalar(c) for c in t_coeffs], A)
+    t = [as_scalar(c) for c in t_coeffs]
+    while t and t[-1].is_exact_zero():
+        t.pop()
+    vt = int_vector(t)
+    va = None if vt is None else int_monic(A.coeffs)
+    if va is not None:
+        return _int_charpoly(vt, va)
+    col = rem_monic(t, A)
     cols = [col]
     while len(cols) < n:
         col = rem_monic([ZERO] + col, A)
@@ -123,6 +139,54 @@ def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
                 new[k] = fms(new[k], f, c)
         polys.append(new)
     return UniPoly._of(polys[n], "y")
+
+
+def _int_charpoly(vt, va) -> UniPoly:
+    """``map_charpoly`` of the rational T = tn / td modulo A, from their
+    integer views (``int_vector``, ``int_monic``): det(x - N) of the integer
+    matrix N of multiplication by Tw = td L^k T(w / L) modulo a in w = L z
+    (as in ``powers_mod``), whose coefficient c_j of x^j gives that of y^j
+    as c_j q^j / q^n, q = td L^k."""
+    (tn, td), (a, L) = vt, va
+    n, k = len(a) - 1, max(len(tn) - 1, 0)
+    low = [(i, c) for i, c in enumerate(a[:n]) if c]
+    col = int_rem_monic([c * L ** (k - i) for i, c in enumerate(tn)] + [0] * n, low, n)
+    # the columns w^i Tw mod a, taken as rows: N and its transpose share det(x - N)
+    rows = []
+    while len(rows) < n:
+        rows.append(col)
+        col = int_rem_monic([0] + col, low, n)
+    q = td * L ** k
+    coeffs = [c * q ** j for j, c in enumerate(reversed(_berkowitz(rows)))]
+    return UniPoly._of(rational_vector(coeffs, q ** n), "y")
+
+
+def _berkowitz(N):
+    """The coefficients of det(x - N), highest first, for a square matrix
+    N of ints, with no division (Berkowitz, Inf. Process. Lett. 18, 1984).
+
+    With p the charpoly of the leading r x r block B, R and c the rest of
+    row and column r + 1, and d the corner entry, the next block's charpoly
+    is the convolution of p with (1, -d, -R c, -R B c, ..., -R B^(r-1) c).
+    """
+    p = [1]
+    for r, row in enumerate(N):
+        # map stops at the end of c (r entries), so row and the rows above
+        # serve as R and B unsliced
+        above = N[:r]
+        c = [x[r] for x in above]
+        t = [-row[r]]
+        for m in range(r):
+            t.append(-sum(map(operator.mul, row, c)))
+            if m < r - 1:
+                c = [sum(map(operator.mul, x, c)) for x in above]
+        new = p + [0]
+        for j, pj in enumerate(p):
+            if pj:
+                for i, x in enumerate(t[:r + 1 - j], j + 1):
+                    new[i] += x * pj
+        p = new
+    return p
 
 
 def polynomial_resultant(P: UniPoly, Q: UniPoly) -> Scalar:

@@ -14,11 +14,12 @@ builder of the table of T^j mod A.  Where every coefficient is rational,
 the table and Newton's identities both ways (``power_sums``,
 ``poly_from_power_sums``) run on Python ints instead, a vector of values
 over one common denominator (``scalars.int_vector``), and make Scalars only
-for what they return; these three are the package's integer routes, and
-the traces between them (``elimination.transform_by_power_sums``) are
-Scalar sums.  The table and ``power_sums`` share one scaling: the monic
-integer polynomial in w = L z (``int_monic``), so reducing modulo it is a
-plain division.  Rational values are canonical, so they are the ones
+for what they return; these three and ``elimination.map_charpoly``'s are
+the package's integer routes, and the traces between them
+(``elimination.transform_by_power_sums``) are Scalar sums.  The table,
+``power_sums`` and the charpoly share one scaling: the monic integer
+polynomial in w = L z (``int_monic``), so reducing modulo it is a plain
+division (``int_rem_monic``).  Rational values are canonical, so they are the ones
 the Scalar operations give, and complex input runs the Scalar code as
 before.  ``Record`` is the read-only base of ``UniPoly`` and of the records
 in other modules that do work at construction.  A ``UniPoly`` also keeps
@@ -301,10 +302,15 @@ def lies_on(A: UniPoly, z, tol=None) -> bool:
 def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
     """(k, P_k - Q_k) at the first power k where the difference is not
     ``negligible`` at tol * coeff_scale(P, Q), or None: two rational
-    coefficients must agree exactly."""
+    coefficients must agree exactly, so they are compared with ==."""
     t = None  # tol * coeff_scale(P, Q), which a rational difference never reads
     for k in range(max(P.degree, Q.degree) + 1):
-        d = P.coeff(k) - Q.coeff(k)
+        p, q = P.coeff(k), Q.coeff(k)
+        if p.is_rational and q.is_rational:
+            if p == q:
+                continue
+            return k, p - q
+        d = p - q
         if t is None and not d.is_rational:
             t = as_tol(tol, coeff_scale(P, Q))
         if not negligible(d, t):
@@ -399,14 +405,21 @@ def powers_mod(T: UniPoly, A: UniPoly):
             if x:
                 for m, c in tw:
                     prod[i + m] += x * c
-        for m in range(n + k - 1, n - 1, -1):
-            r = prod[m]
-            if r:
-                for i, c in low:
-                    prod[m - n + i] -= r * c
-        row = prod[:n]
+        row = int_rem_monic(prod, low, n)
         out.append(tuple(rational_vector([x * f for x, f in zip(row, scale)], q ** j)))
     return tuple(out)
+
+
+def int_rem_monic(P, low, n):
+    """The n ascending coefficients of the int list P modulo the monic
+    integer polynomial w^n + sum c w^i over the pairs (i, c) of ``low``,
+    its nonzero lower terms; P is reduced in place."""
+    for m in range(len(P) - 1, n - 1, -1):
+        r = P[m]
+        if r:
+            for i, c in low:
+                P[m - n + i] -= r * c
+    return P[:n]
 
 
 def int_monic(coeffs):

@@ -4,9 +4,9 @@ The two routes share nothing past the polynomial ring: one goes through the
 characteristic polynomial of multiplication by T modulo A, the other through
 Newton's identities.  On rational input they must agree coefficient for
 coefficient, exactly.  That equality is the oracle for both, and sympy's
-resultant, outside the package, is a third.  The power-sum route runs on
-Python ints when its input is rational; a Fraction copy of it written here
-checks it pair for pair.
+resultant, outside the package, is a third.  Both routes run on Python
+ints when their input is rational; a Fraction copy of the power-sum route
+written here checks both pair for pair, on maps and moduli of every degree.
 """
 
 import random
@@ -158,8 +158,15 @@ def _sympy_resultant(X, Y, z):
 def test_polynomial_resultant_matches_sympy_on_rational_pairs():
     z = sympy.Symbol("z")
     rng = random.Random(43)
-    for _ in range(60):
-        P, Q = (_nonzero_poly(rng, rng.randint(0, 5), rand_scalar) for _ in range(2))
+    pairs = [tuple(_nonzero_poly(rng, rng.randint(0, 5), rand_scalar) for _ in range(2))
+             for _ in range(60)]
+    # leading coefficients that are negative and large, before the monic
+    # normalization and the integer scaling by int_monic's L
+    big = rat(-10 ** 30 - 7, 11)
+    pairs += [(UniPoly([rat(5, 3), rat(-2), rat(0), big]), UniPoly([rat(1, 2), big])),
+              (UniPoly([rat(3), big]), UniPoly([rat(-7, 2), rat(1), rat(0), rat(0), big])),
+              (UniPoly([big]), UniPoly([rat(2), rat(-1), rat(-3)]))]
+    for P, Q in pairs:
         for X, Y in ((P, Q), (Q, P)):
             want = sympy.Rational(_sympy_resultant(X, Y, z))
             got = polynomial_resultant(X, Y)
@@ -382,6 +389,12 @@ def test_the_integer_power_sum_route_matches_fraction_arithmetic(case):
     assert _scalar_pairs(transform_by_power_sums(A, T).coeffs) == ref
     assert _scalar_pairs(transform_by_power_sums(A, T, table).coeffs) == ref
     assert _scalar_pairs(map_charpoly(A, T).coeffs) == ref
+    # the resultant route alone takes any map, a constant one and one of
+    # degree n or more, and any monic A, of degree 0 and 1 too
+    for b in ([Fraction(1)], [a[0], Fraction(1)], a):
+        for u in (t[:1], t + a):
+            assert (_scalar_pairs(map_charpoly(UniPoly(_lift(b)), _lift(u)).coeffs)
+                    == _pairs(_ref_route(_ref_powers_mod(u, b), b)))
     # a subsidiary's T is monic up to sign: dual_eliminate's table is
     # powers_mod's, and its C the Fraction route's
     sub = Subsidiary(len(t) - 1, tuple(T[:-1]))
@@ -422,15 +435,19 @@ def _count_kernels(monkeypatch):
 
 
 def test_the_rational_integer_routes_run_no_scalar_kernel(monkeypatch):
-    # rational: the table and Newton's identities both ways run on ints;
-    # complex: the power-sum route, which must keep calling the kernels
+    # rational: the table, Newton's identities both ways and the
+    # determinant run on ints; complex: both routes, which must keep
+    # calling the kernels
     A = UniPoly([rat(3, 4), rat(-2, 3), rat(0), rat(4), rat(-1, 2), rat(1)])
     P = UniPoly([rat(3, 2), rat(-4, 3), rat(0), rat(8), rat(-1), rat(2)])  # 2A
     t = (rat(1, 3), rat(-2, 5), rat(7, 2))
     calls = _count_kernels(monkeypatch)
     powers_mod(UniPoly(t), A)
     assert poly_from_power_sums(power_sums(P, 5)[1:], "z") == A
+    map_charpoly(A, t)
     assert calls == {"mul": 0, "fma": 0, "fms": 0}
     Z = UniPoly([cx(c.fraction, 1, 64) for c in A.coeffs[:-1]] + [rat(1)])
-    transform_by_power_sums(Z, t)
-    assert all(calls.values()), calls
+    for route in (transform_by_power_sums, map_charpoly):
+        calls.update(dict.fromkeys(calls, 0))
+        route(Z, t)
+        assert all(calls.values()), (route.__name__, calls)

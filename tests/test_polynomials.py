@@ -185,10 +185,14 @@ def test_coeff_mismatch_asks_exactness_of_each_rational_pair():
     # a complex polynomial does not excuse a rational coefficient that differs
     P = UniPoly([cx(1), rat(2), rat(1)])
     assert coeff_mismatch(P, UniPoly([cx(1), rat(2), rat(1)]), "1e-30") is None
-    assert coeff_mismatch(P, UniPoly([cx(1), rat(2) + rat(1, 10 ** 40), rat(1)]),
-                          "1e-30")[0] == 1
+    k, d = coeff_mismatch(P, UniPoly([cx(1), rat(2) + rat(1, 10 ** 40), rat(1)]), "1e-30")
+    assert k == 1 and d.is_rational and d.fraction == Fraction(-1, 10 ** 40)
+    # a rational and a complex coefficient are judged by negligible, either way
     assert coeff_mismatch(P, UniPoly([cx(1), cx(2) + cx("1e-40"), rat(1)]),
                           "1e-30") is None
+    k, d = coeff_mismatch(UniPoly([rat(1), rat(2)]), UniPoly([cx(1), cx(2) + cx("1e-20")]),
+                          "1e-30")
+    assert k == 1 and not d.is_rational and d.mag() > mpmath.mpf("1e-21")
 
 
 def test_memo_slots_take_no_part_in_equality_or_output():
