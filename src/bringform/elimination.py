@@ -5,21 +5,15 @@ satisfied by the images of A's roots, C(y) = Res_z(A, y - T) = prod (y - T(z_i))
 is computed here by two independent routes:
 
 * ``map_charpoly``: the characteristic polynomial det(y - M_T) of the n x n
-  matrix of multiplication by T in K[z]/(A), whose columns are z^i T mod
-  A.  When T and A are rational it runs on Python ints, as ``powers_mod``
-  does: the columns are those of multiplication by the integer Tw modulo
-  the monic integer A in w = L z (``int_monic``), and Berkowitz's
-  division-free recursion over the leading principal minors (Berkowitz,
-  *Inf. Process. Lett.* 18, 1984) gives their charpoly.  Otherwise the
-  columns are Scalar coefficient lists (``polynomials.rem_monic``), reduced
-  to Hessenberg form and read by the Hessenberg recurrence (Cohen, *A Course
-  in Computational Algebraic Number Theory*, Alg. 2.2.9), pivoting by
-  magnitude, or on the first nonzero entry when every entry is rational.
-  Neither way forms a trace, so the route stays apart from the next one.
-  ``sylvester_resultant_with_factor`` routes a subsidiary
-  relation B = c*y - T(z) here, and ``polynomial_resultant`` any Res(P, Q),
-  as the constant term of the charpoly of Q modulo P.  It is the package's
-  one determinant routine.
+  matrix of multiplication by T in K[z]/(A), by Berkowitz's division-free
+  recursion over the leading principal minors (Berkowitz, *Inf. Process.
+  Lett.* 18, 1984), which forms no trace, so the route stays apart from the
+  next one.  Rational T and A give an integer matrix in w = L z, as in
+  ``powers_mod``; otherwise the columns z^i T mod A (``rem_monic``) are read
+  exactly as Gaussian integers over one scale (``scalars.gauss_block``) and
+  each coefficient is rounded once.  It is the package's one determinant
+  routine: ``sylvester_resultant_with_factor`` routes B = c*y - T(z) here,
+  and ``polynomial_resultant`` reads Res(P, Q) off the charpoly of Q mod P.
 * ``transform_by_power_sums``: the power sums of C are the traces
   sum_i (T^j mod A)_i s_i(A), so only s_0..s_(n-1) of A are needed; Newton's
   identities rebuild C from them.  The powers T^j mod A come from
@@ -54,8 +48,8 @@ from math import factorial
 
 from .polynomials import (Record, UniPoly, int_monic, int_rem_monic, mul_terms,
                           poly_from_power_sums, power_sums, powers_mod, rem_monic)
-from .scalars import (ONE, ZERO, Scalar, as_scalar, fma, fms, int_vector, mul, pivot_index, rat,
-                      rational_vector)
+from .scalars import (ONE, ZERO, Scalar, as_scalar, fma, gauss_block, graded_monic, int_vector,
+                      mul, rat)
 
 
 class BiPoly(Record):
@@ -72,98 +66,47 @@ class BiPoly(Record):
 
 
 def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
-    """det(y - M_T), monic of degree n = deg A, where M_T is the matrix of
-    multiplication by T(z) (ascending Scalar coefficients ``t_coeffs``) on
-    the basis 1, z, ..., z^(n-1) of K[z]/(A).
+    """det(y - M_T) = prod (y - T(z_i)) over the roots of A, repeated roots
+    included, where M_T is the matrix of multiplication by T(z) (ascending
+    Scalar coefficients ``t_coeffs``) on 1, z, ..., z^(n-1) in K[z]/(A).
 
-    This is prod (y - T(z_i)) over the roots of A, repeated roots included.
-    When T and A are rational (``int_vector``, ``int_monic``) it is
-    ``_int_charpoly``'s, on ints; otherwise the Hessenberg recurrence's,
-    exact when every entry of M_T is rational.
+    ``_berkowitz`` takes the determinant and ``graded_monic`` reads it back;
+    1 when n = 0, and a complex exact zero counts as the rational 0.  For
+    rational T = tn / td and A (``int_vector``, ``int_monic``) the matrix,
+    similar to q M_T, q = td L^k, is that of Tw = q T(w / L) modulo the monic
+    integer a in w = L z (as in ``powers_mod``); otherwise it is the exact
+    ``gauss_block`` of the columns z^i T mod A (``rem_monic``).
     """
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
     n = A.degree
-    t = [as_scalar(c) for c in t_coeffs]
-    while t and t[-1].is_exact_zero():
+    if not n:
+        return UniPoly._of([ONE], "y")
+    t = [ZERO if c.is_exact_zero() else c for c in map(as_scalar, t_coeffs)]
+    while t and t[-1] is ZERO:
         t.pop()
     vt = int_vector(t)
-    va = None if vt is None else int_monic(A.coeffs)
+    va = None if vt is None else int_monic([ZERO if c.is_exact_zero() else c for c in A.coeffs])
     if va is not None:
-        return _int_charpoly(vt, va)
-    col = rem_monic(t, A)
-    cols = [col]
-    while len(cols) < n:
-        col = rem_monic([ZERO] + col, A)
-        cols.append(col)
-    H = [[cols[j][i] for j in range(n)] for i in range(n)]
-    exact = all(e.is_rational for c in cols for e in c)
-    # Hessenberg reduction: clear column m-1 below the subdiagonal by row
-    # operations, each paired with the inverse column operation.  Entries
-    # below the subdiagonal are never read again, so they are not cleared.
-    for m in range(1, n - 1):
-        cands = [i for i in range(m, n) if not H[i][m - 1].is_exact_zero()]
-        if not cands:
-            continue
-        p = cands[0] if exact else cands[pivot_index([H[i][m - 1] for i in cands])]
-        if p != m:
-            H[p], H[m] = H[m], H[p]
-            for row in H:
-                row[p], row[m] = row[m], row[p]
-        pivot = H[m][m - 1]
-        for i in range(m + 1, n):
-            u = H[i][m - 1] / pivot
-            if u.is_exact_zero():
-                continue
-            for j in range(m, n):
-                H[i][j] = fms(H[i][j], u, H[m][j])
-            for row in H:
-                row[m] = fma(row[m], u, row[i])
-    # p_m(y) = (y - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
-    polys = [[ONE]]
-    for m in range(n):
-        prev = polys[m]
-        new = [ZERO] + prev
-        h = H[m][m]
-        for k, c in enumerate(prev):
-            new[k] = fms(new[k], h, c)
-        t = ONE
-        for i in range(m - 1, -1, -1):
-            t = mul(t, H[i + 1][i])
-            if t.is_exact_zero():
-                break
-            f = mul(H[i][m], t)
-            if f.is_exact_zero():
-                continue
-            for k, c in enumerate(polys[i]):
-                new[k] = fms(new[k], f, c)
-        polys.append(new)
-    return UniPoly._of(polys[n], "y")
-
-
-def _int_charpoly(vt, va) -> UniPoly:
-    """``map_charpoly`` of the rational T = tn / td modulo A, from their
-    integer views (``int_vector``, ``int_monic``): det(x - N) of the integer
-    matrix N of multiplication by Tw = td L^k T(w / L) modulo a in w = L z
-    (as in ``powers_mod``), whose coefficient c_j of x^j gives that of y^j
-    as c_j q^j / q^n, q = td L^k."""
-    (tn, td), (a, L) = vt, va
-    n, k = len(a) - 1, max(len(tn) - 1, 0)
-    low = [(i, c) for i, c in enumerate(a[:n]) if c]
-    col = int_rem_monic([c * L ** (k - i) for i, c in enumerate(tn)] + [0] * n, low, n)
-    # the columns w^i Tw mod a, taken as rows: N and its transpose share det(x - N)
-    rows = []
-    while len(rows) < n:
-        rows.append(col)
-        col = int_rem_monic([0] + col, low, n)
-    q = td * L ** k
-    coeffs = [c * q ** j for j, c in enumerate(reversed(_berkowitz(rows)))]
-    return UniPoly._of(rational_vector(coeffs, q ** n), "y")
+        (tn, td), (a, L) = vt, va
+        k = max(len(tn) - 1, 0)
+        low = [(i, c) for i, c in enumerate(a[:n]) if c]
+        cols = [int_rem_monic([c * L ** (k - i) for i, c in enumerate(tn)] + [0] * n, low, n)]
+        while len(cols) < n:
+            cols.append(int_rem_monic([0] + cols[-1], low, n))
+        block, scale = cols, (0, td * L ** k, None)
+    else:
+        cols = [rem_monic(t, A)]
+        while len(cols) < n:
+            cols.append(rem_monic([ZERO] + cols[-1], A))
+        block, scale = gauss_block(cols)
+    # the columns serve as rows: N and its transpose share det(x - N)
+    return UniPoly._of(graded_monic(_berkowitz(block), scale), "y")
 
 
 def _berkowitz(N):
-    """The coefficients of det(x - N), highest first, for a square matrix
-    N of ints, with no division (Berkowitz, Inf. Process. Lett. 18, 1984).
+    """det(x - N), highest first, for a square matrix N of ints and ``Gauss``
+    integers, with no division (Berkowitz, Inf. Process. Lett. 18, 1984).
 
     With p the charpoly of the leading r x r block B, R and c the rest of
     row and column r + 1, and d the corner entry, the next block's charpoly

@@ -33,8 +33,8 @@ power-sum route run on Python ints, in one scaling (A as a monic integer
 polynomial in w = L z), and make Scalars only for what they hand on (C's
 coefficients, the table's rows, and A's power sums, kept on A): the exact
 values the Scalar operations would give, so every trace, certificate and
-refusal is the same to the byte.  Complex steps run the Scalar route
-unchanged.
+refusal is the same to the byte.  Complex steps run the Scalar kernels,
+but for the determinant, which runs on an exact Gaussian-integer block.
 """
 
 from __future__ import annotations

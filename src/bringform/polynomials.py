@@ -11,22 +11,19 @@ eliminations multiply by T modulo A on plain lists of ascending
 coefficients, with no UniPoly per row: ``mul_terms``, which
 ``UniPoly.__mul__`` wraps, then ``rem_monic``; ``powers_mod`` is the one
 builder of the table of T^j mod A.  Where every coefficient is rational,
-the table and Newton's identities both ways (``power_sums``,
-``poly_from_power_sums``) run on Python ints instead, a vector of values
-over one common denominator (``scalars.int_vector``), and make Scalars only
-for what they return; these three and ``elimination.map_charpoly``'s are
-the package's integer routes, and the traces between them
-(``elimination.transform_by_power_sums``) are Scalar sums.  The table,
-``power_sums`` and the charpoly share one scaling: the monic integer
-polynomial in w = L z (``int_monic``), so reducing modulo it is a plain
-division (``int_rem_monic``).  Rational values are canonical, so they are the ones
-the Scalar operations give, and complex input runs the Scalar code as
-before.  ``Record`` is the read-only base of ``UniPoly`` and of the records
-in other modules that do work at construction.  A ``UniPoly`` also keeps
-three memo slots, filled on first use and never part of equality, repr or
-JSON: its largest coefficient magnitude (``max_mag``), its terms that are
-not exact zeros (``terms``), and the power sums of its roots computed so
-far (``power_sums``), a prefix that only grows.
+the table, Newton's identities both ways (``power_sums``,
+``poly_from_power_sums``) and ``elimination.map_charpoly`` run on Python
+ints over one common denominator (``scalars.int_vector``) in one scaling,
+the monic integer polynomial in w = L z (``int_monic``), so reducing
+modulo it is a plain division (``int_rem_monic``); they make Scalars only
+for what they return, the canonical rationals the Scalar operations give.
+The traces between them (``elimination.transform_by_power_sums``) are
+Scalar sums.  ``Record`` is the read-only base of ``UniPoly`` and of the
+records in other modules that do work at construction.  A ``UniPoly``
+also keeps three memo slots, filled on first use and never part of
+equality, repr or JSON: its largest coefficient magnitude (``max_mag``),
+its terms that are not exact zeros (``terms``), and the power sums of its
+roots computed so far (``power_sums``), a prefix that only grows.
 """
 
 from __future__ import annotations

@@ -64,13 +64,12 @@ square root.  ``mag_binades`` bounds ``mag()`` between two powers of two
 from a complex value's exponents and mantissa bit counts, or a rational's
 bit lengths; rounding never carries a value past a power of two, so the
 bounds hold at every precision.  ``negligible`` decides when |x| lies a
-whole binade clear of tol * scale; ``pivot_index`` (the pivots of
-``pipeline.step_inverse`` and of ``elimination.map_charpoly``) drops only
-candidates whose upper bound lies strictly below another's lower bound, and
-``UniPoly.max_mag`` takes the ``mag()`` of its pick;
-``polynomials.lies_on`` decides when its residual's bounds lie two binades
-clear of tol.  Otherwise each computes ``mag()``, so every verdict,
-pivot and largest magnitude is the one the square roots give.
+whole binade clear of tol * scale; ``pivot_index`` (the pivot of
+``pipeline.step_inverse``) drops only candidates whose upper bound lies
+strictly below another's lower bound, and ``UniPoly.max_mag`` takes the
+``mag()`` of its pick; ``polynomials.lies_on`` decides when its residual's
+bounds lie two binades clear of tol.  Otherwise each computes ``mag()``,
+so every verdict, pivot and largest magnitude is what the square roots give.
 """
 
 from __future__ import annotations
@@ -672,13 +671,74 @@ def int_vector(values):
 
 def rational_vector(nums, d):
     """The Scalars nums[i] / d in lowest terms (ints, d > 0)."""
-    if d == 1:
-        return [Scalar(n, 1, None, None) for n in nums]
-    out = []
-    for n in nums:
-        g = gcd(n, d)
-        out.append(Scalar(n // g, d // g, None, None))
-    return out
+    return [_q(n, d) for n in nums]
+
+
+class Gauss:
+    """A Gaussian integer re + im i on ints: +, * (an int mixes in), - and truth."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __add__(self, y):
+        if type(y) is int:
+            return Gauss(self.re + y, self.im)
+        return Gauss(self.re + y.re, self.im + y.im)
+
+    def __mul__(self, y):
+        if type(y) is int:
+            return Gauss(self.re * y, self.im * y)
+        return Gauss(self.re * y.re - self.im * y.im, self.re * y.im + self.im * y.re)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return Gauss(-self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+
+def gauss_block(rows):
+    """The exact view of a matrix of Scalars: (G, (e, d, prec)) with
+    rows[i][j] == G[i][j] 2^e / d, G[i][j] an int or a ``Gauss``, d the
+    rational entries' common denominator, e the least exponent of a nonzero
+    part (0 for a rational), prec the largest precision of a complex entry
+    (None if none).  ValueError for an infinity or nan."""
+    flat = [v for row in rows for v in row]
+    cxs = [v for v in flat if v._den is None]
+    if not all(_finite(v._c) for v in cxs):
+        raise ValueError("a block entry must be finite")
+    d = int_vector([v for v in flat if v._den is not None])[1]
+    exps = [x for v in cxs for _, m, x, _ in v._c if m]
+    e = min(exps + [0] if any(v._num for v in flat) else exps or [0])
+
+    def view(v):
+        if v._den is not None:
+            return v._num * (d // v._den) << -e if v._num else 0
+        re, im = ((-m if s else m) * d << x - e if m else 0 for s, m, x, _ in v._c)
+        return Gauss(re, im) if im else re
+
+    return [[view(v) for v in row] for row in rows], (e, d, max([v._prec for v in cxs] or [None]))
+
+
+def graded_monic(p, scale):
+    """The ascending Scalars of the monic polynomial with p[j] (2^e / d)^j
+    at x^(n - j), p highest first and (e, d, prec) a ``gauss_block``'s
+    scale: exact when prec is None, else each part rounded once at prec."""
+    e, d, prec = scale
+    if prec is None:
+        return [_q(c, d ** j) for j, c in enumerate(p)][::-1]
+    out = [ONE]
+    for j, c in enumerate(p[1:], 1):
+        parts, dj = [], from_int(d ** j)
+        for m in (c.re, c.im) if type(c) is Gauss else (c, 0):
+            z = (m & -m).bit_length() - 1 if m else 0  # from_man_exp sheds these 8 at a time
+            parts.append(mpf_div(from_man_exp(m >> z, e * j + z), dj, prec, round_nearest))
+        out.append(Scalar(None, None, tuple(parts), prec))
+    return out[::-1]
 
 
 def rat(num, den=1) -> Scalar:

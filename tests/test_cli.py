@@ -488,12 +488,13 @@ def test_complex_repeated_root_collapsed_at_the_principal_step_exits_two(capsys)
 
 
 def test_route_disagreement_states_its_relative_size(capsys):
-    # the two routes of the principal step differ by 3.11e+20 on a scale of
-    # 1.05e+34: 2.95e-14 relative, far above the default tol
+    # the two routes of the principal step differ by 4.37e+20 on a scale of
+    # 1.05e+34: 4.15e-14 relative, far above the default tol, and about the
+    # power-sum route's own error, 4.5e-14 of the scale against 1024 bits
     code, out, err = run(capsys, "reduce", "--precision-bits", "128", "--coeffs",
                          "1", "5999997", "-9000007", "3000004", "-8000002", "-7999992")
     assert code == EXIT_VERIFY and out == ""
-    assert ("disagree at y^0 by 3.11e+20, 2.95e-14 of a scale of 1.05e+34, "
+    assert ("disagree at y^0 by 4.37e+20, 4.15e-14 of a scale of 1.05e+34, "
             "against tol 1.0e-30") in err
 
 
@@ -531,7 +532,7 @@ def test_a_cross_check_refusal_names_its_step(capsys):
                          "1", "5999997", "-9000007", "3000004", "-8000002", "-7999992")
     assert code == EXIT_VERIFY and out == ""
     assert err.startswith("verification failure: principal step: resultant and power-sum "
-                          "routes disagree at y^0 by 3.11e+20")
+                          "routes disagree at y^0 by 4.37e+20")
 
 
 def test_a_condition_that_fails_to_vanish_states_its_bound_and_ratio(capsys):
@@ -540,14 +541,13 @@ def test_a_condition_that_fails_to_vanish_states_its_bound_and_ratio(capsys):
     code, out, err = run(capsys, "reduce", "--coeffs", "1", "0", "0", "1e-25", "1e-25", "1",
                          "--output", "text")
     assert code == EXIT_OK and err == "" and "verified: yes" in out
-    # a y^2 coefficient just above tol x scale; the command line refuses a
+    # a y^2 coefficient nine times tol x scale; the command line refuses a
     # tol this fine at 64 bits, so the library is called
-    P = UniPoly([rat(c) for c in (-1, -3, 9, 7, -1, 1)])
+    P = UniPoly([rat(c) for c in (1, -2, 4, 10, 3, 1)])
     with pytest.raises(ConsistencyError) as exc:
         reduce_general_quintic(P, prec=64, tol="1e-14")
     assert str(exc.value) == ("bring-jerrard step: y^2 coefficient failed to vanish: "
-                              "(2.74534134315e-9+1.05209993495e-10j), "
-                              "1.01 times tol x scale 2.71e-9")
+                              "1.41247366596e-10, 9.28 times tol x scale 1.52e-11")
 
 
 @pytest.mark.parametrize("prec", [20, 300])

@@ -278,6 +278,66 @@ def test_map_charpoly_keeps_repeated_image_roots():
     assert C == UniPoly([rat(0), rat(0), rat(3), rat(0), rat(1)], "y")
 
 
+def test_map_charpoly_reads_complex_exact_zeros_as_rational_zeros():
+    # deg A = 0: the empty product, whatever T
+    assert map_charpoly(UniPoly([rat(1)]), [cx(1, 2)]).coeffs == (rat(1),)
+    # A = z + 0i and T = 3 + 0i z: y - 3, exactly
+    C = map_charpoly(UniPoly([cx(0), rat(1)]), [rat(3), cx(0)])
+    assert C.coeffs == (rat(-3), rat(1)) and C.is_rational_tree()
+    # A = z^2 + 0i z + 2 and T = 1 + z/3: the images 1 +- i sqrt(2)/3
+    C = map_charpoly(UniPoly([rat(2), cx(0), rat(1)]), [rat(1), rat(1, 3)])
+    assert C.coeffs == (rat(11, 9), rat(-2), rat(1)) and C.is_rational_tree()
+    # the zero map, empty or a complex exact zero: y^n
+    for t in ([], [cx(0)]):
+        C = map_charpoly(UniPoly([cx(1, 1), rat(0), rat(1)]), t)
+        assert C.coeffs == (rat(0), rat(0), rat(1)) and C.is_rational_tree()
+    # a complex A whose columns are all rational: a constant map
+    C = map_charpoly(UniPoly([cx(0, 1), rat(0), rat(1)]), [rat(1, 3)])
+    assert C.coeffs == (rat(1, 9), rat(-2, 3), rat(1)) and C.is_rational_tree()
+
+
+def test_map_charpoly_of_degree_one_is_the_image_of_the_root():
+    # A = z - 2 and T = 1 + i + 3z: y - (7 + i), exact in the dyadic block
+    C = map_charpoly(UniPoly([rat(-2), rat(1)]), [cx(1, 1), rat(3)])
+    assert C.coeffs == (cx(-7, -1), rat(1))
+    # A = z + 1 + i and T = 1/3 + 2z: the image 1/3 - 2 - 2i, its parts
+    # rounded once, at the entries' 256 bits
+    C = map_charpoly(UniPoly([cx(1, 1), rat(1)]), [rat(1, 3), rat(2)])
+    assert C.leading == rat(1)
+    got = C.coeff(0).to_mpc()
+    assert abs(Fraction(*to_rational(got.real._mpf_)) - Fraction(5, 3)) <= Fraction(1, 2 ** 256)
+    assert got.imag == 2
+
+
+def test_map_charpoly_refuses_an_entry_that_is_not_finite():
+    # the exact block has no place for an infinity or a nan, and reading
+    # one as its zero mantissa would hide it
+    nan = scalars.Scalar.complex_(mpmath.nan, 0, 256)
+    with pytest.raises(ValueError, match="a block entry must be finite"):
+        map_charpoly(UniPoly([nan, rat(2), rat(1)]), [rat(0), cx(1, 1)])
+
+
+def test_map_charpoly_is_exact_on_gaussian_integer_input():
+    # Gaussian-integer A and T give Gaussian-integer columns, read exactly,
+    # and a determinant with no division: C equals sympy's Res_z(A, y - T)
+    z, y = sympy.symbols("z y")
+    rng = random.Random(44)
+
+    def gaussian(rng):
+        return cx(rng.randint(-5, 5), rng.randint(-5, 5))
+
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        A = UniPoly([gaussian(rng) for _ in range(n)] + [rat(1)])
+        T = _nonzero_poly(rng, rng.randint(1, n), gaussian)
+        want = sympy.Poly(sympy.resultant(_sympy_expr(A, z), y - _sympy_expr(T, z), z), y)
+        got = map_charpoly(A, T.coeffs)
+        assert got.degree == n, (A, T)
+        for k, w in enumerate(reversed(want.all_coeffs())):
+            c = got.coeff(k)
+            assert c == cx(int(sympy.re(w)), int(sympy.im(w))), (A, T, k, c, w)
+
+
 def test_subsidiary_not_linear_in_y_is_refused():
     A = UniPoly([rat(1), rat(0), rat(2), rat(1)])
     y2 = UniPoly([rat(0), rat(0), rat(1)], "y")  # B = z^2 + z + y^2
@@ -436,8 +496,9 @@ def _count_kernels(monkeypatch):
 
 def test_the_rational_integer_routes_run_no_scalar_kernel(monkeypatch):
     # rational: the table, Newton's identities both ways and the
-    # determinant run on ints; complex: both routes, which must keep
-    # calling the kernels
+    # determinant run on ints; complex: the power-sum route's traces keep
+    # calling the kernels, and the determinant route only the column
+    # kernels of rem_monic, its determinant running on a Gaussian block
     A = UniPoly([rat(3, 4), rat(-2, 3), rat(0), rat(4), rat(-1, 2), rat(1)])
     P = UniPoly([rat(3, 2), rat(-4, 3), rat(0), rat(8), rat(-1), rat(2)])  # 2A
     t = (rat(1, 3), rat(-2, 5), rat(7, 2))
@@ -447,7 +508,8 @@ def test_the_rational_integer_routes_run_no_scalar_kernel(monkeypatch):
     map_charpoly(A, t)
     assert calls == {"mul": 0, "fma": 0, "fms": 0}
     Z = UniPoly([cx(c.fraction, 1, 64) for c in A.coeffs[:-1]] + [rat(1)])
-    for route in (transform_by_power_sums, map_charpoly):
-        calls.update(dict.fromkeys(calls, 0))
-        route(Z, t)
-        assert all(calls.values()), (route.__name__, calls)
+    transform_by_power_sums(Z, t)
+    assert all(calls.values()), calls
+    calls.update(dict.fromkeys(calls, 0))
+    map_charpoly(Z, t)
+    assert calls["mul"] and calls["fms"] and not calls["fma"], calls

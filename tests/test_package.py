@@ -122,9 +122,9 @@ def test_only_the_step_constructor_eliminates_or_hands_a_step_its_table(path):
     assert [(fn, bare) for fn, _, bare in finder.hits] == want, finder.hits
 
 
-def _gcd_calls(path):
-    """(innermost function, line) for each call of ``gcd`` in a module, by
-    its bare name or as an attribute (``math.gcd``)."""
+def _calls(path, names):
+    """(innermost function, line, name) for each call in a module of one of
+    ``names``, by its bare name or as an attribute (``math.gcd``)."""
     with open(path, encoding="utf-8") as f:
         tree = ast.parse(f.read(), path)
     hits = []
@@ -134,8 +134,9 @@ def _gcd_calls(path):
             scope = node.name
         elif isinstance(node, ast.Call):
             f = node.func
-            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "gcd":
-                hits.append((scope, node.lineno))
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in names:
+                hits.append((scope, node.lineno, name))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
     visit(tree, "<module>")
@@ -148,8 +149,33 @@ def test_only_the_rational_normalizer_and_the_vector_views_take_a_gcd():
     allowed = {("scalars.py", fn) for fn in ("_q", "int_vector", "rational_vector")}
     hits = [(os.path.basename(p), fn, line)
             for p in sorted(glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py")))
-            for fn, line in _gcd_calls(p)]
+            for fn, line, _ in _calls(p, {"gcd"})]
     assert [h for h in hits if h[:2] not in allowed] == []
+
+
+# one determinant: ``map_charpoly`` alone calls ``_berkowitz``, once, for
+# rational and complex maps alike, and neither divides, pivots nor runs a
+# Scalar kernel
+def test_berkowitz_is_the_one_determinant_and_divides_by_nothing():
+    path = os.path.join(os.path.dirname(bringform.__file__), "elimination.py")
+    hits = [(os.path.basename(p), fn)
+            for p in sorted(glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py")))
+            for fn, _, _ in _calls(p, {"_berkowitz"})]
+    assert hits == [("elimination.py", "map_charpoly")]
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    banned = {"div", "mpc_div", "pivot_index", "fma", "fms"}
+    called = {fn: name for fn, _, name in _calls(path, banned)}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("map_charpoly", "_berkowitz"):
+            divisions = [n.lineno for n in ast.walk(node)
+                         if isinstance(n, (ast.BinOp, ast.AugAssign))
+                         and isinstance(n.op, (ast.Div, ast.FloorDiv, ast.Mod))]
+            assert divisions == [], (node.name, divisions)
+            assert node.name not in called, (node.name, called[node.name])
+    imported = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert "pivot_index" not in imported
 
 
 _P = UniPoly([rat(-1), rat(0), rat(1)])

@@ -139,7 +139,7 @@ def test_rebinding_the_fused_kernels_counts_their_calls():
         A = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
         dual_eliminate(A, Subsidiary(2, (rat(1), rat(-2))))
         # a rational map_charpoly runs on ints and calls no fms; a complex
-        # subsidiary takes the Scalar Hessenberg, which does
+        # subsidiary's charpoly columns (rem_monic) and traces do
         dual_eliminate(A, Subsidiary(2, (cx(1, 1), rat(-2))))
     assert all(calls.values()), calls
 
