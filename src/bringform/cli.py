@@ -63,9 +63,9 @@ def _too_long(token: str) -> bool:
 
 def _parse_coeff(token: str, mode: str, prec: int) -> Scalar:
     token = token.strip()
+    if _too_long(token):  # complex too: the charpoly's exact block spans the exponents
+        raise UsageError("coefficient %r has too many digits to print" % token)
     if mode in ("rational", "auto"):
-        if _too_long(token):
-            raise UsageError("coefficient %r has too many digits to print" % token)
         try:
             f = Fraction(token)
             return Scalar.rational(f.numerator, f.denominator)

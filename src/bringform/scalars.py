@@ -671,7 +671,13 @@ def int_vector(values):
 
 def rational_vector(nums, d):
     """The Scalars nums[i] / d in lowest terms (ints, d > 0)."""
-    return [_q(n, d) for n in nums]
+    if d == 1:
+        return [Scalar(n, 1, None, None) for n in nums]
+    out = []
+    for n in nums:
+        g = gcd(n, d)
+        out.append(Scalar(n // g, d // g, None, None))
+    return out
 
 
 class Gauss:
@@ -706,7 +712,8 @@ def gauss_block(rows):
     rows[i][j] == G[i][j] 2^e / d, G[i][j] an int or a ``Gauss``, d the
     rational entries' common denominator, e the least exponent of a nonzero
     part (0 for a rational), prec the largest precision of a complex entry
-    (None if none).  ValueError for an infinity or nan."""
+    (None if none).  ValueError for an infinity or nan.  The ints are as
+    long as the parts' exponents span (the command line bounds the input's)."""
     flat = [v for row in rows for v in row]
     cxs = [v for v in flat if v._den is None]
     if not all(_finite(v._c) for v in cxs):

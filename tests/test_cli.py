@@ -369,9 +369,14 @@ def test_a_coefficient_that_is_not_finite_is_refused(capsys, argv, token):
     ("solve --coeffs 1 1e5000", "1e5000"),
     ("reduce --coeffs 1 0 0 0 1e-5000 1", "1e-5000"),
     ("solve --mode rational --coeffs 1 1e-5000", "1e-5000"),
+    ("reduce --mode complex --coeffs 1 0 0 0 1e1000000000 1", "1e1000000000"),
+    ("reduce --mode complex --coeffs 1 0 0 1e30000 1e-30000 1", "1e30000"),
+    ("solve --mode complex --coeffs 1 1e5000", "1e5000"),
 ])
 def test_a_coefficient_with_too_many_digits_is_refused(capsys, argv, token):
-    # refused before 10^5000 is built, whose digits Python will not print
+    # refused before 10^5000 is built, whose digits Python will not print,
+    # and in complex mode before the charpoly's exact block spans their
+    # exponents, in integers whose products grow with the span
     code, out, err = run(capsys, *argv.split())
     assert code == EXIT_USAGE and out == ""
     assert "coefficient %r has too many digits to print" % token in err
