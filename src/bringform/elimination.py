@@ -25,7 +25,9 @@ is computed here by two independent routes:
   keeps on A.  When every value is rational, the table, the power sums
   and Newton's identities back to C run on Python ints inside
   ``polynomials``, and their values are the canonical rationals that the
-  Scalar code gives.
+  Scalar code gives; otherwise the table is built on a fixed-point
+  Gaussian-integer block (``polynomials.gauss_mul_mod``), each row cut to
+  prec + 64 bits of its largest part and rounded once as it leaves.
 
 The two routes are deliberately kept independent so tests can use each as an
 oracle for the other.

@@ -26,15 +26,18 @@ constructor, ``_step``, makes every step that eliminates: it runs
 ``dual_eliminate``, checks each targeted output coefficient once, and hands
 the step the table of the powers of T modulo A that the power-sum route
 built (``powers``), which its C(T) sum and solve for U read again.  The
-table, and U(T) by Horner, multiply by T modulo A on coefficient lists
-(``mul_terms``).
-The table has one builder, ``powers_mod``.  In rational mode it and the
-power-sum route run on Python ints, in one scaling (A as a monic integer
+table (``powers_mod``, its one builder) and U(T) by Horner
+(``compose_mod``) multiply by T modulo A on ints, by one kernel
+(``polynomials.gauss_mul_mod``).  In rational mode they and the power-sum
+route run exactly on Python ints, in one scaling (A as a monic integer
 polynomial in w = L z), and make Scalars only for what they hand on (C's
-coefficients, the table's rows, and A's power sums, kept on A): the exact
-values the Scalar operations would give, so every trace, certificate and
-refusal is the same to the byte.  Complex steps run the Scalar kernels,
-but for the determinant, which runs on an exact Gaussian-integer block.
+coefficients, the table's rows, U(T), and A's power sums, kept on A): the
+exact values the Scalar operations would give, so every trace,
+certificate and refusal is the same to the byte.  In complex mode they
+run on a fixed-point Gaussian-integer block: the table cut to prec + 64
+bits of each row's largest part, and U(T) held to the working precision
+(``certify`` says why).  The determinant runs on an exact Gaussian-integer
+block, the power-sum traces and the solve for U on the Scalar kernels.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ from mpmath.libmp import mpf_add, mpf_div, mpf_le, mpf_shift, round_nearest
 from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
-from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, lies_on,
-                          mul_terms, power_sums, powers_mod, rem_monic)
+from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, compose_mod,
+                          lies_on, power_sums, powers_mod, rem_monic)
 from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, as_scalar,
-                      as_tol, fma, fms, negligible, pick_root, pivot_index, rat)
+                      as_tol, fma, fms, negligible, pick_root, pivot_index, quotients, rat)
 from .solvers import solve_condition, solve_monic
 
 
@@ -152,15 +155,29 @@ class TransformStep(Record):
         and no roots (see the module docstring): U(T) = z, U being the
         step's one inverse map (``inverse``), and C(T) = 0 for the monic
         output C of degree n, summed as sum c_j (T^j mod A) over ``powers``.
-        U(T) is evaluated by Horner on T, not summed over ``powers``: U
-        solves sum u_j (T^j mod A) = z on those very rows, so that sum is
-        only the solve's own residual, and it passes complex steps that
-        merge roots, which Horner rejects.  Returns (largest |coefficient|
-        of U(T) - z relative to ``coeff_scale(A)``, inf for a step without
-        U; ok); C(T) counts within tol * coeff_scale(A) * coeff_scale(C),
-        exactly in rational mode.  The verdict reads only the step and
-        ``as_tol(tol)``, never mpmath's global precision, so the step keeps
-        it per tolerance: ``verify_trace`` of a reduced trace reads what
+
+        U(T) is evaluated by Horner on T (``compose_mod``), not summed over
+        ``powers``: U solves sum u_j (T^j mod A) = z on those very rows, so
+        that sum is only the solve's own residual, and it passes complex
+        steps that merge roots.  The Horner rejects them because it holds U
+        to the working precision: each product is cut to prec +
+        ``polynomials.HORNER_GUARD_BITS`` bits before it is reduced.  A
+        merging map's rows T^j mod A fall toward zero, so the U the solve
+        reads off them has huge coefficients, and the cuts of its huge
+        products leave U(T) - z far above tol: 0.013 of the scale on
+        (z - 1)^2 (z^3 + 2z + 3) at 256 bits.  Evaluated exactly on the same
+        rounded inputs that U passes (U(T) = z to 1e-44), and with 64 guard
+        bits too (1e-20), so more bits must not decide the verdict; the 5
+        make the cut, relative to the block's largest part, no less accurate
+        than rounding every operation at prec on its own, as the Scalar
+        Horner did.
+
+        Returns (largest |coefficient| of U(T) - z relative to
+        ``coeff_scale(A)``, inf for a step without U; ok); C(T) counts
+        within tol * coeff_scale(A) * coeff_scale(C), exactly in rational
+        mode.  The verdict reads only the step and ``as_tol(tol)``, never
+        mpmath's global precision, so the step keeps it per tolerance:
+        ``verify_trace`` of a reduced trace reads what
         ``reduce_general_quintic`` computed; a re-read step has none."""
         key = as_tol(tol)._mpf_
         got = self._verdicts.get(key)
@@ -176,9 +193,7 @@ class TransformStep(Record):
         U = self.inverse
         if U is None:
             return mpmath.inf, False
-        terms, UT = self.subsidiary.map_in_z().terms(), []
-        for u in reversed(U.coeffs):
-            UT = rem_monic(mul_terms(UT, terms, u), A)  # u added before reducing
+        UT = compose_mod(U, self.subsidiary.map_in_z(), A)
         miss = UniPoly(UT, "z") - UniPoly([rat(0), rat(1)], "z")
         scale = coeff_scale(A)
         # rounded once at mpmath's default 53 bits, whatever the global
@@ -721,8 +736,8 @@ def step_inverse(step: TransformStep):
         if pivot.is_exact_zero():
             return None
         M[c], M[p] = M[p], M[c]
-        for r in range(c + 1, n):
-            f = M[r][c] / pivot
+        fs = quotients([M[r][c] for r in range(c + 1, n)], pivot)
+        for r, f in enumerate(fs, c + 1):
             if not f.is_exact_zero():
                 for k in range(c, n + 1):
                     M[r][k] = fms(M[r][k], f, M[c][k])

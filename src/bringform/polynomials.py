@@ -7,18 +7,26 @@ anything else, a polynomial included, raises TypeError.  Conditions in free
 parameters are not polynomials over polynomials: they are power-sum forms
 (``elimination.image_elementary``).  All values are immutable; operations
 return new objects, and + - * take a polynomial on both sides.  The
-eliminations multiply by T modulo A on plain lists of ascending
-coefficients, with no UniPoly per row: ``mul_terms``, which
-``UniPoly.__mul__`` wraps, then ``rem_monic``; ``powers_mod`` is the one
-builder of the table of T^j mod A.  Where every coefficient is rational,
-the table, Newton's identities both ways (``power_sums``,
-``poly_from_power_sums``) and ``elimination.map_charpoly`` run on Python
-ints over one common denominator (``scalars.int_vector``) in one scaling,
-the monic integer polynomial in w = L z (``int_monic``), so reducing
-modulo it is a plain division (``int_rem_monic``); they make Scalars only
-for what they return, the canonical rationals the Scalar operations give.
-The traces between them (``elimination.transform_by_power_sums``) are
-Scalar sums.  ``Record`` is the read-only base of ``UniPoly`` and of the
+charpoly's columns and ``image_elementary`` multiply by T modulo A on
+plain lists of ascending Scalars, with no UniPoly per row: ``mul_terms``,
+which ``UniPoly.__mul__`` wraps, then ``rem_monic``.  The table of T^j
+mod A (``powers_mod``, its one builder) and the certificate's U(T)
+(``compose_mod``) multiply on ints instead, by one kernel,
+``gauss_mul_mod``.  Where every coefficient is rational, the table,
+U(T), Newton's identities both ways (``power_sums``,
+``poly_from_power_sums``) and ``elimination.map_charpoly`` run exactly on
+Python ints over one common denominator (``scalars.int_vector``) in one
+scaling, the monic integer polynomial in w = L z (``int_monic``), so
+reducing modulo it is a plain division (``int_rem_monic``); they make
+Scalars only for what they return, the canonical rationals the Scalar
+operations give.  Otherwise the table and U(T) run on a fixed-point
+block, a vector of Gaussian integers times one power of two
+(``scalars.fixed_point``), in w = z / 2^s with 2^s about A's largest
+root: each product is cut once to a fixed number of bits of its largest
+part, and a row leaves the block with each part rounded once
+(``scalars.from_fixed_point``).  The traces between them
+(``elimination.transform_by_power_sums``) are Scalar sums.  ``Record`` is
+the read-only base of ``UniPoly`` and of the
 records in other modules that do work at construction.  A ``UniPoly``
 also keeps three memo slots, filled on first use and never part of
 equality, repr or JSON: its largest coefficient magnitude (``max_mag``),
@@ -28,11 +36,14 @@ roots computed so far (``power_sums``), a prefix that only grows.
 
 from __future__ import annotations
 
+from math import inf
+
 import mpmath
 
-from .scalars import (DEFAULT_PRECISION_BITS, ONE, ZERO, Scalar, as_scalar,
-                      as_tol, context, fma, fms, int_vector, mag_binades, mul,
-                      negligible, noise_tol, pivot_index, rat, rational_vector)
+from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Scalar, as_scalar,
+                      as_tol, context, fixed_point, fma, fms, from_fixed_point, int_vector,
+                      mag_binades, mul, negligible, noise_tol, pivot_index, rat,
+                      rational_vector)
 
 
 class Record:
@@ -334,10 +345,9 @@ def shift_substitute(poly: UniPoly, a) -> UniPoly:
     return UniPoly(out, "y")
 
 
-def mul_terms(cs, terms, u=ZERO):
+def mul_terms(cs, terms):
     """cs (ascending Scalars) times the polynomial of ``terms`` (its nonzero
-    ``UniPoly.terms``), plus the constant u, ascending and without trailing
-    exact zeros."""
+    ``UniPoly.terms``), ascending and without trailing exact zeros."""
     out = [None] * (len(cs) + terms[-1][0]) if terms else []
     for i, a in enumerate(cs):
         if a.is_exact_zero():
@@ -347,10 +357,7 @@ def mul_terms(cs, terms, u=ZERO):
             out[i + j] = mul(a, b) if c is None else fma(c, a, b)
     while out and (out[-1] is None or out[-1].is_exact_zero()):
         out.pop()
-    out = [ZERO if c is None else c for c in out]
-    if u.is_exact_zero():
-        return out
-    return [out[0] + u] + out[1:] if out else [u]
+    return [ZERO if c is None else c for c in out]
 
 
 def rem_monic(P, A: UniPoly):
@@ -371,23 +378,31 @@ def rem_monic(P, A: UniPoly):
 
 def powers_mod(T: UniPoly, A: UniPoly):
     """T^0, T^1, ..., T^n modulo the monic A (n = deg A), each as the tuple of
-    its n ascending coefficients (``rem_monic``), row j + 1 being row j times
-    T reduced modulo A, all on lists; the package's one builder of the table.
+    its n ascending coefficients, row j + 1 being row j times T reduced
+    modulo A; the package's one builder of the table.
 
     When every coefficient of T and A is rational it runs on ints, in
     w = L z (``int_monic``): with T = tn / td of degree k, Tw(w) = td L^k
     T(w / L) has integer coefficients tn_i L^(k-i), and row j is Tw^j
     modulo the monic integer A(w / L), a plain division, whose coefficient
-    of w^i times L^i / (td L^k)^j is that of z^i in T^j mod A.
+    of w^i times L^i / (td L^k)^j is that of z^i in T^j mod A.  Otherwise
+    T and A enter one fixed-point Gaussian-integer block
+    (``scalars.fixed_point``) at the largest precision prec of a complex
+    coefficient, each row is the last times T modulo A by ``gauss_mul_mod``,
+    cut to prec + ``GUARD_BITS`` bits, and leaves the block with each part
+    rounded once at prec (``scalars.from_fixed_point``).
     """
     n = A.degree
     vt = int_vector(T.coeffs)
     va = None if vt is None else int_monic(A.coeffs)
     if va is None:
-        terms = T.terms()
-        out = [tuple(rem_monic([ONE], A))]
-        while len(out) <= n:
-            out.append(tuple(rem_monic(mul_terms(out[-1], terms), A)))
+        prec = max(c.prec or 0 for c in T.coeffs + A.coeffs)
+        s, t, a = _graded_block(T, A, prec)
+        v = ([1] + [0] * (n - 1), [0] * n, 0) if n else ([], [], 0)
+        out = [tuple(ONE if x else ZERO for x in v[0])]
+        for _ in range(n):
+            v = gauss_mul_mod(v, t, a, prec + GUARD_BITS)
+            out.append(tuple(from_fixed_point(v, prec, s)))
         return tuple(out)
     (tn, td), (a, L) = vt, va
     k = max(len(tn) - 1, 0)
@@ -405,6 +420,113 @@ def powers_mod(T: UniPoly, A: UniPoly):
         row = int_rem_monic(prod, low, n)
         out.append(tuple(rational_vector([x * f for x, f in zip(row, scale)], q ** j)))
     return tuple(out)
+
+
+HORNER_GUARD_BITS = 5  # past prec, in each product of U(T) (TransformStep.certify)
+
+
+def compose_mod(U: UniPoly, T: UniPoly, A: UniPoly):
+    """The n ascending coefficients of U(T) modulo the monic A (n = deg A),
+    by Horner on ``gauss_mul_mod``: one call per coefficient of U, highest
+    first, each joining the product before the reduction.
+
+    When every coefficient of U, T and A is rational the calls run exactly
+    on ints, in w = L z as in ``powers_mod``: with U = un / du of degree m
+    and q = td L^k, R = sum un_j q^(m-j) Tw^j modulo the monic integer
+    A(w / L), and the coefficient of z^i is R_i L^i / (du q^m).  Otherwise
+    all three enter one fixed-point block at the largest precision prec of
+    a complex coefficient, as in ``powers_mod``, each product is cut to
+    prec + ``HORNER_GUARD_BITS`` bits, and the result leaves the block with
+    each part rounded once at prec.
+    """
+    n = A.degree
+    vt = int_vector(T.coeffs)
+    vu = None if vt is None else int_vector(U.coeffs)
+    va = None if vu is None else int_monic(A.coeffs)
+    if va is None:
+        prec = max(c.prec or 0 for c in U.coeffs + T.coeffs + A.coeffs)
+        s, t, a = _graded_block(T, A, prec)
+        ur, ui, eu = fixed_point(U.coeffs, prec)
+        us, bits = [(x, y, eu) for x, y in zip(ur, ui)], prec + HORNER_GUARD_BITS
+    else:
+        (tn, td), (un, du), (an, L) = vt, vu, va
+        k, m, bits = max(len(tn) - 1, 0), len(un) - 1, None
+        q = td * L ** k
+        t = ([c * L ** (k - i) for i, c in enumerate(tn)], [0] * len(tn), 0)
+        a = (an[:n], [0] * n, 0)
+        us = [(c * q ** (m - j), 0, 0) for j, c in enumerate(un)]
+    v = ([0] * n, [0] * n, 0)
+    for u in reversed(us):
+        v = gauss_mul_mod(v, t, a, bits, u)
+    if bits is not None:
+        return from_fixed_point(v, prec, s)
+    return rational_vector([x * L ** i for i, x in enumerate(v[0])], du * q ** max(m, 0))
+
+
+def _graded_block(T: UniPoly, A: UniPoly, prec):
+    """(s, t, a): T and the monic A of degree n in w = z / 2^s as fixed-point
+    vectors (``scalars.fixed_point``), t of T(2^s w) and a of the lower
+    coefficients of A(2^s w) / 2^(s n).  2^s is about A's largest root,
+    s the largest floor(hi / (n - j)) over A's nonzero a_j, hi the upper
+    binade of |a_j| (``mag_binades``), so those coefficients are at most
+    about 2^n and every coefficient of a row weighs alike in its cut."""
+    n = A.degree
+    s = max((b[1] // (n - j) for j, b in enumerate(map(mag_binades, A.coeffs[:n]))
+             if b and b[1] > -inf), default=0)
+    ar, ai, ea = fixed_point(A.coeffs[:n], prec, s)
+    return s, fixed_point(T.coeffs, prec, s), (ar, ai, ea - s * n)
+
+
+def gauss_mul_mod(v, t, a, bits, u=None):
+    """(V T + u) modulo the monic A on fixed-point Gaussian-integer vectors
+    (re, im, e) (``scalars.fixed_point``), V = sum (re_i + im_i i) 2^e z^i:
+    v is V, t holds T's coefficients, a the n lower coefficients of A, and
+    u, one (re, im, e) or None, joins the constant term.  The product and
+    the sum are exact; then, unless bits is None, one shift cuts them to
+    ``bits`` bits of the largest part, rounding to nearest, and the
+    reduction rounds each term r a_j to nearest on that grid.  With bits
+    None and A on ints (e >= 0) every step is exact.  Returns the n
+    coefficients as a vector.
+    """
+    vr, vi, e = v
+    tr, ti, et = t
+    ar, ai, ea = a
+    n = len(ar)
+    size = max(len(vr) + len(tr) - 1, n, 1)
+    pr, pi = [0] * size, [0] * size
+    for i, x in enumerate(vr):
+        y = vi[i]
+        if x or y:
+            for j, c in enumerate(tr):
+                d = ti[j]
+                pr[i + j] += x * c - y * d
+                pi[i + j] += x * d + y * c
+    e += et
+    if u is not None:
+        ur, ui, eu = u
+        if eu < e:
+            pr, pi, e = [x << e - eu for x in pr], [y << e - eu for y in pi], eu
+        pr[0] += ur << eu - e
+        pi[0] += ui << eu - e
+    if bits is not None:
+        s = max(map(abs, pr + pi), default=0).bit_length() - bits
+        if s > 0:
+            pr = [(c >> s - 1) + 1 >> 1 for c in pr]
+            pi = [(c >> s - 1) + 1 >> 1 for c in pi]
+        elif s < 0:
+            pr, pi = [c << -s for c in pr], [c << -s for c in pi]
+        e += s
+    if ea > 0:
+        ar, ai, ea = [c << ea for c in ar], [d << ea for d in ai], 0
+    h = 1 << -ea >> 1
+    for m in range(size - 1, n - 1, -1):
+        x, y = pr[m], pi[m]
+        if x or y:
+            for j in range(n):
+                c, d = ar[j], ai[j]
+                pr[m - n + j] -= x * c - y * d + h >> -ea
+                pi[m - n + j] -= x * d + y * c + h >> -ea
+    return pr[:n], pi[:n], e
 
 
 def int_rem_monic(P, low, n):

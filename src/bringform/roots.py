@@ -520,15 +520,22 @@ def recover_roots(trace, config: RootConfig = None):
     pulled back through every step by its inverse map
     (``TransformStep.pull_back``), then tested once, each on the original
     (``lies_on``).  ConsistencyError, rather than a guess, when a step has no
-    inverse map or a pulled-back root misses: a map that merges roots, as on
-    a quintic with a repeated root, cannot be walked back."""
+    inverse map, fails its certificate at cfg.tol (``certify``) or a
+    pulled-back root misses: a map that merges roots, as on a quintic with a
+    repeated root, cannot be walked back.  The certificate is what proves
+    the multiset: ``lies_on`` tests each root alone, and five copies of 1
+    all lie on (z - 1)^2 (z^3 + 2z + 3)."""
     cfg = config or RootConfig()
     zs = list(find_roots(trace.final, cfg).roots)
     for i in reversed(range(len(trace.steps))):
-        zs = trace.steps[i].pull_back(zs)
+        step = trace.steps[i]
+        zs = step.pull_back(zs)
         if zs is None:
             raise ConsistencyError("step %d (%s) has no inverse map: it merges roots"
-                                   % (i, trace.steps[i].kind))
+                                   % (i, step.kind))
+        if not step.certify(cfg.tol)[1]:
+            raise ConsistencyError("step %d (%s) fails its certificate: it merges roots"
+                                   % (i, step.kind))
     for z in zs:
         if not lies_on(trace.original, z, cfg.tol):
             raise ConsistencyError("recovered root %s misses the original: relative residual %s"

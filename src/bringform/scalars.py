@@ -49,10 +49,20 @@ Complex + - * run the fused kernels on the raw pairs (``cadd``, ``csub``,
 one integer, as mpf_add forms it, and rounded once with libmp's
 ``normalize``; where a part is an infinity or nan, the generic
 ``mpc_add``/``mpc_sub``/``mpc_mul`` call runs instead.  Both give the same
-bits.  Complex / calls libmp's ``mpc_div``.  A rational rounded to an mpf
-(``_rat_mpf``, keyed by numerator, denominator and precision), a parsed
-tolerance string and its products with a scale (``as_tol``) are memoized,
-in bounded caches of immutable values.
+bits.  Complex / calls libmp's ``mpc_div``; ``quotients`` divides several
+values by one pivot with the same bits, forming its c^2 + d^2 once.
+
+Integer views read the raw pairs for the integer routes elsewhere:
+``int_vector`` and ``rational_vector`` for rationals over one
+denominator, ``gauss_block`` and ``graded_monic`` for an exact block of
+Gaussian integers, and ``fixed_point`` and ``from_fixed_point`` for a
+vector of Gaussian integers times one power of two, which
+``polynomials.gauss_mul_mod`` cuts to a fixed number of bits.
+
+A rational rounded to an mpf (``_rat_mpf``, keyed by numerator,
+denominator and precision), a parsed tolerance string and its products
+with a scale (``as_tol``) are memoized, in bounded caches of immutable
+values.
 
 Two rules decide what counts as zero.  Noise: a degree drops only leading
 coefficients below ``noise_tol(prec)`` = 2^(24 - prec) times the scale
@@ -83,8 +93,8 @@ from mpmath import mp
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add,
                           mpc_conjugate, mpc_div, mpc_mul, mpc_neg, mpc_pow_int,
-                          mpc_sqrt, mpc_sub, mpf_abs, mpf_div, mpf_eq, mpf_le,
-                          mpf_mul, mpf_sub, normalize, round_nearest)
+                          mpc_sqrt, mpc_sub, mpf_abs, mpf_add, mpf_div, mpf_eq,
+                          mpf_le, mpf_mul, mpf_sub, normalize, round_nearest)
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_TOLERANCE = "1e-30"
@@ -621,6 +631,29 @@ def div(x, y):
     return Scalar(None, None, mpc_div(a, b, prec, round_nearest), prec)
 
 
+def quotients(xs, y):
+    """[div(x, y) for x in xs], bit for bit: each complex quotient makes
+    ``mpc_div``'s calls (c^2 + d^2 and the two numerators at prec + 10
+    bits, each part of the quotient rounded at prec), but the c^2 + d^2 of
+    y's raw pair (c, d) is formed once per precision in play, not once per
+    quotient."""
+    out, mags = [], {}
+    for x in xs:
+        if x._den is not None and y._den is not None:
+            out.append(div(x, y))
+            continue
+        prec, (a, b), (c, d) = _lift(x, y)
+        wp = prec + 10
+        m = mags.get(prec)
+        if m is None:
+            m = mags[prec] = mpf_add(mpf_mul(c, c), mpf_mul(d, d), wp)
+        t = mpf_add(mpf_mul(a, c), mpf_mul(b, d), wp)
+        u = mpf_sub(mpf_mul(b, c), mpf_mul(a, d), wp)
+        out.append(Scalar(None, None, (mpf_div(t, m, prec, round_nearest),
+                                       mpf_div(u, m, prec, round_nearest)), prec))
+    return out
+
+
 def fma(acc, x, y):
     """acc + x * y for Scalars acc, x and y."""
     ad, xd, yd = acc._den, x._den, y._den
@@ -746,6 +779,54 @@ def graded_monic(p, scale):
             parts.append(mpf_div(from_man_exp(m >> z, e * j + z), dj, prec, round_nearest))
         out.append(Scalar(None, None, tuple(parts), prec))
     return out[::-1]
+
+
+# bits past prec in a fixed-point vector: a rational that is not dyadic
+# enters rounded at prec + GUARD_BITS, and the power table cuts each row there
+GUARD_BITS = 64
+
+
+def fixed_point(values, prec, s=0):
+    """The Scalars values[i] times 2^(s i) as one fixed-point
+    Gaussian-integer vector (re, im, e): (re[i] + im[i] i) 2^e, ints, e the
+    least exponent of a nonzero part (0 if none), so no bit of a complex
+    part or of a dyadic rational is dropped; another rational enters as
+    its value rounded at prec + ``GUARD_BITS`` bits.  ValueError for an
+    infinity or nan.  ``from_fixed_point`` reads a vector back."""
+    pairs = []
+    for i, v in enumerate(values):
+        d = v._den
+        if d is None:
+            c = v._c
+            if not _finite(c):
+                raise ValueError("a block entry must be finite")
+        elif d & (d - 1):
+            c = _rat_mpf(v._num, d, prec + GUARD_BITS), fzero
+        else:
+            c = from_man_exp(v._num, 1 - d.bit_length()), fzero
+        pairs.append([(-m if sign else m, x + s * i) for sign, m, x, _ in c])
+    e = min([x for p in pairs for m, x in p if m] or [0])
+    re = [m << x - e if m else 0 for (m, x), _ in pairs]
+    im = [m << x - e if m else 0 for _, (m, x) in pairs]
+    return re, im, e
+
+
+def _part(m, e, prec):
+    """The int m times 2^e rounded at prec bits, as a raw mpf."""
+    if m > 0:
+        return normalize(0, m, e, m.bit_length(), prec, round_nearest)
+    if m:
+        return normalize(1, -m, e, (-m).bit_length(), prec, round_nearest)
+    return fzero
+
+
+def from_fixed_point(v, prec, s):
+    """The Scalars whose i-th times 2^(s i) is the i-th entry of the
+    fixed-point vector v = (re, im, e) (``fixed_point``), each part rounded
+    once at prec; a zero entry is the rational 0."""
+    re, im, e = v
+    return [Scalar(None, None, (_part(x, e - s * i, prec), _part(y, e - s * i, prec)), prec)
+            if x or y else ZERO for i, (x, y) in enumerate(zip(re, im))]
 
 
 def rat(num, den=1) -> Scalar:

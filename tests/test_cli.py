@@ -493,13 +493,14 @@ def test_complex_repeated_root_collapsed_at_the_principal_step_exits_two(capsys)
 
 
 def test_route_disagreement_states_its_relative_size(capsys):
-    # the two routes of the principal step differ by 4.37e+20 on a scale of
-    # 1.05e+34: 4.15e-14 relative, far above the default tol, and about the
-    # power-sum route's own error, 4.5e-14 of the scale against 1024 bits
+    # the two routes of the principal step differ by 4.0e+19 on a scale of
+    # 1.05e+34: 3.8e-15 relative, far above the default tol, and about the
+    # resultant route's own error, 3.8e-15 of the scale against 1024 bits
+    # (the power-sum route's is 1.4e-26)
     code, out, err = run(capsys, "reduce", "--precision-bits", "128", "--coeffs",
                          "1", "5999997", "-9000007", "3000004", "-8000002", "-7999992")
     assert code == EXIT_VERIFY and out == ""
-    assert ("disagree at y^0 by 4.37e+20, 4.15e-14 of a scale of 1.05e+34, "
+    assert ("disagree at y^0 by 4.0e+19, 3.8e-15 of a scale of 1.05e+34, "
             "against tol 1.0e-30") in err
 
 
@@ -537,7 +538,7 @@ def test_a_cross_check_refusal_names_its_step(capsys):
                          "1", "5999997", "-9000007", "3000004", "-8000002", "-7999992")
     assert code == EXIT_VERIFY and out == ""
     assert err.startswith("verification failure: principal step: resultant and power-sum "
-                          "routes disagree at y^0 by 4.37e+20")
+                          "routes disagree at y^0 by 4.0e+19")
 
 
 def test_a_condition_that_fails_to_vanish_states_its_bound_and_ratio(capsys):

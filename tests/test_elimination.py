@@ -27,7 +27,7 @@ from bringform import (BiPoly, Subsidiary, UniPoly, cx, dual_eliminate,
                        sylvester_resultant_with_factor,
                        transform_by_power_sums)
 from bringform.elimination import image_elementary
-from bringform.polynomials import powers_mod
+from bringform.polynomials import compose_mod, powers_mod
 from helpers import rand_monic, rand_scalar
 
 
@@ -497,8 +497,10 @@ def _count_kernels(monkeypatch):
 def test_the_rational_integer_routes_run_no_scalar_kernel(monkeypatch):
     # rational: the table, Newton's identities both ways and the
     # determinant run on ints; complex: the power-sum route's traces keep
-    # calling the kernels, and the determinant route only the column
-    # kernels of rem_monic, its determinant running on a Gaussian block
+    # calling the kernels, the table and the certificate's Horner none,
+    # running on a fixed-point Gaussian block, and the determinant route
+    # only the column kernels of rem_monic, its determinant running on an
+    # exact Gaussian block
     A = UniPoly([rat(3, 4), rat(-2, 3), rat(0), rat(4), rat(-1, 2), rat(1)])
     P = UniPoly([rat(3, 2), rat(-4, 3), rat(0), rat(8), rat(-1), rat(2)])  # 2A
     t = (rat(1, 3), rat(-2, 5), rat(7, 2))
@@ -511,5 +513,8 @@ def test_the_rational_integer_routes_run_no_scalar_kernel(monkeypatch):
     transform_by_power_sums(Z, t)
     assert all(calls.values()), calls
     calls.update(dict.fromkeys(calls, 0))
+    powers_mod(UniPoly(t), Z)
+    compose_mod(UniPoly([rat(2, 3), cx(1, -2, 64), rat(1, 5)], "y"), UniPoly(t), Z)
+    assert calls == {"mul": 0, "fma": 0, "fms": 0}
     map_charpoly(Z, t)
     assert calls["mul"] and calls["fms"] and not calls["fma"], calls

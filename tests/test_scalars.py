@@ -27,7 +27,8 @@ from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        find_roots, match_roots, rat, reduce_general_quintic, verify_trace)
 from bringform.polynomials import coeff_mismatch, lies_on, relative_residual
 from bringform.scalars import (add, as_scalar, as_tol, context, div, fma, fms, mag_binades,
-                               mul, negligible, pick_root, pivot_index, sort_key, sub)
+                               mul, negligible, pick_root, pivot_index, quotients, sort_key,
+                               sub)
 
 TINY = mpmath.mpf("1e-70")
 
@@ -622,6 +623,25 @@ def test_kernels_match_libmp_and_fraction(ops):
     xy = _value(_reference(mul, _value(x), _value(y)))
     assert _outcome(fma, acc, x, y) == _reference(add, _value(acc), xy)
     assert _outcome(fms, acc, x, y) == _reference(sub, _value(acc), xy)
+
+
+_quotient_operands = st.one_of(_kernel_rationals,
+                               st.sampled_from([64, 256]).flatmap(_kernel_complex))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(xs=st.lists(_quotient_operands, min_size=1, max_size=6), y=_quotient_operands)
+def test_quotients_by_one_pivot_keep_the_bits_of_mpc_div(xs, y):
+    # c^2 + d^2 of the pivot, formed once per precision in play, gives each
+    # quotient mpc_div's bits: complex numerators and pivots at 64 and 256
+    # bits, rationals on either side lifted at the complex precision
+    want = [_reference(div, _value(x), _value(y)) for x in xs]
+    try:
+        got = [_bits(q) for q in quotients(xs, y)]
+    except ZeroDivisionError:
+        assert ZeroDivisionError in want
+        return
+    assert got == want
 
 
 def _binade_values():

@@ -12,9 +12,11 @@ fused kernels of ``scalars`` do the arithmetic that the dunders no longer
 see; a tracer can count them only while they stay module-level functions
 that every user imports by name.  The same holds for the list kernel of
 ``polynomials``, ``mul_terms``, which multiplies by T on coefficient lists
-for ``UniPoly.__mul__``, the power table, ``image_elementary`` and the
-certificate's Horner, and for ``powers_mod``, the power table's one
-builder.  Every Scalar + - * / reaches one of the module
+for ``UniPoly.__mul__`` and ``image_elementary``; for its block kernel,
+``gauss_mul_mod``, which multiplies a fixed-point Gaussian-integer vector
+by T modulo A for the complex power table and the certificate's Horner;
+and for ``powers_mod``, the power table's one builder.  Every Scalar
++ - * / reaches one of the module
 kernels (``add``, ``sub``, ``mul``, ``div``, ``fma``, ``fms``), through the
 dunders or directly, so a counter of operations counts at the kernels or
 at the dunders, never at both.
@@ -144,15 +146,14 @@ def test_rebinding_the_fused_kernels_counts_their_calls():
     assert all(calls.values()), calls
 
 
-def _assert_called_by_its_own_name(name):
+def _assert_called_by_its_own_name(name, holders):
     from bringform import polynomials
 
     kernel = getattr(polynomials, name)
     assert inspect.isfunction(kernel) and kernel.__module__ == "bringform.polynomials"
     users = {m.__name__: m for m in _package_modules()
              if re.search(r"\b%s\(" % name, inspect.getsource(m))}
-    assert set(users) >= {"bringform.polynomials", "bringform.elimination",
-                          "bringform.pipeline"}
+    assert set(users) >= {"bringform." + h for h in holders}
     for m in users.values():
         # called through its own name, which a tracer can rebind
         assert vars(m).get(name) is kernel, m.__name__
@@ -160,20 +161,24 @@ def _assert_called_by_its_own_name(name):
 
 
 def test_list_kernel_is_a_module_function_imported_by_name():
-    _assert_called_by_its_own_name("mul_terms")
+    _assert_called_by_its_own_name("mul_terms", ("polynomials", "elimination"))
+
+
+def test_block_kernel_is_a_module_function_imported_by_name():
+    _assert_called_by_its_own_name("gauss_mul_mod", ("polynomials",))
 
 
 def test_power_table_builder_is_a_module_function_imported_by_name():
-    _assert_called_by_its_own_name("powers_mod")
+    _assert_called_by_its_own_name("powers_mod", ("polynomials", "elimination", "pipeline"))
 
 
-def test_rebinding_the_list_kernel_counts_the_table_and_the_horner(monkeypatch):
-    # a step read from JSON builds its power table (one product per row
-    # after the first) and runs the certificate's Horner (one product with
-    # an addend per coefficient of U) through the rebound name
+def test_rebinding_the_block_kernel_counts_the_table_and_the_horner(monkeypatch):
+    # a complex step read from JSON builds its power table (one product per
+    # row after the first) and runs the certificate's Horner (one product
+    # with an addend per coefficient of U) through the rebound name
     from bringform import ReductionTrace, polynomials, rat, reduce_general_quintic
 
-    original, calls = polynomials.mul_terms, []
+    original, calls = polynomials.gauss_mul_mod, []
 
     def counted(*args):
         calls.append(len(args))
@@ -181,9 +186,10 @@ def test_rebinding_the_list_kernel_counts_the_table_and_the_horner(monkeypatch):
 
     trace = reduce_general_quintic(UniPoly([rat(c) for c in (3, -2, 1, 4, -1, 1)]))
     step = ReductionTrace.from_json(trace.to_json()).steps[-1]
+    assert not step.input.is_rational_tree()
     for m in _package_modules():
-        if vars(m).get("mul_terms") is original:
-            monkeypatch.setattr(m, "mul_terms", counted)
+        if vars(m).get("gauss_mul_mod") is original:
+            monkeypatch.setattr(m, "gauss_mul_mod", counted)
     assert step.certify()[1]
-    assert calls.count(2) == step.input.degree
-    assert calls.count(3) == len(step.inverse.coeffs)
+    assert calls.count(4) == step.input.degree
+    assert calls.count(5) == len(step.inverse.coeffs)
