@@ -260,7 +260,7 @@ def _carried_at(P, prec):
 def _row_error(row, ref):
     """max |row_i - ref_i| over max |ref_i| (over 1 for a zero ref row)."""
     worst = max([(a - b).mag() for a, b in zip(row, ref)] + [mpmath.mpf(0)])
-    return worst / max([c.mag() for c in ref] + [mpmath.mpf(0)]) if worst else worst
+    return worst / (max([c.mag() for c in ref] + [mpmath.mpf(0)]) or 1)
 
 
 _KINDS = {"rational": ["rational"], "complex": ["complex"], "json": ["json"],
