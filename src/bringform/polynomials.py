@@ -2,36 +2,36 @@
 (Newton) conversions.
 
 Coefficients are stored ascending: coeffs[j] multiplies var**j.  Every
-coefficient is a Scalar; ints and Fractions are lifted to exact rationals and
-anything else, a polynomial included, raises TypeError.  Conditions in free
-parameters are not polynomials over polynomials: they are power-sum forms
-(``elimination.image_elementary``).  All values are immutable; operations
-return new objects, and + - * take a polynomial on both sides.  The
-charpoly's columns and ``image_elementary`` multiply by T modulo A on
-plain lists of ascending Scalars, with no UniPoly per row: ``mul_terms``,
-which ``UniPoly.__mul__`` wraps, then ``rem_monic``.  The table of T^j
-mod A (``powers_mod``, its one builder) and the certificate's U(T)
-(``compose_mod``) multiply on ints instead, by one kernel,
-``gauss_mul_mod``.  Where every coefficient is rational, the table,
-U(T), Newton's identities both ways (``power_sums``,
+coefficient is a Scalar; ints and Fractions are lifted to exact rationals
+and anything else, a polynomial included, raises TypeError.  Conditions in
+free parameters are not polynomials over polynomials: they are power-sum
+forms (``elimination.image_elementary``).  All values are immutable;
+operations return new objects, and + - * take a polynomial on both sides.
+The products of ``image_elementary`` run on plain lists of ascending
+Scalars (``mul_terms``, which ``UniPoly.__mul__`` wraps), and the
+charpoly's columns z^i T mod A reduce on them (``rem_monic``), with no
+UniPoly per row.  The table of T^j mod A (``powers_mod``, its one builder)
+and the certificate's U(T) (``compose_mod``) multiply on ints instead, by
+one kernel, ``gauss_mul_mod``.  Where every coefficient is rational, the
+table, U(T), Newton's identities both ways (``power_sums``,
 ``poly_from_power_sums``) and ``elimination.map_charpoly`` run exactly on
 Python ints over one common denominator (``scalars.int_vector``) in one
 scaling, the monic integer polynomial in w = L z (``int_monic``), so
 reducing modulo it is a plain division (``int_rem_monic``); they make
 Scalars only for what they return, the canonical rationals the Scalar
-operations give.  Otherwise the table and U(T) run on a fixed-point
-block, a vector of Gaussian integers times one power of two
-(``scalars.fixed_point``), in w = z / 2^s with 2^s about A's largest
-root: each product is cut once to a fixed number of bits of its largest
-part, and a row leaves the block with each part rounded once
+operations give.  Otherwise the table and U(T) run on a fixed-point block,
+a vector of Gaussian integers times one power of two
+(``scalars.fixed_point``), in w = z / 2^s with 2^s about A's largest root:
+each product is cut once to a fixed number of bits of its largest part, and
+a row leaves the block with each part rounded once
 (``scalars.from_fixed_point``).  The traces between them
 (``elimination.transform_by_power_sums``) are Scalar sums.  ``Record`` is
-the read-only base of ``UniPoly`` and of the
-records in other modules that do work at construction.  A ``UniPoly``
-also keeps three memo slots, filled on first use and never part of
-equality, repr or JSON: its largest coefficient magnitude (``max_mag``),
-its terms that are not exact zeros (``terms``), and the power sums of its
-roots computed so far (``power_sums``), a prefix that only grows.
+the read-only base of ``UniPoly`` and of the records in other modules that
+do work at construction.  A ``UniPoly`` also keeps three memo slots, filled
+on first use and never part of equality, repr or JSON: its largest
+coefficient magnitude (``max_mag``), its terms that are not exact zeros
+(``terms``), and the power sums of its roots computed so far
+(``power_sums``), a prefix that only grows.
 """
 
 from __future__ import annotations
