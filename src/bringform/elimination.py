@@ -8,10 +8,11 @@ is computed here by two independent routes:
   matrix of multiplication by T in K[z]/(A), by Berkowitz's division-free
   recursion over the leading principal minors (Berkowitz, *Inf. Process.
   Lett.* 18, 1984), which forms no trace, so the route stays apart from the
-  next one.  Rational T and A give an integer matrix in w = L z, as in
-  ``powers_mod``; otherwise the columns z^i T mod A (``rem_monic``) are read
-  exactly as Gaussian integers over one scale (``scalars.gauss_block``) and
-  each coefficient is rounded once.  It is the package's one determinant
+  next one.  ``polynomials.columns_mod`` builds the matrix: on ints in
+  w = L z for rational T and A, as ``powers_mod`` builds its table, and
+  otherwise on the fixed-point Gaussian-integer block, column i + 1 being
+  w times column i modulo A in w = z / 2^s, each cut to prec + 64 bits;
+  each coefficient of C is rounded once.  It is the package's one determinant
   routine: ``sylvester_resultant_with_factor`` routes B = c*y - T(z) here,
   and ``polynomial_resultant`` reads Res(P, Q) off the charpoly of Q mod P.
 * ``transform_by_power_sums``: the power sums of C are the traces
@@ -30,7 +31,9 @@ is computed here by two independent routes:
   prec + 64 bits of its largest part and rounded once as it leaves.
 
 The two routes are deliberately kept independent so tests can use each as an
-oracle for the other.
+oracle for the other.  They share the product modulo A, which is the
+polynomial ring, but no table: the columns multiply by w, and the power sums
+read T^j.
 
 Conditions in free parameters come from ``image_elementary``: with each
 coefficient of T affine in the parameters, the power sums of the images are
@@ -48,10 +51,9 @@ import operator
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .polynomials import (Record, UniPoly, int_monic, int_rem_monic, mul_terms,
-                          poly_from_power_sums, power_sums, powers_mod, rem_monic)
-from .scalars import (ONE, ZERO, Scalar, as_scalar, fma, gauss_block, graded_monic, int_vector,
-                      mul, rat)
+from .polynomials import (Record, UniPoly, columns_mod, mul_terms, poly_from_power_sums,
+                          power_sums, powers_mod)
+from .scalars import ONE, Scalar, as_scalar, fma, graded_monic, mul, rat
 
 
 class BiPoly(Record):
@@ -72,38 +74,17 @@ def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
     included, where M_T is the matrix of multiplication by T(z) (ascending
     Scalar coefficients ``t_coeffs``) on 1, z, ..., z^(n-1) in K[z]/(A).
 
-    ``_berkowitz`` takes the determinant and ``graded_monic`` reads it back;
-    1 when n = 0, and a complex exact zero counts as the rational 0.  For
-    rational T = tn / td and A (``int_vector``, ``int_monic``) the matrix,
-    similar to q M_T, q = td L^k, is that of Tw = q T(w / L) modulo the monic
-    integer a in w = L z (as in ``powers_mod``); otherwise it is the exact
-    ``gauss_block`` of the columns z^i T mod A (``rem_monic``).
+    ``polynomials.columns_mod`` builds a matrix similar to M_T, as ints
+    and Gaussian integers times one scale, ``_berkowitz`` takes its
+    determinant and ``graded_monic`` reads it back; 1 when n = 0.
     """
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
-    n = A.degree
-    if not n:
+    if not A.degree:
         return UniPoly._of([ONE], "y")
-    t = [ZERO if c.is_exact_zero() else c for c in map(as_scalar, t_coeffs)]
-    while t and t[-1] is ZERO:
-        t.pop()
-    vt = int_vector(t)
-    va = None if vt is None else int_monic([ZERO if c.is_exact_zero() else c for c in A.coeffs])
-    if va is not None:
-        (tn, td), (a, L) = vt, va
-        k = max(len(tn) - 1, 0)
-        low = [(i, c) for i, c in enumerate(a[:n]) if c]
-        cols = [int_rem_monic([c * L ** (k - i) for i, c in enumerate(tn)] + [0] * n, low, n)]
-        while len(cols) < n:
-            cols.append(int_rem_monic([0] + cols[-1], low, n))
-        block, scale = cols, (0, td * L ** k, None)
-    else:
-        cols = [rem_monic(t, A)]
-        while len(cols) < n:
-            cols.append(rem_monic([ZERO] + cols[-1], A))
-        block, scale = gauss_block(cols)
+    cols, scale = columns_mod(t_coeffs, A)
     # the columns serve as rows: N and its transpose share det(x - N)
-    return UniPoly._of(graded_monic(_berkowitz(block), scale), "y")
+    return UniPoly._of(graded_monic(_berkowitz(cols), scale), "y")
 
 
 def _berkowitz(N):

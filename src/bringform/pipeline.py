@@ -26,18 +26,19 @@ constructor, ``_step``, makes every step that eliminates: it runs
 ``dual_eliminate``, checks each targeted output coefficient once, and hands
 the step the table of the powers of T modulo A that the power-sum route
 built (``powers``), which its C(T) sum and solve for U read again.  The
-table (``powers_mod``, its one builder) and U(T) by Horner
-(``compose_mod``) multiply by T modulo A on ints, by one kernel
-(``polynomials.gauss_mul_mod``).  In rational mode they and the power-sum
-route run exactly on Python ints, in one scaling (A as a monic integer
-polynomial in w = L z), and make Scalars only for what they hand on (C's
-coefficients, the table's rows, U(T), and A's power sums, kept on A): the
-exact values the Scalar operations would give, so every trace,
-certificate and refusal is the same to the byte.  In complex mode they
-run on a fixed-point Gaussian-integer block: the table cut to prec + 64
-bits of each row's largest part, and U(T) held to the working precision
-(``certify`` says why).  The determinant runs on an exact Gaussian-integer
-block, the power-sum traces and the solve for U on the Scalar kernels.
+table (``powers_mod``, its one builder), U(T) by Horner (``compose_mod``)
+and the charpoly's columns (``columns_mod``) multiply by T modulo A on
+ints, by one kernel (``polynomials.gauss_mul_mod``).  In rational mode
+they and the power-sum route run exactly on Python ints, in one scaling
+(A as a monic integer polynomial in w = L z), and make Scalars only for
+what they hand on (C's coefficients, the table's rows, U(T), and A's
+power sums, kept on A): the exact values the Scalar operations would
+give, so every trace, certificate and refusal is the same to the byte.  In complex mode they
+run on a fixed-point Gaussian-integer block: the table and the charpoly's
+columns cut to prec + 64 bits of each product's largest part, and U(T)
+held to the working precision (``certify`` says why).  The determinant
+runs on the columns' Gaussian integers, the power-sum traces and the solve
+for U on the Scalar kernels.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, compose_mod,
-                          lies_on, power_sums, powers_mod, rem_monic)
-from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, as_scalar,
+                          lies_on, power_sums, powers_mod)
+from .scalars import (DEFAULT_PRECISION_BITS, ONE, TOL_PREC, ZERO, Scalar, as_scalar,
                       as_tol, fma, fms, negligible, pick_root, pivot_index, quotients, rat)
 from .solvers import solve_condition, solve_monic
 
@@ -164,13 +165,15 @@ class TransformStep(Record):
         ``polynomials.HORNER_GUARD_BITS`` bits before it is reduced.  A
         merging map's rows T^j mod A fall toward zero, so the U the solve
         reads off them has huge coefficients, and the cuts of its huge
-        products leave U(T) - z far above tol: 0.013 of the scale on
-        (z - 1)^2 (z^3 + 2z + 3) at 256 bits.  Evaluated exactly on the same
-        rounded inputs that U passes (U(T) = z to 1e-44), and with 64 guard
-        bits too (1e-20), so more bits must not decide the verdict; the 5
-        make the cut, relative to the block's largest part, no less accurate
-        than rounding every operation at prec on its own, as the Scalar
-        Horner did.
+        products leave U(T) - z far above tol: 0.002 of the scale on
+        (z - 1)^2 (z^3 + 2z + 3) at 256 bits, against 1e-20 for a Horner at
+        4096 bits of the same rounded inputs and 4e-20 with 64 guard bits,
+        so more bits must not decide the verdict.  The 7 make the cut,
+        relative to the block's largest part, no less accurate than rounding
+        every operation at prec on its own, as the Scalar Horner did: on the
+        complex steps of 200 batch quintics, the worst distance from a
+        Horner at 4 prec is below the Scalar Horner's at 64, 128 and 256
+        bits (5 bits missed that at 128).
 
         Returns (largest |coefficient| of U(T) - z relative to
         ``coeff_scale(A)``, inf for a step without U; ok); C(T) counts
@@ -728,7 +731,7 @@ def step_inverse(step: TransformStep):
     A = step.input
     n = A.degree
     cols = step.powers
-    rhs = rem_monic([rat(0), rat(1)], A)
+    rhs = [ZERO, ONE] + [ZERO] * (n - 2)  # z; every step has n >= 2
     M = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
     for c in range(n):
         p = c + pivot_index([M[r][c] for r in range(c, n)])

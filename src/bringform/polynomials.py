@@ -8,23 +8,24 @@ free parameters are not polynomials over polynomials: they are power-sum
 forms (``elimination.image_elementary``).  All values are immutable;
 operations return new objects, and + - * take a polynomial on both sides.
 The products of ``image_elementary`` run on plain lists of ascending
-Scalars (``mul_terms``, which ``UniPoly.__mul__`` wraps), and the
-charpoly's columns z^i T mod A reduce on them (``rem_monic``), with no
-UniPoly per row.  The table of T^j mod A (``powers_mod``, its one builder)
-and the certificate's U(T) (``compose_mod``) multiply on ints instead, by
-one kernel, ``gauss_mul_mod``.  Where every coefficient is rational, the
-table, U(T), Newton's identities both ways (``power_sums``,
-``poly_from_power_sums``) and ``elimination.map_charpoly`` run exactly on
-Python ints over one common denominator (``scalars.int_vector``) in one
-scaling, the monic integer polynomial in w = L z (``int_monic``), so
-reducing modulo it is a plain division (``int_rem_monic``); they make
-Scalars only for what they return, the canonical rationals the Scalar
-operations give.  Otherwise the table and U(T) run on a fixed-point block,
-a vector of Gaussian integers times one power of two
-(``scalars.fixed_point``), in w = z / 2^s with 2^s about A's largest root:
-each product is cut once to a fixed number of bits of its largest part, and
-a row leaves the block with each part rounded once
-(``scalars.from_fixed_point``).  The traces between them
+Scalars (``mul_terms``, which ``UniPoly.__mul__`` wraps), with no UniPoly
+per product.  Every product modulo A runs on ints instead, by one kernel,
+``gauss_mul_mod``: the table of T^j mod A (``powers_mod``, its one
+builder), the certificate's U(T) (``compose_mod``) and the columns of
+``elimination.map_charpoly``'s matrix (``columns_mod``), so this module
+alone owns the ring's scalings.  Where every coefficient is rational, the
+three, and Newton's identities both ways (``power_sums``,
+``poly_from_power_sums``), run exactly on Python ints over one common
+denominator (``scalars.int_vector``) in one scaling, the monic integer
+polynomial in w = L z (``int_monic``), so reducing modulo it is a plain
+division (``int_rem_monic``); they make Scalars only for what they return,
+the canonical rationals the Scalar operations give.  Otherwise they run on
+a fixed-point block, a vector of Gaussian integers times one power of two
+(``scalars.fixed_point``), in w = z / 2^s with 2^s about A's largest root
+(``_graded_block``): each product is cut once to a fixed number of bits of
+its largest part; a row leaves the block with each part rounded once
+(``scalars.from_fixed_point``), and the columns stay ints for the
+determinant.  The traces between them
 (``elimination.transform_by_power_sums``) are Scalar sums.  ``Record`` is
 the read-only base of ``UniPoly`` and of the records in other modules that
 do work at construction.  A ``UniPoly`` also keeps three memo slots, filled
@@ -40,9 +41,9 @@ from math import inf
 
 import mpmath
 
-from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Scalar, as_scalar,
-                      as_tol, context, fixed_point, fma, fms, from_fixed_point, int_vector,
-                      mag_binades, mul, negligible, noise_tol, pivot_index, rat,
+from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Gauss, Scalar,
+                      as_scalar, as_tol, context, fixed_point, fma, fms, from_fixed_point,
+                      int_vector, mag_binades, mul, negligible, noise_tol, pivot_index, rat,
                       rational_vector)
 
 
@@ -360,22 +361,6 @@ def mul_terms(cs, terms):
     return [ZERO if c is None else c for c in out]
 
 
-def rem_monic(P, A: UniPoly):
-    """The n = deg A ascending coefficients of P (ascending Scalars, its
-    trailing exact zeros dropped as a UniPoly drops them) modulo the monic A."""
-    n = A.degree
-    low = A.terms()[:-1]  # A is monic: its leading term is the last
-    rem = list(P)
-    while rem and rem[-1].is_exact_zero():
-        rem.pop()
-    for k in range(len(rem) - 1, n - 1, -1):
-        q = rem[k]
-        if not q.is_exact_zero():
-            for j, a in low:
-                rem[k - n + j] = fms(rem[k - n + j], q, a)
-    return rem[:n] + [ZERO] * (n - len(rem))
-
-
 def powers_mod(T: UniPoly, A: UniPoly):
     """T^0, T^1, ..., T^n modulo the monic A (n = deg A), each as the tuple of
     its n ascending coefficients, row j + 1 being row j times T reduced
@@ -397,7 +382,7 @@ def powers_mod(T: UniPoly, A: UniPoly):
     va = None if vt is None else int_monic(A.coeffs)
     if va is None:
         prec = max(c.prec or 0 for c in T.coeffs + A.coeffs)
-        s, t, a = _graded_block(T, A, prec)
+        s, t, a = _graded_block(T.coeffs, A, prec)
         v = ([1] + [0] * (n - 1), [0] * n, 0) if n else ([], [], 0)
         out = [tuple(ONE if x else ZERO for x in v[0])]
         for _ in range(n):
@@ -422,7 +407,7 @@ def powers_mod(T: UniPoly, A: UniPoly):
     return tuple(out)
 
 
-HORNER_GUARD_BITS = 5  # past prec, in each product of U(T) (TransformStep.certify)
+HORNER_GUARD_BITS = 7  # past prec, in each product of U(T) (TransformStep.certify)
 
 
 def compose_mod(U: UniPoly, T: UniPoly, A: UniPoly):
@@ -445,7 +430,7 @@ def compose_mod(U: UniPoly, T: UniPoly, A: UniPoly):
     va = None if vu is None else int_monic(A.coeffs)
     if va is None:
         prec = max(c.prec or 0 for c in U.coeffs + T.coeffs + A.coeffs)
-        s, t, a = _graded_block(T, A, prec)
+        s, t, a = _graded_block(T.coeffs, A, prec)
         ur, ui, eu = fixed_point(U.coeffs, prec)
         us, bits = [(x, y, eu) for x, y in zip(ur, ui)], prec + HORNER_GUARD_BITS
     else:
@@ -463,10 +448,60 @@ def compose_mod(U: UniPoly, T: UniPoly, A: UniPoly):
     return rational_vector([x * L ** i for i, x in enumerate(v[0])], du * q ** max(m, 0))
 
 
-def _graded_block(T: UniPoly, A: UniPoly, prec):
-    """(s, t, a): T and the monic A of degree n in w = z / 2^s as fixed-point
-    vectors (``scalars.fixed_point``), t of T(2^s w) and a of the lower
-    coefficients of A(2^s w) / 2^(s n).  2^s is about A's largest root,
+def columns_mod(t_coeffs, A: UniPoly):
+    """(N, (e, d, prec)): the matrix of multiplication by T (ascending
+    Scalar coefficients ``t_coeffs``) modulo the monic A of degree n >= 1,
+    up to similarity, as the n columns of ints and ``Gauss`` integers N
+    whose entries times 2^e / d are its entries; prec is the largest
+    precision of a complex coefficient, None when the entries are exact.
+    A complex exact zero counts as the rational 0.
+
+    For rational T = tn / td and A (``int_vector``, ``int_monic``) column i
+    is w^i Tw modulo the monic integer A(w / L) in w = L z, Tw = q T(w / L),
+    q = td L^k, as in ``powers_mod``, exactly: (e, d) = (0, q).  A constant
+    map's columns never reach A, so a rational t_0 takes that branch
+    whatever A.  Otherwise T and A enter one fixed-point block in
+    w = z / 2^s (``_graded_block``): column 0 is T mod A and column i + 1
+    is w times column i, each by ``gauss_mul_mod`` cut to prec +
+    ``GUARD_BITS`` bits, and the columns are shifted to their least
+    exponent e, with d = 1.  So the ints stay short whatever the span of
+    the exponents, and an image T(z_i) below the cut of the largest one
+    is lost, as in the table.
+    """
+    n = A.degree
+    t = [ZERO if c.is_exact_zero() else c for c in map(as_scalar, t_coeffs)]
+    while t and t[-1] is ZERO:
+        t.pop()
+    vt, va = int_vector(t), None
+    if vt is not None:
+        va = ([0] * n + [1], 1) if len(t) < 2 else int_monic(
+            [ZERO if c.is_exact_zero() else c for c in A.coeffs])
+    if va is None:
+        prec = max(c.prec or 0 for c in t + list(A.coeffs))
+        bits = prec + GUARD_BITS
+        _, tv, a = _graded_block(t, A, prec)
+        cols = [gauss_mul_mod(([1] + [0] * (n - 1), [0] * n, 0), tv, a, bits)]
+        while len(cols) < n:
+            cols.append(gauss_mul_mod(cols[-1], ([0, 1], [0, 0], 0), a, bits))
+        e = min([f for re, im, f in cols if any(re) or any(im)] or [0])
+        N = []
+        for re, im, f in cols:
+            d = max(f - e, 0)  # a column cut to zero may hold an exponent below e
+            N.append([Gauss(x << d, y << d) if y else x << d for x, y in zip(re, im)])
+        return N, (e, 1, prec)
+    (tn, td), (a, L) = vt, va
+    k = max(len(tn) - 1, 0)
+    low = [(i, c) for i, c in enumerate(a[:n]) if c]
+    cols = [int_rem_monic([c * L ** (k - i) for i, c in enumerate(tn)] + [0] * n, low, n)]
+    while len(cols) < n:
+        cols.append(int_rem_monic([0] + cols[-1], low, n))
+    return cols, (0, td * L ** k, None)
+
+
+def _graded_block(ts, A: UniPoly, prec):
+    """(s, t, a): T (ascending Scalars ``ts``) and the monic A of degree n in
+    w = z / 2^s as fixed-point vectors (``scalars.fixed_point``), t of
+    T(2^s w) and a of the lower coefficients of A(2^s w) / 2^(s n).  2^s is about A's largest root,
     s the largest floor(hi / (n - j)) over A's nonzero a_j, hi the upper
     binade of |a_j| (``mag_binades``), so those coefficients are at most
     about 2^n and every coefficient of a row weighs alike in its cut."""
@@ -474,7 +509,7 @@ def _graded_block(T: UniPoly, A: UniPoly, prec):
     s = max((b[1] // (n - j) for j, b in enumerate(map(mag_binades, A.coeffs[:n]))
              if b and b[1] > -inf), default=0)
     ar, ai, ea = fixed_point(A.coeffs[:n], prec, s)
-    return s, fixed_point(T.coeffs, prec, s), (ar, ai, ea - s * n)
+    return s, fixed_point(ts, prec, s), (ar, ai, ea - s * n)
 
 
 def gauss_mul_mod(v, t, a, bits, u=None):

@@ -54,10 +54,10 @@ values by one pivot with the same bits, forming its c^2 + d^2 once.
 
 Integer views read the raw pairs for the integer routes elsewhere:
 ``int_vector`` and ``rational_vector`` for rationals over one
-denominator, ``gauss_block`` and ``graded_monic`` for an exact block of
-Gaussian integers, and ``fixed_point`` and ``from_fixed_point`` for a
-vector of Gaussian integers times one power of two, which
-``polynomials.gauss_mul_mod`` cuts to a fixed number of bits.
+denominator, and ``fixed_point`` and ``from_fixed_point`` for a vector of
+Gaussian integers times one power of two, which
+``polynomials.gauss_mul_mod`` cuts to a fixed number of bits;
+``graded_monic`` reads back a charpoly of such integers (``Gauss``).
 
 A rational rounded to an mpf (``_rat_mpf``, keyed by numerator,
 denominator and precision), a parsed tolerance string and its products
@@ -740,49 +740,9 @@ class Gauss:
         return bool(self.re or self.im)
 
 
-def gauss_block(rows):
-    """The exact view of a matrix of Scalars: (G, (e, d, prec)) with
-    rows[i][j] == G[i][j] 2^e / d, G[i][j] an int or a ``Gauss``, d the
-    rational entries' common denominator, e the least exponent of a nonzero
-    part (0 for a rational), prec the largest precision of a complex entry
-    (None if none).  ValueError for an infinity or nan.  The ints are as
-    long as the parts' exponents span (the command line bounds the input's)."""
-    flat = [v for row in rows for v in row]
-    cxs = [v for v in flat if v._den is None]
-    if not all(_finite(v._c) for v in cxs):
-        raise ValueError("a block entry must be finite")
-    d = int_vector([v for v in flat if v._den is not None])[1]
-    exps = [x for v in cxs for _, m, x, _ in v._c if m]
-    e = min(exps + [0] if any(v._num for v in flat) else exps or [0])
-
-    def view(v):
-        if v._den is not None:
-            return v._num * (d // v._den) << -e if v._num else 0
-        re, im = ((-m if s else m) * d << x - e if m else 0 for s, m, x, _ in v._c)
-        return Gauss(re, im) if im else re
-
-    return [[view(v) for v in row] for row in rows], (e, d, max([v._prec for v in cxs] or [None]))
-
-
-def graded_monic(p, scale):
-    """The ascending Scalars of the monic polynomial with p[j] (2^e / d)^j
-    at x^(n - j), p highest first and (e, d, prec) a ``gauss_block``'s
-    scale: exact when prec is None, else each part rounded once at prec."""
-    e, d, prec = scale
-    if prec is None:
-        return [_q(c, d ** j) for j, c in enumerate(p)][::-1]
-    out = [ONE]
-    for j, c in enumerate(p[1:], 1):
-        parts, dj = [], from_int(d ** j)
-        for m in (c.re, c.im) if type(c) is Gauss else (c, 0):
-            z = (m & -m).bit_length() - 1 if m else 0  # from_man_exp sheds these 8 at a time
-            parts.append(mpf_div(from_man_exp(m >> z, e * j + z), dj, prec, round_nearest))
-        out.append(Scalar(None, None, tuple(parts), prec))
-    return out[::-1]
-
-
 # bits past prec in a fixed-point vector: a rational that is not dyadic
-# enters rounded at prec + GUARD_BITS, and the power table cuts each row there
+# enters rounded at prec + GUARD_BITS, and the power table and the
+# charpoly's columns cut each product there
 GUARD_BITS = 64
 
 
@@ -827,6 +787,21 @@ def from_fixed_point(v, prec, s):
     re, im, e = v
     return [Scalar(None, None, (_part(x, e - s * i, prec), _part(y, e - s * i, prec)), prec)
             if x or y else ZERO for i, (x, y) in enumerate(zip(re, im))]
+
+
+def graded_monic(p, scale):
+    """The ascending Scalars of the monic polynomial with p[j] (2^e / d)^j
+    at x^(n - j), p highest first (ints and ``Gauss`` integers) and
+    (e, d, prec) the scale of ``polynomials.columns_mod``: exact when prec
+    is None, else d = 1 and each part rounded once at prec."""
+    e, d, prec = scale
+    if prec is None:
+        return [_q(c, d ** j) for j, c in enumerate(p)][::-1]
+    out = [ONE]
+    for j, c in enumerate(p[1:], 1):
+        re, im = (c.re, c.im) if type(c) is Gauss else (c, 0)
+        out.append(Scalar(None, None, (_part(re, e * j, prec), _part(im, e * j, prec)), prec))
+    return out[::-1]
 
 
 def rat(num, den=1) -> Scalar:

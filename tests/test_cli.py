@@ -493,14 +493,14 @@ def test_complex_repeated_root_collapsed_at_the_principal_step_exits_two(capsys)
 
 
 def test_route_disagreement_states_its_relative_size(capsys):
-    # the two routes of the principal step differ by 4.0e+19 on a scale of
-    # 1.05e+34: 3.8e-15 relative, far above the default tol, and about the
-    # resultant route's own error, 3.8e-15 of the scale against 1024 bits
-    # (the power-sum route's is 1.4e-26)
+    # the two routes of the principal step differ by 8.89e+7 on a scale of
+    # 1.05e+34: 8.4e-27 relative, above the default tol, and the power-sum
+    # route's own error there, 8.4e-27 of the scale against 1024 bits (1.4e-26
+    # at its worst coefficient); the resultant route's is 1.3e-32
     code, out, err = run(capsys, "reduce", "--precision-bits", "128", "--coeffs",
                          "1", "5999997", "-9000007", "3000004", "-8000002", "-7999992")
     assert code == EXIT_VERIFY and out == ""
-    assert ("disagree at y^0 by 4.0e+19, 3.8e-15 of a scale of 1.05e+34, "
+    assert ("disagree at y^0 by 8.89e+7, 8.44e-27 of a scale of 1.05e+34, "
             "against tol 1.0e-30") in err
 
 
@@ -538,7 +538,7 @@ def test_a_cross_check_refusal_names_its_step(capsys):
                          "1", "5999997", "-9000007", "3000004", "-8000002", "-7999992")
     assert code == EXIT_VERIFY and out == ""
     assert err.startswith("verification failure: principal step: resultant and power-sum "
-                          "routes disagree at y^0 by 4.0e+19")
+                          "routes disagree at y^0 by 8.89e+7")
 
 
 def test_a_condition_that_fails_to_vanish_states_its_bound_and_ratio(capsys):
@@ -547,13 +547,14 @@ def test_a_condition_that_fails_to_vanish_states_its_bound_and_ratio(capsys):
     code, out, err = run(capsys, "reduce", "--coeffs", "1", "0", "0", "1e-25", "1e-25", "1",
                          "--output", "text")
     assert code == EXIT_OK and err == "" and "verified: yes" in out
-    # a y^2 coefficient nine times tol x scale; the command line refuses a
-    # tol this fine at 64 bits, so the library is called
+    # a y^2 coefficient of rounding noise, six times tol x scale; the
+    # command line refuses a tol this fine at 64 bits, so the library is
+    # called
     P = UniPoly([rat(c) for c in (1, -2, 4, 10, 3, 1)])
     with pytest.raises(ConsistencyError) as exc:
         reduce_general_quintic(P, prec=64, tol="1e-14")
     assert str(exc.value) == ("bring-jerrard step: y^2 coefficient failed to vanish: "
-                              "1.41247366596e-10, 9.28 times tol x scale 1.52e-11")
+                              "-8.62638512789e-11, 5.67 times tol x scale 1.52e-11")
 
 
 @pytest.mark.parametrize("prec", [20, 300])

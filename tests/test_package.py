@@ -178,6 +178,15 @@ def test_berkowitz_is_the_one_determinant_and_divides_by_nothing():
     assert "pivot_index" not in imported
 
 
+# one owner of the ring's scaling: only ``polynomials`` multiplies modulo A
+# on a block, reduces modulo an integer A or grades a block by A's roots
+def test_only_polynomials_multiplies_modulo_a_on_ints():
+    hits = [(os.path.basename(p), fn, name)
+            for p in sorted(glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py")))
+            for fn, _, name in _calls(p, {"gauss_mul_mod", "int_rem_monic", "_graded_block"})]
+    assert hits and [h for h in hits if h[0] != "polynomials.py"] == []
+
+
 _P = UniPoly([rat(-1), rat(0), rat(1)])
 _SUB = Subsidiary(1, (rat(0),))
 RECORDS = {

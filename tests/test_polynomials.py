@@ -17,8 +17,8 @@ from mpmath.libmp import mpf_div, round_nearest
 from bringform import (ReductionTrace, Scalar, UniPoly, coeff_scale, cx,
                        deflate, poly_from_power_sums, power_sums, rat,
                        reduce_general_quintic, shift_substitute)
-from bringform.polynomials import coeff_mismatch, mul_terms, powers_mod, rem_monic
-from bringform.scalars import ONE, ZERO, fma, mul
+from bringform.polynomials import coeff_mismatch, mul_terms, powers_mod
+from bringform.scalars import ONE, ZERO, fma, fms, mul
 from helpers import max_coeff_diff, rand_fraction, rand_monic, rand_scalar
 
 
@@ -214,15 +214,15 @@ def test_memo_slots_take_no_part_in_equality_or_output():
 
 # -- multiplying by T modulo A on coefficient lists ---------------------------
 #
-# The charpoly columns and ``image_elementary`` multiply by T modulo A on
-# plain lists; they used to build a UniPoly per row.  The old UniPoly path,
-# kept here as the reference, must give the same bits: kind, precision and
-# raw pair of every coefficient.  The power table (``powers_mod``) and the
-# certificate's Horner (``compose_mod``) keep those bits where every
-# coefficient is rational; otherwise they run on a fixed-point
-# Gaussian-integer block (``gauss_mul_mod``) and must be no further from a
-# reference at four times the precision, of the same inputs, than the
-# UniPoly path is.
+# ``image_elementary`` multiplies by T on plain lists (``mul_terms``); it
+# used to build a UniPoly per product.  The old UniPoly path, kept here as
+# the reference with the old Scalar reduction modulo A, must give the same
+# bits: kind, precision and raw pair of every coefficient.  The power table
+# (``powers_mod``) and the certificate's Horner (``compose_mod``) keep those
+# bits where every coefficient is rational; otherwise they run on a
+# fixed-point Gaussian-integer block (``gauss_mul_mod``) and must be no
+# further from a reference at four times the precision, of the same
+# inputs, than the UniPoly path is.
 
 def _old_product(P, T):
     """UniPoly.__mul__ as it was before its loop moved into mul_terms."""
@@ -238,10 +238,26 @@ def _old_product(P, T):
     return UniPoly([ZERO if c is None else c for c in out], P.var)
 
 
+def _old_rem_monic(P, A):
+    """The n = deg A ascending coefficients of P (ascending Scalars) modulo
+    the monic A, by the Scalar kernels, as the package reduced before every
+    product modulo A ran on a fixed-point block."""
+    n = A.degree
+    rem = list(P)
+    while rem and rem[-1].is_exact_zero():
+        rem.pop()
+    for k in range(len(rem) - 1, n - 1, -1):
+        q = rem[k]
+        if not q.is_exact_zero():
+            for j, a in A.terms()[:-1]:
+                rem[k - n + j] = fms(rem[k - n + j], q, a)
+    return rem[:n] + [ZERO] * (n - len(rem))
+
+
 def _old_step(row, T, A):
-    """rem_monic(UniPoly(row) * T, A) on UniPolys: a step of the power
+    """_old_rem_monic(UniPoly(row) * T, A) on UniPolys: a step of the power
     table."""
-    return rem_monic(_old_product(UniPoly(row), T).coeffs, A)
+    return _old_rem_monic(_old_product(UniPoly(row), T).coeffs, A)
 
 
 def _bits(values):
@@ -309,13 +325,11 @@ def test_multiplying_modulo_a_on_lists_keeps_every_bit(case):
     # the product, and UniPoly.__mul__, which wraps the kernel
     want = _bits(_old_product(UniPoly(row), T).coeffs)
     assert _bits(mul_terms(row, terms)) == want == _bits((UniPoly(row) * T).coeffs)
-    # a charpoly column z * col, whose trailing zeros the reduction drops
-    assert _bits(rem_monic([ZERO] + row, A)) == _bits(rem_monic(UniPoly([ZERO] + row).coeffs, A))
     # the power table, row by row: every bit where T and A are rational,
     # otherwise each row no further from the rows at 4 prec than the
     # UniPoly path's, give or take one rounding at prec
     def steps(T, A):
-        rows = [rem_monic([ONE], A)]
+        rows = [_old_rem_monic([ONE], A)]
         while len(rows) <= A.degree:
             rows.append(_old_step(rows[-1], T, A))
         return rows
@@ -339,7 +353,7 @@ def _old_certificate_residual(step, prec=None):
         A, T, U = (_carried_at(P, prec) for P in (A, T, U))
     UT = UniPoly([], "z")
     for u in reversed(U.coeffs):
-        UT = UniPoly(rem_monic((_old_product(UT, T) + UniPoly([u])).coeffs, A), "z")
+        UT = UniPoly(_old_rem_monic((_old_product(UT, T) + UniPoly([u])).coeffs, A), "z")
     worst = (UT - UniPoly([rat(0), rat(1)], "z")).max_mag()
     return mpmath.mp.make_mpf(mpf_div(worst._mpf_, coeff_scale(A)._mpf_, 53, round_nearest))
 

@@ -14,7 +14,8 @@ that every user imports by name.  The same holds for the list kernel of
 ``polynomials``, ``mul_terms``, which multiplies by T on coefficient lists
 for ``UniPoly.__mul__`` and ``image_elementary``; for its block kernel,
 ``gauss_mul_mod``, which multiplies a fixed-point Gaussian-integer vector
-by T modulo A for the complex power table and the certificate's Horner;
+by T modulo A for the complex power table, the certificate's Horner and the
+charpoly's columns;
 and for ``powers_mod``, the power table's one builder.  Every Scalar
 + - * / reaches one of the module
 kernels (``add``, ``sub``, ``mul``, ``div``, ``fma``, ``fms``), through the
@@ -140,8 +141,8 @@ def test_rebinding_the_fused_kernels_counts_their_calls():
                     mp.setattr(m, name, counted(name, original))
         A = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
         dual_eliminate(A, Subsidiary(2, (rat(1), rat(-2))))
-        # a rational map_charpoly runs on ints and calls no fms; a complex
-        # subsidiary's charpoly columns (rem_monic) and traces do
+        # a rational subsidiary's routes run on ints and call no fms; a
+        # complex subsidiary's power-sum traces and Newton's identities do
         dual_eliminate(A, Subsidiary(2, (cx(1, 1), rat(-2))))
     assert all(calls.values()), calls
 
