@@ -39,7 +39,11 @@ Conditions in free parameters come from ``image_elementary``: with each
 coefficient of T affine in the parameters, the power sums of the images are
 Hankel forms in the power sums of A (Adamchik & Jeffrey, "Polynomial
 transformations of Tschirnhaus, Bring and Jerrard", SIGSAM Bull. 37(3),
-2003), returned as dicts from exponent tuples to Scalars.  The one
+2003), returned as dicts from exponent tuples to Scalars.  This module
+keeps their combinatorics, the multisets of parameters and Newton's
+identities on forms, on Python ints; the traces of the products come from
+``polynomials.product_traces``, modulo A, and each coefficient of a form
+is rounded once as it leaves (``scalars.from_ratio``).  The one
 elimination that is not a map of roots, b between the two conditions of the
 quartic obstruction, needs no determinant: the first condition is linear in
 b (``pipeline.quartic_obstruction_G``).
@@ -51,9 +55,9 @@ import operator
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .polynomials import (Record, UniPoly, columns_mod, mul_terms, poly_from_power_sums,
-                          power_sums, powers_mod)
-from .scalars import ONE, Scalar, as_scalar, fma, graded_monic, mul, rat
+from .polynomials import (Record, UniPoly, columns_mod, fixed_sum, poly_from_power_sums,
+                          power_sums, powers_mod, product_traces)
+from .scalars import ONE, Scalar, as_scalar, fma, from_ratio, graded_monic, mul, rat
 
 
 class BiPoly(Record):
@@ -178,61 +182,53 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, powers=None) -> UniPoly:
     return poly_from_power_sums(sums, "y")
 
 
-def _form_mul(f, g):
-    out = {}
-    for ka, va in f.items():
-        for kb, vb in g.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            got = out.get(key)
-            out[key] = mul(va, vb) if got is None else fma(got, va, vb)
-    return out
-
-
 def image_elementary(A: UniPoly, xs, m: int):
     """e_1..e_m of the images y = sum_i x_i z^i of the roots of the monic A.
 
     Each x_i is affine in free parameters t_1..t_P and is given as the
-    sequence (x_i0, x_i1, ..., x_iP): x_i = x_i0 + sum_p x_ip t_p.  The power
-    sum s_k(y) is the Hankel form sum x_i1 ... x_ik s_(i1+...+ik)(A) over the
-    power sums s_0..s_(m(N-1)) of A (N = len(xs)), and Newton's identities
-    turn s_1..s_m into e_1..e_m.  Each e_j comes back as a dict from exponent
-    tuples of (t_1..t_P) to nonzero Scalars; exact for rational inputs.
+    sequence (x_i0, x_i1, ..., x_iP): x_i = x_i0 + sum_p x_ip t_p, so y =
+    sum_p t_p X_p (t_0 = 1) with X_p = sum_i x_ip z^i.  The power sum
+    s_k(y) is the Hankel form sum, over the k-multisets of parameters, of
+    their count times the trace of the product of their X_p, which
+    ``polynomials.product_traces`` takes modulo A from s_0..s_(n-1) of A,
+    as Gaussian integers q^k times the trace.  Newton's identities run on
+    those ints: G_k = k! q^k e_k is sum_(i=1..k) (-1)^(i-1) (k-1)!/(k-i)!
+    P_i G_(k-i) with P_i = q^i s_i, each a form, and e_k leaves as G_k
+    divided by k! q^k (``scalars.from_ratio``): exactly when the traces
+    are, otherwise with each entry of G_k held to as many bits of its
+    largest term as the traces (``polynomials.fixed_sum``) and each part
+    of e_k rounded once at prec.  Each e_j comes back as a dict from
+    exponent tuples of (t_1..t_P) to nonzero Scalars.
     """
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
     width = len(xs[0])
-    s = power_sums(A, m * (len(xs) - 1))
-    # X[p] is the z-polynomial multiplying t_p (t_0 = 1): y = sum_p t_p X[p]
-    X = [UniPoly([x[p] for x in xs], A.var).terms() for p in range(width)]
-    prods = {(): [ONE]}
-    es = [{(0,) * (width - 1): ONE}]
-    sums = []
+    traces, q, prec, bits = product_traces(A, [[x[p] for x in xs] for p in range(width)], m)
+    sums, G = [], [{(0,) * (width - 1): (1, 0, 0)}]
     for k in range(1, m + 1):
         sk = {}
         for combo in combinations_with_replacement(range(width), k):
-            prod = prods[combo] = mul_terms(prods[combo[:-1]], X[combo[-1]])
-            tr = None
-            for c, sj in zip(prod, s):
-                if not (c.is_exact_zero() or sj.is_exact_zero()):
-                    tr = mul(c, sj) if tr is None else fma(tr, c, sj)
-            if tr is None:
-                continue
-            # the multiset combo stands for k!/prod(mult!) ordered products
-            count = factorial(k)
-            for p in set(combo):
-                count //= factorial(combo.count(p))
-            sk[tuple(combo.count(p) for p in range(1, width))] = tr * count
+            re, im, e = traces[combo]
+            if re or im:
+                # the multiset combo stands for k!/prod(mult!) ordered products
+                count = factorial(k)
+                for p in set(combo):
+                    count //= factorial(combo.count(p))
+                sk[tuple(combo.count(p) for p in range(1, width))] = re * count, im * count, e
         sums.append(sk)
-        # Newton: k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) s_i
-        ek = {}
+        terms, f = {}, 1
         for i in range(1, k + 1):
-            for key, v in _form_mul(es[k - i], sums[i - 1]).items():
-                v = v if i % 2 == 1 else -v
-                got = ek.get(key)
-                ek[key] = v if got is None else got + v
-        es.append({key: v * rat(1, k) for key, v in ek.items()
-                   if not v.is_exact_zero()})
-    return es[1:]
+            c = f if i % 2 else -f
+            for ka, (ar, ai, ea) in G[k - i].items():
+                for kb, (br, bi, eb) in sums[i - 1].items():
+                    key = tuple(map(operator.add, ka, kb))
+                    terms.setdefault(key, []).append(
+                        (c * (ar * br - ai * bi), c * (ar * bi + ai * br), ea + eb))
+            f *= k - i
+        G.append({key: v for key, v in ((key, fixed_sum(ts, bits)) for key, ts in terms.items())
+                  if v[0] or v[1]})
+    return [{key: from_ratio(re, im, factorial(k) * q ** k, e, prec)
+             for key, (re, im, e) in G[k].items()} for k in range(1, m + 1)]
 
 
 def form_in(form, var: str) -> UniPoly:

@@ -28,17 +28,21 @@ the step the table of the powers of T modulo A that the power-sum route
 built (``powers``), which its C(T) sum and solve for U read again.  The
 table (``powers_mod``, its one builder), U(T) by Horner (``compose_mod``)
 and the charpoly's columns (``columns_mod``) multiply by T modulo A on
-ints, by one kernel (``polynomials.gauss_mul_mod``).  In rational mode
-they and the power-sum route run exactly on Python ints, in one scaling
-(A as a monic integer polynomial in w = L z), and make Scalars only for
-what they hand on (C's coefficients, the table's rows, U(T), and A's
-power sums, kept on A): the exact values the Scalar operations would
-give, so every trace, certificate and refusal is the same to the byte.  In complex mode they
-run on a fixed-point Gaussian-integer block: the table and the charpoly's
-columns cut to prec + 64 bits of each product's largest part, and U(T)
+ints (``polynomials.gauss_mul_mod``, ``polynomials.int_mul_mod``), and so
+do the traces of the conditions' power-sum forms (``image_elementary``).
+In rational mode they and the power-sum route run exactly on Python ints,
+in one scaling (A as a monic integer polynomial in w = L z), and make
+Scalars only for what they hand on (C's coefficients, the table's rows,
+U(T), the forms, and A's power sums, kept on A): the exact values the
+Scalar operations would give, so every trace, certificate and refusal is
+the same to the byte.  In complex mode they run on a fixed-point
+Gaussian-integer block: the table, the charpoly's columns and the forms'
+products and sums cut to prec + 64 bits of their largest part, and U(T)
 held to the working precision (``certify`` says why).  The determinant
-runs on the columns' Gaussian integers, the power-sum traces and the solve
-for U on the Scalar kernels.
+runs on the columns' Gaussian integers, and the solve for U
+(``step_inverse``) on the table's rows re-entered exactly as ints, by
+fraction-free elimination; the power-sum route's traces run on the Scalar
+kernels.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, compose_mod,
-                          lies_on, power_sums, powers_mod)
-from .scalars import (DEFAULT_PRECISION_BITS, ONE, TOL_PREC, ZERO, Scalar, as_scalar,
-                      as_tol, fma, fms, negligible, pick_root, pivot_index, quotients, rat)
+                          lies_on, power_sums, powers_mod, solve_mod)
+from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, as_scalar, as_tol,
+                      fma, negligible, pick_root, rat)
 from .solvers import solve_condition, solve_monic
 
 
@@ -715,39 +719,20 @@ def back_solve(step: TransformStep, y, *, prec=None, tol=None):
 
 def step_inverse(step: TransformStep):
     """The inverse map U of a step, with U(T(z)) = z for every root z of the
-    step's monic input A, or None on an exactly zero pivot.
+    step's monic input A, or None when no such U exists.
 
     U = sum u_j y^j solves the n x n system sum u_j T^j = z modulo A
-    (n = deg A; PARI's ``modreverse``) by elimination with magnitude
-    pivoting, which is exact when every matrix entry is rational.  An exactly
-    zero pivot means the basis 1, T, ..., T^(n-1) is singular: the map is not
-    one-to-one on the roots of A, and no inverse map can pull them back.
-    In complex mode a merging map gives a tiny pivot rather than a zero one,
-    and neither the pivot nor the solve's own residual tells it apart from a
-    fine map, so a caller evaluates U: ``TransformStep.certify`` checks
-    U(T) = z mod A, and ``recover_roots`` tests each pulled-back root on the
-    original.
+    (n = deg A; PARI's ``modreverse``) on the first n rows of ``powers``,
+    re-entered exactly as ints and solved by fraction-free elimination
+    (``polynomials.solve_mod``), each u_j rounded once.  None comes back
+    exactly when the determinant of those ints is 0: the basis 1, T, ...,
+    T^(n-1) is singular, the map is not one-to-one on the roots of A, and
+    no inverse map can pull them back.  In complex mode a merging map
+    gives a tiny determinant rather than a zero one, and the solve alone
+    does not tell it apart from a fine map, so a caller evaluates U:
+    ``TransformStep.certify`` checks U(T) = z mod A, and ``recover_roots``
+    tests each pulled-back root on the original.
     """
-    A = step.input
-    n = A.degree
-    cols = step.powers
-    rhs = [ZERO, ONE] + [ZERO] * (n - 2)  # z; every step has n >= 2
-    M = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
-    for c in range(n):
-        p = c + pivot_index([M[r][c] for r in range(c, n)])
-        pivot = M[p][c]
-        if pivot.is_exact_zero():
-            return None
-        M[c], M[p] = M[p], M[c]
-        fs = quotients([M[r][c] for r in range(c + 1, n)], pivot)
-        for r, f in enumerate(fs, c + 1):
-            if not f.is_exact_zero():
-                for k in range(c, n + 1):
-                    M[r][k] = fms(M[r][k], f, M[c][k])
-    u = [ZERO] * n
-    for c in range(n - 1, -1, -1):
-        acc = M[c][n]
-        for k in range(c + 1, n):
-            acc = fms(acc, M[c][k], u[k])
-        u[c] = acc / M[c][c]
-    return UniPoly(u, "y")
+    n = step.input.degree
+    u = solve_mod(step.powers[:n], step.input)
+    return None if u is None else UniPoly(u, "y")

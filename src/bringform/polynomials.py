@@ -7,14 +7,15 @@ and anything else, a polynomial included, raises TypeError.  Conditions in
 free parameters are not polynomials over polynomials: they are power-sum
 forms (``elimination.image_elementary``).  All values are immutable;
 operations return new objects, and + - * take a polynomial on both sides.
-The products of ``image_elementary`` run on plain lists of ascending
-Scalars (``mul_terms``, which ``UniPoly.__mul__`` wraps), with no UniPoly
-per product.  Every product modulo A runs on ints instead, by one kernel,
-``gauss_mul_mod``: the table of T^j mod A (``powers_mod``, its one
-builder), the certificate's U(T) (``compose_mod``) and the columns of
-``elimination.map_charpoly``'s matrix (``columns_mod``), so this module
-alone owns the ring's scalings.  Where every coefficient is rational, the
-three, and Newton's identities both ways (``power_sums``,
+Every product modulo A runs on ints, by one kernel, ``gauss_mul_mod``, or
+on real ints where every coefficient is rational (``int_mul_mod``,
+``int_rem_monic``): the table of T^j mod A (``powers_mod``, its one
+builder), the certificate's U(T) (``compose_mod``), the columns of
+``elimination.map_charpoly``'s matrix (``columns_mod``) and the traces of
+the products of a form's polynomials (``product_traces``); ``solve_mod``
+solves for a step's inverse map on the table's rows by fraction-free
+elimination, so this module alone owns the ring's scalings.  Where every
+coefficient is rational, they, and Newton's identities both ways (``power_sums``,
 ``poly_from_power_sums``), run exactly on Python ints over one common
 denominator (``scalars.int_vector``) in one scaling, the monic integer
 polynomial in w = L z (``int_monic``), so reducing modulo it is a plain
@@ -23,28 +24,32 @@ the canonical rationals the Scalar operations give.  Otherwise they run on
 a fixed-point block, a vector of Gaussian integers times one power of two
 (``scalars.fixed_point``), in w = z / 2^s with 2^s about A's largest root
 (``_graded_block``): each product is cut once to a fixed number of bits of
-its largest part; a row leaves the block with each part rounded once
-(``scalars.from_fixed_point``), and the columns stay ints for the
-determinant.  The traces between them
-(``elimination.transform_by_power_sums``) are Scalar sums.  ``Record`` is
-the read-only base of ``UniPoly`` and of the records in other modules that
-do work at construction.  A ``UniPoly`` also keeps three memo slots, filled
-on first use and never part of equality, repr or JSON: its largest
-coefficient magnitude (``max_mag``), its terms that are not exact zeros
-(``terms``), and the power sums of its roots computed so far
-(``power_sums``), a prefix that only grows.
+its largest part (``_cut``), and so are the power sums of the roots in w,
+the traces and each sum of Gaussian integers of differing exponents
+(``fixed_sum``); a row leaves the block with each part rounded once
+(``scalars.from_fixed_point``), a quotient with each part rounded once
+(``scalars.from_ratio``), and the columns stay ints for the determinant.
+The traces of the power-sum route (``elimination.transform_by_power_sums``)
+are Scalar sums.  ``Record`` is the read-only base of ``UniPoly`` and of
+the records in other modules that do work at construction.  A ``UniPoly``
+also keeps three memo slots, filled on first use and never part of
+equality, repr or JSON: its largest coefficient magnitude (``max_mag``),
+its terms that are not exact zeros (``terms``), and the power sums of its
+roots computed so far (``power_sums``), a prefix that only grows.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import combinations_with_replacement
 from math import inf
 
 import mpmath
 
 from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Gauss, Scalar,
                       as_scalar, as_tol, context, fixed_point, fma, fms, from_fixed_point,
-                      int_vector, mag_binades, mul, negligible, noise_tol, pivot_index, rat,
-                      rational_vector)
+                      from_ratio, int_vector, mag_binades, mul, negligible, noise_tol,
+                      pivot_index, rat, rational_vector)
 
 
 class Record:
@@ -164,7 +169,15 @@ class UniPoly(Record):
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return UniPoly._of(mul_terms(self.coeffs, other.terms()), self.var)
+        terms = other.terms()
+        out = [None] * (len(self.coeffs) + terms[-1][0]) if terms else []
+        for i, a in enumerate(self.coeffs):
+            if a.is_exact_zero():
+                continue
+            for j, b in terms:
+                c = out[i + j]
+                out[i + j] = mul(a, b) if c is None else fma(c, a, b)
+        return UniPoly._of([ZERO if c is None else c for c in out], self.var)
 
     __rmul__ = __mul__
 
@@ -346,21 +359,6 @@ def shift_substitute(poly: UniPoly, a) -> UniPoly:
     return UniPoly(out, "y")
 
 
-def mul_terms(cs, terms):
-    """cs (ascending Scalars) times the polynomial of ``terms`` (its nonzero
-    ``UniPoly.terms``), ascending and without trailing exact zeros."""
-    out = [None] * (len(cs) + terms[-1][0]) if terms else []
-    for i, a in enumerate(cs):
-        if a.is_exact_zero():
-            continue
-        for j, b in terms:
-            c = out[i + j]
-            out[i + j] = mul(a, b) if c is None else fma(c, a, b)
-    while out and (out[-1] is None or out[-1].is_exact_zero()):
-        out.pop()
-    return [ZERO if c is None else c for c in out]
-
-
 def powers_mod(T: UniPoly, A: UniPoly):
     """T^0, T^1, ..., T^n modulo the monic A (n = deg A), each as the tuple of
     its n ascending coefficients, row j + 1 being row j times T reduced
@@ -397,12 +395,7 @@ def powers_mod(T: UniPoly, A: UniPoly):
     row = [int(i == 0) for i in range(n)]
     out = [tuple(rational_vector(row, 1))]
     for j in range(1, n + 1):
-        prod = [0] * (n + k)
-        for i, x in enumerate(row):
-            if x:
-                for m, c in tw:
-                    prod[i + m] += x * c
-        row = int_rem_monic(prod, low, n)
+        row = int_mul_mod(row, tw, low, n)
         out.append(tuple(rational_vector([x * f for x, f in zip(row, scale)], q ** j)))
     return tuple(out)
 
@@ -412,40 +405,43 @@ HORNER_GUARD_BITS = 7  # past prec, in each product of U(T) (TransformStep.certi
 
 def compose_mod(U: UniPoly, T: UniPoly, A: UniPoly):
     """The n ascending coefficients of U(T) modulo the monic A (n = deg A),
-    by Horner on ``gauss_mul_mod``: one call per coefficient of U, highest
+    by Horner: one product by T modulo A per coefficient of U, highest
     first, each joining the product before the reduction.
 
-    When every coefficient of U, T and A is rational the calls run exactly
-    on ints, in w = L z as in ``powers_mod``: with U = un / du of degree m
-    and q = td L^k, R = sum un_j q^(m-j) Tw^j modulo the monic integer
-    A(w / L), and the coefficient of z^i is R_i L^i / (du q^m).  Otherwise
-    all three enter one fixed-point block at the largest precision prec of
-    a complex coefficient, as in ``powers_mod``, each product is cut to
-    prec + ``HORNER_GUARD_BITS`` bits, and the result leaves the block with
-    each part rounded once at prec.
+    When every coefficient of U, T and A is rational the products run
+    exactly on real ints (``int_mul_mod``), in w = L z as in
+    ``powers_mod``: with T = tn / d of degree k and U = un / d of degree m
+    over one denominator and q = d L^k, R = sum un_j q^(m-j) Tw^j modulo
+    the monic integer A(w / L), and the coefficient of z^i is R_i L^i /
+    (d q^m).  Otherwise all three enter one fixed-point block at the
+    largest precision prec of a complex coefficient, as in ``powers_mod``,
+    each product is a ``gauss_mul_mod`` call cut to prec +
+    ``HORNER_GUARD_BITS`` bits, and the result leaves the block with each
+    part rounded once at prec.
     """
-    n = A.degree
-    vt = int_vector(T.coeffs)
-    vu = None if vt is None else int_vector(U.coeffs)
-    va = None if vu is None else int_monic(A.coeffs)
+    n, kt = A.degree, len(T.coeffs)
+    vtu = int_vector(T.coeffs + U.coeffs)
+    va = None if vtu is None else int_monic(A.coeffs)
     if va is None:
         prec = max(c.prec or 0 for c in U.coeffs + T.coeffs + A.coeffs)
         s, t, a = _graded_block(T.coeffs, A, prec)
         ur, ui, eu = fixed_point(U.coeffs, prec)
-        us, bits = [(x, y, eu) for x, y in zip(ur, ui)], prec + HORNER_GUARD_BITS
-    else:
-        (tn, td), (un, du), (an, L) = vt, vu, va
-        k, m, bits = max(len(tn) - 1, 0), len(un) - 1, None
-        q = td * L ** k
-        t = ([c * L ** (k - i) for i, c in enumerate(tn)], [0] * len(tn), 0)
-        a = (an[:n], [0] * n, 0)
-        us = [(c * q ** (m - j), 0, 0) for j, c in enumerate(un)]
-    v = ([0] * n, [0] * n, 0)
-    for u in reversed(us):
-        v = gauss_mul_mod(v, t, a, bits, u)
-    if bits is not None:
+        v, bits = ([0] * n, [0] * n, 0), prec + HORNER_GUARD_BITS
+        for x, y in zip(reversed(ur), reversed(ui)):
+            v = gauss_mul_mod(v, t, a, bits, (x, y, eu))
         return from_fixed_point(v, prec, s)
-    return rational_vector([x * L ** i for i, x in enumerate(v[0])], du * q ** max(m, 0))
+    (tun, d), (an, L) = vtu, va
+    tn, un = tun[:kt], tun[kt:]
+    k, m = max(kt - 1, 0), len(un) - 1
+    q = d * L ** k
+    tw = [(i, c * L ** (k - i)) for i, c in enumerate(tn) if c]
+    low = [(j, c) for j, c in enumerate(an[:n]) if c]
+    v = [un[m] if un else 0] + [0] * (n - 1) if n else []  # the first step, 0 T + un_m
+    for j in range(m - 1, -1, -1):
+        v = int_mul_mod(v, tw, low, n, un[j] * q ** (m - j))
+    if L != 1:
+        v = [x * L ** i for i, x in enumerate(v)]
+    return rational_vector(v, d * q ** max(m, 0))
 
 
 def columns_mod(t_coeffs, A: UniPoly):
@@ -498,6 +494,212 @@ def columns_mod(t_coeffs, A: UniPoly):
     return cols, (0, td * L ** k, None)
 
 
+def product_traces(A: UniPoly, X, m: int):
+    """(traces, q, prec, bits): the traces sum_i P(z_i) over the roots z_i
+    of the monic A of degree n >= 1 of the products P of k = 1..m of the
+    polynomials X[p] (lists of ascending Scalars, all of one length), one
+    per multiset of indices.  traces maps each sorted k-tuple of indices,
+    as ``combinations_with_replacement`` makes them, to a Gaussian integer
+    (re, im, e): (re + im i) 2^e is q^k times the trace.  prec is the
+    largest precision of a complex coefficient, None when there is none,
+    and bits the cut of the traces, None when they are exact.
+
+    A product of fewer than m factors is the one before times one X[p]
+    modulo A.  The trace of such a product R, reduced modulo A, times a
+    last factor X[p] needs no product: it is sum_(j<n) R_j h_p[j], with
+    h_p[j] = tr(z^j X[p]) = sum_i X[p]_i s_(i+j) a Hankel form in the
+    power sums s_0..s_(n-1+K) of A, K the largest degree of the X[p].
+
+    For rational A they are exact, in w = L z (``int_monic``): over the
+    common denominator D of the rational coefficients of the X[p], q = D
+    L^K, q X[p](w / L) has Gaussian-integer coefficients, the products are
+    taken modulo the monic integer A(w / L), and the power sums are its
+    integer ones (``int_power_sums``).  When every coefficient is rational
+    that runs on real ints (``int_mul_mod``), otherwise on
+    ``gauss_mul_mod`` with no cut.  For complex A, q = 1, the X[p] and A
+    enter fixed-point blocks in w = z / 2^s (``_graded_block``), and so do
+    the power sums of the z_i / 2^s (``_block_power_sums``); each h_p, each
+    product (a ``gauss_mul_mod`` call) and each trace is cut to bits = prec
+    + ``GUARD_BITS`` bits of its largest part.
+    """
+    n, width = A.degree, len(X[0])
+    flat = [c for x in X for c in x]
+    K = max((i for x in X for i, c in enumerate(x) if not c.is_exact_zero()), default=0)
+    va = int_monic(A.coeffs)
+    vx = None if va is None else int_vector(flat)
+    if vx is not None:
+        (nums, D), (a, L) = vx, va
+        low = [(j, c) for j, c in enumerate(a[:n]) if c]
+        S = int_power_sums(a, n - 1 + K)
+        xs = [[(i, c * L ** (K - i)) for i, c in enumerate(nums[o:o + K + 1]) if c]
+              for o in range(0, len(flat), width)]
+        hs = [[sum(c * S[i + j] for i, c in x) for j in range(n)] for x in xs]
+        one, q, prec, bits = [1] + [0] * (n - 1), D * L ** K, None, None
+
+        def mul(v, p):
+            return int_mul_mod(v, xs[p], low, n)
+
+        def trace(v, p):
+            if v is one:  # the trace of X[p] is h_p[0]
+                return hs[p][0], 0, 0
+            return sum(map(operator.mul, v, hs[p])), 0, 0
+    else:
+        prec = max(c.prec or 0 for c in flat + list(A.coeffs))
+        if va is None:
+            bits, q = prec + GUARD_BITS, 1
+            s, x0, a = _graded_block(X[0], A, prec)
+            xs = [x0] + [fixed_point(x, prec, s) for x in X[1:]]
+            sums = _block_power_sums(a, n - 1 + K, bits)
+        else:
+            (a, L), bits = va, None
+            D = int_vector([c for c in flat if c.is_rational])[1]
+            q, a = D * L ** K, (a[:n], [0] * n, 0)
+            xr, xi, ex = fixed_point(flat, prec, 0, D)
+            xs = [([x * L ** (K - i) for i, x in enumerate(xr[o:o + K + 1])],
+                   [y * L ** (K - i) for i, y in enumerate(xi[o:o + K + 1])], ex)
+                  for o in range(0, len(flat), width)]
+            S = int_power_sums(a[0] + [1], n - 1 + K)
+            sums = S, [0] * len(S), 0
+        hs = [_cut(*_hankel(x, sums, n), bits) for x in xs]
+        one = [1] + [0] * (n - 1), [0] * n, 0
+
+        def mul(v, p):
+            if v is one and K < n:  # X[p] itself, cut as the product would be
+                xr, xi, e = xs[p]
+                return _cut((xr + [0] * n)[:n], (xi + [0] * n)[:n], e, bits)
+            return gauss_mul_mod(v, xs[p], a, bits)
+
+        def trace(v, p):
+            hr, hi, eh = hs[p]
+            if v is one:
+                return _cut1(hr[0], hi[0], eh, bits)
+            vr, vi, e = v
+            re = im = 0
+            for x, y, c, d in zip(vr, vi, hr, hi):
+                re += x * c - y * d
+                im += x * d + y * c
+            return _cut1(re, im, e + eh, bits)
+    traces, prods = {}, {(): one}
+    for k in range(1, m + 1):
+        for combo in combinations_with_replacement(range(len(X)), k):
+            v = prods[combo[:-1]]
+            if k < m:
+                prods[combo] = mul(v, combo[-1])
+            traces[combo] = trace(v, combo[-1])
+    return traces, q, prec, bits
+
+
+def _hankel(x, sums, n):
+    """The exact vector of h_j = sum_i x_i s_(i+j), j < n, for the
+    fixed-point vectors x and s = ``sums``."""
+    (xr, xi, ex), (sr, si, es) = x, sums
+    terms = [(i, x, y) for i, (x, y) in enumerate(zip(xr, xi)) if x or y]
+    hr, hi = [], []
+    for j in range(n):
+        re = im = 0
+        for i, x, y in terms:
+            c, d = sr[i + j], si[i + j]
+            re += x * c - y * d
+            im += x * d + y * c
+        hr.append(re)
+        hi.append(im)
+    return hr, hi, ex + es
+
+
+def solve_mod(rows, A: UniPoly):
+    """The n ascending coefficients u_j of U = sum u_j y^j with sum u_j
+    rows[j] = z modulo the monic A of degree n >= 2, rows[j] being the n
+    ascending Scalar coefficients of a polynomial modulo A (the first n
+    rows of ``powers_mod``); None exactly when the rows are linearly
+    dependent.
+
+    The rows enter exactly as ints: when every entry is rational, row j as
+    nums_j / d_j (``int_vector``); otherwise row j in w = z / 2^s
+    (``_grade``) as the Gaussian integers N_j times 2^(e_j)
+    (``fixed_point``), and z as 2^s w.  Fraction-free elimination over Z
+    or Z[i] (Bareiss, *Math. Comp.* 22, 1968), with the first nonzero
+    pivot, divides exactly; back-substitution reads off the Cramer
+    numerators X_j and the determinant det of the system in the v_j =
+    u_j / d_j or u_j 2^(e_j - s).  Then u_j = X_j d_j / det, exactly
+    (``_q``), or X_j 2^(s - e_j) / det with each part rounded once at the
+    largest precision prec of an entry (``from_ratio``).  A rational step
+    runs on real ints alone.
+    """
+    n = A.degree
+    vs = [int_vector(r) for r in rows]
+    prec, im = None, None
+    if None in vs:
+        prec, s = max(c.prec or 0 for r in rows for c in r), _grade(A)
+        vs = [fixed_point(r, prec, s) for r in rows]
+        scales = [(1, s - e) for _, _, e in vs]
+        if any(any(y) for _, y, _ in vs):
+            im = [[v[1][i] for v in vs] + [0] for i in range(n)]
+    else:
+        scales = [(d, 0) for _, d in vs]
+    got = _bareiss([[v[0][i] for v in vs] + [int(i == 1)] for i in range(n)], im)
+    if got is None:
+        return None
+    xr, xi, dr, di = got
+    if di:  # X / det = X conj(det) / |det|^2
+        xr, xi, dr = ([x * dr + y * di for x, y in zip(xr, xi)],
+                      [y * dr - x * di for x, y in zip(xr, xi)], dr * dr + di * di)
+    return [from_ratio(x * f, y * f, dr, e, prec) for x, y, (f, e) in zip(xr, xi, scales)]
+
+
+def _bareiss(R, I=None):
+    """(xr, xi, dr, di) for the n x (n + 1) augmented matrix with real parts
+    R and imaginary parts I (None for a real one), ints reduced in place:
+    dr + di i = +-det of its first n columns and (xr_j + xi_j i) / (dr +
+    di i) solve the system; None when that det is 0.  Fraction-free
+    elimination with the first nonzero pivot, each entry the last pivot's
+    multiple divided exactly by the pivot before (times its conjugate, over
+    its norm, in Z[i]), then back-substitution X_c = (det b_c - sum_(k>c)
+    M_ck X_k) / M_cc."""
+    n, pr, pi, norm = len(R), 1, 0, 1
+    for c in range(n):
+        p = next((r for r in range(c, n) if R[r][c] or I and I[r][c]), None)
+        if p is None:
+            return None
+        R[c], R[p] = R[p], R[c]
+        tr, a = R[c], R[c][c]
+        if I is None:
+            for rr in R[c + 1:]:
+                x = rr[c]
+                if x or a != pr:  # else the row stays as it is
+                    for k in range(c + 1, n + 1):
+                        rr[k] = (a * rr[k] - x * tr[k]) // pr
+            pr = a
+            continue
+        I[c], I[p] = I[p], I[c]
+        ti, b = I[c], I[c][c]
+        for rr, ri in zip(R[c + 1:], I[c + 1:]):
+            x, y = rr[c], ri[c]
+            if not (x or y or a != pr or b != pi):
+                continue
+            for k in range(c + 1, n + 1):
+                u = a * rr[k] - b * ri[k] - x * tr[k] + y * ti[k]
+                v = a * ri[k] + b * rr[k] - x * ti[k] - y * tr[k]
+                rr[k], ri[k] = (u * pr + v * pi) // norm, (v * pr - u * pi) // norm
+        pr, pi, norm = a, b, a * a + b * b
+    xr, xi = [0] * n, [0] * n
+    for c in range(n - 1, -1, -1):
+        row = R[c]
+        if I is None:
+            acc = pr * row[n] - sum(row[k] * xr[k] for k in range(c + 1, n))
+            xr[c] = acc // row[c]
+            continue
+        ir = I[c]
+        u = pr * row[n] - pi * ir[n]
+        v = pr * ir[n] + pi * row[n]
+        for k in range(c + 1, n):
+            u -= row[k] * xr[k] - ir[k] * xi[k]
+            v -= row[k] * xi[k] + ir[k] * xr[k]
+        a, b = row[c], ir[c]
+        m = a * a + b * b
+        xr[c], xi[c] = (u * a + v * b) // m, (v * a - u * b) // m
+    return xr, xi, pr, pi
+
+
 def _graded_block(ts, A: UniPoly, prec):
     """(s, t, a): T (ascending Scalars ``ts``) and the monic A of degree n in
     w = z / 2^s as fixed-point vectors (``scalars.fixed_point``), t of
@@ -505,11 +707,17 @@ def _graded_block(ts, A: UniPoly, prec):
     s the largest floor(hi / (n - j)) over A's nonzero a_j, hi the upper
     binade of |a_j| (``mag_binades``), so those coefficients are at most
     about 2^n and every coefficient of a row weighs alike in its cut."""
-    n = A.degree
-    s = max((b[1] // (n - j) for j, b in enumerate(map(mag_binades, A.coeffs[:n]))
-             if b and b[1] > -inf), default=0)
+    n, s = A.degree, _grade(A)
     ar, ai, ea = fixed_point(A.coeffs[:n], prec, s)
     return s, fixed_point(ts, prec, s), (ar, ai, ea - s * n)
+
+
+def _grade(A: UniPoly):
+    """The s of ``_graded_block``: 2^s is about the largest root of the
+    monic A."""
+    n = A.degree
+    return max((b[1] // (n - j) for j, b in enumerate(map(mag_binades, A.coeffs[:n]))
+                if b and b[1] > -inf), default=0)
 
 
 def gauss_mul_mod(v, t, a, bits, u=None):
@@ -529,11 +737,11 @@ def gauss_mul_mod(v, t, a, bits, u=None):
     n = len(ar)
     size = max(len(vr) + len(tr) - 1, n, 1)
     pr, pi = [0] * size, [0] * size
+    terms = [(j, c, d) for j, (c, d) in enumerate(zip(tr, ti)) if c or d]
     for i, x in enumerate(vr):
         y = vi[i]
         if x or y:
-            for j, c in enumerate(tr):
-                d = ti[j]
+            for j, c, d in terms:
                 pr[i + j] += x * c - y * d
                 pi[i + j] += x * d + y * c
     e += et
@@ -544,24 +752,117 @@ def gauss_mul_mod(v, t, a, bits, u=None):
         pr[0] += ur << eu - e
         pi[0] += ui << eu - e
     if bits is not None:
-        s = max(map(abs, pr + pi), default=0).bit_length() - bits
-        if s > 0:
-            pr = [(c >> s - 1) + 1 >> 1 for c in pr]
-            pi = [(c >> s - 1) + 1 >> 1 for c in pi]
-        elif s < 0:
-            pr, pi = [c << -s for c in pr], [c << -s for c in pi]
-        e += s
+        pr, pi, e = _cut(pr, pi, e, bits)
     if ea > 0:
         ar, ai, ea = [c << ea for c in ar], [d << ea for d in ai], 0
     h = 1 << -ea >> 1
+    low = [(j, c, d) for j, (c, d) in enumerate(zip(ar, ai)) if c or d]
     for m in range(size - 1, n - 1, -1):
         x, y = pr[m], pi[m]
         if x or y:
-            for j in range(n):
-                c, d = ar[j], ai[j]
+            for j, c, d in low:
                 pr[m - n + j] -= x * c - y * d + h >> -ea
                 pi[m - n + j] -= x * d + y * c + h >> -ea
     return pr[:n], pi[:n], e
+
+
+def _cut(re, im, e, bits):
+    """The fixed-point vector (re, im, e) shifted to ``bits`` bits of its
+    largest part, rounding to nearest; itself when bits is None."""
+    if bits is None:
+        return re, im, e
+    s = max(map(abs, re + im), default=0).bit_length() - bits
+    if s > 0:
+        re = [(c >> s - 1) + 1 >> 1 for c in re]
+        im = [(c >> s - 1) + 1 >> 1 for c in im]
+    elif s < 0:
+        re, im = [c << -s for c in re], [c << -s for c in im]
+    return re, im, e + s
+
+
+def fixed_sum(terms, bits):
+    """The sum of the Gaussian integers (re, im, e), (re + im i) 2^e, of
+    ``terms`` as one (re, im, g), each term placed on the grid of 2^g
+    (``_grid``, ``_to_grid``); one term is cut to ``bits`` bits
+    (``_cut1``)."""
+    if len(terms) == 1:
+        return _cut1(*terms[0], bits)
+    g = _grid(terms, bits)
+    sr = si = 0
+    for re, im, e in terms:
+        re, im = _to_grid(re, im, e, g)
+        sr += re
+        si += im
+    return sr, si, g
+
+
+def _cut1(re, im, e, bits):
+    """The Gaussian integer (re + im i) 2^e as (re, im, e) with at most
+    ``bits`` bits in its larger part, rounding to nearest; itself when bits
+    is None."""
+    s = -1 if bits is None else max(re, -re, im, -im).bit_length() - bits
+    if s > 0:
+        return (re >> s - 1) + 1 >> 1, (im >> s - 1) + 1 >> 1, e + s
+    return re, im, e
+
+
+def _to_grid(re, im, e, g):
+    """The ints of (re + im i) 2^e on the grid of 2^g: exact when e >= g,
+    otherwise rounded to nearest."""
+    if e >= g:
+        return re << e - g, im << e - g
+    d = g - e
+    return (re >> d - 1) + 1 >> 1, (im >> d - 1) + 1 >> 1
+
+
+def _grid(values, bits):
+    """The exponent g of the grid that the Gaussian integers (re, im, e)
+    of ``values`` are placed on, each rounded to nearest: their least
+    exponent when bits is None, so that nothing is rounded, otherwise the
+    top binade of the largest part less bits (0 when all are zero)."""
+    if bits is None:
+        return min((e for re, im, e in values if re or im), default=0)
+    return max((max(re, -re, im, -im).bit_length() + e for re, im, e in values if re or im),
+               default=bits) - bits
+
+
+def _block_power_sums(a, k_max, bits):
+    """s_0..s_k_max of the roots of the monic w^n + sum a_j w^j, a = (ar,
+    ai, ea) the fixed-point vector of its n lower coefficients, as one
+    fixed-point vector on the grid of ``bits`` bits of its largest part
+    (``_grid``): Newton's identities, s_k = -(sum_(i<k) a_(n-i) s_(k-i) +
+    k a_(n-k)) (a_(n-k) = 0 past n), on the Gaussian integers of a cut to
+    ``bits`` bits, each sum placed by ``fixed_sum``."""
+    ar, ai, ea = _cut(*a, bits)
+    n = len(ar)
+    low = [(n - j, c, d) for j, (c, d) in enumerate(zip(ar, ai)) if c or d]
+    S = [(n, 0, 0)]
+    for k in range(1, k_max + 1):
+        terms = []
+        for i, c, d in low:
+            if i < k:
+                x, y, e = S[k - i]
+                terms.append((y * d - x * c, -(x * d + y * c), ea + e))
+            elif i == k:
+                terms.append((-k * c, -k * d, ea))
+        S.append(fixed_sum(terms, bits))
+    g = _grid(S, bits)
+    re, im = zip(*[_to_grid(x, y, e, g) for x, y, e in S])
+    return list(re), list(im), g
+
+
+def int_mul_mod(v, t, low, n, u=0):
+    """(V T + u) modulo the monic integer polynomial w^n + sum c w^i over
+    the pairs (i, c) of ``low``, exactly on real ints: V is the int list v,
+    T the pairs (i, c) of its nonzero terms ``t`` and u an int.  Returns
+    the n ascending coefficients."""
+    prod = [0] * max(len(v) + (t[-1][0] if t else 0), n, 1)
+    for i, x in enumerate(v):
+        if x:
+            for m, c in t:
+                prod[i + m] += x * c
+    prod[0] += u
+    return int_rem_monic(prod, low, n)
 
 
 def int_rem_monic(P, low, n):
@@ -587,6 +888,8 @@ def int_monic(coeffs):
         return None
     an = v[0] if v[0][-1] > 0 else [-c for c in v[0]]
     n, L = len(an) - 1, an[-1]
+    if L == 1:
+        return an, 1
     return [c * L ** (n - 1 - j) for j, c in enumerate(an[:n])] + [1], L
 
 
@@ -622,12 +925,7 @@ def power_sums(poly: UniPoly, k_max: int):
     ints = int_monic(poly.coeffs)
     if ints is not None:
         a, L = ints
-        S = [n]
-        for k in range(1, k_max + 1):
-            acc = k * a[n - k] if k <= n else 0
-            for i in range(1, min(k - 1, n) + 1):
-                acc += a[n - i] * S[k - i]
-            S.append(-acc)
+        S = int_power_sums(a, k_max)
         if L != 1:
             S = [x * L ** (k_max - k) for k, x in enumerate(S)]
         object.__setattr__(poly, "_sums", tuple(rational_vector(S, L ** k_max)))
@@ -642,13 +940,27 @@ def power_sums(poly: UniPoly, k_max: int):
     for k in range(len(s), k_max + 1):
         acc = ZERO
         for i in range(1, min(k - 1, n) + 1):
-            acc = (fma if i % 2 == 1 else fms)(acc, e[i], s[k - i])
+            acc = fma(acc, e[i], s[k - i]) if i % 2 == 1 else fms(acc, e[i], s[k - i])
         if k <= n:
             t = e[k] * k
             acc = acc + t if k % 2 == 1 else acc - t
         s.append(acc)
     object.__setattr__(poly, "_sums", tuple(s))
     return poly._sums
+
+
+def int_power_sums(a, k_max):
+    """S_0..S_k_max, the power sums of the roots of the monic integer
+    polynomial of ascending ints a, by Newton's identities on ints: S_k =
+    -(sum_(i<k) a_(n-i) S_(k-i) + k a_(n-k)), a_(n-k) = 0 past n."""
+    n = len(a) - 1
+    S = [n]
+    for k in range(1, k_max + 1):
+        acc = k * a[n - k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            acc += a[n - i] * S[k - i]
+        S.append(-acc)
+    return S
 
 
 def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
@@ -689,7 +1001,8 @@ def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
     for k in range(1, n + 1):
         acc = mul(e[k - 1], sums[0])
         for i in range(2, k + 1):
-            acc = (fma if i % 2 == 1 else fms)(acc, e[k - i], sums[i - 1])
+            acc = (fma(acc, e[k - i], sums[i - 1]) if i % 2 == 1
+                   else fms(acc, e[k - i], sums[i - 1]))
         e.append(acc * rat(1, k))
     coeffs = [None] * (n + 1)
     coeffs[n] = ONE

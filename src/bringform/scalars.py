@@ -49,15 +49,18 @@ Complex + - * run the fused kernels on the raw pairs (``cadd``, ``csub``,
 one integer, as mpf_add forms it, and rounded once with libmp's
 ``normalize``; where a part is an infinity or nan, the generic
 ``mpc_add``/``mpc_sub``/``mpc_mul`` call runs instead.  Both give the same
-bits.  Complex / calls libmp's ``mpc_div``; ``quotients`` divides several
-values by one pivot with the same bits, forming its c^2 + d^2 once.
+bits.  Complex / calls libmp's ``mpc_div``.
 
 Integer views read the raw pairs for the integer routes elsewhere:
 ``int_vector`` and ``rational_vector`` for rationals over one
 denominator, and ``fixed_point`` and ``from_fixed_point`` for a vector of
 Gaussian integers times one power of two, which
 ``polynomials.gauss_mul_mod`` cuts to a fixed number of bits;
-``graded_monic`` reads back a charpoly of such integers (``Gauss``).
+``graded_monic`` reads back a charpoly of such integers (``Gauss``), and
+``from_ratio`` a quotient of them by an int, exactly for a rational and
+otherwise with each part rounded once (the forms of
+``elimination.image_elementary`` and the inverse map of
+``pipeline.step_inverse``).
 
 A rational rounded to an mpf (``_rat_mpf``, keyed by numerator,
 denominator and precision), a parsed tolerance string and its products
@@ -69,17 +72,17 @@ coefficients below ``noise_tol(prec)`` = 2^(24 - prec) times the scale
 (``UniPoly.effective_degree``).  Acceptance: a check passes within tol *
 scale (``negligible``), each product rounded at ``TOL_PREC`` bits (``as_tol``).
 
-Four comparisons read a magnitude off the exponents before they take a
+Three comparisons read a magnitude off the exponents before they take a
 square root.  ``mag_binades`` bounds ``mag()`` between two powers of two
 from a complex value's exponents and mantissa bit counts, or a rational's
 bit lengths; rounding never carries a value past a power of two, so the
 bounds hold at every precision.  ``negligible`` decides when |x| lies a
-whole binade clear of tol * scale; ``pivot_index`` (the pivot of
-``pipeline.step_inverse``) drops only candidates whose upper bound lies
-strictly below another's lower bound, and ``UniPoly.max_mag`` takes the
-``mag()`` of its pick; ``polynomials.lies_on`` decides when its residual's
-bounds lie two binades clear of tol.  Otherwise each computes ``mag()``,
-so every verdict, pivot and largest magnitude is what the square roots give.
+whole binade clear of tol * scale; ``pivot_index`` drops only candidates
+whose upper bound lies strictly below another's lower bound, and
+``UniPoly.max_mag`` takes the ``mag()`` of its pick;
+``polynomials.lies_on`` decides when its residual's bounds lie two binades
+clear of tol.  Otherwise each computes ``mag()``, so every verdict and
+largest magnitude is what the square roots give.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ from mpmath import mp
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add,
                           mpc_conjugate, mpc_div, mpc_mul, mpc_neg, mpc_pow_int,
-                          mpc_sqrt, mpc_sub, mpf_abs, mpf_add, mpf_div, mpf_eq,
+                          mpc_sqrt, mpc_sub, mpf_abs, mpf_div, mpf_eq,
                           mpf_le, mpf_mul, mpf_sub, normalize, round_nearest)
 
 DEFAULT_PRECISION_BITS = 256
@@ -631,29 +634,6 @@ def div(x, y):
     return Scalar(None, None, mpc_div(a, b, prec, round_nearest), prec)
 
 
-def quotients(xs, y):
-    """[div(x, y) for x in xs], bit for bit: each complex quotient makes
-    ``mpc_div``'s calls (c^2 + d^2 and the two numerators at prec + 10
-    bits, each part of the quotient rounded at prec), but the c^2 + d^2 of
-    y's raw pair (c, d) is formed once per precision in play, not once per
-    quotient."""
-    out, mags = [], {}
-    for x in xs:
-        if x._den is not None and y._den is not None:
-            out.append(div(x, y))
-            continue
-        prec, (a, b), (c, d) = _lift(x, y)
-        wp = prec + 10
-        m = mags.get(prec)
-        if m is None:
-            m = mags[prec] = mpf_add(mpf_mul(c, c), mpf_mul(d, d), wp)
-        t = mpf_add(mpf_mul(a, c), mpf_mul(b, d), wp)
-        u = mpf_sub(mpf_mul(b, c), mpf_mul(a, d), wp)
-        out.append(Scalar(None, None, (mpf_div(t, m, prec, round_nearest),
-                                       mpf_div(u, m, prec, round_nearest)), prec))
-    return out
-
-
 def fma(acc, x, y):
     """acc + x * y for Scalars acc, x and y."""
     ad, xd, yd = acc._den, x._den, y._den
@@ -708,8 +688,11 @@ def rational_vector(nums, d):
         return [Scalar(n, 1, None, None) for n in nums]
     out = []
     for n in nums:
-        g = gcd(n, d)
-        out.append(Scalar(n // g, d // g, None, None))
+        if n:
+            g = gcd(n, d)
+            out.append(Scalar(n // g, d // g, None, None))
+        else:
+            out.append(ZERO)
     return out
 
 
@@ -741,30 +724,35 @@ class Gauss:
 
 
 # bits past prec in a fixed-point vector: a rational that is not dyadic
-# enters rounded at prec + GUARD_BITS, and the power table and the
-# charpoly's columns cut each product there
+# enters rounded at prec + GUARD_BITS, and the power table, the charpoly's
+# columns and the forms' products and sums are cut there
 GUARD_BITS = 64
 
 
-def fixed_point(values, prec, s=0):
-    """The Scalars values[i] times 2^(s i) as one fixed-point
-    Gaussian-integer vector (re, im, e): (re[i] + im[i] i) 2^e, ints, e the
-    least exponent of a nonzero part (0 if none), so no bit of a complex
-    part or of a dyadic rational is dropped; another rational enters as
-    its value rounded at prec + ``GUARD_BITS`` bits.  ValueError for an
-    infinity or nan.  ``from_fixed_point`` reads a vector back."""
+def fixed_point(values, prec, s=0, scale=1):
+    """The Scalars values[i] times scale 2^(s i) (scale a positive int) as
+    one fixed-point Gaussian-integer vector (re, im, e): (re[i] + im[i] i)
+    2^e, ints, e the least exponent of a nonzero part (0 if none), so no
+    bit of a complex part or of a rational that scale makes dyadic is
+    dropped; another rational enters as its value rounded at prec +
+    ``GUARD_BITS`` bits.  ValueError for an infinity or nan.
+    ``from_fixed_point`` reads a vector back."""
     pairs = []
     for i, v in enumerate(values):
-        d = v._den
+        d, k = v._den, 1
         if d is None:
-            c = v._c
+            c, k = v._c, scale
             if not _finite(c):
                 raise ValueError("a block entry must be finite")
-        elif d & (d - 1):
-            c = _rat_mpf(v._num, d, prec + GUARD_BITS), fzero
         else:
-            c = from_man_exp(v._num, 1 - d.bit_length()), fzero
-        pairs.append([(-m if sign else m, x + s * i) for sign, m, x, _ in c])
+            n = v._num * scale
+            if not d & (d - 1):
+                c = from_man_exp(n, 1 - d.bit_length()), fzero
+            elif n % d:
+                c = _rat_mpf(n, d, prec + GUARD_BITS), fzero
+            else:
+                c = from_int(n // d), fzero
+        pairs.append([(-m * k if sign else m * k, x + s * i) for sign, m, x, _ in c])
     e = min([x for p in pairs for m, x in p if m] or [0])
     re = [m << x - e if m else 0 for (m, x), _ in pairs]
     im = [m << x - e if m else 0 for _, (m, x) in pairs]
@@ -787,6 +775,35 @@ def from_fixed_point(v, prec, s):
     re, im, e = v
     return [Scalar(None, None, (_part(x, e - s * i, prec), _part(y, e - s * i, prec)), prec)
             if x or y else ZERO for i, (x, y) in enumerate(zip(re, im))]
+
+
+def _ratio(m, d, e, prec):
+    """The int m times 2^e over the int d > 0, rounded once at prec bits to
+    nearest, as a raw mpf: a quotient of at least prec + 2 bits and a
+    sticky bit for its remainder."""
+    if not d & (d - 1):
+        return _part(m, e + 1 - d.bit_length(), prec)
+    if not m:
+        return fzero
+    sign, m = (1, -m) if m < 0 else (0, m)
+    k = max(prec + 2 + d.bit_length() - m.bit_length(), 0)
+    q, r = divmod(m << k, d)
+    q = q << 1 | (r != 0)
+    return normalize(sign, q, e - k - 1, q.bit_length(), prec, round_nearest)
+
+
+def from_ratio(re, im, d, e=0, prec=None):
+    """(re + im i) 2^e / d, for ints re, im and d != 0, as a Scalar: with
+    prec None the rational re / d in lowest terms (``_q``; im and e are
+    0), otherwise each part rounded once at prec, a zero being the
+    rational 0."""
+    if prec is None:
+        return _q(re, d)
+    if not (re or im):
+        return ZERO
+    if d < 0:
+        re, im, d = -re, -im, -d
+    return Scalar(None, None, (_ratio(re, d, e, prec), _ratio(im, d, e, prec)), prec)
 
 
 def graded_monic(p, scale):

@@ -6,8 +6,9 @@ import json
 import mpmath
 import pytest
 
-from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace, UniPoly,
-                       find_roots, match_roots, rat, recover_roots, reduce_general_quintic)
+from bringform import (ConsistencyError, DegenerateDenominator, ReductionTrace, RootConfig,
+                       UniPoly, find_roots, match_roots, rat, recover_roots,
+                       reduce_general_quintic, verify_trace)
 from bringform.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            main)
 
@@ -550,11 +551,19 @@ def test_a_condition_that_fails_to_vanish_states_its_bound_and_ratio(capsys):
     # a y^2 coefficient of rounding noise, six times tol x scale; the
     # command line refuses a tol this fine at 64 bits, so the library is
     # called
-    P = UniPoly([rat(c) for c in (1, -2, 4, 10, 3, 1)])
+    P = UniPoly([rat(c) for c in (-8, 9, 4, 2, 0, 1)])
     with pytest.raises(ConsistencyError) as exc:
         reduce_general_quintic(P, prec=64, tol="1e-14")
     assert str(exc.value) == ("bring-jerrard step: y^2 coefficient failed to vanish: "
-                              "-8.62638512789e-11, 5.67 times tol x scale 1.52e-11")
+                              "9.95539516486e-12, 6.39 times tol x scale 1.56e-12")
+    # a quintic whose y^2 coefficient was 5.67 times tol x scale while the
+    # ansatz's forms ran on the Scalar kernels: on ints, it reduces,
+    # verifies and recovers
+    P = UniPoly([rat(c) for c in (1, -2, 4, 10, 3, 1)])
+    cfg = RootConfig(precision_bits=64, tol="1e-14")
+    trace = reduce_general_quintic(P, prec=64, tol="1e-14")
+    assert verify_trace(trace, cfg).matched
+    assert len(recover_roots(trace, cfg)) == 5
 
 
 @pytest.mark.parametrize("prec", [20, 300])

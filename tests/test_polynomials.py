@@ -17,7 +17,7 @@ from mpmath.libmp import mpf_div, round_nearest
 from bringform import (ReductionTrace, Scalar, UniPoly, coeff_scale, cx,
                        deflate, poly_from_power_sums, power_sums, rat,
                        reduce_general_quintic, shift_substitute)
-from bringform.polynomials import coeff_mismatch, mul_terms, powers_mod
+from bringform.polynomials import coeff_mismatch, powers_mod
 from bringform.scalars import ONE, ZERO, fma, fms, mul
 from helpers import max_coeff_diff, rand_fraction, rand_monic, rand_scalar
 
@@ -214,10 +214,10 @@ def test_memo_slots_take_no_part_in_equality_or_output():
 
 # -- multiplying by T modulo A on coefficient lists ---------------------------
 #
-# ``image_elementary`` multiplies by T on plain lists (``mul_terms``); it
-# used to build a UniPoly per product.  The old UniPoly path, kept here as
-# the reference with the old Scalar reduction modulo A, must give the same
-# bits: kind, precision and raw pair of every coefficient.  The power table
+# ``UniPoly.__mul__`` forms each coefficient by the Scalar kernels.  The
+# old UniPoly path, kept here as the reference with the old Scalar
+# reduction modulo A, must give the same bits: kind, precision and raw pair
+# of every coefficient.  The power table
 # (``powers_mod``) and the certificate's Horner (``compose_mod``) keep those
 # bits where every coefficient is rational; otherwise they run on a
 # fixed-point Gaussian-integer block (``gauss_mul_mod``) and must be no
@@ -225,7 +225,8 @@ def test_memo_slots_take_no_part_in_equality_or_output():
 # inputs, than the UniPoly path is.
 
 def _old_product(P, T):
-    """UniPoly.__mul__ as it was before its loop moved into mul_terms."""
+    """UniPoly.__mul__ as it was before its loop moved into a list kernel
+    and back."""
     if not P.coeffs or not T.coeffs:
         return UniPoly((), P.var)
     out = [None] * (len(P.coeffs) + len(T.coeffs) - 1)
@@ -321,10 +322,8 @@ def _mod_case(draw):
 @given(case=_mod_case())
 def test_multiplying_modulo_a_on_lists_keeps_every_bit(case):
     row, T, A = case
-    terms = T.terms()
-    # the product, and UniPoly.__mul__, which wraps the kernel
-    want = _bits(_old_product(UniPoly(row), T).coeffs)
-    assert _bits(mul_terms(row, terms)) == want == _bits((UniPoly(row) * T).coeffs)
+    # the product
+    assert _bits((UniPoly(row) * T).coeffs) == _bits(_old_product(UniPoly(row), T).coeffs)
     # the power table, row by row: every bit where T and A are rational,
     # otherwise each row no further from the rows at 4 prec than the
     # UniPoly path's, give or take one rounding at prec

@@ -26,8 +26,8 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_div, mpc_m
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        find_roots, match_roots, rat, reduce_general_quintic, verify_trace)
 from bringform.polynomials import coeff_mismatch, lies_on, relative_residual
-from bringform.scalars import (add, as_scalar, as_tol, context, div, fma, fms, mag_binades,
-                               mul, negligible, pick_root, pivot_index, quotients, sort_key,
+from bringform.scalars import (add, as_scalar, as_tol, context, div, fma, fms, from_ratio,
+                               mag_binades, mul, negligible, pick_root, pivot_index, sort_key,
                                sub)
 
 TINY = mpmath.mpf("1e-70")
@@ -625,23 +625,24 @@ def test_kernels_match_libmp_and_fraction(ops):
     assert _outcome(fms, acc, x, y) == _reference(sub, _value(acc), xy)
 
 
-_quotient_operands = st.one_of(_kernel_rationals,
-                               st.sampled_from([64, 256]).flatmap(_kernel_complex))
-
-
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(xs=st.lists(_quotient_operands, min_size=1, max_size=6), y=_quotient_operands)
-def test_quotients_by_one_pivot_keep_the_bits_of_mpc_div(xs, y):
-    # c^2 + d^2 of the pivot, formed once per precision in play, gives each
-    # quotient mpc_div's bits: complex numerators and pivots at 64 and 256
-    # bits, rationals on either side lifted at the complex precision
-    want = [_reference(div, _value(x), _value(y)) for x in xs]
-    try:
-        got = [_bits(q) for q in quotients(xs, y)]
-    except ZeroDivisionError:
-        assert ZeroDivisionError in want
-        return
-    assert got == want
+@given(re=st.integers(-2 ** 400, 2 ** 400), im=st.integers(-2 ** 400, 2 ** 400),
+       d=st.one_of(st.integers(1, 2 ** 200), st.integers(-2 ** 200, -1),
+                   st.integers(0, 300).map(lambda k: 2 ** k)),
+       e=st.integers(-300, 300), prec=st.sampled_from([53, 64, 256]))
+def test_a_gaussian_ratio_is_rounded_once_as_mpf_div_rounds_it(re, im, d, e, prec):
+    # each part of (re + im i) 2^e / d is the correctly rounded quotient of
+    # two exact ints; a zero is the rational 0, and with no precision the
+    # real quotient is the rational in lowest terms
+    got = from_ratio(re, im, d, e, prec)
+    if re == im == 0:
+        assert got.is_rational and got._num == 0
+    else:
+        want = tuple(mpf_shift(mpf_div(from_int(x), from_int(d), prec, round_nearest), e)
+                     for x in (re, im))
+        assert (got.prec, got._c) == (prec, want)
+    exact = from_ratio(re, 0, d)
+    assert (exact._num, exact._den) == (rat(re, d)._num, rat(re, d)._den)
 
 
 def _binade_values():

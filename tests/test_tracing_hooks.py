@@ -11,11 +11,12 @@ and the oracle's source, and checks each name against the package.  The
 fused kernels of ``scalars`` do the arithmetic that the dunders no longer
 see; a tracer can count them only while they stay module-level functions
 that every user imports by name.  The same holds for the list kernel of
-``polynomials``, ``mul_terms``, which multiplies by T on coefficient lists
-for ``UniPoly.__mul__`` and ``image_elementary``; for its block kernel,
+``polynomials``, ``int_mul_mod``, which multiplies an int list by T modulo
+an integer A for the rational power table, the rational certificate's
+Horner and the traces of ``image_elementary``; for its block kernel,
 ``gauss_mul_mod``, which multiplies a fixed-point Gaussian-integer vector
-by T modulo A for the complex power table, the certificate's Horner and the
-charpoly's columns;
+by T modulo A for the complex power table, the certificate's Horner, the
+charpoly's columns and the traces of ``image_elementary``;
 and for ``powers_mod``, the power table's one builder.  Every Scalar
 + - * / reaches one of the module
 kernels (``add``, ``sub``, ``mul``, ``div``, ``fma``, ``fms``), through the
@@ -162,7 +163,7 @@ def _assert_called_by_its_own_name(name, holders):
 
 
 def test_list_kernel_is_a_module_function_imported_by_name():
-    _assert_called_by_its_own_name("mul_terms", ("polynomials", "elimination"))
+    _assert_called_by_its_own_name("int_mul_mod", ("polynomials",))
 
 
 def test_block_kernel_is_a_module_function_imported_by_name():
