@@ -18,17 +18,14 @@ is computed here by two independent routes:
 * ``transform_by_power_sums``: the power sums of C are the traces
   sum_i (T^j mod A)_i s_i(A), so only s_0..s_(n-1) of A are needed; Newton's
   identities rebuild C from them.  The powers T^j mod A come from
-  ``polynomials.powers_mod``; ``pipeline.dual_eliminate`` hands that table
-  to the step it builds, whose certificate and inverse map read it again.
-  ``powers_mod`` is the table's one builder: the route reads it, and
-  builds none itself.  The traces are formed with the Scalar kernels in
-  both modes, from the table's rows and the power sums that ``power_sums``
-  keeps on A.  When every value is rational, the table, the power sums
-  and Newton's identities back to C run on Python ints inside
-  ``polynomials``, and their values are the canonical rationals that the
-  Scalar code gives; otherwise the table is built on a fixed-point
-  Gaussian-integer block (``polynomials.gauss_mul_mod``), each row cut to
-  prec + 64 bits of its largest part and rounded once as it leaves.
+  ``polynomials.powers_mod``, the table's one builder;
+  ``pipeline.dual_eliminate`` hands that table to the step it builds, whose
+  certificate and inverse map read it again.  The route builds none: it
+  re-enters the table's rows exactly as ints and dots them with A's power
+  sums (``polynomials.table_traces``), on Python ints when every value is
+  rational and otherwise on a fixed-point Gaussian-integer block held to
+  prec + 64 bits, and Newton's identities run on those ints, each
+  coefficient of C exact or rounded once.
 
 The two routes are deliberately kept independent so tests can use each as an
 oracle for the other.  They share the product modulo A, which is the
@@ -40,10 +37,10 @@ coefficient of T affine in the parameters, the power sums of the images are
 Hankel forms in the power sums of A (Adamchik & Jeffrey, "Polynomial
 transformations of Tschirnhaus, Bring and Jerrard", SIGSAM Bull. 37(3),
 2003), returned as dicts from exponent tuples to Scalars.  This module
-keeps their combinatorics, the multisets of parameters and Newton's
-identities on forms, on Python ints; the traces of the products come from
-``polynomials.product_traces``, modulo A, and each coefficient of a form
-is rounded once as it leaves (``scalars.from_ratio``).  The one
+keeps their combinatorics, the multisets of parameters, on Python ints;
+the traces of the products come from ``polynomials.product_traces``,
+modulo A, and Newton's identities on the forms from
+``polynomials.newton_elementary``, which rounds each coefficient once.  The one
 elimination that is not a map of roots, b between the two conditions of the
 quartic obstruction, needs no determinant: the first condition is linear in
 b (``pipeline.quartic_obstruction_G``).
@@ -55,9 +52,9 @@ import operator
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .polynomials import (Record, UniPoly, columns_mod, fixed_sum, poly_from_power_sums,
-                          power_sums, powers_mod, product_traces)
-from .scalars import ONE, Scalar, as_scalar, fma, from_ratio, graded_monic, mul, rat
+from .polynomials import (Record, UniPoly, columns_mod, monic_from_traces, newton_elementary,
+                          powers_mod, product_traces, table_traces)
+from .scalars import ONE, Scalar, as_scalar, graded_monic, rat
 
 
 class BiPoly(Record):
@@ -159,9 +156,10 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, powers=None) -> UniPoly:
     s_j(C) = sum_i (T^j mod A)_i s_i(A) for j = 1..n, read off rows 1..n of
     the table ``powers_mod(T, A)``, so only s_0..s_(n-1) of A are needed.
     ``powers`` is that table when the caller has built it (``dual_eliminate``
-    keeps it for the step); otherwise ``powers_mod`` builds it.  The
-    traces are Scalar sums (``mul``, ``fma``), exact for rational inputs,
-    and ``poly_from_power_sums`` rebuilds C from them.
+    keeps it for the step); otherwise ``powers_mod`` builds it.  The rows,
+    re-entered exactly, are dotted with A's power sums on ints
+    (``polynomials.table_traces``), and Newton's identities rebuild C from
+    those ints, each coefficient exact or rounded once (``monic_from_traces``).
     """
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
@@ -172,14 +170,7 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, powers=None) -> UniPoly:
         raise ValueError("map degree must satisfy 1 <= deg T < deg A")
     if powers is None:
         powers = powers_mod(UniPoly(t, A.var), A)
-    s = power_sums(A, n - 1)
-    sums = []
-    for rem in powers[1:]:
-        acc = mul(rem[0], s[0])
-        for j in range(1, n):
-            acc = fma(acc, rem[j], s[j])
-        sums.append(acc)
-    return poly_from_power_sums(sums, "y")
+    return monic_from_traces(*table_traces(powers, A), "y")
 
 
 def image_elementary(A: UniPoly, xs, m: int):
@@ -191,20 +182,16 @@ def image_elementary(A: UniPoly, xs, m: int):
     s_k(y) is the Hankel form sum, over the k-multisets of parameters, of
     their count times the trace of the product of their X_p, which
     ``polynomials.product_traces`` takes modulo A from s_0..s_(n-1) of A,
-    as Gaussian integers q^k times the trace.  Newton's identities run on
-    those ints: G_k = k! q^k e_k is sum_(i=1..k) (-1)^(i-1) (k-1)!/(k-i)!
-    P_i G_(k-i) with P_i = q^i s_i, each a form, and e_k leaves as G_k
-    divided by k! q^k (``scalars.from_ratio``): exactly when the traces
-    are, otherwise with each entry of G_k held to as many bits of its
-    largest term as the traces (``polynomials.fixed_sum``) and each part
-    of e_k rounded once at prec.  Each e_j comes back as a dict from
-    exponent tuples of (t_1..t_P) to nonzero Scalars.
+    as Gaussian integers q^k times the trace; ``newton_elementary`` turns
+    those forms into e_1..e_m, exactly when the traces are, otherwise each
+    part rounded once, each a dict from exponent tuples of (t_1..t_P) to
+    nonzero Scalars.
     """
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
     width = len(xs[0])
     traces, q, prec, bits = product_traces(A, [[x[p] for x in xs] for p in range(width)], m)
-    sums, G = [], [{(0,) * (width - 1): (1, 0, 0)}]
+    sums = []
     for k in range(1, m + 1):
         sk = {}
         for combo in combinations_with_replacement(range(width), k):
@@ -216,19 +203,7 @@ def image_elementary(A: UniPoly, xs, m: int):
                     count //= factorial(combo.count(p))
                 sk[tuple(combo.count(p) for p in range(1, width))] = re * count, im * count, e
         sums.append(sk)
-        terms, f = {}, 1
-        for i in range(1, k + 1):
-            c = f if i % 2 else -f
-            for ka, (ar, ai, ea) in G[k - i].items():
-                for kb, (br, bi, eb) in sums[i - 1].items():
-                    key = tuple(map(operator.add, ka, kb))
-                    terms.setdefault(key, []).append(
-                        (c * (ar * br - ai * bi), c * (ar * bi + ai * br), ea + eb))
-            f *= k - i
-        G.append({key: v for key, v in ((key, fixed_sum(ts, bits)) for key, ts in terms.items())
-                  if v[0] or v[1]})
-    return [{key: from_ratio(re, im, factorial(k) * q ** k, e, prec)
-             for key, (re, im, e) in G[k].items()} for k in range(1, m + 1)]
+    return newton_elementary(sums, q, prec, bits, width - 1)
 
 
 def form_in(form, var: str) -> UniPoly:

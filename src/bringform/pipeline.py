@@ -36,13 +36,13 @@ Scalars only for what they hand on (C's coefficients, the table's rows,
 U(T), the forms, and A's power sums, kept on A): the exact values the
 Scalar operations would give, so every trace, certificate and refusal is
 the same to the byte.  In complex mode they run on a fixed-point
-Gaussian-integer block: the table, the charpoly's columns and the forms'
-products and sums cut to prec + 64 bits of their largest part, and U(T)
-held to the working precision (``certify`` says why).  The determinant
-runs on the columns' Gaussian integers, and the solve for U
-(``step_inverse``) on the table's rows re-entered exactly as ints, by
-fraction-free elimination; the power-sum route's traces run on the Scalar
-kernels.
+Gaussian-integer block: the table, the charpoly's columns, the forms'
+products and sums and the power-sum route's traces and sums cut to prec +
+64 bits of their largest part, and U(T) held to the working precision
+(``certify`` says why).  The determinant runs on the columns' Gaussian
+integers; the solve for U (``step_inverse``), by fraction-free
+elimination, and the power-sum route read the table's rows re-entered
+exactly as ints.
 """
 
 from __future__ import annotations

@@ -6,17 +6,21 @@ coefficient is a Scalar; ints and Fractions are lifted to exact rationals
 and anything else, a polynomial included, raises TypeError.  Conditions in
 free parameters are not polynomials over polynomials: they are power-sum
 forms (``elimination.image_elementary``).  All values are immutable;
-operations return new objects, and + - * take a polynomial on both sides.
-Every product modulo A runs on ints, by one kernel, ``gauss_mul_mod``, or
-on real ints where every coefficient is rational (``int_mul_mod``,
-``int_rem_monic``): the table of T^j mod A (``powers_mod``, its one
-builder), the certificate's U(T) (``compose_mod``), the columns of
-``elimination.map_charpoly``'s matrix (``columns_mod``) and the traces of
-the products of a form's polynomials (``product_traces``); ``solve_mod``
-solves for a step's inverse map on the table's rows by fraction-free
-elimination, so this module alone owns the ring's scalings.  Where every
-coefficient is rational, they, and Newton's identities both ways (``power_sums``,
-``poly_from_power_sums``), run exactly on Python ints over one common
+operations return new objects, and + - * take a polynomial on both
+sides.  Every product modulo A runs on ints, by one kernel,
+``gauss_mul_mod``, or on real ints where every coefficient is rational
+(``int_mul_mod``, ``int_rem_monic``): the table of T^j mod A
+(``powers_mod``, its one builder), the certificate's U(T)
+(``compose_mod``), the columns of ``elimination.map_charpoly``'s matrix
+(``columns_mod``) and the traces of the products of a form's polynomials
+(``product_traces``); ``solve_mod`` solves for a step's inverse map, and
+``table_traces`` traces T^j for the power-sum route, on the table's rows
+re-entered exactly (``_exact_rows``), so this module alone owns the ring's
+scalings.  Newton's identities run once each way: ``power_sums`` from
+coefficients, and ``newton_elementary`` back from power-sum forms, for the
+forms of ``elimination.image_elementary``, the route and
+``poly_from_power_sums`` (``monic_from_traces``).  Where every coefficient
+is rational, all of these run exactly on Python ints over one common
 denominator (``scalars.int_vector``) in one scaling, the monic integer
 polynomial in w = L z (``int_monic``), so reducing modulo it is a plain
 division (``int_rem_monic``); they make Scalars only for what they return,
@@ -28,14 +32,13 @@ its largest part (``_cut``), and so are the power sums of the roots in w,
 the traces and each sum of Gaussian integers of differing exponents
 (``fixed_sum``); a row leaves the block with each part rounded once
 (``scalars.from_fixed_point``), a quotient with each part rounded once
-(``scalars.from_ratio``), and the columns stay ints for the determinant.
-The traces of the power-sum route (``elimination.transform_by_power_sums``)
-are Scalar sums.  ``Record`` is the read-only base of ``UniPoly`` and of
-the records in other modules that do work at construction.  A ``UniPoly``
-also keeps three memo slots, filled on first use and never part of
-equality, repr or JSON: its largest coefficient magnitude (``max_mag``),
-its terms that are not exact zeros (``terms``), and the power sums of its
-roots computed so far (``power_sums``), a prefix that only grows.
+(``scalars.from_ratio``), and the columns stay ints for the
+determinant.  ``Record`` is the read-only base of ``UniPoly`` and of the
+records in other modules that do work at construction.  A ``UniPoly`` also
+keeps three memo slots, filled on first use and never part of equality,
+repr or JSON: its largest coefficient magnitude (``max_mag``), its terms
+that are not exact zeros (``terms``), and the power sums of its roots
+computed so far (``power_sums``), a prefix that only grows.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from math import inf
 import mpmath
 
 from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Gauss, Scalar,
-                      as_scalar, as_tol, context, fixed_point, fma, fms, from_fixed_point,
+                      as_scalar, as_tol, context, fixed_point, fma, from_fixed_point,
                       from_ratio, int_vector, mag_binades, mul, negligible, noise_tol,
                       pivot_index, rat, rational_vector)
 
@@ -549,7 +552,7 @@ def product_traces(A: UniPoly, X, m: int):
             bits, q = prec + GUARD_BITS, 1
             s, x0, a = _graded_block(X[0], A, prec)
             xs = [x0] + [fixed_point(x, prec, s) for x in X[1:]]
-            sums = _block_power_sums(a, n - 1 + K, bits)
+            sums = _on_grid(_block_power_sums(a, n - 1 + K, bits), bits)
         else:
             (a, L), bits = va, None
             D = int_vector([c for c in flat if c.is_rational])[1]
@@ -593,17 +596,10 @@ def _hankel(x, sums, n):
     """The exact vector of h_j = sum_i x_i s_(i+j), j < n, for the
     fixed-point vectors x and s = ``sums``."""
     (xr, xi, ex), (sr, si, es) = x, sums
-    terms = [(i, x, y) for i, (x, y) in enumerate(zip(xr, xi)) if x or y]
-    hr, hi = [], []
-    for j in range(n):
-        re = im = 0
-        for i, x, y in terms:
-            c, d = sr[i + j], si[i + j]
-            re += x * c - y * d
-            im += x * d + y * c
-        hr.append(re)
-        hi.append(im)
-    return hr, hi, ex + es
+    return ([sum(map(operator.mul, xr, sr[j:])) - sum(map(operator.mul, xi, si[j:]))
+             for j in range(n)],
+            [sum(map(operator.mul, xr, si[j:])) + sum(map(operator.mul, xi, sr[j:]))
+             for j in range(n)], ex + es)
 
 
 def solve_mod(rows, A: UniPoly):
@@ -613,29 +609,24 @@ def solve_mod(rows, A: UniPoly):
     rows of ``powers_mod``); None exactly when the rows are linearly
     dependent.
 
-    The rows enter exactly as ints: when every entry is rational, row j as
-    nums_j / d_j (``int_vector``); otherwise row j in w = z / 2^s
-    (``_grade``) as the Gaussian integers N_j times 2^(e_j)
-    (``fixed_point``), and z as 2^s w.  Fraction-free elimination over Z
-    or Z[i] (Bareiss, *Math. Comp.* 22, 1968), with the first nonzero
-    pivot, divides exactly; back-substitution reads off the Cramer
-    numerators X_j and the determinant det of the system in the v_j =
-    u_j / d_j or u_j 2^(e_j - s).  Then u_j = X_j d_j / det, exactly
-    (``_q``), or X_j 2^(s - e_j) / det with each part rounded once at the
-    largest precision prec of an entry (``from_ratio``).  A rational step
-    runs on real ints alone.
+    The rows enter exactly as ints (``_exact_rows``), as nums_j / d_j or
+    as N_j 2^(e_j) in w = z / 2^s, and z as 2^s w.  Fraction-free
+    elimination over Z or Z[i] (Bareiss, *Math. Comp.* 22, 1968), with the
+    first nonzero pivot, divides exactly; back-substitution reads off the
+    Cramer numerators X_j and the determinant det of the system in the v_j
+    = u_j / d_j or u_j 2^(e_j - s).  Then u_j = X_j d_j / det, exactly
+    (``_q``), or X_j 2^(s - e_j) / det with each part rounded once at prec
+    (``from_ratio``).  A rational step runs on real ints alone.
     """
     n = A.degree
-    vs = [int_vector(r) for r in rows]
-    prec, im = None, None
-    if None in vs:
-        prec, s = max(c.prec or 0 for r in rows for c in r), _grade(A)
-        vs = [fixed_point(r, prec, s) for r in rows]
+    vs, prec, s = _exact_rows(rows, A)
+    im = None
+    if prec is None:
+        scales = [(d, 0) for _, d in vs]
+    else:
         scales = [(1, s - e) for _, _, e in vs]
         if any(any(y) for _, y, _ in vs):
             im = [[v[1][i] for v in vs] + [0] for i in range(n)]
-    else:
-        scales = [(d, 0) for _, d in vs]
     got = _bareiss([[v[0][i] for v in vs] + [int(i == 1)] for i in range(n)], im)
     if got is None:
         return None
@@ -644,6 +635,44 @@ def solve_mod(rows, A: UniPoly):
         xr, xi, dr = ([x * dr + y * di for x, y in zip(xr, xi)],
                       [y * dr - x * di for x, y in zip(xr, xi)], dr * dr + di * di)
     return [from_ratio(x * f, y * f, dr, e, prec) for x, y, (f, e) in zip(xr, xi, scales)]
+
+
+def _exact_rows(rows, A: UniPoly):
+    """(vs, prec, s): rows of Scalars modulo the monic A as exact ints: row
+    j as nums_j / d_j (``int_vector``), prec None and s 0, when every entry
+    is rational; otherwise as Gaussian integers N_j times 2^(e_j) in w = z
+    / 2^s (``_grade``, ``fixed_point``), prec the largest entry precision."""
+    vs = [int_vector(r) for r in rows]
+    if None not in vs:
+        return vs, None, 0
+    prec, s = max(c.prec or 0 for r in rows for c in r), _grade(A)
+    return [fixed_point(r, prec, s) for r in rows], prec, s
+
+
+def table_traces(powers, A: UniPoly):
+    """(P, q, prec, bits): s_j = sum_i (T^j mod A)_i s_i(A), j = 1..n, the
+    power sums of T(z_i) over the roots of the monic A of degree n > deg T,
+    from the rows of T's table ``powers`` re-entered exactly
+    (``_exact_rows``), as (re, im, e), (re + im i) 2^e = q^j s_j.  Rational
+    rows are dotted with A's integer power sums in w = L z: row 1 is T =
+    tn / td of degree k, q = td L^k, and q^j s_j, the power sum of the
+    Tw(w_i), Tw = q T(w / L), is an integer.  Otherwise, q = 1, the rows in
+    w = z / 2^s are dotted with A's power sums in w on one grid
+    (``_block_power_sums``), each cut to bits = prec + ``GUARD_BITS``."""
+    n = A.degree
+    vs, prec, _ = _exact_rows(powers[1:], A)
+    if prec is None:
+        a, L = int_monic(A.coeffs)
+        top = L ** (n - 1)  # top s_i = L^(n-1-i) S_i, S_i = L^i s_i
+        S = [x * L ** (n - 1 - i) for i, x in enumerate(int_power_sums(a, n - 1))]
+        tn, td = vs[0]
+        q = td * L ** max(i for i, c in enumerate(tn) if c)
+        return ([(sum(map(operator.mul, nums, S)) * q ** j // (d * top), 0, 0)
+                 for j, (nums, d) in enumerate(vs, 1)], q, None, None)
+    bits = prec + GUARD_BITS
+    S = _on_grid(_block_power_sums(_graded_block((), A, prec)[2], n - 1, bits), bits)
+    return ([_cut1(hr[0], hi[0], e, bits) for hr, hi, e in (_hankel(v, S, 1) for v in vs)],
+            1, prec, bits)
 
 
 def _bareiss(R, I=None):
@@ -796,6 +825,14 @@ def fixed_sum(terms, bits):
     return sr, si, g
 
 
+def _on_grid(values, bits):
+    """The Gaussian integers (re, im, e) of ``values`` as one fixed-point
+    vector on the grid of ``bits`` bits of the largest (``_to_grid``)."""
+    g = _grid(values, bits)
+    re, im = zip(*[_to_grid(x, y, e, g) for x, y, e in values])
+    return list(re), list(im), g
+
+
 def _cut1(re, im, e, bits):
     """The Gaussian integer (re + im i) 2^e as (re, im, e) with at most
     ``bits`` bits in its larger part, rounding to nearest; itself when bits
@@ -828,11 +865,10 @@ def _grid(values, bits):
 
 def _block_power_sums(a, k_max, bits):
     """s_0..s_k_max of the roots of the monic w^n + sum a_j w^j, a = (ar,
-    ai, ea) the fixed-point vector of its n lower coefficients, as one
-    fixed-point vector on the grid of ``bits`` bits of its largest part
-    (``_grid``): Newton's identities, s_k = -(sum_(i<k) a_(n-i) s_(k-i) +
-    k a_(n-k)) (a_(n-k) = 0 past n), on the Gaussian integers of a cut to
-    ``bits`` bits, each sum placed by ``fixed_sum``."""
+    ai, ea) the fixed-point vector of its n lower coefficients, as Gaussian
+    integers (re, im, e): Newton's identities, s_k = -(sum_(i<k) a_(n-i)
+    s_(k-i) + k a_(n-k)) (a_(n-k) = 0 past n), on a cut to ``bits`` bits,
+    each sum held to ``bits`` bits of its largest term (``fixed_sum``)."""
     ar, ai, ea = _cut(*a, bits)
     n = len(ar)
     low = [(n - j, c, d) for j, (c, d) in enumerate(zip(ar, ai)) if c or d]
@@ -846,9 +882,7 @@ def _block_power_sums(a, k_max, bits):
             elif i == k:
                 terms.append((-k * c, -k * d, ea))
         S.append(fixed_sum(terms, bits))
-    g = _grid(S, bits)
-    re, im = zip(*[_to_grid(x, y, e, g) for x, y, e in S])
-    return list(re), list(im), g
+    return S
 
 
 def int_mul_mod(v, t, low, n, u=0):
@@ -907,45 +941,32 @@ def power_sums(poly: UniPoly, k_max: int):
     """Newton's identities, coefficients to power sums: the tuple (s_0, s_1,
     ..., s_{k_max}) of the roots, s_0 being the degree as an exact rational.
 
-    Degree 0 is rejected.  The sums are kept on ``poly``, and a later call
-    computes only those past the ones kept.  A rational ``poly`` runs on
-    ints: S_k = L^k s_k, the power sums of the roots of its monic integer
-    polynomial a in w = L z (``int_monic``), is the integer -(sum_(i<k)
-    a_(n-i) S_(k-i) + k a_(n-k)) (a_(n-k) = 0 past n), and the sums come
-    back over L^k_max; rational sums are canonical, so all of them are
-    computed again.  Otherwise the polynomial is normalized monic
-    first, and s_k depends on s_1..s_(k-1) alone, so the bits are the same.
+    Degree 0 is rejected.  The sums are kept on ``poly``; a call that asks
+    for more computes them all again, and s_k does not depend on k_max.
+    Rational ones are S_k / L^k, S_k the integer power sums of the monic
+    integer polynomial in w = L z (``int_monic``, ``int_power_sums``).
+    Otherwise the monic polynomial enters the block in w = z / 2^s
+    (``_graded_block``) at its largest precision prec, the identities run
+    there (``_block_power_sums``), and s_k = 2^(s k) S_k is rounded once.
     """
     if poly.degree < 1:
         raise ValueError("power sums need degree at least 1")
-    n = poly.degree
     known = poly._sums
     if len(known) > k_max:
         return known[:k_max + 1]
     ints = int_monic(poly.coeffs)
     if ints is not None:
         a, L = ints
-        S = int_power_sums(a, k_max)
-        if L != 1:
-            S = [x * L ** (k_max - k) for k, x in enumerate(S)]
-        object.__setattr__(poly, "_sums", tuple(rational_vector(S, L ** k_max)))
-        return poly._sums
-    p = poly if poly.is_monic() else poly.monic()[0]
-    # elementary symmetric functions: e_k = (-1)^k * c_{n-k}
-    e = [ONE]
-    for k in range(1, n + 1):
-        c = p.coeff(n - k)
-        e.append(-c if k % 2 == 1 else c)
-    s = list(known) or [rat(n)]
-    for k in range(len(s), k_max + 1):
-        acc = ZERO
-        for i in range(1, min(k - 1, n) + 1):
-            acc = fma(acc, e[i], s[k - i]) if i % 2 == 1 else fms(acc, e[i], s[k - i])
-        if k <= n:
-            t = e[k] * k
-            acc = acc + t if k % 2 == 1 else acc - t
-        s.append(acc)
-    object.__setattr__(poly, "_sums", tuple(s))
+        sums = rational_vector([x * L ** (k_max - k) for k, x in
+                                enumerate(int_power_sums(a, k_max))], L ** k_max)
+    else:
+        p = poly if poly.is_monic() else poly.monic()[0]
+        prec = max(c.prec or 0 for c in p.coeffs)
+        s, _, a = _graded_block((), p, prec)
+        S = _block_power_sums(a, k_max, prec + GUARD_BITS)
+        sums = [rat(p.degree)] + [from_ratio(x, y, 1, e + s * k, prec)
+                                  for k, (x, y, e) in enumerate(S[1:], 1)]
+    object.__setattr__(poly, "_sums", tuple(sums))
     return poly._sums
 
 
@@ -963,49 +984,61 @@ def int_power_sums(a, k_max):
     return S
 
 
-def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
-    """Newton's identities, power sums back to a monic polynomial.
+def newton_elementary(sums, q, prec, bits, width=0):
+    """Newton's identities back: e_1..e_m, dicts to nonzero Scalars, from
+    ``sums`` = P_1..P_m, P_i = q^i s_i for power sums s_i that are forms in
+    ``width`` parameters: dicts from exponent tuples (() for none) to
+    nonzero Gaussian integers (re, im, e), (re + im i) 2^e.  G_k = k! q^k
+    e_k is sum_(i=1..k) (-1)^(i-1) (k-1)!/(k-i)! P_i G_(k-i), each entry
+    held to ``bits`` bits of its largest term (``fixed_sum``), and e_k =
+    G_k / (k! q^k) is rounded once at prec (``from_ratio``); both are exact
+    when bits and prec are None."""
+    G, out, d = [{(0,) * width: (1, 0, 0)}], [], 1
+    for k in range(1, len(sums) + 1):
+        terms, f = {}, 1
+        for i in range(1, k + 1):
+            c = f if i % 2 else -f
+            f *= k - i
+            for ka, (ar, ai, ea) in G[k - i].items():
+                for kb, (br, bi, eb) in sums[i - 1].items():
+                    key = tuple(map(operator.add, ka, kb)) if kb else ka
+                    terms.setdefault(key, []).append(
+                        (c * (ar * br - ai * bi), c * (ar * bi + ai * br), ea + eb))
+        d *= k * q
+        Gk, ek = {}, {}
+        for key, ts in terms.items():
+            re, im, e = v = fixed_sum(ts, bits)
+            if re or im:
+                Gk[key], ek[key] = v, from_ratio(re, im, d, e, prec)
+        G.append(Gk)
+        out.append(ek)
+    return out
 
-    ``sums`` lists the Scalars s_1..s_n.  Rational ones run on ints: over
-    their common denominator Q (``int_vector``), P_i = Q^i s_i is an
-    integer, G_k = k! Q^k e_k is sum_(i=1..k) (-1)^(i-1) (k-1)!/(k-i)! P_i
-    G_(k-i), and the coefficient (-1)^k e_k of y^(n-k) comes back over
-    n! Q^n.
+
+def monic_from_traces(P, q, prec, bits, var):
+    """The monic polynomial in ``var`` with power sums s_j given as P_j = q^j
+    s_j (``table_traces``): y^n + sum_k e_k(-y) y^(n-k), Newton's identities
+    run on the power sums (-1)^j s_j of the -y_i (``newton_elementary``)."""
+    es = newton_elementary([{(): (-re, -im, e) if j % 2 else (re, im, e)} if re or im else {}
+                            for j, (re, im, e) in enumerate(P, 1)], q, prec, bits)
+    return UniPoly._of([e.get((), ZERO) for e in reversed(es)] + [ONE], var)
+
+
+def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
+    """Newton's identities, the Scalars s_1..s_n back to a monic polynomial
+    (``monic_from_traces``): rational ones over their common denominator q
+    (``int_vector``), P_i = q^i s_i, exactly; otherwise, q = 1, each its
+    own Gaussian integer times a power of two (``fixed_point``), each
+    coefficient rounded once at the largest precision of a sum.
     """
     sums = list(sums)
-    n = len(sums)
-    if n == 0:
+    if not sums:
         raise ValueError("need at least one power sum")
     ints = int_vector(sums)
     if ints is not None:
-        nums, Q = ints
-        P = [x * Q ** i for i, x in enumerate(nums)]
-        G = [1]
-        for k in range(1, n + 1):
-            acc, f = 0, 1
-            for i in range(1, k + 1):
-                if i % 2:
-                    acc += f * P[i - 1] * G[k - i]
-                else:
-                    acc -= f * P[i - 1] * G[k - i]
-                f *= k - i
-            G.append(acc)
-        # (-1)^k G_k (n!/k!) Q^(n-k), from k = n down to 1, then n! Q^n itself
-        coeffs, w = [], 1
-        for k in range(n, 0, -1):
-            coeffs.append(w * G[k] if k % 2 == 0 else -w * G[k])
-            w *= k * Q
-        coeffs.append(w)
-        return UniPoly._of(rational_vector(coeffs, w), var)
-    e = [ONE]
-    for k in range(1, n + 1):
-        acc = mul(e[k - 1], sums[0])
-        for i in range(2, k + 1):
-            acc = (fma(acc, e[k - i], sums[i - 1]) if i % 2 == 1
-                   else fms(acc, e[k - i], sums[i - 1]))
-        e.append(acc * rat(1, k))
-    coeffs = [None] * (n + 1)
-    coeffs[n] = ONE
-    for k in range(1, n + 1):
-        coeffs[n - k] = e[k] if k % 2 == 0 else -e[k]
-    return UniPoly(coeffs, var)
+        nums, q = ints
+        return monic_from_traces([(x * q ** i, 0, 0) for i, x in enumerate(nums)],
+                                 q, None, None, var)
+    prec = max(c.prec or 0 for c in sums)
+    P = [(re[0], im[0], e) for re, im, e in (fixed_point([c], prec) for c in sums)]
+    return monic_from_traces(P, 1, prec, prec + GUARD_BITS, var)

@@ -51,7 +51,7 @@ from .errors import ConsistencyError
 from .polynomials import (UniPoly, coeff_mismatch, lies_on, power_sums,
                           relative_residual)
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar, as_tol,
-                      cadd, cmul, context, csub, rat, sort_key)
+                      cadd, cmul, context, csub, mag_binades, rat, sort_key)
 from .solvers import solve_condition
 
 DEFAULT_MATCH_TOLERANCE = "1e-25"
@@ -499,7 +499,8 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
     (``TransformStep.certify``), and the chain ends at a final polynomial
     equal to the claimed y^n + bring_p y + bring_q (exactly in rational
     mode); it reports the worst step residual and |s1|, |s2|, |s3| of a
-    quintic final polynomial.  Nothing raises for a bad trace."""
+    quintic final polynomial, nan for one with an infinite or nan
+    coefficient.  Nothing raises for a bad trace."""
     cfg = config or RootConfig()
     ok, worst, prev = True, mpmath.mpf(0), trace.original
     for step in trace.steps:
@@ -511,7 +512,10 @@ def verify_trace(trace, config: RootConfig = None) -> VerifyReport:
     claim = UniPoly([trace.bring_q, trace.bring_p] + [rat(0)] * (final.degree - 2)
                     + [rat(1)], final.var)
     ok = ok and coeff_mismatch(claim, final, cfg.tol) is None
-    bring = () if final.degree != 5 else tuple(s.mag() for s in power_sums(final, 3)[1:])
+    bring = ()
+    if final.degree == 5:  # power sums run on finite values alone
+        bring = ((mpmath.nan,) * 3 if None in map(mag_binades, final.coeffs)
+                 else tuple(s.mag() for s in power_sums(final, 3)[1:]))
     return VerifyReport(worst, ok, bring)
 
 

@@ -26,17 +26,17 @@ mpmath's global precision, so Scalars are safe to share between threads.
 
 Arithmetic has one path.  The operators + - * / only turn an int or
 Fraction operand into an exact rational (``_operand``) and call one module
-kernel, ``add``, ``sub``, ``mul`` or ``div``; the eliminations' loops of
-acc +- x * y and ``UniPoly.eval``'s Horner call ``fma`` and ``fms``.  One
-rule holds for all six:
+kernel, ``add``, ``sub``, ``mul`` or ``div``; ``UniPoly``'s product and
+Horner and the certificate's C(T) sum call ``fma``, acc + x * y.  One rule
+holds for all five:
 
 * Two rationals give the exact rational: each kernel forms the unreduced
   numerator and denominator, and one normalizer, ``_q``, reduces them.
 * Otherwise the result is complex, rounded at the larger precision in
   play; a rational operand enters as its value rounded at the complex
-  precision (``_rat_mpf``, in ``_lift``).  ``fma`` and ``fms`` round the
-  product at its factors' larger precision, and the sum at the larger of
-  that and acc's.
+  precision (``_rat_mpf``, in ``_lift``).  ``fma`` rounds the product at
+  its factors' larger precision, and the sum at the larger of that and
+  acc's.
 * Rounding is skipped only where it cannot change a bit, for a complex z
   whose parts are finite and have at most prec mantissa bits (``_fits``):
   z times an exact 1, -1 or 0 is z, its exact negation or the complex
@@ -650,22 +650,6 @@ def fma(acc, x, y):
     return add(acc, mul(x, y))
 
 
-def fms(acc, x, y):
-    """acc - x * y for Scalars acc, x and y."""
-    ad, xd, yd = acc._den, x._den, y._den
-    if ad is not None:
-        if xd is not None and yd is not None:
-            d = xd * yd
-            return _q(acc._num * d - x._num * y._num * ad, ad * d)
-    elif xd is None and yd is None:
-        prec = x._prec if x._prec >= y._prec else y._prec
-        z = cmul(x._c, y._c, prec)
-        if acc._prec > prec:
-            prec = acc._prec
-        return Scalar(None, None, csub(acc._c, z, prec), prec)
-    return sub(acc, mul(x, y))
-
-
 def int_vector(values):
     """The integer view of a vector of Scalars: (nums, d), ints over the
     least common denominator d > 0 of the values, values[i] == nums[i] / d;
@@ -737,7 +721,7 @@ def fixed_point(values, prec, s=0, scale=1):
     dropped; another rational enters as its value rounded at prec +
     ``GUARD_BITS`` bits.  ValueError for an infinity or nan.
     ``from_fixed_point`` reads a vector back."""
-    pairs = []
+    parts = []  # (mantissa, exponent) of the real, then the imaginary part of each
     for i, v in enumerate(values):
         d, k = v._den, 1
         if d is None:
@@ -752,11 +736,11 @@ def fixed_point(values, prec, s=0, scale=1):
                 c = _rat_mpf(n, d, prec + GUARD_BITS), fzero
             else:
                 c = from_int(n // d), fzero
-        pairs.append([(-m * k if sign else m * k, x + s * i) for sign, m, x, _ in c])
-    e = min([x for p in pairs for m, x in p if m] or [0])
-    re = [m << x - e if m else 0 for (m, x), _ in pairs]
-    im = [m << x - e if m else 0 for _, (m, x) in pairs]
-    return re, im, e
+        for sign, m, x, _ in c:
+            parts.append((-m * k if sign else m * k, x + s * i))
+    e = min([x for m, x in parts if m] or [0])
+    out = [m << x - e if m else 0 for m, x in parts]
+    return out[0::2], out[1::2], e
 
 
 def _part(m, e, prec):

@@ -494,14 +494,14 @@ def test_complex_repeated_root_collapsed_at_the_principal_step_exits_two(capsys)
 
 
 def test_route_disagreement_states_its_relative_size(capsys):
-    # the two routes of the principal step differ by 8.89e+7 on a scale of
-    # 1.05e+34: 8.4e-27 relative, above the default tol, and the power-sum
-    # route's own error there, 8.4e-27 of the scale against 1024 bits (1.4e-26
-    # at its worst coefficient); the resultant route's is 1.3e-32
+    # the two routes of the principal step differ by 7.39e+7 on a scale of
+    # 1.05e+34: 7.0e-27 relative, above the default tol, and the power-sum
+    # route's own error there, 7.0e-27 of the scale against 1024 bits, at
+    # its worst coefficient; the resultant route's is 1.3e-32
     code, out, err = run(capsys, "reduce", "--precision-bits", "128", "--coeffs",
                          "1", "5999997", "-9000007", "3000004", "-8000002", "-7999992")
     assert code == EXIT_VERIFY and out == ""
-    assert ("disagree at y^0 by 8.89e+7, 8.44e-27 of a scale of 1.05e+34, "
+    assert ("disagree at y^0 by 7.39e+7, 7.01e-27 of a scale of 1.05e+34, "
             "against tol 1.0e-30") in err
 
 
@@ -539,7 +539,7 @@ def test_a_cross_check_refusal_names_its_step(capsys):
                          "1", "5999997", "-9000007", "3000004", "-8000002", "-7999992")
     assert code == EXIT_VERIFY and out == ""
     assert err.startswith("verification failure: principal step: resultant and power-sum "
-                          "routes disagree at y^0 by 8.89e+7")
+                          "routes disagree at y^0 by 7.39e+7")
 
 
 def test_a_condition_that_fails_to_vanish_states_its_bound_and_ratio(capsys):

@@ -539,9 +539,9 @@ def test_the_integer_power_sum_route_matches_fraction_arithmetic(case):
             == _pairs(_ref_from_power_sums(sums)))
 
 
-def _count_kernels(monkeypatch, names=("mul", "fma", "fms")):
-    """Rebind the names of scalars' kernels (mul, fma and fms by default),
-    in every package module that holds them, to counters; returns the
+def _count_kernels(monkeypatch, names=("mul", "fma")):
+    """Rebind the names of scalars' kernels (mul and fma by default), in
+    every package module that holds them, to counters; returns the
     counts."""
     calls = dict.fromkeys(names, 0)
     modules = [m for name, m in sys.modules.items()
@@ -559,36 +559,132 @@ def _count_kernels(monkeypatch, names=("mul", "fma", "fms")):
 
 
 def test_the_rational_integer_routes_run_no_scalar_kernel(monkeypatch):
-    # rational: the table, Newton's identities both ways and the
-    # determinant run on ints; complex: the power-sum route's traces keep
-    # calling the kernels, while the table, the certificate's Horner, the
-    # determinant route's columns and determinant, the forms of
-    # image_elementary and the solve for a step's inverse map call none,
-    # running on fixed-point Gaussian blocks and exact Gaussian integers
+    # rational: the table, both routes and Newton's identities both ways
+    # run on ints; complex: the table, the certificate's Horner, the
+    # determinant route's columns and determinant, the power-sum route's
+    # traces, Newton's identities both ways, the forms of image_elementary
+    # and the solve for a step's inverse map call none, running on
+    # fixed-point Gaussian blocks and exact Gaussian integers
     A = UniPoly([rat(3, 4), rat(-2, 3), rat(0), rat(4), rat(-1, 2), rat(1)])
     P = UniPoly([rat(3, 2), rat(-4, 3), rat(0), rat(8), rat(-1), rat(2)])  # 2A
     t = (rat(1, 3), rat(-2, 5), rat(7, 2))
     calls = _count_kernels(monkeypatch)
     powers_mod(UniPoly(t), A)
     assert poly_from_power_sums(power_sums(P, 5)[1:], "z") == A
-    map_charpoly(A, t)
-    assert calls == {"mul": 0, "fma": 0, "fms": 0}
+    assert transform_by_power_sums(A, t) == map_charpoly(A, t)
+    assert calls == {"mul": 0, "fma": 0}
     Z = UniPoly([cx(c.fraction, 1, 64) for c in A.coeffs[:-1]] + [rat(1)])
-    transform_by_power_sums(Z, t)
-    assert all(calls.values()), calls
-    calls.update(dict.fromkeys(calls, 0))
     powers_mod(UniPoly(t), Z)
     compose_mod(UniPoly([rat(2, 3), cx(1, -2, 64), rat(1, 5)], "y"), UniPoly(t), Z)
-    map_charpoly(Z, t)
-    assert calls == {"mul": 0, "fma": 0, "fms": 0}
+    C = map_charpoly(Z, t)
+    assert pipeline.coeff_mismatch(transform_by_power_sums(Z, t), C, "1e-12") is None
+    back = poly_from_power_sums(power_sums(Z, 5)[1:], "z")
+    assert pipeline.coeff_mismatch(back, Z, "1e-15") is None
+    assert calls == {"mul": 0, "fma": 0}
     # the forms (one product modulo A at k = 2 and the traces at k = 3)
     # and the fraction-free solve divide nothing on Scalars either
-    calls = _count_kernels(monkeypatch, ("mul", "fma", "fms", "mpc_div"))
+    calls = _count_kernels(monkeypatch, ("mul", "fma", "mpc_div"))
     xs = [(cx(1, 1, 64), rat(2)), (rat(1, 3), rat(0)), (rat(1), cx(2, -1, 64))]
     assert image_elementary(Z, xs, 3)[2]
     step = pipeline.TransformStep("test", Z, Subsidiary(2, (cx(1, 1, 64), rat(1, 3))), Z, ())
     assert step.powers and pipeline.step_inverse(step) is not None
-    assert calls == {"mul": 0, "fma": 0, "fms": 0, "mpc_div": 0}
+    assert calls == {"mul": 0, "fma": 0, "mpc_div": 0}
+
+
+# -- the power-sum route against the Scalar code it replaced ------------------
+#
+# ``transform_by_power_sums`` dots the table's rows, re-entered as ints,
+# with A's integer or block power sums and runs Newton's identities on
+# ints.  The Scalar route it replaced is kept here as it ran, as the
+# reference: rational C keeps its bytes, and complex C lies no further from
+# a charpoly of the same inputs at four times the precision.
+
+def _scalar_route(A, t, powers):
+    """transform_by_power_sums as the Scalar kernels ran it: A's power sums
+    and Newton's identities back to C on Scalars (acc - x * y has the bits
+    of the fused acc - x y), and each trace a sum of Scalar products."""
+    n = A.degree
+    e = [scalars.ONE] + [-A.coeff(n - k) if k % 2 else A.coeff(n - k) for k in range(1, n + 1)]
+    s = [rat(n)]
+    for k in range(1, n):
+        acc = scalars.ZERO
+        for i in range(1, k):
+            acc = scalars.fma(acc, e[i], s[k - i]) if i % 2 else acc - e[i] * s[k - i]
+        s.append(acc + e[k] * k if k % 2 else acc - e[k] * k)
+    sums = []
+    for rem in powers[1:]:
+        acc = scalars.mul(rem[0], s[0])
+        for j in range(1, n):
+            acc = scalars.fma(acc, rem[j], s[j])
+        sums.append(acc)
+    e = [scalars.ONE]
+    for k in range(1, n + 1):
+        acc = scalars.mul(e[k - 1], sums[0])
+        for i in range(2, k + 1):
+            x, y = e[k - i], sums[i - 1]
+            acc = scalars.fma(acc, x, y) if i % 2 else acc - x * y
+        e.append(acc * rat(1, k))
+    return UniPoly([-e[n - j] if (n - j) % 2 else e[n - j] for j in range(n + 1)], "y")
+
+
+def test_the_rational_power_sum_route_keeps_the_bytes_of_the_scalar_code():
+    rng = random.Random(20261017)
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        A = UniPoly([rat(draw()) for _ in range(n)] + [rat(1)])
+        k = rng.randint(1, n - 1)
+        sub = Subsidiary(k, tuple(rat(draw()) for _ in range(k)))
+        t = sub.t_coeffs()
+        powers = powers_mod(UniPoly(t), A)
+        want = _scalar_pairs(_scalar_route(A, t, powers).coeffs)
+        assert _scalar_pairs(transform_by_power_sums(A, t, powers).coeffs) == want
+        assert _scalar_pairs(dual_eliminate(A, sub)[0].coeffs) == want
+
+
+@pytest.mark.parametrize("prec, tol", [(64, "1e-14"), (128, "1e-30"), (256, "1e-30")])
+def test_the_complex_power_sum_route_is_no_further_from_four_times_the_precision(
+        prec, tol, monkeypatch):
+    # on the complex steps of two batch chains the route rounds once: it
+    # lies within 2^-prec of coeff_scale of itself at 4 prec on the same
+    # inputs, the table's rounded rows included (the Scalar route missed
+    # that by up to 25 times).  Its worst distance from the charpoly at 4
+    # prec, relative to that charpoly's coeff_scale, is no larger than the
+    # Scalar route's, or than the rounded rows carry plus that one
+    # rounding: at 256 bits they alone put quintic 0's principal step at
+    # 4.5e-77, where the Scalar route's own roundings happen to land at
+    # 2.4e-77
+    calls, route = [], pipeline.transform_by_power_sums
+
+    def recorded(A, t, powers):
+        if not all(c.is_rational for row in powers for c in row):
+            calls.append((A, t, powers))
+        return route(A, t, powers)
+
+    monkeypatch.setattr(pipeline, "transform_by_power_sums", recorded)
+    for index in (0, 7):
+        reduce_general_quintic(_batch_quintic(index), prec=prec, tol=tol)
+    assert len(calls) == 4
+    ulp = mpmath.ldexp(1, -prec)
+    worst = dict.fromkeys(("ints", "scalar", "rows"), mpmath.mpf(0))
+    for A, t, powers in calls:
+        wide_A = UniPoly([_carried_at(c, 4 * prec) for c in A.coeffs])
+        wide_t = [_carried_at(c, 4 * prec) for c in t]
+        wide = map_charpoly(wide_A, wide_t)
+        own = route(wide_A, wide_t, tuple(tuple(_carried_at(c, 4 * prec) for c in row)
+                                          for row in powers))
+        C = route(A, t, powers)
+
+        def dist(P, Q):
+            return max((P.coeff(k) - Q.coeff(k)).mag() for k in range(A.degree + 1))
+
+        assert dist(C, own) <= ulp * coeff_scale(own), (A, t)
+        for name, P in (("ints", C), ("scalar", _scalar_route(A, t, powers)), ("rows", own)):
+            worst[name] = max(worst[name], dist(P, wide) / coeff_scale(wide))
+    assert worst["ints"] <= max(worst["scalar"], worst["rows"] + ulp), worst
 
 
 # -- the forms of image_elementary and the inverse map, on ints -----------------
@@ -770,7 +866,6 @@ def test_complex_forms_and_inverse_maps_run_on_ints_of_a_bounded_length(monkeypa
 
     monkeypatch.setattr(polynomials, "gauss_mul_mod", mul)
     monkeypatch.setattr(polynomials, "fixed_sum", total)
-    monkeypatch.setattr(elimination, "fixed_sum", total)
     monkeypatch.setattr(elimination, "product_traces", traced)
     monkeypatch.setattr(polynomials, "_bareiss", bareiss)
     big, small = mpmath.mpf("1e30000"), mpmath.mpf("1e-30000")

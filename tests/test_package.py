@@ -164,7 +164,7 @@ def test_berkowitz_is_the_one_determinant_and_divides_by_nothing():
     assert hits == [("elimination.py", "map_charpoly")]
     with open(path, encoding="utf-8") as f:
         tree = ast.parse(f.read(), path)
-    banned = {"div", "mpc_div", "pivot_index", "fma", "fms"}
+    banned = {"div", "mpc_div", "pivot_index", "fma"}
     called = {fn: name for fn, _, name in _calls(path, banned)}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name in ("map_charpoly", "_berkowitz"):
@@ -176,6 +176,23 @@ def test_berkowitz_is_the_one_determinant_and_divides_by_nothing():
     imported = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for a in node.names}
     assert "pivot_index" not in imported
+
+
+# one path per ring for Newton's identities: the power-sum route and the
+# conversions both ways, with the helpers they run, form no Scalar product
+# or quotient; they work on ints and fixed-point Gaussian-integer blocks
+def test_the_power_sum_route_calls_no_scalar_kernel():
+    route = {"polynomials.py": {"power_sums", "poly_from_power_sums", "table_traces",
+                                "monic_from_traces", "newton_elementary"},
+             "elimination.py": {"transform_by_power_sums"}}
+    for name, fns in route.items():
+        path = os.path.join(os.path.dirname(bringform.__file__), name)
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        assert fns <= {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}, name
+        hits = [(fn, line, kernel) for fn, line, kernel in _calls(path, {"mul", "fma", "div"})
+                if fn in fns]
+        assert hits == [], (name, hits)
 
 
 # one owner of the ring's scaling: only ``polynomials`` multiplies modulo A

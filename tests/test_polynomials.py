@@ -18,7 +18,7 @@ from bringform import (ReductionTrace, Scalar, UniPoly, coeff_scale, cx,
                        deflate, poly_from_power_sums, power_sums, rat,
                        reduce_general_quintic, shift_substitute)
 from bringform.polynomials import coeff_mismatch, powers_mod
-from bringform.scalars import ONE, ZERO, fma, fms, mul
+from bringform.scalars import ONE, ZERO, fma, mul
 from helpers import max_coeff_diff, rand_fraction, rand_monic, rand_scalar
 
 
@@ -251,7 +251,7 @@ def _old_rem_monic(P, A):
         q = rem[k]
         if not q.is_exact_zero():
             for j, a in A.terms()[:-1]:
-                rem[k - n + j] = fms(rem[k - n + j], q, a)
+                rem[k - n + j] = fma(rem[k - n + j], -q, a)
     return rem[:n] + [ZERO] * (n - len(rem))
 
 

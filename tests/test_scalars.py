@@ -26,7 +26,7 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_div, mpc_m
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        find_roots, match_roots, rat, reduce_general_quintic, verify_trace)
 from bringform.polynomials import coeff_mismatch, lies_on, relative_residual
-from bringform.scalars import (add, as_scalar, as_tol, context, div, fma, fms, from_ratio,
+from bringform.scalars import (add, as_scalar, as_tol, context, div, fma, from_ratio,
                                mag_binades, mul, negligible, pick_root, pivot_index, sort_key,
                                sub)
 
@@ -618,11 +618,10 @@ def test_kernels_match_libmp_and_fraction(ops):
         for kernel in _REFERENCES:
             want = _reference(kernel, _value(a), _value(b))
             assert _outcome(kernel, a, b) == want, (kernel.__name__, a, b)
-    # acc +- x * y: the product at its factors' larger precision, the sum
+    # acc + x * y: the product at its factors' larger precision, the sum
     # at the larger of that and acc's
     xy = _value(_reference(mul, _value(x), _value(y)))
     assert _outcome(fma, acc, x, y) == _reference(add, _value(acc), xy)
-    assert _outcome(fms, acc, x, y) == _reference(sub, _value(acc), xy)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
