@@ -8,11 +8,9 @@ is computed here by two independent routes:
   matrix of multiplication by T in K[z]/(A), by Berkowitz's division-free
   recursion over the leading principal minors (Berkowitz, *Inf. Process.
   Lett.* 18, 1984), which forms no trace, so the route stays apart from the
-  next one.  ``polynomials.columns_mod`` builds the matrix: on ints in
-  w = L z for rational T and A, as ``powers_mod`` builds its table, and
-  otherwise on the fixed-point Gaussian-integer block, column i + 1 being
-  w times column i modulo A in w = z / 2^s, each cut to prec + 64 bits;
-  each coefficient of C is rounded once.  It is the package's one determinant
+  next one.  ``polynomials.columns_mod`` builds the matrix in the ring of
+  ``polynomials``, column i + 1 being w times column i modulo A; each
+  coefficient of C is exact or rounded once.  It is the package's one determinant
   routine: ``sylvester_resultant_with_factor`` routes B = c*y - T(z) here,
   and ``polynomial_resultant`` reads Res(P, Q) off the charpoly of Q mod P.
 * ``transform_by_power_sums``: the power sums of C are the traces
@@ -20,12 +18,10 @@ is computed here by two independent routes:
   identities rebuild C from them.  The powers T^j mod A come from
   ``polynomials.powers_mod``, the table's one builder;
   ``pipeline.dual_eliminate`` hands that table to the step it builds, whose
-  certificate and inverse map read it again.  The route builds none: it
-  re-enters the table's rows exactly as ints and dots them with A's power
-  sums (``polynomials.table_traces``), on Python ints when every value is
-  rational and otherwise on a fixed-point Gaussian-integer block held to
-  prec + 64 bits, and Newton's identities run on those ints, each
-  coefficient of C exact or rounded once.
+  certificate and inverse map read it again.  The route builds none: the
+  table's rows re-enter the ring and are dotted with A's power sums
+  (``polynomials.table_traces``), and Newton's identities run on those
+  ints, each coefficient of C exact or rounded once.
 
 The two routes are deliberately kept independent so tests can use each as an
 oracle for the other.  They share the product modulo A, which is the

@@ -26,23 +26,14 @@ constructor, ``_step``, makes every step that eliminates: it runs
 ``dual_eliminate``, checks each targeted output coefficient once, and hands
 the step the table of the powers of T modulo A that the power-sum route
 built (``powers``), which its C(T) sum and solve for U read again.  The
-table (``powers_mod``, its one builder), U(T) by Horner (``compose_mod``)
-and the charpoly's columns (``columns_mod``) multiply by T modulo A on
-ints (``polynomials.gauss_mul_mod``, ``polynomials.int_mul_mod``), and so
-do the traces of the conditions' power-sum forms (``image_elementary``).
-In rational mode they and the power-sum route run exactly on Python ints,
-in one scaling (A as a monic integer polynomial in w = L z), and make
-Scalars only for what they hand on (C's coefficients, the table's rows,
-U(T), the forms, and A's power sums, kept on A): the exact values the
-Scalar operations would give, so every trace, certificate and refusal is
-the same to the byte.  In complex mode they run on a fixed-point
-Gaussian-integer block: the table, the charpoly's columns, the forms'
-products and sums and the power-sum route's traces and sums cut to prec +
-64 bits of their largest part, and U(T) held to the working precision
-(``certify`` says why).  The determinant runs on the columns' Gaussian
-integers; the solve for U (``step_inverse``), by fraction-free
-elimination, and the power-sum route read the table's rows re-entered
-exactly as ints.
+table (built by ``powers_mod`` alone), U(T) by Horner (``compose_mod``),
+the charpoly's columns (``columns_mod``) and the traces of the conditions'
+power-sum forms (``image_elementary``) multiply by T modulo A in the ring
+of ``polynomials``, on one kernel (``gauss_mul_mod``): exactly for rational
+input, so every trace, certificate and refusal is the same to the byte as
+the Scalar operations would make it, and otherwise on a fixed-point
+Gaussian-integer block cut to prec + 64 bits, U(T) held to the working
+precision (``certify`` says why).
 """
 
 from __future__ import annotations

@@ -7,38 +7,39 @@ and anything else, a polynomial included, raises TypeError.  Conditions in
 free parameters are not polynomials over polynomials: they are power-sum
 forms (``elimination.image_elementary``).  All values are immutable;
 operations return new objects, and + - * take a polynomial on both
-sides.  Every product modulo A runs on ints, by one kernel,
-``gauss_mul_mod``, or on real ints where every coefficient is rational
-(``int_mul_mod``, ``int_rem_monic``): the table of T^j mod A
-(``powers_mod``, its one builder), the certificate's U(T)
-(``compose_mod``), the columns of ``elimination.map_charpoly``'s matrix
-(``columns_mod``) and the traces of the products of a form's polynomials
-(``product_traces``); ``solve_mod`` solves for a step's inverse map, and
-``table_traces`` traces T^j for the power-sum route, on the table's rows
-re-entered exactly (``_exact_rows``), so this module alone owns the ring's
-scalings.  Newton's identities run once each way: ``power_sums`` from
-coefficients, and ``newton_elementary`` back from power-sum forms, for the
-forms of ``elimination.image_elementary``, the route and
-``poly_from_power_sums`` (``monic_from_traces``).  Where every coefficient
-is rational, all of these run exactly on Python ints over one common
-denominator (``scalars.int_vector``) in one scaling, the monic integer
-polynomial in w = L z (``int_monic``), so reducing modulo it is a plain
-division (``int_rem_monic``); they make Scalars only for what they return,
-the canonical rationals the Scalar operations give.  Otherwise they run on
-a fixed-point block, a vector of Gaussian integers times one power of two
-(``scalars.fixed_point``), in w = z / 2^s with 2^s about A's largest root
-(``_graded_block``): each product is cut once to a fixed number of bits of
-its largest part (``_cut``), and so are the power sums of the roots in w,
-the traces and each sum of Gaussian integers of differing exponents
-(``fixed_sum``); a row leaves the block with each part rounded once
-(``scalars.from_fixed_point``), a quotient with each part rounded once
-(``scalars.from_ratio``), and the columns stay ints for the
-determinant.  ``Record`` is the read-only base of ``UniPoly`` and of the
-records in other modules that do work at construction.  A ``UniPoly`` also
-keeps three memo slots, filled on first use and never part of equality,
-repr or JSON: its largest coefficient magnitude (``max_mag``), its terms
-that are not exact zeros (``terms``), and the power sums of its roots
-computed so far (``power_sums``), a prefix that only grows.
+sides.  ``Record`` is the read-only base of ``UniPoly`` and of the records
+in other modules that do work at construction.
+
+Every routine of the ring Q[z]/(A), A monic of degree n, has one body on
+Python ints, and this module alone owns the ring's scalings.  A vector of
+the ring is a fixed-point Gaussian-integer vector (re, im, e)
+(``scalars.fixed_point``), sum (re_i + im_i i) 2^e w^i, over one
+denominator q, in w = L z / 2^s.  One entry, ``_enter``, takes A in through
+``_ring``, which keeps it on A by precision: a rational A exactly, as the
+monic integer polynomial in w = L z (``int_monic``), with s = 0, no cut
+and empty imaginary lists for rational values; a complex one graded at
+prec in w = z / 2^s, 2^s about its largest root (``_graded_block``), with
+L = 1, q = 1 and every product, power sum and trace cut to prec +
+``GUARD_BITS`` bits of its largest part.  Each routine decides for itself
+when it runs exactly.  One kernel, ``gauss_mul_mod``, takes every product
+modulo A, and one recurrence, ``_block_power_sums``, forms A's power sums,
+kept with its entry; each takes its real path when its operands are real.
+A vector leaves by one exit, ``scalars.from_ratio``: exactly, the canonical
+rational the Scalar operations give, or with each part rounded once.  The
+routines are the table of T^j mod A (built by ``powers_mod`` alone), the
+certificate's U(T) (``compose_mod``), the columns of
+``elimination.map_charpoly``'s matrix (``columns_mod``), the traces of a
+form's products (``product_traces``) and of the table (``table_traces``),
+``power_sums`` and ``poly_from_power_sums``.  Newton's identities run once
+back, ``newton_elementary``, for the forms, the power-sum route and
+``poly_from_power_sums`` (``monic_from_traces``).  ``solve_mod`` solves for
+a step's inverse map on the table's rows as exact ints.
+
+A ``UniPoly`` also keeps four memo slots, filled on first use and never
+part of equality, repr or JSON: its largest coefficient magnitude
+(``max_mag``), its terms that are not exact zeros (``terms``), the power
+sums of its roots computed so far (``power_sums``), a prefix that only
+grows, and its ring entries (``_ring``).
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ from math import inf
 import mpmath
 
 from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Gauss, Scalar,
-                      as_scalar, as_tol, context, fixed_point, fma, from_fixed_point,
-                      from_ratio, int_vector, mag_binades, mul, negligible, noise_tol,
-                      pivot_index, rat, rational_vector)
+                      as_scalar, as_tol, context, fixed_point, fma, from_ratio, int_vector,
+                      mag_binades, mul, negligible, noise_tol, pivot_index, rat)
 
 
 class Record:
@@ -93,8 +93,8 @@ class UniPoly(Record):
     degree -1.
     """
 
-    # _max_mag, _terms and _sums are memo slots (module docstring)
-    __slots__ = ("coeffs", "var", "_max_mag", "_terms", "_sums")
+    # _max_mag, _terms, _sums and _rings are memo slots (module docstring)
+    __slots__ = ("coeffs", "var", "_max_mag", "_terms", "_sums", "_rings")
 
     def __init__(self, coeffs, var: str = "z"):
         self._fill([as_scalar(c) for c in coeffs], var)
@@ -115,6 +115,7 @@ class UniPoly(Record):
         object.__setattr__(self, "_max_mag", None)
         object.__setattr__(self, "_terms", None)
         object.__setattr__(self, "_sums", ())
+        object.__setattr__(self, "_rings", None)
 
     # -- structure -----------------------------------------------------------
 
@@ -326,8 +327,9 @@ def lies_on(A: UniPoly, z, tol=None) -> bool:
 
 def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
     """(k, P_k - Q_k) at the first power k where the difference is not
-    ``negligible`` at tol * coeff_scale(P, Q), or None: two rational
-    coefficients must agree exactly, so they are compared with ==."""
+    ``negligible`` at tol * coeff_scale(P, Q) or not finite, or None: two
+    rational coefficients must agree exactly, so they are compared with
+    ==."""
     t = None  # tol * coeff_scale(P, Q), which a rational difference never reads
     for k in range(max(P.degree, Q.degree) + 1):
         p, q = P.coeff(k), Q.coeff(k)
@@ -338,7 +340,7 @@ def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
         d = p - q
         if t is None and not d.is_rational:
             t = as_tol(tol, coeff_scale(P, Q))
-        if not negligible(d, t):
+        if mag_binades(d) is None or not negligible(d, t):
             return k, d
     return None
 
@@ -365,41 +367,17 @@ def shift_substitute(poly: UniPoly, a) -> UniPoly:
 def powers_mod(T: UniPoly, A: UniPoly):
     """T^0, T^1, ..., T^n modulo the monic A (n = deg A), each as the tuple of
     its n ascending coefficients, row j + 1 being row j times T reduced
-    modulo A; the package's one builder of the table.
-
-    When every coefficient of T and A is rational it runs on ints, in
-    w = L z (``int_monic``): with T = tn / td of degree k, Tw(w) = td L^k
-    T(w / L) has integer coefficients tn_i L^(k-i), and row j is Tw^j
-    modulo the monic integer A(w / L), a plain division, whose coefficient
-    of w^i times L^i / (td L^k)^j is that of z^i in T^j mod A.  Otherwise
-    T and A enter one fixed-point Gaussian-integer block
-    (``scalars.fixed_point``) at the largest precision prec of a complex
-    coefficient, each row is the last times T modulo A by ``gauss_mul_mod``,
-    cut to prec + ``GUARD_BITS`` bits, and leaves the block with each part
-    rounded once at prec (``scalars.from_fixed_point``).
-    """
+    modulo A (``gauss_mul_mod``); no other routine builds the table.
+    It runs in the ring (module docstring), exactly when every coefficient
+    of T and A is rational, otherwise at the largest precision prec of a
+    complex one, each row cut to prec + ``GUARD_BITS`` bits.  Row j leaves
+    the ring over q^j, T entering over q."""
     n = A.degree
-    vt = int_vector(T.coeffs)
-    va = None if vt is None else int_monic(A.coeffs)
-    if va is None:
-        prec = max(c.prec or 0 for c in T.coeffs + A.coeffs)
-        s, t, a = _graded_block(T.coeffs, A, prec)
-        v = ([1] + [0] * (n - 1), [0] * n, 0) if n else ([], [], 0)
-        out = [tuple(ONE if x else ZERO for x in v[0])]
-        for _ in range(n):
-            v = gauss_mul_mod(v, t, a, prec + GUARD_BITS)
-            out.append(tuple(from_fixed_point(v, prec, s)))
-        return tuple(out)
-    (tn, td), (a, L) = vt, va
-    k = max(len(tn) - 1, 0)
-    tw = [(i, c * L ** (k - i)) for i, c in enumerate(tn) if c]
-    low = [(j, c) for j, c in enumerate(a[:n]) if c]
-    scale, q = [L ** i for i in range(n)], td * L ** k
-    row = [int(i == 0) for i in range(n)]
-    out = [tuple(rational_vector(row, 1))]
+    r, (t,), q, prec = _enter(A, [T.coeffs], max(T.degree, 0))
+    v, out = ([1], [], 0), [tuple(ONE if i == 0 else ZERO for i in range(n))]
     for j in range(1, n + 1):
-        row = int_mul_mod(row, tw, low, n)
-        out.append(tuple(rational_vector([x * f for x, f in zip(row, scale)], q ** j)))
+        v = gauss_mul_mod(v, t, r[2], r[3])
+        out.append(tuple(_leave(v, q ** j, prec, r)))
     return tuple(out)
 
 
@@ -409,92 +387,55 @@ HORNER_GUARD_BITS = 7  # past prec, in each product of U(T) (TransformStep.certi
 def compose_mod(U: UniPoly, T: UniPoly, A: UniPoly):
     """The n ascending coefficients of U(T) modulo the monic A (n = deg A),
     by Horner: one product by T modulo A per coefficient of U, highest
-    first, each joining the product before the reduction.
-
-    When every coefficient of U, T and A is rational the products run
-    exactly on real ints (``int_mul_mod``), in w = L z as in
-    ``powers_mod``: with T = tn / d of degree k and U = un / d of degree m
-    over one denominator and q = d L^k, R = sum un_j q^(m-j) Tw^j modulo
-    the monic integer A(w / L), and the coefficient of z^i is R_i L^i /
-    (d q^m).  Otherwise all three enter one fixed-point block at the
-    largest precision prec of a complex coefficient, as in ``powers_mod``,
-    each product is a ``gauss_mul_mod`` call cut to prec +
-    ``HORNER_GUARD_BITS`` bits, and the result leaves the block with each
-    part rounded once at prec.
-    """
-    n, kt = A.degree, len(T.coeffs)
-    vtu = int_vector(T.coeffs + U.coeffs)
-    va = None if vtu is None else int_monic(A.coeffs)
-    if va is None:
-        prec = max(c.prec or 0 for c in U.coeffs + T.coeffs + A.coeffs)
-        s, t, a = _graded_block(T.coeffs, A, prec)
-        ur, ui, eu = fixed_point(U.coeffs, prec)
-        v, bits = ([0] * n, [0] * n, 0), prec + HORNER_GUARD_BITS
-        for x, y in zip(reversed(ur), reversed(ui)):
-            v = gauss_mul_mod(v, t, a, bits, (x, y, eu))
-        return from_fixed_point(v, prec, s)
-    (tun, d), (an, L) = vtu, va
-    tn, un = tun[:kt], tun[kt:]
-    k, m = max(kt - 1, 0), len(un) - 1
-    q = d * L ** k
-    tw = [(i, c * L ** (k - i)) for i, c in enumerate(tn) if c]
-    low = [(j, c) for j, c in enumerate(an[:n]) if c]
-    v = [un[m] if un else 0] + [0] * (n - 1) if n else []  # the first step, 0 T + un_m
-    for j in range(m - 1, -1, -1):
-        v = int_mul_mod(v, tw, low, n, un[j] * q ** (m - j))
-    if L != 1:
-        v = [x * L ** i for i, x in enumerate(v)]
-    return rational_vector(v, d * q ** max(m, 0))
+    first, each joining the product before the reduction.  It runs in the
+    ring, exactly when U, T and A are rational, otherwise each product cut
+    to prec + ``HORNER_GUARD_BITS`` bits.  T and the u_j of U, as constants,
+    enter over one q, so q u_j q^(m-j) joins step j and U(T) leaves over
+    q^(m+1) (m = deg U)."""
+    r, (t, *us), q, prec = _enter(A, [T.coeffs] + [[u] for u in U.coeffs], max(T.degree, 0))
+    bits, m, v = prec and prec + HORNER_GUARD_BITS, len(us) - 1, ([0] * A.degree, [], 0)
+    for j in range(m, -1, -1):
+        (ur,), ui, eu = us[j]
+        f = q ** (m - j)
+        v = gauss_mul_mod(v, t, r[2], bits, (ur * f, ui[0] * f if ui else 0, eu))
+    return _leave(v, q ** (m + 1), prec, r)
 
 
 def columns_mod(t_coeffs, A: UniPoly):
-    """(N, (e, d, prec)): the matrix of multiplication by T (ascending
+    """(N, (e, q, prec)): the matrix of multiplication by T (ascending
     Scalar coefficients ``t_coeffs``) modulo the monic A of degree n >= 1,
     up to similarity, as the n columns of ints and ``Gauss`` integers N
-    whose entries times 2^e / d are its entries; prec is the largest
+    whose entries times 2^e / q are its entries; prec is the largest
     precision of a complex coefficient, None when the entries are exact.
-    A complex exact zero counts as the rational 0.
 
-    For rational T = tn / td and A (``int_vector``, ``int_monic``) column i
-    is w^i Tw modulo the monic integer A(w / L) in w = L z, Tw = q T(w / L),
-    q = td L^k, as in ``powers_mod``, exactly: (e, d) = (0, q).  A constant
-    map's columns never reach A, so a rational t_0 takes that branch
-    whatever A.  Otherwise T and A enter one fixed-point block in
-    w = z / 2^s (``_graded_block``): column 0 is T mod A and column i + 1
-    is w times column i, each by ``gauss_mul_mod`` cut to prec +
-    ``GUARD_BITS`` bits, and the columns are shifted to their least
-    exponent e, with d = 1.  So the ints stay short whatever the span of
-    the exponents, and an image T(z_i) below the cut of the largest one
-    is lost, as in the table.
+    Column 0 is T modulo A and column i + 1 is w times column i in the
+    ring's w, exactly when T and A are rational, T entering over q, and
+    otherwise cut like the table, shifted to their least exponent e.  So
+    the ints stay short whatever the span of the exponents, and an image
+    T(z_i) below the cut of the largest one is lost, as in the table.  A
+    complex exact zero counts as the rational 0, and a constant map's
+    columns never reach A, so for a rational T they run exactly modulo w^n.
     """
     n = A.degree
     t = [ZERO if c.is_exact_zero() else c for c in map(as_scalar, t_coeffs)]
     while t and t[-1] is ZERO:
         t.pop()
-    vt, va = int_vector(t), None
-    if vt is not None:
-        va = ([0] * n + [1], 1) if len(t) < 2 else int_monic(
-            [ZERO if c.is_exact_zero() else c for c in A.coeffs])
-    if va is None:
-        prec = max(c.prec or 0 for c in t + list(A.coeffs))
-        bits = prec + GUARD_BITS
-        _, tv, a = _graded_block(t, A, prec)
-        cols = [gauss_mul_mod(([1] + [0] * (n - 1), [0] * n, 0), tv, a, bits)]
-        while len(cols) < n:
-            cols.append(gauss_mul_mod(cols[-1], ([0, 1], [0, 0], 0), a, bits))
-        e = min([f for re, im, f in cols if any(re) or any(im)] or [0])
-        N = []
-        for re, im, f in cols:
-            d = max(f - e, 0)  # a column cut to zero may hold an exponent below e
-            N.append([Gauss(x << d, y << d) if y else x << d for x, y in zip(re, im)])
-        return N, (e, 1, prec)
-    (tn, td), (a, L) = vt, va
-    k = max(len(tn) - 1, 0)
-    low = [(i, c) for i, c in enumerate(a[:n]) if c]
-    cols = [int_rem_monic([c * L ** (k - i) for i, c in enumerate(tn)] + [0] * n, low, n)]
+    if (len(t) < 2 or not _ring(A, None)) and all(c.is_rational for c in t):
+        if len(t) < 2:
+            A = UniPoly._of([ZERO] * n + [ONE])
+        elif all(c.is_rational or c.is_exact_zero() for c in A.coeffs):
+            A = UniPoly._of([ZERO if c.is_exact_zero() else c for c in A.coeffs])
+    r, (tv,), q, prec = _enter(A, [t], max(len(t) - 1, 0))
+    cols = [gauss_mul_mod(([1], [], 0), tv, r[2], r[3])]
     while len(cols) < n:
-        cols.append(int_rem_monic([0] + cols[-1], low, n))
-    return cols, (0, td * L ** k, None)
+        cols.append(gauss_mul_mod(cols[-1], ([0, 1], [], 0), r[2], r[3]))
+    e = min([f for re, im, f in cols if any(re) or any(im)] or [0])
+    N = []
+    for re, im, f in cols:
+        d = max(f - e, 0)  # a column cut to zero may hold an exponent below e
+        N.append([Gauss(x << d, y << d) if y else x << d for x, y in zip(re, im)] if im
+                 else [x << d for x in re] if d else re)
+    return N, (e, q, prec)
 
 
 def product_traces(A: UniPoly, X, m: int):
@@ -503,85 +444,33 @@ def product_traces(A: UniPoly, X, m: int):
     polynomials X[p] (lists of ascending Scalars, all of one length), one
     per multiset of indices.  traces maps each sorted k-tuple of indices,
     as ``combinations_with_replacement`` makes them, to a Gaussian integer
-    (re, im, e): (re + im i) 2^e is q^k times the trace.  prec is the
-    largest precision of a complex coefficient, None when there is none,
-    and bits the cut of the traces, None when they are exact.
+    (re, im, e): (re + im i) 2^e is q^k times the trace, the X[p] entering
+    the ring over q, exactly whenever A is rational; prec is the largest
+    precision of a complex coefficient, None when there is none, and bits
+    the cut of every h_p, product and trace, None when they are exact.
 
     A product of fewer than m factors is the one before times one X[p]
-    modulo A.  The trace of such a product R, reduced modulo A, times a
-    last factor X[p] needs no product: it is sum_(j<n) R_j h_p[j], with
-    h_p[j] = tr(z^j X[p]) = sum_i X[p]_i s_(i+j) a Hankel form in the
-    power sums s_0..s_(n-1+K) of A, K the largest degree of the X[p].
-
-    For rational A they are exact, in w = L z (``int_monic``): over the
-    common denominator D of the rational coefficients of the X[p], q = D
-    L^K, q X[p](w / L) has Gaussian-integer coefficients, the products are
-    taken modulo the monic integer A(w / L), and the power sums are its
-    integer ones (``int_power_sums``).  When every coefficient is rational
-    that runs on real ints (``int_mul_mod``), otherwise on
-    ``gauss_mul_mod`` with no cut.  For complex A, q = 1, the X[p] and A
-    enter fixed-point blocks in w = z / 2^s (``_graded_block``), and so do
-    the power sums of the z_i / 2^s (``_block_power_sums``); each h_p, each
-    product (a ``gauss_mul_mod`` call) and each trace is cut to bits = prec
-    + ``GUARD_BITS`` bits of its largest part.
+    modulo A.  The trace of such a product R, reduced modulo A, times a last
+    factor X[p] needs no product: it is sum_(j<n) R_j h_p[j], with h_p[j] =
+    tr(z^j X[p]) = sum_i X[p]_i s_(i+j) a Hankel form in the power sums
+    s_0..s_(n-1+K) of A, K the largest degree of the X[p].
     """
-    n, width = A.degree, len(X[0])
-    flat = [c for x in X for c in x]
+    n = A.degree
     K = max((i for x in X for i, c in enumerate(x) if not c.is_exact_zero()), default=0)
-    va = int_monic(A.coeffs)
-    vx = None if va is None else int_vector(flat)
-    if vx is not None:
-        (nums, D), (a, L) = vx, va
-        low = [(j, c) for j, c in enumerate(a[:n]) if c]
-        S = int_power_sums(a, n - 1 + K)
-        xs = [[(i, c * L ** (K - i)) for i, c in enumerate(nums[o:o + K + 1]) if c]
-              for o in range(0, len(flat), width)]
-        hs = [[sum(c * S[i + j] for i, c in x) for j in range(n)] for x in xs]
-        one, q, prec, bits = [1] + [0] * (n - 1), D * L ** K, None, None
+    r, xs, q, prec = _enter(A, X, K, True)
+    a, bits = r[2], r[3]
+    sums = _on_grid(_ring_sums(r, n - 1 + K)[:n + K], bits)
+    hs = [_cut(*_hankel(x, sums, n), bits) for x in xs]
+    one = [1], [], 0
 
-        def mul(v, p):
-            return int_mul_mod(v, xs[p], low, n)
+    def mul(v, p):
+        if v is one and K < n:  # X[p] itself, cut as the product would be
+            xr, xi, e = xs[p]
+            return _cut((xr + [0] * n)[:n], (xi + [0] * n)[:n] if xi else xi, e, bits)
+        return gauss_mul_mod(v, xs[p], a, bits)
 
-        def trace(v, p):
-            if v is one:  # the trace of X[p] is h_p[0]
-                return hs[p][0], 0, 0
-            return sum(map(operator.mul, v, hs[p])), 0, 0
-    else:
-        prec = max(c.prec or 0 for c in flat + list(A.coeffs))
-        if va is None:
-            bits, q = prec + GUARD_BITS, 1
-            s, x0, a = _graded_block(X[0], A, prec)
-            xs = [x0] + [fixed_point(x, prec, s) for x in X[1:]]
-            sums = _on_grid(_block_power_sums(a, n - 1 + K, bits), bits)
-        else:
-            (a, L), bits = va, None
-            D = int_vector([c for c in flat if c.is_rational])[1]
-            q, a = D * L ** K, (a[:n], [0] * n, 0)
-            xr, xi, ex = fixed_point(flat, prec, 0, D)
-            xs = [([x * L ** (K - i) for i, x in enumerate(xr[o:o + K + 1])],
-                   [y * L ** (K - i) for i, y in enumerate(xi[o:o + K + 1])], ex)
-                  for o in range(0, len(flat), width)]
-            S = int_power_sums(a[0] + [1], n - 1 + K)
-            sums = S, [0] * len(S), 0
-        hs = [_cut(*_hankel(x, sums, n), bits) for x in xs]
-        one = [1] + [0] * (n - 1), [0] * n, 0
-
-        def mul(v, p):
-            if v is one and K < n:  # X[p] itself, cut as the product would be
-                xr, xi, e = xs[p]
-                return _cut((xr + [0] * n)[:n], (xi + [0] * n)[:n], e, bits)
-            return gauss_mul_mod(v, xs[p], a, bits)
-
-        def trace(v, p):
-            hr, hi, eh = hs[p]
-            if v is one:
-                return _cut1(hr[0], hi[0], eh, bits)
-            vr, vi, e = v
-            re = im = 0
-            for x, y, c, d in zip(vr, vi, hr, hi):
-                re += x * c - y * d
-                im += x * d + y * c
-            return _cut1(re, im, e + eh, bits)
+    def trace(v, p):  # the trace of X[p] itself is h_p[0]
+        return _cut1(*_dot(v, hs[p]), bits)
     traces, prods = {}, {(): one}
     for k in range(1, m + 1):
         for combo in combinations_with_replacement(range(len(X)), k):
@@ -594,12 +483,21 @@ def product_traces(A: UniPoly, X, m: int):
 
 def _hankel(x, sums, n):
     """The exact vector of h_j = sum_i x_i s_(i+j), j < n, for the
-    fixed-point vectors x and s = ``sums``."""
-    (xr, xi, ex), (sr, si, es) = x, sums
-    return ([sum(map(operator.mul, xr, sr[j:])) - sum(map(operator.mul, xi, si[j:]))
-             for j in range(n)],
-            [sum(map(operator.mul, xr, si[j:])) + sum(map(operator.mul, xi, sr[j:]))
-             for j in range(n)], ex + es)
+    fixed-point vectors x and s = ``sums`` (``_dot``)."""
+    sr, si, es = sums
+    h = [_dot(x, (sr[j:], si[j:], es)) for j in range(n)]
+    im = [y for _, y, _ in h]
+    return [re for re, _, _ in h], im if any(im) else [], x[2] + es
+
+
+def _dot(x, y):
+    """The exact sum_i x_i y_i of the fixed-point vectors x and y, as
+    (re, im, e); an empty imaginary list stands for zeros."""
+    (xr, xi, ex), (yr, yi, ey) = x, y
+    if not (xi or yi):
+        return sum(map(operator.mul, xr, yr)), 0, ex + ey
+    return (sum(map(operator.mul, xr, yr)) - sum(map(operator.mul, xi, yi)),
+            sum(map(operator.mul, xr, yi)) + sum(map(operator.mul, xi, yr)), ex + ey)
 
 
 def solve_mod(rows, A: UniPoly):
@@ -609,24 +507,19 @@ def solve_mod(rows, A: UniPoly):
     rows of ``powers_mod``); None exactly when the rows are linearly
     dependent.
 
-    The rows enter exactly as ints (``_exact_rows``), as nums_j / d_j or
-    as N_j 2^(e_j) in w = z / 2^s, and z as 2^s w.  Fraction-free
-    elimination over Z or Z[i] (Bareiss, *Math. Comp.* 22, 1968), with the
-    first nonzero pivot, divides exactly; back-substitution reads off the
-    Cramer numerators X_j and the determinant det of the system in the v_j
-    = u_j / d_j or u_j 2^(e_j - s).  Then u_j = X_j d_j / det, exactly
-    (``_q``), or X_j 2^(s - e_j) / det with each part rounded once at prec
-    (``from_ratio``).  A rational step runs on real ints alone.
+    The rows enter the ring (``_enter``), row j as q rows[j](2^s w / L) =
+    N_j 2^(e_j), and z as q 2^s w / L.  Fraction-free elimination over Z or
+    Z[i] (Bareiss, *Math. Comp.* 22, 1968), with the first nonzero pivot,
+    divides exactly; back-substitution reads off the Cramer numerators X_j
+    and the determinant det of the system in the v_j = u_j 2^(e_j - s) L /
+    q.  Then u_j = X_j (q / L) 2^(s - e_j) / det, exactly (``_q``) or with
+    each part rounded once at prec (``from_ratio``).  A rational step runs
+    on real ints alone.
     """
     n = A.degree
-    vs, prec, s = _exact_rows(rows, A)
-    im = None
-    if prec is None:
-        scales = [(d, 0) for _, d in vs]
-    else:
-        scales = [(1, s - e) for _, _, e in vs]
-        if any(any(y) for _, y, _ in vs):
-            im = [[v[1][i] for v in vs] + [0] for i in range(n)]
+    r, vs, q, prec = _enter(A, rows, n - 1)
+    scales = [(q // r[1], r[0] - e) for _, _, e in vs]
+    im = [[v[1][i] for v in vs] + [0] for i in range(n)] if any(any(y) for _, y, _ in vs) else None
     got = _bareiss([[v[0][i] for v in vs] + [int(i == 1)] for i in range(n)], im)
     if got is None:
         return None
@@ -637,42 +530,20 @@ def solve_mod(rows, A: UniPoly):
     return [from_ratio(x * f, y * f, dr, e, prec) for x, y, (f, e) in zip(xr, xi, scales)]
 
 
-def _exact_rows(rows, A: UniPoly):
-    """(vs, prec, s): rows of Scalars modulo the monic A as exact ints: row
-    j as nums_j / d_j (``int_vector``), prec None and s 0, when every entry
-    is rational; otherwise as Gaussian integers N_j times 2^(e_j) in w = z
-    / 2^s (``_grade``, ``fixed_point``), prec the largest entry precision."""
-    vs = [int_vector(r) for r in rows]
-    if None not in vs:
-        return vs, None, 0
-    prec, s = max(c.prec or 0 for r in rows for c in r), _grade(A)
-    return [fixed_point(r, prec, s) for r in rows], prec, s
-
-
 def table_traces(powers, A: UniPoly):
     """(P, q, prec, bits): s_j = sum_i (T^j mod A)_i s_i(A), j = 1..n, the
     power sums of T(z_i) over the roots of the monic A of degree n > deg T,
-    from the rows of T's table ``powers`` re-entered exactly
-    (``_exact_rows``), as (re, im, e), (re + im i) 2^e = q^j s_j.  Rational
-    rows are dotted with A's integer power sums in w = L z: row 1 is T =
-    tn / td of degree k, q = td L^k, and q^j s_j, the power sum of the
-    Tw(w_i), Tw = q T(w / L), is an integer.  Otherwise, q = 1, the rows in
-    w = z / 2^s are dotted with A's power sums in w on one grid
-    (``_block_power_sums``), each cut to bits = prec + ``GUARD_BITS``."""
+    as (re, im, e), (re + im i) 2^e = q^j s_j.  Rows 1..n of T's table
+    ``powers`` enter the ring over one q, and each dot with A's power sums
+    there is q s_j: exact when every entry is rational, otherwise cut to
+    bits = prec + ``GUARD_BITS``, prec the largest precision of an entry."""
     n = A.degree
-    vs, prec, _ = _exact_rows(powers[1:], A)
-    if prec is None:
-        a, L = int_monic(A.coeffs)
-        top = L ** (n - 1)  # top s_i = L^(n-1-i) S_i, S_i = L^i s_i
-        S = [x * L ** (n - 1 - i) for i, x in enumerate(int_power_sums(a, n - 1))]
-        tn, td = vs[0]
-        q = td * L ** max(i for i, c in enumerate(tn) if c)
-        return ([(sum(map(operator.mul, nums, S)) * q ** j // (d * top), 0, 0)
-                 for j, (nums, d) in enumerate(vs, 1)], q, None, None)
-    bits = prec + GUARD_BITS
-    S = _on_grid(_block_power_sums(_graded_block((), A, prec)[2], n - 1, bits), bits)
-    return ([_cut1(hr[0], hi[0], e, bits) for hr, hi, e in (_hankel(v, S, 1) for v in vs)],
-            1, prec, bits)
+    r, vs, q, prec = _enter(A, powers[1:], n - 1)
+    S, bits, P = _on_grid(_ring_sums(r, n - 1)[:n], r[3]), r[3], []
+    for j, v in enumerate(vs):
+        re, im, e = _dot(v, S)
+        P.append(_cut1(re * q ** j, im * q ** j, e, bits))
+    return P, q, prec, bits
 
 
 def _bareiss(R, I=None):
@@ -729,61 +600,151 @@ def _bareiss(R, I=None):
     return xr, xi, pr, pi
 
 
-def _graded_block(ts, A: UniPoly, prec):
-    """(s, t, a): T (ascending Scalars ``ts``) and the monic A of degree n in
-    w = z / 2^s as fixed-point vectors (``scalars.fixed_point``), t of
-    T(2^s w) and a of the lower coefficients of A(2^s w) / 2^(s n).  2^s is about A's largest root,
-    s the largest floor(hi / (n - j)) over A's nonzero a_j, hi the upper
-    binade of |a_j| (``mag_binades``), so those coefficients are at most
-    about 2^n and every coefficient of a row weighs alike in its cut."""
-    n, s = A.degree, _grade(A)
-    ar, ai, ea = fixed_point(A.coeffs[:n], prec, s)
-    return s, fixed_point(ts, prec, s), (ar, ai, ea - s * n)
+def _ring(A: UniPoly, prec):
+    """[s, L, a, bits, sums]: the monic A of degree n as it enters the ring
+    (module docstring), kept on A by prec.  With prec None, a rational A
+    enters exactly in w = L z (``int_monic``): a = (its n lower ints, [],
+    0), s = 0 and bits None; False when A is not rational.  Otherwise A
+    enters at prec in w = z / 2^s (``_graded_block``), L = 1 and bits =
+    prec + ``GUARD_BITS``.  sums holds the power sums of the roots in w
+    formed so far (``_ring_sums``)."""
+    memo = A._rings
+    if memo is None:
+        memo = {}
+        object.__setattr__(A, "_rings", memo)
+    r = memo.get(prec)
+    if r is None:
+        if prec is None:
+            v = int_monic(A.coeffs)
+            r = [0, v[1], (v[0][:-1], [], 0), None, ()] if v else False
+        else:
+            s, a = _graded_block(A, prec)
+            r = [s, 1, a, prec + GUARD_BITS, ()]
+        memo[prec] = r
+    return r
 
 
-def _grade(A: UniPoly):
-    """The s of ``_graded_block``: 2^s is about the largest root of the
-    monic A."""
+def _ring_sums(r, k_max):
+    """s_0..s_k_max, at least, of the roots in the ring entry r's w
+    (``_block_power_sums``), kept on r; a call that asks for more forms them
+    all again, and each caller places them on its own grid."""
+    S = r[4]  # read once: another thread may put a shorter prefix there
+    if len(S) <= k_max:
+        S = r[4] = _block_power_sums(r[2], k_max, r[3])
+    return S
+
+
+def _enter(A: UniPoly, polys, K=0, mixed=False):
+    """(r, xs, q, prec): the ring's one entry.  r is A's (``_ring``), and
+    xs[p] the fixed-point vector (re, im, e) (``scalars.fixed_point``) of q
+    polys[p](2^s w / L) in its w = L z / 2^s, polys being lists of ascending
+    Scalars whose coefficients past K are exact zeros, one q for all; prec
+    is the largest precision of a complex coefficient of A or polys, None
+    when there is none.  The ring is exact when A is rational and so is
+    every coefficient of polys, or when A is and ``mixed``: q = D L^K, D the
+    common denominator of their rational coefficients, each imaginary list
+    empty when every one is rational.  Otherwise A and polys enter at prec
+    and q = 1."""
+    flat = polys[0] if len(polys) == 1 else [c for p in polys for c in p]
+    r = _ring(A, None)
+    v = r and int_vector(flat)
+    if v:
+        (re, D), im, e, prec = v, [], 0, None
+    else:
+        prec = max(c.prec or 0 for c in [*flat, *A.coeffs]) or None
+        if not (r and mixed):
+            r = _ring(A, prec)
+            return r, [fixed_point(p, prec, r[0]) for p in polys], 1, prec
+        D = int_vector([c for c in flat if c.is_rational])[1]
+        re, im, e = fixed_point(flat, prec, 0, D)
+    L = r[1]
+    f, xs, o = L != 1 and [L ** (K - i) for i in range(K + 1)], [], 0
+    for p in polys:
+        k, o = o, o + len(p)
+        x, y = re[k:o], im[k:o]
+        if f:
+            x, y = list(map(operator.mul, x, f)), y and list(map(operator.mul, y, f))
+        xs.append((x, y, e))
+    return r, xs, D * L ** K, prec
+
+
+def _leave(v, d, prec, r):
+    """The Scalars of the vector v = (re, im, e) of the ring entry r over d
+    back in z: entry i is (re_i + im_i i) 2^(e - s i) L^i / d
+    (``from_ratio``), exact when prec is None, otherwise each part rounded
+    once at prec."""
+    (re, im, e), (s, L) = v, r[:2]
+    if prec is None:
+        return [from_ratio(x * L ** i, 0, d) for i, x in enumerate(re)]
+    return [from_ratio(x, y, d, e - s * i, prec)
+            for i, (x, y) in enumerate(zip(re, im or [0] * len(re)))]
+
+
+def _graded_block(A: UniPoly, prec):
+    """(s, a): the monic A of degree n in w = z / 2^s, a the fixed-point
+    vector (``scalars.fixed_point``) of the lower coefficients of A(2^s w) /
+    2^(s n).  2^s is about A's largest root, s the largest floor(hi / (n -
+    j)) over A's nonzero a_j, hi the upper binade of |a_j|
+    (``mag_binades``), so those coefficients are at most about 2^n and
+    every coefficient of a row weighs alike in its cut."""
     n = A.degree
-    return max((b[1] // (n - j) for j, b in enumerate(map(mag_binades, A.coeffs[:n]))
-                if b and b[1] > -inf), default=0)
+    s = max((b[1] // (n - j) for j, b in enumerate(map(mag_binades, A.coeffs[:n]))
+             if b and b[1] > -inf), default=0)
+    ar, ai, ea = fixed_point(A.coeffs[:n], prec, s)
+    return s, (ar, ai, ea - s * n)
 
 
 def gauss_mul_mod(v, t, a, bits, u=None):
     """(V T + u) modulo the monic A on fixed-point Gaussian-integer vectors
-    (re, im, e) (``scalars.fixed_point``), V = sum (re_i + im_i i) 2^e z^i:
-    v is V, t holds T's coefficients, a the n lower coefficients of A, and
-    u, one (re, im, e) or None, joins the constant term.  The product and
-    the sum are exact; then, unless bits is None, one shift cuts them to
-    ``bits`` bits of the largest part, rounding to nearest, and the
-    reduction rounds each term r a_j to nearest on that grid.  With bits
-    None and A on ints (e >= 0) every step is exact.  Returns the n
-    coefficients as a vector.
-    """
+    (re, im, e) (``scalars.fixed_point``), V = sum (re_i + im_i i) 2^e z^i,
+    an empty imaginary list standing for zeros: v is V, t holds T's
+    coefficients, a the n lower coefficients of A, and u, one (re, im, e) or
+    None, joins the constant term.  The product and the sum are exact;
+    then, unless bits is None, one shift cuts them to ``bits`` bits of the
+    largest part, rounding to nearest, and the reduction rounds each term r
+    a_j to nearest on that grid.  With bits None and A on ints (e >= 0)
+    every step is exact, and on real operands it runs on the real parts
+    alone.  Returns the n coefficients as a vector."""
     vr, vi, e = v
     tr, ti, et = t
     ar, ai, ea = a
     n = len(ar)
     size = max(len(vr) + len(tr) - 1, n, 1)
-    pr, pi = [0] * size, [0] * size
-    terms = [(j, c, d) for j, (c, d) in enumerate(zip(tr, ti)) if c or d]
-    for i, x in enumerate(vr):
-        y = vi[i]
-        if x or y:
-            for j, c, d in terms:
-                pr[i + j] += x * c - y * d
-                pi[i + j] += x * d + y * c
+    pr, real = [0] * size, ea >= 0 and not (vi or ti or ai or u and u[1])
+    if real:
+        pi = []
+        for j, c in enumerate(tr):
+            if c:
+                for i, x in enumerate(vr, j):
+                    pr[i] += x * c
+    else:
+        vi, ti, ai, pi = vi or [0] * len(vr), ti or [0] * len(tr), ai or [0] * n, [0] * size
+        terms = [(j, c, d) for j, (c, d) in enumerate(zip(tr, ti)) if c or d]
+        for i, x in enumerate(vr):
+            y = vi[i]
+            if x or y:
+                for j, c, d in terms:
+                    pr[i + j] += x * c - y * d
+                    pi[i + j] += x * d + y * c
     e += et
     if u is not None:
         ur, ui, eu = u
         if eu < e:
             pr, pi, e = [x << e - eu for x in pr], [y << e - eu for y in pi], eu
         pr[0] += ur << eu - e
-        pi[0] += ui << eu - e
+        if ui:
+            pi[0] += ui << eu - e
     if bits is not None:
         pr, pi, e = _cut(pr, pi, e, bits)
     if ea > 0:
         ar, ai, ea = [c << ea for c in ar], [d << ea for d in ai], 0
+    if real:  # A on ints: the reduction is exact
+        for m in range(size - 1, n - 1, -1):
+            x = pr[m]
+            if x:
+                for j, c in enumerate(ar, m - n):
+                    pr[j] -= x * c
+        return pr[:n], pi, e
     h = 1 << -ea >> 1
     low = [(j, c, d) for j, (c, d) in enumerate(zip(ar, ai)) if c or d]
     for m in range(size - 1, n - 1, -1):
@@ -827,10 +788,13 @@ def fixed_sum(terms, bits):
 
 def _on_grid(values, bits):
     """The Gaussian integers (re, im, e) of ``values`` as one fixed-point
-    vector on the grid of ``bits`` bits of the largest (``_to_grid``)."""
+    vector on the grid of ``bits`` bits of the largest, each placed as
+    ``_to_grid`` places one, its imaginary list empty when every imaginary
+    part is zero."""
     g = _grid(values, bits)
-    re, im = zip(*[_to_grid(x, y, e, g) for x, y, e in values])
-    return list(re), list(im), g
+    re = [x << e - g if e >= g else (x >> g - e - 1) + 1 >> 1 for x, _, e in values]
+    im = [y << e - g if e >= g else (y >> g - e - 1) + 1 >> 1 for _, y, e in values]
+    return re, im if any(im) else [], g
 
 
 def _cut1(re, im, e, bits):
@@ -868,9 +832,20 @@ def _block_power_sums(a, k_max, bits):
     ai, ea) the fixed-point vector of its n lower coefficients, as Gaussian
     integers (re, im, e): Newton's identities, s_k = -(sum_(i<k) a_(n-i)
     s_(k-i) + k a_(n-k)) (a_(n-k) = 0 past n), on a cut to ``bits`` bits,
-    each sum held to ``bits`` bits of its largest term (``fixed_sum``)."""
-    ar, ai, ea = _cut(*a, bits)
+    each sum held to ``bits`` bits of its largest term (``fixed_sum``).  For
+    A on real ints, as the ring's exact entry makes it (ai empty, ea 0, bits
+    None), they run on ints with no grid."""
+    ar, ai, ea = a
     n = len(ar)
+    if bits is None and not ai and not ea:
+        S = [n]
+        for k in range(1, k_max + 1):
+            acc = k * ar[n - k] if k <= n else 0
+            for i in range(1, min(k - 1, n) + 1):
+                acc += ar[n - i] * S[k - i]
+            S.append(-acc)
+        return [(x, 0, 0) for x in S]
+    ar, ai, ea = _cut(ar, ai or [0] * n, ea, bits)
     low = [(n - j, c, d) for j, (c, d) in enumerate(zip(ar, ai)) if c or d]
     S = [(n, 0, 0)]
     for k in range(1, k_max + 1):
@@ -883,32 +858,6 @@ def _block_power_sums(a, k_max, bits):
                 terms.append((-k * c, -k * d, ea))
         S.append(fixed_sum(terms, bits))
     return S
-
-
-def int_mul_mod(v, t, low, n, u=0):
-    """(V T + u) modulo the monic integer polynomial w^n + sum c w^i over
-    the pairs (i, c) of ``low``, exactly on real ints: V is the int list v,
-    T the pairs (i, c) of its nonzero terms ``t`` and u an int.  Returns
-    the n ascending coefficients."""
-    prod = [0] * max(len(v) + (t[-1][0] if t else 0), n, 1)
-    for i, x in enumerate(v):
-        if x:
-            for m, c in t:
-                prod[i + m] += x * c
-    prod[0] += u
-    return int_rem_monic(prod, low, n)
-
-
-def int_rem_monic(P, low, n):
-    """The n ascending coefficients of the int list P modulo the monic
-    integer polynomial w^n + sum c w^i over the pairs (i, c) of ``low``,
-    its nonzero lower terms; P is reduced in place."""
-    for m in range(len(P) - 1, n - 1, -1):
-        r = P[m]
-        if r:
-            for i, c in low:
-                P[m - n + i] -= r * c
-    return P[:n]
 
 
 def int_monic(coeffs):
@@ -943,45 +892,21 @@ def power_sums(poly: UniPoly, k_max: int):
 
     Degree 0 is rejected.  The sums are kept on ``poly``; a call that asks
     for more computes them all again, and s_k does not depend on k_max.
-    Rational ones are S_k / L^k, S_k the integer power sums of the monic
-    integer polynomial in w = L z (``int_monic``, ``int_power_sums``).
-    Otherwise the monic polynomial enters the block in w = z / 2^s
-    (``_graded_block``) at its largest precision prec, the identities run
-    there (``_block_power_sums``), and s_k = 2^(s k) S_k is rounded once.
+    s_k = S_k 2^(s k) / L^k, S_k those of the roots in the ring's w, from
+    the monic polynomial, exact or rounded once (``_ring_sums``).
     """
     if poly.degree < 1:
         raise ValueError("power sums need degree at least 1")
     known = poly._sums
     if len(known) > k_max:
         return known[:k_max + 1]
-    ints = int_monic(poly.coeffs)
-    if ints is not None:
-        a, L = ints
-        sums = rational_vector([x * L ** (k_max - k) for k, x in
-                                enumerate(int_power_sums(a, k_max))], L ** k_max)
-    else:
-        p = poly if poly.is_monic() else poly.monic()[0]
-        prec = max(c.prec or 0 for c in p.coeffs)
-        s, _, a = _graded_block((), p, prec)
-        S = _block_power_sums(a, k_max, prec + GUARD_BITS)
-        sums = [rat(p.degree)] + [from_ratio(x, y, 1, e + s * k, prec)
-                                  for k, (x, y, e) in enumerate(S[1:], 1)]
-    object.__setattr__(poly, "_sums", tuple(sums))
-    return poly._sums
-
-
-def int_power_sums(a, k_max):
-    """S_0..S_k_max, the power sums of the roots of the monic integer
-    polynomial of ascending ints a, by Newton's identities on ints: S_k =
-    -(sum_(i<k) a_(n-i) S_(k-i) + k a_(n-k)), a_(n-k) = 0 past n."""
-    n = len(a) - 1
-    S = [n]
-    for k in range(1, k_max + 1):
-        acc = k * a[n - k] if k <= n else 0
-        for i in range(1, min(k - 1, n) + 1):
-            acc += a[n - i] * S[k - i]
-        S.append(-acc)
-    return S
+    p = poly if _ring(poly, None) or poly.is_monic() else poly.monic()[0]
+    r, _, _, prec = _enter(p, [])
+    s, L, S = r[0], r[1], _ring_sums(r, k_max)
+    sums = (rat(p.degree),) + tuple(from_ratio(x, y, L ** k, e + s * k, prec)
+                                    for k, (x, y, e) in enumerate(S[1:k_max + 1], 1))
+    object.__setattr__(poly, "_sums", sums)
+    return sums
 
 
 def newton_elementary(sums, q, prec, bits, width=0):
@@ -1026,19 +951,12 @@ def monic_from_traces(P, q, prec, bits, var):
 
 def poly_from_power_sums(sums, var: str = "y") -> UniPoly:
     """Newton's identities, the Scalars s_1..s_n back to a monic polynomial
-    (``monic_from_traces``): rational ones over their common denominator q
-    (``int_vector``), P_i = q^i s_i, exactly; otherwise, q = 1, each its
-    own Gaussian integer times a power of two (``fixed_point``), each
-    coefficient rounded once at the largest precision of a sum.
-    """
+    (``monic_from_traces``), the sums entering the ring of degree 0 as
+    constants over one q, P_i = q^i s_i: exactly, or with each coefficient
+    rounded once at the largest precision of a sum."""
     sums = list(sums)
     if not sums:
         raise ValueError("need at least one power sum")
-    ints = int_vector(sums)
-    if ints is not None:
-        nums, q = ints
-        return monic_from_traces([(x * q ** i, 0, 0) for i, x in enumerate(nums)],
-                                 q, None, None, var)
-    prec = max(c.prec or 0 for c in sums)
-    P = [(re[0], im[0], e) for re, im, e in (fixed_point([c], prec) for c in sums)]
-    return monic_from_traces(P, 1, prec, prec + GUARD_BITS, var)
+    r, ps, q, prec = _enter(UniPoly._of([ONE]), [[c] for c in sums])
+    return monic_from_traces([(re * q ** i, im[0] * q ** i if im else 0, e)
+                              for i, ((re,), im, e) in enumerate(ps)], q, prec, r[3], var)

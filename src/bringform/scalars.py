@@ -52,15 +52,14 @@ one integer, as mpf_add forms it, and rounded once with libmp's
 bits.  Complex / calls libmp's ``mpc_div``.
 
 Integer views read the raw pairs for the integer routes elsewhere:
-``int_vector`` and ``rational_vector`` for rationals over one
-denominator, and ``fixed_point`` and ``from_fixed_point`` for a vector of
-Gaussian integers times one power of two, which
+``int_vector`` for rationals over one denominator, and ``fixed_point`` for
+a vector of Gaussian integers times one power of two, which
 ``polynomials.gauss_mul_mod`` cuts to a fixed number of bits;
 ``graded_monic`` reads back a charpoly of such integers (``Gauss``), and
-``from_ratio`` a quotient of them by an int, exactly for a rational and
-otherwise with each part rounded once (the forms of
-``elimination.image_elementary`` and the inverse map of
-``pipeline.step_inverse``).
+``from_ratio`` any other value of them over an int, exactly for a rational
+and otherwise with each part rounded once (every exit of the ring of
+``polynomials``, the forms of ``elimination.image_elementary`` and the
+inverse map of ``pipeline.step_inverse``).
 
 A rational rounded to an mpf (``_rat_mpf``, keyed by numerator,
 denominator and precision), a parsed tolerance string and its products
@@ -653,7 +652,7 @@ def fma(acc, x, y):
 def int_vector(values):
     """The integer view of a vector of Scalars: (nums, d), ints over the
     least common denominator d > 0 of the values, values[i] == nums[i] / d;
-    None when one of them is complex.  ``rational_vector`` turns it back."""
+    None when one of them is complex."""
     d = 1
     for v in values:
         vd = v._den
@@ -664,20 +663,6 @@ def int_vector(values):
     if d == 1:
         return [v._num for v in values], 1
     return [v._num * (d // v._den) for v in values], d
-
-
-def rational_vector(nums, d):
-    """The Scalars nums[i] / d in lowest terms (ints, d > 0)."""
-    if d == 1:
-        return [Scalar(n, 1, None, None) for n in nums]
-    out = []
-    for n in nums:
-        if n:
-            g = gcd(n, d)
-            out.append(Scalar(n // g, d // g, None, None))
-        else:
-            out.append(ZERO)
-    return out
 
 
 class Gauss:
@@ -719,8 +704,7 @@ def fixed_point(values, prec, s=0, scale=1):
     2^e, ints, e the least exponent of a nonzero part (0 if none), so no
     bit of a complex part or of a rational that scale makes dyadic is
     dropped; another rational enters as its value rounded at prec +
-    ``GUARD_BITS`` bits.  ValueError for an infinity or nan.
-    ``from_fixed_point`` reads a vector back."""
+    ``GUARD_BITS`` bits.  ValueError for an infinity or nan."""
     parts = []  # (mantissa, exponent) of the real, then the imaginary part of each
     for i, v in enumerate(values):
         d, k = v._den, 1
@@ -750,15 +734,6 @@ def _part(m, e, prec):
     if m:
         return normalize(1, -m, e, (-m).bit_length(), prec, round_nearest)
     return fzero
-
-
-def from_fixed_point(v, prec, s):
-    """The Scalars whose i-th times 2^(s i) is the i-th entry of the
-    fixed-point vector v = (re, im, e) (``fixed_point``), each part rounded
-    once at prec; a zero entry is the rational 0."""
-    re, im, e = v
-    return [Scalar(None, None, (_part(x, e - s * i, prec), _part(y, e - s * i, prec)), prec)
-            if x or y else ZERO for i, (x, y) in enumerate(zip(re, im))]
 
 
 def _ratio(m, d, e, prec):

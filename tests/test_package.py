@@ -144,9 +144,9 @@ def _calls(path, names):
 
 
 # one normalizer: every rational result is reduced by ``_q``, and only the
-# integer views of a vector take gcds of their own
+# integer view of a vector takes gcds of its own
 def test_only_the_rational_normalizer_and_the_vector_views_take_a_gcd():
-    allowed = {("scalars.py", fn) for fn in ("_q", "int_vector", "rational_vector")}
+    allowed = {("scalars.py", fn) for fn in ("_q", "int_vector")}
     hits = [(os.path.basename(p), fn, line)
             for p in sorted(glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py")))
             for fn, line, _ in _calls(p, {"gcd"})]
@@ -196,12 +196,21 @@ def test_the_power_sum_route_calls_no_scalar_kernel():
 
 
 # one owner of the ring's scaling: only ``polynomials`` multiplies modulo A
-# on a block, reduces modulo an integer A or grades a block by A's roots
+# on a block or grades a block by A's roots
 def test_only_polynomials_multiplies_modulo_a_on_ints():
     hits = [(os.path.basename(p), fn, name)
             for p in sorted(glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py")))
-            for fn, _, name in _calls(p, {"gauss_mul_mod", "int_rem_monic", "_graded_block"})]
+            for fn, _, name in _calls(p, {"gauss_mul_mod", "_graded_block"})]
     assert hits and [h for h in hits if h[0] != "polynomials.py"] == []
+
+
+# one entry into the ring: A enters it exactly (``int_monic``) or graded
+# (``_graded_block``) in ``_ring`` alone, so every routine of the ring has
+# one body, fed by that entry
+def test_only_the_rings_entry_scales_a():
+    path = os.path.join(os.path.dirname(bringform.__file__), "polynomials.py")
+    hits = sorted({(fn, name) for fn, _, name in _calls(path, {"int_monic", "_graded_block"})})
+    assert hits == [("_ring", "_graded_block"), ("_ring", "int_monic")]
 
 
 _P = UniPoly([rat(-1), rat(0), rat(1)])

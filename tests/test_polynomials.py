@@ -7,6 +7,7 @@ poly_from_power_sums are checked against explicit root sets.
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import mpmath
 import pytest
@@ -17,8 +18,10 @@ from mpmath.libmp import mpf_div, round_nearest
 from bringform import (ReductionTrace, Scalar, UniPoly, coeff_scale, cx,
                        deflate, poly_from_power_sums, power_sums, rat,
                        reduce_general_quintic, shift_substitute)
-from bringform.polynomials import coeff_mismatch, powers_mod
-from bringform.scalars import ONE, ZERO, fma, mul
+from bringform.polynomials import (coeff_mismatch, columns_mod, compose_mod, gauss_mul_mod,
+                                  int_monic, monic_from_traces, powers_mod, product_traces,
+                                  table_traces)
+from bringform.scalars import ONE, ZERO, fixed_point, fma, int_vector, mul
 from helpers import max_coeff_diff, rand_fraction, rand_monic, rand_scalar
 
 
@@ -379,3 +382,220 @@ def test_certificate_horner_keeps_rational_bits_and_complex_accuracy(prec, tol):
                 got_errors.append(abs(got - wide))
                 old_errors.append(abs(old - wide))
     assert got_errors and max(got_errors) <= max(old_errors)
+
+
+# -- the ring's one body against the old integer bodies ------------------------
+#
+# Rational input once ran on real ints of its own: ``int_mul_mod`` and
+# ``int_rem_monic`` multiplied and reduced modulo the monic integer A(w / L)
+# in w = L z (``int_monic``), and ``int_power_sums`` formed its power sums.
+# They are kept here as references, with the rational bodies of the ring's
+# routines built on them; the one body must give their bits on rational
+# input, and on a rational A with complex forms, whose traces were exact.
+
+def int_mul_mod(v, t, low, n, u=0):
+    """(V T + u) modulo the monic integer polynomial w^n + sum c w^i over
+    the pairs (i, c) of ``low``, exactly on real ints: V is the int list v,
+    T the pairs (i, c) of its nonzero terms ``t`` and u an int."""
+    prod = [0] * max(len(v) + (t[-1][0] if t else 0), n, 1)
+    for i, x in enumerate(v):
+        if x:
+            for m, c in t:
+                prod[i + m] += x * c
+    prod[0] += u
+    return int_rem_monic(prod, low, n)
+
+
+def int_rem_monic(P, low, n):
+    """The n ascending coefficients of the int list P modulo the monic
+    integer polynomial w^n + sum c w^i over the pairs (i, c) of ``low``."""
+    for m in range(len(P) - 1, n - 1, -1):
+        r = P[m]
+        if r:
+            for i, c in low:
+                P[m - n + i] -= r * c
+    return P[:n]
+
+
+def int_power_sums(a, k_max):
+    """S_0..S_k_max of the roots of the monic integer polynomial of
+    ascending ints a, by Newton's identities on ints."""
+    n = len(a) - 1
+    S = [n]
+    for k in range(1, k_max + 1):
+        acc = k * a[n - k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            acc += a[n - i] * S[k - i]
+        S.append(-acc)
+    return S
+
+
+def _rats(nums, d):
+    return [rat(x, d) for x in nums]
+
+
+def _ring_ints(T, A):
+    """T over its denominator and A monic on ints, in w = L z."""
+    n, (tn, td), (a, L) = A.degree, int_vector(T), int_monic(A.coeffs)
+    k = max(len(tn) - 1, 0)
+    tw = [(i, c * L ** (k - i)) for i, c in enumerate(tn) if c]
+    return n, tw, [(j, c) for j, c in enumerate(a[:n]) if c], L, td * L ** k
+
+
+def _old_powers_mod(T, A):
+    n, tw, low, L, q = _ring_ints(T.coeffs, A)
+    row, out = [int(i == 0) for i in range(n)], [_rats([int(i == 0) for i in range(n)], 1)]
+    for j in range(1, n + 1):
+        row = int_mul_mod(row, tw, low, n)
+        out.append(_rats([x * L ** i for i, x in enumerate(row)], q ** j))
+    return out
+
+
+def _old_compose_mod(U, T, A):
+    n, kt = A.degree, len(T.coeffs)
+    (tun, d), (an, L) = int_vector(T.coeffs + U.coeffs), int_monic(A.coeffs)
+    tn, un = tun[:kt], tun[kt:]
+    k, m = max(kt - 1, 0), len(un) - 1
+    q = d * L ** k
+    tw = [(i, c * L ** (k - i)) for i, c in enumerate(tn) if c]
+    low = [(j, c) for j, c in enumerate(an[:n]) if c]
+    v = [un[m] if un else 0] + [0] * (n - 1)
+    for j in range(m - 1, -1, -1):
+        v = int_mul_mod(v, tw, low, n, un[j] * q ** (m - j))
+    return _rats([x * L ** i for i, x in enumerate(v)], d * q ** max(m, 0))
+
+
+def _old_columns_mod(t, A):
+    n = A.degree
+    if len(t) < 2:  # a constant map: modulo w^n
+        A = UniPoly([ZERO] * n + [ONE])
+    _, tw, low, L, q = _ring_ints(t, A)
+    cols = [int_rem_monic([0] * (n + len(t)) if not tw else
+                          [dict(tw).get(i, 0) for i in range(n + len(t))], low, n)]
+    while len(cols) < n:
+        cols.append(int_rem_monic([0] + cols[-1], low, n))
+    return cols, (0, q, None)
+
+
+def _old_product_traces(A, X, m):
+    """The rational A's traces: on ints for rational forms, otherwise exact
+    on ``gauss_mul_mod`` with the forms over the rationals' denominator."""
+    n, width = A.degree, len(X[0])
+    flat = [c for x in X for c in x]
+    K = max((i for x in X for i, c in enumerate(x) if not c.is_exact_zero()), default=0)
+    a, L = int_monic(A.coeffs)
+    S = int_power_sums(a, n - 1 + K)
+    vx = int_vector(flat)
+    if vx is not None:
+        nums, D = vx
+        low = [(j, c) for j, c in enumerate(a[:n]) if c]
+        xs = [[(i, c * L ** (K - i)) for i, c in enumerate(nums[o:o + K + 1]) if c]
+              for o in range(0, len(flat), width)]
+        hs = [[sum(c * S[i + j] for i, c in x) for j in range(n)] for x in xs]
+
+        def mul(v, p):
+            return int_mul_mod(v, xs[p], low, n)
+
+        def trace(v, p):
+            return sum(x * h for x, h in zip(v, hs[p])), 0, 0
+        one = [1] + [0] * (n - 1)
+    else:
+        prec = max(c.prec or 0 for c in flat)
+        D = int_vector([c for c in flat if c.is_rational])[1]
+        ga = (a[:n], [0] * n, 0)
+        xr, xi, ex = fixed_point(flat, prec, 0, D)
+        xs = [([x * L ** (K - i) for i, x in enumerate(xr[o:o + K + 1])],
+               [y * L ** (K - i) for i, y in enumerate(xi[o:o + K + 1])], ex)
+              for o in range(0, len(flat), width)]
+        hs = []
+        for xr, xi, ex in xs:
+            hs.append(([sum(x * S[i + j] for i, x in enumerate(xr)) for j in range(n)],
+                       [sum(y * S[i + j] for i, y in enumerate(xi)) for j in range(n)], ex))
+
+        def mul(v, p):
+            return gauss_mul_mod(v, xs[p], ga, None)
+
+        def trace(v, p):
+            (vr, vi, e), (hr, hi, eh) = v, hs[p]
+            return (sum(x * c - y * d for x, y, c, d in zip(vr, vi, hr, hi)),
+                    sum(x * d + y * c for x, y, c, d in zip(vr, vi, hr, hi)), e + eh)
+        one = [1] + [0] * (n - 1), [0] * n, 0
+    traces, prods = {}, {(): one}
+    for k in range(1, m + 1):
+        for combo in combinations_with_replacement(range(len(X)), k):
+            v = prods[combo[:-1]]
+            if k < m:
+                prods[combo] = mul(v, combo[-1])
+            traces[combo] = trace(v, combo[-1])
+    return traces, D * L ** K
+
+
+def _old_power_sums(P, k_max):
+    a, L = int_monic(P.coeffs)
+    return [rat(x, L ** k) for k, x in enumerate(int_power_sums(a, k_max))]
+
+
+def _old_table_sums(powers, A):
+    """The power sums s_j = sum_i (T^j mod A)_i s_i(A) of the rational rows."""
+    n, (a, L) = A.degree, int_monic(A.coeffs)
+    S = int_power_sums(a, n - 1)
+    return [sum(Fraction(x, d * L ** i) * S[i] for i, x in enumerate(nums))
+            for nums, d in (int_vector(r) for r in powers[1:])]
+
+
+def _rand_rational(rng, n, zeros=True):
+    return [ZERO if zeros and rng.random() < 0.25 else rand_scalar(rng, -9, 9, 7)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_one_body_keeps_the_integer_bodies_bits(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        A = UniPoly(_rand_rational(rng, n) + [rand_scalar(rng, 1, 9, 7) if rng.random() < 0.2
+                                             else ONE]).monic()[0]
+        T = UniPoly(_rand_rational(rng, rng.randint(1, n)), "z")
+        U = UniPoly(_rand_rational(rng, rng.randint(0, n + 1)), "y")
+        assert [_bits(r) for r in powers_mod(T, A)] == [_bits(r) for r in _old_powers_mod(T, A)]
+        assert _bits(compose_mod(U, T, A)) == _bits(_old_compose_mod(U, T, A))
+        t = list(T.coeffs)
+        assert columns_mod(t, A) == _old_columns_mod(t, A)
+        k = rng.randint(1, n + 2)
+        assert _bits(power_sums(UniPoly(A.coeffs), k)) == _bits(_old_power_sums(A, k))
+        sums = _rand_rational(rng, n)
+        assert (_bits(poly_from_power_sums(sums).coeffs)
+                == _bits(monic_from_traces(*_old_newton_input(sums), "y").coeffs))
+        if n >= 2 and 1 <= T.degree < n:
+            powers = powers_mod(T, A)
+            P, q, prec, bits = table_traces(powers, A)
+            assert prec is bits is None and all(im == e == 0 for _, im, e in P)
+            assert [Fraction(x, q ** j) for j, (x, _, _) in enumerate(P, 1)] == \
+                _old_table_sums(powers, A)
+
+
+def _old_newton_input(sums):
+    nums, q = int_vector(sums)
+    return [(x * q ** i, 0, 0) for i, x in enumerate(nums)], q, None, None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_rational_a_keeps_its_exact_traces(seed):
+    # rational forms on ints, and complex forms on the exact block
+    rng = random.Random(100 + seed)
+    for _ in range(40):
+        n, width = rng.randint(1, 5), rng.randint(1, 4)
+        A = UniPoly(_rand_rational(rng, n) + [ONE])
+        X = [_rand_rational(rng, width) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            X[rng.randrange(len(X))][rng.randrange(width)] = cx(Fraction(rng.randint(-9, 9), 7),
+                                                               rng.randint(-9, 9), 128)
+        m = rng.randint(1, 3)
+        traces, q, prec, bits = product_traces(A, X, m)
+        assert bits is None and (traces, q) == _old_product_traces(A, X, m)
+
+
+def test_a_constant_map_runs_exactly_whatever_a():
+    A = UniPoly([cx(1, 2, 64), rat(-3, 2), cx(0, 0, 64), ONE])
+    for t in ([], [rat(5, 3)], [rat(-2), ZERO]):
+        assert columns_mod(t, A) == _old_columns_mod([c for c in t if c != 0][:1], A)

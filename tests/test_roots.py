@@ -872,3 +872,16 @@ def test_a_nan_never_verifies():
     final = UniPoly([rat(1), rat(1), rat(0), rat(0), nan, rat(1)], "y")
     bare = ReductionTrace(final, (), rat(1), rat(1))
     assert verify_trace(bare).matched is False
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_infinite_coefficient_never_verifies(sign):
+    # an infinity scales its own tolerance to infinity, so the comparison
+    # refuses any difference that is not finite
+    inf = Scalar.complex_(sign * mpmath.inf, 0, 256)
+    assert polynomials.coeff_mismatch(UniPoly([rat(1), inf]), UniPoly([rat(1), rat(0)]),
+                                      "1e-30") is not None
+    # no steps: y^5 + inf y^4 + y + 1 is no trinomial
+    final = UniPoly([rat(1), rat(1), rat(0), rat(0), inf, rat(1)], "y")
+    bare = ReductionTrace(final, (), rat(1), rat(1))
+    assert verify_trace(bare).matched is False

@@ -10,14 +10,12 @@ tracer's tables (it imports ``bench/tracing.py`` and changes nothing there)
 and the oracle's source, and checks each name against the package.  The
 fused kernels of ``scalars`` do the arithmetic that the dunders no longer
 see; a tracer can count them only while they stay module-level functions
-that every user imports by name.  The same holds for the list kernel of
-``polynomials``, ``int_mul_mod``, which multiplies an int list by T modulo
-an integer A for the rational power table, the rational certificate's
-Horner and the traces of ``image_elementary``; for its block kernel,
-``gauss_mul_mod``, which multiplies a fixed-point Gaussian-integer vector
-by T modulo A for the complex power table, the certificate's Horner, the
-charpoly's columns and the traces of ``image_elementary``;
-and for ``powers_mod``, the power table's one builder.  Every Scalar
+that every user imports by name.  The same holds for the one kernel of
+``polynomials``, ``gauss_mul_mod``, which multiplies a ring vector by T
+modulo A, exactly for rational input and on the fixed-point block for
+complex input, for the power table, the certificate's Horner, the
+charpoly's columns and the traces of ``image_elementary``; and for
+``powers_mod``, which alone builds the power table.  Every Scalar
 + - * / reaches one of the module
 kernels (``add``, ``sub``, ``mul``, ``div``, ``fma``), through the
 dunders or directly, so a counter of operations counts at the kernels or
@@ -163,10 +161,6 @@ def _assert_called_by_its_own_name(name, holders):
         # called through its own name, which a tracer can rebind
         assert vars(m).get(name) is kernel, m.__name__
         assert not re.search(r"\.%s\(" % name, inspect.getsource(m)), m.__name__
-
-
-def test_list_kernel_is_a_module_function_imported_by_name():
-    _assert_called_by_its_own_name("int_mul_mod", ("polynomials",))
 
 
 def test_block_kernel_is_a_module_function_imported_by_name():
