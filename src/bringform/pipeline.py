@@ -49,8 +49,8 @@ from .elimination import (form_in, image_elementary, map_charpoly,
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, compose_mod,
                           lies_on, power_sums, powers_mod, solve_mod)
-from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, as_scalar, as_tol,
-                      fma, negligible, pick_root, rat)
+from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, add, as_scalar,
+                      as_tol, mul, negligible, pick_root, rat)
 from .solvers import solve_condition, solve_monic
 
 
@@ -205,7 +205,7 @@ class TransformStep(Record):
             CT = [ZERO] * n
             for c, P in zip(C.coeffs, self.powers):
                 if not c.is_exact_zero():
-                    CT = [fma(r, c, p) for r, p in zip(CT, P)]
+                    CT = [add(r, mul(c, p)) for r, p in zip(CT, P)]
             bound = as_tol(tol, scale, coeff_scale(C))
             ok = all(negligible(r, bound) for r in CT)
         return residual, ok

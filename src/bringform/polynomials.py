@@ -35,11 +35,11 @@ back, ``newton_elementary``, for the forms, the power-sum route and
 ``poly_from_power_sums`` (``monic_from_traces``).  ``solve_mod`` solves for
 a step's inverse map on the table's rows as exact ints.
 
-A ``UniPoly`` also keeps four memo slots, filled on first use and never
+A ``UniPoly`` also keeps three memo slots, filled on first use and never
 part of equality, repr or JSON: its largest coefficient magnitude
-(``max_mag``), its terms that are not exact zeros (``terms``), the power
-sums of its roots computed so far (``power_sums``), a prefix that only
-grows, and its ring entries (``_ring``).
+(``max_mag``), its terms that are not exact zeros (``terms``), and its ring
+entries (``_ring``), each with the power sums of the roots formed so far
+(``_ring_sums``).
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from math import inf
 import mpmath
 
 from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Gauss, Scalar,
-                      as_scalar, as_tol, context, fixed_point, fma, from_ratio, int_vector,
-                      mag_binades, mul, negligible, noise_tol, pivot_index, rat)
+                      add, as_scalar, as_tol, context, fixed_point, from_ratio,
+                      int_vector, mag_binades, mul, negligible, noise_tol, pivot_index, rat)
 
 
 class Record:
@@ -93,8 +93,8 @@ class UniPoly(Record):
     degree -1.
     """
 
-    # _max_mag, _terms, _sums and _rings are memo slots (module docstring)
-    __slots__ = ("coeffs", "var", "_max_mag", "_terms", "_sums", "_rings")
+    # _max_mag, _terms and _rings are memo slots (module docstring)
+    __slots__ = ("coeffs", "var", "_max_mag", "_terms", "_rings")
 
     def __init__(self, coeffs, var: str = "z"):
         self._fill([as_scalar(c) for c in coeffs], var)
@@ -114,7 +114,6 @@ class UniPoly(Record):
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "_max_mag", None)
         object.__setattr__(self, "_terms", None)
-        object.__setattr__(self, "_sums", ())
         object.__setattr__(self, "_rings", None)
 
     # -- structure -----------------------------------------------------------
@@ -180,7 +179,7 @@ class UniPoly(Record):
                 continue
             for j, b in terms:
                 c = out[i + j]
-                out[i + j] = mul(a, b) if c is None else fma(c, a, b)
+                out[i + j] = mul(a, b) if c is None else add(c, mul(a, b))
         return UniPoly._of([ZERO if c is None else c for c in out], self.var)
 
     __rmul__ = __mul__
@@ -200,7 +199,7 @@ class UniPoly(Record):
             return rat(0)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
-            acc = fma(c, acc, x)  # the exact sum of acc * x + c, rounded alike
+            acc = add(c, mul(acc, x))
         return acc
 
     def monic(self):
@@ -890,23 +889,18 @@ def power_sums(poly: UniPoly, k_max: int):
     """Newton's identities, coefficients to power sums: the tuple (s_0, s_1,
     ..., s_{k_max}) of the roots, s_0 being the degree as an exact rational.
 
-    Degree 0 is rejected.  The sums are kept on ``poly``; a call that asks
-    for more computes them all again, and s_k does not depend on k_max.
-    s_k = S_k 2^(s k) / L^k, S_k those of the roots in the ring's w, from
-    the monic polynomial, exact or rounded once (``_ring_sums``).
+    Degree 0 is rejected; s_k does not depend on k_max.  s_k = S_k 2^(s k)
+    / L^k, exact or rounded once, S_k those of the roots in the ring's w,
+    which the monic polynomial's ring entry keeps (``_ring_sums``); each
+    call rounds them again.
     """
     if poly.degree < 1:
         raise ValueError("power sums need degree at least 1")
-    known = poly._sums
-    if len(known) > k_max:
-        return known[:k_max + 1]
     p = poly if _ring(poly, None) or poly.is_monic() else poly.monic()[0]
     r, _, _, prec = _enter(p, [])
     s, L, S = r[0], r[1], _ring_sums(r, k_max)
-    sums = (rat(p.degree),) + tuple(from_ratio(x, y, L ** k, e + s * k, prec)
+    return (rat(p.degree),) + tuple(from_ratio(x, y, L ** k, e + s * k, prec)
                                     for k, (x, y, e) in enumerate(S[1:k_max + 1], 1))
-    object.__setattr__(poly, "_sums", sums)
-    return sums
 
 
 def newton_elementary(sums, q, prec, bits, width=0):

@@ -27,22 +27,16 @@ mpmath's global precision, so Scalars are safe to share between threads.
 Arithmetic has one path.  The operators + - * / only turn an int or
 Fraction operand into an exact rational (``_operand``) and call one module
 kernel, ``add``, ``sub``, ``mul`` or ``div``; ``UniPoly``'s product and
-Horner and the certificate's C(T) sum call ``fma``, acc + x * y.  One rule
-holds for all five:
+Horner and the certificate's C(T) sum call ``add(acc, mul(x, y))`` by
+name.  One rule, with two cases, holds for all four:
 
 * Two rationals give the exact rational: each kernel forms the unreduced
   numerator and denominator, and one normalizer, ``_q``, reduces them.
 * Otherwise the result is complex, rounded at the larger precision in
   play; a rational operand enters as its value rounded at the complex
-  precision (``_rat_mpf``, in ``_lift``).  ``fma`` rounds the product at
-  its factors' larger precision, and the sum at the larger of that and
-  acc's.
-* Rounding is skipped only where it cannot change a bit, for a complex z
-  whose parts are finite and have at most prec mantissa bits (``_fits``):
-  z times an exact 1, -1 or 0 is z, its exact negation or the complex
-  zero; z + 0, 0 + z and z - 0 are z, and 0 - z is its exact negation.  A
-  value ``from_json`` read at prec + 16 bits does not fit, so z * 1 and
-  z + 0 round it to prec.
+  precision (``_rat_mpf``, in ``_lift``).  No operand is passed through
+  unrounded: a value ``from_json`` read at prec + 16 bits comes back from
+  z * 1 or z + 0 rounded to prec.
 
 Complex + - * run the fused kernels on the raw pairs (``cadd``, ``csub``,
 ``cmul``), which ``roots.find_roots`` uses too: each part's sum is formed as
@@ -554,14 +548,6 @@ def _operand(v):
 # The arithmetic kernels: every + - * / of two Scalars runs one of them, by
 # the one rule of the module docstring.
 
-def _fits(c, prec):
-    """The raw pair c is finite and rounding it at prec gives it back: no
-    part's mantissa has more than prec bits (one ``from_json`` read at
-    prec + 16 bits may)."""
-    a, b = c
-    return (a[1] or not a[2]) and (b[1] or not b[2]) and a[3] <= prec and b[3] <= prec
-
-
 def _lift(x, y):
     """(prec, a, b) for Scalars x and y of which one at least is complex:
     the larger precision in play and the raw pairs of x and y, a rational
@@ -579,46 +565,24 @@ def _lift(x, y):
 
 def add(x, y):
     """x + y for Scalars x and y."""
-    if x._den is not None:
-        if y._den is not None:
-            return _q(x._num * y._den + y._num * x._den, x._den * y._den)
-        if not x._num and _fits(y._c, y._prec):
-            return y
-    elif y._den is not None and not y._num and _fits(x._c, x._prec):
-        return x
+    if x._den is not None and y._den is not None:
+        return _q(x._num * y._den + y._num * x._den, x._den * y._den)
     prec, a, b = _lift(x, y)
     return Scalar(None, None, cadd(a, b, prec), prec)
 
 
 def sub(x, y):
     """x - y for Scalars x and y."""
-    if x._den is not None:
-        if y._den is not None:
-            return _q(x._num * y._den - y._num * x._den, x._den * y._den)
-        if not x._num and _fits(y._c, y._prec):
-            return Scalar(None, None, mpc_neg(y._c), y._prec)
-    elif y._den is not None and not y._num and _fits(x._c, x._prec):
-        return x
+    if x._den is not None and y._den is not None:
+        return _q(x._num * y._den - y._num * x._den, x._den * y._den)
     prec, a, b = _lift(x, y)
     return Scalar(None, None, csub(a, b, prec), prec)
 
 
 def mul(x, y):
     """x * y for Scalars x and y."""
-    xd, yd = x._den, y._den
-    if xd is None:
-        if yd is None:
-            prec = x._prec if x._prec >= y._prec else y._prec
-            return Scalar(None, None, cmul(x._c, y._c, prec), prec)
-        z, q = x, y
-    elif yd is None:
-        z, q = y, x
-    else:
-        return _q(x._num * y._num, xd * yd)
-    if q._den == 1 and -1 <= q._num <= 1 and _fits(z._c, z._prec):
-        if q._num == 1:
-            return z
-        return Scalar(None, None, mpc_neg(z._c) if q._num else _CZERO, z._prec)
+    if x._den is not None and y._den is not None:
+        return _q(x._num * y._num, x._den * y._den)
     prec, a, b = _lift(x, y)
     return Scalar(None, None, cmul(a, b, prec), prec)
 
@@ -631,22 +595,6 @@ def div(x, y):
         return _q(x._num * y._den, x._den * y._num)
     prec, a, b = _lift(x, y)
     return Scalar(None, None, mpc_div(a, b, prec, round_nearest), prec)
-
-
-def fma(acc, x, y):
-    """acc + x * y for Scalars acc, x and y."""
-    ad, xd, yd = acc._den, x._den, y._den
-    if ad is not None:
-        if xd is not None and yd is not None:
-            d = xd * yd
-            return _q(acc._num * d + x._num * y._num * ad, ad * d)
-    elif xd is None and yd is None:
-        prec = x._prec if x._prec >= y._prec else y._prec
-        z = cmul(x._c, y._c, prec)
-        if acc._prec > prec:
-            prec = acc._prec
-        return Scalar(None, None, cadd(acc._c, z, prec), prec)
-    return add(acc, mul(x, y))
 
 
 def int_vector(values):

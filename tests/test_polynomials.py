@@ -21,7 +21,7 @@ from bringform import (ReductionTrace, Scalar, UniPoly, coeff_scale, cx,
 from bringform.polynomials import (coeff_mismatch, columns_mod, compose_mod, gauss_mul_mod,
                                   int_monic, monic_from_traces, powers_mod, product_traces,
                                   table_traces)
-from bringform.scalars import ONE, ZERO, fixed_point, fma, int_vector, mul
+from bringform.scalars import ONE, ZERO, add, fixed_point, int_vector, mul
 from helpers import max_coeff_diff, rand_fraction, rand_monic, rand_scalar
 
 
@@ -199,8 +199,8 @@ def test_coeff_mismatch_asks_exactness_of_each_rational_pair():
 
 
 def test_memo_slots_take_no_part_in_equality_or_output():
-    # max_mag and the power-sum prefix are kept on the polynomial once
-    # asked for; equality, repr and JSON must not see them
+    # max_mag and the ring entry with its power sums are kept on the
+    # polynomial once asked for; equality, repr and JSON must not see them
     P = UniPoly([cx(Fraction(1, 3), 2), rat(-4), rat(7, 2), rat(0), rat(0), rat(1)])
     fresh = UniPoly(P.coeffs, P.var)
     before = (repr(P), P.to_json())
@@ -238,7 +238,7 @@ def _old_product(P, T):
             continue
         for j, b in T.terms():
             c = out[i + j]
-            out[i + j] = mul(a, b) if c is None else fma(c, a, b)
+            out[i + j] = mul(a, b) if c is None else add(c, mul(a, b))
     return UniPoly([ZERO if c is None else c for c in out], P.var)
 
 
@@ -254,7 +254,7 @@ def _old_rem_monic(P, A):
         q = rem[k]
         if not q.is_exact_zero():
             for j, a in A.terms()[:-1]:
-                rem[k - n + j] = fma(rem[k - n + j], -q, a)
+                rem[k - n + j] = add(rem[k - n + j], mul(-q, a))
     return rem[:n] + [ZERO] * (n - len(rem))
 
 

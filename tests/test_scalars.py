@@ -26,9 +26,9 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_div, mpc_m
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        find_roots, match_roots, rat, reduce_general_quintic, verify_trace)
 from bringform.polynomials import coeff_mismatch, lies_on, relative_residual
-from bringform.scalars import (add, as_scalar, as_tol, context, div, fma, from_ratio,
-                               mag_binades, mul, negligible, pick_root, pivot_index, sort_key,
-                               sub)
+from bringform.scalars import (_q, add, as_scalar, as_tol, cadd, cmul, context, div,
+                               from_ratio, mag_binades, mul, negligible, pick_root,
+                               pivot_index, sort_key, sub)
 
 TINY = mpmath.mpf("1e-70")
 
@@ -549,8 +549,8 @@ def _bits(v):
 
 
 _units = st.sampled_from([rat(0), rat(1), rat(-1)])
-# exact 1, -1 and 0 skip the rounding where the complex value fits its
-# precision: against cx, from_json (prec + 16 bits) and non-finite values
+# exact 1, -1 and 0 against cx, from_json (prec + 16 bits) and non-finite
+# values: each rounds the complex value as any other rational operand does
 _fused_operands = st.one_of(_units, _kernel_operands)
 
 
@@ -606,13 +606,32 @@ def _outcome(kernel, *args):
         return type(e)
 
 
+def _fused(acc, x, y):
+    """acc + x * y as the fused kernel ``scalars.fma`` formed it before
+    ``UniPoly``'s product and Horner and the certificate's C(T) sum called
+    add(acc, mul(x, y)): one ``_q`` for three rationals, and ``cmul`` then
+    ``cadd`` on the raw pairs for three complex values."""
+    ad, xd, yd = acc._den, x._den, y._den
+    if ad is not None:
+        if xd is not None and yd is not None:
+            d = xd * yd
+            return _q(acc._num * d + x._num * y._num * ad, ad * d)
+    elif xd is None and yd is None:
+        prec = x._prec if x._prec >= y._prec else y._prec
+        z = cmul(x._c, y._c, prec)
+        if acc._prec > prec:
+            prec = acc._prec
+        return Scalar(None, None, cadd(acc._c, z, prec), prec)
+    return add(acc, mul(x, y))
+
+
 @settings(max_examples=700, derandomize=True, deadline=None, database=None)
 @given(ops=st.one_of(st.tuples(_fused_operands, _fused_operands, _fused_operands),
                      _complex_triples(), _zero_acc_triples()))
 def test_kernels_match_libmp_and_fraction(ops):
     # every mix of kinds, exact 0 and +-1, values read by from_json at
-    # prec + 16 bits and infinite or nan parts: where a kernel skips the
-    # rounding of an exact unit or zero, the generic call gives the same bits
+    # prec + 16 bits and infinite or nan parts: the generic call gives the
+    # same bits
     acc, x, y = ops
     for a, b in ((x, y), (acc, x), (y, acc)):
         for kernel in _REFERENCES:
@@ -621,7 +640,11 @@ def test_kernels_match_libmp_and_fraction(ops):
     # acc + x * y: the product at its factors' larger precision, the sum
     # at the larger of that and acc's
     xy = _value(_reference(mul, _value(x), _value(y)))
-    assert _outcome(fma, acc, x, y) == _reference(add, _value(acc), xy)
+    got = _bits(add(acc, mul(x, y)))
+    assert got == _reference(add, _value(acc), xy)
+    # and with the bits of the fused kernel that UniPoly's product and
+    # Horner and the certificate's C(T) sum called before
+    assert got == _bits(_fused(acc, x, y))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
