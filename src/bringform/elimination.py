@@ -19,9 +19,9 @@ is computed here by two independent routes:
   ``polynomials.powers_mod``, the table's one builder;
   ``pipeline.dual_eliminate`` hands that table to the step it builds, whose
   certificate and inverse map read it again.  The route builds none: the
-  table's rows re-enter the ring and are dotted with A's power sums
-  (``polynomials.table_traces``), and Newton's identities run on those
-  ints, each coefficient of C exact or rounded once.
+  table's vectors never leave the ring, where they are dotted with A's
+  power sums (``polynomials.table_traces``), and Newton's identities run on
+  those ints, each coefficient of C exact or rounded once.
 
 The two routes are deliberately kept independent so tests can use each as an
 oracle for the other.  They share the product modulo A, which is the
@@ -146,14 +146,14 @@ def sylvester_resultant_with_factor(A: UniPoly, B: BiPoly):
     return map_charpoly(A, t), c ** n
 
 
-def transform_by_power_sums(A: UniPoly, t_coeffs, powers=None) -> UniPoly:
+def transform_by_power_sums(A: UniPoly, t_coeffs, table=None) -> UniPoly:
     """Transport route: power sums of C from power sums of A through y = T(z).
 
     s_j(C) = sum_i (T^j mod A)_i s_i(A) for j = 1..n, read off rows 1..n of
     the table ``powers_mod(T, A)``, so only s_0..s_(n-1) of A are needed.
-    ``powers`` is that table when the caller has built it (``dual_eliminate``
-    keeps it for the step); otherwise ``powers_mod`` builds it.  The rows,
-    re-entered exactly, are dotted with A's power sums on ints
+    ``table`` is that table when the caller has built it (``dual_eliminate``
+    keeps it for the step); otherwise ``powers_mod`` builds it.  Its row
+    vectors, kept in the ring, are dotted with A's power sums on ints
     (``polynomials.table_traces``), and Newton's identities rebuild C from
     those ints, each coefficient exact or rounded once (``monic_from_traces``).
     """
@@ -164,9 +164,7 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, powers=None) -> UniPoly:
     k = max((j for j, c in enumerate(t) if not c.is_exact_zero()), default=-1)
     if k < 1 or k >= n:
         raise ValueError("map degree must satisfy 1 <= deg T < deg A")
-    if powers is None:
-        powers = powers_mod(UniPoly(t, A.var), A)
-    return monic_from_traces(*table_traces(powers, A), "y")
+    return monic_from_traces(*table_traces(table or powers_mod(UniPoly(t, A.var), A)), "y")
 
 
 def image_elementary(A: UniPoly, xs, m: int):

@@ -25,15 +25,15 @@ degree n with C(T) = 0 is then det(y - M_T) = prod (y - T(z_i)).  One
 constructor, ``_step``, makes every step that eliminates: it runs
 ``dual_eliminate``, checks each targeted output coefficient once, and hands
 the step the table of the powers of T modulo A that the power-sum route
-built (``powers``), which its C(T) sum and solve for U read again.  The
-table (built by ``powers_mod`` alone), U(T) by Horner (``compose_mod``),
-the charpoly's columns (``columns_mod``) and the traces of the conditions'
-power-sum forms (``image_elementary``) multiply by T modulo A in the ring
-of ``polynomials``, on one kernel (``gauss_mul_mod``): exactly for rational
-input, so every trace, certificate and refusal is the same to the byte as
-the Scalar operations would make it, and otherwise on a fixed-point
-Gaussian-integer block cut to prec + 64 bits, U(T) held to the working
-precision (``certify`` says why).
+built (``table``), whose vectors its C(T) sum and solve for U read in the
+ring.  The table (built by ``powers_mod`` alone), U(T) by Horner
+(``compose_mod``), the charpoly's columns (``columns_mod``) and the traces
+of the conditions' power-sum forms (``image_elementary``) multiply by T
+modulo A in the ring of ``polynomials``, on one kernel (``gauss_mul_mod``):
+exactly for rational input, so every trace, certificate and refusal is the
+same to the byte as the Scalar operations would make it, and otherwise on a
+fixed-point Gaussian-integer block cut to prec + 64 bits, U(T) held to the
+working precision (``certify`` says why).
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, compose_mod,
-                          lies_on, power_sums, powers_mod, solve_mod)
-from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, ZERO, Scalar, add, as_scalar,
-                      as_tol, mul, negligible, pick_root, rat)
+                          lies_on, power_sums, powers_mod, solve_mod, table_sum)
+from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, Scalar, as_scalar, as_tol,
+                      negligible, pick_root, rat)
 from .solvers import solve_condition, solve_monic
 
 
@@ -130,13 +130,14 @@ class TransformStep(Record):
     _fields = ("kind", "input", "subsidiary", "output", "aux")
 
     def __init__(self, kind: str, input: UniPoly, subsidiary: Subsidiary, output: UniPoly,
-                 aux: tuple, table: tuple = None):
-        # no part of equality, repr or JSON: table, T^0..T^n mod the input
-        # as ``dual_eliminate`` built them or None, read through ``powers``,
-        # and _verdicts, certify's verdicts by tolerance, a memo that racing
-        # threads fill with the same verdict
+                 aux: tuple, table=None):
+        # no part of equality, repr or JSON: table, when ``_step`` hands one
+        # over (else ``table`` builds it), and _verdicts, certify's verdicts
+        # by tolerance, a memo that racing threads fill with the same verdict
         self._set(kind=kind, input=input, subsidiary=subsidiary, output=output, aux=aux,
-                  table=table, _verdicts={})
+                  _verdicts={})
+        if table is not None:
+            self._set(table=table)
 
     # not a field: every step maps the previous output itself; the
     # benchmark's outside oracle (bench/oracles.py) still reads it
@@ -150,10 +151,11 @@ class TransformStep(Record):
         """Certify the step modulo its monic input A, with no elimination
         and no roots (see the module docstring): U(T) = z, U being the
         step's one inverse map (``inverse``), and C(T) = 0 for the monic
-        output C of degree n, summed as sum c_j (T^j mod A) over ``powers``.
+        output C of degree n, summed as sum c_j (T^j mod A) over ``table``
+        (``table_sum``), exact in rational mode and otherwise rounded once.
 
         U(T) is evaluated by Horner on T (``compose_mod``), not summed over
-        ``powers``: U solves sum u_j (T^j mod A) = z on those very rows, so
+        ``table``: U solves sum u_j (T^j mod A) = z on those very rows, so
         that sum is only the solve's own residual, and it passes complex
         steps that merge roots.  The Horner rejects them because it holds U
         to the working precision: each product is cut to prec +
@@ -202,24 +204,21 @@ class TransformStep(Record):
         ok = (all(negligible(c, tol, scale) for c in miss.coeffs)
               and self.subsidiary.k < n and C.is_monic() and C.degree == n)
         if ok:
-            CT = [ZERO] * n
-            for c, P in zip(C.coeffs, self.powers):
-                if not c.is_exact_zero():
-                    CT = [add(r, mul(c, p)) for r, p in zip(CT, P)]
             bound = as_tol(tol, scale, coeff_scale(C))
-            ok = all(negligible(r, bound) for r in CT)
+            ok = all(negligible(r, bound) for r in table_sum(self.table, C.coeffs))
         return residual, ok
 
     @cached_property
-    def powers(self):
-        """T^0, T^1, ..., T^n modulo the input A (n = deg A), each as the
-        tuple of its n ascending coefficients (``powers_mod``): the table
-        the step was built with, or, for a step read from JSON or made by
-        hand, one built on first use.  ``step_inverse`` solves on the first
-        n rows and ``certify`` sums C(T) over all n + 1."""
-        if self.table is not None:
-            return self.table
+    def table(self):
+        """T^0..T^n modulo the input A in the ring (``powers_mod``): the
+        table the step was built with, or, for a step read from JSON or made
+        by hand, one built on first use, read by ``certify`` and ``inverse``."""
         return powers_mod(self.subsidiary.map_in_z(), self.input)
+
+    @cached_property
+    def powers(self):
+        """The table's rows as tuples of n ascending Scalars (``rows``)."""
+        return self.table.rows
 
     @cached_property
     def inverse(self):
@@ -373,30 +372,30 @@ def _step(kind: str, A: UniPoly, sub: Subsidiary, aux, tol, checks=()) -> Transf
     tracer can rebind it, then each of checks, (power, name) pairs in order, once on
     C's coefficient of y^power against tol * ``coeff_scale(C)``
     (``_assert_vanishes``).  The step keeps the table."""
-    C, powers = dual_eliminate(A, sub, tol)
+    C, table = dual_eliminate(A, sub, tol)
     scale = coeff_scale(C)
     for power, what in checks:
         _assert_vanishes(C.coeff(power), scale, tol, what)
-    return TransformStep(kind, A, sub, C, tuple(aux), powers)
+    return TransformStep(kind, A, sub, C, tuple(aux), table)
 
 
 def dual_eliminate(A: UniPoly, sub: Subsidiary, tol=None):
     """Eliminate z by both routes and insist they agree.
 
-    Returns (C, powers): C monic in y, and the table T^0..T^n mod A
-    (``powers_mod``) that the power-sum route read, which ``_step`` hands
-    to its ``TransformStep``.  The routes share no code past the
+    Returns (C, table): C monic in y, and the table T^0..T^n mod A
+    (``powers_mod``) that the power-sum route read, kept in the ring, which
+    ``_step`` hands to its ``TransformStep``.  The routes share no code past the
     polynomial ring, so their agreement is a genuine cross-check, not a
     tautology.  A complex disagreement is reported relative to
     ``coeff_scale(C_res, C_ps)``, beside the tol it was held to.
     """
     t = sub.t_coeffs()
     C_res = map_charpoly(A, t)
-    powers = powers_mod(UniPoly(t, A.var), A)
-    C_ps = transform_by_power_sums(A, t, powers)
+    table = powers_mod(UniPoly(t, A.var), A)
+    C_ps = transform_by_power_sums(A, t, table)
     bad = coeff_mismatch(C_res, C_ps, tol)
     if bad is None:
-        return C_res, powers
+        return C_res, table
     if C_res.is_rational_tree() and C_ps.is_rational_tree():
         raise ConsistencyError(
             "resultant and power-sum routes disagree: %s vs %s" % (C_res, C_ps))
@@ -713,9 +712,9 @@ def step_inverse(step: TransformStep):
     step's monic input A, or None when no such U exists.
 
     U = sum u_j y^j solves the n x n system sum u_j T^j = z modulo A
-    (n = deg A; PARI's ``modreverse``) on the first n rows of ``powers``,
-    re-entered exactly as ints and solved by fraction-free elimination
-    (``polynomials.solve_mod``), each u_j rounded once.  None comes back
+    (n = deg A; PARI's ``modreverse``) on the first n rows of the step's
+    ``table``, whose vectors are ints, by fraction-free elimination
+    (``polynomials.solve_mod``), each u_j exact or rounded once.  None comes back
     exactly when the determinant of those ints is 0: the basis 1, T, ...,
     T^(n-1) is singular, the map is not one-to-one on the roots of A, and
     no inverse map can pull them back.  In complex mode a merging map
@@ -724,6 +723,5 @@ def step_inverse(step: TransformStep):
     ``TransformStep.certify`` checks U(T) = z mod A, and ``recover_roots``
     tests each pulled-back root on the original.
     """
-    n = step.input.degree
-    u = solve_mod(step.powers[:n], step.input)
+    u = solve_mod(step.table)
     return None if u is None else UniPoly(u, "y")

@@ -26,14 +26,14 @@ modulo A, and one recurrence, ``_block_power_sums``, forms A's power sums,
 kept with its entry; each takes its real path when its operands are real.
 A vector leaves by one exit, ``scalars.from_ratio``: exactly, the canonical
 rational the Scalar operations give, or with each part rounded once.  The
-routines are the table of T^j mod A (built by ``powers_mod`` alone), the
-certificate's U(T) (``compose_mod``), the columns of
+routines are the table of T^j mod A (built by ``powers_mod`` alone, its
+vectors kept in the ring for ``table_traces``, ``table_sum`` and
+``solve_mod``), the certificate's U(T) (``compose_mod``), the columns of
 ``elimination.map_charpoly``'s matrix (``columns_mod``), the traces of a
-form's products (``product_traces``) and of the table (``table_traces``),
-``power_sums`` and ``poly_from_power_sums``.  Newton's identities run once
-back, ``newton_elementary``, for the forms, the power-sum route and
-``poly_from_power_sums`` (``monic_from_traces``).  ``solve_mod`` solves for
-a step's inverse map on the table's rows as exact ints.
+form's products (``product_traces``), ``power_sums`` and
+``poly_from_power_sums``.  Newton's identities run once back,
+``newton_elementary``, for the forms, the power-sum route and
+``poly_from_power_sums`` (``monic_from_traces``).
 
 A ``UniPoly`` also keeps three memo slots, filled on first use and never
 part of equality, repr or JSON: its largest coefficient magnitude
@@ -47,6 +47,7 @@ from __future__ import annotations
 import operator
 from itertools import combinations_with_replacement
 from math import inf
+from typing import NamedTuple
 
 import mpmath
 
@@ -363,21 +364,42 @@ def shift_substitute(poly: UniPoly, a) -> UniPoly:
     return UniPoly(out, "y")
 
 
-def powers_mod(T: UniPoly, A: UniPoly):
-    """T^0, T^1, ..., T^n modulo the monic A (n = deg A), each as the tuple of
-    its n ascending coefficients, row j + 1 being row j times T reduced
-    modulo A (``gauss_mul_mod``); no other routine builds the table.
-    It runs in the ring (module docstring), exactly when every coefficient
-    of T and A is rational, otherwise at the largest precision prec of a
-    complex one, each row cut to prec + ``GUARD_BITS`` bits.  Row j leaves
-    the ring over q^j, T entering over q."""
+class PowerTable(NamedTuple):
+    """T^0..T^n modulo the monic A of degree n (``powers_mod``) in A's ring
+    entry ``ring``: vectors[j] is q^j (T^j mod A), T entering over q, exact
+    if prec is None; else q = 1 and it enters ``rounded``[j], rounded at prec."""
+
+    vectors: list
+    q: int
+    prec: int
+    ring: list
+    rounded: tuple
+
+    @property
+    def rows(self):
+        """Row j, the n ascending Scalars of T^j mod A, exact ones made on read."""
+        return self.rounded or tuple(tuple(_leave(v, self.q ** j, None, self.ring))
+                                     for j, v in enumerate(self.vectors))
+
+
+def powers_mod(T: UniPoly, A: UniPoly) -> PowerTable:
+    """The table of T^0, T^1, ..., T^n modulo the monic A (n = deg A), row j
+    + 1 being row j times T reduced modulo A (``gauss_mul_mod``); no other
+    routine builds it.  It runs in the ring (module docstring), exactly when
+    every coefficient of T and A is rational, otherwise at the largest
+    precision prec of a complex one, each row cut to prec + ``GUARD_BITS``
+    bits, then rounded once at prec and entered again as a fixed-point
+    vector (``fixed_point``): the one place a row becomes a vector."""
     n = A.degree
     r, (t,), q, prec = _enter(A, [T.coeffs], max(T.degree, 0))
-    v, out = ([1], [], 0), [tuple(ONE if i == 0 else ZERO for i in range(n))]
-    for j in range(1, n + 1):
-        v = gauss_mul_mod(v, t, r[2], r[3])
-        out.append(tuple(_leave(v, q ** j, prec, r)))
-    return tuple(out)
+    vs, rows = [([int(i == 0) for i in range(n)], [], 0)], None
+    for _ in range(n):
+        vs.append(gauss_mul_mod(vs[-1], t, r[2], r[3]))
+    if prec is not None:
+        rows = (tuple(ONE if i == 0 else ZERO for i in range(n)),) + tuple(
+            tuple(_leave(v, 1, prec, r)) for v in vs[1:])
+        vs = [fixed_point(row, prec, r[0]) for row in rows]
+    return PowerTable(vs, q, prec, r, rows)
 
 
 HORNER_GUARD_BITS = 7  # past prec, in each product of U(T) (TransformStep.certify)
@@ -499,25 +521,21 @@ def _dot(x, y):
             sum(map(operator.mul, xr, yi)) + sum(map(operator.mul, xi, yr)), ex + ey)
 
 
-def solve_mod(rows, A: UniPoly):
-    """The n ascending coefficients u_j of U = sum u_j y^j with sum u_j
-    rows[j] = z modulo the monic A of degree n >= 2, rows[j] being the n
-    ascending Scalar coefficients of a polynomial modulo A (the first n
-    rows of ``powers_mod``); None exactly when the rows are linearly
-    dependent.
+def solve_mod(table: PowerTable):
+    """The n ascending coefficients u_j of U = sum u_j y^j with sum u_j (T^j
+    mod A) = z modulo the monic A of degree n >= 2, on the first n rows of
+    T's ``table``; None exactly when they are linearly dependent.
 
-    The rows enter the ring (``_enter``), row j as q rows[j](2^s w / L) =
-    N_j 2^(e_j), and z as q 2^s w / L.  Fraction-free elimination over Z or
-    Z[i] (Bareiss, *Math. Comp.* 22, 1968), with the first nonzero pivot,
-    divides exactly; back-substitution reads off the Cramer numerators X_j
-    and the determinant det of the system in the v_j = u_j 2^(e_j - s) L /
-    q.  Then u_j = X_j (q / L) 2^(s - e_j) / det, exactly (``_q``) or with
-    each part rounded once at prec (``from_ratio``).  A rational step runs
-    on real ints alone.
+    Row j's vector N_j 2^(e_j) is q^j (T^j mod A)(2^s w / L) in the ring's
+    w, and z is 2^s w / L.  Fraction-free elimination over Z or Z[i]
+    (Bareiss, *Math. Comp.* 22, 1968), with the first nonzero pivot, divides
+    exactly; back-substitution reads off the Cramer numerators X_j and the
+    determinant det of the system in the v_j = u_j 2^(e_j - s) L / q^j, so
+    u_j = X_j q^j 2^(s - e_j) / (L det), exact (``_q``) or with each part
+    rounded once at prec (``from_ratio``), on real ints alone when rational.
     """
-    n = A.degree
-    r, vs, q, prec = _enter(A, rows, n - 1)
-    scales = [(q // r[1], r[0] - e) for _, _, e in vs]
+    vs, q, prec, (s, L) = table.vectors[:-1], table.q, table.prec, table.ring[:2]
+    n = len(vs)
     im = [[v[1][i] for v in vs] + [0] for i in range(n)] if any(any(y) for _, y, _ in vs) else None
     got = _bareiss([[v[0][i] for v in vs] + [int(i == 1)] for i in range(n)], im)
     if got is None:
@@ -526,23 +544,39 @@ def solve_mod(rows, A: UniPoly):
     if di:  # X / det = X conj(det) / |det|^2
         xr, xi, dr = ([x * dr + y * di for x, y in zip(xr, xi)],
                       [y * dr - x * di for x, y in zip(xr, xi)], dr * dr + di * di)
-    return [from_ratio(x * f, y * f, dr, e, prec) for x, y, (f, e) in zip(xr, xi, scales)]
+    return [from_ratio(x * q ** j, y * q ** j, dr * L, s - e, prec)
+            for j, (x, y, (_, _, e)) in enumerate(zip(xr, xi, vs))]
 
 
-def table_traces(powers, A: UniPoly):
+def table_traces(table: PowerTable):
     """(P, q, prec, bits): s_j = sum_i (T^j mod A)_i s_i(A), j = 1..n, the
     power sums of T(z_i) over the roots of the monic A of degree n > deg T,
-    as (re, im, e), (re + im i) 2^e = q^j s_j.  Rows 1..n of T's table
-    ``powers`` enter the ring over one q, and each dot with A's power sums
-    there is q s_j: exact when every entry is rational, otherwise cut to
-    bits = prec + ``GUARD_BITS``, prec the largest precision of an entry."""
-    n = A.degree
-    r, vs, q, prec = _enter(A, powers[1:], n - 1)
-    S, bits, P = _on_grid(_ring_sums(r, n - 1)[:n], r[3]), r[3], []
-    for j, v in enumerate(vs):
-        re, im, e = _dot(v, S)
-        P.append(_cut1(re * q ** j, im * q ** j, e, bits))
-    return P, q, prec, bits
+    as (re, im, e), (re + im i) 2^e = q^j s_j: the dot of row j's vector of
+    T's ``table`` with A's power sums in its ring, exact when the table is,
+    otherwise cut to bits = prec + ``GUARD_BITS``."""
+    r, n = table.ring, len(table.vectors) - 1
+    S, bits = _on_grid(_ring_sums(r, n - 1)[:n], r[3]), r[3]
+    return [_cut1(*_dot(v, S), bits) for v in table.vectors[1:]], table.q, table.prec, bits
+
+
+def table_sum(table: PowerTable, cs):
+    """The n ascending coefficients of sum_j cs[j] (T^j mod A), cs at most n
+    + 1 Scalars, by one exact dot of the cs, as constants over one q, with
+    the vectors of T's ``table``: exact when the table and the cs are,
+    otherwise each part rounded once at the largest precision of either."""
+    vs, q, (s, L), m = table.vectors, table.q, table.ring[:2], len(cs) - 1
+    _, cs, qc, prec = _enter(UniPoly._of([ONE]), [[c] for c in cs])
+    n, g = len(vs[0][0]), min([ec + v[2] for ((a,), b, ec), v in zip(cs, vs) if a or any(b)] or [0])
+    re, im = [0] * n, [0] * n
+    for j, (((a,), b, ec), (xr, xi, e)) in enumerate(zip(cs, vs)):
+        f = q ** (m - j) << max(ec + e - g, 0)  # only a zero c_j lies below g
+        a, b = a * f, (b[0] if b else 0) * f
+        for i, (x, y) in enumerate(zip(xr, xi or [0] * n)):
+            re[i] += a * x - b * y
+            im[i] += a * y + b * x
+    prec = max(table.prec or 0, prec or 0) or None
+    return [from_ratio(x * L ** i, y * L ** i, qc * q ** m, g - s * i, prec)
+            for i, (x, y) in enumerate(zip(re, im))]
 
 
 def _bareiss(R, I=None):
@@ -911,7 +945,17 @@ def newton_elementary(sums, q, prec, bits, width=0):
     e_k is sum_(i=1..k) (-1)^(i-1) (k-1)!/(k-i)! P_i G_(k-i), each entry
     held to ``bits`` bits of its largest term (``fixed_sum``), and e_k =
     G_k / (k! q^k) is rounded once at prec (``from_ratio``); both are exact
-    when bits and prec are None."""
+    when bits and prec are None, and then, in no parameter, the sums are
+    real ints and G runs on them with no dict."""
+    if not width and prec is None:
+        P, G, out, d = [s[()][0] if s else 0 for s in sums], [1], [], 1
+        for k in range(1, len(P) + 1):
+            acc, f, d = 0, 1, d * k * q
+            for i in range(1, k + 1):
+                acc, f = acc + (f if i % 2 else -f) * P[i - 1] * G[k - i], f * (k - i)
+            G.append(acc)
+            out.append({(): from_ratio(acc, 0, d)} if acc else {})
+        return out
     G, out, d = [{(0,) * width: (1, 0, 0)}], [], 1
     for k in range(1, len(sums) + 1):
         terms, f = {}, 1

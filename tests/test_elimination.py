@@ -508,7 +508,7 @@ def test_the_integer_power_sum_route_matches_fraction_arithmetic(case):
     rows = _ref_powers_mod(t, a)
     ref = _pairs(_ref_route(rows, a))
     table = powers_mod(UniPoly(T), A)
-    assert [_scalar_pairs(r) for r in table] == [_pairs(r) for r in rows]
+    assert [_scalar_pairs(r) for r in table.rows] == [_pairs(r) for r in rows]
     assert _scalar_pairs(transform_by_power_sums(A, T).coeffs) == ref
     assert _scalar_pairs(transform_by_power_sums(A, T, table).coeffs) == ref
     assert _scalar_pairs(map_charpoly(A, T).coeffs) == ref
@@ -522,9 +522,9 @@ def test_the_integer_power_sum_route_matches_fraction_arithmetic(case):
     # powers_mod's, and its C the Fraction route's
     sub = Subsidiary(len(t) - 1, tuple(T[:-1]))
     C, kept = dual_eliminate(A, sub)
-    assert kept == powers_mod(UniPoly(sub.t_coeffs()), A)
+    assert kept.rows == powers_mod(UniPoly(sub.t_coeffs()), A).rows
     rows = _ref_powers_mod([c.fraction for c in sub.t_coeffs()], a)
-    assert [_scalar_pairs(r) for r in kept] == [_pairs(r) for r in rows]
+    assert [_scalar_pairs(r) for r in kept.rows] == [_pairs(r) for r in rows]
     assert _scalar_pairs(C.coeffs) == _pairs(_ref_route(rows, a))
     # power sums of a non-monic input, past its degree too, an odd number
     # of them after s_0 so that a negative lead shows
@@ -593,11 +593,19 @@ def test_the_rational_integer_routes_run_no_scalar_kernel(monkeypatch):
 
 # -- the power-sum route against the Scalar code it replaced ------------------
 #
-# ``transform_by_power_sums`` dots the table's rows, re-entered as ints,
+# ``transform_by_power_sums`` dots the table's vectors, kept in the ring,
 # with A's integer or block power sums and runs Newton's identities on
 # ints.  The Scalar route it replaced is kept here as it ran, as the
 # reference: rational C keeps its bytes, and complex C lies no further from
 # a charpoly of the same inputs at four times the precision.
+
+def _table_of(rows, A):
+    """The table of complex Scalar rows modulo A, each entered in A's ring as
+    ``powers_mod`` enters its rounded rows: a table of given inputs, for a
+    reference."""
+    r, vs, q, prec = polynomials._enter(A, rows, A.degree - 1)
+    return polynomials.PowerTable(vs, q, prec, r, tuple(map(tuple, rows)))
+
 
 def _scalar_route(A, t, powers):
     """transform_by_power_sums as the Scalar kernels ran it: A's power sums
@@ -640,7 +648,7 @@ def test_the_rational_power_sum_route_keeps_the_bytes_of_the_scalar_code():
         sub = Subsidiary(k, tuple(rat(draw()) for _ in range(k)))
         t = sub.t_coeffs()
         powers = powers_mod(UniPoly(t), A)
-        want = _scalar_pairs(_scalar_route(A, t, powers).coeffs)
+        want = _scalar_pairs(_scalar_route(A, t, powers.rows).coeffs)
         assert _scalar_pairs(transform_by_power_sums(A, t, powers).coeffs) == want
         assert _scalar_pairs(dual_eliminate(A, sub)[0].coeffs) == want
 
@@ -659,10 +667,10 @@ def test_the_complex_power_sum_route_is_no_further_from_four_times_the_precision
     # 2.4e-77
     calls, route = [], pipeline.transform_by_power_sums
 
-    def recorded(A, t, powers):
-        if not all(c.is_rational for row in powers for c in row):
-            calls.append((A, t, powers))
-        return route(A, t, powers)
+    def recorded(A, t, table):
+        if table.prec is not None:
+            calls.append((A, t, table))
+        return route(A, t, table)
 
     monkeypatch.setattr(pipeline, "transform_by_power_sums", recorded)
     for index in (0, 7):
@@ -670,19 +678,20 @@ def test_the_complex_power_sum_route_is_no_further_from_four_times_the_precision
     assert len(calls) == 4
     ulp = mpmath.ldexp(1, -prec)
     worst = dict.fromkeys(("ints", "scalar", "rows"), mpmath.mpf(0))
-    for A, t, powers in calls:
+    for A, t, table in calls:
         wide_A = UniPoly([_carried_at(c, 4 * prec) for c in A.coeffs])
         wide_t = [_carried_at(c, 4 * prec) for c in t]
         wide = map_charpoly(wide_A, wide_t)
-        own = route(wide_A, wide_t, tuple(tuple(_carried_at(c, 4 * prec) for c in row)
-                                          for row in powers))
-        C = route(A, t, powers)
+        own = route(wide_A, wide_t, _table_of([[_carried_at(c, 4 * prec) for c in row]
+                                               for row in table.rows], wide_A))
+        C = route(A, t, table)
 
         def dist(P, Q):
             return max((P.coeff(k) - Q.coeff(k)).mag() for k in range(A.degree + 1))
 
         assert dist(C, own) <= ulp * coeff_scale(own), (A, t)
-        for name, P in (("ints", C), ("scalar", _scalar_route(A, t, powers)), ("rows", own)):
+        for name, P in (("ints", C), ("scalar", _scalar_route(A, t, table.rows)),
+                        ("rows", own)):
             worst[name] = max(worst[name], dist(P, wide) / coeff_scale(wide))
     assert worst["ints"] <= max(worst["scalar"], worst["rows"] + ulp), worst
 
@@ -786,7 +795,7 @@ def _carried_step(step, prec):
     """The step's input and table with each complex raw pair carried at
     prec bits: the same inputs to its solve, for a reference."""
     A = UniPoly([_carried_at(c, prec) for c in step.input.coeffs])
-    table = tuple(tuple(_carried_at(c, prec) for c in row) for row in step.powers)
+    table = _table_of([[_carried_at(c, prec) for c in row] for row in step.powers], A)
     return pipeline.TransformStep(step.kind, A, step.subsidiary, step.output, (), table)
 
 
@@ -807,7 +816,7 @@ def test_complex_forms_and_inverse_maps_lie_near_one_at_four_times_the_precision
         return image_elementary(A, xs, m)
 
     def recorded_steps(step):
-        if not all(c.is_rational for row in step.powers for c in row):
+        if step.table.prec is not None:
             steps.append(step)
         return solve(step)
 

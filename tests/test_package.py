@@ -179,20 +179,38 @@ def test_berkowitz_is_the_one_determinant_and_divides_by_nothing():
 
 
 # one path per ring for Newton's identities: the power-sum route and the
-# conversions both ways, with the helpers they run, form no Scalar product
-# or quotient; they work on ints and fixed-point Gaussian-integer blocks
+# conversions both ways, with the helpers they run, form no Scalar sum,
+# product or quotient; nor do the power table's readers, the solve for a
+# step's inverse map and the certificate's C(T) dot.  They work on ints and
+# fixed-point Gaussian-integer blocks
 def test_the_power_sum_route_calls_no_scalar_kernel():
     route = {"polynomials.py": {"power_sums", "poly_from_power_sums", "table_traces",
-                                "monic_from_traces", "newton_elementary"},
-             "elimination.py": {"transform_by_power_sums"}}
+                                "monic_from_traces", "newton_elementary", "powers_mod",
+                                "solve_mod", "table_sum"},
+             "elimination.py": {"transform_by_power_sums"},
+             "pipeline.py": {"_certificate", "step_inverse"}}
+    kernels = {"add", "sub", "mul", "div", "cadd", "csub", "cmul"}
     for name, fns in route.items():
         path = os.path.join(os.path.dirname(bringform.__file__), name)
         with open(path, encoding="utf-8") as f:
             tree = ast.parse(f.read(), path)
-        assert fns <= {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}, name
-        hits = [(fn, line, kernel) for fn, line, kernel in _calls(path, {"mul", "div"})
-                if fn in fns]
+        assert fns <= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}, name
+        hits = [(fn, line, kernel) for fn, line, kernel in _calls(path, kernels) if fn in fns]
         assert hits == [], (name, hits)
+
+
+# the table's rows enter the ring once: ``powers_mod`` alone turns a row
+# into a fixed-point vector, and the table's readers enter no row
+def test_only_the_table_builder_turns_a_row_into_a_vector():
+    hits = sorted({(os.path.basename(p), fn)
+                   for p in glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py"))
+                   for fn, _, _ in _calls(p, {"fixed_point", "_enter"})})
+    readers = {"table_traces", "solve_mod"}
+    assert ("polynomials.py", "powers_mod") in hits
+    assert [h for h in hits if h[0] != "polynomials.py" or h[1] in readers] == []
+    fixed = {fn for fn, _, _ in _calls(os.path.join(os.path.dirname(bringform.__file__),
+                                                     "polynomials.py"), {"fixed_point"})}
+    assert fixed == {"_enter", "_graded_block", "powers_mod"}
 
 
 # one owner of the ring's scaling: only ``polynomials`` multiplies modulo A

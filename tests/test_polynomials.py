@@ -18,10 +18,12 @@ from mpmath.libmp import mpf_div, round_nearest
 from bringform import (ReductionTrace, Scalar, UniPoly, coeff_scale, cx,
                        deflate, poly_from_power_sums, power_sums, rat,
                        reduce_general_quintic, shift_substitute)
-from bringform.polynomials import (coeff_mismatch, columns_mod, compose_mod, gauss_mul_mod,
-                                  int_monic, monic_from_traces, powers_mod, product_traces,
-                                  table_traces)
-from bringform.scalars import ONE, ZERO, add, fixed_point, int_vector, mul
+from bringform.polynomials import (_bareiss, _cut1, _dot, _enter, _on_grid, _ring_sums,
+                                  coeff_mismatch, columns_mod, compose_mod, fixed_sum,
+                                  gauss_mul_mod, int_monic, monic_from_traces,
+                                  newton_elementary, powers_mod, product_traces, solve_mod,
+                                  table_sum, table_traces)
+from bringform.scalars import ONE, ZERO, add, fixed_point, from_ratio, int_vector, mul
 from helpers import max_coeff_diff, rand_fraction, rand_monic, rand_scalar
 
 
@@ -336,7 +338,7 @@ def test_multiplying_modulo_a_on_lists_keeps_every_bit(case):
             rows.append(_old_step(rows[-1], T, A))
         return rows
 
-    got, old = powers_mod(T, A), steps(T, A)
+    got, old = powers_mod(T, A).rows, steps(T, A)
     if T.is_rational_tree() and A.is_rational_tree():
         assert [_bits(r) for r in got] == [_bits(r) for r in old]
     else:
@@ -344,6 +346,121 @@ def test_multiplying_modulo_a_on_lists_keeps_every_bit(case):
         wide = steps(_carried_at(T, 4 * prec), _carried_at(A, 4 * prec))
         for j, (g, o, w) in enumerate(zip(got, old, wide)):
             assert _row_error(g, w) <= max(_row_error(o, w), mpmath.ldexp(1, 1 - prec)), j
+
+
+# -- the table kept in the ring -----------------------------------------------
+#
+# ``powers_mod`` keeps each row of the table as its vector in A's ring: the
+# exact vector over T's own q, or the fixed-point vector of the row rounded
+# at prec.  The readers that took the rounded Scalar rows and entered them
+# in the ring again, and the certificate's C(T) sum on the Scalar kernels,
+# are kept here as they ran, as the references: rational traces, U and
+# C(T) are the same rationals, and complex ones read the same bits, the
+# C(T) dot aside, which rounds once and lies no further from a sum at four
+# times the precision than that rounding.
+
+def _old_table_traces(rows, A):
+    n = A.degree
+    r, vs, q, prec = _enter(A, rows[1:], n - 1)
+    S, bits, P = _on_grid(_ring_sums(r, n - 1)[:n], r[3]), r[3], []
+    for j, v in enumerate(vs):
+        re, im, e = _dot(v, S)
+        P.append(_cut1(re * q ** j, im * q ** j, e, bits))
+    return P, q, prec, bits
+
+
+def _old_solve_mod(rows, A):
+    n = A.degree
+    r, vs, q, prec = _enter(A, rows, n - 1)
+    scales = [(q // r[1], r[0] - e) for _, _, e in vs]
+    im = [[v[1][i] for v in vs] + [0] for i in range(n)] if any(any(y) for _, y, _ in vs) else None
+    got = _bareiss([[v[0][i] for v in vs] + [int(i == 1)] for i in range(n)], im)
+    if got is None:
+        return None
+    xr, xi, dr, di = got
+    if di:
+        xr, xi, dr = ([x * dr + y * di for x, y in zip(xr, xi)],
+                      [y * dr - x * di for x, y in zip(xr, xi)], dr * dr + di * di)
+    return [from_ratio(x * f, y * f, dr, e, prec) for x, y, (f, e) in zip(xr, xi, scales)]
+
+
+def _old_table_sum(rows, cs):
+    CT = [ZERO] * len(rows[0])
+    for c, P in zip(cs, rows):
+        if not c.is_exact_zero():
+            CT = [add(r, mul(c, p)) for r, p in zip(CT, P)]
+    return CT
+
+
+def _wide(c, prec):
+    return c if c.is_rational else Scalar(None, None, c._c, prec)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=_mod_case())
+def test_the_kept_table_reads_as_its_rows_did(case):
+    row, T, A = case
+    n, table = A.degree, powers_mod(T, A)
+    rows, cs = table.rows, row + [ONE]
+    got, old = table_traces(table), _old_table_traces(rows, A)
+    U, old_U = solve_mod(table), _old_solve_mod(rows[:n], A)
+    assert (U is None) == (old_U is None) and _bits(U or []) == _bits(old_U or [])
+    if table.prec is None:
+        (P, q, prec, bits), (old_P, old_q, _, _) = got, old
+        k = max(T.degree, 0)  # T enters over its own q
+        assert prec is bits is None and q == int_vector(T.coeffs)[1] * int_monic(A.coeffs)[1] ** k
+        assert ([Fraction(x, q ** j) for j, (x, _, _) in enumerate(P, 1)]
+                == [Fraction(x, old_q ** j) for j, (x, _, _) in enumerate(old_P, 1)])
+    else:
+        assert table.vectors == _enter(A, list(rows), n - 1)[1]
+        assert got == old
+    CT = table_sum(table, cs)
+    if table.prec is None and all(c.is_rational for c in cs):
+        assert _bits(CT) == _bits(_old_table_sum(rows, cs))
+        return
+    prec = max(c.prec or 0 for c in cs + list(rows[-1]))
+    wide = _old_table_sum([[_wide(c, 4 * prec) for c in r] for r in rows],
+                          [_wide(c, 4 * prec) for c in cs])
+    for i, (c, w) in enumerate(zip(CT, wide)):
+        size = sum(x.mag() * r[i].mag() for x, r in zip(cs, rows))
+        assert (c - w).mag() <= mpmath.ldexp(w.mag(), 1 - prec) + mpmath.ldexp(size, 4 - 4 * prec)
+
+
+def _dict_newton(sums, q, prec, bits, width=0):
+    """newton_elementary's loop over dicts of forms, which it runs in any
+    number of parameters and at any precision."""
+    G, out, d = [{(0,) * width: (1, 0, 0)}], [], 1
+    for k in range(1, len(sums) + 1):
+        terms, f = {}, 1
+        for i in range(1, k + 1):
+            c = f if i % 2 else -f
+            f *= k - i
+            for ka, (ar, ai, ea) in G[k - i].items():
+                for kb, (br, bi, eb) in sums[i - 1].items():
+                    key = tuple(x + y for x, y in zip(ka, kb)) if kb else ka
+                    terms.setdefault(key, []).append(
+                        (c * (ar * br - ai * bi), c * (ar * bi + ai * br), ea + eb))
+        d *= k * q
+        Gk, ek = {}, {}
+        for key, ts in terms.items():
+            re, im, e = v = fixed_sum(ts, bits)
+            if re or im:
+                Gk[key], ek[key] = v, from_ratio(re, im, d, e, prec)
+        G.append(Gk)
+        out.append(ek)
+    return out
+
+
+_SUM = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10 ** 40, 10 ** 40))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(P=st.lists(_SUM, min_size=1, max_size=8), q=st.integers(1, 10 ** 12))
+def test_newtons_flat_loop_gives_the_dict_loops_e_k(P, q):
+    sums = [{(): (x, 0, 0)} if x else {} for x in P]
+    got, want = newton_elementary(sums, q, None, None), _dict_newton(sums, q, None, None)
+    assert [sorted(e) for e in got] == [sorted(e) for e in want]
+    assert [_bits(e.values()) for e in got] == [_bits(e.values()) for e in want]
 
 
 def _old_certificate_residual(step, prec=None):
@@ -557,7 +674,8 @@ def test_the_one_body_keeps_the_integer_bodies_bits(seed):
                                              else ONE]).monic()[0]
         T = UniPoly(_rand_rational(rng, rng.randint(1, n)), "z")
         U = UniPoly(_rand_rational(rng, rng.randint(0, n + 1)), "y")
-        assert [_bits(r) for r in powers_mod(T, A)] == [_bits(r) for r in _old_powers_mod(T, A)]
+        table = powers_mod(T, A)
+        assert [_bits(r) for r in table.rows] == [_bits(r) for r in _old_powers_mod(T, A)]
         assert _bits(compose_mod(U, T, A)) == _bits(_old_compose_mod(U, T, A))
         t = list(T.coeffs)
         assert columns_mod(t, A) == _old_columns_mod(t, A)
@@ -567,11 +685,10 @@ def test_the_one_body_keeps_the_integer_bodies_bits(seed):
         assert (_bits(poly_from_power_sums(sums).coeffs)
                 == _bits(monic_from_traces(*_old_newton_input(sums), "y").coeffs))
         if n >= 2 and 1 <= T.degree < n:
-            powers = powers_mod(T, A)
-            P, q, prec, bits = table_traces(powers, A)
+            P, q, prec, bits = table_traces(table)
             assert prec is bits is None and all(im == e == 0 for _, im, e in P)
             assert [Fraction(x, q ** j) for j, (x, _, _) in enumerate(P, 1)] == \
-                _old_table_sums(powers, A)
+                _old_table_sums(table.rows, A)
 
 
 def _old_newton_input(sums):

@@ -600,7 +600,7 @@ def test_each_step_builds_its_powers_of_T_once(monkeypatch):
     recover_roots(copy)
     assert len(calls) == 6
     for step, read in zip(trace.steps, copy.steps):
-        assert read.powers == powers_mod(read.subsidiary.map_in_z(), read.input)
+        assert read.powers == powers_mod(read.subsidiary.map_in_z(), read.input).rows
         if read.input == step.input:
             assert read.powers == step.powers, step.kind
         else:
@@ -636,12 +636,33 @@ def test_the_powers_table_stays_out_of_equality_repr_and_json(monkeypatch):
     assert verify_trace(copy).matched and len(runs) == 9
     step = trace.steps[0]
     bare = TransformStep(step.kind, step.input, step.subsidiary, step.output, step.aux)
-    assert step.table is not None and bare.table is None
+    assert "table" in vars(step) and "table" not in vars(bare)
     assert step._verdicts and not bare._verdicts
     assert step == bare and repr(step) == repr(bare)
     assert step.to_json() == bare.to_json()
-    assert isinstance(step.table, tuple) and all(isinstance(r, tuple) for r in step.table)
-    assert bare.powers == step.powers
+    assert isinstance(step.powers, tuple) and all(isinstance(r, tuple) for r in step.powers)
+    assert bare.powers == step.powers and "table" in vars(bare)
+
+
+@pytest.mark.parametrize("mode", ["rational", "complex"])
+@pytest.mark.parametrize("prec, tol", [(64, "1e-14"), (256, "1e-30")])
+def test_a_step_without_a_table_builds_one_with_the_same_inverse_and_verdicts(prec, tol, mode):
+    # a step made by hand, or read from JSON onto the same input, builds its
+    # table on first use, and its U and certificates are the ones of the
+    # step reduce built with the table of its power-sum route
+    tols = (tol, "1e-8", "1e-%d" % (prec * 3 // 10))
+    for P in [README_QUINTIC] + _batch_quintics(3):
+        if mode == "complex":
+            P = UniPoly([cx(c.fraction, 0, prec) for c in P.coeffs[:-1]] + [rat(1)])
+        trace = reduce_general_quintic(P, prec=prec, tol=tol)
+        copy = ReductionTrace.from_json(json.loads(json.dumps(trace.to_json())), prec)
+        for step, read in zip(trace.steps, copy.steps):
+            bare = TransformStep(step.kind, step.input, step.subsidiary, step.output, step.aux)
+            for other in [bare] + [read] * (read.input == step.input):
+                assert "table" not in vars(other)
+                assert other.inverse.to_json() == step.inverse.to_json(), step.kind
+                assert [other.certify(t) for t in tols] == [step.certify(t) for t in tols]
+                assert "table" in vars(other)
 
 
 def test_recover_tests_each_root_once_on_the_original(monkeypatch):

@@ -143,9 +143,8 @@ def test_rebinding_the_fused_kernels_counts_their_calls():
             for m in _package_modules():
                 if vars(m).get(name) is original:
                     mp.setattr(m, name, counted(name, original))
-        # both routes of an elimination run on ints; UniPoly.__mul__ forms
-        # its coefficients on add and mul, and a complex step's certificate
-        # sums C(T) on them
+        # both routes of an elimination and a step's certificate run on
+        # ints; UniPoly.__mul__ forms its coefficients on add and mul
         assert A * A
         assert TransformStep("test", A, sub, C, ()).certify()[1]
     assert all(calls.values()), calls
