@@ -48,9 +48,10 @@ from .elimination import (form_in, image_elementary, map_charpoly,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, compose_mod,
-                          lies_on, power_sums, powers_mod, solve_mod, table_sum)
+                          graded_horner, lies_on, power_sums, powers_mod, solve_mod,
+                          table_sum)
 from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, Scalar, as_scalar, as_tol,
-                      negligible, pick_root, rat)
+                      from_ratio, negligible, pick_root, rat)
 from .solvers import solve_condition, solve_monic
 
 
@@ -227,11 +228,17 @@ class TransformStep(Record):
         return step_inverse(self)
 
     def pull_back(self, ys):
-        """The unchecked preimages of the points ys, in their order: U(y) by
+        """The unchecked preimages of the Scalars ys, in their order: U(y) by
         the step's one inverse map U (``inverse``), or None for a step
-        without U."""
+        without U.  One ``graded_horner`` pass takes U at every y, U's
+        coefficients entered once, and each value is rounded once at the
+        largest precision in play; it is exact when U and every y are
+        rational."""
         U = self.inverse
-        return None if U is None else [U.eval(y) for y in ys]
+        if U is None:
+            return None
+        prec = max(c.prec or 0 for c in [*U.coeffs, *ys]) or None
+        return [from_ratio(*v.p, prec) for v in graded_horner(U.coeffs, ys, prec)]
 
     def to_json(self):
         return {

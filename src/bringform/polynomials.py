@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import operator
 from itertools import combinations_with_replacement
-from math import inf
+from math import inf, isqrt
 from typing import NamedTuple
 
 import mpmath
@@ -787,6 +787,147 @@ def gauss_mul_mod(v, t, a, bits, u=None):
                 pr[m - n + j] -= x * c - y * d + h >> -ea
                 pi[m - n + j] -= x * d + y * c + h >> -ea
     return pr[:n], pi[:n], e
+
+
+GRADED_GUARD_BITS = 16  # past the bits asked of ``graded_horner``, on its grid
+SIZE_BITS = 64  # of ``graded_horner``'s size, the one sum that is rounded up
+
+
+class Graded(NamedTuple):
+    """``graded_horner`` at one point z: p(z) = (re + im i) 2^e / d as p =
+    (re, im, d, e), in the order of ``scalars.from_ratio``'s arguments;
+    p'(z) = (re + im i) 2^e as dp = (re, im, e), or None; an int size with
+    sum |c_j| |z|^j <= size 2^e (p's e), or None; and z as it was graded,
+    (x + y i) 2^e as point = (x, y, e), None when exact."""
+    p: tuple
+    dp: tuple
+    size: int
+    point: tuple
+
+
+def graded_horner(cs, zs, bits, derivative=False, size=False):
+    """The polynomial p with the ascending Scalar coefficients cs (n + 1 of
+    them) at each point of zs, on ints, as one ``Graded`` per point.  A
+    point is a Scalar, a raw libmp pair or the (x, y, e) of a ``Graded``.
+
+    Each point z is graded by its own size: z = 2^g w with 1/2 <= |w| < 1,
+    g read off |z|^2, and w enters as W = w 2^F rounded to nearest, F =
+    bits + ``GRADED_GUARD_BITS``.  The coefficient c_j counts as B_j = c_j
+    2^(j g) on the grid 2^G, G = T - F, where 2^T bounds the largest |B_j|
+    by its larger part (at z = 0, |c_0|, and |c_1| for the derivative), so
+    a small point keeps its relative bits and a term F bits below the
+    largest drops out.  B_n enters rounded to nearest; Horner in w then
+    takes per coefficient one Gaussian product by W, adds B_j on the
+    product's grid (cut there, 2^-F of the grid), and rounds the sum once
+    by F, with the derivative's Horner beside it when asked.  size is the
+    same Horner on |c_j| 2^(j g) and |W| on a grid of ``SIZE_BITS`` bits,
+    every rounding up.  The cs enter once per call (a rational that is
+    not dyadic rounded at bits + ``scalars.GUARD_BITS``).  The stated
+    bound: |p - p(z)| <= (n + 1)^2 2^G, since no |B_j| exceeds sqrt(2) 2^F
+    grid units and |w| < 1: at most n + 1 grid units from the roundings
+    and n (n + 1) / 2 from W's.
+
+    With bits None every coefficient and point must be rational, and p(z)
+    is exact: the sum of c_j a^j b^(n-j) over D b^n for z = a / b and the
+    c_j over D, with no dp, size or point."""
+    n = len(cs) - 1
+    out = []
+    if bits is None:
+        nums, D = int_vector(cs)
+        for z in zs:
+            (a,), b = int_vector([z])
+            h, bk = nums[n], 1
+            for j in range(n - 1, -1, -1):
+                bk *= b
+                h = h * a + nums[j] * bk
+            out.append(Graded((h, 0, D * bk, 0), None, None, None))
+        return out
+    F = bits + GRADED_GUARD_BITS
+    h = 1 << F - 1
+    cr, ci, ec = fixed_point(cs, bits)
+    tops = [(max(a, -a, b, -b).bit_length() + ec, j) for j, (a, b) in enumerate(zip(cr, ci))
+            if a or b]
+    mags = size and [_mag_up(a, b) for a, b in zip(cr, ci)]
+    for z in zs:
+        x, y, e = _gauss_point(z, bits)
+        N = x * x + y * y
+        if not N:  # p(0) = c_0 and p'(0) = c_1, each rounded once on the grid
+            G = max([t for t, j in tops if j <= derivative] or [F]) - F
+            p, dp = ([(_round_shift(a, ec - G), _round_shift(b, ec - G))
+                      for a, b in zip(cr[:2], ci[:2])] + [(0, 0)])[:2]
+            out.append(Graded((*p, 1, G), derivative and (*dp, G) or None,
+                              size and _round_shift(mags[0][0], mags[0][1] + ec - G, up=True),
+                              (0, 0, -F)))
+            continue
+        g = (N.bit_length() + 1 >> 1) + e
+        G = max([t + j * g for t, j in tops] or [F]) - F
+        X, Y = _round_shift(x, e - g + F), _round_shift(y, e - g + F)
+        s = ec + n * g - G  # c_n's shift onto the grid 2^G
+        pr, pi, dr, di = _round_shift(cr[n], s), _round_shift(ci[n], s), 0, 0
+        s += F  # c_j's shift onto a product's grid, 2^-F of the grid
+        for j in range(n - 1, -1, -1):
+            s -= g
+            a, b = cr[j], ci[j]
+            if s >= 0:
+                a, b = (a << s) + h, (b << s) + h
+            else:
+                a, b = (a >> -s) + h, (b >> -s) + h
+            if derivative:
+                dr, di = (dr * X - di * Y + h >> F) + pr, (dr * Y + di * X + h >> F) + pi
+            pr, pi = pr * X - pi * Y + a >> F, pr * Y + pi * X + b >> F
+        m = None
+        if size:  # on the grid 2^(G + k), with |w| in units of 2^(k - F)
+            k = max(F - SIZE_BITS, 0)
+            wm, wt = _mag_up(X, Y)
+            wa = _round_shift(wm, wt - k, up=True)
+            m, s = 0, ec + n * g - G - k
+            for c, t in reversed(mags):
+                m = (m * wa >> F - k) + 1 + _round_shift(c, t + s, up=True)
+                s -= g
+            m <<= k
+        out.append(Graded((pr, pi, 1, G), derivative and (dr, di, G - g) or None, m,
+                          (X, Y, g - F)))
+    return out
+
+
+def _round_shift(m, s, up=False):
+    """The int m times 2^s: exact when s >= 0, otherwise rounded to
+    nearest, or up for m >= 0 when up."""
+    if s >= 0:
+        return m << s
+    return (m >> -s) + 1 if up else (m >> -s - 1) + 1 >> 1
+
+
+def _mag_up(x, y):
+    """(m, t) with |x + y i| <= m 2^t: m of about ``SIZE_BITS`` bits,
+    rounded up, and t >= 0."""
+    t = max(abs(x).bit_length(), abs(y).bit_length()) - SIZE_BITS
+    if t <= 0:
+        return ceil_abs(x, y), 0
+    return ceil_abs((abs(x) >> t) + 1, (abs(y) >> t) + 1), t
+
+
+def ceil_abs(x, y):
+    """|x + y i| rounded up to an int."""
+    N = x * x + y * y
+    return isqrt(N - 1) + 1 if N else 0
+
+
+def _gauss_point(z, bits):
+    """A point of ``graded_horner`` as a Gaussian integer (x, y, e), (x + y
+    i) 2^e, exactly: a raw libmp pair by its mantissas, a Scalar by its raw
+    pair (a rational that is not dyadic rounded at bits + ``GUARD_BITS``);
+    an (x, y, e) is itself.  ValueError for an infinity or nan."""
+    if isinstance(z, Scalar):
+        z = z._raw(bits + GUARD_BITS)
+    elif len(z) == 3:
+        return z
+    (sa, ma, ea, _), (sb, mb, eb, _) = z
+    if not ma and ea or not mb and eb:
+        raise ValueError("a point must be finite")
+    e = min(ea if ma else eb, eb if mb else ea)
+    return ((-ma if sa else ma) << ea - e if ma else 0,
+            (-mb if sb else mb) << eb - e if mb else 0, e)
 
 
 def _cut(re, im, e, bits):

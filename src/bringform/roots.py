@@ -20,17 +20,25 @@ MPSolve (Bini & Robol, J. Comput. Appl. Math. 272, 2014), in three stages:
    into a multiple root, and when the roots have converged.  From polished
    points the first sweep usually finds every root settled.
 
-The Newton stages, the sweeps, the discs and the cluster polish run on raw
-libmp pairs through the fused kernels of ``scalars`` (``cadd``, ``csub``,
-``cmul``) and the libmp calls an mpmath object would make, so they give the
-bits of the same iteration on mpmath objects.  ``find_roots`` is the one
-place that merges multiple roots: it parks every copy of one on the same
-value, so root sets compare by plain optimal pairing.
+The Newton stages and the judgment that draws the discs evaluate on one
+graded Horner on Python ints, ``polynomials.graded_horner``: each point is
+graded by its own size, so a small root keeps its relative bits, and every
+term is held on a grid 16 bits finer than the stage's precision below the
+largest term at that point.  The judgment's |p(z)| and noise floor come
+from squared magnitudes on those ints, rounded up with the Horner's stated
+error, so its disc bounds are upper bounds.  The Aberth sweeps and the
+cluster polish run on raw libmp pairs through the fused kernels of
+``scalars`` (``cadd``, ``csub``, ``cmul``), with p(z) from a libmp Horner
+of their own.  It keeps each part's own relative bits, so a sweep can
+drive the imaginary part of a real root far below the last bit of its
+real part, where a grid shared by both parts stops.  ``find_roots`` is the
+one place that merges multiple roots: it parks every copy of one on the
+same value, so root sets compare by plain optimal pairing.
 
 Nothing here depends on what kind a step is.  Each ``TransformStep``
 certifies itself (``certify``) and moves roots back through itself
-(``pull_back``); verification and recovery only walk the chain, and
-recovery refuses a chain that does not walk back.
+(``pull_back``, on the same graded Horner); verification and recovery only
+walk the chain, and recovery refuses a chain that does not walk back.
 """
 
 from __future__ import annotations
@@ -41,15 +49,15 @@ from math import isfinite
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import (finf, fone, from_float, from_int, fzero, mpc_abs, mpc_add_mpf,
-                          mpc_div, mpc_div_mpf, mpc_mpf_div, mpc_mul_int, mpc_pow_int,
+from mpmath.libmp import (finf, fone, from_float, from_int, from_man_exp, fzero, mpc_abs,
+                          mpc_add_mpf, mpc_div, mpc_div_mpf, mpc_mpf_div, mpc_mul_int,
                           mpf_add, mpf_cmp, mpf_cos_sin, mpf_div, mpf_gt, mpf_le, mpf_lt,
                           mpf_mul, mpf_mul_int, mpf_nthroot, mpf_pi, mpf_shift, mpf_sub,
                           round_down, round_nearest, round_up, to_float)
 
 from .errors import ConsistencyError
-from .polynomials import (UniPoly, coeff_mismatch, lies_on, power_sums,
-                          relative_residual)
+from .polynomials import (UniPoly, ceil_abs, coeff_mismatch, graded_horner, lies_on,
+                          power_sums, relative_residual)
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar, as_tol,
                       cadd, cmul, context, csub, mag_binades, rat, sort_key)
 from .solvers import solve_condition
@@ -63,7 +71,6 @@ RND = round_nearest
 UP, DOWN = round_up, round_down  # away from and towards zero
 CZERO = (fzero, fzero)
 CONE = (fone, fzero)
-_NO_BITS = -(1 << 62)  # ``_bits`` of zero
 
 
 class RootConfig(NamedTuple):
@@ -131,59 +138,42 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
         cs = [c._raw(prec) for c in coeffs]  # not rounded
         eps = mpf_shift(fone, 6 - prec)
         dcs = [mpc_mul_int(cs[i], i, prec, RND) for i in range(1, n + 1)]
-        acs = [mpc_abs(c, prec, RND) for c in cs]
         polishes = {}  # by cluster, its polished value if that passed, else None
 
-        def noise_floor(az):
-            """2^(6-prec) sum |c_j| |z|^j for az = |z|."""
-            t, w = fzero, fone
-            for a in acs:
-                t = mpf_add(t, mpf_mul(a, w, prec, RND), prec, RND)
-                w = mpf_mul(w, az, prec, RND)
-            return mpf_mul(eps, t, prec, RND)
-
-        def evaluate(z):
-            """p(z), |z|, a bound on |p(z)| (with the noise floor, at 53 bits
-            rounded up), and whether |p(z)| is within 16 noise floors."""
-            az = mpc_abs(z, prec, RND)
-            pv = _horner(cs, z, prec)
-            ap, floor = mpc_abs(pv, prec, RND), noise_floor(az)
-            return pv, az, mpf_add(ap, floor, 53, UP), mpf_le(ap, mpf_mul_int(floor, 16, prec, RND))
-
         def judge(zs, prev):
-            """Each point's ``evaluate``, the components of their discs, the
+            """The components of the points' discs (``_evaluate``), the
             polished value of each member of a settled cluster, and the
             points not settled; prev are the components of the sweep before."""
-            evals = [evaluate(z) for z in zs]
-            groups = _clusters(zs, [e[2] for e in evals])
+            evals = _evaluate(coeffs, zs, prec)
+            groups = _clusters(zs, [e[0] for e in evals])
             parked, todo = {}, []
             for g in groups:
-                if len(g) == 1 and evals[g[0]][3]:
+                if len(g) == 1 and evals[g[0]][1]:
                     continue
                 key = tuple(g)
                 if len(g) > 1 and g in prev and key not in polishes:  # it stopped splitting
                     x = _polish_multiple([zs[i] for i in g], cs, prec)
-                    polishes[key] = x if evaluate(x)[3] else None
+                    polishes[key] = x if _evaluate(coeffs, [x], prec)[0][1] else None
                 if polishes.get(key):
                     parked.update((i, polishes[key]) for i in g)
                 else:
                     todo.extend(g)
-            return evals, groups, parked, todo
+            return groups, parked, todo
 
         zs = _start_circle([mpc_abs(c, 53, RND) for c in cs], cfg.seed)
         warm = _float_aberth(cs, zs)
         first = None  # the judgment of zs, when already made
         if warm is not None:
             zs = [(from_float(re), from_float(im)) for re, im in warm]
-            polished = _newton_stages(zs, cs, prec)
+            polished = _newton_stages(zs, coeffs, prec)
             # Newton may draw two points onto one root, where the sweep
             # below would divide by their difference
             first = judge(polished, [])
-            zs, first = (polished, first) if len(first[1]) == n else (zs, None)
+            zs, first = (polished, first) if len(first[0]) == n else (zs, None)
         groups = []
         for it in range(MAX_ITERATIONS):
             iterations = it + 1
-            evals, groups, parked, todo = first or judge(zs, groups)
+            groups, parked, todo = first or judge(zs, groups)
             first = None
             if not todo:
                 break
@@ -191,8 +181,7 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
             nxt = list(zs)
             for i in todo:
                 z = zs[i]
-                pv, az = evals[i][:2]
-                dv = _horner(dcs, z, prec)
+                pv, dv, az = _horner(cs, z, prec), _horner(dcs, z, prec), mpc_abs(z, prec, RND)
                 if dv == CZERO:
                     nxt[i] = mpc_add_mpf(z, mpf_mul(eps, mpf_add(az, fone, prec, RND), prec, RND),
                                          prec, RND)
@@ -213,7 +202,7 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
                 break
         if todo:  # the steps stalled or the sweeps ran out: judge where they ended,
             polishes.clear()  # polishing each cluster afresh from there
-            _, _, parked, todo = judge(zs, groups)
+            _, parked, todo = judge(zs, groups)
         converged = not todo
         found = [Scalar.from_mpc(context(prec).make_mpc(parked.get(i, z)), prec)
                  for i, z in enumerate(zs)]
@@ -244,67 +233,52 @@ def _start_circle(mags, seed):
     return zs
 
 
-def _newton_stages(zs, cs, prec):
-    """The raw pairs zs, roots to about 53 bits of the polynomial with
-    ascending raw-pair coefficients cs, refined by one Newton step at each
+def _newton_stages(zs, coeffs, prec):
+    """The raw pairs zs, roots to about 53 bits of the polynomial with the
+    ascending Scalar coefficients coeffs, refined by one Newton step at each
     of 116, 222, ... bits (double the accuracy plus 10 guard bits) and last
-    at exactly prec.  A stage of wp bits evaluates by Horner over the terms
-    c_j z^j that lie, at some point of zs, within 2^(wp+8) of the largest
-    term there, sizes taken in powers of two (``_bits``), and the leading
-    one: an exact zero never enters, and rounding noise in a coefficient
-    only from the stages fine enough to see it.  A point where the
-    derivative vanishes stays where it is."""
-    n = len(cs) - 1
-    sizes = [_bits(c) for c in cs]
-    short = []  # per point, the bits by which each term falls short of the largest
-    for z in zs:
-        bz = _bits(z)
-        term = [b + j * bz for j, b in enumerate(sizes)]
-        top = max(term)
-        short.append([top - t for t in term])
-    room = [min(col) for col in zip(*short)]
+    at exactly prec, then rounded to prec.  p and p' at every point come
+    from one ``graded_horner`` pass at the stage's bits, whose grid drops
+    the terms too small for the stage to see: an exact zero never enters,
+    and rounding noise in a coefficient only in the stages fine enough to
+    see it.  Each step is one Gaussian division, and the points stay the
+    Gaussian integers the pass graded them to until the last stage.  A
+    point where the derivative vanishes stays where it is."""
     bits = 53
     while True:
         bits *= 2
         wp = min(bits + 10, prec)
-        terms = [(j, cs[j]) for j in range(n, -1, -1) if j == n or room[j] <= wp + 8]
-        dterms = [(j - 1, mpc_mul_int(c, j, wp, RND)) for j, c in terms if j]
         out = []
-        for z in zs:
-            pows = {}
-            fz = _sparse_horner(terms, z, wp, pows)
-            dfz = _sparse_horner(dterms, z, wp, pows)
-            out.append(z if dfz == CZERO else csub(z, mpc_div(fz, dfz, wp, RND), wp))
+        for v in graded_horner(coeffs, zs, wp, derivative=True):
+            (pr, pi, _, e), (dr, di, f), (x, y, g) = v.p, v.dp, v.point
+            m = dr * dr + di * di
+            if m:  # z - p / p' on z's grid: 2^(e - f - g) = 2^F, F the pass's bits
+                k, h = e - f - g, m >> 1
+                x -= ((pr * dr + pi * di << k) + h) // m
+                y -= ((pi * dr - pr * di << k) + h) // m
+            out.append((x, y, g))
         zs = out
         if wp == prec:
-            return zs
+            return [(from_man_exp(x, g, prec, RND), from_man_exp(y, g, prec, RND))
+                    for x, y, g in zs]
 
 
-def _bits(z):
-    """The binary exponent of the larger part of the raw pair z, log2 |z| to
-    within two bits; far below any real value for zero."""
-    (_, ma, ea, ba), (_, mb, eb, bb) = z
-    return max(ea + ba if ma else _NO_BITS, eb + bb if mb else _NO_BITS)
-
-
-def _sparse_horner(terms, x, prec, pows):
-    """sum c x^e over terms, (e, c) pairs by falling e, c raw pairs, at the
-    raw pair x: Horner that steps over the missing powers by x^gap, each
-    power kept in the dict pows for the next polynomial at the same x."""
-    e, acc = terms[0]
-    for f, c in terms[1:]:
-        g = e - f
-        xg = pows.get(g)
-        if xg is None:
-            xg = pows[g] = mpc_pow_int(x, g, prec, RND)
-        acc = cadd(xg if acc == CONE else cmul(acc, xg, prec), c, prec)
-        e = f
-    if e:
-        xg = pows.get(e)
-        if xg is None:
-            xg = pows[e] = mpc_pow_int(x, e, prec, RND)
-        acc = cmul(acc, xg, prec)
-    return acc
+def _evaluate(coeffs, zs, prec):
+    """Per raw pair z of zs, for the polynomial p with the ascending Scalar
+    coefficients coeffs: a bound on |p(z)| plus the noise floor 2^(6-prec)
+    sum |c_j| |z|^j, a raw mpf at 53 bits rounded up, and whether |p(z)| is
+    within 16 noise floors.  Both come from one ``graded_horner`` pass at
+    prec, on its ints: the magnitudes from squared magnitudes, rounded up,
+    and the bound from |p(z)| plus the pass's stated error, so that it stays
+    an upper bound."""
+    k = len(coeffs) ** 2  # the stated error bound, on the pass's grid
+    out = []
+    for v in graded_horner(coeffs, zs, prec, size=True):
+        re, im, _, e = v.p
+        ap = ceil_abs(re, im)
+        floor = (v.size << 6 >> prec) + 1
+        out.append((from_man_exp(ap + k + floor, e, 53, UP), ap << prec <= v.size << 10))
+    return out
 
 
 def _at_least_one(x):

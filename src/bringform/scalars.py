@@ -39,16 +39,18 @@ name.  One rule, with two cases, holds for all four:
   z * 1 or z + 0 rounded to prec.
 
 Complex + - * run the fused kernels on the raw pairs (``cadd``, ``csub``,
-``cmul``), which ``roots.find_roots`` uses too: each part's sum is formed as
-one integer, as mpf_add forms it, and rounded once with libmp's
-``normalize``; where a part is an infinity or nan, the generic
+``cmul``), which the Aberth sweeps and the cluster polish of
+``roots.find_roots`` use too: each part's sum is formed as one integer,
+as mpf_add forms it, and rounded once with libmp's ``normalize``; where a
+part is an infinity or nan, the generic
 ``mpc_add``/``mpc_sub``/``mpc_mul`` call runs instead.  Both give the same
 bits.  Complex / calls libmp's ``mpc_div``.
 
 Integer views read the raw pairs for the integer routes elsewhere:
 ``int_vector`` for rationals over one denominator, and ``fixed_point`` for
 a vector of Gaussian integers times one power of two, which
-``polynomials.gauss_mul_mod`` cuts to a fixed number of bits;
+``polynomials.gauss_mul_mod`` cuts to a fixed number of bits and
+``polynomials.graded_horner`` places on its grid;
 ``graded_monic`` reads back a charpoly of such integers (``Gauss``), and
 ``from_ratio`` any other value of them over an int, exactly for a rational
 and otherwise with each part rounded once (every exit of the ring of

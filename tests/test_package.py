@@ -200,7 +200,8 @@ def test_the_power_sum_route_calls_no_scalar_kernel():
 
 
 # the table's rows enter the ring once: ``powers_mod`` alone turns a row
-# into a fixed-point vector, and the table's readers enter no row
+# into a fixed-point vector, and the table's readers enter no row; the
+# graded Horner enters the coefficients it evaluates, not a row
 def test_only_the_table_builder_turns_a_row_into_a_vector():
     hits = sorted({(os.path.basename(p), fn)
                    for p in glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py"))
@@ -210,7 +211,32 @@ def test_only_the_table_builder_turns_a_row_into_a_vector():
     assert [h for h in hits if h[0] != "polynomials.py" or h[1] in readers] == []
     fixed = {fn for fn, _, _ in _calls(os.path.join(os.path.dirname(bringform.__file__),
                                                      "polynomials.py"), {"fixed_point"})}
-    assert fixed == {"_enter", "_graded_block", "powers_mod"}
+    assert fixed == {"_enter", "_graded_block", "powers_mod", "graded_horner"}
+
+
+# recover evaluates on one graded Horner: the Newton stages, the judgment
+# of ``find_roots`` and the pull-back run no libmp pair arithmetic, no
+# Scalar kernel and no ``UniPoly.eval``, and only ``graded_horner`` turns a
+# root into ints
+def test_recover_evaluates_on_the_graded_horner_alone():
+    route = {"roots.py": {"_newton_stages", "_evaluate", "judge"},
+             "pipeline.py": {"pull_back"}}
+    kernels = {"add", "sub", "mul", "div", "cadd", "csub", "cmul", "eval",
+               "fixed_point", "int_vector", "_gauss_point"}
+    kernels |= {name for name in dir(mpmath.libmp) if name.startswith("mpc_")}
+    for name, fns in route.items():
+        path = os.path.join(os.path.dirname(bringform.__file__), name)
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        assert fns <= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}, name
+        hits = [(fn, line, kernel) for fn, line, kernel in _calls(path, kernels) if fn in fns]
+        assert hits == [], (name, hits)
+        callers = {fn for fn, _, _ in _calls(path, {"graded_horner"})}
+        assert fns - {"judge"} <= callers, (name, callers)
+    hits = sorted({(os.path.basename(p), fn)
+                   for p in glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py"))
+                   for fn, _, _ in _calls(p, {"_gauss_point"})})
+    assert hits == [("polynomials.py", "graded_horner")]
 
 
 # one owner of the ring's scaling: only ``polynomials`` multiplies modulo A

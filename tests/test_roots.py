@@ -433,6 +433,19 @@ def test_newton_stages_agree_with_a_run_without_them(monkeypatch, prec, tol):
         assert ok, (f, dist)
 
 
+@pytest.mark.parametrize("prec,tol", [(64, "1e-14"), (128, "1e-30"), (256, "1e-30")])
+def test_every_batch_trinomial_settles_at_its_first_judgment(prec, tol):
+    # the Newton points of each final trinomial pass the first judgment, so
+    # no Aberth sweep steps: the count the libmp Newton stages gave
+    for seed in (20260818, 20261017):
+        rng = random.Random(seed)
+        for _ in range(40):
+            P = UniPoly([rat(rng.randint(-10, 10)) for _ in range(5)] + [rat(1)])
+            final = reduce_general_quintic(P, prec=prec, tol=tol).final
+            rs = find_roots(final, RootConfig(precision_bits=prec, tol=tol))
+            assert rs.converged and rs.iterations == 1, (seed, P)
+
+
 def test_newton_stages_see_terms_at_the_size_of_the_roots():
     # the roots 10^20 .. 5 * 10^20 make c_0 ~ 10^102 dwarf c_4 ~ 10^21 by
     # far more than 2^124, yet every term is as large as c_0 there: a stage
