@@ -71,45 +71,71 @@ def map_charpoly(A: UniPoly, t_coeffs) -> UniPoly:
     included, where M_T is the matrix of multiplication by T(z) (ascending
     Scalar coefficients ``t_coeffs``) on 1, z, ..., z^(n-1) in K[z]/(A).
 
-    ``polynomials.columns_mod`` builds a matrix similar to M_T, as ints
-    and Gaussian integers times one scale, ``_berkowitz`` takes its
-    determinant and ``graded_monic`` reads it back; 1 when n = 0.
+    ``polynomials.columns_mod`` builds a matrix similar to M_T, as ints,
+    with a second matrix of imaginary parts for a complex map, times one
+    scale, ``_berkowitz`` takes its determinant and ``graded_monic`` reads
+    it back; 1 when n = 0.
     """
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
     if not A.degree:
         return UniPoly._of([ONE], "y")
-    cols, scale = columns_mod(t_coeffs, A)
+    cols, im, scale = columns_mod(t_coeffs, A)
     # the columns serve as rows: N and its transpose share det(x - N)
-    return UniPoly._of(graded_monic(_berkowitz(cols), scale), "y")
+    p, pi = _berkowitz(cols, im)
+    return UniPoly._of(graded_monic(p, pi, scale), "y")
 
 
-def _berkowitz(N):
-    """det(x - N), highest first, for a square matrix N of ints and ``Gauss``
-    integers, with no division (Berkowitz, Inf. Process. Lett. 18, 1984).
+def _berkowitz(N, I=None):
+    """(p, pi): det(x - (N + I i)), highest first, its real parts p and
+    its imaginary parts pi (None when I is None, for a real N), for square
+    matrices of ints, with no division (Berkowitz, Inf. Process. Lett. 18,
+    1984).
 
     With p the charpoly of the leading r x r block B, R and c the rest of
     row and column r + 1, and d the corner entry, the next block's charpoly
     is the convolution of p with (1, -d, -R c, -R B c, ..., -R B^(r-1) c).
+    A complex matrix runs the same recursion on its two parts, a real one
+    the int-only loop.
     """
-    p = [1]
-    for r, row in enumerate(N):
-        # map stops at the end of c (r entries), so row and the rows above
-        # serve as R and B unsliced
-        above = N[:r]
-        c = [x[r] for x in above]
-        t = [-row[r]]
+    mul, p = operator.mul, [1]
+    if I is None:
+        for r, row in enumerate(N):
+            # map stops at the end of c (r entries), so row and the rows
+            # above serve as R and B unsliced
+            above = N[:r]
+            c = [x[r] for x in above]
+            t = [-row[r]]
+            for m in range(r):
+                t.append(-sum(map(mul, row, c)))
+                if m < r - 1:
+                    c = [sum(map(mul, x, c)) for x in above]
+            new = p + [0]
+            for j, pj in enumerate(p):
+                if pj:
+                    for i, x in enumerate(t[:r + 1 - j], j + 1):
+                        new[i] += x * pj
+            p = new
+        return p, None
+    pi = [0]
+    for r, (row, rowi) in enumerate(zip(N, I)):
+        above, abovei = N[:r], I[:r]
+        c, ci = [x[r] for x in above], [x[r] for x in abovei]
+        t, ti = [-row[r]], [-rowi[r]]
         for m in range(r):
-            t.append(-sum(map(operator.mul, row, c)))
+            t.append(sum(map(mul, rowi, ci)) - sum(map(mul, row, c)))
+            ti.append(-sum(map(mul, row, ci)) - sum(map(mul, rowi, c)))
             if m < r - 1:
-                c = [sum(map(operator.mul, x, c)) for x in above]
-        new = p + [0]
-        for j, pj in enumerate(p):
-            if pj:
-                for i, x in enumerate(t[:r + 1 - j], j + 1):
-                    new[i] += x * pj
-        p = new
-    return p
+                c, ci = ([sum(map(mul, x, c)) - sum(map(mul, y, ci)) for x, y in zip(above, abovei)],
+                         [sum(map(mul, x, ci)) + sum(map(mul, y, c)) for x, y in zip(above, abovei)])
+        new, newi = p + [0], pi + [0]
+        for j, (pj, qj) in enumerate(zip(p, pi)):
+            if pj or qj:
+                for i, (x, y) in enumerate(zip(t[:r + 1 - j], ti[:r + 1 - j]), j + 1):
+                    new[i] += x * pj - y * qj
+                    newi[i] += x * qj + y * pj
+        p, pi = new, newi
+    return p, pi
 
 
 def polynomial_resultant(P: UniPoly, Q: UniPoly) -> Scalar:
@@ -167,8 +193,9 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, table=None) -> UniPoly:
     return monic_from_traces(*table_traces(table or powers_mod(UniPoly(t, A.var), A)), "y")
 
 
-def image_elementary(A: UniPoly, xs, m: int):
-    """e_1..e_m of the images y = sum_i x_i z^i of the roots of the monic A.
+def image_elementary(A: UniPoly, xs, m: int, read=None):
+    """e_1..e_m of the images y = sum_i x_i z^i of the roots of the monic A,
+    or only the e_k for k in ``read`` (ascending), in that order.
 
     Each x_i is affine in free parameters t_1..t_P and is given as the
     sequence (x_i0, x_i1, ..., x_iP): x_i = x_i0 + sum_p x_ip t_p, so y =
@@ -179,7 +206,8 @@ def image_elementary(A: UniPoly, xs, m: int):
     as Gaussian integers q^k times the trace; ``newton_elementary`` turns
     those forms into e_1..e_m, exactly when the traces are, otherwise each
     part rounded once, each a dict from exponent tuples of (t_1..t_P) to
-    nonzero Scalars.
+    nonzero Scalars.  An e_k that is not read is never made: its form stays
+    the ints of Newton's identities.
     """
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
@@ -197,7 +225,7 @@ def image_elementary(A: UniPoly, xs, m: int):
                     count //= factorial(combo.count(p))
                 sk[tuple(combo.count(p) for p in range(1, width))] = re * count, im * count, e
         sums.append(sk)
-    return newton_elementary(sums, q, prec, bits, width - 1)
+    return newton_elementary(sums, q, prec, bits, width - 1, read)
 
 
 def form_in(form, var: str) -> UniPoly:

@@ -51,7 +51,7 @@ from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, compose_
                           graded_horner, lies_on, power_sums, powers_mod, solve_mod,
                           table_sum)
 from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, Scalar, as_scalar, as_tol,
-                      from_ratio, negligible, pick_root, rat)
+                      from_ratio, mag_binades, negligible, pick_root, rat)
 from .solvers import solve_condition, solve_monic
 
 
@@ -174,7 +174,8 @@ class TransformStep(Record):
         bits (5 bits missed that at 128).
 
         Returns (largest |coefficient| of U(T) - z relative to
-        ``coeff_scale(A)``, inf for a step without U; ok); C(T) counts
+        ``coeff_scale(A)``, inf for a step without U or with an infinite
+        or nan coefficient in A or C; ok); C(T) counts
         within tol * coeff_scale(A) * coeff_scale(C), exactly in rational
         mode.  The verdict reads only the step and ``as_tol(tol)``, never
         mpmath's global precision, so the step keeps it per tolerance:
@@ -189,7 +190,7 @@ class TransformStep(Record):
     def _certificate(self, tol):
         """The body of ``certify``, run once per tolerance."""
         A, C = self.input, self.output
-        if not A.is_monic():
+        if not A.is_monic() or None in map(mag_binades, A.coeffs + C.coeffs):
             return mpmath.inf, False
         U = self.inverse
         if U is None:
@@ -439,8 +440,8 @@ def _k2_conditions(A: UniPoly, j: int):
     n = A.degree
     s = power_sums(A, 2)
     a = (-s[2] * rat(1, n), -s[1] * rat(1, n))
-    es = image_elementary(A, [a, (rat(0), rat(1)), (rat(1), rat(0))], j)
-    return form_in(es[-1], "b"), UniPoly(a, "b")
+    (e,) = image_elementary(A, [a, (rat(0), rat(1)), (rat(1), rat(0))], j, (j,))
+    return form_in(e, "b"), UniPoly(a, "b")
 
 
 def _quadratic_subsidiary_step(kind: str, A: UniPoly, cond_power: int,
@@ -534,7 +535,7 @@ def quartic_obstruction_G(p, q) -> ObstructionReport:
     # T = -(z^3 + c z^2 + b z + a): C's y^(4-k) coefficient is e_k of -T,
     # a form in the parameters (b, c)
     xs = [(a, zero, zero), (zero, one, zero), (zero, zero, one), (one, zero, zero)]
-    E, F = image_elementary(A, xs, 3)[1:]
+    E, F = image_elementary(A, xs, 3, (2, 3))
     Es, Fs = _b_rows(E), _b_rows(F)
     G = UniPoly((), "c")
     if len(Es) == 2:
@@ -572,7 +573,7 @@ def quintic_bring_ansatz(p, q, r, *, prec=None, tol=None):
     # and it has no b^2 term, since s_2 = 0
     xs = [(a0, zero, zero, a1), (zero, one, zero, zero), (zero, zero, one, zero),
           (zero, zero, zero, one), (one, zero, zero, zero)]
-    E = image_elementary(A, xs, 2)[1]
+    (E,) = image_elementary(A, xs, 2, (2,))
 
     def e(*key):
         got = E.get(key)
@@ -603,7 +604,7 @@ def quintic_bring_ansatz(p, q, r, *, prec=None, tol=None):
     # coefficients vanish for every d by construction (the bring-jerrard
     # step checks them on its output), and the y^2 coefficient is the d-cubic
     xs = [(a0, a1), (zeta, alpha), (gamma, one), (zero, one), (one, zero)]
-    e3 = image_elementary(A, xs, 3)[2]
+    (e3,) = image_elementary(A, xs, 3, (3,))
     dstar, dsolve = _aux_root("d-cubic", form_in(e3, "d"), prec=prec, tol=tol)
     return BringAnsatz(alpha, gamma, zeta, dstar), [gsolve, dsolve]
 

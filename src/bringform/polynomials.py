@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import mpmath
 
-from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Gauss, Scalar,
+from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Scalar,
                       add, as_scalar, as_tol, context, fixed_point, from_ratio,
                       int_vector, mag_binades, mul, negligible, noise_tol, pivot_index, rat)
 
@@ -302,18 +302,31 @@ def relative_residual(A: UniPoly, z):
 def lies_on(A: UniPoly, z, tol=None) -> bool:
     """Is z a root of A, with a ``relative_residual`` of at most tol?
 
-    The ``mag_binades`` of A(z) and z and the binade of coeff_scale(A)
-    bound the residual between two powers of two, and no rounding to
-    nearest carries a value past a power of two, so they bound it as
-    ``relative_residual`` rounds it too.  When both bounds lie two binades
-    clear of tol, they decide, with no square root; otherwise the residual
-    is computed."""
+    For a rational A at a complex z it decides exactly, on the dyadic
+    value z is: |A(z)| <= t s max(1, |z|)^n, t = ``as_tol(tol)`` and s =
+    coeff_scale(A) as the dyadic values they are, by squares on ints, A(z)
+    from one exact ``graded_horner`` pass.  Otherwise the ``mag_binades`` of
+    A(z) and z and the binade of coeff_scale(A) bound the residual between
+    two powers of two, and no rounding to nearest carries a value past a
+    power of two, so they bound it as ``relative_residual`` rounds it too.
+    When both bounds lie two binades clear of tol, they decide, with no
+    square root; otherwise the residual is computed."""
     bound = as_tol(tol)
     sign, man, exp, bc = bound._mpf_
     zb = mag_binades(z)
     if man and not sign and zb is not None:
-        rb = mag_binades(A.eval(z))
         s = coeff_scale(A)._mpf_
+        if A.coeffs and not z.is_rational and A.is_rational_tree():
+            (hr, hi, d, _), _, _, (x, y, e) = graded_horner(A.coeffs, [z], None)[0]
+            n, m, k = A.degree, x * x + y * y, 2 * (exp + s[2])
+            # (t s d)^2 max(1, |z|^2)^n = r 2^k, |z|^2 = m 2^(2e)
+            if e < 0:
+                r, k = (man * s[1] * d) ** 2 * max(m, 1 << -2 * e) ** n, k + 2 * e * n
+            else:
+                r = (man * s[1] * d) ** 2 * max(m << 2 * e, 1) ** n
+            h = hr * hr + hi * hi
+            return h <= r << k if k >= 0 else h << -k <= r
+        rb = mag_binades(A.eval(z))
         if rb is not None and s[1]:
             top, se, n = exp + bc, s[2] + s[3], A.degree
             # 2^(se - 1) <= coeff_scale(A) < 2^se, and max(1, |z|)^n lies
@@ -329,7 +342,9 @@ def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
     """(k, P_k - Q_k) at the first power k where the difference is not
     ``negligible`` at tol * coeff_scale(P, Q) or not finite, or None: two
     rational coefficients must agree exactly, so they are compared with
-    ==."""
+    ==, and a finite coefficient that both hold as one object, as a step's
+    input holds the output before it (``UniPoly.with_var``), agrees with
+    itself unread."""
     t = None  # tol * coeff_scale(P, Q), which a rational difference never reads
     for k in range(max(P.degree, Q.degree) + 1):
         p, q = P.coeff(k), Q.coeff(k)
@@ -337,6 +352,8 @@ def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
             if p == q:
                 continue
             return k, p - q
+        if p is q and mag_binades(p) is not None:
+            continue
         d = p - q
         if t is None and not d.is_rational:
             t = as_tol(tol, coeff_scale(P, Q))
@@ -367,19 +384,22 @@ def shift_substitute(poly: UniPoly, a) -> UniPoly:
 class PowerTable(NamedTuple):
     """T^0..T^n modulo the monic A of degree n (``powers_mod``) in A's ring
     entry ``ring``: vectors[j] is q^j (T^j mod A), T entering over q, exact
-    if prec is None; else q = 1 and it enters ``rounded``[j], rounded at prec."""
+    if prec is None; else q = 1 and each part is rounded at prec."""
 
     vectors: list
     q: int
     prec: int
     ring: list
-    rounded: tuple
 
     @property
     def rows(self):
-        """Row j, the n ascending Scalars of T^j mod A, exact ones made on read."""
-        return self.rounded or tuple(tuple(_leave(v, self.q ** j, None, self.ring))
-                                     for j, v in enumerate(self.vectors))
+        """Row j, the n ascending Scalars of T^j mod A, made on read: row 0
+        the rational (1, 0, ..., 0), and row j its vector over q^j, exact or
+        with parts already at prec bits, so no bit moves."""
+        n = len(self.vectors[0][0])
+        return (tuple(ONE if i == 0 else ZERO for i in range(n)),) + tuple(
+            tuple(_leave(v, self.q ** j, self.prec, self.ring))
+            for j, v in enumerate(self.vectors[1:], 1))
 
 
 def powers_mod(T: UniPoly, A: UniPoly) -> PowerTable:
@@ -388,18 +408,40 @@ def powers_mod(T: UniPoly, A: UniPoly) -> PowerTable:
     routine builds it.  It runs in the ring (module docstring), exactly when
     every coefficient of T and A is rational, otherwise at the largest
     precision prec of a complex one, each row cut to prec + ``GUARD_BITS``
-    bits, then rounded once at prec and entered again as a fixed-point
-    vector (``fixed_point``): the one place a row becomes a vector."""
+    bits, then each part rounded once at prec on its ints (``_round_row``)
+    into the vector the row's Scalars at prec would enter as: the one place
+    a row becomes a vector."""
     n = A.degree
     r, (t,), q, prec = _enter(A, [T.coeffs], max(T.degree, 0))
-    vs, rows = [([int(i == 0) for i in range(n)], [], 0)], None
+    vs = [([int(i == 0) for i in range(n)], [], 0)]
     for _ in range(n):
         vs.append(gauss_mul_mod(vs[-1], t, r[2], r[3]))
     if prec is not None:
-        rows = (tuple(ONE if i == 0 else ZERO for i in range(n)),) + tuple(
-            tuple(_leave(v, 1, prec, r)) for v in vs[1:])
-        vs = [fixed_point(row, prec, r[0]) for row in rows]
-    return PowerTable(vs, q, prec, r, rows)
+        vs = [_round_row(v, prec) for v in vs]
+    return PowerTable(vs, q, prec, r)
+
+
+def _round_row(v, prec):
+    """The fixed-point vector v = (re, im, e) with each part rounded once at
+    prec bits, to nearest with ties to even as libmp's ``normalize``
+    rounds, and shifted to the least exponent of a nonzero part (0 if
+    none), with n imaginary parts: the vector ``fixed_point`` makes of the
+    row's Scalars at prec (``_leave``), made on the ints."""
+    re, im, e = v
+    parts = []
+    for c in re + (im or [0] * len(re)):
+        a = -c if c < 0 else c
+        k = a.bit_length() - prec
+        if k > 0:
+            t = a >> k - 1
+            a = ((t >> 1) + 1 if t & 1 and (t & 2 or a & (1 << k - 1) - 1) else t >> 1) << k
+        parts.append(-a if c < 0 else a)
+    n, low = len(re), [(x & -x).bit_length() - 1 for x in parts if x]
+    if not low:
+        return parts[:n], parts[n:], 0
+    low = min(low)
+    parts = [x >> low for x in parts]
+    return parts[:n], parts[n:], e + low
 
 
 HORNER_GUARD_BITS = 7  # past prec, in each product of U(T) (TransformStep.certify)
@@ -423,11 +465,12 @@ def compose_mod(U: UniPoly, T: UniPoly, A: UniPoly):
 
 
 def columns_mod(t_coeffs, A: UniPoly):
-    """(N, (e, q, prec)): the matrix of multiplication by T (ascending
+    """(N, I, (e, q, prec)): the matrix of multiplication by T (ascending
     Scalar coefficients ``t_coeffs``) modulo the monic A of degree n >= 1,
-    up to similarity, as the n columns of ints and ``Gauss`` integers N
-    whose entries times 2^e / q are its entries; prec is the largest
-    precision of a complex coefficient, None when the entries are exact.
+    up to similarity, as the n columns of ints N, and I of their imaginary
+    parts or None when every column is real, whose entries (N + I i) times
+    2^e / q are its entries; prec is the largest precision of a complex
+    coefficient, None when the entries are exact.
 
     Column 0 is T modulo A and column i + 1 is w times column i in the
     ring's w, exactly when T and A are rational, T entering over q, and
@@ -451,12 +494,13 @@ def columns_mod(t_coeffs, A: UniPoly):
     while len(cols) < n:
         cols.append(gauss_mul_mod(cols[-1], ([0, 1], [], 0), r[2], r[3]))
     e = min([f for re, im, f in cols if any(re) or any(im)] or [0])
-    N = []
+    N, I = [], None if prec is None else []
     for re, im, f in cols:
         d = max(f - e, 0)  # a column cut to zero may hold an exponent below e
-        N.append([Gauss(x << d, y << d) if y else x << d for x, y in zip(re, im)] if im
-                 else [x << d for x in re] if d else re)
-    return N, (e, q, prec)
+        N.append([x << d for x in re] if d else re)
+        if I is not None:
+            I.append([y << d for y in im] if im else [0] * n)
+    return N, I, (e, q, prec)
 
 
 def product_traces(A: UniPoly, X, m: int):
@@ -827,20 +871,26 @@ def graded_horner(cs, zs, bits, derivative=False, size=False):
     grid units and |w| < 1: at most n + 1 grid units from the roundings
     and n (n + 1) / 2 from W's.
 
-    With bits None every coefficient and point must be rational, and p(z)
-    is exact: the sum of c_j a^j b^(n-j) over D b^n for z = a / b and the
-    c_j over D, with no dp, size or point."""
+    With bits None every coefficient must be rational and every point a
+    Scalar, and p(z) is exact: the sum of c_j a^j b^(n-j) over D b^n for
+    the c_j over D and z = a / b, a Gaussian integer, with no dp or size.
+    A rational z enters over its denominator, with no point; a complex one
+    as the dyadic value it is, (x + y i) 2^e as point, b = 2^-e for e < 0."""
     n = len(cs) - 1
     out = []
     if bits is None:
         nums, D = int_vector(cs)
         for z in zs:
-            (a,), b = int_vector([z])
-            h, bk = nums[n], 1
+            if z.is_rational:
+                ((a,), b), ai, point = int_vector([z]), 0, None
+            else:
+                a, ai, e = point = _gauss_point(z, 0)
+                a, ai, b = (a, ai, 1 << -e) if e < 0 else (a << e, ai << e, 1)
+            h, hi, bk = nums[n], 0, 1
             for j in range(n - 1, -1, -1):
                 bk *= b
-                h = h * a + nums[j] * bk
-            out.append(Graded((h, 0, D * bk, 0), None, None, None))
+                h, hi = h * a - hi * ai + nums[j] * bk, h * ai + hi * a
+            out.append(Graded((h, hi, D * bk, 0), None, None, point))
         return out
     F = bits + GRADED_GUARD_BITS
     h = 1 << F - 1
@@ -1078,7 +1128,7 @@ def power_sums(poly: UniPoly, k_max: int):
                                     for k, (x, y, e) in enumerate(S[1:k_max + 1], 1))
 
 
-def newton_elementary(sums, q, prec, bits, width=0):
+def newton_elementary(sums, q, prec, bits, width=0, read=None):
     """Newton's identities back: e_1..e_m, dicts to nonzero Scalars, from
     ``sums`` = P_1..P_m, P_i = q^i s_i for power sums s_i that are forms in
     ``width`` parameters: dicts from exponent tuples (() for none) to
@@ -1087,7 +1137,9 @@ def newton_elementary(sums, q, prec, bits, width=0):
     held to ``bits`` bits of its largest term (``fixed_sum``), and e_k =
     G_k / (k! q^k) is rounded once at prec (``from_ratio``); both are exact
     when bits and prec are None, and then, in no parameter, the sums are
-    real ints and G runs on them with no dict."""
+    real ints and G runs on them with no dict.  Only the e_k for k in
+    ``read`` (ascending; None for all) are made, in that order: the G_k of
+    the rest stay ints."""
     if not width and prec is None:
         P, G, out, d = [s[()][0] if s else 0 for s in sums], [1], [], 1
         for k in range(1, len(P) + 1):
@@ -1095,7 +1147,8 @@ def newton_elementary(sums, q, prec, bits, width=0):
             for i in range(1, k + 1):
                 acc, f = acc + (f if i % 2 else -f) * P[i - 1] * G[k - i], f * (k - i)
             G.append(acc)
-            out.append({(): from_ratio(acc, 0, d)} if acc else {})
+            if read is None or k in read:
+                out.append({(): from_ratio(acc, 0, d)} if acc else {})
         return out
     G, out, d = [{(0,) * width: (1, 0, 0)}], [], 1
     for k in range(1, len(sums) + 1):
@@ -1109,13 +1162,14 @@ def newton_elementary(sums, q, prec, bits, width=0):
                     terms.setdefault(key, []).append(
                         (c * (ar * br - ai * bi), c * (ar * bi + ai * br), ea + eb))
         d *= k * q
-        Gk, ek = {}, {}
+        Gk = {}
         for key, ts in terms.items():
             re, im, e = v = fixed_sum(ts, bits)
             if re or im:
-                Gk[key], ek[key] = v, from_ratio(re, im, d, e, prec)
+                Gk[key] = v
         G.append(Gk)
-        out.append(ek)
+        if read is None or k in read:
+            out.append({key: from_ratio(re, im, d, e, prec) for key, (re, im, e) in Gk.items()})
     return out
 
 

@@ -31,14 +31,20 @@ cluster polish run on raw libmp pairs through the fused kernels of
 ``scalars`` (``cadd``, ``csub``, ``cmul``), with p(z) from a libmp Horner
 of their own.  It keeps each part's own relative bits, so a sweep can
 drive the imaginary part of a real root far below the last bit of its
-real part, where a grid shared by both parts stops.  ``find_roots`` is the
-one place that merges multiple roots: it parks every copy of one on the
-same value, so root sets compare by plain optimal pairing.
+real part, where a grid shared by both parts stops.  Every |z| here (the
+start circle's moduli, the sweeps' steps, the polish and the discs'
+distances) is ``scalars.hypot``, libmp's bits from one integer square
+root.  ``find_roots`` is the one place that merges multiple roots: it
+parks every copy of one on the same value, so root sets compare by plain
+optimal pairing, and it hands its prec-bit points out as they are.
 
 Nothing here depends on what kind a step is.  Each ``TransformStep``
 certifies itself (``certify``) and moves roots back through itself
 (``pull_back``, on the same graded Horner); verification and recovery only
 walk the chain, and recovery refuses a chain that does not walk back.
+Recovery tests each pulled-back root on the original once
+(``polynomials.lies_on``), exactly on the root's dyadic value when the
+original is rational.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from math import isfinite
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import (finf, fone, from_float, from_int, from_man_exp, fzero, mpc_abs,
+from mpmath.libmp import (finf, fone, from_float, from_int, from_man_exp, fzero,
                           mpc_add_mpf, mpc_div, mpc_div_mpf, mpc_mpf_div, mpc_mul_int,
                           mpf_add, mpf_cmp, mpf_cos_sin, mpf_div, mpf_gt, mpf_le, mpf_lt,
                           mpf_mul, mpf_mul_int, mpf_nthroot, mpf_pi, mpf_shift, mpf_sub,
@@ -59,7 +65,7 @@ from .errors import ConsistencyError
 from .polynomials import (UniPoly, ceil_abs, coeff_mismatch, graded_horner, lies_on,
                           power_sums, relative_residual)
 from .scalars import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, Scalar, as_tol,
-                      cadd, cmul, context, csub, mag_binades, rat, sort_key)
+                      cadd, cmul, csub, hypot, mag_binades, rat, sort_key)
 from .solvers import solve_condition
 
 DEFAULT_MATCH_TOLERANCE = "1e-25"
@@ -160,7 +166,7 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
                     todo.extend(g)
             return groups, parked, todo
 
-        zs = _start_circle([mpc_abs(c, 53, RND) for c in cs], cfg.seed)
+        zs = _start_circle([hypot(c, 53) for c in cs], cfg.seed)
         warm = _float_aberth(cs, zs)
         first = None  # the judgment of zs, when already made
         if warm is not None:
@@ -181,7 +187,7 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
             nxt = list(zs)
             for i in todo:
                 z = zs[i]
-                pv, dv, az = _horner(cs, z, prec), _horner(dcs, z, prec), mpc_abs(z, prec, RND)
+                pv, dv, az = _horner(cs, z, prec), _horner(dcs, z, prec), hypot(z, prec)
                 if dv == CZERO:
                     nxt[i] = mpc_add_mpf(z, mpf_mul(eps, mpf_add(az, fone, prec, RND), prec, RND),
                                          prec, RND)
@@ -194,7 +200,7 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
                 den = csub(CONE, cmul(w, s, prec), prec)
                 corr = w if den == CZERO else mpc_div(w, den, prec, RND)
                 nxt[i] = csub(z, corr, prec)
-                rel = mpf_div(mpc_abs(corr, prec, RND), _at_least_one(az), prec, RND)
+                rel = mpf_div(hypot(corr, prec), _at_least_one(az), prec, RND)
                 if mpf_gt(rel, max_step):
                     max_step = rel
             zs = nxt
@@ -204,8 +210,7 @@ def find_roots(poly: UniPoly, config: RootConfig = None) -> RootSet:
             polishes.clear()  # polishing each cluster afresh from there
             _, parked, todo = judge(zs, groups)
         converged = not todo
-        found = [Scalar.from_mpc(context(prec).make_mpc(parked.get(i, z)), prec)
-                 for i, z in enumerate(zs)]
+        found = [Scalar.from_raw(parked.get(i, z), prec) for i, z in enumerate(zs)]
     roots = tuple(sorted([rat(0)] * zeros + found, key=sort_key))
     return RootSet(roots, converged, iterations)
 
@@ -216,21 +221,32 @@ def _start_circle(mags, seed):
     coefficients: angles 2 pi (j + u/4 + 1/3) / n and radii (1/2 + u/4)
     times Fujiwara's bound, u drawn from ``random.Random(seed)``.  The angle
     and radius factors are float + - * /, the rest libmp at 53 bits, so the
-    bits are the same on every machine.  The points only seed the float
+    bits are the same on every machine; the factors depend on (n, seed)
+    alone and are made once (``_circle``).  The points only seed the float
     stage or, where it falls back, the working precision."""
     n = len(mags) - 1
     terms = [mpf_nthroot(mags[n - k], k, 53, RND) for k in range(1, n)]
     terms.append(mpf_nthroot(mpf_shift(mags[0], -1), n, 53, RND))
     bound = mpf_shift(max(terms, key=functools.cmp_to_key(mpf_cmp)), 1)
-    two_pi = mpf_shift(mpf_pi(53), 1)
-    rng = random.Random(seed)
     zs = []
-    for j in range(n):
-        turn = from_float((j + rng.random() / 4 + 1 / 3) / n)
-        rad = mpf_mul(bound, from_float(0.5 + rng.random() / 4), 53, RND)
-        cos, sin = mpf_cos_sin(mpf_mul(two_pi, turn, 53, RND), 53, RND)
+    for f, cos, sin in _circle(n, seed):
+        rad = mpf_mul(bound, f, 53, RND)
         zs.append((mpf_mul(rad, cos, 53, RND), mpf_mul(rad, sin, 53, RND)))
     return zs
+
+
+@functools.lru_cache(maxsize=256)
+def _circle(n, seed):
+    """The radius factor, cosine and sine of each of ``_start_circle``'s n
+    points, raw mpfs at 53 bits, u drawn in the order angle, radius."""
+    two_pi = mpf_shift(mpf_pi(53), 1)
+    rng = random.Random(seed)
+    out = []
+    for j in range(n):
+        turn = from_float((j + rng.random() / 4 + 1 / 3) / n)
+        f = from_float(0.5 + rng.random() / 4)
+        out.append((f, *mpf_cos_sin(mpf_mul(two_pi, turn, 53, RND), 53, RND)))
+    return tuple(out)
 
 
 def _newton_stages(zs, coeffs, prec):
@@ -361,14 +377,15 @@ def _clusters(zs, bounds):
     mpf) bounds |p(z_i)| for the monic p of degree n = len(zs).  A
     component of k discs holds exactly k roots of p (Carstensen, Numer.
     Math. 59, 1991; Bini & Fiorentino, Numer. Algorithms 23, 2000).  It
-    works at 53 bits, distances rounded down and radii up; a point that
+    works at 53 bits, distances rounded down (``scalars.hypot`` of the
+    differences, each part rounded down) and radii up; a point that
     coincides with another has an infinite radius."""
     n = len(zs)
     dist, prods = {}, [fone] * n
     for i in range(n):
         for j in range(i + 1, n):
             (a, b), (c, d) = zs[i], zs[j]
-            dist[i, j] = mpc_abs((mpf_sub(a, c, 53, DOWN), mpf_sub(b, d, 53, DOWN)), 53, DOWN)
+            dist[i, j] = hypot((mpf_sub(a, c, 53, DOWN), mpf_sub(b, d, 53, DOWN)), 53, DOWN)
             prods[i] = mpf_mul(prods[i], dist[i, j], 53, DOWN)
             prods[j] = mpf_mul(prods[j], dist[i, j], 53, DOWN)
     radii = [finf if p == fzero else mpf_div(mpf_mul_int(b, n, 53, UP), p, 53, UP)
@@ -405,11 +422,11 @@ def _polish_multiple(cluster, cs, prec):
         if dfx == CZERO:
             break
         step = mpc_div(fx, dfx, prec, RND)
-        size = mpc_abs(step, prec, RND)
+        size = hypot(step, prec)
         if not mpf_lt(size, mpf_shift(last, -1)):
             break
         x = csub(x, step, prec)
-        if mpf_le(size, mpf_mul(eps, _at_least_one(mpc_abs(x, prec, RND)), prec, RND)):
+        if mpf_le(size, mpf_mul(eps, _at_least_one(hypot(x, prec)), prec, RND)):
             break
         last = size
     return x

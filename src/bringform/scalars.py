@@ -19,10 +19,16 @@ arithmetic on them runs at mpmath's default precision.
 
 Precision travels with each value.  Every complex operation rounds to
 nearest at a precision given to it, never at a global one: ring operations,
-powers, magnitudes and square roots call mpmath's ``libmp`` functions with
-the Scalar's precision, and the rest use an mpmath context fixed at the
+powers and square roots call mpmath's ``libmp`` functions with the
+Scalar's precision, and the rest use an mpmath context fixed at the
 precision it needs (``context``).  Nothing in the package changes or reads
 mpmath's global precision, so Scalars are safe to share between threads.
+
+One kernel owns |z|: ``hypot`` gives the bits of libmp's ``mpc_abs`` from
+one ``math.isqrt``, where libmp takes the square root by a Newton loop in
+Python.  ``Scalar.mag`` and every magnitude of ``roots.find_roots`` (the
+start circle's moduli, the sweeps, the polish and the cluster distances)
+call it, and only it calls libmp's square-root magnitudes.
 
 Arithmetic has one path.  The operators + - * / only turn an int or
 Fraction operand into an exact rational (``_operand``) and call one module
@@ -51,7 +57,8 @@ Integer views read the raw pairs for the integer routes elsewhere:
 a vector of Gaussian integers times one power of two, which
 ``polynomials.gauss_mul_mod`` cuts to a fixed number of bits and
 ``polynomials.graded_horner`` places on its grid;
-``graded_monic`` reads back a charpoly of such integers (``Gauss``), and
+``graded_monic`` reads back a charpoly of such integers, split into real
+and imaginary parts, and
 ``from_ratio`` any other value of them over an int, exactly for a rational
 and otherwise with each part rounded once (every exit of the ring of
 ``polynomials``, the forms of ``elimination.image_elementary`` and the
@@ -211,6 +218,49 @@ def _fuse(m1, e1, m2, e2, m3, e3, m4, e4, prec):
     return re, fzero
 
 
+def hypot(z, prec, rnd=round_nearest):
+    """|z| for the raw pair z as a raw mpf rounded at prec by rnd: the bits
+    of libmp's ``mpc_abs``, the package's one |z|.  As ``mpf_hypot`` forms
+    it, a zero part leaves the other rounded at prec, and otherwise x^2 +
+    y^2 is summed as mpf_add sums it (``_far`` past ``_WINDOW``) and
+    rounded down at prec + 4 bits; its square root, to at least prec + 2
+    bits by ``math.isqrt`` with a sticky bit for the remainder (none when
+    rounding down or to floor), is rounded once at prec.  An infinity or
+    nan takes the libmp call."""
+    (sa, ma, ea, ba), (sb, mb, eb, bb) = z
+    if not ((ma or not ea) and (mb or not eb)):
+        return mpc_abs(z, prec, rnd)
+    if not mb:
+        return normalize(0, ma, ea, ba, prec, rnd) if ma else fzero
+    if not ma:
+        return normalize(0, mb, eb, bb, prec, rnd)
+    m, e, m2, e2 = ma * ma, ea + ea, mb * mb, eb + eb
+    d = e - e2
+    if d > _WINDOW:
+        m, e = _far(m, e, m2, e2, prec + 4)
+    elif d > 0:
+        m, e = (m << d) + m2, e2
+    elif d < -_WINDOW:
+        m, e = _far(m2, e2, m, e, prec + 4)
+    else:
+        m += m2 << -d
+    k = m.bit_length() - prec - 4
+    if k > 0:
+        m >>= k
+        e += k
+    if e & 1:
+        m <<= 1
+        e -= 1
+    k = max(4, 2 * prec - m.bit_length() + 4)
+    k += k & 1
+    m <<= k
+    r = isqrt(m)
+    if rnd not in "fd" and r * r != m:
+        r = r << 1 | 1
+        k += 2
+    return normalize(0, r, (e - k) >> 1, r.bit_length(), prec, rnd)
+
+
 def cadd(z, w, prec):
     """The raw pair of mpc_add(z, w, prec, round_nearest)."""
     (a, b), (c, d) = z, w
@@ -337,6 +387,12 @@ class Scalar:
         """c (an mpc or mpf of any context, or a real number) rounded to prec."""
         return cls(None, None, context(prec).mpc(c)._mpc_, prec)
 
+    @classmethod
+    def from_raw(cls, z, prec: int) -> "Scalar":
+        """The raw libmp pair z, whose parts carry at most prec bits, as the
+        complex Scalar at prec, taken as it is."""
+        return cls(None, None, z, prec)
+
     # -- inspection --------------------------------------------------------
 
     @property
@@ -375,10 +431,12 @@ class Scalar:
         return mp.make_mpf(self._raw(DEFAULT_PRECISION_BITS)[1])
 
     def mag(self):
-        """|self| as an mpf (exact zero for the rational zero)."""
+        """|self| as an mpf (exact zero for the rational zero): a rational
+        rounded at ``DEFAULT_PRECISION_BITS``, a complex value by ``hypot``
+        at its precision."""
         if self._den is not None:
             return mp.make_mpf(_rat_mpf(abs(self._num), self._den, DEFAULT_PRECISION_BITS))
-        return mp.make_mpf(mpc_abs(self._c, self._prec, round_nearest))
+        return mp.make_mpf(hypot(self._c, self._prec))
 
     def conjugate(self) -> "Scalar":
         if self._den is not None:
@@ -615,33 +673,6 @@ def int_vector(values):
     return [v._num * (d // v._den) for v in values], d
 
 
-class Gauss:
-    """A Gaussian integer re + im i on ints: +, * (an int mixes in), - and truth."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re, self.im = re, im
-
-    def __add__(self, y):
-        if type(y) is int:
-            return Gauss(self.re + y, self.im)
-        return Gauss(self.re + y.re, self.im + y.im)
-
-    def __mul__(self, y):
-        if type(y) is int:
-            return Gauss(self.re * y, self.im * y)
-        return Gauss(self.re * y.re - self.im * y.im, self.re * y.im + self.im * y.re)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __neg__(self):
-        return Gauss(-self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-
 # bits past prec in a fixed-point vector: a rational that is not dyadic
 # enters rounded at prec + GUARD_BITS, and the power table, the charpoly's
 # columns and the forms' products and sums are cut there
@@ -715,18 +746,19 @@ def from_ratio(re, im, d, e=0, prec=None):
     return Scalar(None, None, (_ratio(re, d, e, prec), _ratio(im, d, e, prec)), prec)
 
 
-def graded_monic(p, scale):
-    """The ascending Scalars of the monic polynomial with p[j] (2^e / d)^j
-    at x^(n - j), p highest first (ints and ``Gauss`` integers) and
-    (e, d, prec) the scale of ``polynomials.columns_mod``: exact when prec
-    is None, else d = 1 and each part rounded once at prec."""
+def graded_monic(p, pi, scale):
+    """The ascending Scalars of the monic polynomial with (p[j] + pi[j] i)
+    (2^e / d)^j at x^(n - j), p and pi highest first (ints; pi None when
+    every one is real) and (e, d, prec) the scale of
+    ``polynomials.columns_mod``: exact when prec is None, else d = 1 and
+    each part rounded once at prec."""
     e, d, prec = scale
     if prec is None:
         return [_q(c, d ** j) for j, c in enumerate(p)][::-1]
     out = [ONE]
     for j, c in enumerate(p[1:], 1):
-        re, im = (c.re, c.im) if type(c) is Gauss else (c, 0)
-        out.append(Scalar(None, None, (_part(re, e * j, prec), _part(im, e * j, prec)), prec))
+        im = pi[j] if pi else 0
+        out.append(Scalar(None, None, (_part(c, e * j, prec), _part(im, e * j, prec)), prec))
     return out[::-1]
 
 

@@ -201,6 +201,94 @@ def test_polynomial_resultant_matches_sympy_on_gaussian_integer_pairs():
             assert abs(got - w) <= mpmath.mpf("1e-60") * max(1, abs(w)), (X, Y)
 
 
+# The edge shapes of the one determinant on ``map_charpoly`` itself.  Its
+# value at y = 0 is (-1)^n prod T(z_i), so (-1)^n lc(P)^(deg Q) times it
+# is Res(P, Q) for A = P / lc(P) and T = Q, which sympy gives.
+
+def _charpoly_resultant(P, Q):
+    A, lc = P.monic()
+    value = lc ** Q.degree * map_charpoly(A, Q.coeffs).coeff(0)
+    return -value if P.degree % 2 else value
+
+
+def test_map_charpoly_of_degree_0_and_1():
+    one = UniPoly([rat(1)], "y")
+    for t in ([], [rat(3)], [rat(1, 2), rat(-2), rat(5)], [cx(1, 2), rat(3)]):
+        assert map_charpoly(UniPoly([rat(1)]), t) == one
+    # A = z - a: the one image is T(a)
+    for a, t in ((rat(3), [rat(5), rat(2)]), (rat(-7, 3), [rat(1), rat(0), rat(4, 9)]),
+                 (cx(2, -1), [cx(0, 1), rat(1), rat(1)])):
+        C = map_charpoly(UniPoly([-a, rat(1)]), t)
+        image = UniPoly(t).eval(a)
+        assert C.degree == 1 and C.coeff(1) == rat(1)
+        assert (C.coeff(0) + image).mag() <= mpmath.mpf("1e-70") * max(1, image.mag())
+        if a.is_rational:
+            assert C.coeff(0) == -image
+
+
+def test_map_charpoly_of_the_zero_map_is_a_power_of_y():
+    # every image is 0, so C = y^n, whatever A, rational or complex
+    for A in (UniPoly([rat(5, 2), rat(-1), rat(0), rat(1)]),
+              UniPoly([cx(1, 2), rat(-3, 2), cx(0, 0), rat(1)])):
+        for t in ([], [rat(0)], [rat(0), cx(0, 0)]):
+            assert map_charpoly(A, t) == UniPoly([rat(0)] * 3 + [rat(1)], "y")
+
+
+def test_map_charpoly_matches_sympy_on_rational_pairs():
+    z = sympy.Symbol("z")
+    rng = random.Random(43)
+    pairs = [tuple(_nonzero_poly(rng, rng.randint(0, 5), rand_scalar) for _ in range(2))
+             for _ in range(60)]
+    # leading coefficients that are negative and large, before the monic
+    # normalization and the integer scaling by int_monic's L
+    big = rat(-10 ** 30 - 7, 11)
+    pairs += [(UniPoly([rat(5, 3), rat(-2), rat(0), big]), UniPoly([rat(1, 2), big])),
+              (UniPoly([rat(3), big]), UniPoly([rat(-7, 2), rat(1), rat(0), rat(0), big])),
+              (UniPoly([big]), UniPoly([rat(2), rat(-1), rat(-3)]))]
+    for P, Q in pairs:
+        for X, Y in ((P, Q), (Q, P)):
+            want = sympy.Rational(_sympy_resultant(X, Y, z))
+            assert _charpoly_resultant(X, Y).fraction == Fraction(int(want.p), int(want.q))
+
+
+def test_map_charpoly_matches_sympy_on_gaussian_integer_pairs():
+    z = sympy.Symbol("z")
+    rng = random.Random(44)
+
+    def gaussian(rng):
+        return cx(rng.randint(-5, 5), rng.randint(-5, 5))
+
+    for _ in range(20):
+        P, Q = (_nonzero_poly(rng, rng.randint(1, 5), gaussian) for _ in range(2))
+        for X, Y in ((P, Q), (Q, P)):
+            exact = _sympy_resultant(X, Y, z)
+            w = mpmath.mpc(int(sympy.re(exact)), int(sympy.im(exact)))
+            got = _charpoly_resultant(X, Y).to_mpc()
+            assert abs(got - w) <= mpmath.mpf("1e-60") * max(1, abs(w)), (X, Y)
+
+
+def test_image_elementary_makes_only_the_forms_read_with_the_same_bits():
+    # each e_k read is the e_k of the full list, bit for bit, rational and
+    # complex; the ones not read are never rounded
+    rng = random.Random(52)
+    for _ in range(30):
+        n, width = rng.randint(2, 5), rng.randint(1, 4)
+        prec = rng.choice([64, 256])
+        kind = rng.choice(["rational", "complex"])
+
+        def scalar():
+            f = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            return rat(f.numerator, f.denominator) if kind == "rational" else cx(f, 1, prec)
+        A = UniPoly([scalar() for _ in range(n)] + [rat(1)])
+        xs = [tuple(scalar() for _ in range(width)) for _ in range(rng.randint(1, n))]
+        m = rng.randint(1, 3)
+        full = image_elementary(A, xs, m)
+        for read in ([m], [1, m], [2, 3][:m - 1] or [1]):
+            read = sorted(set(read))
+            got = image_elementary(A, xs, m, read)
+            assert _form_bytes(got) == _form_bytes([full[k - 1] for k in read])
+
+
 def test_routes_agree_in_complex_mode():
     rng = random.Random(34)
     for _ in range(10):
@@ -385,9 +473,10 @@ def test_a_complex_charpoly_hands_berkowitz_ints_of_a_bounded_length(monkeypatch
     # a column cut to zero is not shifted with the others
     seen, berkowitz = [], elimination._berkowitz
 
-    def recorded(N):
-        seen.extend(x for row in N for x in row)
-        return berkowitz(N)
+    def recorded(N, I=None):
+        seen.extend(zip((x for row in N for x in row),
+                        (y for row in I or [[0] * len(N)] * len(N) for y in row)))
+        return berkowitz(N, I)
 
     monkeypatch.setattr(elimination, "_berkowitz", recorded)
     big, small = mpmath.mpf("1e30000"), mpmath.mpf("1e-30000")
@@ -396,7 +485,7 @@ def test_a_complex_charpoly_hands_berkowitz_ints_of_a_bounded_length(monkeypatch
     # z T = (1 - 10^-30000) z - 1 modulo B cancels below the cut of z T
     B = UniPoly([rat(1), cx(small), cx(big), rat(0), rat(0), rat(1)])
     assert map_charpoly(B, [rat(1), cx(big), rat(0), rat(0), rat(1)]).degree == 5
-    parts = [p for x in seen for p in ((x.re, x.im) if type(x) is scalars.Gauss else (x,))]
+    parts = [p for x in seen for p in x]
     assert len(seen) == 50
     assert max(abs(p).bit_length() for p in parts) <= 256 + scalars.GUARD_BITS + 64
 
@@ -604,7 +693,7 @@ def _table_of(rows, A):
     ``powers_mod`` enters its rounded rows: a table of given inputs, for a
     reference."""
     r, vs, q, prec = polynomials._enter(A, rows, A.degree - 1)
-    return polynomials.PowerTable(vs, q, prec, r, tuple(map(tuple, rows)))
+    return polynomials.PowerTable(vs, q, prec, r)
 
 
 def _scalar_route(A, t, powers):
@@ -771,9 +860,9 @@ def test_rational_forms_keep_the_bytes_of_the_scalar_hankel_code(monkeypatch):
     # forms of a fixed-seed set of rational pairs (p, q)
     calls = []
 
-    def recorded(A, xs, m):
+    def recorded(A, xs, m, read=None):
         calls.append((A, xs, m))
-        return image_elementary(A, xs, m)
+        return image_elementary(A, xs, m, read)
 
     monkeypatch.setattr(pipeline, "image_elementary", recorded)
     for index in range(6):
@@ -810,10 +899,10 @@ def test_complex_forms_and_inverse_maps_lie_near_one_at_four_times_the_precision
     forms, steps = [], []
     solve = pipeline.step_inverse
 
-    def recorded_forms(A, xs, m):
+    def recorded_forms(A, xs, m, read=None):
         if not (A.is_rational_tree() and all(c.is_rational for x in xs for c in x)):
             forms.append((A, xs, m))
-        return image_elementary(A, xs, m)
+        return image_elementary(A, xs, m, read)
 
     def recorded_steps(step):
         if step.table.prec is not None:

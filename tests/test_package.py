@@ -200,18 +200,32 @@ def test_the_power_sum_route_calls_no_scalar_kernel():
 
 
 # the table's rows enter the ring once: ``powers_mod`` alone turns a row
-# into a fixed-point vector, and the table's readers enter no row; the
-# graded Horner enters the coefficients it evaluates, not a row
+# into a fixed-point vector, rounding a complex row on its ints
+# (``_round_row``) with no Scalar made, and the table's readers enter no
+# row; the graded Horner enters the coefficients it evaluates, not a row
 def test_only_the_table_builder_turns_a_row_into_a_vector():
+    polys = os.path.join(os.path.dirname(bringform.__file__), "polynomials.py")
     hits = sorted({(os.path.basename(p), fn)
                    for p in glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py"))
-                   for fn, _, _ in _calls(p, {"fixed_point", "_enter"})})
+                   for fn, _, _ in _calls(p, {"fixed_point", "_enter", "_round_row"})})
     readers = {"table_traces", "solve_mod"}
     assert ("polynomials.py", "powers_mod") in hits
     assert [h for h in hits if h[0] != "polynomials.py" or h[1] in readers] == []
-    fixed = {fn for fn, _, _ in _calls(os.path.join(os.path.dirname(bringform.__file__),
-                                                     "polynomials.py"), {"fixed_point"})}
-    assert fixed == {"_enter", "_graded_block", "powers_mod", "graded_horner"}
+    fixed = {fn for fn, _, _ in _calls(polys, {"fixed_point"})}
+    assert fixed == {"_enter", "_graded_block", "graded_horner"}
+    assert {fn for fn, _, _ in _calls(polys, {"_round_row"})} == {"powers_mod"}
+    makers = {"Scalar", "from_ratio", "_leave", "_q", "fixed_point", "from_raw"}
+    assert [(fn, name) for fn, _, name in _calls(polys, makers)
+            if fn in ("powers_mod", "_round_row")] == []
+
+
+# one |z|: ``scalars.hypot`` alone calls libmp's magnitude and square roots
+# of an mpf, and every other |z| of the package goes through it
+def test_only_hypot_takes_a_libmp_magnitude():
+    hits = sorted({(os.path.basename(p), fn)
+                   for p in glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py"))
+                   for fn, _, _ in _calls(p, {"mpc_abs", "mpf_hypot", "mpf_sqrt"})})
+    assert hits == [("scalars.py", "hypot")]
 
 
 # recover evaluates on one graded Horner: the Newton stages, the judgment

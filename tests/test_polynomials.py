@@ -15,15 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import mpf_div, round_nearest
 
-from bringform import (ReductionTrace, Scalar, UniPoly, coeff_scale, cx,
-                       deflate, poly_from_power_sums, power_sums, rat,
+from bringform import polynomials
+from bringform import (ReductionTrace, RootConfig, Scalar, UniPoly, coeff_scale, cx,
+                       deflate, find_roots, poly_from_power_sums, power_sums, rat,
                        reduce_general_quintic, shift_substitute)
-from bringform.polynomials import (_bareiss, _cut1, _dot, _enter, _on_grid, _ring_sums,
-                                  coeff_mismatch, columns_mod, compose_mod, fixed_sum,
-                                  gauss_mul_mod, int_monic, monic_from_traces,
-                                  newton_elementary, powers_mod, product_traces, solve_mod,
-                                  table_sum, table_traces)
-from bringform.scalars import ONE, ZERO, add, fixed_point, from_ratio, int_vector, mul
+from bringform.polynomials import (_bareiss, _cut1, _dot, _enter, _leave, _on_grid,
+                                  _ring_sums, coeff_mismatch, columns_mod, compose_mod,
+                                  fixed_sum, gauss_mul_mod, int_monic, lies_on,
+                                  monic_from_traces, newton_elementary, powers_mod,
+                                  product_traces, relative_residual, solve_mod, table_sum,
+                                  table_traces)
+from bringform.scalars import (ONE, ZERO, add, as_tol, fixed_point, from_ratio, int_vector,
+                               mul)
 from helpers import max_coeff_diff, rand_fraction, rand_monic, rand_scalar
 
 
@@ -426,6 +429,106 @@ def test_the_kept_table_reads_as_its_rows_did(case):
         assert (c - w).mag() <= mpmath.ldexp(w.mag(), 1 - prec) + mpmath.ldexp(size, 4 - 4 * prec)
 
 
+# Complex rows are rounded at prec on their ints (``_round_row``), with
+# no Scalar made: the table must hold the vectors, and read as the rows,
+# of the eager path that made each row's Scalars and entered them again.
+
+def _eager_table(T, A):
+    """(vectors, rows) of ``powers_mod`` as it ran when it kept the rounded
+    Scalar rows: a complex row made at prec (``_leave``) and entered again
+    (``fixed_point``); a rational row exact, made on read."""
+    n = A.degree
+    r, (t,), q, prec = _enter(A, [T.coeffs], max(T.degree, 0))
+    vs = [([int(i == 0) for i in range(n)], [], 0)]
+    for _ in range(n):
+        vs.append(gauss_mul_mod(vs[-1], t, r[2], r[3]))
+    if prec is None:
+        return vs, [tuple(_leave(v, q ** j, None, r)) for j, v in enumerate(vs)]
+    rows = [tuple(ONE if i == 0 else ZERO for i in range(n))] + [
+        tuple(_leave(v, 1, prec, r)) for v in vs[1:]]
+    return [fixed_point(row, prec, r[0]) for row in rows], rows
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(case=_mod_case())
+def test_rows_rounded_on_their_ints_keep_the_eager_tables_bits(case):
+    _, T, A = case
+    table = powers_mod(T, A)
+    vs, rows = _eager_table(T, A)
+    assert table.vectors == vs
+    assert [_bits(r) for r in table.rows] == [_bits(r) for r in rows]
+
+
+def test_a_row_rounds_on_its_ints_as_normalize_rounds_it():
+    # parts of every length, zeros, signs, and exact ties, which go to even
+    rng = random.Random(23)
+    for prec in (2, 3, 53, 64, 256):
+        for _ in range(200):
+            n, e, s = rng.randint(1, 6), rng.randint(-400, 400), rng.randint(-50, 50)
+
+            def part():
+                k = rng.choice([0, 1, rng.randint(2, prec + 80)])
+                if k < 2 or rng.random() < 0.5:
+                    return rng.choice([-1, 1]) * rng.getrandbits(k + prec)
+                tie = (rng.getrandbits(prec) << 1 | 1) << k - 1  # exactly half an ulp
+                return rng.choice([-1, 1]) * (tie + (rng.random() < 0.3))
+            re = [rng.choice([0, part()]) for _ in range(n)]
+            im = rng.choice([[], [rng.choice([0, part()]) for _ in range(n)]])
+            v = (re, im, e)
+            want = fixed_point(_leave(v, 1, prec, [s, 1]), prec, s)
+            assert polynomials._round_row(v, prec) == want, (v, prec)
+
+
+@pytest.mark.parametrize("mode", ["rational", "complex"])
+@pytest.mark.parametrize("prec, tol", [(64, "1e-14"), (256, "1e-30")])
+def test_a_table_built_on_first_use_from_json_keeps_the_eager_tables_bits(mode, prec, tol):
+    quintics = [(3, -2, 1, 4, -1, 1), (-7, 2, 5, -1, 3, 1), (1, 9, -4, 0, 6, 1)]
+    read = 0
+    for q in quintics:
+        P = UniPoly([rat(c) if mode == "rational" or c == 1 else cx(c, 0, prec) for c in q])
+        trace = reduce_general_quintic(P, prec=prec, tol=tol)
+        again = ReductionTrace.from_json(trace.to_json(), prec)
+        for step in again.steps:
+            assert "table" not in vars(step)
+            vs, rows = _eager_table(step.subsidiary.map_in_z(), step.input)
+            assert step.table.vectors == vs
+            assert [_bits(r) for r in step.powers] == [_bits(r) for r in rows]
+            read += step.table.prec is not None
+    assert read >= 3
+
+
+# A rational A at a complex z is judged exactly by ``lies_on``: the
+# reference is ``relative_residual`` on z carried at 4096 bits, whose
+# rounding lies far below 2^-40 of every tol here; z's own precision can
+# cancel A(z) to 0 at 64 bits, so the exact verdict may differ from that.
+
+@st.composite
+def _lies_on_case(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = rng.randint(1, 8)
+    cs = [Fraction(rng.randint(-10 ** rng.randint(1, 12), 10 ** 6), rng.randint(1, 99))
+          for _ in range(n)] + [Fraction(draw(st.sampled_from([1, 3, -2, 10 ** 9])))]
+    A = UniPoly([rat(c.numerator, c.denominator) for c in cs])
+    prec = draw(st.sampled_from([53, 64, 128, 256, 1024]))
+    r = draw(st.sampled_from(find_roots(A.monic()[0], RootConfig(precision_bits=prec)).roots))
+    j = draw(st.integers(0, prec + 8))
+    z = r * (ONE + rat(draw(st.sampled_from([1, -3, 5])), 2 ** j))
+    if z.is_rational:
+        z = z + cx(0, 0, prec)
+    return A, z, draw(st.sampled_from(["1e-3", "1e-12", "1e-14", "1e-30", "1e-60", "1e-200"]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=_lies_on_case())
+def test_an_exact_lies_on_agrees_with_the_residual_off_the_boundary(case):
+    A, z, tol = case
+    t = as_tol(tol)
+    res = relative_residual(A, Scalar(None, None, z._c, 4096))
+    if abs(res - t) <= mpmath.ldexp(t, -40):
+        return
+    assert lies_on(A, z, tol) is (res <= t), (A, z, tol, res)
+
+
 def _dict_newton(sums, q, prec, bits, width=0):
     """newton_elementary's loop over dicts of forms, which it runs in any
     number of parameters and at any precision."""
@@ -455,12 +558,17 @@ _SUM = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10 ** 40, 10 ** 40
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(P=st.lists(_SUM, min_size=1, max_size=8), q=st.integers(1, 10 ** 12))
-def test_newtons_flat_loop_gives_the_dict_loops_e_k(P, q):
+@given(P=st.lists(_SUM, min_size=1, max_size=8), q=st.integers(1, 10 ** 12),
+       pick=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_newtons_flat_loop_gives_the_dict_loops_e_k(P, q, pick):
     sums = [{(): (x, 0, 0)} if x else {} for x in P]
     got, want = newton_elementary(sums, q, None, None), _dict_newton(sums, q, None, None)
     assert [sorted(e) for e in got] == [sorted(e) for e in want]
     assert [_bits(e.values()) for e in got] == [_bits(e.values()) for e in want]
+    # the e_k a caller reads are the same whatever else it reads
+    read = [k for k in range(1, len(P) + 1) if pick[k - 1]]
+    some = newton_elementary(sums, q, None, None, read=read)
+    assert [_bits(e.values()) for e in some] == [_bits(want[k - 1].values()) for k in read]
 
 
 def _old_certificate_residual(step, prec=None):
@@ -591,7 +699,7 @@ def _old_columns_mod(t, A):
                           [dict(tw).get(i, 0) for i in range(n + len(t))], low, n)]
     while len(cols) < n:
         cols.append(int_rem_monic([0] + cols[-1], low, n))
-    return cols, (0, q, None)
+    return cols, None, (0, q, None)  # real columns have no imaginary matrix
 
 
 def _old_product_traces(A, X, m):

@@ -5,6 +5,7 @@ against itself.  Verification tests include a deliberately corrupted trace:
 the harness must flag it rather than raise.
 """
 
+import functools
 import json
 import random
 import sys
@@ -14,6 +15,8 @@ from math import isfinite
 
 import mpmath
 import pytest
+from mpmath.libmp import (fone, from_float, mpf_cmp, mpf_cos_sin, mpf_mul, mpf_nthroot,
+                          mpf_pi, mpf_shift, round_nearest)
 
 from bringform import (ConsistencyError, DegenerateDenominator, RootConfig, Scalar,
                        UniPoly, bring_curve_residual, coeff_scale, cx, find_roots,
@@ -919,3 +922,51 @@ def test_an_infinite_coefficient_never_verifies(sign):
     final = UniPoly([rat(1), rat(1), rat(0), rat(0), inf, rat(1)], "y")
     bare = ReductionTrace(final, (), rat(1), rat(1))
     assert verify_trace(bare).matched is False
+
+
+def test_a_step_input_sharing_an_infinite_coefficient_is_refused():
+    # a step's input holds the output before it as the same objects
+    # (``with_var``), which ``coeff_mismatch`` passes unread only when
+    # finite: an infinity shared with the original is still refused
+    inf = Scalar.complex_(mpmath.inf, 0, 256)
+    original = UniPoly([rat(1), rat(1), rat(0), inf, rat(0), rat(1)])
+    A = original.with_var("z")
+    assert A.coeffs[3] is inf
+    assert polynomials.coeff_mismatch(original, A, "1e-30")[0] == 3
+    assert polynomials.coeff_mismatch(A, A, "1e-30")[0] == 3
+    finite = reduce_general_quintic(UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)]))
+    out = finite.steps[0].output
+    assert polynomials.coeff_mismatch(out, out.with_var("z"), "1e-30") is None
+    C = UniPoly([rat(1), rat(1), rat(0), rat(0), rat(0), rat(1)], "y")
+    step = TransformStep("depress", A, Subsidiary(1, (rat(1),)), C, ())
+    assert step.certify("1e-30") == (mpmath.inf, False)
+    report = verify_trace(ReductionTrace(original, (step,), rat(1), rat(1)))
+    assert report.matched is False and report.max_forward_residual == mpmath.inf
+
+
+def _old_start_circle(mags, seed):
+    """``roots._start_circle`` as it ran when it drew its factors on every
+    call."""
+    n = len(mags) - 1
+    terms = [mpf_nthroot(mags[n - k], k, 53, round_nearest) for k in range(1, n)]
+    terms.append(mpf_nthroot(mpf_shift(mags[0], -1), n, 53, round_nearest))
+    bound = mpf_shift(max(terms, key=functools.cmp_to_key(mpf_cmp)), 1)
+    two_pi = mpf_shift(mpf_pi(53), 1)
+    rng = random.Random(seed)
+    zs = []
+    for j in range(n):
+        turn = from_float((j + rng.random() / 4 + 1 / 3) / n)
+        rad = mpf_mul(bound, from_float(0.5 + rng.random() / 4), 53, round_nearest)
+        cos, sin = mpf_cos_sin(mpf_mul(two_pi, turn, 53, round_nearest), 53, round_nearest)
+        zs.append((mpf_mul(rad, cos, 53, round_nearest), mpf_mul(rad, sin, 53, round_nearest)))
+    return zs
+
+
+def test_the_start_circle_keeps_its_bits_with_its_factors_made_once():
+    rng = random.Random(7)
+    for n in range(1, 17):
+        for seed in range(21):
+            mags = [from_float(rng.uniform(0.5, 2) * 10.0 ** rng.randint(-30, 30))
+                    for _ in range(n)] + [fone]
+            for _ in range(2):  # made, then read from the cache
+                assert roots._start_circle(mags, seed) == _old_start_circle(mags, seed), (n, seed)

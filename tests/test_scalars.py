@@ -19,15 +19,15 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_div, mpc_mul,
-                          mpc_pos, mpc_sub, mpf_div, mpf_neg, mpf_pos, mpf_shift,
-                          round_nearest)
+from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, fzero, mpc_abs, mpc_add,
+                          mpc_div, mpc_mul, mpc_pos, mpc_sub, mpf_div, mpf_neg, mpf_pos,
+                          mpf_shift, round_down, round_nearest)
 
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        find_roots, match_roots, rat, reduce_general_quintic, verify_trace)
 from bringform.polynomials import coeff_mismatch, lies_on, relative_residual
 from bringform.scalars import (_q, add, as_scalar, as_tol, cadd, cmul, context, div,
-                               from_ratio, mag_binades, mul, negligible, pick_root,
+                               from_ratio, hypot, mag_binades, mul, negligible, pick_root,
                                pivot_index, sort_key, sub)
 
 TINY = mpmath.mpf("1e-70")
@@ -667,6 +667,38 @@ def test_a_gaussian_ratio_is_rounded_once_as_mpf_div_rounds_it(re, im, d, e, pre
     assert (exact._num, exact._den) == (rat(re, d)._num, rat(re, d)._den)
 
 
+# |z| has one kernel, ``hypot``, which must give libmp's mpc_abs bit for
+# bit: mpc_abs itself is the reference, on parts that are zero, negative,
+# of any mantissa length up to twice the precision, and up to 10^4 binades
+# apart, where the sum of squares takes mpf_add's sticky path
+@st.composite
+def _hypot_parts(draw):
+    prec = draw(st.integers(2, 1100))
+    e = draw(st.integers(-400, 400))
+
+    def part():
+        m = draw(st.one_of(st.just(0), st.integers(-2 ** (2 * prec + 8), 2 ** (2 * prec + 8))))
+        return from_man_exp(m, e + draw(st.one_of(st.integers(-300, 300),
+                                                  st.integers(-10 ** 4, 10 ** 4))))
+    return (part(), part()), prec
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(case=_hypot_parts())
+def test_hypot_is_mpc_abs_bit_for_bit(case):
+    z, prec = case
+    for rnd in (round_nearest, round_down):
+        assert hypot(z, prec, rnd) == mpc_abs(z, prec, rnd), (z, prec, rnd)
+
+
+def test_hypot_hands_an_infinity_or_nan_to_libmp():
+    one = from_int(1)
+    for z in [(finf, fzero), (fzero, fninf), (fnan, one), (one, fnan), (finf, fnan)]:
+        for rnd in (round_nearest, round_down):
+            assert hypot(z, 53, rnd) == mpc_abs(z, 53, rnd)
+    assert Scalar.complex_(mpmath.inf, 1, 64).mag() == mpmath.inf
+
+
 def _binade_values():
     """Values at exact powers of two around 2^-100, 2^0 and 2^100 and just
     off them, complex at 64 and 256 bits (real, both parts, from JSON) and
@@ -716,9 +748,15 @@ def test_the_binade_bounds_decide_as_the_square_roots_do():
             want = max(range(start, len(v)), key=lambda i: v[i].mag())
             assert start + pivot_index(v[start:]) == want, (v, start)
     # lies_on: relative_residual(A, z) <= as_tol(tol), points swept across
-    # the binades of the residual from far inside tol to far outside
+    # the binades of the residual from far inside tol to far outside.  A
+    # rational A at a finite complex z is judged exactly, on z's dyadic
+    # value, so its reference carries z at 4096 bits, where the Horner's
+    # rounding lies far below every tol here (at 64 bits it cancels to 0)
     def agree(A, z, tol):
-        return lies_on(A, z, tol) is (relative_residual(A, z) <= as_tol(tol))
+        w = z
+        if not z.is_rational and A.is_rational_tree() and mag_binades(z) is not None:
+            w = Scalar.from_raw(z._c, 4096)
+        return lies_on(A, z, tol) is (relative_residual(A, w) <= as_tol(tol))
 
     polys = [UniPoly([rat(-2), rat(0), rat(1)]),
              UniPoly([rat(-5), rat(3), rat(0), rat(1, 2 ** 90)]),
