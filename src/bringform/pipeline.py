@@ -148,6 +148,14 @@ class TransformStep(Record):
     def is_identity(self) -> bool:
         return self.subsidiary.is_identity()
 
+    @property
+    def is_finite(self) -> bool:
+        """No coefficient of the input, the subsidiary or the output is an
+        infinity or nan: ``certify`` passes no other step, and
+        ``recover_roots`` walks none back."""
+        return None not in map(mag_binades, self.input.coeffs + self.subsidiary.coeffs
+                               + self.output.coeffs)
+
     def certify(self, tol=None):
         """Certify the step modulo its monic input A, with no elimination
         and no roots (see the module docstring): U(T) = z, U being the
@@ -174,8 +182,8 @@ class TransformStep(Record):
         bits (5 bits missed that at 128).
 
         Returns (largest |coefficient| of U(T) - z relative to
-        ``coeff_scale(A)``, inf for a step without U or with an infinite
-        or nan coefficient in A or C; ok); C(T) counts
+        ``coeff_scale(A)``, inf for a step without U or that is not
+        ``is_finite``; ok); C(T) counts
         within tol * coeff_scale(A) * coeff_scale(C), exactly in rational
         mode.  The verdict reads only the step and ``as_tol(tol)``, never
         mpmath's global precision, so the step keeps it per tolerance:
@@ -190,7 +198,7 @@ class TransformStep(Record):
     def _certificate(self, tol):
         """The body of ``certify``, run once per tolerance."""
         A, C = self.input, self.output
-        if not A.is_monic() or None in map(mag_binades, A.coeffs + C.coeffs):
+        if not A.is_monic() or not self.is_finite:
             return mpmath.inf, False
         U = self.inverse
         if U is None:

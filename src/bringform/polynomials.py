@@ -50,9 +50,10 @@ from math import inf, isqrt
 from typing import NamedTuple
 
 import mpmath
+from mpmath.libmp import normalize, round_nearest
 
 from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Scalar,
-                      add, as_scalar, as_tol, context, fixed_point, from_ratio,
+                      add, as_scalar, as_tol, fixed_point, from_ratio,
                       int_vector, mag_binades, mul, negligible, noise_tol, pivot_index, rat)
 
 
@@ -290,52 +291,55 @@ def coeff_scale(*polys):
     return m
 
 
+def _residual_square(A: UniPoly, z):
+    """(h, q, e): the relative residual of the Scalar z on A squared is h /
+    q 2^(2e), exactly, from A's exact ``graded_horner`` at z; None for an
+    infinity or nan in A or z.  With A(z) = (hr + hi i) 2^k / d, d = D b^n,
+    z = (a + ai i) / b and coeff_scale(A) = m 2^x, b^(2n) cancels from
+    |A(z)|^2 / (m 2^x max(1, |z|)^n)^2."""
+    try:
+        (hr, hi, d, k), _, _, (a, ai, b) = graded_horner(A.coeffs or [ZERO], [z], None)[0]
+    except ValueError:
+        return None
+    n = max(A.degree, 0)
+    _, m, x, _ = coeff_scale(A)._mpf_
+    return hr * hr + hi * hi, (m * d // b ** n) ** 2 * max(b * b, a * a + ai * ai) ** n, k - x
+
+
 def relative_residual(A: UniPoly, z):
     """|A(z)| / (coeff_scale(A) * max(1, |z|)^deg A), how far the Scalar z is
     from a root of A relative to the size of A's terms there, rounded at the
-    precision of z (``DEFAULT_PRECISION_BITS`` for a rational z)."""
-    ctx = context(z.prec or DEFAULT_PRECISION_BITS)
-    den = ctx.mpf(coeff_scale(A)) * ctx.mpf(max(1, z.mag())) ** A.degree
-    return ctx.mpf(A.eval(z).mag()) / den
+    precision of z (``DEFAULT_PRECISION_BITS`` for a rational z): exact on
+    ints (``_residual_square``), then rounded once by one ``math.isqrt``, as
+    ``scalars.hypot`` rounds |z|.  nan for an infinity or nan in A or z."""
+    sq = _residual_square(A, z)
+    if sq is None:
+        return mpmath.nan
+    h, q, e = sq
+    prec = z.prec or DEFAULT_PRECISION_BITS
+    # r = floor(sqrt(h 4^k / q)), of at least prec + 2 bits, and a sticky bit
+    k = max(prec + 2 - (h.bit_length() - q.bit_length() - 1 >> 1), 0)
+    s, rem = divmod(h << 2 * k, q)
+    r = isqrt(s)
+    r = r << 1 | (rem != 0 or r * r != s)
+    return mpmath.mp.make_mpf(normalize(0, r, e - k - 1, r.bit_length(), prec, round_nearest))
 
 
 def lies_on(A: UniPoly, z, tol=None) -> bool:
-    """Is z a root of A, with a ``relative_residual`` of at most tol?
-
-    For a rational A at a complex z it decides exactly, on the dyadic
-    value z is: |A(z)| <= t s max(1, |z|)^n, t = ``as_tol(tol)`` and s =
-    coeff_scale(A) as the dyadic values they are, by squares on ints, A(z)
-    from one exact ``graded_horner`` pass.  Otherwise the ``mag_binades`` of
-    A(z) and z and the binade of coeff_scale(A) bound the residual between
-    two powers of two, and no rounding to nearest carries a value past a
-    power of two, so they bound it as ``relative_residual`` rounds it too.
-    When both bounds lie two binades clear of tol, they decide, with no
-    square root; otherwise the residual is computed."""
-    bound = as_tol(tol)
-    sign, man, exp, bc = bound._mpf_
-    zb = mag_binades(z)
-    if man and not sign and zb is not None:
-        s = coeff_scale(A)._mpf_
-        if A.coeffs and not z.is_rational and A.is_rational_tree():
-            (hr, hi, d, _), _, _, (x, y, e) = graded_horner(A.coeffs, [z], None)[0]
-            n, m, k = A.degree, x * x + y * y, 2 * (exp + s[2])
-            # (t s d)^2 max(1, |z|^2)^n = r 2^k, |z|^2 = m 2^(2e)
-            if e < 0:
-                r, k = (man * s[1] * d) ** 2 * max(m, 1 << -2 * e) ** n, k + 2 * e * n
-            else:
-                r = (man * s[1] * d) ** 2 * max(m << 2 * e, 1) ** n
-            h = hr * hr + hi * hi
-            return h <= r << k if k >= 0 else h << -k <= r
-        rb = mag_binades(A.eval(z))
-        if rb is not None and s[1]:
-            top, se, n = exp + bc, s[2] + s[3], A.degree
-            # 2^(se - 1) <= coeff_scale(A) < 2^se, and max(1, |z|)^n lies
-            # between 2^(n max(0, lo)) and 2^(n max(0, hi)) for z's binades
-            if rb[1] - se + 1 - n * max(0, zb[0]) < top - 1:
-                return True
-            if rb[0] - se - n * max(0, zb[1]) > top:
-                return False
-    return relative_residual(A, z) <= bound
+    """Is z a root of A, with an exact relative residual (the value
+    ``relative_residual`` rounds) of at most t = ``as_tol(tol)``?  Decided
+    on the squares of both sides as ints (``_residual_square``).  False
+    for an infinity or nan in A or z."""
+    t = as_tol(tol)
+    sq = _residual_square(A, z)
+    if sq is None:
+        return False
+    h, q, e = sq
+    sign, m, x, _ = t._mpf_
+    if sign or not m and x:  # a negative, infinite or nan tol
+        return t == mpmath.inf
+    k = 2 * (e - x)  # h 2^(2e) / q <= (m 2^x)^2
+    return h << k <= m * m * q if k >= 0 else h <= m * m * q << -k
 
 
 def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
@@ -842,7 +846,8 @@ class Graded(NamedTuple):
     (re, im, d, e), in the order of ``scalars.from_ratio``'s arguments;
     p'(z) = (re + im i) 2^e as dp = (re, im, e), or None; an int size with
     sum |c_j| |z|^j <= size 2^e (p's e), or None; and z as it was graded,
-    (x + y i) 2^e as point = (x, y, e), None when exact."""
+    (x + y i) 2^e as point = (x, y, e), or, when exact, as it entered, (a +
+    ai i) / b as point = (a, ai, b)."""
     p: tuple
     dp: tuple
     size: int
@@ -871,26 +876,28 @@ def graded_horner(cs, zs, bits, derivative=False, size=False):
     grid units and |w| < 1: at most n + 1 grid units from the roundings
     and n (n + 1) / 2 from W's.
 
-    With bits None every coefficient must be rational and every point a
-    Scalar, and p(z) is exact: the sum of c_j a^j b^(n-j) over D b^n for
-    the c_j over D and z = a / b, a Gaussian integer, with no dp or size.
-    A rational z enters over its denominator, with no point; a complex one
-    as the dyadic value it is, (x + y i) 2^e as point, b = 2^-e for e < 0."""
+    With bits None every point must be a Scalar, and p(z) is exact: the
+    sum of c_j a^j b^(n-j) 2^e over D b^n, with no dp or size, for the c_j
+    as Gaussian integers times 2^e over D, the rationals' common
+    denominator (``fixed_point`` with scale D drops no bit), and z = (a +
+    ai i) / b as point, over its denominator or its 2^-e.  ValueError for
+    an infinity or nan."""
     n = len(cs) - 1
     out = []
     if bits is None:
-        nums, D = int_vector(cs)
+        D = int_vector([c for c in cs if c.is_rational])[1]
+        cr, ci, ec = fixed_point(cs, None, scale=D)
         for z in zs:
             if z.is_rational:
-                ((a,), b), ai, point = int_vector([z]), 0, None
+                ((a,), b), ai = int_vector([z]), 0
             else:
-                a, ai, e = point = _gauss_point(z, 0)
+                a, ai, e = _gauss_point(z, 0)
                 a, ai, b = (a, ai, 1 << -e) if e < 0 else (a << e, ai << e, 1)
-            h, hi, bk = nums[n], 0, 1
+            h, hi, bk = cr[n], ci[n], 1
             for j in range(n - 1, -1, -1):
                 bk *= b
-                h, hi = h * a - hi * ai + nums[j] * bk, h * ai + hi * a
-            out.append(Graded((h, hi, D * bk, 0), None, None, point))
+                h, hi = h * a - hi * ai + cr[j] * bk, h * ai + hi * a + ci[j] * bk
+            out.append(Graded((h, hi, D * bk, ec), None, None, (a, ai, b)))
         return out
     F = bits + GRADED_GUARD_BITS
     h = 1 << F - 1

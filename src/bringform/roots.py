@@ -42,9 +42,8 @@ Nothing here depends on what kind a step is.  Each ``TransformStep``
 certifies itself (``certify``) and moves roots back through itself
 (``pull_back``, on the same graded Horner); verification and recovery only
 walk the chain, and recovery refuses a chain that does not walk back.
-Recovery tests each pulled-back root on the original once
-(``polynomials.lies_on``), exactly on the root's dyadic value when the
-original is rational.
+Recovery tests each pulled-back root on the original once, exactly
+(``polynomials.lies_on``); a miss quotes that residual rounded once.
 """
 
 from __future__ import annotations
@@ -514,13 +513,18 @@ def recover_roots(trace, config: RootConfig = None):
     """Roots of the original polynomial: the roots of the final trinomial
     pulled back through every step by its inverse map
     (``TransformStep.pull_back``), then tested once, each on the original
-    (``lies_on``).  ConsistencyError, rather than a guess, when a step has no
+    (``lies_on``).  ConsistencyError, rather than a guess, when a step has a
+    coefficient that is not finite (checked first, for every step), has no
     inverse map, fails its certificate at cfg.tol (``certify``) or a
     pulled-back root misses: a map that merges roots, as on a quintic with a
     repeated root, cannot be walked back.  The certificate is what proves
     the multiset: ``lies_on`` tests each root alone, and five copies of 1
     all lie on (z - 1)^2 (z^3 + 2z + 3)."""
     cfg = config or RootConfig()
+    for i, step in enumerate(trace.steps):
+        if not step.is_finite:
+            raise ConsistencyError("step %d (%s) has a coefficient that is not finite"
+                                   % (i, step.kind))
     zs = list(find_roots(trace.final, cfg).roots)
     for i in reversed(range(len(trace.steps))):
         step = trace.steps[i]

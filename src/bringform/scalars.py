@@ -74,17 +74,16 @@ coefficients below ``noise_tol(prec)`` = 2^(24 - prec) times the scale
 (``UniPoly.effective_degree``).  Acceptance: a check passes within tol *
 scale (``negligible``), each product rounded at ``TOL_PREC`` bits (``as_tol``).
 
-Three comparisons read a magnitude off the exponents before they take a
+Two comparisons read a magnitude off the exponents before they take a
 square root.  ``mag_binades`` bounds ``mag()`` between two powers of two
 from a complex value's exponents and mantissa bit counts, or a rational's
 bit lengths; rounding never carries a value past a power of two, so the
 bounds hold at every precision.  ``negligible`` decides when |x| lies a
 whole binade clear of tol * scale; ``pivot_index`` drops only candidates
 whose upper bound lies strictly below another's lower bound, and
-``UniPoly.max_mag`` takes the ``mag()`` of its pick;
-``polynomials.lies_on`` decides when its residual's bounds lie two binades
-clear of tol.  Otherwise each computes ``mag()``, so every verdict and
-largest magnitude is what the square roots give.
+``UniPoly.max_mag`` takes the ``mag()`` of its pick.  Otherwise each
+computes ``mag()``, so every verdict and largest magnitude is what the
+square roots give.
 """
 
 from __future__ import annotations

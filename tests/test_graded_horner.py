@@ -3,7 +3,8 @@
 ``polynomials.graded_horner`` is checked against mpmath's ``polyval`` at
 four times the precision on the exact coefficient and point values, so the
 oracle shares no code with it: every value must lie within the routine's
-stated bound (n + 1)^2 2^G.  The root finder's judgment (``roots._evaluate``)
+stated bound (n + 1)^2 2^G; without bits it must equal the sum over
+Gaussian Fractions exactly.  The root finder's judgment (``roots._evaluate``)
 must hand ``_clusters`` a disc bound no smaller than that reference |p(z)|,
 and the Newton stages must land within 4 ulps of Newton run to convergence
 at four times the precision from the same start.
@@ -18,6 +19,7 @@ from mpmath.libmp import from_float
 
 from bringform import Scalar, rat, roots
 from bringform.polynomials import graded_horner
+from helpers import gauss
 
 PRECS = [64, 128, 256, 1024]
 
@@ -110,8 +112,26 @@ def test_the_judgments_disc_bound_never_falls_below_the_value(case):
 def test_without_bits_the_horner_is_exact_on_rationals(cs, zs):
     for z, v in zip(zs, graded_horner([rat(c) for c in cs], [rat(z) for z in zs], None)):
         re, im, d, e = v.p
-        assert (im, e) == (0, 0)
-        assert Fraction(re, d) == sum(c * z ** j for j, c in enumerate(cs))
+        assert im == 0
+        assert Fraction(re, d) * Fraction(2) ** e == sum(c * z ** j for j, c in enumerate(cs))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=_case())
+def test_without_bits_the_horner_is_exact_on_complex_coefficients(case):
+    # mixed rational and complex coefficients at rational, complex and zero
+    # points, against the sum over Gaussian Fractions
+    cs, zs, _ = case
+    for z, v in zip(zs, graded_horner(cs, zs, None)):
+        re, im, d, e = v.p
+        x, y = gauss(z)
+        a, b = Fraction(0), Fraction(0)
+        for c in reversed(cs):
+            cr, ci = gauss(c)
+            a, b = a * x - b * y + cr, a * y + b * x + ci
+        assert (Fraction(re, d) * Fraction(2) ** e, Fraction(im, d) * Fraction(2) ** e) == (a, b)
+        pa, pb, pd = v.point
+        assert (Fraction(pa, pd), Fraction(pb, pd)) == (x, y)
 
 
 @st.composite

@@ -229,14 +229,18 @@ def test_only_hypot_takes_a_libmp_magnitude():
 
 
 # recover evaluates on one graded Horner: the Newton stages, the judgment
-# of ``find_roots`` and the pull-back run no libmp pair arithmetic, no
-# Scalar kernel and no ``UniPoly.eval``, and only ``graded_horner`` turns a
-# root into ints
+# of ``find_roots``, the pull-back and the root test with its residual
+# (``lies_on``, ``relative_residual`` and the ints they share) run no libmp
+# pair arithmetic, no Scalar kernel, no ``UniPoly.eval``, no ``mag()``, no
+# mpf division and no binade bound, none judges by another path, and only
+# ``graded_horner`` turns a root into ints
 def test_recover_evaluates_on_the_graded_horner_alone():
     route = {"roots.py": {"_newton_stages", "_evaluate", "judge"},
-             "pipeline.py": {"pull_back"}}
-    kernels = {"add", "sub", "mul", "div", "cadd", "csub", "cmul", "eval",
-               "fixed_point", "int_vector", "_gauss_point"}
+             "pipeline.py": {"pull_back"},
+             "polynomials.py": {"lies_on", "relative_residual", "_residual_square"}}
+    kernels = {"add", "sub", "mul", "div", "cadd", "csub", "cmul", "eval", "mag", "mpf_div",
+               "fixed_point", "int_vector", "_gauss_point", "mag_binades", "is_rational_tree",
+               "relative_residual"}
     kernels |= {name for name in dir(mpmath.libmp) if name.startswith("mpc_")}
     for name, fns in route.items():
         path = os.path.join(os.path.dirname(bringform.__file__), name)
@@ -246,7 +250,11 @@ def test_recover_evaluates_on_the_graded_horner_alone():
         hits = [(fn, line, kernel) for fn, line, kernel in _calls(path, kernels) if fn in fns]
         assert hits == [], (name, hits)
         callers = {fn for fn, _, _ in _calls(path, {"graded_horner"})}
-        assert fns - {"judge"} <= callers, (name, callers)
+        assert fns - {"judge", "lies_on", "relative_residual"} <= callers, (name, callers)
+    # the root test and its residual reach the Horner by the ints they share
+    polys = os.path.join(os.path.dirname(bringform.__file__), "polynomials.py")
+    shared = {fn for fn, _, _ in _calls(polys, {"_residual_square"})}
+    assert {"lies_on", "relative_residual"} <= shared, shared
     hits = sorted({(os.path.basename(p), fn)
                    for p in glob.glob(os.path.join(os.path.dirname(bringform.__file__), "*.py"))
                    for fn, _, _ in _calls(p, {"_gauss_point"})})

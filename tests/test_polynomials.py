@@ -27,7 +27,8 @@ from bringform.polynomials import (_bareiss, _cut1, _dot, _enter, _leave, _on_gr
                                   table_traces)
 from bringform.scalars import (ONE, ZERO, add, as_tol, fixed_point, from_ratio, int_vector,
                                mul)
-from helpers import max_coeff_diff, rand_fraction, rand_monic, rand_scalar
+from helpers import (exact, max_coeff_diff, rand_fraction, rand_monic, rand_scalar,
+                     reference_residual)
 
 
 def _naive_mul(a, b):
@@ -497,36 +498,61 @@ def test_a_table_built_on_first_use_from_json_keeps_the_eager_tables_bits(mode, 
     assert read >= 3
 
 
-# A rational A at a complex z is judged exactly by ``lies_on``: the
-# reference is ``relative_residual`` on z carried at 4096 bits, whose
-# rounding lies far below 2^-40 of every tol here; z's own precision can
-# cancel A(z) to 0 at 64 bits, so the exact verdict may differ from that.
+# ``lies_on`` and ``relative_residual`` read one exact residual on the
+# values A and z hold.  The reference (``helpers.reference_residual``) is
+# that residual squared over Fractions, which decides every case, ties
+# included, and its square root by mpmath at 8 prec.  Two families:
+# rational A of degree 1-8, and monic complex quintics with Gaussian-integer
+# coefficients in [-9, 9] at 256 bits; each point is a root moved by 2^-j.
 
 @st.composite
 def _lies_on_case(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    n = rng.randint(1, 8)
-    cs = [Fraction(rng.randint(-10 ** rng.randint(1, 12), 10 ** 6), rng.randint(1, 99))
-          for _ in range(n)] + [Fraction(draw(st.sampled_from([1, 3, -2, 10 ** 9])))]
-    A = UniPoly([rat(c.numerator, c.denominator) for c in cs])
-    prec = draw(st.sampled_from([53, 64, 128, 256, 1024]))
+    if draw(st.booleans()):
+        n = rng.randint(1, 8)
+        cs = [Fraction(rng.randint(-10 ** rng.randint(1, 12), 10 ** 6), rng.randint(1, 99))
+              for _ in range(n)] + [Fraction(draw(st.sampled_from([1, 3, -2, 10 ** 9])))]
+        A = UniPoly([rat(c.numerator, c.denominator) for c in cs])
+        prec = draw(st.sampled_from([53, 64, 128, 256, 1024]))
+        tols = ["1e-3", "1e-12", "1e-14", "1e-30", "1e-60", "1e-200"]
+    else:
+        A = UniPoly([cx(rng.randint(-9, 9), rng.randint(-9, 9), 256) for _ in range(5)]
+                    + [rat(1)])
+        prec = draw(st.sampled_from([64, 256]))
+        tols = ["1e-12", "1e-30", "1e-60"]
     r = draw(st.sampled_from(find_roots(A.monic()[0], RootConfig(precision_bits=prec)).roots))
     j = draw(st.integers(0, prec + 8))
     z = r * (ONE + rat(draw(st.sampled_from([1, -3, 5])), 2 ** j))
     if z.is_rational:
         z = z + cx(0, 0, prec)
-    return A, z, draw(st.sampled_from(["1e-3", "1e-12", "1e-14", "1e-30", "1e-60", "1e-200"]))
+    return A, z, draw(st.sampled_from(tols))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(case=_lies_on_case())
 def test_an_exact_lies_on_agrees_with_the_residual_off_the_boundary(case):
     A, z, tol = case
-    t = as_tol(tol)
-    res = relative_residual(A, Scalar(None, None, z._c, 4096))
-    if abs(res - t) <= mpmath.ldexp(t, -40):
-        return
-    assert lies_on(A, z, tol) is (res <= t), (A, z, tol, res)
+    r2, ref = reference_residual(A, z)
+    assert lies_on(A, z, tol) is (r2 <= exact(as_tol(tol)) ** 2), (A, z, tol, ref)
+    res = relative_residual(A, z)  # the exact value rounded once at z's precision
+    ulp = mpmath.ldexp(1, mpmath.mag(ref) - z.prec) if ref else 0
+    assert abs(res - ref) <= ulp, (A, z, res, ref)
+
+
+def test_a_residual_rounded_at_64_bits_is_not_its_own_rounding_error():
+    # A = -5 + 3z + z^3/2^90 at 64 bits: a Horner rounded at 64 bits reads
+    # 0 at the real root, whose exact residual is 4.6838e-21
+    A = UniPoly([rat(-5), rat(3), rat(0), rat(1, 2 ** 90)])
+    roots = find_roots(A, RootConfig(precision_bits=64)).roots
+    assert len(roots) == 3
+    for z in roots:
+        res, (r2, ref) = relative_residual(A, z), reference_residual(A, z)
+        assert res != 0 and abs(res - ref) <= mpmath.ldexp(1, mpmath.mag(ref) - 64), (z, res)
+        for tol in ("1e-20", "1e-22"):
+            assert lies_on(A, z, tol) is (r2 <= exact(as_tol(tol)) ** 2), (z, tol, ref)
+    real = [z for z in roots if z.im() == 0]
+    assert len(real) == 1 and mpmath.nstr(relative_residual(A, real[0]), 5) == "4.6838e-21"
+    assert lies_on(A, real[0], "1e-20") and not lies_on(A, real[0], "1e-22")
 
 
 def _dict_newton(sums, q, prec, bits, width=0):

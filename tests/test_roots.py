@@ -944,6 +944,27 @@ def test_a_step_input_sharing_an_infinite_coefficient_is_refused():
     assert report.matched is False and report.max_forward_residual == mpmath.inf
 
 
+def test_recover_names_a_step_with_an_infinite_coefficient_before_walking_it():
+    # depress of z^5 + 3z^4 + 7z^3 + z + 1, rebuilt with an infinite z^3
+    # coefficient in its input, then with an infinite subsidiary: verify
+    # refuses both with no exception, and recover names the step before
+    # its table is built, which would raise a bare ValueError
+    P = UniPoly([rat(c) for c in (1, 1, 0, 7, 3, 1)])
+    step = depress(P)
+    inf = Scalar.complex_(mpmath.inf, 0, 256)
+    cs = list(step.input.coeffs)
+    cs[3] = inf
+    for bad in (TransformStep(step.kind, UniPoly(cs), step.subsidiary, step.output, step.aux),
+                TransformStep(step.kind, step.input, Subsidiary(1, (inf,)), step.output,
+                              step.aux)):
+        assert bad.certify("1e-30") == (mpmath.inf, False)
+        trace = ReductionTrace(P, (bad,), step.output.coeff(1), step.output.coeff(0))
+        assert verify_trace(trace).matched is False
+        with pytest.raises(ConsistencyError,
+                           match=r"^step 0 \(depress\) has a coefficient that is not finite$"):
+            recover_roots(trace)
+
+
 def _old_start_circle(mags, seed):
     """``roots._start_circle`` as it ran when it drew its factors on every
     call."""

@@ -25,10 +25,11 @@ from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, fzero, mpc_
 
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        find_roots, match_roots, rat, reduce_general_quintic, verify_trace)
-from bringform.polynomials import coeff_mismatch, lies_on, relative_residual
+from bringform.polynomials import coeff_mismatch, lies_on
 from bringform.scalars import (_q, add, as_scalar, as_tol, cadd, cmul, context, div,
                                from_ratio, hypot, mag_binades, mul, negligible, pick_root,
                                pivot_index, sort_key, sub)
+from helpers import exact, reference_residual
 
 TINY = mpmath.mpf("1e-70")
 
@@ -747,16 +748,15 @@ def test_the_binade_bounds_decide_as_the_square_roots_do():
         for start in range(len(v)):
             want = max(range(start, len(v)), key=lambda i: v[i].mag())
             assert start + pivot_index(v[start:]) == want, (v, start)
-    # lies_on: relative_residual(A, z) <= as_tol(tol), points swept across
-    # the binades of the residual from far inside tol to far outside.  A
-    # rational A at a finite complex z is judged exactly, on z's dyadic
-    # value, so its reference carries z at 4096 bits, where the Horner's
-    # rounding lies far below every tol here (at 64 bits it cancels to 0)
+
+
+# lies_on decides exactly, with no binade shortcut: points swept across the
+# binades of the residual from far inside tol to far outside, against the
+# residual squared over Fractions (``helpers.reference_residual``)
+def test_lies_on_agrees_with_a_reference_across_the_binades():
     def agree(A, z, tol):
-        w = z
-        if not z.is_rational and A.is_rational_tree() and mag_binades(z) is not None:
-            w = Scalar.from_raw(z._c, 4096)
-        return lies_on(A, z, tol) is (relative_residual(A, w) <= as_tol(tol))
+        r2 = reference_residual(A, z)[0]
+        return lies_on(A, z, tol) is (r2 is not None and r2 <= exact(as_tol(tol)) ** 2)
 
     polys = [UniPoly([rat(-2), rat(0), rat(1)]),
              UniPoly([rat(-5), rat(3), rat(0), rat(1, 2 ** 90)]),
@@ -770,9 +770,9 @@ def test_the_binade_bounds_decide_as_the_square_roots_do():
             for z in points:
                 for tol in _TOLS[:5]:
                     assert agree(A, z, tol), (A, z, tol)
-    # and where the bounds are tight: |A(z)| just below a power of two with
-    # coeff_scale(A) = max(1, |z|) = 1, or |A(z)| = 1 with coeff_scale(A)
-    # just below 2^40, against tols at and near powers of two
+    # and near ties: |A(z)| just below a power of two with coeff_scale(A) =
+    # max(1, |z|) = 1, or |A(z)| = 1 with coeff_scale(A) just below 2^40,
+    # against tols at and near powers of two
     tight = [UniPoly([rat(1 - 2 ** k, 2 ** (k + 30)), rat(1)]) for k in (1, 2, 60)]
     tight.append(UniPoly([rat(1), rat(2 ** 40 - 1), rat(1)]))
     for A in tight:
@@ -780,6 +780,10 @@ def test_the_binade_bounds_decide_as_the_square_roots_do():
             for m in range(26, 44):
                 for tol in (2.0 ** -m, mpmath.ldexp(3, -m), repr(2.0 ** -m), "1e-%d" % (m // 3)):
                     assert agree(A, z, tol), (A, z, tol)
+    # a residual equal to tol lies on A, and at half that tol it does not
+    A = tight[0]  # z - 2^-31
+    for z in (rat(0), cx(0, 0, 64)):
+        assert lies_on(A, z, 2.0 ** -31) and not lies_on(A, z, 2.0 ** -32)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
