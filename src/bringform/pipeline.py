@@ -51,7 +51,7 @@ from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, compose_
                           graded_horner, lies_on, power_sums, powers_mod, solve_mod,
                           table_sum)
 from .scalars import (DEFAULT_PRECISION_BITS, TOL_PREC, Scalar, as_scalar, as_tol,
-                      from_ratio, mag_binades, negligible, pick_root, rat)
+                      from_ratio, mag_binades, negligible, pick_root, rat, within)
 from .solvers import solve_condition, solve_monic
 
 
@@ -161,7 +161,7 @@ class TransformStep(Record):
         and no roots (see the module docstring): U(T) = z, U being the
         step's one inverse map (``inverse``), and C(T) = 0 for the monic
         output C of degree n, summed as sum c_j (T^j mod A) over ``table``
-        (``table_sum``), exact in rational mode and otherwise rounded once.
+        by one exact dot on ints (``table_sum``).
 
         U(T) is evaluated by Horner on T (``compose_mod``), not summed over
         ``table``: U solves sum u_j (T^j mod A) = z on those very rows, so
@@ -183,12 +183,12 @@ class TransformStep(Record):
 
         Returns (largest |coefficient| of U(T) - z relative to
         ``coeff_scale(A)``, inf for a step without U or that is not
-        ``is_finite``; ok); C(T) counts
-        within tol * coeff_scale(A) * coeff_scale(C), exactly in rational
-        mode.  The verdict reads only the step and ``as_tol(tol)``, never
-        mpmath's global precision, so the step keeps it per tolerance:
-        ``verify_trace`` of a reduced trace reads what
-        ``reduce_general_quintic`` computed; a re-read step has none."""
+        ``is_finite``; ok); C(T) must vanish in rational mode and otherwise
+        lie within tol * coeff_scale(A) * coeff_scale(C), judged on its
+        exact ints (``scalars.within``).  The verdict reads only the step
+        and ``as_tol(tol)``, never mpmath's global precision, so the step
+        keeps it per tolerance: ``verify_trace`` of a reduced trace reads
+        what ``reduce_general_quintic`` computed; a re-read step has none."""
         key = as_tol(tol)._mpf_
         got = self._verdicts.get(key)
         if got is None:
@@ -213,9 +213,10 @@ class TransformStep(Record):
         n = A.degree
         ok = (all(negligible(c, tol, scale) for c in miss.coeffs)
               and self.subsidiary.k < n and C.is_monic() and C.degree == n)
-        if ok:
-            bound = as_tol(tol, scale, coeff_scale(C))
-            ok = all(negligible(r, bound) for r in table_sum(self.table, C.coeffs))
+        if ok:  # C(T) on its exact ints; in rational mode only a zero passes
+            terms, d, prec = table_sum(self.table, C.coeffs)
+            bound = as_tol(tol, scale, coeff_scale(C)) if prec else mpmath.mpf(0)
+            ok = all(within(x * x + y * y, d * d, e, bound) for x, y, e in terms)
         return residual, ok
 
     @cached_property

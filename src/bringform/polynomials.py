@@ -23,7 +23,9 @@ L = 1, q = 1 and every product, power sum and trace cut to prec +
 ``GUARD_BITS`` bits of its largest part.  Each routine decides for itself
 when it runs exactly.  One kernel, ``gauss_mul_mod``, takes every product
 modulo A, and one recurrence, ``_block_power_sums``, forms A's power sums,
-kept with its entry; each takes its real path when its operands are real.
+kept with its entry; each takes its real path only in the exact ring (A
+on ints, no imaginary lists): a real vector rounded at prec has a list of
+zeros (``fixed_point``) and runs the Gaussian loops.
 A vector leaves by one exit, ``scalars.from_ratio``: exactly, the canonical
 rational the Scalar operations give, or with each part rounded once.  The
 routines are the table of T^j mod A (built by ``powers_mod`` alone, its
@@ -53,8 +55,8 @@ import mpmath
 from mpmath.libmp import normalize, round_nearest
 
 from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Scalar,
-                      add, as_scalar, as_tol, fixed_point, from_ratio,
-                      int_vector, mag_binades, mul, negligible, noise_tol, pivot_index, rat)
+                      add, as_scalar, as_tol, close, fixed_point, from_ratio, int_vector,
+                      mag_binades, mul, negligible, noise_tol, pivot_index, rat, within)
 
 
 class Record:
@@ -328,28 +330,19 @@ def relative_residual(A: UniPoly, z):
 def lies_on(A: UniPoly, z, tol=None) -> bool:
     """Is z a root of A, with an exact relative residual (the value
     ``relative_residual`` rounds) of at most t = ``as_tol(tol)``?  Decided
-    on the squares of both sides as ints (``_residual_square``).  False
-    for an infinity or nan in A or z."""
-    t = as_tol(tol)
+    on the squares of both sides as ints (``_residual_square``) by
+    ``scalars.within``.  False for an infinity or nan in A or z."""
     sq = _residual_square(A, z)
-    if sq is None:
-        return False
-    h, q, e = sq
-    sign, m, x, _ = t._mpf_
-    if sign or not m and x:  # a negative, infinite or nan tol
-        return t == mpmath.inf
-    k = 2 * (e - x)  # h 2^(2e) / q <= (m 2^x)^2
-    return h << k <= m * m * q if k >= 0 else h <= m * m * q << -k
+    return sq is not None and within(*sq, as_tol(tol))
 
 
 def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
-    """(k, P_k - Q_k) at the first power k where the difference is not
-    ``negligible`` at tol * coeff_scale(P, Q) or not finite, or None: two
-    rational coefficients must agree exactly, so they are compared with
-    ==, and a finite coefficient that both hold as one object, as a step's
-    input holds the output before it (``UniPoly.with_var``), agrees with
-    itself unread."""
-    t = None  # tol * coeff_scale(P, Q), which a rational difference never reads
+    """(k, P_k - Q_k) at the first power k where the exact difference is
+    above tol * coeff_scale(P, Q) (``scalars.close``) or not finite, made a
+    Scalar only then, or None: two rational coefficients must agree exactly
+    (==), and a finite coefficient that both hold as one object, as a step's
+    input holds the output before it (``with_var``), agrees unread."""
+    t = None  # tol * coeff_scale(P, Q), which a rational pair never reads
     for k in range(max(P.degree, Q.degree) + 1):
         p, q = P.coeff(k), Q.coeff(k)
         if p.is_rational and q.is_rational:
@@ -358,11 +351,10 @@ def coeff_mismatch(P: UniPoly, Q: UniPoly, tol):
             return k, p - q
         if p is q and mag_binades(p) is not None:
             continue
-        d = p - q
-        if t is None and not d.is_rational:
+        if t is None:
             t = as_tol(tol, coeff_scale(P, Q))
-        if mag_binades(d) is None or not negligible(d, t):
-            return k, d
+        if not close(p, q, t):
+            return k, p - q
     return None
 
 
@@ -608,10 +600,11 @@ def table_traces(table: PowerTable):
 
 
 def table_sum(table: PowerTable, cs):
-    """The n ascending coefficients of sum_j cs[j] (T^j mod A), cs at most n
-    + 1 Scalars, by one exact dot of the cs, as constants over one q, with
-    the vectors of T's ``table``: exact when the table and the cs are,
-    otherwise each part rounded once at the largest precision of either."""
+    """(terms, d, prec): sum_j cs[j] (T^j mod A), cs at most n + 1
+    Scalars, by one exact dot of the cs, as constants over one q, with the
+    vectors of T's ``table``; its coefficient i is exactly (re + im i) 2^e
+    / d for terms[i] = (re, im, e), and prec the largest precision of the
+    table and the cs, None when both are exact."""
     vs, q, (s, L), m = table.vectors, table.q, table.ring[:2], len(cs) - 1
     _, cs, qc, prec = _enter(UniPoly._of([ONE]), [[c] for c in cs])
     n, g = len(vs[0][0]), min([ec + v[2] for ((a,), b, ec), v in zip(cs, vs) if a or any(b)] or [0])
@@ -622,9 +615,8 @@ def table_sum(table: PowerTable, cs):
         for i, (x, y) in enumerate(zip(xr, xi or [0] * n)):
             re[i] += a * x - b * y
             im[i] += a * y + b * x
-    prec = max(table.prec or 0, prec or 0) or None
-    return [from_ratio(x * L ** i, y * L ** i, qc * q ** m, g - s * i, prec)
-            for i, (x, y) in enumerate(zip(re, im))]
+    return ([(x * L ** i, y * L ** i, g - s * i) for i, (x, y) in enumerate(zip(re, im))],
+            qc * q ** m, max(table.prec or 0, prec or 0) or None)
 
 
 def _bareiss(R, I=None):

@@ -513,10 +513,11 @@ def recover_roots(trace, config: RootConfig = None):
     """Roots of the original polynomial: the roots of the final trinomial
     pulled back through every step by its inverse map
     (``TransformStep.pull_back``), then tested once, each on the original
-    (``lies_on``).  ConsistencyError, rather than a guess, when a step has a
-    coefficient that is not finite (checked first, for every step), has no
-    inverse map, fails its certificate at cfg.tol (``certify``) or a
-    pulled-back root misses: a map that merges roots, as on a quintic with a
+    (``lies_on``).  ConsistencyError, rather than a guess, when a step or
+    the final polynomial has a coefficient that is not finite (checked
+    before any root is found), when a step has no inverse map or fails its
+    certificate at cfg.tol (``certify``), or when a pulled-back root
+    misses: a map that merges roots, as on a quintic with a
     repeated root, cannot be walked back.  The certificate is what proves
     the multiset: ``lies_on`` tests each root alone, and five copies of 1
     all lie on (z - 1)^2 (z^3 + 2z + 3)."""
@@ -525,6 +526,9 @@ def recover_roots(trace, config: RootConfig = None):
         if not step.is_finite:
             raise ConsistencyError("step %d (%s) has a coefficient that is not finite"
                                    % (i, step.kind))
+    if None in map(mag_binades, trace.final.coeffs):
+        raise ConsistencyError("the final polynomial %s has a coefficient that is not finite"
+                               % trace.final)
     zs = list(find_roots(trace.final, cfg).roots)
     for i in reversed(range(len(trace.steps))):
         step = trace.steps[i]

@@ -33,8 +33,8 @@ call it, and only it calls libmp's square-root magnitudes.
 Arithmetic has one path.  The operators + - * / only turn an int or
 Fraction operand into an exact rational (``_operand``) and call one module
 kernel, ``add``, ``sub``, ``mul`` or ``div``; ``UniPoly``'s product and
-Horner and the certificate's C(T) sum call ``add(acc, mul(x, y))`` by
-name.  One rule, with two cases, holds for all four:
+Horner call ``add(acc, mul(x, y))`` by name.  One rule, with two cases,
+holds for all four:
 
 * Two rationals give the exact rational: each kernel forms the unreduced
   numerator and denominator, and one normalizer, ``_q``, reduces them.
@@ -65,32 +65,24 @@ and otherwise with each part rounded once (every exit of the ring of
 inverse map of ``pipeline.step_inverse``).
 
 A rational rounded to an mpf (``_rat_mpf``, keyed by numerator,
-denominator and precision), a parsed tolerance string and its products
-with a scale (``as_tol``) are memoized, in bounded caches of immutable
-values.
+denominator and precision) and a parsed tolerance string (``as_tol``) are
+memoized, in bounded caches of immutable values.
 
 Two rules decide what counts as zero.  Noise: a degree drops only leading
 coefficients below ``noise_tol(prec)`` = 2^(24 - prec) times the scale
-(``UniPoly.effective_degree``).  Acceptance: a check passes within tol *
-scale (``negligible``), each product rounded at ``TOL_PREC`` bits (``as_tol``).
-
-Two comparisons read a magnitude off the exponents before they take a
-square root.  ``mag_binades`` bounds ``mag()`` between two powers of two
-from a complex value's exponents and mantissa bit counts, or a rational's
-bit lengths; rounding never carries a value past a power of two, so the
-bounds hold at every precision.  ``negligible`` decides when |x| lies a
-whole binade clear of tol * scale; ``pivot_index`` drops only candidates
-whose upper bound lies strictly below another's lower bound, and
-``UniPoly.max_mag`` takes the ``mag()`` of its pick.  Otherwise each
-computes ``mag()``, so every verdict and largest magnitude is what the
-square roots give.
+(``UniPoly.effective_degree``).  Acceptance: a rational passes only when
+zero, any other value when finite and |x| <= t = tol * scale, rounded at
+``TOL_PREC`` bits (``as_tol``).  One comparison, ``within``, decides |x|^2
+<= t^2 exactly on ints: for ``negligible`` and the routes' cross-check
+(``polynomials.coeff_mismatch``) on the exact difference of two values
+(``close``), for the root test and the certificate's C(T) on their own.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath
 from mpmath import mp
@@ -840,35 +832,45 @@ def mag_binades(v):
     return e - 1, e + 1
 
 
-@functools.lru_cache(maxsize=256, typed=True)
-def _bound(tol, scale):
-    """(t, T): t = ``as_tol(tol, scale)`` as a raw mpf (scale a raw mpf
-    too), and T with 2^(T - 1) <= t < 2^T, or None when t is not positive
-    and finite.  Memoized: checks meet the same tolerance and scale again
-    and again."""
-    t = as_tol(tol, mp.make_mpf(scale))._mpf_
-    return t, (t[2] + t[3] if t[1] and not t[0] else None)
-
-
 _ONE = mpmath.mpf(1)
 
 
+def within(h, q, e, t) -> bool:
+    """Is h 2^(2e) / q <= t^2, for ints h >= 0 and q > 0 and the mpf t?
+    Decided exactly on ints: the one comparison of every tolerance verdict.
+    A negative or nan t passes nothing, and +inf passes everything."""
+    sign, m, x, _ = t._mpf_
+    if sign or not m and x:  # a negative, infinite or nan t
+        return t == mpmath.inf
+    k = 2 * (e - x)  # h 2^(2e) / q <= (m 2^x)^2
+    return h << k <= m * m * q if k >= 0 else h <= m * m * q << -k
+
+
+def close(x: Scalar, y: Scalar, t) -> bool:
+    """Is |x - y| <= the mpf t, for Scalars x and y?  Their exact difference
+    times the lcm d of their denominators, squared on ints (``within``);
+    False for an infinity or nan."""
+    d = lcm(x._den or 1, y._den or 1)
+    parts = []  # (mantissa, exponent) of each part of x d, then of y d
+    for v in (x, y):
+        if v._den is not None:
+            parts += [(v._num * (d // v._den), 0), (0, 0)]
+        elif _finite(v._c):
+            parts += [(-m * d if s else m * d, k) for s, m, k, _ in v._c]
+        else:
+            return False
+    e = min(k for _, k in parts)  # a zero part's exponent is 0
+    a, b, c, f = [m << k - e for m, k in parts]
+    return within((a - c) ** 2 + (b - f) ** 2, d * d, e, t)
+
+
 def negligible(x: Scalar, tol, scale=_ONE) -> bool:
-    """The one zero test: exact for rationals, |x| <= ``as_tol(tol,
-    scale)`` for complex floats, so a nan is never negligible.  Where
-    ``mag_binades`` puts |x| a whole binade clear of that bound, they
-    decide it with no square root."""
+    """The one zero test: a rational only when it is exactly zero, a
+    complex float when it is finite and |x| <= ``as_tol(tol, scale)``,
+    exactly (``close``), so an infinity or nan is never negligible."""
     if x._den is not None:
         return not x._num
-    t, top = _bound(tol, scale._mpf_)
-    if top is not None:
-        b = mag_binades(x)
-        if b is not None:
-            if b[1] < top:
-                return True
-            if b[0] >= top:
-                return False
-    return x.mag() <= mp.make_mpf(t)
+    return close(x, ZERO, as_tol(tol, scale))
 
 
 def pivot_index(values):

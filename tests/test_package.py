@@ -261,6 +261,33 @@ def test_recover_evaluates_on_the_graded_horner_alone():
     assert hits == [("polynomials.py", "graded_horner")]
 
 
+# one tolerance comparison: the zero test, the root test, the routes'
+# cross-check and the certificate's C(T) judge on exact ints and end in
+# ``scalars.within``; none takes a magnitude, forms a Scalar difference or
+# rounds a value through an exit for its verdict, and the memoized bound
+# that the binade shortcut read is gone
+def test_every_tolerance_verdict_ends_in_one_exact_comparison():
+    route = {"scalars.py": {"negligible", "close", "within"},
+             "polynomials.py": {"lies_on", "coeff_mismatch", "table_sum"},
+             "pipeline.py": {"_certificate"}}
+    ends = {"scalars.py": {"close": "within", "negligible": "close"},
+            "polynomials.py": {"lies_on": "within", "coeff_mismatch": "close"},
+            "pipeline.py": {"_certificate": "within"}}
+    banned = {"mag", "hypot", "sub", "from_ratio", "mag_binades"}
+    for name, fns in route.items():
+        path = os.path.join(os.path.dirname(bringform.__file__), name)
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert fns <= defined and "_bound" not in defined, name
+        hits = [(fn, call) for fn, _, call in _calls(path, banned) if fn in fns]
+        # coeff_mismatch's one binade read asks only whether a shared
+        # coefficient is finite, to pass it unread
+        assert hits in ([], [("coeff_mismatch", "mag_binades")]), (name, hits)
+        for fn, helper in ends[name].items():
+            assert fn in {f for f, _, _ in _calls(path, {helper})}, (name, fn, helper)
+
+
 # one owner of the ring's scaling: only ``polynomials`` multiplies modulo A
 # on a block or grades a block by A's roots
 def test_only_polynomials_multiplies_modulo_a_on_ints():

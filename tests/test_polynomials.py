@@ -27,7 +27,7 @@ from bringform.polynomials import (_bareiss, _cut1, _dot, _enter, _leave, _on_gr
                                   table_traces)
 from bringform.scalars import (ONE, ZERO, add, as_tol, fixed_point, from_ratio, int_vector,
                                mul)
-from helpers import (exact, max_coeff_diff, rand_fraction, rand_monic, rand_scalar,
+from helpers import (exact, gauss, max_coeff_diff, rand_fraction, rand_monic, rand_scalar,
                      reference_residual)
 
 
@@ -196,12 +196,51 @@ def test_coeff_mismatch_asks_exactness_of_each_rational_pair():
     assert coeff_mismatch(P, UniPoly([cx(1), rat(2), rat(1)]), "1e-30") is None
     k, d = coeff_mismatch(P, UniPoly([cx(1), rat(2) + rat(1, 10 ** 40), rat(1)]), "1e-30")
     assert k == 1 and d.is_rational and d.fraction == Fraction(-1, 10 ** 40)
-    # a rational and a complex coefficient are judged by negligible, either way
+    # a rational and a complex coefficient are judged on their exact
+    # difference against tol * coeff_scale, either way
     assert coeff_mismatch(P, UniPoly([cx(1), cx(2) + cx("1e-40"), rat(1)]),
                           "1e-30") is None
     k, d = coeff_mismatch(UniPoly([rat(1), rat(2)]), UniPoly([cx(1), cx(2) + cx("1e-20")]),
                           "1e-30")
     assert k == 1 and not d.is_rational and d.mag() > mpmath.mpf("1e-21")
+
+
+_STRADDLE = st.tuples(st.sampled_from([64, 256]), st.sampled_from([64, 256]),
+                      st.sampled_from(["1e-30", "1e-12", 2.0 ** -40]),
+                      st.sampled_from([1, 2 ** 20 + 1]),
+                      st.sampled_from(["complex", "mixed", "mixed-swapped"]),
+                      st.integers(0, 30), st.integers(-2 ** 30, 2 ** 30),
+                      st.integers(-2 ** 30, 2 ** 30), st.sampled_from([3, 7, 10, 2 ** 20]),
+                      st.sampled_from([(1, 0), (0, 1), (-1, 0), (Fraction(3, 5), Fraction(-4, 5))]),
+                      st.integers(-1, 1), st.integers(1, 50))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=_STRADDLE)
+def test_coeff_mismatch_judges_the_exact_difference(case):
+    # complex pairs, and a complex value against a rational with a
+    # denominator that is not a power of two, whose exact difference is
+    # t (1 + sign 2^-k) in one of four directions, t = tol * coeff_scale:
+    # the verdict is the Fraction comparison |p - q|^2 <= t^2, ties
+    # included, and a mismatch names the coefficient and its difference
+    pp, qp, tol, S, kind, j, a, b, den, (c, s), sign, k = case
+    t = exact(as_tol(tol, mpmath.mpf(S)))
+    size = t * 2 ** j / 2 ** 30  # |q| at most about t 2^j, well below S
+    f = size * a / den
+    q = cx(size * a, size * b, qp) if kind == "complex" else rat(f.numerator, f.denominator)
+    gq = gauss(q)
+    r = t * (1 + sign * Fraction(1, 2 ** k))
+    p = cx(gq[0] + r * c, gq[1] + r * s, pp)
+    if kind == "mixed-swapped":
+        p, q = q, p
+    P, Q = UniPoly([p, rat(S), rat(1)]), UniPoly([q, rat(S), rat(1)])
+    bound = exact(as_tol(tol, coeff_scale(P, Q)))
+    (pr, pi), (qr, qi) = gauss(p), gauss(q)
+    want = (pr - qr) ** 2 + (pi - qi) ** 2 <= bound ** 2
+    got = coeff_mismatch(P, Q, tol)
+    assert (got is None) is want, (p, q, tol)
+    if got is not None:
+        assert got[0] == 0 and gauss(got[1]) == gauss(p - q)
 
 
 def test_memo_slots_take_no_part_in_equality_or_output():
@@ -418,7 +457,8 @@ def test_the_kept_table_reads_as_its_rows_did(case):
     else:
         assert table.vectors == _enter(A, list(rows), n - 1)[1]
         assert got == old
-    CT = table_sum(table, cs)
+    terms, d, prec = table_sum(table, cs)  # exact ints, each rounded here as it was
+    CT = [from_ratio(x, y, d, e, prec) for x, y, e in terms]
     if table.prec is None and all(c.is_rational for c in cs):
         assert _bits(CT) == _bits(_old_table_sum(rows, cs))
         return

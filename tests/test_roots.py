@@ -965,6 +965,24 @@ def test_recover_names_a_step_with_an_infinite_coefficient_before_walking_it():
             recover_roots(trace)
 
 
+def test_recover_names_a_final_polynomial_with_an_infinite_coefficient_before_finding_roots(
+        monkeypatch):
+    # no steps: the original z^5 + inf z^3 + z + 1 is the final polynomial,
+    # which recover refuses by name before find_roots could raise a bare
+    # ValueError on it
+    inf = Scalar.complex_(mpmath.inf, 0, 256)
+    P = UniPoly([rat(1), rat(1), rat(0), inf, rat(0), rat(1)])
+    trace = ReductionTrace(P, (), rat(1), rat(1))
+    assert verify_trace(trace).matched is False
+
+    def unreachable(*a):
+        raise AssertionError("find_roots ran on a polynomial that is not finite")
+    monkeypatch.setattr(roots, "find_roots", unreachable)
+    with pytest.raises(ConsistencyError, match=r"^the final polynomial .*inf.* has a "
+                                               r"coefficient that is not finite$"):
+        recover_roots(trace)
+
+
 def _old_start_circle(mags, seed):
     """``roots._start_circle`` as it ran when it drew its factors on every
     call."""

@@ -29,7 +29,7 @@ from bringform.polynomials import coeff_mismatch, lies_on
 from bringform.scalars import (_q, add, as_scalar, as_tol, cadd, cmul, context, div,
                                from_ratio, hypot, mag_binades, mul, negligible, pick_root,
                                pivot_index, sort_key, sub)
-from helpers import exact, reference_residual
+from helpers import exact, gauss, reference_residual
 
 TINY = mpmath.mpf("1e-70")
 
@@ -721,6 +721,17 @@ _TOLS = ["1e-30", 1e-30, mpmath.mpf("1e-30"), "0.5", 2.0 ** -60, mpmath.mpf(2) *
 _SCALES = [mpmath.mpf(1), mpmath.mpf(2) ** 70, mpmath.mpf("3.7e5"), mpmath.mpf(2) ** -130]
 
 
+def _negligible_reference(x, bound):
+    """negligible(x) against the mpf bound, over Fractions: a rational
+    only when zero, a complex value when finite and |x|^2 <= bound^2."""
+    if x.is_rational:
+        return x.is_exact_zero()
+    g = gauss(x)
+    if g is None or mpmath.isnan(bound) or bound < 0:
+        return False
+    return mpmath.isinf(bound) or g[0] ** 2 + g[1] ** 2 <= exact(bound) ** 2
+
+
 def test_the_binade_bounds_decide_as_the_square_roots_do():
     values = _binade_values()
     for v in values:
@@ -729,16 +740,37 @@ def test_the_binade_bounds_decide_as_the_square_roots_do():
         if b is not None:
             lo, hi = (mpmath.mpf(0) if e == float("-inf") else mpmath.ldexp(1, e) for e in b)
             assert lo <= m <= hi, (v, b)
-    # negligible: x.mag() <= as_tol(tol, scale), a whole binade clear or not
-    for tol in _TOLS:
+    # negligible: |x|^2 <= as_tol(tol, scale)^2 over Fractions, exactly, a
+    # whole binade clear or not, with exact ties: |x| = t passes, and
+    # t (1 + 2^-60) and 5 (1 + 2^-60) 2^-40 off a 3-4-5 tie do not
+    for tol in _TOLS + [5 * 2.0 ** -40]:
         for scale in _SCALES:
             bound = as_tol(tol, scale)
+            b = exact(bound)
             near = [cx(mpmath.ldexp(bound, k), 0, 256) for k in range(-3, 4)]
-            near += [cx(bound, 0, 64), cx(0, mpmath.ldexp(bound, 1), 64)]
+            near += [cx(bound, 0, 64), cx(0, mpmath.ldexp(bound, 1), 64),
+                     cx(0, -b, 64), cx(b * (1 + Fraction(1, 2 ** 60)), 0, 256),
+                     cx(b * 3 / 5, b * 4 / 5, 256),
+                     cx(-b * 3 / 5, b * 4 / 5 * (1 - Fraction(1, 2 ** 60)), 256)]
             for x in values + near:
-                assert negligible(x, tol, scale) is (x.mag() <= bound
-                                                    if not x.is_rational
-                                                    else x.is_exact_zero()), (x, tol, scale)
+                assert negligible(x, tol, scale) is _negligible_reference(x, bound), (x, tol, scale)
+            assert negligible(cx(bound, 0, 64), tol, scale)
+            assert not negligible(cx(b * (1 + Fraction(1, 2 ** 60)), 0, 256), tol, scale)
+    t = Fraction(5, 2 ** 40)
+    assert negligible(cx(t * 3 / 5, t * 4 / 5, 64), 5 * 2.0 ** -40)
+    assert not negligible(cx(t * 3 / 5, t * 4 / 5 * (1 + Fraction(1, 2 ** 60)), 256),
+                          5 * 2.0 ** -40)
+    # an infinity or nan is never negligible, against a finite or an
+    # infinite bound; a finite value passes an infinite bound, and nothing
+    # passes a nan one
+    bad = [Scalar.complex_(mpmath.inf, 0, 256), Scalar.complex_(0, -mpmath.inf, 64),
+           Scalar.complex_(mpmath.nan, 1, 64), Scalar.complex_(mpmath.inf, mpmath.nan, 256)]
+    for tol in ("1e-30", mpmath.inf, float("inf"), "inf"):
+        for scale in (mpmath.mpf(1), mpmath.inf):
+            for x in bad:
+                assert not negligible(x, tol, scale), (x, tol, scale)
+            assert negligible(cx(2 ** 100, -3, 256), mpmath.inf, scale)
+            assert not negligible(cx(0, 0, 64), mpmath.nan, scale)
     # the pivot: the first index of the largest mag(), from every start
     rng = random.Random(5)
     for _ in range(300):
