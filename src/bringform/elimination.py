@@ -26,7 +26,11 @@ is computed here by two independent routes:
 The two routes are deliberately kept independent so tests can use each as an
 oracle for the other.  They share the product modulo A, which is the
 polynomial ring, but no table: the columns multiply by w, and the power sums
-read T^j.
+read T^j.  For rational A and T, ``matches_power_sums`` judges the
+charpoly's C against the power-sum route on ints: Newton's identities run
+on the exact traces, and each G_k = k! q^k e_k is cross-multiplied with C's
+coefficient (``polynomials.matches_traces``), so that route's C becomes
+Scalars only when ``transform_by_power_sums`` is asked for it.
 
 Conditions in free parameters come from ``image_elementary``: with each
 coefficient of T affine in the parameters, the power sums of the images are
@@ -48,8 +52,8 @@ import operator
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .polynomials import (Record, UniPoly, columns_mod, monic_from_traces, newton_elementary,
-                          powers_mod, product_traces, table_traces)
+from .polynomials import (Record, UniPoly, columns_mod, matches_traces, monic_from_traces,
+                          newton_elementary, powers_mod, product_traces, table_traces)
 from .scalars import ONE, Scalar, as_scalar, graded_monic, rat
 
 
@@ -183,6 +187,25 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, table=None) -> UniPoly:
     (``polynomials.table_traces``), and Newton's identities rebuild C from
     those ints, each coefficient exact or rounded once (``monic_from_traces``).
     """
+    return monic_from_traces(*table_traces(_map_table(A, t_coeffs, table)), "y")
+
+
+def matches_power_sums(C: UniPoly, A: UniPoly, t_coeffs, table=None) -> bool:
+    """Is C, exactly, what ``transform_by_power_sums`` gives for the rational
+    A and T?  The same traces, in the exact ring, are judged against C on
+    ints (``polynomials.matches_traces``), so no coefficient of that route
+    becomes a Scalar.  ValueError as for ``transform_by_power_sums``, and
+    for an A or T that is not rational."""
+    P, q, prec, _ = table_traces(_map_table(A, t_coeffs, table))
+    if prec is not None:
+        raise ValueError("the exact comparison needs a rational A and T")
+    return matches_traces(C, P, q)
+
+
+def _map_table(A: UniPoly, t_coeffs, table):
+    """``table``, or ``powers_mod(T, A)`` for the T of ascending
+    coefficients ``t_coeffs``; ValueError unless A is monic and 1 <= deg T
+    < deg A."""
     if not A.is_monic():
         raise ValueError("A must be monic (normalize first)")
     n = A.degree
@@ -190,7 +213,7 @@ def transform_by_power_sums(A: UniPoly, t_coeffs, table=None) -> UniPoly:
     k = max((j for j, c in enumerate(t) if not c.is_exact_zero()), default=-1)
     if k < 1 or k >= n:
         raise ValueError("map degree must satisfy 1 <= deg T < deg A")
-    return monic_from_traces(*table_traces(table or powers_mod(UniPoly(t, A.var), A)), "y")
+    return table or powers_mod(UniPoly(t, A.var), A)
 
 
 def image_elementary(A: UniPoly, xs, m: int, read=None):

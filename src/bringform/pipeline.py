@@ -14,7 +14,8 @@ Subsidiary coefficients are named upward from the constant term:
 
 Each step is computed twice, by independent routes: det(y - M_T) of
 multiplication by T modulo A, and power-sum transport through Newton's
-identities.  They must agree (exactly in rational mode) or the step fails.
+identities.  They must agree (exactly in rational mode, judged on ints) or
+the step fails.
 
 A ``TransformStep`` owns everything that depends on its kind: ``certify``
 proves its output without eliminating again, and ``pull_back`` moves roots
@@ -44,7 +45,7 @@ from typing import NamedTuple
 import mpmath
 from mpmath.libmp import mpf_add, mpf_div, mpf_le, mpf_shift, round_nearest
 
-from .elimination import (form_in, image_elementary, map_charpoly,
+from .elimination import (form_in, image_elementary, map_charpoly, matches_power_sums,
                           transform_by_power_sums)
 from .errors import ConsistencyError, DegenerateDenominator
 from .polynomials import (Record, UniPoly, coeff_mismatch, coeff_scale, compose_mod,
@@ -211,7 +212,8 @@ class TransformStep(Record):
         residual = mpmath.mp.make_mpf(mpf_div(miss.max_mag()._mpf_, scale._mpf_, 53,
                                               round_nearest))
         n = A.degree
-        ok = (all(negligible(c, tol, scale) for c in miss.coeffs)
+        t = as_tol(tol, scale)
+        ok = (all(negligible(c, t) for c in miss.coeffs)
               and self.subsidiary.k < n and C.is_monic() and C.degree == n)
         if ok:  # C(T) on its exact ints; in rational mode only a zero passes
             terms, d, prec = table_sum(self.table, C.coeffs)
@@ -399,23 +401,30 @@ def _step(kind: str, A: UniPoly, sub: Subsidiary, aux, tol, checks=()) -> Transf
 def dual_eliminate(A: UniPoly, sub: Subsidiary, tol=None):
     """Eliminate z by both routes and insist they agree.
 
-    Returns (C, table): C monic in y, and the table T^0..T^n mod A
-    (``powers_mod``) that the power-sum route read, kept in the ring, which
-    ``_step`` hands to its ``TransformStep``.  The routes share no code past the
-    polynomial ring, so their agreement is a genuine cross-check, not a
-    tautology.  A complex disagreement is reported relative to
-    ``coeff_scale(C_res, C_ps)``, beside the tol it was held to.
+    Returns (C, table): C monic in y, the charpoly route's
+    (``map_charpoly``), and the table T^0..T^n mod A (``powers_mod``) that
+    the power-sum route read, kept in the ring, which ``_step`` hands to
+    its ``TransformStep``.  The routes share no code past the polynomial
+    ring, so their agreement is a genuine cross-check, not a tautology.
+    With rational A and T (an exact table) they must agree exactly, judged
+    on ints (``matches_power_sums``), and the power-sum route's C is built
+    (``transform_by_power_sums``) only for the refusal that shows both.
+    Otherwise that C is built and held to tol (``coeff_mismatch``), and a
+    disagreement is reported relative to ``coeff_scale(C_res, C_ps)``,
+    beside the tol it was held to.
     """
     t = sub.t_coeffs()
     C_res = map_charpoly(A, t)
     table = powers_mod(UniPoly(t, A.var), A)
+    if table.prec is None:
+        if matches_power_sums(C_res, A, t, table):
+            return C_res, table
+        raise ConsistencyError("resultant and power-sum routes disagree: %s vs %s"
+                               % (C_res, transform_by_power_sums(A, t, table)))
     C_ps = transform_by_power_sums(A, t, table)
     bad = coeff_mismatch(C_res, C_ps, tol)
     if bad is None:
         return C_res, table
-    if C_res.is_rational_tree() and C_ps.is_rational_tree():
-        raise ConsistencyError(
-            "resultant and power-sum routes disagree: %s vs %s" % (C_res, C_ps))
     d, scale = bad[1].mag(), coeff_scale(C_res, C_ps)
     d, rel, scale, t = (mpmath.nstr(v, 3) for v in (d, d / scale, scale, as_tol(tol)))
     raise ConsistencyError("resultant and power-sum routes disagree at y^%d by %s, %s of "

@@ -35,7 +35,9 @@ vectors kept in the ring for ``table_traces``, ``table_sum`` and
 form's products (``product_traces``), ``power_sums`` and
 ``poly_from_power_sums``.  Newton's identities run once back,
 ``newton_elementary``, for the forms, the power-sum route and
-``poly_from_power_sums`` (``monic_from_traces``).
+``poly_from_power_sums`` (``monic_from_traces``); its exact body on ints
+(``_newton_ints``) also serves ``matches_traces``, which judges a rational
+C against exact traces with no Scalar made.
 
 A ``UniPoly`` also keeps three memo slots, filled on first use and never
 part of equality, repr or JSON: its largest coefficient magnitude
@@ -55,8 +57,9 @@ import mpmath
 from mpmath.libmp import normalize, round_nearest
 
 from .scalars import (DEFAULT_PRECISION_BITS, GUARD_BITS, ONE, ZERO, Scalar,
-                      add, as_scalar, as_tol, close, fixed_point, from_ratio, int_vector,
-                      mag_binades, mul, negligible, noise_tol, pivot_index, rat, within)
+                      add, as_scalar, as_tol, close, equals_ratio, fixed_point, from_ratio,
+                      int_vector, mag_binades, mul, negligible, noise_tol, pivot_index, rat,
+                      within)
 
 
 class Record:
@@ -141,7 +144,7 @@ class UniPoly(Record):
         return rat(0)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.coeffs) and self.coeffs[-1] == ONE
 
     def with_var(self, var: str) -> "UniPoly":
         return UniPoly(self.coeffs, var)
@@ -1140,14 +1143,11 @@ def newton_elementary(sums, q, prec, bits, width=0, read=None):
     ``read`` (ascending; None for all) are made, in that order: the G_k of
     the rest stay ints."""
     if not width and prec is None:
-        P, G, out, d = [s[()][0] if s else 0 for s in sums], [1], [], 1
-        for k in range(1, len(P) + 1):
-            acc, f, d = 0, 1, d * k * q
-            for i in range(1, k + 1):
-                acc, f = acc + (f if i % 2 else -f) * P[i - 1] * G[k - i], f * (k - i)
-            G.append(acc)
+        out, d = [], 1
+        for k, Gk in enumerate(_newton_ints([s[()][0] if s else 0 for s in sums]), 1):
+            d *= k * q
             if read is None or k in read:
-                out.append({(): from_ratio(acc, 0, d)} if acc else {})
+                out.append({(): from_ratio(Gk, 0, d)} if Gk else {})
         return out
     G, out, d = [{(0,) * width: (1, 0, 0)}], [], 1
     for k in range(1, len(sums) + 1):
@@ -1172,6 +1172,20 @@ def newton_elementary(sums, q, prec, bits, width=0, read=None):
     return out
 
 
+def _newton_ints(P):
+    """G_1..G_m from the ints P_1..P_m by Newton's identities on ints, G_k =
+    sum_(i=1..k) (-1)^(i-1) (k-1)!/(k-i)! P_i G_(k-i) with G_0 = 1: the
+    exact body of ``newton_elementary``, so G_k = k! q^k e_k when P_i = q^i
+    s_i."""
+    G = [1]
+    for k in range(1, len(P) + 1):
+        acc, f = 0, 1
+        for i in range(1, k + 1):
+            acc, f = acc + (f if i % 2 else -f) * P[i - 1] * G[k - i], f * (k - i)
+        G.append(acc)
+    return G[1:]
+
+
 def monic_from_traces(P, q, prec, bits, var):
     """The monic polynomial in ``var`` with power sums s_j given as P_j = q^j
     s_j (``table_traces``): y^n + sum_k e_k(-y) y^(n-k), Newton's identities
@@ -1179,6 +1193,25 @@ def monic_from_traces(P, q, prec, bits, var):
     es = newton_elementary([{(): (-re, -im, e) if j % 2 else (re, im, e)} if re or im else {}
                             for j, (re, im, e) in enumerate(P, 1)], q, prec, bits)
     return UniPoly._of([e.get((), ZERO) for e in reversed(es)] + [ONE], var)
+
+
+def matches_traces(C: UniPoly, P, q) -> bool:
+    """Is C the polynomial ``monic_from_traces`` makes of the exact traces
+    P_j = q^j s_j (``table_traces`` of an exact table)?  Decided on ints,
+    with no Scalar made: C must be monic of degree n = len(P), and its
+    coefficient of y^(n-k) equal G_k / (k! q^k) for the G_k of Newton's
+    identities on the (-1)^j P_j (``_newton_ints``), cross-multiplied
+    (``scalars.equals_ratio``)."""
+    n, cs = len(P), C.coeffs
+    if C.degree != n or not C.is_monic():
+        return False
+    d = 1
+    G = _newton_ints([-re if j % 2 else re for j, (re, _, _) in enumerate(P, 1)])
+    for k, Gk in enumerate(G, 1):
+        d *= k * q
+        if not equals_ratio(cs[n - k], Gk, d):
+            return False
+    return True
 
 
 def poly_from_power_sums(sums, var: str = "y") -> UniPoly:

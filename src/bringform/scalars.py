@@ -62,7 +62,9 @@ and imaginary parts, and
 ``from_ratio`` any other value of them over an int, exactly for a rational
 and otherwise with each part rounded once (every exit of the ring of
 ``polynomials``, the forms of ``elimination.image_elementary`` and the
-inverse map of ``pipeline.step_inverse``).
+inverse map of ``pipeline.step_inverse``); ``equals_ratio`` asks whether a
+rational is such a value, cross-multiplied, with no exit taken (the exact
+cross-check of the two routes, ``polynomials.matches_traces``).
 
 A rational rounded to an mpf (``_rat_mpf``, keyed by numerator,
 denominator and precision) and a parsed tolerance string (``as_tol``) are
@@ -87,10 +89,10 @@ from math import gcd, isqrt, lcm
 import mpmath
 from mpmath import mp
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add,
+from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_abs, mpc_add,
                           mpc_conjugate, mpc_div, mpc_mul, mpc_neg, mpc_pow_int,
                           mpc_sqrt, mpc_sub, mpf_abs, mpf_div, mpf_eq,
-                          mpf_le, mpf_mul, mpf_sub, normalize, round_nearest)
+                          mpf_le, mpf_mul, mpf_pos, mpf_sub, normalize, round_nearest)
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_TOLERANCE = "1e-30"
@@ -781,7 +783,13 @@ def as_tol(tol, *scales):
     each product rounded at ``TOL_PREC`` bits, scales multiplied first.
     ValueError for a string that is not a number."""
     tol = DEFAULT_TOLERANCE if tol is None else tol
-    t = _parse_tol(tol) if isinstance(tol, str) else context(TOL_PREC).mpf(tol)._mpf_
+    if isinstance(tol, str):
+        t = _parse_tol(tol)
+    elif isinstance(tol, float):
+        t = from_float(tol, TOL_PREC, round_nearest)
+    else:  # an mpf rounded as context(TOL_PREC).mpf rounds it, with no new object
+        t = getattr(tol, "_mpf_", None)
+        t = context(TOL_PREC).mpf(tol)._mpf_ if t is None else mpf_pos(t, TOL_PREC, round_nearest)
     if scales:
         s = functools.reduce(lambda a, b: mpf_mul(a, b, TOL_PREC, round_nearest),
                              (v._mpf_ for v in scales))
@@ -832,9 +840,6 @@ def mag_binades(v):
     return e - 1, e + 1
 
 
-_ONE = mpmath.mpf(1)
-
-
 def within(h, q, e, t) -> bool:
     """Is h 2^(2e) / q <= t^2, for ints h >= 0 and q > 0 and the mpf t?
     Decided exactly on ints: the one comparison of every tolerance verdict.
@@ -844,6 +849,12 @@ def within(h, q, e, t) -> bool:
         return t == mpmath.inf
     k = 2 * (e - x)  # h 2^(2e) / q <= (m 2^x)^2
     return h << k <= m * m * q if k >= 0 else h <= m * m * q << -k
+
+
+def equals_ratio(x: Scalar, n: int, d: int) -> bool:
+    """Is the Scalar x the rational n / d (ints, d nonzero)?  Cross-multiplied
+    on ints, with no gcd and no Scalar made; False for a complex x."""
+    return x._den is not None and x._num * d == n * x._den
 
 
 def close(x: Scalar, y: Scalar, t) -> bool:
@@ -864,13 +875,14 @@ def close(x: Scalar, y: Scalar, t) -> bool:
     return within((a - c) ** 2 + (b - f) ** 2, d * d, e, t)
 
 
-def negligible(x: Scalar, tol, scale=_ONE) -> bool:
+def negligible(x: Scalar, tol, scale=None) -> bool:
     """The one zero test: a rational only when it is exactly zero, a
-    complex float when it is finite and |x| <= ``as_tol(tol, scale)``,
-    exactly (``close``), so an infinity or nan is never negligible."""
+    complex float when it is finite and |x| <= ``as_tol(tol, scale)``
+    (``as_tol(tol)`` with no scale), exactly (``close``), so an infinity or
+    nan is never negligible."""
     if x._den is not None:
         return not x._num
-    return close(x, ZERO, as_tol(tol, scale))
+    return close(x, ZERO, as_tol(tol) if scale is None else as_tol(tol, scale))
 
 
 def pivot_index(values):

@@ -18,7 +18,7 @@ from math import factorial
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import to_rational
 
@@ -626,6 +626,115 @@ def test_the_integer_power_sum_route_matches_fraction_arithmetic(case):
     sums = [c * lead for c in t] + [lead] * (n - len(t))
     assert (_scalar_pairs(poly_from_power_sums(_lift(sums)).coeffs)
             == _pairs(_ref_from_power_sums(sums)))
+
+
+def _int_product(*factors):
+    """The ascending int coefficients of the product of int polynomials."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = prod
+    return out
+
+
+@st.composite
+def _route_case(draw):
+    """(a, t): a monic rational A of degree n = 2-6 of one of two shapes:
+    (z - r/L)^m times the rest, a root of multiplicity m >= 2 in most
+    draws, or coefficients over powers of L with exact zeros; L >= 2 makes
+    the ring's L (``int_monic``) not 1 unless A is z^n.  t is a map of
+    degree k = 1 to n - 1 (k = n - 1 among them) with exact zeros."""
+    n, L = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    digit = st.one_of(st.just(0), st.integers(-9, 9))
+    if draw(st.booleans()):
+        m, r = draw(st.integers(2, n)), draw(st.integers(-4, 4))
+        rest = [draw(digit) for _ in range(n - m)] + [1]
+        # A(z) L^n = (L z - r)^m rest(L z)
+        ints = _int_product(*[[-r, L]] * m, [c * L ** j for j, c in enumerate(rest)])
+        a = [Fraction(c, L ** n) for c in ints]
+    else:
+        a = [Fraction(draw(digit), L ** draw(st.integers(1, 3))) for _ in range(n)] + [Fraction(1)]
+    k = draw(st.integers(1, n - 1))
+    t = [draw(_COEFF) for _ in range(k)] + [draw(st.one_of(_SMALL, _BIG).filter(bool))]
+    return a, t
+
+
+def _sympy_charpoly(a, t):
+    """C(y) = Res_z(A, y - T) from sympy, its coefficients ascending as
+    Fractions."""
+    z, y = sympy.symbols("z y")
+    A = sum(sympy.Rational(c.numerator, c.denominator) * z ** j for j, c in enumerate(a))
+    T = sum(sympy.Rational(c.numerator, c.denominator) * z ** j for j, c in enumerate(t))
+    C = sympy.Poly(sympy.resultant(A, y - T, z), y).all_coeffs()[::-1]
+    return [Fraction(int(c.p), int(c.q)) for c in C]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(case=_route_case())
+@example(case=([Fraction(-1, 27), Fraction(1, 3), Fraction(-1), Fraction(1)],
+               [Fraction(1, 2), Fraction(0), Fraction(-3)]))  # (z - 1/3)^3, k = n - 1
+def test_the_routes_and_dual_eliminate_agree_exactly_with_sympy(case):
+    a, t = case
+    A, n = UniPoly(_lift(a)), len(a) - 1
+    C = map_charpoly(A, _lift(t))
+    assert transform_by_power_sums(A, _lift(t)) == C
+    assert [c.fraction for c in C.coeffs] == _sympy_charpoly(a, t)
+    # dual_eliminate's T is monic up to sign; its C is both routes' and
+    # sympy's, and the exact comparison refuses a C moved at any coefficient
+    sub = Subsidiary(len(t) - 1, tuple(_lift(t[:-1])))
+    C, table = dual_eliminate(A, sub)
+    u = sub.t_coeffs()
+    assert C == map_charpoly(A, u) == transform_by_power_sums(A, u, table)
+    assert [c.fraction for c in C.coeffs] == _sympy_charpoly(a, [c.fraction for c in u])
+    assert elimination.matches_power_sums(C, A, u, table)
+    for j in range(n + 1):
+        moved = UniPoly([c + rat(1, 7) if i == j else c for i, c in enumerate(C.coeffs)], "y")
+        assert not elimination.matches_power_sums(moved, A, u, table), j
+
+
+def test_an_agreeing_exact_elimination_makes_no_scalar_of_the_power_sum_route(monkeypatch):
+    # dual_eliminate makes the Scalars of its map and of the charpoly, and
+    # none more: the power-sum route is judged on its ints
+    made = [0]
+    init = scalars.Scalar.__init__
+
+    def counted(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(scalars.Scalar, "__init__", counted)
+
+    def count(f, *args):
+        made[0] = 0
+        out = f(*args)
+        return made[0], out
+
+    A = UniPoly([rat(3, 4), rat(-2, 3), rat(0), rat(4), rat(-1, 2), rat(1)])
+    for sub in (Subsidiary(1, (rat(-1, 5),)), Subsidiary(3, (rat(1, 3), rat(-2, 5), rat(7, 2))),
+                Subsidiary(4, (rat(1), rat(0), rat(-2, 9), rat(5)))):
+        of_map, t = count(sub.t_coeffs)
+        of_charpoly, C = count(map_charpoly, A, t)
+        of_route, C_ps = count(transform_by_power_sums, A, t)
+        assert C_ps == C and of_route > 0
+        got, (C_dual, _) = count(dual_eliminate, A, sub)
+        assert C_dual == C and got == of_map + of_charpoly, sub
+
+
+def test_a_subsidiary_of_degree_deg_a_or_more_is_still_refused():
+    A = UniPoly([rat(3, 4), rat(-2, 3), rat(0), rat(4), rat(-1, 2), rat(1)])
+    for k in (5, 6):
+        sub = Subsidiary(k, tuple(rat(j + 1, 3) for j in range(k)))
+        with pytest.raises(ValueError, match=r"map degree must satisfy 1 <= deg T < deg A"):
+            dual_eliminate(A, sub)
+        with pytest.raises(ValueError, match=r"map degree must satisfy 1 <= deg T < deg A"):
+            elimination.matches_power_sums(map_charpoly(A, sub.t_coeffs()), A, sub.t_coeffs())
+    # the exact comparison takes no rounded table
+    t = (rat(1, 3), cx(1, 2, 64))
+    with pytest.raises(ValueError, match=r"the exact comparison needs a rational A and T"):
+        elimination.matches_power_sums(map_charpoly(A, t), A, t)
 
 
 def _count_kernels(monkeypatch, names=("add", "mul")):

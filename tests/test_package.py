@@ -185,9 +185,9 @@ def test_berkowitz_is_the_one_determinant_and_divides_by_nothing():
 # fixed-point Gaussian-integer blocks
 def test_the_power_sum_route_calls_no_scalar_kernel():
     route = {"polynomials.py": {"power_sums", "poly_from_power_sums", "table_traces",
-                                "monic_from_traces", "newton_elementary", "powers_mod",
-                                "solve_mod", "table_sum"},
-             "elimination.py": {"transform_by_power_sums"},
+                                "monic_from_traces", "newton_elementary", "_newton_ints",
+                                "matches_traces", "powers_mod", "solve_mod", "table_sum"},
+             "elimination.py": {"transform_by_power_sums", "matches_power_sums", "_map_table"},
              "pipeline.py": {"_certificate", "step_inverse"}}
     kernels = {"add", "sub", "mul", "div", "cadd", "csub", "cmul"}
     for name, fns in route.items():

@@ -549,20 +549,30 @@ def test_dual_elimination_is_monic_and_consistent():
 
 
 def test_routes_that_disagree_are_refused(monkeypatch):
-    # a power-sum route that returns another rational C is a disagreement,
-    # and the chain names the step it happened in
-    from bringform import pipeline
+    # traces whose first power sum is off by one make another rational C:
+    # the exact comparison reads them and refuses, the refusal shows the C
+    # that the power-sum route builds of them, and the chain names the step
+    # it happened in
+    from bringform import elimination
 
-    original = pipeline.transform_by_power_sums
+    original = elimination.table_traces
 
-    def off_by_one(A, t, table=None):
-        C = original(A, t, table)
-        return UniPoly([C.coeffs[0] + rat(1)] + list(C.coeffs[1:]), C.var)
+    def off_by_one(table):
+        P, q, prec, bits = original(table)
+        (re, im, e), rest = P[0], P[1:]
+        return [(re + q, im, e)] + rest, q, prec, bits  # P_1 = q s_1
 
-    monkeypatch.setattr(pipeline, "transform_by_power_sums", off_by_one)
+    monkeypatch.setattr(elimination, "table_traces", off_by_one)
     A = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
-    with pytest.raises(ConsistencyError, match="^resultant and power-sum routes disagree: "):
-        dual_eliminate(A, Subsidiary(1, (rat(-1, 5),)))
+    sub = Subsidiary(1, (rat(-1, 5),))
+    C_ps = elimination.transform_by_power_sums(A, sub.t_coeffs())
+    # C's y^4 is -s_1(C), and s_1(C) = s_1(A) + 5 a with s_1(A) = -A's z^4
+    assert C_ps.coeff(4) == -(-A.coeff(4) + 5 * rat(-1, 5) + 1)
+    with pytest.raises(ConsistencyError, match="^resultant and power-sum routes disagree: ") as e:
+        dual_eliminate(A, sub)
+    want = "resultant and power-sum routes disagree: %s vs %s" % (
+        elimination.map_charpoly(A, sub.t_coeffs()), C_ps)
+    assert str(e.value) == want
     with pytest.raises(ConsistencyError,
                        match="^depress step: resultant and power-sum routes disagree: "):
         reduce_general_quintic(A)

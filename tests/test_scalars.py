@@ -20,13 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, fzero, mpc_abs, mpc_add,
-                          mpc_div, mpc_mul, mpc_pos, mpc_sub, mpf_div, mpf_neg, mpf_pos,
-                          mpf_shift, round_down, round_nearest)
+                          mpc_div, mpc_mul, mpc_pos, mpc_sub, mpf_div, mpf_mul, mpf_neg,
+                          mpf_pos, mpf_shift, round_down, round_nearest)
 
 from bringform import (DEFAULT_PRECISION_BITS, RootConfig, Scalar, UniPoly, cx,
                        find_roots, match_roots, rat, reduce_general_quintic, verify_trace)
 from bringform.polynomials import coeff_mismatch, lies_on
-from bringform.scalars import (_q, add, as_scalar, as_tol, cadd, cmul, context, div,
+from bringform.scalars import (TOL_PREC, _q, add, as_scalar, as_tol, cadd, cmul, context, div,
                                from_ratio, hypot, mag_binades, mul, negligible, pick_root,
                                pivot_index, sort_key, sub)
 from helpers import exact, gauss, reference_residual
@@ -160,6 +160,28 @@ def test_as_tol_accepts_common_forms():
     assert as_tol("1e-30") == mpmath.mpf("1e-30")
     assert as_tol(None) == mpmath.mpf("1e-30")
     assert as_tol(mpmath.mpf("1e-5")) == mpmath.mpf("1e-5")
+
+
+def test_as_tol_rounds_as_the_context_conversion_bit_for_bit():
+    # mpf and float tolerances round on libmp's raw tuples, with no mpf of
+    # the TOL_PREC context made; the bits must be that conversion's
+    def raw(m, e):
+        return mpmath.mp.make_mpf(from_man_exp(m, e))
+
+    mpfs = [raw((1 << 60) + 12345, -260), raw((1 << 53) + 1, -99), raw((1 << 53) + 3, -99),
+            raw((1 << 54) + 2, 7), raw(3, -1), raw((1 << 70) - 1, -10 ** 6),
+            raw((1 << 70) + 1, 10 ** 6), raw(1, -10 ** 9), mpmath.mpf(0),
+            mpmath.inf, -mpmath.inf, mpmath.nan]
+    mpfs += [-x for x in mpfs]
+    floats = [1e-30, -1e-30, 0.1, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, 0.0, -0.0, float("inf"), float("-inf"), float("nan")]
+    texts = ["1e-30", "-0.1", "1e-400000", "123456789012345678901234567890", "inf", "nan"]
+    scale = raw((1 << 61) + 5, -40)
+    ctx = context(TOL_PREC)
+    for tol in mpfs + floats + texts + [None, 3, -(1 << 100) - 1]:
+        want = ctx.mpf("1e-30" if tol is None else tol)._mpf_
+        assert as_tol(tol)._mpf_ == want, tol
+        assert as_tol(tol, scale)._mpf_ == mpf_mul(want, scale._mpf_, TOL_PREC, round_nearest), tol
 
 
 def test_sort_key_orders_by_real_then_imaginary():

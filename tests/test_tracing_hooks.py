@@ -75,8 +75,10 @@ def test_the_oracles_read_of_rescue_scaling_resolves():
 def test_dual_eliminate_still_runs_the_power_sum_route_span():
     # the tracer's ``elimination.transform_by_power_sums`` span only counts
     # while dual_eliminate calls that function by name, rebindable in every
-    # module namespace that holds it
-    from bringform import Subsidiary, dual_eliminate, rat
+    # module namespace that holds it.  A complex step builds that route's C
+    # once; an exact step whose routes agree judges them on ints and builds
+    # none, so on rational input the span counts only refusals
+    from bringform import Subsidiary, cx, dual_eliminate, rat
 
     module, attr = tracing.SPANS["elimination.transform_by_power_sums"]
     original = getattr(importlib.import_module("bringform." + module), attr)
@@ -93,6 +95,9 @@ def test_dual_eliminate_still_runs_the_power_sum_route_span():
             for key, value in list(vars(m).items()):
                 if value is original:
                     mp.setattr(m, key, counted)
+        A = UniPoly([cx(3, 1, 64), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
+        dual_eliminate(A, Subsidiary(2, (rat(1), rat(-2))))
+        assert len(calls) == 1
         A = UniPoly([rat(3), rat(-2), rat(1), rat(4), rat(-1), rat(1)])
         dual_eliminate(A, Subsidiary(2, (rat(1), rat(-2))))
     assert len(calls) == 1
